@@ -3,13 +3,13 @@
 The ring has one variable x_{i,j} per matrix entry with degree e_i + f_j;
 I_r is generated by the r-minors.  For maximal minors the multidegree and
 K-polynomial have closed forms, and the diagonal (row-major lex) order
-gives the main-diagonal initial ideal; the closed formulas assert their
-own defining recursions before returning.
+gives the main-diagonal initial ideal; the closed formulas check their
+own defining recursions before returning and raise MdegError on a mismatch.
 """
 
 from itertools import combinations
 
-from .errors import BadShape
+from .errors import BadShape, MdegError
 from .groebner import Ideal
 from .intpoly import IntegerPolynomial
 from .monomial import MonomialIdeal
@@ -168,7 +168,7 @@ def k_polynomial_formula(m, n):
 
 def closed_formulas(m, n):
     """(C, K) closed formulas for maximal minors, with the defining
-    recursions of both asserted as exact identities."""
+    recursions of both checked as exact identities."""
     H = multidegree_formula(m, n)
     K = k_polynomial_formula(m, n)
     if n > m > 1:
@@ -177,11 +177,13 @@ def closed_formulas(m, n):
         sn = IntegerPolynomial.variable(p, p - 1)
         Ha = _embed(multidegree_formula(m, n - 1), m, n - 1, m, n)
         Hb = _embed(multidegree_formula(m - 1, n - 1), m - 1, n - 1, m, n)
-        assert H == sn * Ha + tm * Ha + Hb, "H recursion failed"
+        if H != sn * Ha + tm * Ha + Hb:
+            raise MdegError("H recursion failed")
         Ka = _embed(k_polynomial_formula(m, n - 1), m, n - 1, m, n)
         Kb = _embed(k_polynomial_formula(m - 1, n - 1), m - 1, n - 1, m, n)
         one = IntegerPolynomial.one(p)
-        assert K == (one - tm * sn) * Ka + tm * sn * Kb, "K recursion failed"
+        if K != (one - tm * sn) * Ka + tm * sn * Kb:
+            raise MdegError("K recursion failed")
     return H, K
 
 
@@ -208,9 +210,11 @@ def diagonal_initial(m, n, field=None):
         x = tuple(x)
         Jq = J.colon_monomial(x)
         Jp = _embed_monomial(diagonal_initial(m - 1, n - 1, field), m - 1, n - 1, m, n, ring)
-        assert Jq == Jp, "diagonal colon identity failed"
+        if Jq != Jp:
+            raise MdegError("diagonal colon identity failed")
         Js = _embed_monomial(diagonal_initial(m, n - 1, field), m, n - 1, m, n, ring)
-        assert J.add_monomial(x) == Js.add_monomial(x), "diagonal sum identity failed"
+        if J.add_monomial(x) != Js.add_monomial(x):
+            raise MdegError("diagonal sum identity failed")
     return ring, J
 
 

@@ -219,6 +219,8 @@ def geometric_multidegrees(I, order=None):
         sat = I
         for k in range(ring.p):
             blockvars = ring.block_variables(k)
+            if not blockvars:
+                continue  # a block a projection emptied has nothing to saturate by
             parts = [sat.saturate_variable(i) for i in blockvars]
             cur = parts[0]
             for s in parts[1:]:
@@ -232,7 +234,7 @@ def geometric_multidegrees(I, order=None):
     if unit:
         raise EmptyScheme("the ideal cuts out the empty scheme")
     cee = multidegree_C(sat_ideal, order)
-    m = [len(ring.block_variables(k)) - 1 for k in range(ring.p)]
+    m = [max(len(ring.block_variables(k)) - 1, 0) for k in range(ring.p)]
     total_m = sum(m)
     dim = total_m - codimension(sat_ideal, order)
     entries = {}

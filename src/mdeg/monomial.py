@@ -121,28 +121,6 @@ class MonomialIdeal:
             out = s if out is None else out.intersect(s)
         return out if out is not None else self
 
-    def contract(self, var_indices):
-        """I intersected with the subring on the given variables.
-
-        For monomial ideals the contraction is generated by the minimal
-        generators supported on those variables.
-        """
-        keep = sorted(var_indices)
-        pos = set(keep)
-        gens = [
-            tuple(g[i] for i in keep)
-            for g in self.gens
-            if all(e == 0 for i, e in enumerate(g) if i not in pos)
-        ]
-        from .ring import GradedRing
-
-        sub = GradedRing(
-            [self.ring.names[i] for i in keep],
-            [self.ring.degrees[i] for i in keep],
-            self.ring.field,
-        )
-        return MonomialIdeal(sub, gens)
-
     def contract_blocks(self, block_indices):
         """I_(J) for 1-based block indices; degrees restricted to J.
 
@@ -184,11 +162,6 @@ class MonomialIdeal:
         for g in self.gens:
             for i, e in enumerate(g):
                 bounds[i] = max(bounds[i], e)
-        for i in range(n):
-            if not any(g[i] and all(e == 0 for j, e in enumerate(g) if j != i) for g in self.gens):
-                # no pure power of x_i: colength finite only if x_i unused
-                if any(g[i] for g in self.gens) or True:
-                    bounds[i] = max(bounds[i], 1)
         out = []
 
         def rec(i, cur):
@@ -233,7 +206,7 @@ def minimal_primes(I):
     if any(not s for s in supports):  # unit ideal
         return []
     if not supports:
-        return [frozenset()] if False else [frozenset()]
+        return [frozenset()]
     covers = set()
 
     def rec(idx, chosen):
@@ -290,7 +263,14 @@ def _split_generator(I):
 
 
 def irreducible_decomposition(I):
-    """Irredundant decomposition into irreducible (pure-power) ideals."""
+    """Irredundant decomposition into irreducible (pure-power) ideals.
+
+    Irreducible monomial ideals are strongly irreducible: if J contains an
+    intersection of monomial ideals K_1, ..., K_r, then J contains some K_i
+    (take the lcm of witnesses m_i in K_i outside J).  So a component is
+    redundant exactly when it contains another one, and the result is the
+    inclusion-minimal components in the order the split tree found them.
+    """
     if I.is_unit():
         return []
     if I.is_zero():
@@ -310,23 +290,10 @@ def irreducible_decomposition(I):
             u, v = sp
             todo.append(J.add_monomial(u))
             todo.append(J.add_monomial(v))
-    # irredundantize: drop components containing the intersection of the rest
     done = list(dict.fromkeys(done))
-    changed = True
-    while changed:
-        changed = False
-        for k, J in enumerate(done):
-            rest = done[:k] + done[k + 1 :]
-            if not rest:
-                continue
-            inter = rest[0]
-            for other in rest[1:]:
-                inter = inter.intersect(other)
-            if J.contains_ideal(inter):
-                done.pop(k)
-                changed = True
-                break
-    return done
+    return [
+        J for J in done if not any(K is not J and J.contains_ideal(K) for K in done)
+    ]
 
 
 class PrimaryComponent:
@@ -343,7 +310,14 @@ class PrimaryComponent:
 
 
 def primary_decomposition(I):
-    """Irredundant primary decomposition via merged irreducibles."""
+    """Irredundant primary decomposition via merged irreducibles.
+
+    Grouping an irredundant irreducible decomposition by radical is already
+    irredundant: if the merged component Q_P contained the intersection of
+    the other groups, every irreducible J of P's group would contain it too,
+    hence (strong irreducibility) contain an irreducible of another group,
+    which the irredundancy of irreducible_decomposition rules out.
+    """
     irr = irreducible_decomposition(I)
     by_prime = {}
     for J in irr:
@@ -354,21 +328,6 @@ def primary_decomposition(I):
         for other in parts[1:]:
             comp = comp.intersect(other)
         comps.append((prime, comp))
-    # merged components can become redundant; prune again
-    changed = True
-    while changed:
-        changed = False
-        for k, (_, J) in enumerate(comps):
-            rest = [c for i, c in enumerate(comps) if i != k]
-            if not rest:
-                continue
-            inter = rest[0][1]
-            for _, other in rest[1:]:
-                inter = inter.intersect(other)
-            if J.contains_ideal(inter):
-                comps.pop(k)
-                changed = True
-                break
     minimal = {frozenset(P) for P in minimal_primes(I)} if not I.is_zero() else set()
     out = []
     for prime, comp in sorted(comps, key=lambda c: (len(c[0]), sorted(c[0]))):

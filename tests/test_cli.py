@@ -82,6 +82,39 @@ def test_project_then_cee_pipe(capsys, monkeypatch):
     assert terms == {(0, 3, 0): 2, (0, 2, 1): 4, (0, 1, 2): 2}
 
 
+# Acceptance criterion 2: dim and C of each projection, C over the kept blocks.
+PROJECTION_TABLE = {
+    (1,): (1, {(2,): 2}),
+    (2,): (2, {(1,): 2}),
+    (3,): (3, {(0,): 1}),
+    (1, 2): (2, {(3, 1): 2, (2, 2): 4}),
+    (1, 3): (3, {(3, 0): 2, (2, 1): 2}),
+    (2, 3): (3, {(3, 0): 2, (2, 1): 4, (1, 2): 2}),
+}
+
+
+@pytest.mark.parametrize("J", sorted(PROJECTION_TABLE))
+def test_project_then_geom_pipe(J, capsys, monkeypatch):
+    blocks = ",".join(map(str, J))
+    rc, projected, _ = run(capsys, ["project", EX46, "--ideal", "P", "--blocks", blocks])
+    assert rc == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(projected))
+    rc, out, _ = run(capsys, ["geom", "-", "--ideal", "P", "--json"])
+    assert rc == 0
+    meta = json.loads(out)["result"]["meta"]
+    dim, cee = PROJECTION_TABLE[J]
+    # blocks left out keep their grading label but have no variables, so
+    # they contribute 0 to the block dimension vector m = (3, 3, 3) - dropped
+    entries = {}
+    for exp, coeff in cee.items():
+        n = [0, 0, 0]
+        for k, e in zip(J, exp):
+            n[k - 1] = 3 - e
+        entries[tuple(n)] = coeff
+    assert meta["dim"] == dim
+    assert {tuple(e["n"]): e["e"] for e in meta["entries"]} == entries
+
+
 def test_parse_error_reports_position(tmp_path, capsys):
     f = tmp_path / "bad.ring"
     f.write_text("vars x\ndeg x = (0)\n")

@@ -9,7 +9,8 @@ from mdeg.determinantal import (
     minor,
     multidegree_formula,
 )
-from mdeg.errors import BadShape
+from mdeg import determinantal
+from mdeg.errors import BadShape, MdegError
 from mdeg.hilbert import k_polynomial, multidegree_C
 from mdeg.intpoly import IntegerPolynomial
 from mdeg.orders import diagonal_order
@@ -113,3 +114,16 @@ def test_recursions_asserted_on_larger_shapes():
     for m, n in [(2, 5), (3, 4), (3, 5), (4, 5)]:
         closed_formulas(m, n)
         diagonal_initial(m, n)
+
+
+def test_broken_recursion_raises_even_under_optimize(monkeypatch):
+    # the identity checks are raises, not asserts, so `python -O` keeps them
+    good = determinantal.multidegree_formula
+
+    def wrong(m, n):
+        H = good(m, n)
+        return H + IntegerPolynomial.one(H.p) if (m, n) == (3, 4) else H
+
+    monkeypatch.setattr(determinantal, "multidegree_formula", wrong)
+    with pytest.raises(MdegError, match="H recursion failed"):
+        closed_formulas(3, 4)

@@ -7,6 +7,8 @@ from conftest import random_monomial_ideal, random_standard_ring
 from mdeg.errors import NotMinimalPrime, NotSquarefree, TooManyVertices
 from mdeg.monomial import (
     MonomialIdeal,
+    PrimaryComponent,
+    _split_generator,
     alexander_dual,
     borel_fixed_check,
     borel_prime_exponent,
@@ -257,3 +259,80 @@ def test_primary_decomposition_intersects_back(seed):
     assert back == I
     mins = {frozenset(P) for P in minimal_primes(I)}
     assert mins <= {c.prime for c in comps}
+
+
+# The intersection-based pruning that irreducible_decomposition and
+# primary_decomposition used before pruning by pairwise containment; kept
+# as a differential oracle for the new kernel.
+
+
+def _intersection_of(ideals):
+    out = ideals[0]
+    for other in ideals[1:]:
+        out = out.intersect(other)
+    return out
+
+
+def _old_irreducible_decomposition(I):
+    if I.is_unit() or I.is_zero():
+        return []
+    done, todo, seen = [], [I], set()
+    while todo:
+        J = todo.pop()
+        if J in seen:
+            continue
+        seen.add(J)
+        sp = _split_generator(J)
+        if sp is None:
+            done.append(J)
+        else:
+            todo.append(J.add_monomial(sp[0]))
+            todo.append(J.add_monomial(sp[1]))
+    done = list(dict.fromkeys(done))
+    changed = True
+    while changed:
+        changed = False
+        for k, J in enumerate(done):
+            rest = done[:k] + done[k + 1 :]
+            if rest and J.contains_ideal(_intersection_of(rest)):
+                done.pop(k)
+                changed = True
+                break
+    return done
+
+
+def _old_primary_decomposition(I):
+    by_prime = {}
+    for J in _old_irreducible_decomposition(I):
+        by_prime.setdefault(frozenset(J.support_vars()), []).append(J)
+    comps = [(P, _intersection_of(parts)) for P, parts in by_prime.items()]
+    changed = True
+    while changed:
+        changed = False
+        for k, (_, J) in enumerate(comps):
+            rest = [c for i, c in enumerate(comps) if i != k]
+            if rest and J.contains_ideal(_intersection_of([c for _, c in rest])):
+                comps.pop(k)
+                changed = True
+                break
+    minimal = {frozenset(P) for P in minimal_primes(I)} if not I.is_zero() else set()
+    return [
+        PrimaryComponent(P, Q, length_at_minimal_prime(I, P) if P in minimal else None)
+        for P, Q in sorted(comps, key=lambda c: (len(c[0]), sorted(c[0])))
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000))
+def test_decompositions_match_intersection_pruning(seed):
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=5)
+    I = random_monomial_ideal(rng, R)
+    irr = irreducible_decomposition(I)
+    assert irr == _old_irreducible_decomposition(I)
+    assert not any(
+        J.contains_ideal(K) for J in irr for K in irr if K is not J
+    )
+    new = [(c.prime, c.component, c.length_at_prime) for c in primary_decomposition(I)]
+    old = [(c.prime, c.component, c.length_at_prime) for c in _old_primary_decomposition(I)]
+    assert new == old
