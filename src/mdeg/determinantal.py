@@ -100,8 +100,7 @@ def multidegree_formula(m, n):
 
     def avecs(i, left, cur):
         if i == m:
-            if True:
-                yield tuple(cur), left
+            yield tuple(cur), left
             return
         for e in range(left + 1):
             cur.append(e)

@@ -289,14 +289,7 @@ def _aux_eliminate(ring, raw_dicts, n_aux):
     Works on raw term dicts in an (n_aux + n)-slot exponent space; returns
     the dicts (restricted to the original slots) whose aux exponents vanish.
     """
-    n = ring.n
-
-    class _Shim:
-        pass
-
-    shim = _Shim()
-    shim.n = n_aux + n
-    order = elimination_order(shim, range(n_aux))
+    order = elimination_order(n_aux + ring.n, range(n_aux))
     gb = buchberger(raw_dicts, order, ring.field)
     out = []
     for d in gb:
@@ -379,31 +372,45 @@ def colon_ideal(I, J):
 
 
 def saturate(I, f):
-    """(I : f^infinity) by iterating the colon until it stabilizes."""
-    order = grevlex(I.ring)
-    cur = I
-    cur_gb = cur.groebner_basis(order)
-    while True:
-        nxt = colon(cur, f)
-        nxt_gb = nxt.groebner_basis(order)
-        if nxt_gb == cur_gb:
-            return cur
-        cur, cur_gb = nxt, nxt_gb
+    """(I : f^infinity) as (I + (1 - t*f)) cap k[x], eliminating t."""
+    if f.is_zero():
+        raise ZeroDivisionError("saturation by zero")
+    ring = I.ring
+    F = ring.field
+    aux = {(1,) + e: F.neg(c) for e, c in f.terms.items()}
+    aux[(0,) * (ring.n + 1)] = F.one
+    raw = [_extend_exps(g.terms, 1) for g in I.gens] + [aux]
+    dicts = _aux_eliminate(ring, raw, 1)
+    return Ideal(ring, [Polynomial(ring, d) for d in dicts], check_homogeneous=False)
 
 
 def saturate_var_block(I, var_indices):
-    """Saturate by the ideal of a set of variables: cap of the variable
-    saturations."""
+    """Saturate an Ideal or a MonomialIdeal by the ideal of some variables.
+
+    I : m^infinity for m = (x_i : i in var_indices) is the intersection of
+    the variable saturations I : x_i^infinity.  Since
+    I <= I : m^infinity <= I : x_i^infinity for every i, the first x_i with
+    I : x_i^infinity == I shows that I is already saturated, and I is
+    returned at once.  An empty index set also returns I.
+    """
     ring = I.ring
     out = None
     for i in var_indices:
-        s = saturate(I, ring.variable(ring.names[i]))
-        out = s if out is None else intersect(out, s)
-    return out if out is not None else I
+        if isinstance(I, MonomialIdeal):
+            s = I.saturate_variable(i)
+            meet = MonomialIdeal.intersect
+        else:
+            s = saturate(I, ring.variable(ring.names[i]))
+            meet = intersect
+        if s == I:
+            return I
+        out = s if out is None else meet(out, s)
+    return I if out is None else out
 
 
 def saturate_irrelevant(I):
-    """Saturate by the irrelevant ideal of a standard N^p-graded ring.
+    """Saturate an Ideal or a MonomialIdeal by the irrelevant ideal of a
+    standard N^p-graded ring.
 
     The irrelevant ideal is the intersection of the block ideals, so the
     saturation is computed one block at a time.
@@ -442,7 +449,7 @@ def contract(I, block_indices, keep_grading=False):
             )
         else:
             drop.append(i)
-    order = elimination_order(ring, drop)
+    order = elimination_order(ring.n, drop)
     gb = I.groebner_basis(order)
     if keep_grading:
         sub_degrees = [ring.degrees[i] for i in keep]

@@ -12,7 +12,7 @@ from .errors import (
     LowerDegreeTermsPresent,
     NotStandardGraded,
 )
-from .groebner import Ideal, saturate_irrelevant
+from .groebner import Ideal, saturate_irrelevant, saturate_var_block
 from .intpoly import IntegerPolynomial, series_expansion
 from .monomial import (
     MonomialIdeal,
@@ -147,7 +147,7 @@ def arithmetic_multidegree(I):
     for comp in primary_decomposition(I):
         prime = comp.prime
         loc = localize_at(I, prime)
-        sat = loc.saturate_max_ideal()
+        sat = saturate_var_block(loc, range(loc.ring.n))
         # H^0 at the prime: monomials of sat not in loc, finitely many
         # since sat/loc is annihilated by a power of every variable
         length = _colength_between(loc, sat)
@@ -215,23 +215,8 @@ def geometric_multidegrees(I, order=None):
     ring = I.ring
     if not ring.is_standard:
         raise NotStandardGraded("multiplicity table needs a standard grading")
-    if isinstance(I, MonomialIdeal):
-        sat = I
-        for k in range(ring.p):
-            blockvars = ring.block_variables(k)
-            if not blockvars:
-                continue  # a block a projection emptied has nothing to saturate by
-            parts = [sat.saturate_variable(i) for i in blockvars]
-            cur = parts[0]
-            for s in parts[1:]:
-                cur = cur.intersect(s)
-            sat = cur
-        sat_ideal = sat
-        unit = sat.is_unit()
-    else:
-        sat_ideal = saturate_irrelevant(I)
-        unit = sat_ideal.is_unit()
-    if unit:
+    sat_ideal = saturate_irrelevant(I)
+    if sat_ideal.is_unit():
         raise EmptyScheme("the ideal cuts out the empty scheme")
     cee = multidegree_C(sat_ideal, order)
     m = [max(len(ring.block_variables(k)) - 1, 0) for k in range(ring.p)]

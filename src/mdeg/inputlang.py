@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .fields import QQ, PrimeField
-from .ring import GradedRing, Polynomial
+from .ring import GradedRing, Polynomial, is_homogeneous
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<comment>#[^\n]*)|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
@@ -61,16 +61,21 @@ def _tokenize(text):
 class Session:
     """Parsed ring file: the ring plus named ideals (as Polynomial lists)."""
 
-    def __init__(self, ring, ideals):
+    def __init__(self, ring, ideals, positions=None):
         self.ring = ring
         self.ideals = ideals  # name -> list of Polynomial
+        self.positions = positions or {}  # name -> (line, col) of each generator
 
     def ideal(self, name):
         from .groebner import Ideal
 
         if name not in self.ideals:
             raise InputError(f"no ideal named {name!r} in the input")
-        return Ideal(self.ring, self.ideals[name])
+        gens = self.ideals[name]
+        for f, (line, col) in zip(gens, self.positions.get(name, ())):
+            if not is_homogeneous(f):
+                raise InputError(f"generator {f} is not multihomogeneous", line, col)
+        return Ideal(self.ring, gens)
 
 
 class _Parser:
@@ -139,11 +144,11 @@ class _Parser:
             ring = GradedRing(names, [degrees[nm] for nm in names], field)
         except Exception as e:
             raise InputError(str(e), 1, 1)
+        positions = {}
         for nm, raw_gens in order:
-            ideals[nm] = [
-                _build_poly(ring, g) for g in raw_gens
-            ]
-        return Session(ring, ideals)
+            ideals[nm] = [_build_poly(ring, toks) for _, toks in raw_gens]
+            positions[nm] = [(start.line, start.col) for start, _ in raw_gens]
+        return Session(ring, ideals, positions)
 
     def _parse_field(self):
         t = self.expect("name")
@@ -196,7 +201,7 @@ class _Parser:
         return t.text, gens
 
     def _parse_expr_tokens(self):
-        """Collect the token slice of one generator (until ; or ])."""
+        """The first token and the token slice of one generator (until ; or ])."""
         start = self.i
         depth = 0
         while True:
@@ -210,7 +215,7 @@ class _Parser:
             elif t.text == ")":
                 depth -= 1
             self.next()
-        return self.toks[start : self.i]
+        return self.toks[start], self.toks[start : self.i]
 
 
 def _build_poly(ring, toks):
@@ -265,7 +270,10 @@ def _build_poly(ring, toks):
             if op == "^":
                 base = base ** int(t.text)
             else:
-                base = base.scale(Fraction(1, int(t.text)))
+                try:
+                    base = base.scale(Fraction(1, int(t.text)))
+                except ZeroDivisionError:
+                    err(f"cannot divide by {t.text} over {ring.field!r}", t)
         return base
 
     def parse_base():

@@ -113,14 +113,6 @@ class MonomialIdeal:
             (tuple(0 if j == i else e for j, e in enumerate(g)) for g in self.gens),
         )
 
-    def saturate_max_ideal(self):
-        """(I : (all variables)^infinity)."""
-        out = None
-        for i in range(self.ring.n):
-            s = self.saturate_variable(i)
-            out = s if out is None else out.intersect(s)
-        return out if out is not None else self
-
     def contract_blocks(self, block_indices):
         """I_(J) for 1-based block indices; degrees restricted to J.
 

@@ -95,10 +95,10 @@ def weight_order(ring, rows, tiebreak="grevlex"):
     return MonomialOrder(ring.n, rows, tiebreak)
 
 
-def elimination_order(ring, eliminate):
-    """Order that puts the given variable indices heaviest (to eliminate)."""
-    row = tuple(int(i in set(eliminate)) for i in range(ring.n))
-    return MonomialOrder(ring.n, (row,), "grevlex")
+def elimination_order(n, eliminate):
+    """Order on n variables that puts the given indices heaviest (to eliminate)."""
+    row = tuple(int(i in set(eliminate)) for i in range(n))
+    return MonomialOrder(n, (row,), "grevlex")
 
 
 def compare(order, a, b):

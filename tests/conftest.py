@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from mdeg.fields import GF32003, QQ
 from mdeg.groebner import Ideal, buchberger
 from mdeg.monomial import MonomialIdeal
-from mdeg.orders import MonomialOrder
+from mdeg.orders import MonomialOrder, elimination_order
 from mdeg.ring import GradedRing, Polynomial, make_ring
 
 
@@ -76,15 +77,7 @@ def toric_kernel(target_ring, param_names, images):
             pe[param_names.index(pname)] = k
         d[tuple(pe)] = F.neg(F.one)
         raw.append(d)
-
-    class _Shim:
-        pass
-
-    shim = _Shim()
-    shim.n = total
-    from mdeg.orders import elimination_order
-
-    order = elimination_order(shim, range(n_par))
+    order = elimination_order(total, range(n_par))
     gb = buchberger(raw, order, F)
     gens = []
     for d in gb:
@@ -104,7 +97,7 @@ def random_monomial_ideal(rng, ring, max_gens=5, max_exp=3):
     return MonomialIdeal(ring, gens)
 
 
-def random_standard_ring(rng, max_vars=8, max_blocks=3):
+def random_standard_ring(rng, max_vars=8, max_blocks=3, field=QQ):
     p = rng.randrange(1, max_blocks + 1)
     sizes = [rng.randrange(1, 4) for _ in range(p)]
     while sum(sizes) > max_vars:
@@ -114,4 +107,27 @@ def random_standard_ring(rng, max_vars=8, max_blocks=3):
         for i in range(s):
             names.append(f"v{k}_{i}")
             degs.append(tuple(int(j == k) for j in range(p)))
-    return make_ring(names, degs)
+    return make_ring(names, degs, field)
+
+
+def random_form(rng, ring, degree):
+    """A nonzero multihomogeneous polynomial of 1-3 random terms.
+
+    Its monomials share the multidegree of a product of `degree` random
+    variables of the standard graded `ring`.
+    """
+    support = [rng.randrange(ring.n) for _ in range(degree)]
+    deg = ring.monomial_degree(
+        tuple(support.count(i) for i in range(ring.n))
+    )
+    monos = [
+        e
+        for e in itertools.product(range(degree + 1), repeat=ring.n)
+        if ring.monomial_degree(e) == deg
+    ]
+    F = ring.field
+    terms = {
+        e: F.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
+        for e in rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+    }
+    return Polynomial(ring, terms)

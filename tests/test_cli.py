@@ -131,6 +131,32 @@ def test_unknown_variable_in_generator(tmp_path, capsys):
     assert "unknown variable" in err
 
 
+@pytest.mark.parametrize(
+    "text, where, what",
+    [
+        (
+            "field Fp 32003\nvars x\ndeg x = (1)\nideal I = [ x/32003 ]\n",
+            "line 4, col 15",
+            "cannot divide by 32003",
+        ),
+        (
+            "vars x y\ndeg x = (1,0)\ndeg y = (0,1)\nideal I = [ x*y;\n  x + y ]\n",
+            "line 5, col 3",
+            "not multihomogeneous",
+        ),
+    ],
+    ids=["denominator-zero-mod-p", "not-multihomogeneous"],
+)
+def test_bad_generator_is_an_input_error_with_position(
+    tmp_path, capsys, text, where, what
+):
+    f = tmp_path / "bad.ring"
+    f.write_text(text)
+    rc, _, err = run(capsys, ["kpoly", str(f), "--ideal", "I"])
+    assert rc == 2
+    assert where in err and what in err
+
+
 def test_unknown_ideal_and_order(small, capsys):
     rc, _, err = run(capsys, ["cee", small, "--ideal", "Nope"])
     assert rc == 2

@@ -1,8 +1,18 @@
-import pytest
+import functools
+import random
 
-from conftest import surface_prime, three_block_ring
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    random_form,
+    random_monomial_ideal,
+    random_standard_ring,
+    surface_prime,
+    three_block_ring,
+)
 from mdeg.errors import BlocksNotSeparable, NotHomogeneous, NotStandardGraded
-from mdeg.fields import GF32003
+from mdeg.fields import GF32003, QQ
 from mdeg.groebner import (
     Ideal,
     colon,
@@ -77,6 +87,52 @@ def test_saturate_var_block_removes_torsion():
     # (x0) cap (x0^2, x1, y0): the second component is supported on block 1+
     I = intersect(Ideal(R, [x0]), Ideal(R, [x0 * x0, x1, y0]))
     assert saturate_var_block(I, [0, 1]) == Ideal(R, [x0])
+
+
+def _fixpoint_saturate(I, f):
+    """The colon fixpoint that `saturate` replaced, kept as its oracle."""
+    order = grevlex(I.ring)
+    cur = I
+    cur_gb = cur.groebner_basis(order)
+    while True:
+        nxt = colon(cur, f)
+        nxt_gb = nxt.groebner_basis(order)
+        if nxt_gb == cur_gb:
+            return cur
+        cur, cur_gb = nxt, nxt_gb
+
+
+def _random_ideal(rng, ring):
+    gens = [random_form(rng, ring, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+    return Ideal(ring, gens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([QQ, GF32003]))
+def test_saturate_matches_fixpoint_oracle(seed, field):
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=4, field=field)
+    I = _random_ideal(rng, R)
+    x = R.gens()[rng.randrange(R.n)]
+    f = random_form(rng, R, 2)  # homogeneous, never a variable
+    assert saturate(I, x) == _fixpoint_saturate(I, x)
+    assert saturate(I, f) == _fixpoint_saturate(I, f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_saturate_var_block_matches_intersection_of_variable_saturations(seed):
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=4)
+    idx = rng.sample(range(R.n), rng.randint(1, R.n))
+    I = _random_ideal(rng, R)
+    plain = functools.reduce(intersect, [saturate(I, R.gens()[i]) for i in idx])
+    assert saturate_var_block(I, idx) == plain
+    M = random_monomial_ideal(rng, R)
+    plain = functools.reduce(
+        MonomialIdeal.intersect, [M.saturate_variable(i) for i in idx]
+    )
+    assert saturate_var_block(M, idx) == plain
 
 
 def test_saturate_irrelevant_of_irrelevant_is_unit():

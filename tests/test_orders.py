@@ -32,7 +32,7 @@ def test_lex_classics():
 
 
 def test_elimination_order_blocks():
-    o = elimination_order(R3, [0])
+    o = elimination_order(R3.n, [0])
     # any monomial containing x beats any x-free monomial
     assert o.compare((1, 0, 0), (0, 9, 9)) == GT
 
