@@ -1,6 +1,9 @@
+import contextlib
 import io
 import json
+import os
 import pathlib
+from unittest import mock
 
 import pytest
 
@@ -260,3 +263,138 @@ def test_standardize_verify_and_roundtrip(tmp_path, capsys):
     session = parse_input(out)
     assert session.ring.is_standard
     assert session.ring.n == 4  # z of weight 2 splits into two copies
+
+
+# ---------------------------------------------------------------------------
+# Golden transcripts: (rc, stdout, stderr) of every subcommand in text and
+# --json mode, recorded in tests/fixtures/cli_golden.json.  Arguments name
+# files by {key}; FIXTURE_FILES are checked in, GOLDEN_FILES are written to
+# a temporary directory, so no transcript contains a temporary path.
+
+WEIGHTED_FP = "field Fp 32003\n" + WEIGHTED + "ideal Q = [ x^2 ]\n"
+
+GOLDEN_FILES = {
+    "small": SMALL,
+    "weighted": WEIGHTED,
+    "weighted_fp": WEIGHTED_FP,
+    "good_pts": "# a polymatroid base set\n1 1 0\n1,0,1\n0 1 1\n",
+    "bad_pts": "2 0\n0 2\n",
+    "badline_pts": "1 1\n1 x\n",
+    "mixed_pts": "1 1\n1 1 1\n",
+    "parse_error": "vars x\ndeg x = (0)\n",
+    "unknown_var": "vars x\ndeg x = (1)\nideal I = [ x*w ]\n",
+    "not_homogeneous": "vars x y\ndeg x = (1)\ndeg y = (2)\nideal I = [ x + y ]\n",
+}
+FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}
+
+GOLDEN_CASES = {
+    # kpoly / cee / gee under every order syntax
+    "kpoly-text": ["kpoly", "{small}", "--ideal", "I"],
+    "kpoly-json": ["kpoly", "{small}", "--ideal", "I", "--json"],
+    "kpoly-lex": ["kpoly", "{small}", "--ideal", "I", "--order", "lex"],
+    "kpoly-diag-json": ["kpoly", "{small}", "--ideal", "I", "--order", "diag", "--json"],
+    "kpoly-weights": ["kpoly", "{small}", "--ideal", "I", "--order", "weights:1,2,3"],
+    "kpoly-zero-ideal": ["kpoly", "{small}", "--ideal", "Z", "--json"],
+    "kpoly-weighted": ["kpoly", "{weighted}", "--ideal", "I"],
+    "cee-text": ["cee", "{ex46}", "--ideal", "P"],
+    "cee-json": ["cee", "{ex46}", "--ideal", "P", "--json"],
+    "cee-lex-json": ["cee", "{ex46}", "--ideal", "P", "--order", "lex", "--json"],
+    "cee-weights-rows": ["cee", "{small}", "--ideal", "I", "--order", "weights:1,1,1;0,0,1"],
+    "cee-stdin": ["cee", "-", "--ideal", "I"],
+    "gee-text": ["gee", "{ex46}", "--ideal", "P"],
+    "gee-json": ["gee", "{ex46}", "--ideal", "P", "--json"],
+    "gee-small-json": ["gee", "{small}", "--ideal", "I", "--json"],
+    "arith-text": ["arith", "{small}", "--ideal", "I"],
+    "arith-json": ["arith", "{small}", "--ideal", "I", "--json"],
+    "arith-rmk59-json": ["arith", "{rmk59}", "--ideal", "J", "--json"],
+    "geom-text": ["geom", "{ex46}", "--ideal", "P"],
+    "geom-json": ["geom", "{ex46}", "--ideal", "P", "--json"],
+    "geom-small": ["geom", "{small}", "--ideal", "I"],
+    # gin, gin-report, cs-check over GF(32003)
+    "gin-text": ["gin", "{rmk59}", "--ideal", "J"],
+    "gin-json": ["gin", "{rmk59}", "--ideal", "Z", "--json"],
+    "gin-trials-seed": ["gin", "{rmk59}", "--ideal", "J", "--trials", "3", "--seed", "7", "--json"],
+    "gin-report-fail-text": ["gin-report", "{rmk59}", "--ideal", "J"],
+    "gin-report-fail-json": ["gin-report", "{rmk59}", "--ideal", "J", "--json"],
+    "gin-report-prime-text": ["gin-report", "{rmk59}", "--ideal", "Z"],
+    "gin-report-prime-json": ["gin-report", "{rmk59}", "--ideal", "Z", "--json"],
+    "cs-check-text": ["cs-check", "{weighted_fp}", "--ideal", "I"],
+    "cs-check-json": ["cs-check", "{weighted_fp}", "--ideal", "I", "--json"],
+    "cs-check-square-paranoid": ["cs-check", "{weighted_fp}", "--ideal", "Q", "--paranoid"],
+    "cs-check-standard-json": ["cs-check", "{rmk59}", "--ideal", "J", "--json"],
+    # project / standardize emit ring files
+    "project-text": ["project", "{ex46}", "--ideal", "P", "--blocks", "2,3"],
+    "project-json": ["project", "{ex46}", "--ideal", "P", "--blocks", "2,3", "--json"],
+    "project-one-block-json": ["project", "{ex46}", "--ideal", "P", "--blocks", "1", "--json"],
+    "standardize-text": ["standardize", "{weighted}", "--ideal", "I"],
+    "standardize-json": ["standardize", "{weighted}", "--ideal", "I", "--json"],
+    "standardize-emit-ring-json": ["standardize", "{weighted}", "--ideal", "I", "--emit-ring", "--json"],
+    "standardize-verify": ["standardize", "{weighted}", "--ideal", "I", "--verify"],
+    "standardize-verify-json": ["standardize", "{weighted}", "--ideal", "I", "--verify", "--json"],
+    "standardize-standard-json": ["standardize", "{small}", "--ideal", "I", "--json"],
+    # polymatroid / SNP checks from a multidegree or a points file
+    "polymatroid-cee-text": ["polymatroid-check", "{ex46}", "--from-cee", "P"],
+    "polymatroid-cee-json": ["polymatroid-check", "{ex46}", "--from-cee", "P", "--order", "lex", "--json"],
+    "polymatroid-good-json": ["polymatroid-check", "--points", "{good_pts}", "--json"],
+    "polymatroid-bad-text": ["polymatroid-check", "--points", "{bad_pts}"],
+    "polymatroid-bad-json": ["polymatroid-check", "--points", "{bad_pts}", "--json"],
+    "snp-cee-text": ["snp-check", "{ex46}", "--ideal", "P"],
+    "snp-cee-json": ["snp-check", "{ex46}", "--ideal", "P", "--json"],
+    "snp-good-text": ["snp-check", "--points", "{good_pts}"],
+    "snp-bad-text": ["snp-check", "--points", "{bad_pts}"],
+    "snp-bad-json": ["snp-check", "--points", "{bad_pts}", "--json"],
+    # det and hf-oracle
+    "det-text": ["det", "--m", "2", "--n", "3", "--r", "2"],
+    "det-json": ["det", "--m", "2", "--n", "3", "--r", "2", "--json"],
+    "det-submaximal-json": ["det", "--m", "2", "--n", "2", "--r", "1", "--json"],
+    "det-formulas-text": ["det", "--m", "3", "--n", "4", "--r", "3", "--formulas-only"],
+    "det-formulas-json": ["det", "--m", "3", "--n", "4", "--r", "3", "--formulas-only", "--json"],
+    "hf-oracle-text": ["hf-oracle", "{small}", "--ideal", "I", "--bound", "3"],
+    "hf-oracle-json": ["hf-oracle", "{ex46}", "--ideal", "P", "--bound", "1,1,1", "--order", "lex", "--json"],
+    # exit 2: input errors
+    "err-missing-file": ["kpoly", "no-such-file.ring", "--ideal", "I"],
+    "err-parse": ["kpoly", "{parse_error}", "--ideal", "I"],
+    "err-unknown-var": ["kpoly", "{unknown_var}", "--ideal", "I", "--json"],
+    "err-not-homogeneous": ["cee", "{not_homogeneous}", "--ideal", "I"],
+    "err-unknown-ideal": ["gee", "{small}", "--ideal", "Nope"],
+    "err-unknown-ideal-arith": ["arith", "{small}", "--ideal", "Nope"],
+    "err-unknown-order": ["cee", "{small}", "--ideal", "I", "--order", "mystery"],
+    "err-arith-not-monomial": ["arith", "{weighted}", "--ideal", "I", "--json"],
+    "err-formulas-submaximal": ["det", "--m", "2", "--n", "3", "--r", "1", "--formulas-only"],
+    "err-points-bad-line": ["snp-check", "--points", "{badline_pts}"],
+    "err-points-mixed": ["polymatroid-check", "--points", "{mixed_pts}"],
+    "err-polymatroid-no-source": ["polymatroid-check", "{ex46}"],
+    "err-snp-no-source": ["snp-check"],
+    # exit 3: computation errors
+    "err-gin-over-qq": ["gin", "{ex46}", "--ideal", "P"],
+    "err-gin-not-standard": ["gin", "{weighted_fp}", "--ideal", "I", "--json"],
+    "err-bound-too-large": ["hf-oracle", "{small}", "--ideal", "I", "--bound", "9"],
+}
+GOLDEN_STDIN = {"cee-stdin": SMALL}
+GOLDEN_ENV = {"gin-json": {"MDEG_SEED": "5"}}
+GOLDEN = FIXTURES / "cli_golden.json"
+
+
+def golden_transcript(name, workdir):
+    """Run one golden case in-process; return {"rc", "stdout", "stderr"}."""
+    paths = dict(FIXTURE_FILES)
+    for key, text in GOLDEN_FILES.items():
+        path = pathlib.Path(workdir) / key
+        path.write_text(text)
+        paths[key] = str(path)
+    argv = [a.format(**paths) for a in GOLDEN_CASES[name]]
+    out, err = io.StringIO(), io.StringIO()
+    env = {k: v for k, v in os.environ.items() if k != "MDEG_SEED"}
+    env.update(GOLDEN_ENV.get(name, {}))
+    stdin = io.StringIO(GOLDEN_STDIN.get(name, ""))
+    with mock.patch.dict(os.environ, env, clear=True), mock.patch(
+        "sys.stdin", stdin
+    ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_cli_golden(name, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert golden_transcript(name, tmp_path) == expected
