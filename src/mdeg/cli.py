@@ -1,9 +1,10 @@
 """Command-line interface.
 
 One ring file per invocation (``-`` reads stdin); subcommands dispatch to
-the library and print either text or canonical JSON (sorted exponents,
-string coefficients, stable key order).  Exit codes: 0 ok, 2 input error,
-3 computation error, 4 check failed.
+the library and print, through `_emit`, either text or one canonical JSON
+envelope {"ring": ..., "result": {"kind": ..., ...}} (sorted keys and
+exponents, string coefficients).  Exit codes: 0 ok, 2 input error
+(including bad option values), 3 computation error, 4 check failed.
 """
 
 import argparse
@@ -11,9 +12,10 @@ import json
 import os
 import sys
 
-from .errors import InputError, MdegError, Unstable
+from .determinantal import build_determinantal, closed_formulas
+from .errors import BadArgument, InputError, MdegError, Unstable
 from .genin import gin, gin_structure_report
-from .groebner import Ideal, contract
+from .groebner import contract
 from .hilbert import (
     arithmetic_multidegree,
     geometric_multidegrees,
@@ -23,9 +25,8 @@ from .hilbert import (
     multidegree_G,
 )
 from .inputlang import format_ring_file, parse_input
-from .intpoly import IntegerPolynomial
-from .monomial import MonomialIdeal
-from .orders import MonomialOrder, grevlex, lex, weight_order
+from .monomial import from_polynomial_gens
+from .orders import diagonal_order, grevlex, lex, weight_order
 from .polymatroid import exchange_check, snp_check, support_points
 from .standardize import cs_check, standardize, standardize_ideal, verify_standardization
 
@@ -35,72 +36,77 @@ EXIT_COMPUTE = 3
 EXIT_CHECK_FAILED = 4
 
 
-def _read_session(path):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as e:
-            raise InputError(f"cannot read {path}: {e}")
-    return parse_input(text)
+def _int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{what}: {text!r} is not an integer") from None
+
+
+def _ints(text, what):
+    """Comma-separated integers of an option value."""
+    return tuple(_int(w, what) for w in text.split(","))
 
 
 def _resolve_order(ring, spec):
     if spec is None or spec == "grevlex":
         return grevlex(ring)
-    if spec == "lex":
-        return lex(ring)
-    if spec == "diag":
+    if spec in ("lex", "diag"):
         return lex(ring)
     if spec.startswith("weights:"):
-        rows = []
-        for chunk in spec[len("weights:") :].split(";"):
-            rows.append(tuple(int(w) for w in chunk.split(",")))
-        return weight_order(ring, rows)
+        chunks = spec[len("weights:") :].split(";")
+        return weight_order(ring, [_ints(c, "--order weights") for c in chunks])
     raise InputError(f"unknown order {spec!r}")
+
+
+def _load(args, ideal=None):
+    """Read the ring file; return (ring, ideal, order) for --ideal or `ideal`."""
+    if args.file == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(args.file) as fh:
+                text = fh.read()
+        except OSError as e:
+            raise InputError(f"cannot read {args.file}: {e}")
+    session = parse_input(text)
+    I = session.ideal(ideal or args.ideal)
+    order = _resolve_order(session.ring, getattr(args, "order", None))
+    return session.ring, I, order
 
 
 def _seed(args):
     env = os.environ.get("MDEG_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+    return args.seed if env is None else _int(env, "MDEG_SEED")
 
 
-def _ring_json(ring):
-    return {
-        "field": f"Fp {ring.field.p}" if getattr(ring.field, "p", 0) else "QQ",
-        "vars": list(ring.names),
-        "degrees": [list(d) for d in ring.degrees],
-    }
+def _emit(args, ring, kind, result, text, notes=(), rc=EXIT_OK):
+    """Print one result and return rc.
 
-
-def _emit_poly(args, session, kind, poly, meta=None, names=None):
-    meta = meta or {}
+    With --json: one canonical line {"result": {..., "kind": kind}}, plus
+    "ring" unless ring is None.  Otherwise the text lines go to stdout and
+    the notes to stderr.
+    """
     if args.json:
-        obj = {
-            "ring": _ring_json(session.ring),
-            "result": {"kind": kind, "poly": poly.to_json_obj(), "meta": meta},
-        }
+        obj = {"result": {**result, "kind": kind}}
+        if ring is not None:
+            obj["ring"] = {
+                "field": f"Fp {ring.field.p}" if getattr(ring.field, "p", 0) else "QQ",
+                "vars": list(ring.names),
+                "degrees": [list(d) for d in ring.degrees],
+            }
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
-        print(poly.__str__(names))
-        for k in sorted(meta):
-            print(f"# {k}: {meta[k]}", file=sys.stderr)
+        for line in text:
+            print(line)
+        for line in notes:
+            print(line, file=sys.stderr)
+    return rc
 
 
-def _monomial_ideal_from(session, name):
-    from .monomial import from_polynomial_gens
-
-    gens = session.ideals.get(name)
-    if gens is None:
-        raise InputError(f"no ideal named {name!r} in the input")
-    try:
-        return from_polynomial_gens(session.ring, gens)
-    except ValueError as e:
-        raise InputError(str(e))
+def _emit_poly(args, ring, kind, poly):
+    result = {"poly": poly.to_json_obj(), "meta": {}}
+    return _emit(args, ring, kind, result, [str(poly)])
 
 
 def _mono_json(I):
@@ -108,162 +114,92 @@ def _mono_json(I):
 
 
 def cmd_kpoly(args):
-    session = _read_session(args.file)
-    I = session.ideal(args.ideal)
-    order = _resolve_order(session.ring, args.order)
-    _emit_poly(args, session, "kpoly", k_polynomial(I, order))
-    return EXIT_OK
+    ring, I, order = _load(args)
+    return _emit_poly(args, ring, "kpoly", k_polynomial(I, order))
 
 
 def cmd_cee(args):
-    session = _read_session(args.file)
-    I = session.ideal(args.ideal)
-    order = _resolve_order(session.ring, args.order)
-    _emit_poly(args, session, "cee", multidegree_C(I, order))
-    return EXIT_OK
+    ring, I, order = _load(args)
+    return _emit_poly(args, ring, "cee", multidegree_C(I, order))
 
 
 def cmd_gee(args):
-    session = _read_session(args.file)
-    I = session.ideal(args.ideal)
-    order = _resolve_order(session.ring, args.order)
-    _emit_poly(args, session, "gee", multidegree_G(I, order))
-    return EXIT_OK
+    ring, I, order = _load(args)
+    return _emit_poly(args, ring, "gee", multidegree_G(I, order))
 
 
 def cmd_arith(args):
-    session = _read_session(args.file)
-    I = _monomial_ideal_from(session, args.ideal)
-    _emit_poly(args, session, "arith", arithmetic_multidegree(I))
-    return EXIT_OK
+    ring, I, _ = _load(args)
+    M = from_polynomial_gens(ring, I.gens)
+    return _emit_poly(args, ring, "arith", arithmetic_multidegree(M))
 
 
 def cmd_geom(args):
-    session = _read_session(args.file)
-    I = session.ideal(args.ideal)
-    order = _resolve_order(session.ring, args.order)
+    ring, I, order = _load(args)
     table = geometric_multidegrees(I, order)
-    if args.json:
-        obj = {
-            "ring": _ring_json(session.ring),
-            "result": {
-                "kind": "geom",
-                "poly": table.cee.to_json_obj(),
-                "meta": {
-                    "dim": table.dim,
-                    "entries": [
-                        {"n": list(n), "e": v}
-                        for n, v in sorted(table.entries.items())
-                    ],
-                    "msupp": [list(n) for n in table.msupp],
-                },
-            },
-        }
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    else:
-        print(f"dim = {table.dim}")
-        print(f"C = {table.cee}")
-        for n, v in sorted(table.entries.items()):
-            print(f"e({','.join(str(x) for x in n)}) = {v}")
-    return EXIT_OK
+    entries = sorted(table.entries.items())
+    meta = {
+        "dim": table.dim,
+        "entries": [{"n": list(n), "e": v} for n, v in entries],
+        "msupp": [list(n) for n in table.msupp],
+    }
+    text = [f"dim = {table.dim}", f"C = {table.cee}"]
+    text += [f"e({','.join(str(x) for x in n)}) = {v}" for n, v in entries]
+    result = {"poly": table.cee.to_json_obj(), "meta": meta}
+    return _emit(args, ring, "geom", result, text)
 
 
 def cmd_gin(args):
-    session = _read_session(args.file)
-    I = session.ideal(args.ideal)
-    order = _resolve_order(session.ring, args.order)
+    ring, I, order = _load(args)
     res = gin(I, order=order, trials=args.trials, seed=_seed(args))
     meta = {"trials": res.trials, "seed": res.seed, "borel": res.borel}
-    if args.json:
-        obj = {
-            "ring": _ring_json(session.ring),
-            "result": {"kind": "gin", "gens": _mono_json(res.ideal), "meta": meta},
-        }
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    else:
-        print(res.ideal)
-        for k in sorted(meta):
-            print(f"# {k}: {meta[k]}", file=sys.stderr)
-    return EXIT_OK
+    notes = [f"# {k}: {meta[k]}" for k in sorted(meta)]
+    result = {"gens": _mono_json(res.ideal), "meta": meta}
+    return _emit(args, ring, "gin", result, [str(res.ideal)], notes)
 
 
 def cmd_gin_report(args):
-    session = _read_session(args.file)
-    I = session.ideal(args.ideal)
-    order = _resolve_order(session.ring, args.order)
-    rep = gin_structure_report(
-        I, order=order, trials=args.trials, seed=_seed(args)
-    )
-    if args.json:
-        obj = {
-            "ring": _ring_json(session.ring),
-            "result": {
-                "kind": "gin-report",
-                "clauses": {k: bool(v) for k, v in sorted(rep.clauses.items())},
-                "gens": _mono_json(rep.gin.ideal),
-                "meta": {
-                    "mlength": {
-                        ",".join(str(j) for j in J): v
-                        for J, v in sorted(rep.contraction_mlength.items())
-                    }
-                },
-            },
-        }
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    else:
-        for k, v in sorted(rep.clauses.items()):
-            print(f"{k}: {'pass' if v else 'FAIL'}")
-        for J, v in sorted(rep.contraction_mlength.items()):
-            print(f"MLength(gin(I_({','.join(str(j) for j in J)}))) = {v}")
-    return EXIT_OK if rep.ok() else EXIT_CHECK_FAILED
+    ring, I, order = _load(args)
+    rep = gin_structure_report(I, order=order, trials=args.trials, seed=_seed(args))
+    clauses = sorted(rep.clauses.items())
+    mlength = {
+        ",".join(str(j) for j in J): v for J, v in sorted(rep.contraction_mlength.items())
+    }
+    result = {
+        "clauses": {k: bool(v) for k, v in clauses},
+        "gens": _mono_json(rep.gin.ideal),
+        "meta": {"mlength": mlength},
+    }
+    text = [f"{k}: {'pass' if v else 'FAIL'}" for k, v in clauses]
+    text += [f"MLength(gin(I_({J}))) = {v}" for J, v in mlength.items()]
+    rc = EXIT_OK if rep.ok() else EXIT_CHECK_FAILED
+    return _emit(args, ring, "gin-report", result, text, rc=rc)
 
 
 def cmd_project(args):
-    session = _read_session(args.file)
-    I = session.ideal(args.ideal)
-    blocks = [int(b) for b in args.blocks.split(",")]
+    _, I, _ = _load(args)
+    blocks = _ints(args.blocks, "--blocks")
     IJ = contract(I, blocks, keep_grading=True)
-    out_name = args.ideal
-    if args.json:
-        obj = {
-            "ring": _ring_json(IJ.ring),
-            "result": {
-                "kind": "project",
-                "gens": [str(g) for g in IJ.gens],
-                "meta": {"blocks": blocks},
-            },
-        }
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    else:
-        sys.stdout.write(format_ring_file(IJ.ring, {out_name: list(IJ.gens)}))
-    return EXIT_OK
+    result = {"gens": [str(g) for g in IJ.gens], "meta": {"blocks": blocks}}
+    text = format_ring_file(IJ.ring, {args.ideal: list(IJ.gens)}).splitlines()
+    return _emit(args, IJ.ring, "project", result, text)
 
 
 def cmd_cs_check(args):
-    session = _read_session(args.file)
-    I = session.ideal(args.ideal)
+    ring, I, _ = _load(args)
     verdict = cs_check(I, trials=args.trials, seed=_seed(args), paranoid=args.paranoid)
-    if args.json:
-        obj = {
-            "ring": _ring_json(session.ring),
-            "result": {
-                "kind": "cs-check",
-                "is_cs": verdict.is_cs,
-                "gin": _mono_json(verdict.gin),
-                "meta": {"field": repr(verdict.field), "detail": verdict.detail},
-            },
-        }
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    else:
-        print("CS" if verdict.is_cs else "not CS")
-        print(f"# {verdict.detail}", file=sys.stderr)
-    return EXIT_OK
+    result = {
+        "is_cs": verdict.is_cs,
+        "gin": _mono_json(verdict.gin),
+        "meta": {"field": repr(verdict.field), "detail": verdict.detail},
+    }
+    text = ["CS" if verdict.is_cs else "not CS"]
+    return _emit(args, ring, "cs-check", result, text, [f"# {verdict.detail}"])
 
 
 def cmd_standardize(args):
-    session = _read_session(args.file)
-    I = session.ideal(args.ideal)
-    std = standardize(session.ring)
+    ring, I, _ = _load(args)
+    std = standardize(ring)
     J, _ = standardize_ideal(I, std)
     if args.verify:
         rep = verify_standardization(I, std_map=std)
@@ -271,73 +207,51 @@ def cmd_standardize(args):
             print(f"{k}: {'pass' if v else 'FAIL'}", file=sys.stderr)
         if not all(rep.values()):
             return EXIT_CHECK_FAILED
-    if args.emit_ring or not args.json:
-        sys.stdout.write(format_ring_file(std.target, {args.ideal: list(J.gens)}))
-    else:
-        obj = {
-            "ring": _ring_json(std.target),
-            "result": {
-                "kind": "standardize",
-                "gens": [str(g) for g in J.gens],
-                "meta": {
-                    "copies": {
-                        session.ring.names[i]: [std.target.names[j] for j in std.copy_index[i]]
-                        for i in range(session.ring.n)
-                    }
-                },
-            },
-        }
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    return EXIT_OK
+    args.json = args.json and not args.emit_ring  # --emit-ring wins over --json
+    target = std.target
+    copies = {
+        ring.names[i]: [target.names[j] for j in std.copy_index[i]] for i in range(ring.n)
+    }
+    result = {"gens": [str(g) for g in J.gens], "meta": {"copies": copies}}
+    text = format_ring_file(target, {args.ideal: list(J.gens)}).splitlines()
+    return _emit(args, target, "standardize", result, text)
 
 
 def cmd_polymatroid_check(args):
     if args.points:
         pts = _read_points(args.points)
-    else:
-        session = _read_session(args.file)
-        I = session.ideal(args.from_cee)
-        order = _resolve_order(session.ring, args.order)
+    elif args.file and args.from_cee:
+        _, I, order = _load(args, args.from_cee)
         pts = support_points(multidegree_C(I, order))
-    ok, witness = exchange_check(pts)
-    if args.json:
-        obj = {
-            "result": {
-                "kind": "polymatroid-check",
-                "ok": ok,
-                "witness": [list(w) if isinstance(w, tuple) else w for w in witness]
-                if witness
-                else None,
-                "meta": {"points": sorted(list(q) for q in pts)},
-            }
-        }
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
-        print("polymatroid" if ok else f"not a polymatroid: witness {witness}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        raise InputError(
+            "polymatroid-check needs --points or a ring file with --from-cee"
+        )
+    ok, witness = exchange_check(pts)
+    result = {
+        "ok": ok,
+        "witness": [list(w) if isinstance(w, tuple) else w for w in witness]
+        if witness
+        else None,
+        "meta": {"points": sorted(list(q) for q in pts)},
+    }
+    text = ["polymatroid" if ok else f"not a polymatroid: witness {witness}"]
+    rc = EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _emit(args, None, "polymatroid-check", result, text, rc=rc)
 
 
 def cmd_snp_check(args):
     if args.points:
-        pts = _read_points(args.points)
-        ok, witness = snp_check(pts)
-    else:
-        session = _read_session(args.file)
-        I = session.ideal(args.ideal)
-        order = _resolve_order(session.ring, args.order)
+        ok, witness = snp_check(_read_points(args.points))
+    elif args.file and args.ideal:
+        _, I, order = _load(args)
         ok, witness = snp_check(multidegree_C(I, order))
-    if args.json:
-        obj = {
-            "result": {
-                "kind": "snp-check",
-                "ok": ok,
-                "witness": list(witness) if witness else None,
-            }
-        }
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
-        print("SNP" if ok else f"not SNP: missing lattice point {witness}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        raise InputError("snp-check needs --points or a ring file with --ideal")
+    result = {"ok": ok, "witness": list(witness) if witness else None}
+    text = ["SNP" if ok else f"not SNP: missing lattice point {witness}"]
+    rc = EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _emit(args, None, "snp-check", result, text, rc=rc)
 
 
 def _read_points(path):
@@ -360,81 +274,41 @@ def _read_points(path):
 
 
 def cmd_det(args):
-    from .determinantal import build_determinantal, closed_formulas, determinantal_ring
-    from .orders import diagonal_order
-
     m, n, r = args.m, args.n, args.r
     names = [f"t{i}" for i in range(1, m + 1)] + [f"s{j}" for j in range(1, n + 1)]
+    meta = {"m": m, "n": n, "r": r}
+    notes = []
     if args.formulas_only:
         if r != m:
             raise InputError("closed formulas exist only for maximal minors (r = m)")
-        H, K = closed_formulas(m, n)
-        if args.json:
-            obj = {
-                "result": {
-                    "kind": "det",
-                    "C": H.to_json_obj(),
-                    "K": K.to_json_obj(),
-                    "meta": {"m": m, "n": n, "r": r, "formulas_only": True},
-                }
-            }
-            print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-        else:
-            print(f"C = {H.__str__(names)}")
-            print(f"K = {K.__str__(names)}")
-        return EXIT_OK
-    ring, I = build_determinantal(m, n, r)
-    order = diagonal_order(ring)
-    C = multidegree_C(I, order)
-    K = k_polynomial(I, order)
-    meta = {"m": m, "n": n, "r": r}
-    diff = None
-    if r == m:
-        H, Kf = closed_formulas(m, n)
-        diff = {"C": (C - H).to_json_obj(), "K": (K - Kf).to_json_obj()}
-        meta["matches_closed_formulas"] = C == H and K == Kf
-    if args.json:
-        obj = {
-            "result": {
-                "kind": "det",
-                "C": C.to_json_obj(),
-                "K": K.to_json_obj(),
-                "diff": diff,
-                "meta": meta,
-            }
-        }
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        C, K = closed_formulas(m, n)
+        result = {"meta": {**meta, "formulas_only": True}}
     else:
-        print(f"C = {C.__str__(names)}")
-        print(f"K = {K.__str__(names)}")
-        if diff is not None:
-            ok = meta["matches_closed_formulas"]
-            print(f"# closed formulas match: {ok}", file=sys.stderr)
-    return EXIT_OK
+        ring, I = build_determinantal(m, n, r)
+        order = diagonal_order(ring)
+        C, K = multidegree_C(I, order), k_polynomial(I, order)
+        result = {"diff": None, "meta": meta}
+        if r == m:
+            H, Kf = closed_formulas(m, n)
+            diff = {"C": (C - H).to_json_obj(), "K": (K - Kf).to_json_obj()}
+            result["diff"] = diff
+            meta["matches_closed_formulas"] = C == H and K == Kf
+            notes = [f"# closed formulas match: {meta['matches_closed_formulas']}"]
+    result.update(C=C.to_json_obj(), K=K.to_json_obj())
+    text = [f"C = {C.__str__(names)}", f"K = {K.__str__(names)}"]
+    return _emit(args, None, "det", result, text, notes)
 
 
 def cmd_hf_oracle(args):
-    session = _read_session(args.file)
-    I = session.ideal(args.ideal)
-    order = _resolve_order(session.ring, args.order)
-    bound = tuple(int(b) for b in args.bound.split(","))
-    table = hilbert_function_oracle(I, bound, order)
-    if args.json:
-        obj = {
-            "ring": _ring_json(session.ring),
-            "result": {
-                "kind": "hf-oracle",
-                "table": [
-                    {"nu": list(nu), "hf": v} for nu, v in sorted(table.items())
-                ],
-                "meta": {"bound": list(bound)},
-            },
-        }
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    else:
-        for nu, v in sorted(table.items()):
-            print(f"HF({','.join(str(x) for x in nu)}) = {v}")
-    return EXIT_OK
+    ring, I, order = _load(args)
+    bound = _ints(args.bound, "--bound")
+    table = sorted(hilbert_function_oracle(I, bound, order).items())
+    result = {
+        "table": [{"nu": list(nu), "hf": v} for nu, v in table],
+        "meta": {"bound": list(bound)},
+    }
+    text = [f"HF({','.join(str(x) for x in nu)}) = {v}" for nu, v in table]
+    return _emit(args, ring, "hf-oracle", result, text)
 
 
 def _add_common(sp, file_arg=True, ideal_arg=True):
@@ -534,28 +408,16 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.command == "polymatroid-check" and not args.points:
-        if not args.file or not args.from_cee:
-            print("polymatroid-check needs --points or a ring file with --from-cee", file=sys.stderr)
-            return EXIT_INPUT
-    if args.command == "snp-check" and not args.points:
-        if not args.file or not args.ideal:
-            print("snp-check needs --points or a ring file with --ideal", file=sys.stderr)
-            return EXIT_INPUT
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
+    except (InputError, BadArgument) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except Unstable as e:
         print(f"computation error: {e}", file=sys.stderr)
         return EXIT_COMPUTE
-    except MdegError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except (ValueError, ArithmeticError) as e:
+    except (MdegError, ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -5,6 +5,10 @@ class MdegError(Exception):
     """Base class for all library errors."""
 
 
+class BadArgument(MdegError, ValueError):
+    """An argument value the routine does not accept (exit 2 in the CLI)."""
+
+
 # ring construction
 class ZeroDegreeVariable(MdegError):
     pass
@@ -88,7 +92,7 @@ class TooLarge(MdegError):
 
 
 # determinantal
-class BadShape(MdegError):
+class BadShape(BadArgument):
     pass
 
 

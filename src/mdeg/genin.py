@@ -7,8 +7,8 @@ accepted, and the consensus ideal is checked to be Borel-fixed per block.
 
 import random
 
-from .errors import FieldTooSmall, NotStandardGraded, Unstable
-from .groebner import Ideal, substituted_ideal
+from .errors import BadArgument, FieldTooSmall, NotStandardGraded, Unstable
+from .groebner import as_ideal, substituted_ideal
 from .monomial import (
     borel_fixed_check,
     borel_prime_exponent,
@@ -93,7 +93,7 @@ def _check_order_refines_blocks(ring, order):
             ea = tuple(int(i == a) for i in range(ring.n))
             eb = tuple(int(i == b) for i in range(ring.n))
             if order.compare(ea, eb) != GT:
-                raise ValueError(
+                raise BadArgument(
                     "order must refine the per-block variable order "
                     f"({ring.names[a]} > {ring.names[b]} fails)"
                 )
@@ -122,7 +122,7 @@ def gin(I, order=None, trials=2, seed=0):
         order = grevlex(ring)
     _check_order_refines_blocks(ring, order)
     if trials < 1:
-        raise ValueError("at least one trial required")
+        raise BadArgument("at least one trial required")
     results = []
     for k in range(trials):
         images = random_block_change(ring, seed + k)
@@ -153,16 +153,6 @@ class GinReport:
         return all(self.clauses.values())
 
 
-def _as_ideal(I):
-    from .monomial import MonomialIdeal
-    from .ring import Polynomial
-
-    if isinstance(I, MonomialIdeal):
-        ring = I.ring
-        return Ideal(ring, [Polynomial(ring, {g: ring.field.one}) for g in I.gens])
-    return I
-
-
 def gin_structure_report(I, order=None, trials=2, seed=0, homology_prime=32003):
     """Compute gin(I) and verify the structure expected when I is prime.
 
@@ -179,7 +169,7 @@ def gin_structure_report(I, order=None, trials=2, seed=0, homology_prime=32003):
     from .groebner import contract as contract_ideal
     from .monomial import length_at_minimal_prime, minimal_primes as _mp
 
-    I = _as_ideal(I)
+    I = as_ideal(I)
     rep = GinReport()
     res = gin(I, order=order, trials=trials, seed=seed)
     G = res.ideal

@@ -10,7 +10,7 @@ are run on raw generator lists since they are not multihomogeneous.
 
 import heapq
 
-from .errors import BlocksNotSeparable, NotHomogeneous, NotStandardGraded, RingMismatch
+from .errors import BadArgument, BlocksNotSeparable, NotHomogeneous, NotStandardGraded, RingMismatch
 from .monomial import MonomialIdeal
 from .orders import elimination_order, grevlex
 from .ring import GradedRing, Polynomial, is_homogeneous
@@ -274,6 +274,14 @@ class Ideal:
         return all(self.contains(g) for g in other.gens)
 
 
+def as_ideal(I):
+    """I itself for an Ideal; for a MonomialIdeal, the Ideal it generates."""
+    if isinstance(I, MonomialIdeal):
+        ring = I.ring
+        return Ideal(ring, [Polynomial(ring, {g: ring.field.one}) for g in I.gens])
+    return I
+
+
 # ---------------------------------------------------------------------------
 # raw-dict helpers for the auxiliary-variable constructions
 
@@ -283,18 +291,23 @@ def _extend_exps(d, extra_front=0):
     return {(0,) * extra_front + e: c for e, c in d.items()}
 
 
-def _aux_eliminate(ring, raw_dicts, n_aux):
-    """GB for an order eliminating n_aux prepended slots; keep aux-free part.
+def _aux_eliminate(ring, raw_dicts, n_aux, check_homogeneous):
+    """Ideal of the aux-free part of a GB eliminating n_aux prepended slots.
 
-    Works on raw term dicts in an (n_aux + n)-slot exponent space; returns
-    the dicts (restricted to the original slots) whose aux exponents vanish.
+    Works on raw term dicts in an (n_aux + n)-slot exponent space.  On
+    aux-free monomials the elimination order is grevlex, so the aux-free
+    part of its reduced basis is the reduced grevlex basis of the result,
+    in grevlex order; it is cached as such.
     """
     order = elimination_order(n_aux + ring.n, range(n_aux))
     gb = buchberger(raw_dicts, order, ring.field)
-    out = []
-    for d in gb:
-        if all(all(e[k] == 0 for k in range(n_aux)) for e in d):
-            out.append({e[n_aux:]: c for e, c in d.items()})
+    gens = [
+        Polynomial(ring, {e[n_aux:]: c for e, c in d.items()})
+        for d in gb
+        if all(all(e[k] == 0 for k in range(n_aux)) for e in d)
+    ]
+    out = Ideal(ring, gens, check_homogeneous=check_homogeneous)
+    out._gb[grevlex(ring)] = out.gens
     return out
 
 
@@ -318,8 +331,7 @@ def intersect(I, J):
             prev = d.get((1,) + e)
             d[(1,) + e] = F.neg(c) if prev is None else F.sub(prev, c)
         raw.append({e: c for e, c in d.items() if not F.eq(c, F.zero)})
-    dicts = _aux_eliminate(ring, raw, 1)
-    return Ideal(ring, [Polynomial(ring, d) for d in dicts])
+    return _aux_eliminate(ring, raw, 1, check_homogeneous=True)
 
 
 def _divide_exact(g, f):
@@ -380,8 +392,7 @@ def saturate(I, f):
     aux = {(1,) + e: F.neg(c) for e, c in f.terms.items()}
     aux[(0,) * (ring.n + 1)] = F.one
     raw = [_extend_exps(g.terms, 1) for g in I.gens] + [aux]
-    dicts = _aux_eliminate(ring, raw, 1)
-    return Ideal(ring, [Polynomial(ring, d) for d in dicts], check_homogeneous=False)
+    return _aux_eliminate(ring, raw, 1, check_homogeneous=False)
 
 
 def saturate_var_block(I, var_indices):
@@ -436,7 +447,7 @@ def contract(I, block_indices, keep_grading=False):
     ring = I.ring
     J = sorted(set(block_indices))
     if any(j < 1 or j > ring.p for j in J):
-        raise ValueError(f"block indices must lie in 1..{ring.p}")
+        raise BadArgument(f"block indices must lie in 1..{ring.p}")
     jset = {j - 1 for j in J}
     keep, drop = [], []
     for i, d in enumerate(ring.degrees):

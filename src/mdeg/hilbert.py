@@ -7,6 +7,7 @@ initial ideal, which has the same Hilbert function.
 """
 
 from .errors import (
+    BadArgument,
     BoundTooLarge,
     EmptyScheme,
     LowerDegreeTermsPresent,
@@ -242,9 +243,9 @@ def hilbert_function_oracle(I, bound, order=None, limit=8):
     ring = I.ring
     bound = tuple(bound)
     if len(bound) != ring.p:
-        raise ValueError("bound length must equal the number of blocks")
+        raise BadArgument("bound length must equal the number of blocks")
     if any(b < 0 for b in bound):
-        raise ValueError("bound must be componentwise non-negative")
+        raise BadArgument("bound must be componentwise non-negative")
     if any(b > limit for b in bound):
         raise BoundTooLarge(f"componentwise bound above {limit}")
     mono = I if isinstance(I, MonomialIdeal) else I.initial_ideal(order)

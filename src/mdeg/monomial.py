@@ -8,6 +8,7 @@ are computed modulo a prime.
 """
 
 from .errors import (
+    BadArgument,
     NotMinimalPrime,
     NotSquarefree,
     NotStandardGraded,
@@ -183,7 +184,7 @@ def from_polynomial_gens(ring, polys):
         if f.is_zero():
             continue
         if len(f.terms) != 1:
-            raise ValueError(f"{f} is not a monomial")
+            raise BadArgument(f"{f} is not a monomial")
         gens.append(next(iter(f.terms)))
     return MonomialIdeal(ring, gens)
 

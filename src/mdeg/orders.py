@@ -5,7 +5,7 @@ the ring's declared variable sequence.  Elimination orders, the diagonal
 order and the standardization-compatible lifted order are all instances.
 """
 
-from .errors import MdegError
+from .errors import BadArgument
 
 LT, EQ, GT = -1, 0, 1
 
@@ -15,12 +15,12 @@ class MonomialOrder:
 
     def __init__(self, n, weight_rows=(), tiebreak="grevlex"):
         if tiebreak not in ("lex", "grevlex"):
-            raise ValueError(f"unknown tiebreak {tiebreak!r}")
+            raise BadArgument(f"unknown tiebreak {tiebreak!r}")
         self.n = n
         self.weight_rows = tuple(tuple(r) for r in weight_rows)
         for r in self.weight_rows:
             if len(r) != n:
-                raise ValueError("weight row has wrong length")
+                raise BadArgument("weight row has wrong length")
         self.tiebreak = tiebreak
         self._check_well_order()
 
@@ -32,7 +32,7 @@ class MonomialOrder:
                 if r[j] > 0:
                     break
                 if r[j] < 0:
-                    raise MdegError(f"not a well-order: variable {j} below 1")
+                    raise BadArgument(f"not a well-order: variable {j} below 1")
 
     def key(self, exps):
         """Sort key: larger key means larger monomial."""

@@ -10,7 +10,7 @@ generic initial ideal.
 """
 
 from .genin import gin
-from .groebner import Ideal
+from .groebner import Ideal, as_ideal
 from .hilbert import codimension, k_polynomial, multidegree_C
 from .monomial import MonomialIdeal
 from .orders import grevlex, lift_order_phi
@@ -142,13 +142,7 @@ def cs_check(I, trials=2, seed=0, paranoid=False):
     the underlying gin).  With paranoid=True two extra seeds are run and
     must agree.
     """
-    std_map = standardize(I.ring)
-    J, _ = standardize_ideal(I, std_map)
-    if isinstance(J, MonomialIdeal):
-        from .ring import Polynomial as _P
-
-        ring = J.ring
-        J = Ideal(ring, [_P(ring, {g: ring.field.one}) for g in J.gens])
+    J = as_ideal(standardize_ideal(I)[0])
     res = gin(J, trials=trials, seed=seed)
     sq = res.ideal.is_squarefree()
     if paranoid:

@@ -167,6 +167,41 @@ def test_unknown_ideal_and_order(small, capsys):
     assert rc == 2
 
 
+BAD_OPTION_VALUES = {
+    "order-weights-not-int": (["kpoly", "{small}", "--ideal", "I", "--order", "weights:1,x"], {}),
+    "order-weights-row-length": (["kpoly", "{small}", "--ideal", "I", "--order", "weights:1,1"], {}),
+    "order-weights-not-well-order": (
+        ["kpoly", "{small}", "--ideal", "I", "--order", "weights:-1,0,0"], {}
+    ),
+    "blocks-not-int": (["project", EX46, "--ideal", "P", "--blocks", "2,x"], {}),
+    "blocks-out-of-range": (["project", EX46, "--ideal", "P", "--blocks", "4"], {}),
+    "bound-not-int": (["hf-oracle", "{small}", "--ideal", "I", "--bound", "2,x"], {}),
+    "bound-length": (["hf-oracle", "{small}", "--ideal", "I", "--bound", "2,2"], {}),
+    "bound-negative": (["hf-oracle", "{small}", "--ideal", "I", "--bound", "-1"], {}),
+    "det-m-above-n": (["det", "--m", "3", "--n", "2", "--r", "2"], {}),
+    "det-r-zero": (["det", "--m", "2", "--n", "3", "--r", "0"], {}),
+    "gin-no-trials": (["gin", RMK59, "--ideal", "Z", "--trials", "0"], {}),
+    "seed-env-not-int": (["gin", RMK59, "--ideal", "Z"], {"MDEG_SEED": "abc"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_OPTION_VALUES))
+def test_bad_option_value_is_an_input_error(name, small, capsys, monkeypatch):
+    argv, env = BAD_OPTION_VALUES[name]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    rc, out, err = run(capsys, [a.format(small=small) for a in argv])
+    assert (rc, out) == (2, "")
+    assert err.startswith("input error: ")
+
+
+def test_python_value_error_is_a_computation_error(small, capsys, monkeypatch):
+    monkeypatch.setattr("mdeg.cli.k_polynomial", lambda I, order: max([]))
+    rc, _, err = run(capsys, ["kpoly", small, "--ideal", "I"])
+    assert rc == 3
+    assert err.startswith("error: ")
+
+
 def test_gin_needs_large_field(capsys):
     rc, _, err = run(capsys, ["gin", EX46, "--ideal", "P"])
     assert rc == 3

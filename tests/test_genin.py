@@ -4,16 +4,11 @@ from conftest import surface_prime, three_block_ring
 from mdeg.errors import FieldTooSmall, NotStandardGraded
 from mdeg.fields import GF32003, PrimeField, QQ
 from mdeg.genin import gin, gin_structure_report
-from mdeg.groebner import Ideal, contract
+from mdeg.groebner import Ideal, as_ideal, contract
 from mdeg.hilbert import k_polynomial
 from mdeg.monomial import MonomialIdeal, minimal_primes, primary_decomposition
 from mdeg.orders import MonomialOrder
-from mdeg.ring import Polynomial, make_ring
-
-
-def _as_ideal(M):
-    ring = M.ring
-    return Ideal(ring, [Polynomial(ring, {g: ring.field.one}) for g in M.gens])
+from mdeg.ring import make_ring
 
 
 def two_block_ring(field=GF32003):
@@ -29,7 +24,7 @@ def test_gin_of_borel_monomial_ideal_is_itself():
     B = MonomialIdeal(
         R, [(1, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)]
     )
-    res = gin(_as_ideal(B))
+    res = gin(as_ideal(B))
     assert res.ideal == B
     assert res.borel
 

@@ -120,6 +120,18 @@ def test_saturate_matches_fixpoint_oracle(seed, field):
 
 
 @settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([QQ, GF32003]))
+def test_elimination_result_caches_its_reduced_grevlex_basis(seed, field):
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=4, field=field)
+    I, J = _random_ideal(rng, R), _random_ideal(rng, R)
+    x = R.gens()[rng.randrange(R.n)]
+    for E in (saturate(I, x), saturate(I, random_form(rng, R, 2)), intersect(I, J)):
+        recomputed = Ideal(R, E.gens, check_homogeneous=False).groebner_basis()
+        assert E.groebner_basis() == recomputed
+
+
+@settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_saturate_var_block_matches_intersection_of_variable_saturations(seed):
     rng = random.Random(seed)
