@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from .determinantal import build_determinantal, closed_formulas
 from .errors import BadArgument, InputError, MdegError, Unstable
 from .genin import gin, gin_structure_report
 from .groebner import contract
@@ -224,9 +223,7 @@ def cmd_polymatroid_check(args):
         _, I, order = _load(args, args.from_cee)
         pts = support_points(multidegree_C(I, order))
     else:
-        raise InputError(
-            "polymatroid-check needs --points or a ring file with --from-cee"
-        )
+        raise InputError("polymatroid-check needs --points or a ring file with --from-cee")
     ok, witness = exchange_check(pts)
     result = {
         "ok": ok,
@@ -274,6 +271,9 @@ def _read_points(path):
 
 
 def cmd_det(args):
+    # imported here so that the start-up every command pays does not load it
+    from .determinantal import build_determinantal, closed_formulas
+
     m, n, r = args.m, args.n, args.r
     names = [f"t{i}" for i in range(1, m + 1)] + [f"s{j}" for j in range(1, n + 1)]
     meta = {"m": m, "n": n, "r": r}

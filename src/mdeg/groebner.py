@@ -10,7 +10,13 @@ are run on raw generator lists since they are not multihomogeneous.
 
 import heapq
 
-from .errors import BadArgument, BlocksNotSeparable, NotHomogeneous, NotStandardGraded, RingMismatch
+from .errors import (
+    BadArgument,
+    BlocksNotSeparable,
+    NotHomogeneous,
+    NotStandardGraded,
+    RingMismatch,
+)
 from .monomial import MonomialIdeal
 from .orders import elimination_order, grevlex
 from .ring import GradedRing, Polynomial, is_homogeneous
