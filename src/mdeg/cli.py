@@ -311,12 +311,11 @@ def cmd_hf_oracle(args):
     return _emit(args, ring, "hf-oracle", result, text)
 
 
-def _add_common(sp, file_arg=True, ideal_arg=True):
-    if file_arg:
-        sp.add_argument("file", help="ring file, or - for stdin")
-    if ideal_arg:
-        sp.add_argument("--ideal", required=True, help="name of the ideal")
-    sp.add_argument("--order", default=None, help="grevlex | lex | diag | weights:r1c1,r1c2;r2c1,...")
+def _add_common(sp, order=True):
+    sp.add_argument("file", help="ring file, or - for stdin")
+    sp.add_argument("--ideal", required=True, help="name of the ideal")
+    if order:
+        sp.add_argument("--order", default=None, help="grevlex | lex | diag | weights:r1c1,r1c2;r2c1,...")
     sp.add_argument("--json", action="store_true", help="canonical JSON output")
 
 
@@ -358,7 +357,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_project)
 
     sp = sub.add_parser("cs-check", help="Cartwright-Sturmfels detection")
-    _add_common(sp)
+    _add_common(sp, order=False)
     sp.add_argument("--trials", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--paranoid", action="store_true")

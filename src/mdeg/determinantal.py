@@ -13,7 +13,7 @@ from .errors import BadShape, MdegError
 from .groebner import Ideal
 from .intpoly import IntegerPolynomial
 from .monomial import MonomialIdeal
-from .ring import GradedRing, Polynomial
+from .ring import GradedRing
 
 
 def determinantal_ring(m, n, field=None):

@@ -73,7 +73,7 @@ class EmptyScheme(MdegError):
     pass
 
 
-class BoundTooLarge(MdegError):
+class BoundTooLarge(BadArgument):
     pass
 
 

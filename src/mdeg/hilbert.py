@@ -13,13 +13,12 @@ from .errors import (
     LowerDegreeTermsPresent,
     NotStandardGraded,
 )
-from .groebner import Ideal, saturate_irrelevant, saturate_var_block
+from .groebner import saturate_irrelevant, saturate_var_block
 from .intpoly import IntegerPolynomial, series_expansion
 from .monomial import (
     MonomialIdeal,
     codim_of,
     localize_at,
-    minimal_primes,
     primary_decomposition,
 )
 

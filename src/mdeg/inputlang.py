@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .fields import QQ, PrimeField
-from .ring import GradedRing, Polynomial, is_homogeneous
+from .ring import GradedRing, is_homogeneous
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<comment>#[^\n]*)|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"

@@ -1,5 +1,7 @@
 """Integer polynomials in Z[t_1..t_p]: K-polynomials and multidegrees."""
 
+from math import comb
+
 
 class IntegerPolynomial:
     """Sparse polynomial with integer coefficients over p grading variables."""
@@ -100,28 +102,30 @@ class IntegerPolynomial:
         return set(self.terms)
 
     def substitute_one_minus_t(self):
-        """Exact substitution t_i -> 1 - t_i, expanded by binomials."""
-        # cache (1-t_i)^k powers as they recur across terms
-        powers = [{} for _ in range(self.p)]
+        """Exact substitution t_i -> 1 - t_i, one binomial pass per variable.
 
-        def pw(i, k):
-            cache = powers[i]
-            if k not in cache:
-                if k == 0:
-                    cache[k] = IntegerPolynomial.one(self.p)
-                else:
-                    lin = IntegerPolynomial.one(self.p) - IntegerPolynomial.variable(self.p, i)
-                    cache[k] = pw(i, k - 1) * lin
-            return cache[k]
-
-        out = IntegerPolynomial.zero(self.p)
-        for e, c in self.terms.items():
-            term = IntegerPolynomial(self.p, {(0,) * self.p: c})
-            for i, k in enumerate(e):
-                if k:
-                    term = term * pw(i, k)
-            out = out + term
-        return out
+        Pass i replaces every term c*t^e with e_i = k by the k + 1 terms
+        (-1)^j * C(k, j) * c * t^(e with e_i = j), j = 0..k, summed into a
+        fresh dict whose zero coefficients are then dropped.  The cost is
+        one dict update per output term of each pass: the sum over the p
+        passes, and over the terms entering each pass, of k + 1.  No
+        polynomial products are formed and no partial sum is copied.
+        """
+        terms = self.terms
+        for i in range(self.p):
+            out = {}
+            for e, c in terms.items():
+                k = e[i]
+                if not k:
+                    out[e] = out.get(e, 0) + c
+                    continue
+                head, tail = e[:i], e[i + 1:]
+                for j in range(k + 1):
+                    f = head + (j,) + tail
+                    b = comb(k, j) * c
+                    out[f] = out.get(f, 0) + (-b if j & 1 else b)
+            terms = {e: c for e, c in out.items() if c}
+        return IntegerPolynomial(self.p, terms)
 
     def evaluate(self, values):
         """Evaluate at integer (or Fraction) arguments."""

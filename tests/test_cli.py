@@ -178,6 +178,7 @@ BAD_OPTION_VALUES = {
     "bound-not-int": (["hf-oracle", "{small}", "--ideal", "I", "--bound", "2,x"], {}),
     "bound-length": (["hf-oracle", "{small}", "--ideal", "I", "--bound", "2,2"], {}),
     "bound-negative": (["hf-oracle", "{small}", "--ideal", "I", "--bound", "-1"], {}),
+    "bound-too-large": (["hf-oracle", "{small}", "--ideal", "I", "--bound", "9"], {}),
     "det-m-above-n": (["det", "--m", "3", "--n", "2", "--r", "2"], {}),
     "det-r-zero": (["det", "--m", "2", "--n", "3", "--r", "0"], {}),
     "gin-no-trials": (["gin", RMK59, "--ideal", "Z", "--trials", "0"], {}),
@@ -193,6 +194,13 @@ def test_bad_option_value_is_an_input_error(name, small, capsys, monkeypatch):
     rc, out, err = run(capsys, [a.format(small=small) for a in argv])
     assert (rc, out) == (2, "")
     assert err.startswith("input error: ")
+
+
+def test_cs_check_takes_no_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cs-check", RMK59, "--ideal", "J", "--order", "lex"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order lex" in capsys.readouterr().err
 
 
 def test_python_value_error_is_a_computation_error(small, capsys, monkeypatch):
