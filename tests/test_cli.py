@@ -312,7 +312,8 @@ def test_standardize_verify_and_roundtrip(tmp_path, capsys):
 # Golden transcripts: (rc, stdout, stderr) of every subcommand in text and
 # --json mode, recorded in tests/fixtures/cli_golden.json.  Arguments name
 # files by {key}; FIXTURE_FILES are checked in, GOLDEN_FILES are written to
-# a temporary directory, so no transcript contains a temporary path.
+# a temporary directory, so no transcript contains a temporary path.  A case
+# in GOLDEN_PIPES reads the stdout of another command line on its stdin.
 
 WEIGHTED_FP = "field Fp 32003\n" + WEIGHTED + "ideal Q = [ x^2 ]\n"
 
@@ -327,6 +328,7 @@ GOLDEN_FILES = {
     "parse_error": "vars x\ndeg x = (0)\n",
     "unknown_var": "vars x\ndeg x = (1)\nideal I = [ x*w ]\n",
     "not_homogeneous": "vars x y\ndeg x = (1)\ndeg y = (2)\nideal I = [ x + y ]\n",
+    "ex46_fp": pathlib.Path(EX46).read_text().replace("field QQ", "field Fp 32003"),
 }
 FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}
 
@@ -357,6 +359,7 @@ GOLDEN_CASES = {
     "gin-text": ["gin", "{rmk59}", "--ideal", "J"],
     "gin-json": ["gin", "{rmk59}", "--ideal", "Z", "--json"],
     "gin-trials-seed": ["gin", "{rmk59}", "--ideal", "J", "--trials", "3", "--seed", "7", "--json"],
+    "gin-empty-block-json": ["gin", "-", "--ideal", "P", "--json"],
     "gin-report-fail-text": ["gin-report", "{rmk59}", "--ideal", "J"],
     "gin-report-fail-json": ["gin-report", "{rmk59}", "--ideal", "J", "--json"],
     "gin-report-prime-text": ["gin-report", "{rmk59}", "--ideal", "Z"],
@@ -414,6 +417,10 @@ GOLDEN_CASES = {
     "err-bound-too-large": ["hf-oracle", "{small}", "--ideal", "I", "--bound", "9"],
 }
 GOLDEN_STDIN = {"cee-stdin": SMALL}
+# project to blocks 2,3 of P over GF(32003): the first grading block is empty
+GOLDEN_PIPES = {
+    "gin-empty-block-json": ["project", "{ex46_fp}", "--ideal", "P", "--blocks", "2,3"],
+}
 GOLDEN_ENV = {"gin-json": {"MDEG_SEED": "5"}}
 GOLDEN = FIXTURES / "cli_golden.json"
 
@@ -425,16 +432,24 @@ def golden_transcript(name, workdir):
         path = pathlib.Path(workdir) / key
         path.write_text(text)
         paths[key] = str(path)
-    argv = [a.format(**paths) for a in GOLDEN_CASES[name]]
-    out, err = io.StringIO(), io.StringIO()
     env = {k: v for k, v in os.environ.items() if k != "MDEG_SEED"}
     env.update(GOLDEN_ENV.get(name, {}))
-    stdin = io.StringIO(GOLDEN_STDIN.get(name, ""))
-    with mock.patch.dict(os.environ, env, clear=True), mock.patch(
-        "sys.stdin", stdin
-    ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
-    return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+    def run_main(args, stdin_text):
+        argv = [a.format(**paths) for a in args]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env, clear=True), mock.patch(
+            "sys.stdin", io.StringIO(stdin_text)
+        ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+    stdin_text = GOLDEN_STDIN.get(name, "")
+    if name in GOLDEN_PIPES:
+        first = run_main(GOLDEN_PIPES[name], "")
+        assert first["rc"] == 0, first
+        stdin_text = first["stdout"]
+    return run_main(GOLDEN_CASES[name], stdin_text)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
