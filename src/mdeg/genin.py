@@ -3,12 +3,15 @@
 gin(I) is computed as in(g(I)) for a random block-diagonal change of
 coordinates g; several independent trials must agree before the result is
 accepted, and the consensus ideal is checked to be Borel-fixed per block.
+g preserves the multigraded Hilbert series, so K(S/I) is computed once and
+drives every trial's Buchberger run (hilbert.HilbertHint).
 """
 
 import random
 
 from .errors import BadArgument, FieldTooSmall, NotStandardGraded, Unstable
 from .groebner import as_ideal, substituted_ideal
+from .hilbert import HilbertHint
 from .monomial import (
     borel_fixed_check,
     borel_prime_exponent,
@@ -18,6 +21,7 @@ from .monomial import (
     reisner_cm_check,
 )
 from .orders import GT, grevlex
+from .ring import Polynomial
 
 
 MIN_FIELD_SIZE = 10007
@@ -79,8 +83,6 @@ def random_block_change(ring, seed):
                     e = [0] * ring.n
                     e[j] = 1
                     terms[tuple(e)] = M[r][c]
-            from .ring import Polynomial
-
             images[i] = Polynomial(ring, terms)
     return images
 
@@ -115,7 +117,8 @@ def gin(I, order=None, trials=2, seed=0):
 
     Runs `trials` independent random changes of coordinates; all resulting
     initial ideals must coincide, otherwise Unstable is raised (retry with
-    a different seed or more trials).
+    a different seed or more trials).  Unstable is also raised by a trial
+    whose initial ideal does not have the K-polynomial of I.
     """
     ring = I.ring
     if order is None:
@@ -123,11 +126,12 @@ def gin(I, order=None, trials=2, seed=0):
     _check_order_refines_blocks(ring, order)
     if trials < 1:
         raise BadArgument("at least one trial required")
-    results = []
-    for k in range(trials):
-        images = random_block_change(ring, seed + k)
-        moved = substituted_ideal(I, images)
-        results.append(moved.initial_ideal(order))
+    changes = [random_block_change(ring, seed + k) for k in range(trials)]
+    hint = HilbertHint(I)
+    results = [
+        substituted_ideal(I, images).initial_ideal(order, hilbert=hint)
+        for images in changes
+    ]
     first = results[0]
     if any(r != first for r in results[1:]):
         raise Unstable(

@@ -3,9 +3,14 @@
 Polynomials are reduced with a lazy-deletion heap so each term is touched
 once; critical pairs are pruned with the Gebauer-Moller update and picked
 smallest lcm first, which makes the reduced basis of a homogeneous input
-deterministic.  Contraction to a variable subring, colon, intersection and
-saturation are built on elimination orders; the auxiliary-variable tricks
-are run on raw generator lists since they are not multihomogeneous.
+deterministic.  Initial ideals of g(I), for the block changes of
+coordinates g of a gin, are found by Hilbert-driven stopping: with a
+hilbert.HilbertHint holding K(S/I), the pair loop skips pairs whose lcm
+degree is already saturated and stops once the leading terms have the
+K-polynomial of I, without the tail reduction of a reduced basis.
+Contraction to a variable subring, colon, intersection and saturation are
+built on elimination orders; the auxiliary-variable tricks are run on raw
+generator lists since they are not multihomogeneous.
 """
 
 import heapq
@@ -16,6 +21,7 @@ from .errors import (
     NotHomogeneous,
     NotStandardGraded,
     RingMismatch,
+    Unstable,
 )
 from .monomial import MonomialIdeal
 from .orders import elimination_order, grevlex
@@ -130,26 +136,39 @@ def _update_pairs(pairs, lts, new_index, order):
     pairs.update(kept)
 
 
-def buchberger(gen_dicts, order, field):
-    """Reduced monic Groebner basis of the given term dicts."""
+def buchberger(gen_dicts, order, field, hilbert=None):
+    """Monic Groebner basis of the given term dicts.
+
+    Without `hilbert` this is the reduced basis.  `hilbert` is a
+    hilbert.HilbertHint for an ideal with the Hilbert function of the
+    input: a pair is then skipped when the hint finds the leading terms so
+    far saturated at the degree of its lcm, and the loop stops as soon as
+    they have the hint's K-polynomial.  The basis returned is then neither
+    minimal nor tail-reduced, but its leading terms generate the initial
+    ideal.  If the pairs run out first, the hint does not fit the input
+    and Unstable is raised.
+    """
     key = order.key
     lts, polys = [], []
-
-    def nf(d):
-        return _reduce_dict(d, lts, polys, order, field)
-
     pairs = set()
-    gens = [d for d in gen_dicts if d]
-    gens.sort(key=lambda d: key(_leading(d, order)))
-    for d in gens:
-        r = nf(d)
+
+    def add(d):
+        """Append the normal form of d if it is nonzero; report whether it was."""
+        r = _reduce_dict(d, lts, polys, order, field)
         if not r:
-            continue
+            return False
         lt, monic = _make_monic(r, order, field)
         lts.append(lt)
         polys.append(monic)
         _update_pairs(pairs, lts, len(lts) - 1, order)
-    while pairs:
+        return True
+
+    gens = [d for d in gen_dicts if d]
+    gens.sort(key=lambda d: key(_leading(d, order)))
+    for d in gens:
+        add(d)
+    done = hilbert is not None and hilbert.complete(lts)
+    while pairs and not done:
         i, j = min(
             pairs,
             key=lambda ij: (
@@ -159,6 +178,8 @@ def buchberger(gen_dicts, order, field):
         )
         pairs.discard((i, j))
         l = _lcm(lts[i], lts[j])
+        if hilbert is not None and hilbert.saturated(lts, l):
+            continue
         si = tuple(a - b for a, b in zip(l, lts[i]))
         sj = tuple(a - b for a, b in zip(l, lts[j]))
         s = {}
@@ -176,14 +197,16 @@ def buchberger(gen_dicts, order, field):
                     del s[e2]
                 else:
                     s[e2] = nv
-        r = nf(s)
-        if not r:
-            continue
-        lt, monic = _make_monic(r, order, field)
-        lts.append(lt)
-        polys.append(monic)
-        _update_pairs(pairs, lts, len(lts) - 1, order)
-    return _reduce_basis(lts, polys, order, field)
+        if add(s) and hilbert is not None:
+            done = hilbert.complete(lts)
+    if hilbert is None:
+        return _reduce_basis(lts, polys, order, field)
+    if not done:
+        raise Unstable(
+            "the leading terms of a complete Groebner basis do not have "
+            "the K-polynomial of the Hilbert hint"
+        )
+    return polys
 
 
 def _reduce_basis(lts, polys, order, field):
@@ -257,13 +280,19 @@ class Ideal:
             self._gb[order] = tuple(Polynomial(self.ring, d) for d in dicts)
         return self._gb[order]
 
-    def initial_ideal(self, order=None):
+    def initial_ideal(self, order=None, hilbert=None):
+        """in(I) under `order`, from the cached reduced basis; or, with
+        `hilbert`, a hilbert.HilbertHint with the Hilbert function of I,
+        from the Hilbert-driven pair loop, whose basis is not cached."""
         if order is None:
             order = grevlex(self.ring)
-        gb = self.groebner_basis(order)
-        return MonomialIdeal(
-            self.ring, [max(g.terms, key=order.key) for g in gb]
-        )
+        if hilbert is None:
+            basis = [g.terms for g in self.groebner_basis(order)]
+        else:
+            basis = buchberger(
+                [f.terms for f in self.gens], order, self.ring.field, hilbert
+            )
+        return MonomialIdeal(self.ring, [_leading(d, order) for d in basis])
 
     def normal_form(self, f, order=None):
         if order is None:

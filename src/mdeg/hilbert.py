@@ -3,8 +3,11 @@
 The K-polynomial of S/I is the numerator of the multigraded Hilbert series
 over prod(1 - t^deg(x)).  For monomial ideals it is computed by the
 variable-splitting recursion; general homogeneous ideals go through their
-initial ideal, which has the same Hilbert function.
+initial ideal, which has the same Hilbert function.  HilbertHint carries
+K(S/I) into Buchberger runs on ideals with that Hilbert function.
 """
+
+from math import comb
 
 from .errors import (
     BadArgument,
@@ -19,6 +22,7 @@ from .monomial import (
     MonomialIdeal,
     codim_of,
     localize_at,
+    minimalize,
     primary_decomposition,
 )
 
@@ -88,6 +92,83 @@ def k_polynomial(I, order=None):
     return k_polynomial_monomial(I.initial_ideal(order))
 
 
+class HilbertHint:
+    """K(S/I) of an ideal I of a standard graded ring S, as a stopping rule
+    for Buchberger on an ideal J with the Hilbert function of I, such as
+    g(I) for a block change of coordinates g (groebner.buchberger).
+
+    The monomial ideal L of the leading terms found so far lies in in(J),
+    so HF(S/L, d) >= HF(S/J, d) = HF(S/I, d) at every multidegree d, with
+    equality exactly when L_d = in(J)_d.  `saturated` reports that
+    equality at the degree of a monomial: every element of J of that
+    degree then reduces to zero, S-polynomials included.  `complete`
+    reports K(S/L) = K(S/I), which means L = in(J).  Both work on the
+    difference K(S/L) - K(S/I), recomputed when the leading terms change:
+    HF(S/L, d) - HF(S/I, d) is the sum over its terms c*t^a of c times the
+    number of monomials of degree d - a.
+    """
+
+    def __init__(self, I):
+        ring = I.ring
+        if not ring.is_standard:
+            raise NotStandardGraded("a Hilbert hint needs a standard grading")
+        self.ring = ring
+        self.k = k_polynomial(I)
+        self._sizes = [len(ring.block_variables(k)) for k in range(ring.p)]
+        self._lts = None  # the leading terms L and _excess belong to
+        self._L = None
+        self._excess = None  # K(S/L) - K(S/I)
+        self._saturated = {}  # degree -> saturated for the current L
+
+    def _excess_for(self, lts):
+        """K(S/L) - K(S/I); when lts extends the previous call's by one
+        monomial m, by K(S/(L + m)) = K(S/L) - t^deg(m) * K(S/(L : m))."""
+        lts = tuple(lts)
+        if lts == self._lts:
+            return self._excess
+        if self._lts is not None and lts[:-1] == self._lts:
+            m = lts[-1]
+            step = IntegerPolynomial.monomial(self.ring.monomial_degree(m))
+            quot = k_polynomial_monomial(self._L.colon_monomial(m))
+            self._excess = self._excess - step * quot
+            self._L = self._L.add_monomial(m)
+        else:
+            self._L = MonomialIdeal(self.ring, lts)
+            self._excess = k_polynomial_monomial(self._L) - self.k
+        self._lts = lts
+        self._saturated = {}
+        return self._excess
+
+    def complete(self, lts):
+        """K(S/L) = K(S/I) for L generated by the exponent tuples lts."""
+        return not self._excess_for(lts)
+
+    def saturated(self, lts, mono):
+        """HF(S/L, d) = HF(S/I, d) at d = deg(mono)."""
+        excess = self._excess_for(lts)
+        d = self.ring.monomial_degree(mono)
+        hit = self._saturated.get(d)
+        if hit is None:
+            hit = not sum(
+                c * self._count(tuple(x - y for x, y in zip(d, a)))
+                for a, c in excess.terms.items()
+                if all(y <= x for x, y in zip(d, a))
+            )
+            self._saturated[d] = hit
+        return hit
+
+    def _count(self, d):
+        """Number of monomials of degree d >= 0: per block of n_k variables
+        C(d_k + n_k - 1, n_k - 1), and for an empty block 1 if d_k = 0."""
+        out = 1
+        for dk, nk in zip(d, self._sizes):
+            if nk:
+                out *= comb(dk + nk - 1, nk - 1)
+            elif dk:
+                return 0
+        return out
+
+
 def codimension(I, order=None):
     if isinstance(I, MonomialIdeal):
         return codim_of(I)
@@ -115,13 +196,8 @@ def multidegree_C(I, order=None):
 def multidegree_G(I, order=None):
     """G-multidegree: terms of K(1-t) minimal in the divisibility order."""
     sub = k_polynomial(I, order).substitute_one_minus_t()
-    out = {}
-    for e, c in sub.terms.items():
-        if not any(
-            o != e and all(a <= b for a, b in zip(o, e)) for o in sub.terms
-        ):
-            out[e] = c
-    return IntegerPolynomial(sub.p, out)
+    keep = minimalize(sub.terms)
+    return IntegerPolynomial(sub.p, {e: c for e, c in sub.terms.items() if e in keep})
 
 
 def cee_of_quotient_prime(ring, prime):

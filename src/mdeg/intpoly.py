@@ -10,12 +10,8 @@ class IntegerPolynomial:
 
     def __init__(self, p, terms=None):
         self.p = p
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[tuple(e)] = self.terms.get(tuple(e), 0) + c
-            self.terms = {e: c for e, c in self.terms.items() if c}
+        # the keys of a dict are distinct, so no two terms need adding
+        self.terms = {tuple(e): c for e, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls, p):

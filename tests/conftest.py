@@ -110,6 +110,13 @@ def random_standard_ring(rng, max_vars=8, max_blocks=3, field=QQ):
     return make_ring(names, degs, field)
 
 
+def add_empty_block(rng, ring):
+    """The same variables, graded with one more block that holds none of them."""
+    k = rng.randrange(ring.p + 1)
+    degs = [d[:k] + (0,) + d[k:] for d in ring.degrees]
+    return make_ring(ring.names, degs, ring.field)
+
+
 def random_form(rng, ring, degree):
     """A nonzero multihomogeneous polynomial of 1-3 random terms.
 
@@ -131,3 +138,12 @@ def random_form(rng, ring, degree):
         for e in rng.sample(monos, min(len(monos), rng.randint(1, 3)))
     }
     return Polynomial(ring, terms)
+
+
+def random_ideal(rng, ring, max_degree=2, max_gens=3):
+    """An Ideal of 1..max_gens random forms of degree 1..max_degree."""
+    gens = [
+        random_form(rng, ring, rng.randint(1, max_degree))
+        for _ in range(rng.randint(1, max_gens))
+    ]
+    return Ideal(ring, gens)

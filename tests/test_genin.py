@@ -1,7 +1,17 @@
-import pytest
+import random
 
-from conftest import surface_prime, three_block_ring
-from mdeg.errors import FieldTooSmall, NotStandardGraded
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    add_empty_block,
+    random_ideal,
+    random_standard_ring,
+    surface_prime,
+    three_block_ring,
+)
+from mdeg import genin
+from mdeg.errors import FieldTooSmall, NotStandardGraded, Unstable
 from mdeg.fields import GF32003, PrimeField, QQ
 from mdeg.genin import gin, gin_structure_report
 from mdeg.groebner import Ideal, as_ideal, contract
@@ -36,6 +46,35 @@ def test_gin_preserves_k_polynomial():
     res = gin(I)
     assert res.borel
     assert k_polynomial(res.ideal) == k_polynomial(I)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_gin_has_the_k_polynomial_of_the_ideal(seed, empty_block):
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=5, field=GF32003)
+    if empty_block:
+        R = add_empty_block(rng, R)
+    I = random_ideal(rng, R, max_degree=3, max_gens=4)
+    res = gin(I, seed=seed)
+    assert k_polynomial(res.ideal) == k_polynomial(I)
+
+
+def test_gin_trial_with_another_hilbert_function_is_unstable(monkeypatch):
+    # a substitution that loses a generator changes the Hilbert function;
+    # the trial's K-polynomial check must catch it
+    R = make_ring(["a", "b", "c", "d"], [(1,)] * 4, GF32003)
+    a, b, c, d = R.gens()
+    I = Ideal(R, [a * c - b * b, b * d - c * c, a * d - b * c])
+    real = genin.substituted_ideal
+
+    def lossy(ideal, images):
+        moved = real(ideal, images)
+        return Ideal(moved.ring, moved.gens[:-1])
+
+    monkeypatch.setattr(genin, "substituted_ideal", lossy)
+    with pytest.raises(Unstable):
+        gin(I)
 
 
 def test_gin_seed_independent():

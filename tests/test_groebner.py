@@ -5,14 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    add_empty_block,
     random_form,
+    random_ideal,
     random_monomial_ideal,
     random_standard_ring,
     surface_prime,
     three_block_ring,
 )
-from mdeg.errors import BlocksNotSeparable, NotHomogeneous, NotStandardGraded
+from mdeg.errors import (
+    BlocksNotSeparable,
+    NotHomogeneous,
+    NotStandardGraded,
+    Unstable,
+)
 from mdeg.fields import GF32003, QQ
+from mdeg.genin import random_block_change
 from mdeg.groebner import (
     Ideal,
     colon,
@@ -22,9 +30,11 @@ from mdeg.groebner import (
     saturate,
     saturate_irrelevant,
     saturate_var_block,
+    substituted_ideal,
 )
+from mdeg.hilbert import HilbertHint
 from mdeg.monomial import MonomialIdeal
-from mdeg.orders import grevlex, lex
+from mdeg.orders import grevlex, lex, weight_order
 from mdeg.ring import make_ring
 
 
@@ -102,17 +112,12 @@ def _fixpoint_saturate(I, f):
         cur, cur_gb = nxt, nxt_gb
 
 
-def _random_ideal(rng, ring):
-    gens = [random_form(rng, ring, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
-    return Ideal(ring, gens)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([QQ, GF32003]))
 def test_saturate_matches_fixpoint_oracle(seed, field):
     rng = random.Random(seed)
     R = random_standard_ring(rng, max_vars=4, field=field)
-    I = _random_ideal(rng, R)
+    I = random_ideal(rng, R)
     x = R.gens()[rng.randrange(R.n)]
     f = random_form(rng, R, 2)  # homogeneous, never a variable
     assert saturate(I, x) == _fixpoint_saturate(I, x)
@@ -124,7 +129,7 @@ def test_saturate_matches_fixpoint_oracle(seed, field):
 def test_elimination_result_caches_its_reduced_grevlex_basis(seed, field):
     rng = random.Random(seed)
     R = random_standard_ring(rng, max_vars=4, field=field)
-    I, J = _random_ideal(rng, R), _random_ideal(rng, R)
+    I, J = random_ideal(rng, R), random_ideal(rng, R)
     x = R.gens()[rng.randrange(R.n)]
     for E in (saturate(I, x), saturate(I, random_form(rng, R, 2)), intersect(I, J)):
         recomputed = Ideal(R, E.gens, check_homogeneous=False).groebner_basis()
@@ -137,7 +142,7 @@ def test_saturate_var_block_matches_intersection_of_variable_saturations(seed):
     rng = random.Random(seed)
     R = random_standard_ring(rng, max_vars=4)
     idx = rng.sample(range(R.n), rng.randint(1, R.n))
-    I = _random_ideal(rng, R)
+    I = random_ideal(rng, R)
     plain = functools.reduce(intersect, [saturate(I, R.gens()[i]) for i in idx])
     assert saturate_var_block(I, idx) == plain
     M = random_monomial_ideal(rng, R)
@@ -200,3 +205,59 @@ def test_prime_field_gb():
     a, b, c, d = R.gens()
     I = Ideal(R, [a * c - b * b, b * d - c * c, a * d - b * c])
     assert len(I.groebner_basis()) == 3
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-driven initial ideals: the full reduced basis is the oracle.
+
+
+def _three_orders(rng, ring):
+    weights = [tuple(rng.randrange(1, 9) for _ in range(ring.n))]
+    return [grevlex(ring), lex(ring), weight_order(ring, weights)]
+
+
+def _assert_hinted_matches_full_basis(rng, I, seed):
+    """in(J) with the hint of I equals in(J) from the reduced basis, for
+    J = I and J = g(I), under grevlex, lex and a random weight order."""
+    R = I.ring
+    hint = HilbertHint(I)
+    moved = substituted_ideal(I, random_block_change(R, seed))
+    for J in (I, moved):
+        for order in _three_orders(rng, R):
+            assert J.initial_ideal(order, hilbert=hint) == J.initial_ideal(order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_hilbert_driven_initial_ideal_matches_full_basis(seed, empty_block):
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=5, field=GF32003)
+    if empty_block:
+        R = add_empty_block(rng, R)
+    I = random_ideal(rng, R, max_degree=3, max_gens=4)
+    _assert_hinted_matches_full_basis(rng, I, seed)
+
+
+def test_hilbert_driven_initial_ideal_of_zero_and_unit_ideals():
+    rng = random.Random(3)
+    R = make_ring(["x0", "x1", "y0"], [(1, 0), (1, 0), (0, 1)], GF32003)
+    zero, unit = Ideal(R, []), Ideal(R, [R.one()])
+    for I in (zero, unit):
+        _assert_hinted_matches_full_basis(rng, I, 3)
+    assert zero.initial_ideal(hilbert=HilbertHint(zero)).is_zero()
+    assert unit.initial_ideal(hilbert=HilbertHint(unit)).is_unit()
+
+
+def test_hilbert_driven_initial_ideal_on_ring_with_empty_block():
+    # blocks 2 and 3 of the threefold ring; block 1 holds no variable
+    R = three_block_ring(GF32003)
+    Q = contract(surface_prime(R), [2, 3], keep_grading=True)
+    assert Q.ring.block_variables(0) == []
+    _assert_hinted_matches_full_basis(random.Random(5), Q, 5)
+
+
+def test_hint_of_another_hilbert_function_raises_unstable():
+    R = make_ring(["x", "y"], [(1,), (1,)], GF32003)
+    x, y = R.gens()
+    with pytest.raises(Unstable):
+        Ideal(R, [x * x]).initial_ideal(hilbert=HilbertHint(Ideal(R, [x * x, y])))

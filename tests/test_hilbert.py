@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     SURFACE_CEE_TERMS,
+    add_empty_block,
     random_monomial_ideal,
     random_standard_ring,
     surface_prime,
@@ -13,6 +15,7 @@ from conftest import (
 from mdeg.errors import BoundTooLarge, EmptyScheme, NotStandardGraded
 from mdeg.groebner import Ideal
 from mdeg.hilbert import (
+    HilbertHint,
     arithmetic_multidegree,
     geometric_multidegrees,
     hilbert_function_oracle,
@@ -173,3 +176,55 @@ def test_k_polynomial_additive_on_colon_split(seed):
     t = IntegerPolynomial.monomial(R.degrees[i])
     rhs = k_polynomial(I.add_monomial(x)) + t * k_polynomial(I.colon_monomial(x))
     assert lhs == rhs
+
+
+def _pairwise_minimal_terms(poly):
+    """The all-pairs scan multidegree_G used before `minimalize`, as its
+    oracle: the terms no other term divides."""
+    out = {}
+    for e, c in poly.terms.items():
+        if not any(
+            o != e and all(a <= b for a, b in zip(o, e)) for o in poly.terms
+        ):
+            out[e] = c
+    return IntegerPolynomial(poly.p, out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_multidegree_G_matches_pairwise_oracle(seed):
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=6)
+    I = random_monomial_ideal(rng, R)
+    sub = k_polynomial(I).substitute_one_minus_t()
+    assert multidegree_G(I) == _pairwise_minimal_terms(sub)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_hilbert_hint_matches_hf_oracle(seed, empty_block):
+    # L generated by some generators of a monomial ideal I lies in I, as the
+    # leading terms found so far lie in the initial ideal; the prefixes of
+    # lts are passed in turn, as the pair loop appends leading terms
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=4)
+    if empty_block:
+        R = add_empty_block(rng, R)
+    I = random_monomial_ideal(rng, R, max_exp=2)
+    lts = rng.sample(sorted(I.gens), rng.randint(0, len(I.gens)))
+    hint = HilbertHint(I)
+    bound = (3,) * R.p
+    hf_I = hilbert_function_oracle(I, bound)
+    monos = [
+        m
+        for m in itertools.product(range(3), repeat=R.n)
+        if all(x <= 3 for x in R.monomial_degree(m))
+    ]
+    for k in range(len(lts) + 1):
+        L = MonomialIdeal(R, lts[:k])
+        hf_L = hilbert_function_oracle(L, bound)
+        for mono in monos:
+            d = R.monomial_degree(mono)
+            expected = hf_L.get(d, 0) == hf_I.get(d, 0)
+            assert hint.saturated(lts[:k], mono) == expected
+        assert hint.complete(lts[:k]) == (L == I)
