@@ -9,7 +9,7 @@ initial ideal.
 Run:  python demos/determinantal_formulas.py
 """
 
-from mdeg import diagonal_order, k_polynomial, multidegree_C
+from mdeg import k_polynomial, lex, multidegree_C
 from mdeg.determinantal import (
     build_determinantal,
     closed_formulas,
@@ -21,7 +21,7 @@ def main():
     for m, n in [(2, 3), (3, 4)]:
         print(f"== generic {m} x {n} matrix, ideal of {m}-minors ==")
         ring, I = build_determinantal(m, n, m)
-        order = diagonal_order(ring)
+        order = lex(ring)  # the diagonal order
         names = [f"t{i}" for i in range(1, m + 1)] + [
             f"s{j}" for j in range(1, n + 1)
         ]
@@ -40,7 +40,7 @@ def main():
 
     print("== 2-minors of a 3 x 3 matrix (not maximal: coefficients jump) ==")
     ring, I2 = build_determinantal(3, 3, 2)
-    C = multidegree_C(I2, diagonal_order(ring))
+    C = multidegree_C(I2, lex(ring))
     coeffs = sorted(set(C.terms.values()))
     print(f"multidegree has coefficients {coeffs}: not multiplicity-free")
 

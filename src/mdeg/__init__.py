@@ -51,7 +51,6 @@ from .monomial import (
 )
 from .orders import (
     MonomialOrder,
-    diagonal_order,
     elimination_order,
     grevlex,
     lex,

@@ -25,7 +25,7 @@ from .hilbert import (
 )
 from .inputlang import format_ring_file, parse_input
 from .monomial import from_polynomial_gens
-from .orders import diagonal_order, grevlex, lex, weight_order
+from .orders import grevlex, lex, weight_order
 from .polymatroid import exchange_check, snp_check, support_points
 from .standardize import cs_check, standardize, standardize_ideal, verify_standardization
 
@@ -285,7 +285,7 @@ def cmd_det(args):
         result = {"meta": {**meta, "formulas_only": True}}
     else:
         ring, I = build_determinantal(m, n, r)
-        order = diagonal_order(ring)
+        order = lex(ring)
         C, K = multidegree_C(I, order), k_polynomial(I, order)
         result = {"diff": None, "meta": meta}
         if r == m:

@@ -57,10 +57,6 @@ class TooManyVertices(MdegError):
     pass
 
 
-class NotMonomial(MdegError):
-    pass
-
-
 # hilbert / multidegrees
 class LowerDegreeTermsPresent(MdegError):
     """Terms of total degree below the codimension survived the 1-t substitution.
@@ -84,11 +80,6 @@ class FieldTooSmall(MdegError):
 
 class Unstable(MdegError):
     """Independent randomized trials produced different initial ideals."""
-
-
-# polymatroid
-class TooLarge(MdegError):
-    pass
 
 
 # determinantal

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .monomial import MonomialIdeal
 from .orders import elimination_order, grevlex
-from .ring import GradedRing, Polynomial, is_homogeneous
+from .ring import Polynomial, is_homogeneous
 
 
 def _neg_key(key):
@@ -262,9 +262,6 @@ class Ideal:
         o = grevlex(self.ring)
         return self.groebner_basis(o) == other.groebner_basis(o)
 
-    def __hash__(self):
-        return hash((self.ring, self.groebner_basis(grevlex(self.ring))))
-
     def is_zero(self):
         return not self.gens
 
@@ -471,13 +468,17 @@ def saturate_irrelevant(I):
 
 
 def contract(I, block_indices, keep_grading=False):
-    """I_(J): intersect with the subring of the blocks in J (1-based).
+    """I_(J) for an Ideal or a MonomialIdeal: intersect with the subring of
+    the blocks in J (1-based).
 
     Every variable's degree must be supported inside J or inside its
-    complement; the result lives in a fresh ring on the kept variables with
-    degree vectors restricted to the J coordinates.  With keep_grading the
-    original N^p grading is preserved (blocks outside J become empty),
-    which keeps the t_k labels of the multidegree aligned with the source.
+    complement; the result lives in GradedRing.subring on the kept
+    variables, with degree vectors restricted to the J coordinates.  With
+    keep_grading the original N^p grading is preserved (blocks outside J
+    become empty), which keeps the t_k labels of the multidegree aligned
+    with the source.  The generators that avoid the dropped variables are
+    kept: from a basis under an order eliminating them, and for a monomial
+    ideal from its minimal generators, which are already such a basis.
     """
     ring = I.ring
     J = sorted(set(block_indices))
@@ -495,21 +496,21 @@ def contract(I, block_indices, keep_grading=False):
             )
         else:
             drop.append(i)
-    order = elimination_order(ring.n, drop)
-    gb = I.groebner_basis(order)
-    if keep_grading:
-        sub_degrees = [ring.degrees[i] for i in keep]
-    else:
-        sub_degrees = [
-            tuple(ring.degrees[i][k] for k in sorted(jset)) for i in keep
-        ]
-    sub = GradedRing([ring.names[i] for i in keep], sub_degrees, ring.field)
-    gens = []
-    for g in gb:
-        if all(all(e[i] == 0 for i in drop) for e in g.terms):
-            gens.append(
-                Polynomial(sub, {tuple(e[i] for i in keep): c for e, c in g.terms.items()})
-            )
+    sub = ring.subring(keep, None if keep_grading else sorted(jset))
+
+    def restrict(e):
+        return tuple(e[i] for i in keep)
+
+    def avoids_drop(e):
+        return not any(e[i] for i in drop)
+
+    if isinstance(I, MonomialIdeal):
+        return MonomialIdeal(sub, [restrict(g) for g in I.gens if avoids_drop(g)])
+    gens = [
+        Polynomial(sub, {restrict(e): c for e, c in g.terms.items()})
+        for g in I.groebner_basis(elimination_order(ring.n, drop))
+        if all(avoids_drop(e) for e in g.terms)
+    ]
     return Ideal(sub, gens)
 
 

@@ -7,7 +7,7 @@ initial ideal, which has the same Hilbert function.  HilbertHint carries
 K(S/I) into Buchberger runs on ideals with that Hilbert function.
 """
 
-from math import comb
+from math import comb, prod
 
 from .errors import (
     BadArgument,
@@ -209,11 +209,29 @@ def cee_of_quotient_prime(ring, prime):
     return multidegree_C(J)
 
 
+def finite_length(k, ring):
+    """Length of a graded module M of finite length over `ring`, from its
+    K-polynomial k = K(M; t).
+
+    K(M; t) = H(M; t) * prod (1 - t^deg x_i), where the Hilbert series
+    H(M; t) is a polynomial with H(M; 1) = length(M).  After t -> 1 - t
+    each factor 1 - (1 - t)^deg(x_i) starts in total degree 1 with
+    <deg x_i, t>, so the lowest part, of total degree ring.n, is
+    length(M) * prod <deg x_i, t>; at t = 1 it reads length(M) times the
+    product of the |deg x_i|.
+    """
+    top = sum(
+        c for e, c in k.substitute_one_minus_t().terms.items() if sum(e) == ring.n
+    )
+    return top // prod(sum(d) for d in ring.degrees)
+
+
 def arithmetic_multidegree(I):
-    """A(S/I) = sum over associated primes of the local H^0 length times
-    the multidegree of S/P.  Monomial ideals only; the local length at an
-    embedded prime counts the standard monomials of I : m^infinity that are
-    missing from I, inside the localized subring.
+    """A(S/I) = sum over associated primes P of the local H^0 length times
+    the multidegree of S/P.  Monomial ideals only.  With loc = I with the
+    variables outside P set to 1, and sat = loc : m^infinity for the ideal
+    m of the variables of P, that length is the length of sat/loc, which
+    finite_length reads off K(S/loc) - K(S/sat).
     """
     if not isinstance(I, MonomialIdeal):
         raise TypeError("arithmetic multidegree requires a monomial ideal")
@@ -224,37 +242,14 @@ def arithmetic_multidegree(I):
         prime = comp.prime
         loc = localize_at(I, prime)
         sat = saturate_var_block(loc, range(loc.ring.n))
-        # H^0 at the prime: monomials of sat not in loc, finitely many
-        # since sat/loc is annihilated by a power of every variable
-        length = _colength_between(loc, sat)
+        # H^0 at the prime is sat/loc, of finite length since it is
+        # annihilated by a power of every variable
+        length = finite_length(
+            k_polynomial_monomial(loc) - k_polynomial_monomial(sat), loc.ring
+        )
         if length:
             out = out + length * cee_of_quotient_prime(ring, prime)
     return out
-
-
-def _colength_between(inner, outer):
-    """Number of monomials in outer but not inner (finite by saturation)."""
-    n = inner.ring.n
-    bounds = [1] * n
-    for g in inner.gens:
-        for i, e in enumerate(g):
-            bounds[i] = max(bounds[i], e)
-    count = 0
-
-    def rec(i, cur):
-        nonlocal count
-        if i == n:
-            m = tuple(cur)
-            if outer.contains(m) and not inner.contains(m):
-                count += 1
-            return
-        for e in range(bounds[i]):
-            cur.append(e)
-            rec(i + 1, cur)
-            cur.pop()
-
-    rec(0, [])
-    return count
 
 
 def truncation_multidegree(I, i):

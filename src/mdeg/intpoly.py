@@ -77,9 +77,6 @@ class IntegerPolynomial:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def coefficient(self, e):
-        return self.terms.get(tuple(e), 0)
-
     def total_degree_part(self, d):
         """Sum of the terms of total degree exactly d."""
         return IntegerPolynomial(self.p, {e: c for e, c in self.terms.items() if sum(e) == d})

@@ -87,9 +87,6 @@ class MonomialIdeal:
             self.ring, (tuple(int(e > 0) for e in g) for g in self.gens)
         )
 
-    def add_ideal(self, other):
-        return MonomialIdeal(self.ring, set(self.gens) | set(other.gens))
-
     def add_monomial(self, mono):
         return MonomialIdeal(self.ring, set(self.gens) | {tuple(mono)})
 
@@ -113,40 +110,6 @@ class MonomialIdeal:
             self.ring,
             (tuple(0 if j == i else e for j, e in enumerate(g)) for g in self.gens),
         )
-
-    def contract_blocks(self, block_indices):
-        """I_(J) for 1-based block indices; degrees restricted to J.
-
-        Matches the contraction of general ideals: variables whose degree
-        is supported outside J are dropped, and the result lives in a ring
-        graded by the J coordinates only.
-        """
-        from .errors import BlocksNotSeparable
-        from .ring import GradedRing
-
-        J = sorted({j - 1 for j in block_indices})
-        jset = set(J)
-        keep = []
-        for i, d in enumerate(self.ring.degrees):
-            supp = {k for k, c in enumerate(d) if c}
-            if supp <= jset:
-                keep.append(i)
-            elif supp & jset:
-                raise BlocksNotSeparable(
-                    f"deg({self.ring.names[i]}) = {d} straddles the block split"
-                )
-        pos = set(keep)
-        gens = [
-            tuple(g[i] for i in keep)
-            for g in self.gens
-            if all(e == 0 for i, e in enumerate(g) if i not in pos)
-        ]
-        sub = GradedRing(
-            [self.ring.names[i] for i in keep],
-            [tuple(self.ring.degrees[i][k] for k in J) for i in keep],
-            self.ring.field,
-        )
-        return MonomialIdeal(sub, gens)
 
     def standard_monomials(self):
         """All monomials outside the ideal; requires finite colength."""
@@ -338,27 +301,29 @@ def associated_primes(I):
 def localize_at(I, prime):
     """Set the variables outside `prime` to 1 and re-minimalize.
 
-    Returns a MonomialIdeal in the subring on the prime's variables.
+    Returns a MonomialIdeal in the subring on the prime's variables
+    (GradedRing.subring), which keeps their degree vectors whole.
     """
     keep = sorted(prime)
-    gens = [tuple(g[i] for i in keep) for g in I.gens]
-    from .ring import GradedRing
-
-    sub = GradedRing(
-        [I.ring.names[i] for i in keep],
-        [I.ring.degrees[i] for i in keep],
-        I.ring.field,
+    return MonomialIdeal(
+        I.ring.subring(keep), [tuple(g[i] for i in keep) for g in I.gens]
     )
-    return MonomialIdeal(sub, gens)
 
 
 def length_at_minimal_prime(I, prime):
-    """length of (S/I) localized at a minimal prime (a variable subset)."""
+    """length of (S/I) localized at a minimal prime (a variable subset).
+
+    That is the length of T/loc, for T the ring on the prime's variables
+    and loc = localize_at(I, prime), finite since the prime is minimal;
+    hilbert.finite_length reads it off K(T/loc).
+    """
+    from .hilbert import finite_length, k_polynomial_monomial
+
     prime = frozenset(prime)
     if prime not in {frozenset(P) for P in minimal_primes(I)}:
         raise NotMinimalPrime(f"{sorted(prime)} is not a minimal prime")
     loc = localize_at(I, prime)
-    return len(loc.standard_monomials())
+    return finite_length(k_polynomial_monomial(loc), loc.ring)
 
 
 def mlength(I):

@@ -1,8 +1,10 @@
 """Monomial orders as weight matrices with a named tie-break.
 
 Every order is a list of integer weight rows followed by Lex or GrevLex on
-the ring's declared variable sequence.  Elimination orders, the diagonal
-order and the standardization-compatible lifted order are all instances.
+the ring's declared variable sequence.  Elimination orders and the
+standardization-compatible lifted order are instances.  Lex on the
+row-major variables of a generic matrix is the diagonal order of
+determinantal ideals: every minor leads with its main diagonal.
 """
 
 from .errors import BadArgument
@@ -86,11 +88,6 @@ def lex(ring):
     return MonomialOrder(ring.n, (), "lex")
 
 
-def diagonal_order(ring):
-    """Lex on row-major matrix variables; minors lead with main diagonals."""
-    return MonomialOrder(ring.n, (), "lex")
-
-
 def weight_order(ring, rows, tiebreak="grevlex"):
     return MonomialOrder(ring.n, rows, tiebreak)
 
@@ -99,10 +96,6 @@ def elimination_order(n, eliminate):
     """Order on n variables that puts the given indices heaviest (to eliminate)."""
     row = tuple(int(i in set(eliminate)) for i in range(n))
     return MonomialOrder(n, (row,), "grevlex")
-
-
-def compare(order, a, b):
-    return order.compare(a, b)
 
 
 def lift_order_phi(order, std_map):

@@ -46,13 +46,20 @@ class GradedRing:
     def is_standard(self):
         return all(sum(d) == 1 for d in self.degrees)
 
-    def block_of(self, i):
-        """Block index (0-based) of variable i; standard rings only."""
-        return self.degrees[i].index(1)
-
     def block_variables(self, k):
         """Indices of the variables of degree e_{k+1} in a standard ring."""
         return [i for i in range(self.n) if sum(self.degrees[i]) == 1 and self.degrees[i][k] == 1]
+
+    def subring(self, keep, coords=None):
+        """The ring on the variables with indices `keep`, each degree vector
+        cut to the grading coordinates `coords` (all of them by default)."""
+        if coords is None:
+            coords = range(self.p)
+        return GradedRing(
+            [self.names[i] for i in keep],
+            [tuple(self.degrees[i][k] for k in coords) for i in keep],
+            self.field,
+        )
 
     def variable(self, name):
         i = self._index[name]

@@ -110,6 +110,20 @@ def random_standard_ring(rng, max_vars=8, max_blocks=3, field=QQ):
     return make_ring(names, degs, field)
 
 
+def random_positive_ring(rng, max_vars=6, max_blocks=3):
+    """A ring of 1..max_vars variables with random nonzero degree vectors
+    in N^p, p <= max_blocks, of entries 0-2: so some |deg x| >= 2 and some
+    zero coordinates."""
+    p = rng.randint(1, max_blocks)
+    degs = []
+    for _ in range(rng.randint(1, max_vars)):
+        d = (0,) * p
+        while not any(d):
+            d = tuple(rng.randrange(3) for _ in range(p))
+        degs.append(d)
+    return make_ring([f"v{i}" for i in range(len(degs))], degs)
+
+
 def add_empty_block(rng, ring):
     """The same variables, graded with one more block that holds none of them."""
     k = rng.randrange(ring.p + 1)

@@ -13,7 +13,8 @@ from mdeg import determinantal
 from mdeg.errors import BadShape, MdegError
 from mdeg.hilbert import k_polynomial, multidegree_C
 from mdeg.intpoly import IntegerPolynomial
-from mdeg.orders import diagonal_order
+from mdeg.monomial import MonomialIdeal
+from mdeg.orders import lex
 
 
 def test_shape_guards():
@@ -63,7 +64,33 @@ def test_diagonal_initial_2x3_explicit():
 def test_diagonal_initial_is_initial_of_minors():
     R, I = build_determinantal(2, 3, 2)
     _, J = diagonal_initial(2, 3)
-    assert I.initial_ideal(diagonal_order(R)) == J
+    assert I.initial_ideal(lex(R)) == J
+
+
+def _embed_monomial(J, m_src, n_src, ring, n):
+    """J_{m_src,n_src} reindexed into the ring of an m x n matrix."""
+    gens = []
+    for g in J.gens:
+        e = [0] * ring.n
+        for i in range(m_src):
+            for j in range(n_src):
+                e[i * n + j] = g[i * n_src + j]
+        gens.append(tuple(e))
+    return MonomialIdeal(ring, gens)
+
+
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for n in range(3, 7) for m in range(2, n)]
+)
+def test_diagonal_initial_recursion(m, n):
+    # J = x_{m,n} J' + J'' with J' = J_{m-1,n-1}, J'' = J_{m,n-1},
+    # equivalently J : x_{m,n} = J' and J + (x_{m,n}) = J'' + (x_{m,n})
+    ring, J = diagonal_initial(m, n)
+    x = tuple(int(k == (m - 1) * n + (n - 1)) for k in range(ring.n))
+    Jp = _embed_monomial(diagonal_initial(m - 1, n - 1)[1], m - 1, n - 1, ring, n)
+    Js = _embed_monomial(diagonal_initial(m, n - 1)[1], m, n - 1, ring, n)
+    assert J.colon_monomial(x) == Jp
+    assert J.add_monomial(x) == Js.add_monomial(x)
 
 
 def test_multidegree_formula_term_count_and_values():
@@ -113,7 +140,6 @@ def test_recursions_asserted_on_larger_shapes():
     # closed_formulas verifies its own recursions; just exercise them
     for m, n in [(2, 5), (3, 4), (3, 5), (4, 5)]:
         closed_formulas(m, n)
-        diagonal_initial(m, n)
 
 
 def test_broken_recursion_raises_even_under_optimize(monkeypatch):

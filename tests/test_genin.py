@@ -132,7 +132,7 @@ def test_gin_commutes_with_contraction():
     Q = contract(P, [2, 3])
     GQ = gin(Q).ideal
     GP = gin(P).ideal
-    assert GQ == GP.contract_blocks([2, 3])
+    assert GQ == contract(GP, [2, 3])
 
 
 def test_gin_of_contracted_threefold_components():

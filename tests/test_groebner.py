@@ -9,11 +9,13 @@ from conftest import (
     random_form,
     random_ideal,
     random_monomial_ideal,
+    random_positive_ring,
     random_standard_ring,
     surface_prime,
     three_block_ring,
 )
 from mdeg.errors import (
+    BadArgument,
     BlocksNotSeparable,
     NotHomogeneous,
     NotStandardGraded,
@@ -23,6 +25,7 @@ from mdeg.fields import GF32003, QQ
 from mdeg.genin import random_block_change
 from mdeg.groebner import (
     Ideal,
+    as_ideal,
     colon,
     colon_ideal,
     contract,
@@ -198,6 +201,39 @@ def test_contract_full_is_identity():
     P = surface_prime(R)
     full = contract(P, [1, 2, 3])
     assert full.groebner_basis() == P.groebner_basis()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_contract_of_monomial_ideal_matches_ideal_route(seed):
+    rng = random.Random(seed)
+    R = random_positive_ring(rng)
+    for G in (random_monomial_ideal(rng, R), MonomialIdeal(R, [])):
+        for mask in range(1 << R.p):
+            J = [k + 1 for k in range(R.p) if mask >> k & 1]
+            for keep_grading in (False, True):
+                try:
+                    want = contract(as_ideal(G), J, keep_grading).initial_ideal()
+                except BlocksNotSeparable:
+                    with pytest.raises(BlocksNotSeparable):
+                        contract(G, J, keep_grading)
+                    continue
+                assert contract(G, J, keep_grading) == want
+
+
+def test_contract_rejects_out_of_range_blocks():
+    R = make_ring(["x", "y"], [(1, 0), (0, 1)])
+    for I in (Ideal(R, []), MonomialIdeal(R, [])):
+        for J in ([0], [3], [1, 3]):
+            with pytest.raises(BadArgument):
+                contract(I, J)
+
+
+def test_ideal_is_unhashable():
+    # equality compares reduced bases; hashing would compute one silently
+    R = make_ring(["x", "y"], [(1,), (1,)])
+    with pytest.raises(TypeError):
+        hash(Ideal(R, [R.variable("x")]))
 
 
 def test_prime_field_gb():

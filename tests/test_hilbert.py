@@ -8,15 +8,17 @@ from conftest import (
     SURFACE_CEE_TERMS,
     add_empty_block,
     random_monomial_ideal,
+    random_positive_ring,
     random_standard_ring,
     surface_prime,
     three_block_ring,
 )
 from mdeg.errors import BoundTooLarge, EmptyScheme, NotStandardGraded
-from mdeg.groebner import Ideal
+from mdeg.groebner import Ideal, saturate_var_block
 from mdeg.hilbert import (
     HilbertHint,
     arithmetic_multidegree,
+    cee_of_quotient_prime,
     geometric_multidegrees,
     hilbert_function_oracle,
     hilbert_series_table,
@@ -26,7 +28,7 @@ from mdeg.hilbert import (
     truncation_multidegree,
 )
 from mdeg.intpoly import IntegerPolynomial
-from mdeg.monomial import MonomialIdeal
+from mdeg.monomial import MonomialIdeal, localize_at, primary_decomposition
 from mdeg.ring import make_ring
 
 
@@ -98,6 +100,52 @@ def test_arith_sees_embedded_primes():
     assert arithmetic_multidegree(J(3)) == IntegerPolynomial(2, {**t1t2, (2, 1): 5})
     # C only sees the minimal prime
     assert multidegree_C(J(3)) == IntegerPolynomial(2, t1t2)
+
+
+def _colength_between(inner, outer):
+    """Number of monomials in outer but not inner (finite by saturation)."""
+    n = inner.ring.n
+    bounds = [1] * n
+    for g in inner.gens:
+        for i, e in enumerate(g):
+            bounds[i] = max(bounds[i], e)
+    count = 0
+
+    def rec(i, cur):
+        nonlocal count
+        if i == n:
+            m = tuple(cur)
+            if outer.contains(m) and not inner.contains(m):
+                count += 1
+            return
+        for e in range(bounds[i]):
+            cur.append(e)
+            rec(i + 1, cur)
+            cur.pop()
+
+    rec(0, [])
+    return count
+
+
+def _box_arithmetic_multidegree(I):
+    """arithmetic_multidegree with each local H^0 length counted in a box."""
+    out = IntegerPolynomial.zero(I.ring.p)
+    for comp in primary_decomposition(I):
+        loc = localize_at(I, comp.prime)
+        sat = saturate_var_block(loc, range(loc.ring.n))
+        length = _colength_between(loc, sat)
+        if length:
+            out = out + length * cee_of_quotient_prime(I.ring, comp.prime)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_arithmetic_multidegree_matches_box_count(seed):
+    rng = random.Random(seed)
+    R = random_positive_ring(rng)
+    for I in (random_monomial_ideal(rng, R), MonomialIdeal(R, [])):
+        assert arithmetic_multidegree(I) == _box_arithmetic_multidegree(I)
 
 
 def test_truncation_identity_small():

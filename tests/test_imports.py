@@ -1,16 +1,24 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every class, function and method it defines is named somewhere else.
 
 The package's ``__init__.py`` imports names only to re-export them, so it
-is exempt.
+is exempt from the first check.  For the second, a definition counts as
+used when its name is referred to outside the definition itself in the
+package, the tests, the demos or the benchmark.
 """
 
 import ast
+import functools
 import pathlib
+import re
+from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mdeg"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mdeg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+REFERRING = [SRC, ROOT / "tests", ROOT / "demos", ROOT / "mdegbench"]
 
 
 def unused_imports(source):
@@ -34,3 +42,82 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(tree):
+    """How often the syntax tree refers to each name: as a variable, an
+    attribute, an imported name, or a word of a string constant that is
+    not a docstring (mdegbench/tracing.py names the functions it wraps in
+    strings)."""
+    docstrings = {
+        id(n.value)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)
+    }
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def unused_definitions(source, references):
+    """(line, name) of each class, function and method of `source`, dunders
+    aside, that `references` (referenced_names summed over every referring
+    file, this one included) names only inside the definition itself."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if references[name] <= referenced_names(node)[name]:
+            out.append((node.lineno, name))
+    return sorted(out)
+
+
+@functools.cache
+def all_references():
+    out = Counter()
+    for folder in REFERRING:
+        for path in folder.glob("*.py"):
+            out += referenced_names(ast.parse(path.read_text()))
+    return out
+
+
+def test_unused_definitions_are_found():
+    source = (
+        "class A:\n"
+        "    def used(self):\n"
+        "        return TABLE\n"
+        "    def recursive(self):\n"
+        "        return self.recursive()\n"
+        "    def __eq__(self, other):\n"
+        "        return False\n"
+        "def dead():\n"
+        '    """dead is named in its docstring only."""\n'
+        "def named_in_a_string():\n"
+        "    pass\n"
+        "A().used()\n"
+        'TABLE = [("A", "named_in_a_string")]\n'
+    )
+    refs = referenced_names(ast.parse(source))
+    assert unused_definitions(source, refs) == [(4, "recursive"), (8, "dead")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_unused_definitions(path):
+    assert unused_definitions(path.read_text(), all_references()) == []

@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_monomial_ideal, random_standard_ring
+from conftest import random_monomial_ideal, random_positive_ring, random_standard_ring
 from mdeg.errors import NotMinimalPrime, NotSquarefree, TooManyVertices
+from mdeg.groebner import contract
 from mdeg.monomial import (
     MonomialIdeal,
     PrimaryComponent,
@@ -16,6 +17,7 @@ from mdeg.monomial import (
     dimension_filtration,
     irreducible_decomposition,
     length_at_minimal_prime,
+    localize_at,
     minimal_primes,
     mlength,
     polarize,
@@ -237,10 +239,23 @@ def test_contract_blocks_monomial():
         ["x0", "x1", "y0", "y1"], [(1, 0), (1, 0), (0, 1), (0, 1)]
     )
     I = MonomialIdeal(R, [(2, 0, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0)])
-    J = I.contract_blocks([2])
+    J = contract(I, [2])
     assert J.ring.names == ("y0", "y1")
     assert J.ring.p == 1
     assert J == MonomialIdeal(J.ring, [(1, 1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_length_at_minimal_prime_counts_standard_monomials(seed):
+    # the zero ideal has the empty minimal prime, localized to a ring
+    # without variables
+    rng = random.Random(seed)
+    R = random_positive_ring(rng)
+    for I in (random_monomial_ideal(rng, R), MonomialIdeal(R, [])):
+        for P in minimal_primes(I):
+            loc = localize_at(I, P)
+            assert length_at_minimal_prime(I, P) == len(loc.standard_monomials())
 
 
 @settings(max_examples=25, deadline=None)

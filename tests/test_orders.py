@@ -6,7 +6,6 @@ from mdeg.orders import (
     GT,
     LT,
     MonomialOrder,
-    diagonal_order,
     elimination_order,
     grevlex,
     lex,
@@ -80,7 +79,7 @@ def test_diagonal_order_leads_with_diagonal():
     from mdeg.determinantal import determinantal_ring, minor
 
     ring = determinantal_ring(2, 3)
-    o = diagonal_order(ring)
+    o = lex(ring)
     f = minor(ring, 2, 3, (1, 2), (1, 3))  # x11*x23 - x13*x21
     lead = max(f.terms, key=o.key)
     e = [0] * 6
