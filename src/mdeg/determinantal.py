@@ -9,21 +9,18 @@ mismatch; the recursion of the diagonal initial ideals is checked by the
 tests.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .errors import BadShape, MdegError
+from .fields import QQ
 from .groebner import Ideal
 from .intpoly import IntegerPolynomial
 from .monomial import MonomialIdeal
 from .ring import GradedRing
 
 
-def determinantal_ring(m, n, field=None):
+def determinantal_ring(m, n, field=QQ):
     """k[x_{i,j}] with deg x_{i,j} = e_i + f_j in N^(m+n), rows first."""
-    from .fields import QQ
-
-    if field is None:
-        field = QQ
     if m < 1 or n < 1 or m > n:
         raise BadShape(f"need 1 <= m <= n, got ({m}, {n})")
     names, degrees = [], []
@@ -48,8 +45,6 @@ def minor(ring, m, n, rows, cols):
     r = len(rows)
     F = ring.field
     out = ring.zero()
-    from itertools import permutations
-
     for perm in permutations(range(r)):
         sign = 1
         # count inversions for the permutation sign
@@ -64,7 +59,7 @@ def minor(ring, m, n, rows, cols):
     return out
 
 
-def build_determinantal(m, n, r, field=None):
+def build_determinantal(m, n, r, field=QQ):
     """(ring, I_r) for the r-minors of the generic m x n matrix."""
     ring = determinantal_ring(m, n, field)
     if r < 1 or r > m:
@@ -192,7 +187,7 @@ def closed_formulas(m, n):
 # diagonal initial ideal
 
 
-def diagonal_initial(m, n, field=None):
+def diagonal_initial(m, n, field=QQ):
     """J_{m,n}: the main diagonals of the maximal minors, which generate
     the initial ideal of I_m under the diagonal (row-major lex) order."""
     ring = determinantal_ring(m, n, field)

@@ -10,13 +10,13 @@ drives every trial's Buchberger run (hilbert.HilbertHint).
 import random
 
 from .errors import BadArgument, FieldTooSmall, NotStandardGraded, Unstable
-from .groebner import as_ideal, substituted_ideal
+from .groebner import as_ideal, contract, substituted_ideal
 from .hilbert import HilbertHint
 from .monomial import (
     borel_fixed_check,
     borel_prime_exponent,
-    codim_of,
-    mlength,
+    length_at_minimal_prime,
+    minimal_primes,
     primary_decomposition,
     reisner_cm_check,
 )
@@ -170,9 +170,6 @@ def gin_structure_report(I, order=None, trials=2, seed=0, homology_prime=32003):
     gin(I).  Any failed clause flags the report (and exit code 4 in the
     CLI), which is exactly what non-prime inputs produce.
     """
-    from .groebner import contract as contract_ideal
-    from .monomial import length_at_minimal_prime, minimal_primes as _mp
-
     I = as_ideal(I)
     rep = GinReport()
     res = gin(I, order=order, trials=trials, seed=seed)
@@ -192,29 +189,28 @@ def gin_structure_report(I, order=None, trials=2, seed=0, homology_prime=32003):
     rep.primes_are_borel_segments = seg
     rep.clauses["associated_primes_are_block_segments"] = seg
 
-    min_codim = codim_of(G)
-    mins = _mp(G)
-    equi = all(len(P) == min_codim for P in mins)
+    minimal = [c for c in comps if c.length_at_prime is not None]
+    equi = len({len(c.prime) for c in minimal}) <= 1
     rep.minimal_components_equidimensional = equi
     rep.clauses["minimal_primes_equidimensional"] = equi
 
     ring = G.ring
     p = ring.p
-    base_ml = mlength(G)
-    base_lengths = sorted(length_at_minimal_prime(G, P) for P in mins)
+    base_lengths = sorted(c.length_at_prime for c in minimal)
+    base_ml = max(base_lengths)
     rep.contraction_mlength[tuple(range(1, p + 1))] = base_ml
     ml_ok = True
     div_ok = True
     for mask in range(1, (1 << p) - 1):
         J = tuple(k + 1 for k in range(p) if mask >> k & 1)
-        IJ = contract_ideal(I, J)
+        IJ = contract(I, J)
         if IJ.is_zero():
             rep.contraction_mlength[J] = 1
             rep.divisibility_witness[J] = []
             continue
         GJ = gin(IJ, trials=trials, seed=seed).ideal
         lengths = {
-            frozenset(P): length_at_minimal_prime(GJ, P) for P in _mp(GJ)
+            frozenset(P): length_at_minimal_prime(GJ, P) for P in minimal_primes(GJ)
         }
         ml = max(lengths.values())
         rep.contraction_mlength[J] = ml

@@ -8,9 +8,10 @@ coordinates g of a gin, are found by Hilbert-driven stopping: with a
 hilbert.HilbertHint holding K(S/I), the pair loop skips pairs whose lcm
 degree is already saturated and stops once the leading terms have the
 K-polynomial of I, without the tail reduction of a reduced basis.
-Contraction to a variable subring, colon, intersection and saturation are
-built on elimination orders; the auxiliary-variable tricks are run on raw
-generator lists since they are not multihomogeneous.
+Intersection, saturation and contraction to a variable subring are one
+elimination helper, _eliminate, which runs on raw term dicts (the
+auxiliary-variable constructions are not multihomogeneous) and caches the
+result's reduced grevlex basis; colon is built on intersection.
 """
 
 import heapq
@@ -23,13 +24,38 @@ from .errors import (
     RingMismatch,
     Unstable,
 )
-from .monomial import MonomialIdeal
+from .monomial import MonomialIdeal, minimalize
 from .orders import elimination_order, grevlex
 from .ring import Polynomial, is_homogeneous
 
 
 def _neg_key(key):
     return tuple(-x for x in key)
+
+
+def _sub_mul(acc, c, shift, g, field, skip=None):
+    """acc -= c * x^shift * g in place, leaving out g's term at `skip`.
+
+    Returns the exponents that were new to acc.  c * g_e is never zero in a
+    field, so a new term is never zero either.
+    """
+    new = []
+    for eg, cg in g.items():
+        if eg == skip:
+            continue
+        e = tuple(x + y for x, y in zip(eg, shift))
+        prev = acc.get(e)
+        delta = field.mul(c, cg)
+        if prev is None:
+            acc[e] = field.neg(delta)
+            new.append(e)
+        else:
+            nv = field.sub(prev, delta)
+            if field.eq(nv, field.zero):
+                del acc[e]
+            else:
+                acc[e] = nv
+    return new
 
 
 def _reduce_dict(f, lt_exps, polys, order, field):
@@ -61,23 +87,8 @@ def _reduce_dict(f, lt_exps, polys, order, field):
             continue
         lt = lt_exps[red]
         shift = tuple(b - a for a, b in zip(lt, e))
-        for eg, cg in polys[red].items():
-            if eg == lt:
-                continue
-            e2 = tuple(x + y for x, y in zip(eg, shift))
-            prev = work.get(e2)
-            delta = field.mul(c, cg)
-            if prev is None:
-                nv = field.neg(delta)
-                if not field.eq(nv, field.zero):
-                    work[e2] = nv
-                    heapq.heappush(heap, (_neg_key(key(e2)), e2))
-            else:
-                nv = field.sub(prev, delta)
-                if field.eq(nv, field.zero):
-                    del work[e2]
-                else:
-                    work[e2] = nv
+        for e2 in _sub_mul(work, c, shift, polys[red], field, skip=lt):
+            heapq.heappush(heap, (_neg_key(key(e2)), e2))
     return out
 
 
@@ -103,37 +114,30 @@ def _coprime(a, b):
 
 
 def _update_pairs(pairs, lts, new_index, order):
-    """Gebauer-Moller pair update after appending generator new_index."""
+    """Gebauer-Moller pair update after appending generator new_index.
+
+    `pairs` maps (i, j) to (total degree, order key, lcm) of the pair's
+    lcm, which is computed once, here, when the pair is made.
+    """
     t = lts[new_index]
-    fresh = {}
-    for i in range(new_index):
-        fresh[i] = _lcm(lts[i], t)
+    fresh = [_lcm(lt, t) for lt in lts[:new_index]]
     # drop old pairs whose lcm is strictly reducible by the new element
-    kept = set()
-    for (i, j) in pairs:
-        lij = _lcm(lts[i], lts[j])
-        if (
-            all(a <= b for a, b in zip(t, lij))
-            and lij != fresh[i]
-            and lij != fresh[j]
-        ):
-            continue
-        kept.add((i, j))
+    stale = [
+        (i, j)
+        for (i, j), (_, _, l) in pairs.items()
+        if all(a <= b for a, b in zip(t, l)) and l != fresh[i] and l != fresh[j]
+    ]
+    for ij in stale:
+        del pairs[ij]
     # among the new pairs keep one representative per minimal lcm
-    items = sorted(fresh.items(), key=lambda kv: (sum(kv[1]), kv[1]))
     chosen = []
-    for i, l in items:
-        if any(all(a <= b for a, b in zip(l2, l)) and l2 != l for _, l2 in chosen):
+    for i in sorted(range(new_index), key=lambda i: (sum(fresh[i]), fresh[i])):
+        l = fresh[i]
+        if any(all(a <= b for a, b in zip(l2, l)) for l2 in chosen):
             continue
-        if any(l2 == l for _, l2 in chosen):
-            continue
-        chosen.append((i, l))
-    for i, l in chosen:
-        if _coprime(lts[i], t):  # Buchberger's first criterion
-            continue
-        kept.add((i, new_index))
-    pairs.clear()
-    pairs.update(kept)
+        chosen.append(l)
+        if not _coprime(lts[i], t):  # Buchberger's first criterion
+            pairs[(i, new_index)] = (sum(l), order.key(l), l)
 
 
 def buchberger(gen_dicts, order, field, hilbert=None):
@@ -150,7 +154,7 @@ def buchberger(gen_dicts, order, field, hilbert=None):
     """
     key = order.key
     lts, polys = [], []
-    pairs = set()
+    pairs = {}
 
     def add(d):
         """Append the normal form of d if it is nonzero; report whether it was."""
@@ -169,34 +173,14 @@ def buchberger(gen_dicts, order, field, hilbert=None):
         add(d)
     done = hilbert is not None and hilbert.complete(lts)
     while pairs and not done:
-        i, j = min(
-            pairs,
-            key=lambda ij: (
-                sum(_lcm(lts[ij[0]], lts[ij[1]])),
-                key(_lcm(lts[ij[0]], lts[ij[1]])),
-            ),
-        )
-        pairs.discard((i, j))
-        l = _lcm(lts[i], lts[j])
+        i, j = min(pairs, key=pairs.__getitem__)
+        l = pairs.pop((i, j))[2]
         if hilbert is not None and hilbert.saturated(lts, l):
             continue
         si = tuple(a - b for a, b in zip(l, lts[i]))
         sj = tuple(a - b for a, b in zip(l, lts[j]))
-        s = {}
-        for e, c in polys[i].items():
-            e2 = tuple(a + b for a, b in zip(e, si))
-            s[e2] = c
-        for e, c in polys[j].items():
-            e2 = tuple(a + b for a, b in zip(e, sj))
-            prev = s.get(e2)
-            if prev is None:
-                s[e2] = field.neg(c)
-            else:
-                nv = field.sub(prev, c)
-                if field.eq(nv, field.zero):
-                    del s[e2]
-                else:
-                    s[e2] = nv
+        s = {tuple(a + b for a, b in zip(e, si)): c for e, c in polys[i].items()}
+        _sub_mul(s, field.one, sj, polys[j], field)
         if add(s) and hilbert is not None:
             done = hilbert.complete(lts)
     if hilbert is None:
@@ -210,20 +194,17 @@ def buchberger(gen_dicts, order, field, hilbert=None):
 
 
 def _reduce_basis(lts, polys, order, field):
-    """Minimalize leading terms, then tail-reduce: the reduced basis."""
-    keep = []
-    for i, lt in enumerate(lts):
-        if not any(
-            j != i
-            and all(a <= b for a, b in zip(lts[j], lt))
-            and (lts[j] != lt or j < i)
-            for j in range(len(lts))
-        ):
-            keep.append(i)
-    min_lts = [lts[i] for i in keep]
-    min_polys = [polys[i] for i in keep]
+    """Minimalize leading terms, then tail-reduce: the reduced basis.
+
+    No two leading terms are equal, since each was reduced against the
+    earlier ones, so the kept elements are those whose leading terms are
+    minimal generators of the monomial ideal they span.
+    """
+    keep = minimalize(lts)
+    min_lts = [lt for lt in lts if lt in keep]
+    min_polys = [g for lt, g in zip(lts, polys) if lt in keep]
     out = []
-    for i in range(len(keep)):
+    for i in range(len(min_lts)):
         others_lts = min_lts[:i] + min_lts[i + 1 :]
         others_polys = min_polys[:i] + min_polys[i + 1 :]
         r = _reduce_dict(min_polys[i], others_lts, others_polys, order, field)
@@ -295,7 +276,7 @@ class Ideal:
         if order is None:
             order = grevlex(self.ring)
         gb = self.groebner_basis(order)
-        lts = [max(g.terms, key=order.key) for g in gb]
+        lts = [_leading(g.terms, order) for g in gb]
         r = _reduce_dict(f.terms, lts, [g.terms for g in gb], order, self.ring.field)
         return Polynomial(self.ring, r)
 
@@ -314,29 +295,22 @@ def as_ideal(I):
     return I
 
 
-# ---------------------------------------------------------------------------
-# raw-dict helpers for the auxiliary-variable constructions
+def _eliminate(ring, dicts, n, drop, check_homogeneous=True):
+    """Ideal of `ring` cut out of the term dicts, in an n-slot exponent
+    space, by eliminating the slots `drop`.
 
-
-def _extend_exps(d, extra_front=0):
-    """Prepend extra zero slots to every exponent tuple."""
-    return {(0,) * extra_front + e: c for e, c in d.items()}
-
-
-def _aux_eliminate(ring, raw_dicts, n_aux, check_homogeneous):
-    """Ideal of the aux-free part of a GB eliminating n_aux prepended slots.
-
-    Works on raw term dicts in an (n_aux + n)-slot exponent space.  On
-    aux-free monomials the elimination order is grevlex, so the aux-free
-    part of its reduced basis is the reduced grevlex basis of the result,
-    in grevlex order; it is cached as such.
+    Buchberger runs under elimination_order(n, drop); the basis elements
+    that avoid the drop slots generate the elimination ideal, and with
+    those slots removed they are its generators in `ring`.  On monomials
+    that avoid the drop slots the elimination order is grevlex on the kept
+    slots, in the same order, so these generators are the reduced grevlex
+    basis of the result, already sorted; they are cached as such.
     """
-    order = elimination_order(n_aux + ring.n, range(n_aux))
-    gb = buchberger(raw_dicts, order, ring.field)
+    keep = [k for k in range(n) if k not in drop]
     gens = [
-        Polynomial(ring, {e[n_aux:]: c for e, c in d.items()})
-        for d in gb
-        if all(all(e[k] == 0 for k in range(n_aux)) for e in d)
+        Polynomial(ring, {tuple(e[k] for k in keep): c for e, c in d.items()})
+        for d in buchberger(dicts, elimination_order(n, drop), ring.field)
+        if not any(e[k] for e in d for k in drop)
     ]
     out = Ideal(ring, gens, check_homogeneous=check_homogeneous)
     out._gb[grevlex(ring)] = out.gens
@@ -349,48 +323,31 @@ def intersect(I, J):
         raise RingMismatch("ideals live in different rings")
     ring = I.ring
     F = ring.field
-    n = ring.n
-    raw = []
-    for f in I.gens:
-        d = {}
-        for e, c in f.terms.items():
-            d[(1,) + e] = c  # t * f
-        raw.append(d)
+    raw = [{(1,) + e: c for e, c in f.terms.items()} for f in I.gens]
     for g in J.gens:
-        d = {}
-        for e, c in g.terms.items():
-            d[(0,) + e] = c
-            prev = d.get((1,) + e)
-            d[(1,) + e] = F.neg(c) if prev is None else F.sub(prev, c)
-        raw.append({e: c for e, c in d.items() if not F.eq(c, F.zero)})
-    return _aux_eliminate(ring, raw, 1, check_homogeneous=True)
+        d = {(0,) + e: c for e, c in g.terms.items()}
+        d.update({(1,) + e: F.neg(c) for e, c in g.terms.items()})
+        raw.append(d)
+    return _eliminate(ring, raw, ring.n + 1, [0])
 
 
 def _divide_exact(g, f):
     """Exact polynomial quotient g / f (remainder must vanish)."""
     ring = g.ring
     order = grevlex(ring)
-    lt, monic = _make_monic(f.terms, order, ring.field)
     F = ring.field
+    lt = _leading(f.terms, order)
     lc = f.terms[lt]
     rem = dict(g.terms)
     quo = {}
     while rem:
         e = _leading(rem, order)
-        c = rem[e]
         if not all(a <= b for a, b in zip(lt, e)):
             raise ArithmeticError("division is not exact")
         shift = tuple(b - a for a, b in zip(lt, e))
-        qc = F.div(c, lc)
+        qc = F.div(rem[e], lc)
         quo[shift] = qc
-        for ef, cf in f.terms.items():
-            e2 = tuple(a + b for a, b in zip(ef, shift))
-            prev = rem.get(e2)
-            nv = F.sub(prev if prev is not None else F.zero, F.mul(qc, cf))
-            if F.eq(nv, F.zero):
-                rem.pop(e2, None)
-            else:
-                rem[e2] = nv
+        _sub_mul(rem, qc, shift, f.terms, F)
     return Polynomial(ring, quo)
 
 
@@ -423,8 +380,8 @@ def saturate(I, f):
     F = ring.field
     aux = {(1,) + e: F.neg(c) for e, c in f.terms.items()}
     aux[(0,) * (ring.n + 1)] = F.one
-    raw = [_extend_exps(g.terms, 1) for g in I.gens] + [aux]
-    return _aux_eliminate(ring, raw, 1, check_homogeneous=False)
+    raw = [{(0,) + e: c for e, c in g.terms.items()} for g in I.gens] + [aux]
+    return _eliminate(ring, raw, ring.n + 1, [0], check_homogeneous=False)
 
 
 def saturate_var_block(I, var_indices):
@@ -477,8 +434,9 @@ def contract(I, block_indices, keep_grading=False):
     keep_grading the original N^p grading is preserved (blocks outside J
     become empty), which keeps the t_k labels of the multidegree aligned
     with the source.  The generators that avoid the dropped variables are
-    kept: from a basis under an order eliminating them, and for a monomial
-    ideal from its minimal generators, which are already such a basis.
+    kept: from _eliminate, whose result carries its reduced grevlex basis,
+    and for a monomial ideal from its minimal generators, which are already
+    such a basis.
     """
     ring = I.ring
     J = sorted(set(block_indices))
@@ -497,21 +455,12 @@ def contract(I, block_indices, keep_grading=False):
         else:
             drop.append(i)
     sub = ring.subring(keep, None if keep_grading else sorted(jset))
-
-    def restrict(e):
-        return tuple(e[i] for i in keep)
-
-    def avoids_drop(e):
-        return not any(e[i] for i in drop)
-
     if isinstance(I, MonomialIdeal):
-        return MonomialIdeal(sub, [restrict(g) for g in I.gens if avoids_drop(g)])
-    gens = [
-        Polynomial(sub, {restrict(e): c for e, c in g.terms.items()})
-        for g in I.groebner_basis(elimination_order(ring.n, drop))
-        if all(avoids_drop(e) for e in g.terms)
-    ]
-    return Ideal(sub, gens)
+        return MonomialIdeal(
+            sub,
+            [tuple(g[i] for i in keep) for g in I.gens if not any(g[i] for i in drop)],
+        )
+    return _eliminate(sub, [g.terms for g in I.gens], ring.n, drop)
 
 
 def substituted_ideal(I, images, check_homogeneous=True):

@@ -21,6 +21,7 @@ from .intpoly import IntegerPolynomial, series_expansion
 from .monomial import (
     MonomialIdeal,
     codim_of,
+    dimension_filtration,
     localize_at,
     minimalize,
     primary_decomposition,
@@ -228,10 +229,11 @@ def finite_length(k, ring):
 
 def arithmetic_multidegree(I):
     """A(S/I) = sum over associated primes P of the local H^0 length times
-    the multidegree of S/P.  Monomial ideals only.  With loc = I with the
-    variables outside P set to 1, and sat = loc : m^infinity for the ideal
-    m of the variables of P, that length is the length of sat/loc, which
-    finite_length reads off K(S/loc) - K(S/sat).
+    the multidegree of S/P.  Monomial ideals only.  At a minimal prime that
+    length is the component's length_at_prime.  At an embedded prime, with
+    loc = I with the variables outside P set to 1, and sat = loc : m^infinity
+    for the ideal m of the variables of P, it is the length of sat/loc,
+    which finite_length reads off K(S/loc) - K(S/sat).
     """
     if not isinstance(I, MonomialIdeal):
         raise TypeError("arithmetic multidegree requires a monomial ideal")
@@ -240,13 +242,15 @@ def arithmetic_multidegree(I):
     out = IntegerPolynomial.zero(p)
     for comp in primary_decomposition(I):
         prime = comp.prime
-        loc = localize_at(I, prime)
-        sat = saturate_var_block(loc, range(loc.ring.n))
-        # H^0 at the prime is sat/loc, of finite length since it is
-        # annihilated by a power of every variable
-        length = finite_length(
-            k_polynomial_monomial(loc) - k_polynomial_monomial(sat), loc.ring
-        )
+        length = comp.length_at_prime
+        if length is None:
+            loc = localize_at(I, prime)
+            sat = saturate_var_block(loc, range(loc.ring.n))
+            # H^0 at the prime is sat/loc, of finite length since it is
+            # annihilated by a power of every variable
+            length = finite_length(
+                k_polynomial_monomial(loc) - k_polynomial_monomial(sat), loc.ring
+            )
         if length:
             out = out + length * cee_of_quotient_prime(ring, prime)
     return out
@@ -254,8 +258,6 @@ def arithmetic_multidegree(I):
 
 def truncation_multidegree(I, i):
     """[C(R^i)]_i where R^i = Q_i/I is the dimension filtration quotient."""
-    from .monomial import dimension_filtration
-
     Qi = dimension_filtration(I, i)
     diff = k_polynomial_monomial(I) - k_polynomial_monomial(Qi)
     return diff.substitute_one_minus_t().total_degree_part(i)

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .fields import QQ, PrimeField
+from .groebner import Ideal
 from .ring import GradedRing, is_homogeneous
 
 _TOKEN = re.compile(
@@ -67,8 +68,6 @@ class Session:
         self.positions = positions or {}  # name -> (line, col) of each generator
 
     def ideal(self, name):
-        from .groebner import Ideal
-
         if name not in self.ideals:
             raise InputError(f"no ideal named {name!r} in the input")
         gens = self.ideals[name]

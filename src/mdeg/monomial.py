@@ -14,6 +14,7 @@ from .errors import (
     NotStandardGraded,
     TooManyVertices,
 )
+from .ring import GradedRing
 
 
 def _divides(a, b):
@@ -187,8 +188,6 @@ def dimension_and_minimal_primes(I):
     """(Krull dimension of S/I, minimal primes as variable index sets)."""
     if I.is_unit():
         return (-1, [])
-    if I.is_zero():
-        return (I.ring.n, [])
     primes = minimal_primes(I)
     codim = min(len(P) for P in primes)
     return (I.ring.n - codim, primes)
@@ -228,8 +227,6 @@ def irreducible_decomposition(I):
     inclusion-minimal components in the order the split tree found them.
     """
     if I.is_unit():
-        return []
-    if I.is_zero():
         return []
     done = []
     todo = [I]
@@ -284,12 +281,10 @@ def primary_decomposition(I):
         for other in parts[1:]:
             comp = comp.intersect(other)
         comps.append((prime, comp))
-    minimal = {frozenset(P) for P in minimal_primes(I)} if not I.is_zero() else set()
     out = []
     for prime, comp in sorted(comps, key=lambda c: (len(c[0]), sorted(c[0]))):
-        length = (
-            length_at_minimal_prime(I, prime) if prime in minimal else None
-        )
+        minimal = not any(other < prime for other in by_prime)
+        length = length_at_minimal_prime(I, prime) if minimal else None
         out.append(PrimaryComponent(prime, comp, length))
     return out
 
@@ -314,16 +309,20 @@ def length_at_minimal_prime(I, prime):
     """length of (S/I) localized at a minimal prime (a variable subset).
 
     That is the length of T/loc, for T the ring on the prime's variables
-    and loc = localize_at(I, prime), finite since the prime is minimal;
-    hilbert.finite_length reads it off K(T/loc).
+    and loc = localize_at(I, prime); hilbert.finite_length reads it off
+    K(T/loc).  The prime is minimal over I exactly when loc is proper (I
+    lies in the prime) and has finite colength (no smaller prime holds
+    I), that is, when loc contains a pure power of each of its variables.
     """
     from .hilbert import finite_length, k_polynomial_monomial
 
     prime = frozenset(prime)
-    if prime not in {frozenset(P) for P in minimal_primes(I)}:
-        raise NotMinimalPrime(f"{sorted(prime)} is not a minimal prime")
-    loc = localize_at(I, prime)
-    return finite_length(k_polynomial_monomial(loc), loc.ring)
+    if prime <= set(range(I.ring.n)):
+        loc = localize_at(I, prime)
+        pure = {i for g in loc.gens for i, e in enumerate(g) if e and sum(g) == e}
+        if not loc.is_unit() and len(pure) == loc.ring.n:
+            return finite_length(k_polynomial_monomial(loc), loc.ring)
+    raise NotMinimalPrime(f"{sorted(prime)} is not a minimal prime")
 
 
 def mlength(I):
@@ -417,8 +416,6 @@ def polarize(I):
             degrees.append(I.ring.degrees[i])
             provenance[idx] = (i, c)
             index_of[(i, c)] = idx
-    from .ring import GradedRing
-
     big = GradedRing(names, degrees, I.ring.field)
     gens = []
     for g in I.gens:

@@ -9,6 +9,7 @@ ideal.  cs_check then asks whether the standardized ideal has squarefree
 generic initial ideal.
 """
 
+from .errors import Unstable
 from .genin import gin
 from .groebner import Ideal, as_ideal
 from .hilbert import codimension, k_polynomial, multidegree_C
@@ -149,8 +150,6 @@ def cs_check(I, trials=2, seed=0, paranoid=False):
         for extra in (seed + 101, seed + 202):
             res2 = gin(J, trials=trials, seed=extra)
             if res2.ideal != res.ideal:
-                from .errors import Unstable
-
                 raise Unstable("gin differs across paranoid reruns")
     detail = "gin of standardization is squarefree" if sq else (
         "gin of standardization has a non-squarefree generator"

@@ -1,4 +1,5 @@
 import functools
+import heapq
 import random
 
 import pytest
@@ -25,7 +26,12 @@ from mdeg.fields import GF32003, QQ
 from mdeg.genin import random_block_change
 from mdeg.groebner import (
     Ideal,
+    _coprime,
+    _lcm,
+    _leading,
+    _make_monic,
     as_ideal,
+    buchberger,
     colon,
     colon_ideal,
     contract,
@@ -37,7 +43,7 @@ from mdeg.groebner import (
 )
 from mdeg.hilbert import HilbertHint
 from mdeg.monomial import MonomialIdeal
-from mdeg.orders import grevlex, lex, weight_order
+from mdeg.orders import elimination_order, grevlex, lex, weight_order
 from mdeg.ring import make_ring
 
 
@@ -134,8 +140,16 @@ def test_elimination_result_caches_its_reduced_grevlex_basis(seed, field):
     R = random_standard_ring(rng, max_vars=4, field=field)
     I, J = random_ideal(rng, R), random_ideal(rng, R)
     x = R.gens()[rng.randrange(R.n)]
-    for E in (saturate(I, x), saturate(I, random_form(rng, R, 2)), intersect(I, J)):
-        recomputed = Ideal(R, E.gens, check_homogeneous=False).groebner_basis()
+    results = [saturate(I, x), saturate(I, random_form(rng, R, 2)), intersect(I, J)]
+    for mask in range(1 << R.p):
+        blocks = [k + 1 for k in range(R.p) if mask >> k & 1]
+        for keep_grading in (False, True):
+            try:
+                results.append(contract(I, blocks, keep_grading))
+            except BlocksNotSeparable:
+                pass
+    for E in results:
+        recomputed = Ideal(E.ring, E.gens, check_homogeneous=False).groebner_basis()
         assert E.groebner_basis() == recomputed
 
 
@@ -297,3 +311,170 @@ def test_hint_of_another_hilbert_function_raises_unstable():
     x, y = R.gens()
     with pytest.raises(Unstable):
         Ideal(R, [x * x]).initial_ideal(hilbert=HilbertHint(Ideal(R, [x * x, y])))
+
+
+# ---------------------------------------------------------------------------
+# The Buchberger loop as it was before each pair's lcm and order key were
+# stored with the pair and before one kernel did every subtraction of a
+# term-dict multiple: a set of pairs whose lcms are recomputed at every
+# selection, with the subtraction loops written out.  It is the oracle of
+# buchberger.
+
+
+def _reduce_dict_reference(f, lt_exps, polys, order, field):
+    key = order.key
+    work = dict(f)
+    heap = [(tuple(-x for x in key(e)), e) for e in work]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        _, e = heapq.heappop(heap)
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        red = next(
+            (i for i, lt in enumerate(lt_exps) if all(a <= b for a, b in zip(lt, e))),
+            -1,
+        )
+        if red < 0:
+            out[e] = c
+            continue
+        lt = lt_exps[red]
+        shift = tuple(b - a for a, b in zip(lt, e))
+        for eg, cg in polys[red].items():
+            if eg == lt:
+                continue
+            e2 = tuple(x + y for x, y in zip(eg, shift))
+            prev = work.get(e2)
+            delta = field.mul(c, cg)
+            if prev is None:
+                nv = field.neg(delta)
+                if not field.eq(nv, field.zero):
+                    work[e2] = nv
+                    heapq.heappush(heap, (tuple(-x for x in key(e2)), e2))
+            else:
+                nv = field.sub(prev, delta)
+                if field.eq(nv, field.zero):
+                    del work[e2]
+                else:
+                    work[e2] = nv
+    return out
+
+
+def _update_pairs_reference(pairs, lts, new_index):
+    t = lts[new_index]
+    fresh = {i: _lcm(lts[i], t) for i in range(new_index)}
+    kept = set()
+    for i, j in pairs:
+        lij = _lcm(lts[i], lts[j])
+        if (
+            all(a <= b for a, b in zip(t, lij))
+            and lij != fresh[i]
+            and lij != fresh[j]
+        ):
+            continue
+        kept.add((i, j))
+    items = sorted(fresh.items(), key=lambda kv: (sum(kv[1]), kv[1]))
+    chosen = []
+    for i, l in items:
+        if any(all(a <= b for a, b in zip(l2, l)) and l2 != l for _, l2 in chosen):
+            continue
+        if any(l2 == l for _, l2 in chosen):
+            continue
+        chosen.append((i, l))
+    for i, l in chosen:
+        if not _coprime(lts[i], t):
+            kept.add((i, new_index))
+    pairs.clear()
+    pairs.update(kept)
+
+
+def _buchberger_reference(gen_dicts, order, field):
+    key = order.key
+    lts, polys = [], []
+    pairs = set()
+
+    def add(d):
+        r = _reduce_dict_reference(d, lts, polys, order, field)
+        if r:
+            lt, monic = _make_monic(r, order, field)
+            lts.append(lt)
+            polys.append(monic)
+            _update_pairs_reference(pairs, lts, len(lts) - 1)
+
+    for d in sorted((d for d in gen_dicts if d), key=lambda d: key(_leading(d, order))):
+        add(d)
+    while pairs:
+        i, j = min(
+            pairs,
+            key=lambda ij: (
+                sum(_lcm(lts[ij[0]], lts[ij[1]])),
+                key(_lcm(lts[ij[0]], lts[ij[1]])),
+            ),
+        )
+        pairs.discard((i, j))
+        l = _lcm(lts[i], lts[j])
+        si = tuple(a - b for a, b in zip(l, lts[i]))
+        sj = tuple(a - b for a, b in zip(l, lts[j]))
+        s = {}
+        for e, c in polys[i].items():
+            s[tuple(a + b for a, b in zip(e, si))] = c
+        for e, c in polys[j].items():
+            e2 = tuple(a + b for a, b in zip(e, sj))
+            prev = s.get(e2)
+            if prev is None:
+                s[e2] = field.neg(c)
+            else:
+                nv = field.sub(prev, c)
+                if field.eq(nv, field.zero):
+                    del s[e2]
+                else:
+                    s[e2] = nv
+        add(s)
+    keep = [
+        i
+        for i, lt in enumerate(lts)
+        if not any(
+            j != i and all(a <= b for a, b in zip(lts[j], lt)) and (lts[j] != lt or j < i)
+            for j in range(len(lts))
+        )
+    ]
+    out = []
+    for i in keep:
+        others = [j for j in keep if j != i]
+        r = _reduce_dict_reference(
+            polys[i], [lts[j] for j in others], [polys[j] for j in others], order, field
+        )
+        out.append(_make_monic(r, order, field)[1])
+    out.sort(key=lambda d: key(_leading(d, order)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([QQ, GF32003]), st.booleans())
+def test_buchberger_matches_reference(seed, field, empty_block):
+    """The same reduced basis, element for element and in order, under
+    grevlex, lex, a random weight order and a random elimination order, and
+    for the non-homogeneous input of a saturation."""
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=5, field=field)
+    if empty_block:
+        R = add_empty_block(rng, R)
+    I = random_ideal(rng, R, max_degree=3, max_gens=4)
+    gens = [f.terms for f in I.gens]
+    drop = rng.sample(range(R.n), rng.randint(0, R.n))
+    for order in _three_orders(rng, R) + [elimination_order(R.n, drop)]:
+        assert buchberger(gens, order, field) == _buchberger_reference(gens, order, field)
+    f = random_form(rng, R, 1)
+    aux = {(1,) + e: field.neg(c) for e, c in f.terms.items()}
+    aux[(0,) * (R.n + 1)] = field.one
+    raw = [{(0,) + e: c for e, c in g.items()} for g in gens] + [aux]
+    order = elimination_order(R.n + 1, [0])
+    assert buchberger(raw, order, field) == _buchberger_reference(raw, order, field)
+
+
+def test_buchberger_matches_reference_on_the_threefold():
+    R = three_block_ring()
+    gens = [f.terms for f in surface_prime(R).gens]
+    for order in (grevlex(R), elimination_order(R.n, range(4))):
+        assert buchberger(gens, order, QQ) == _buchberger_reference(gens, order, QQ)

@@ -28,7 +28,13 @@ from mdeg.hilbert import (
     truncation_multidegree,
 )
 from mdeg.intpoly import IntegerPolynomial
-from mdeg.monomial import MonomialIdeal, localize_at, primary_decomposition
+from mdeg.monomial import (
+    MonomialIdeal,
+    associated_primes,
+    localize_at,
+    minimal_primes,
+    primary_decomposition,
+)
 from mdeg.ring import make_ring
 
 
@@ -128,11 +134,20 @@ def _colength_between(inner, outer):
 
 
 def _box_arithmetic_multidegree(I):
-    """arithmetic_multidegree with each local H^0 length counted in a box."""
+    """arithmetic_multidegree with each local H^0 length counted in a box.
+
+    At a minimal prime H^0 is the whole localization, so sat is the unit
+    ideal there; saturate_var_block would return loc itself at the empty
+    prime of the zero ideal.
+    """
     out = IntegerPolynomial.zero(I.ring.p)
+    minimal = minimal_primes(I)
     for comp in primary_decomposition(I):
         loc = localize_at(I, comp.prime)
-        sat = saturate_var_block(loc, range(loc.ring.n))
+        if comp.prime in minimal:
+            sat = MonomialIdeal(loc.ring, [(0,) * loc.ring.n])
+        else:
+            sat = saturate_var_block(loc, range(loc.ring.n))
         length = _colength_between(loc, sat)
         if length:
             out = out + length * cee_of_quotient_prime(I.ring, comp.prime)
@@ -146,6 +161,17 @@ def test_arithmetic_multidegree_matches_box_count(seed):
     R = random_positive_ring(rng)
     for I in (random_monomial_ideal(rng, R), MonomialIdeal(R, [])):
         assert arithmetic_multidegree(I) == _box_arithmetic_multidegree(I)
+
+
+def test_zero_ideal_has_the_empty_prime_and_arithmetic_multidegree_one():
+    R = make_ring(["x", "y"], [(1,), (1,)])
+    zero = MonomialIdeal(R, [])
+    one = IntegerPolynomial.one(1)
+    assert associated_primes(zero) == [frozenset()]
+    assert multidegree_C(zero) == one
+    assert arithmetic_multidegree(zero) == one
+    truncations = [truncation_multidegree(zero, i) for i in range(R.n + 1)]
+    assert sum(truncations, IntegerPolynomial.zero(1)) == one
 
 
 def test_truncation_identity_small():

@@ -1,10 +1,12 @@
-"""Every name a module of the package imports is used in that module, and
-every class, function and method it defines is named somewhere else.
+"""Every name a module of the package imports is used in that module,
+every class, function and method it defines is named somewhere else, and
+imports sit at module level unless they have a reason not to.
 
 The package's ``__init__.py`` imports names only to re-export them, so it
 is exempt from the first check.  For the second, a definition counts as
 used when its name is referred to outside the definition itself in the
-package, the tests, the demos or the benchmark.
+package, the tests, the demos or the benchmark.  For the third,
+LOCAL_IMPORTS names the functions allowed an import in their body.
 """
 
 import ast
@@ -42,6 +44,55 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# (module, function) pairs whose body may hold an import statement
+LOCAL_IMPORTS = {
+    # keeps mdeg.determinantal out of `import mdeg.cli`
+    ("cli.py", "cmd_det"),
+    # mdeg.hilbert imports mdeg.monomial at module level
+    ("monomial.py", "length_at_minimal_prime"),
+}
+
+
+def function_level_imports(source):
+    """(line, innermost enclosing function) of each import statement that
+    sits inside a function or method of `source`."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if func and isinstance(child, (ast.Import, ast.ImportFrom)):
+                out.append((child.lineno, func))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, func)
+
+    visit(ast.parse(source), None)
+    return sorted(out)
+
+
+def test_function_level_imports_are_found():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    import sys\n"
+        "    def g():\n"
+        "        from . import a\n"
+        "class C:\n"
+        "    from . import b\n"
+        "    def m(self):\n"
+        "        if self:\n"
+        "            import re\n"
+    )
+    assert function_level_imports(source) == [(3, "f"), (5, "g"), (10, "m")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_level_imports(path):
+    found = function_level_imports(path.read_text())
+    assert [(line, f) for line, f in found if (path.name, f) not in LOCAL_IMPORTS] == []
 
 
 def referenced_names(tree):

@@ -55,7 +55,30 @@ def test_unit_and_zero_edge_cases():
     assert unit.is_unit()
     assert dimension_and_minimal_primes(unit) == (-1, [])
     zero = MonomialIdeal(R, [])
-    assert dimension_and_minimal_primes(zero)[0] == 2
+    assert dimension_and_minimal_primes(zero) == (2, [frozenset()])
+    assert irreducible_decomposition(zero) == [zero]
+    (comp,) = primary_decomposition(zero)
+    assert (comp.prime, comp.component, comp.length_at_prime) == (frozenset(), zero, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_length_at_minimal_prime_accepts_exactly_the_minimal_primes(seed):
+    rng = random.Random(seed)
+    R = random_positive_ring(rng)
+    unit = MonomialIdeal(R, [(0,) * R.n])
+    for I in (random_monomial_ideal(rng, R), MonomialIdeal(R, []), unit):
+        minimal = minimal_primes(I)
+        for mask in range(1 << R.n):
+            P = frozenset(i for i in range(R.n) if mask >> i & 1)
+            if P in minimal:
+                box = localize_at(I, P).standard_monomials()
+                assert length_at_minimal_prime(I, P) == len(box)
+            else:
+                with pytest.raises(NotMinimalPrime):
+                    length_at_minimal_prime(I, P)
+        with pytest.raises(NotMinimalPrime):
+            length_at_minimal_prime(I, {R.n})
 
 
 def test_irreducible_decomposition():
