@@ -90,7 +90,7 @@ def _emit(args, ring, kind, result, text, notes=(), rc=EXIT_OK):
         obj = {"result": {**result, "kind": kind}}
         if ring is not None:
             obj["ring"] = {
-                "field": f"Fp {ring.field.p}" if getattr(ring.field, "p", 0) else "QQ",
+                "field": f"Fp {ring.field.p}" if ring.field.p else "QQ",
                 "vars": list(ring.names),
                 "degrees": [list(d) for d in ring.degrees],
             }

@@ -1,4 +1,5 @@
-"""Coefficient fields: the rationals and word-size prime fields.
+"""Coefficient fields: the rationals and word-size prime fields, and the
+one Gaussian elimination modulo a prime (rank_mod_p).
 
 Elements are plain Python objects (Fraction for QQ, int in [0, p) for a
 prime field) so the Groebner inner loops stay allocation-light.
@@ -110,6 +111,27 @@ class PrimeField:
 
     def __hash__(self):
         return hash(("GF", self.p))
+
+
+def rank_mod_p(rows, p):
+    """Rank of a sparse integer matrix modulo p (rows: list of dicts)."""
+    pivots = {}  # column -> row dict with pivot 1 at that column
+    for r in rows:
+        r = {j: v % p for j, v in r.items() if v % p}
+        while r:
+            j = min(r)
+            if j not in pivots:
+                inv = pow(r[j], -1, p)
+                pivots[j] = {jj: v * inv % p for jj, v in r.items()}
+                break
+            c = r[j]
+            for jj, v in pivots[j].items():
+                nv = (r.get(jj, 0) - c * v) % p
+                if nv:
+                    r[jj] = nv
+                elif jj in r:
+                    del r[jj]
+    return len(pivots)
 
 
 QQ = Rationals()

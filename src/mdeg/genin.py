@@ -9,7 +9,8 @@ drives every trial's Buchberger run (hilbert.HilbertHint).
 
 import random
 
-from .errors import BadArgument, FieldTooSmall, NotStandardGraded, Unstable
+from .errors import BadArgument, EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
+from .fields import rank_mod_p
 from .groebner import as_ideal, contract, substituted_ideal
 from .hilbert import HilbertHint
 from .monomial import (
@@ -26,35 +27,16 @@ from .ring import Polynomial
 
 MIN_FIELD_SIZE = 10007
 
+#: Prime over which the Reisner test of gin-report computes homology.
+HOMOLOGY_PRIME = 32003
+
 
 def _random_invertible(F, k, rng):
-    """Random invertible k x k matrix over F (resampled until det != 0)."""
+    """Random invertible k x k matrix over F (resampled until of full rank)."""
     while True:
         M = [[F.coerce(rng.randrange(F.p)) for _ in range(k)] for _ in range(k)]
-        if _det_nonzero(M, F):
+        if rank_mod_p([dict(enumerate(row)) for row in M], F.p) == k:
             return M
-
-
-def _det_nonzero(M, F):
-    k = len(M)
-    M = [row[:] for row in M]
-    for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if not F.eq(M[r][col], F.zero):
-                piv = r
-                break
-        if piv is None:
-            return False
-        M[col], M[piv] = M[piv], M[col]
-        inv = F.inv(M[col][col])
-        for r in range(col + 1, k):
-            c = F.mul(M[r][col], inv)
-            if F.eq(c, F.zero):
-                continue
-            for cc in range(col, k):
-                M[r][cc] = F.sub(M[r][cc], F.mul(c, M[col][cc]))
-    return True
 
 
 def random_block_change(ring, seed):
@@ -67,10 +49,9 @@ def random_block_change(ring, seed):
     if not ring.is_standard:
         raise NotStandardGraded("generic initial ideals need a standard grading")
     F = ring.field
-    if getattr(F, "p", 0) and F.p < MIN_FIELD_SIZE:
-        raise FieldTooSmall(f"field of size {F.p} is below {MIN_FIELD_SIZE}")
-    if F.p == 0:
-        raise FieldTooSmall("use a large prime field for gin computations")
+    if F.p < MIN_FIELD_SIZE:
+        small = f"field of size {F.p} is below {MIN_FIELD_SIZE}"
+        raise FieldTooSmall(small if F.p else "use a large prime field for gin computations")
     rng = random.Random(seed)
     images = [None] * ring.n
     for k in range(ring.p):
@@ -157,7 +138,7 @@ class GinReport:
         return all(self.clauses.values())
 
 
-def gin_structure_report(I, order=None, trials=2, seed=0, homology_prime=32003):
+def gin_structure_report(I, order=None, trials=2, seed=0):
     """Compute gin(I) and verify the structure expected when I is prime.
 
     Primality cannot be certified here; the caller asserts it and this
@@ -168,18 +149,21 @@ def gin_structure_report(I, order=None, trials=2, seed=0, homology_prime=32003):
     MLength(gin(I_(J))) <= MLength(gin(I)) with each minimal component
     length of gin(I_(J)) dividing the length of some minimal component of
     gin(I).  Any failed clause flags the report (and exit code 4 in the
-    CLI), which is exactly what non-prime inputs produce.
+    CLI), which is exactly what non-prime inputs produce.  A unit ideal
+    raises EmptyScheme.
     """
     I = as_ideal(I)
     rep = GinReport()
     res = gin(I, order=order, trials=trials, seed=seed)
     G = res.ideal
+    if G.is_unit():
+        raise EmptyScheme("the ideal cuts out the empty scheme")
     rep.gin = res
     rep.borel_fixed = res.borel
     rep.clauses["borel_fixed"] = bool(res.borel)
 
     rad = G.radical()
-    rep.radical_cm = reisner_cm_check(rad, homology_prime)
+    rep.radical_cm = reisner_cm_check(rad, HOMOLOGY_PRIME)
     rep.clauses["radical_cohen_macaulay"] = bool(rep.radical_cm)
 
     comps = primary_decomposition(G)

@@ -1,12 +1,14 @@
 """Buchberger engine and ideal operations.
 
 Polynomials are reduced with a lazy-deletion heap so each term is touched
-once; critical pairs are pruned with the Gebauer-Moller update and picked
-smallest lcm first, which makes the reduced basis of a homogeneous input
-deterministic.  Initial ideals of g(I), for the block changes of
-coordinates g of a gin, are found by Hilbert-driven stopping: with a
-hilbert.HilbertHint holding K(S/I), the pair loop skips pairs whose lcm
-degree is already saturated and stops once the leading terms have the
+once.  Every subtraction of a term multiple (reduction, S-polynomial, exact
+division) and the sums of a substitution go through the one term kernel,
+ring._add_mul.  Critical pairs are pruned with the Gebauer-Moller update
+and picked smallest lcm first, which makes the reduced basis of a
+homogeneous input deterministic.  Initial ideals of g(I), for the block
+changes of coordinates g of a gin, are found by Hilbert-driven stopping:
+with a hilbert.HilbertHint holding K(S/I), the pair loop skips pairs whose
+lcm degree is already saturated and stops once the leading terms have the
 K-polynomial of I, without the tail reduction of a reduced basis.
 Intersection, saturation and contraction to a variable subring are one
 elimination helper, _eliminate, which runs on raw term dicts (the
@@ -26,36 +28,11 @@ from .errors import (
 )
 from .monomial import MonomialIdeal, minimalize
 from .orders import elimination_order, grevlex
-from .ring import Polynomial, is_homogeneous
+from .ring import Polynomial, _add_mul, is_homogeneous
 
 
 def _neg_key(key):
     return tuple(-x for x in key)
-
-
-def _sub_mul(acc, c, shift, g, field, skip=None):
-    """acc -= c * x^shift * g in place, leaving out g's term at `skip`.
-
-    Returns the exponents that were new to acc.  c * g_e is never zero in a
-    field, so a new term is never zero either.
-    """
-    new = []
-    for eg, cg in g.items():
-        if eg == skip:
-            continue
-        e = tuple(x + y for x, y in zip(eg, shift))
-        prev = acc.get(e)
-        delta = field.mul(c, cg)
-        if prev is None:
-            acc[e] = field.neg(delta)
-            new.append(e)
-        else:
-            nv = field.sub(prev, delta)
-            if field.eq(nv, field.zero):
-                del acc[e]
-            else:
-                acc[e] = nv
-    return new
 
 
 def _reduce_dict(f, lt_exps, polys, order, field):
@@ -87,7 +64,7 @@ def _reduce_dict(f, lt_exps, polys, order, field):
             continue
         lt = lt_exps[red]
         shift = tuple(b - a for a, b in zip(lt, e))
-        for e2 in _sub_mul(work, c, shift, polys[red], field, skip=lt):
+        for e2 in _add_mul(work, field.neg(c), shift, polys[red], field, skip=lt):
             heapq.heappush(heap, (_neg_key(key(e2)), e2))
     return out
 
@@ -180,7 +157,7 @@ def buchberger(gen_dicts, order, field, hilbert=None):
         si = tuple(a - b for a, b in zip(l, lts[i]))
         sj = tuple(a - b for a, b in zip(l, lts[j]))
         s = {tuple(a + b for a, b in zip(e, si)): c for e, c in polys[i].items()}
-        _sub_mul(s, field.one, sj, polys[j], field)
+        _add_mul(s, field.neg(field.one), sj, polys[j], field)
         if add(s) and hilbert is not None:
             done = hilbert.complete(lts)
     if hilbert is None:
@@ -347,7 +324,7 @@ def _divide_exact(g, f):
         shift = tuple(b - a for a, b in zip(lt, e))
         qc = F.div(rem[e], lc)
         quo[shift] = qc
-        _sub_mul(rem, qc, shift, f.terms, F)
+        _add_mul(rem, F.neg(qc), shift, f.terms, F)
     return Polynomial(ring, quo)
 
 
@@ -463,17 +440,20 @@ def contract(I, block_indices, keep_grading=False):
     return _eliminate(sub, [g.terms for g in I.gens], ring.n, drop)
 
 
-def substituted_ideal(I, images, check_homogeneous=True):
-    """Apply the ring map x_i -> images[i] (Polynomials) to the generators."""
+def substituted_ideal(I, images):
+    """Apply the ring map x_i -> images[i] (Polynomials) to the generators,
+    multiplying the last factor of each term's image straight into one
+    term dict per generator."""
     ring = images[0].ring if images else I.ring
     out = []
     for f in I.gens:
-        acc = ring.zero()
+        acc = {}
         for e, c in f.terms.items():
-            term = ring.constant(c)
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = term * images[i]
-            acc = acc + term
-        out.append(acc)
-    return Ideal(ring, out, check_homogeneous=check_homogeneous)
+            factors = [images[i] for i, k in enumerate(e) for _ in range(k)]
+            head = ring.constant(c)
+            for g in factors[:-1]:
+                head = head * g
+            for el, cl in (factors[-1] if factors else ring.one()).terms.items():
+                _add_mul(acc, cl, el, head.terms, ring.field)
+        out.append(Polynomial(ring, acc))
+    return Ideal(ring, out)

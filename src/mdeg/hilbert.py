@@ -27,6 +27,9 @@ from .monomial import (
     primary_decomposition,
 )
 
+#: Largest componentwise bound hilbert_function_oracle enumerates up to.
+ORACLE_BOUND_LIMIT = 8
+
 
 def _pick_pivot(I):
     """Most frequent variable among the non-coprime minimal generators."""
@@ -305,12 +308,12 @@ def geometric_multidegrees(I, order=None):
     return MultiplicityTable(ring, dim, entries, msupp, cee)
 
 
-def hilbert_function_oracle(I, bound, order=None, limit=8):
+def hilbert_function_oracle(I, bound, order=None):
     """Exact Hilbert function values for all multidegrees <= bound.
 
     Counts standard monomials of the initial ideal degree by degree; the
-    componentwise bound is capped (default 8) because the enumeration is
-    exponential in it.  Returns a dict nu -> dim_k (S/I)_nu.
+    componentwise bound is capped at ORACLE_BOUND_LIMIT because the
+    enumeration is exponential in it.  Returns a dict nu -> dim_k (S/I)_nu.
     """
     ring = I.ring
     bound = tuple(bound)
@@ -318,8 +321,8 @@ def hilbert_function_oracle(I, bound, order=None, limit=8):
         raise BadArgument("bound length must equal the number of blocks")
     if any(b < 0 for b in bound):
         raise BadArgument("bound must be componentwise non-negative")
-    if any(b > limit for b in bound):
-        raise BoundTooLarge(f"componentwise bound above {limit}")
+    if any(b > ORACLE_BOUND_LIMIT for b in bound):
+        raise BoundTooLarge(f"componentwise bound above {ORACLE_BOUND_LIMIT}")
     mono = I if isinstance(I, MonomialIdeal) else I.initial_ideal(order)
     counts = {}
 

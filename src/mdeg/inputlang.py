@@ -313,7 +313,7 @@ def parse_input(text):
 def format_ring_file(ring, ideals):
     """Emit a Session back in the input grammar (used by project/standardize)."""
     lines = []
-    if getattr(ring.field, "p", 0):
+    if ring.field.p:
         lines.append(f"field Fp {ring.field.p}")
     else:
         lines.append("field QQ")
@@ -324,10 +324,6 @@ def format_ring_file(ring, ideals):
         if not gens:
             lines.append(f"ideal {nm} = []")
             continue
-        body = "; ".join(_poly_text(g) for g in gens)
+        body = "; ".join(str(g) for g in gens)
         lines.append(f"ideal {nm} = [ {body} ]")
     return "\n".join(lines) + "\n"
-
-
-def _poly_text(f):
-    return str(f)

@@ -9,11 +9,13 @@ are computed modulo a prime.
 
 from .errors import (
     BadArgument,
+    EmptyScheme,
     NotMinimalPrime,
     NotSquarefree,
     NotStandardGraded,
     TooManyVertices,
 )
+from .fields import rank_mod_p
 from .ring import GradedRing
 
 
@@ -327,7 +329,10 @@ def length_at_minimal_prime(I, prime):
 
 def mlength(I):
     """Maximal length of the minimal primary components."""
-    return max(length_at_minimal_prime(I, P) for P in minimal_primes(I))
+    primes = minimal_primes(I)
+    if not primes:
+        raise EmptyScheme("the ideal cuts out the empty scheme")
+    return max(length_at_minimal_prime(I, P) for P in primes)
 
 
 # ---------------------------------------------------------------------------
@@ -518,34 +523,6 @@ def stanley_reisner_complex(I):
     return SimplicialComplex(verts, facets)
 
 
-def _matrix_rank_mod_p(rows, p):
-    """Rank of a sparse integer matrix modulo p (rows: list of dicts)."""
-    rows = [dict((j, v % p) for j, v in r.items() if v % p) for r in rows]
-    rank = 0
-    pivots = {}  # column -> row dict with pivot 1 at that column
-    for r in rows:
-        r = dict(r)
-        while r:
-            j = min(r)
-            if j in pivots:
-                c = r[j]
-                piv = pivots[j]
-                for jj, v in piv.items():
-                    nv = (r.get(jj, 0) - c * v) % p
-                    if nv:
-                        r[jj] = nv
-                    elif jj in r:
-                        del r[jj]
-            else:
-                inv = pow(r[j], -1, p)
-                r = {jj: v * inv % p for jj, v in r.items()}
-                pivots[j] = r
-                rank += 1
-                r = {}
-        # fully reduced away or added as pivot
-    return rank
-
-
 def reduced_homology_ranks(complex_, p):
     """Ranks of the reduced homology groups over F_p, indexed by dimension."""
     faces = complex_.faces()
@@ -570,7 +547,7 @@ def reduced_homology_ranks(complex_, p):
                 sub = f[:i] + f[i + 1 :]
                 row[lower[sub]] = (-1) ** i
             rows.append(row)
-        bd_rank[d] = _matrix_rank_mod_p(rows, p)
+        bd_rank[d] = rank_mod_p(rows, p)
     bd_rank[top + 1] = 0
     for d in range(-1, top + 1):
         nfaces = len(by_dim.get(d, []))

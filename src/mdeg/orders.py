@@ -88,8 +88,9 @@ def lex(ring):
     return MonomialOrder(ring.n, (), "lex")
 
 
-def weight_order(ring, rows, tiebreak="grevlex"):
-    return MonomialOrder(ring.n, rows, tiebreak)
+def weight_order(ring, rows):
+    """Weight rows refined by grevlex."""
+    return MonomialOrder(ring.n, rows, "grevlex")
 
 
 def elimination_order(n, eliminate):

@@ -130,6 +130,32 @@ def _monomial_str(ring, exps):
     return "*".join(parts) if parts else "1"
 
 
+def _add_mul(acc, c, shift, g, field, skip=None):
+    """acc += c * x^shift * g in place, leaving out g's term at `skip`.
+
+    The one loop that combines two term dicts (Polynomial arithmetic,
+    substitution, Buchberger).  c must be nonzero, so no new term is zero;
+    returns the exponents that were new to acc.
+    """
+    new = []
+    for eg, cg in g.items():
+        if eg == skip:
+            continue
+        e = tuple(x + y for x, y in zip(eg, shift))
+        prev = acc.get(e)
+        delta = field.mul(c, cg)
+        if prev is None:
+            acc[e] = delta
+            new.append(e)
+        else:
+            nv = field.add(prev, delta)
+            if field.eq(nv, field.zero):
+                del acc[e]
+            else:
+                acc[e] = nv
+    return new
+
+
 class Polynomial:
     """Immutable exact polynomial over a GradedRing."""
 
@@ -152,42 +178,22 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        F = self.ring.field
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                s = F.add(out[e], c)
-                if F.eq(s, F.zero):
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
+        _add_mul(out, self.ring.field.one, (0,) * self.ring.n, other.terms, self.ring.field)
         return Polynomial(self.ring, out)
 
     def __neg__(self):
-        F = self.ring.field
-        return Polynomial(self.ring, {e: F.neg(c) for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        F = self.ring.field
+        small, big = sorted((self.terms, other.terms), key=len)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = F.mul(c1, c2)
-                if e in out:
-                    s = F.add(out[e], c)
-                    if F.eq(s, F.zero):
-                        del out[e]
-                    else:
-                        out[e] = s
-                else:
-                    out[e] = c
+        for e, c in small.items():
+            _add_mul(out, c, e, big, self.ring.field)
         return Polynomial(self.ring, out)
 
     def __pow__(self, k):

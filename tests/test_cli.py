@@ -329,6 +329,7 @@ GOLDEN_FILES = {
     "unknown_var": "vars x\ndeg x = (1)\nideal I = [ x*w ]\n",
     "not_homogeneous": "vars x y\ndeg x = (1)\ndeg y = (2)\nideal I = [ x + y ]\n",
     "ex46_fp": pathlib.Path(EX46).read_text().replace("field QQ", "field Fp 32003"),
+    "unit_fp": pathlib.Path(RMK59).read_text() + "ideal U = [ x0; y0; 1 ]\n",
 }
 FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}
 
@@ -414,6 +415,7 @@ GOLDEN_CASES = {
     # exit 3: computation errors
     "err-gin-over-qq": ["gin", "{ex46}", "--ideal", "P"],
     "err-gin-not-standard": ["gin", "{weighted_fp}", "--ideal", "I", "--json"],
+    "err-gin-report-unit-ideal": ["gin-report", "{unit_fp}", "--ideal", "U"],
     "err-bound-too-large": ["hf-oracle", "{small}", "--ideal", "I", "--bound", "9"],
 }
 GOLDEN_STDIN = {"cee-stdin": SMALL}

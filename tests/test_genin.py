@@ -11,8 +11,8 @@ from conftest import (
     three_block_ring,
 )
 from mdeg import genin
-from mdeg.errors import FieldTooSmall, NotStandardGraded, Unstable
-from mdeg.fields import GF32003, PrimeField, QQ
+from mdeg.errors import EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
+from mdeg.fields import GF32003, PrimeField, QQ, rank_mod_p
 from mdeg.genin import gin, gin_structure_report
 from mdeg.groebner import Ideal, as_ideal, contract
 from mdeg.hilbert import k_polynomial
@@ -95,6 +95,43 @@ def test_gin_field_guards():
         gin(Ideal(Rs, [x * y]))
 
 
+def _det_nonzero(M, F):
+    """Reference: the triangularization gin draws once tested invertibility
+    with, kept as the oracle for rank_mod_p."""
+    k = len(M)
+    M = [row[:] for row in M]
+    for col in range(k):
+        piv = None
+        for r in range(col, k):
+            if not F.eq(M[r][col], F.zero):
+                piv = r
+                break
+        if piv is None:
+            return False
+        M[col], M[piv] = M[piv], M[col]
+        inv = F.inv(M[col][col])
+        for r in range(col + 1, k):
+            c = F.mul(M[r][col], inv)
+            if F.eq(c, F.zero):
+                continue
+            for cc in range(col, k):
+                M[r][cc] = F.sub(M[r][cc], F.mul(c, M[col][cc]))
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 32003]), st.data())
+def test_full_rank_iff_nonzero_determinant(p, data):
+    # small entries make singular matrices common even modulo 32003
+    k = data.draw(st.integers(0, 4))
+    M = data.draw(
+        st.lists(st.lists(st.integers(0, 6), min_size=k, max_size=k), min_size=k, max_size=k)
+    )
+    F = PrimeField(p)
+    M = [[F.coerce(v) for v in row] for row in M]
+    assert (rank_mod_p([dict(enumerate(row)) for row in M], p) == k) == _det_nonzero(M, F)
+
+
 def test_gin_rejects_nonstandard_ring():
     R = make_ring(["x", "y"], [(2,), (1,)], GF32003)
     with pytest.raises(NotStandardGraded):
@@ -174,3 +211,10 @@ def test_gin_report_flags_nonprime():
     rep = gin_structure_report(J)
     assert not rep.ok()
     assert not rep.clauses["contraction_mlength_monotone"]
+
+
+def test_gin_report_on_unit_ideal_is_empty_scheme():
+    R = two_block_ring()
+    x0, x1, x2, y0, y1, y2 = R.gens()
+    with pytest.raises(EmptyScheme):
+        gin_structure_report(Ideal(R, [x0, y0, R.one()]))

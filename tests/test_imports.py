@@ -1,12 +1,15 @@
 """Every name a module of the package imports is used in that module,
-every class, function and method it defines is named somewhere else, and
-imports sit at module level unless they have a reason not to.
+every class, function and method it defines is named somewhere else,
+imports sit at module level unless they have a reason not to, and no
+module holds an assert statement.
 
 The package's ``__init__.py`` imports names only to re-export them, so it
 is exempt from the first check.  For the second, a definition counts as
 used when its name is referred to outside the definition itself in the
 package, the tests, the demos or the benchmark.  For the third,
-LOCAL_IMPORTS names the functions allowed an import in their body.
+LOCAL_IMPORTS names the functions allowed an import in their body.  The
+fourth holds because ``python -O`` strips assert statements, and the
+exit-code contract needs errors that are raised under every flag.
 """
 
 import ast
@@ -172,3 +175,27 @@ def test_unused_definitions_are_found():
 )
 def test_no_unused_definitions(path):
     assert unused_definitions(path.read_text(), all_references()) == []
+
+
+def assert_statements(source):
+    """Line of each assert statement in `source`."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert))
+
+
+def test_assert_statements_are_found():
+    source = (
+        "assert x\n"
+        "def f():\n"
+        "    assert y, 'message'\n"
+        "TEXT = 'assert z'\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        if self:\n"
+        "            assert self.ok\n"
+    )
+    assert assert_statements(source) == [1, 3, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []

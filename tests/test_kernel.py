@@ -1,0 +1,234 @@
+"""Differential tests of the term kernel ring._add_mul.
+
+Polynomial +, -, * and unary minus and groebner.substituted_ideal all go
+through the kernel.  The loops they were written with before are kept
+here as references and compared with them over QQ and GF(32003): on sums
+that cancel to zero, on zero, constant and very unequal operands, and on
+random block changes of coordinates, with blocks of one variable and on
+standardized rings.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from conftest import random_form, random_ideal, random_positive_ring
+from mdeg.determinantal import build_determinantal
+from mdeg.fields import GF32003, QQ
+from mdeg.genin import random_block_change
+from mdeg.groebner import Ideal, substituted_ideal
+from mdeg.ring import Polynomial, _add_mul, make_ring
+from mdeg.standardize import standardize_ideal
+
+
+def ref_add(f, g):
+    F = f.ring.field
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        if e in out:
+            s = F.add(out[e], c)
+            if F.eq(s, F.zero):
+                del out[e]
+            else:
+                out[e] = s
+        else:
+            out[e] = c
+    return Polynomial(f.ring, out)
+
+
+def ref_neg(f):
+    F = f.ring.field
+    return Polynomial(f.ring, {e: F.neg(c) for e, c in f.terms.items()})
+
+
+def ref_sub(f, g):
+    return ref_add(f, ref_neg(g))
+
+
+def ref_mul(f, g):
+    F = f.ring.field
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = F.mul(c1, c2)
+            if e in out:
+                s = F.add(out[e], c)
+                if F.eq(s, F.zero):
+                    del out[e]
+                else:
+                    out[e] = s
+            else:
+                out[e] = c
+    return Polynomial(f.ring, out)
+
+
+def ref_substituted_ideal(I, images):
+    ring = images[0].ring if images else I.ring
+    out = []
+    for f in I.gens:
+        acc = ring.zero()
+        for e, c in f.terms.items():
+            term = ring.constant(c)
+            for i, k in enumerate(e):
+                for _ in range(k):
+                    term = ref_mul(term, images[i])
+            acc = ref_add(acc, term)
+        out.append(acc)
+    return Ideal(ring, out)
+
+
+FIELDS = {"QQ": QQ, "GF32003": GF32003}
+RINGS = {name: make_ring(["x", "y", "z"], [(1,)] * 3, F) for name, F in FIELDS.items()}
+
+# few exponents and coefficients, so that terms collide and cancel often
+exponents = st.tuples(*[st.integers(0, 2)] * 3)
+coefficients = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=4)
+)
+
+
+@st.composite
+def polynomials(draw, ring, max_terms=8):
+    terms = draw(st.dictionaries(exponents, coefficients, max_size=max_terms))
+    return Polynomial(ring, {e: ring.field.coerce(c) for e, c in terms.items()})
+
+
+@st.composite
+def operand_pairs(draw):
+    """(f, g) over QQ or GF(32003): g may be zero, a constant, much larger
+    than f, or agree with f or -f on some terms so that a sum cancels."""
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    F = ring.field
+    f = draw(polynomials(ring))
+    kind = draw(st.sampled_from(["any", "zero", "constant", "large", "overlap"]))
+    if kind == "zero":
+        g = ring.zero()
+    elif kind == "constant":
+        g = ring.constant(draw(coefficients))
+    elif kind == "large":
+        g = draw(polynomials(ring, max_terms=27))
+    else:
+        g = draw(polynomials(ring))
+    if kind == "overlap":
+        shared = draw(st.sets(st.sampled_from(sorted(f.terms)))) if f.terms else set()
+        sign = draw(st.sampled_from([F.one, F.neg(F.one)]))
+        terms = dict(g.terms)
+        terms.update({e: F.mul(sign, f.terms[e]) for e in shared})
+        g = Polynomial(ring, terms)
+    if draw(st.booleans()):
+        f, g = g, f
+    return f, g
+
+
+@settings(max_examples=400, deadline=None)
+@given(operand_pairs())
+def test_arithmetic_matches_reference_loops(fg):
+    f, g = fg
+    assert f + g == ref_add(f, g)
+    assert f - g == ref_sub(f, g)
+    assert f * g == ref_mul(f, g)
+    assert -f == ref_neg(f)
+    # results never hold a zero coefficient
+    F = f.ring.field
+    for h in (f + g, f - g, f * g, -f):
+        assert not any(F.eq(c, F.zero) for c in h.terms.values())
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_sums_and_products_cancel_to_zero(name):
+    ring = RINGS[name]
+    x, y, z = ring.gens()
+    f = x * x - ring.constant(Fraction(2, 3)) * y * z + ring.one()
+    assert (f - f).terms == {} and (f + -f).terms == {}
+    assert ((x + y) * (x - y) - x * x + y * y).terms == {}
+    assert (f * ring.zero()).terms == {} and (ring.zero() * f).terms == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(RINGS)), st.data())
+def test_kernel_skips_and_reports_new_exponents(name, data):
+    ring = RINGS[name]
+    F = ring.field
+    acc = dict(data.draw(polynomials(ring)).terms)
+    g = data.draw(polynomials(ring))
+    c = F.coerce(data.draw(coefficients.filter(bool)))
+    shift = data.draw(exponents)
+    skip = None
+    if g.terms and data.draw(st.booleans()):
+        skip = data.draw(st.sampled_from(sorted(g.terms)))
+    before = dict(acc)
+    new = _add_mul(acc, c, shift, g.terms, F, skip=skip)
+    kept = Polynomial(ring, {e: v for e, v in g.terms.items() if e != skip})
+    expect = ref_add(
+        Polynomial(ring, before), ref_mul(ring.monomial(shift, 1).scale(c), kept)
+    )
+    assert acc == expect.terms
+    assert sorted(new) == sorted(e for e in acc if e not in before)
+
+
+def _block_ring(sizes, field):
+    names, degs = [], []
+    for k, s in enumerate(sizes):
+        for i in range(s):
+            names.append(f"v{k}_{i}")
+            degs.append(tuple(int(j == k) for j in range(len(sizes))))
+    return make_ring(names, degs, field)
+
+
+def _random_linear_images(rng, ring):
+    """Per block, random linear forms in the block's variables (QQ has no
+    random_block_change, which needs a large prime field)."""
+    images = [None] * ring.n
+    for k in range(ring.p):
+        block = ring.block_variables(k)
+        for i in block:
+            terms = {}
+            for j in rng.sample(block, rng.randint(1, len(block))):
+                terms[tuple(int(v == j) for v in range(ring.n))] = Fraction(
+                    rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)
+                )
+            images[i] = Polynomial(ring, terms)
+    return images
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.sampled_from(sorted(FIELDS)),
+    st.integers(0, 10_000),
+)
+@example(sizes=[1, 1], name="GF32003", seed=0)
+@example(sizes=[1, 3], name="QQ", seed=1)
+def test_substitution_matches_reference(sizes, name, seed):
+    rng = random.Random(seed)
+    R = _block_ring(sizes, FIELDS[name])
+    I = random_ideal(rng, R, max_degree=3, max_gens=4)
+    if name == "GF32003":
+        images = random_block_change(R, seed)
+    else:
+        images = _random_linear_images(rng, R)
+    assert substituted_ideal(I, images).gens == ref_substituted_ideal(I, images).gens
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_substitution_on_standardized_rings_matches_reference(seed):
+    rng = random.Random(seed)
+    R = random_positive_ring(rng, max_vars=4, max_blocks=2)
+    R = make_ring(R.names, R.degrees, GF32003)
+    I = Ideal(R, [random_form(rng, R, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))])
+    J, _ = standardize_ideal(I)
+    images = random_block_change(J.ring, seed)
+    assert substituted_ideal(J, images).gens == ref_substituted_ideal(J, images).gens
+
+
+def test_substitution_of_standardized_minors_matches_reference():
+    _, I = build_determinantal(2, 3, 2, GF32003)
+    J, _ = standardize_ideal(I)
+    assert not I.ring.is_standard and J.ring.is_standard
+    images = random_block_change(J.ring, 3)
+    assert substituted_ideal(J, images).gens == ref_substituted_ideal(J, images).gens
+

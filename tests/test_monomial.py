@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_monomial_ideal, random_positive_ring, random_standard_ring
-from mdeg.errors import NotMinimalPrime, NotSquarefree, TooManyVertices
+from mdeg.errors import EmptyScheme, NotMinimalPrime, NotSquarefree, TooManyVertices
 from mdeg.groebner import contract
 from mdeg.monomial import (
     MonomialIdeal,
@@ -138,6 +138,12 @@ def test_radical_ideal_mlength_one():
     R = std_ring(3)
     I = MonomialIdeal(R, [(1, 1, 0), (0, 1, 1)])
     assert mlength(I) == 1
+
+
+def test_mlength_of_unit_ideal_is_empty_scheme():
+    # no minimal primes, so no maximal length
+    with pytest.raises(EmptyScheme):
+        mlength(MonomialIdeal(std_ring(2), [(0, 0)]))
 
 
 def test_borel_fixed():
