@@ -56,7 +56,10 @@ def main():
 def _coerce(ring, f):
     from mdeg import Polynomial
 
-    return Polynomial(ring, {e: ring.field.coerce(c) for e, c in f.terms.items()})
+    F = ring.field
+    terms = {e: F.coerce(c) for e, c in f.terms.items()}
+    # a Polynomial takes nonzero coefficients only; drop those that vanish in F
+    return Polynomial(ring, {e: c for e, c in terms.items() if not F.eq(c, F.zero)})
 
 
 if __name__ == "__main__":

@@ -5,12 +5,15 @@ the library and print, through `_emit`, either text or one canonical JSON
 envelope {"ring": ..., "result": {"kind": ..., ...}} (sorted keys and
 exponents, string coefficients).  Exit codes: 0 ok, 2 input error
 (including bad option values), 3 computation error, 4 check failed.
+The argument parser is built once per process and reused by every
+in-process call of `main`.
 """
 
 import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .errors import BadArgument, InputError, MdegError, Unstable
 from .genin import gin, gin_structure_report
@@ -406,8 +409,14 @@ def build_parser():
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (InputError, BadArgument) as e:

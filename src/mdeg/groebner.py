@@ -1,14 +1,29 @@
 """Buchberger engine and ideal operations.
 
-Polynomials are reduced with a lazy-deletion heap so each term is touched
-once.  Every subtraction of a term multiple (reduction, S-polynomial, exact
-division) and the sums of a substitution go through the one term kernel,
-ring._add_mul.  Critical pairs are pruned with the Gebauer-Moller update
-and picked smallest lcm first, which makes the reduced basis of a
-homogeneous input deterministic.  Initial ideals of g(I), for the block
-changes of coordinates g of a gin, are found by Hilbert-driven stopping:
-with a hilbert.HilbertHint holding K(S/I), the pair loop skips pairs whose
-lcm degree is already saturated and stops once the leading terms have the
+Buchberger runs on packed exponents (ring._Packing): `buchberger` packs
+its input for the monomial order and unpacks the basis it returns, and
+every step in between works on ints.  The layout gives each variable a
+field of B bits with a guard bit on top; the total degree (grevlex) and
+the weight rows, first row highest, sit above the variable fields, so the
+order key of a packed exponent P is P ^ LOW (grevlex, x_n in the top
+variable field, LOW masking the variable fields) or P itself (lex, x_1 in
+the top variable field).  A monomial product is one int add, a | b is
+`not (b - a) & GUARD`, and a new exponent with a guard bit set widens B
+and reruns (`_packed`), so answers stay exact for any exponent size.
+Normal forms, exact division and the leading terms of initial ideals use
+the same packing.
+
+Polynomials are reduced with a lazy-deletion heap of order keys, so each
+term is touched once and the normal form comes out in descending order:
+every basis element lists its leading term first.  Every subtraction of a
+term multiple (reduction, S-polynomial, exact division) and the products
+of a substitution go through the one term kernel, ring._add_mul.
+Critical pairs are pruned with the Gebauer-Moller update and picked
+smallest lcm first, which makes the reduced basis of a homogeneous input
+deterministic.  Initial ideals of g(I), for the block changes of
+coordinates g of a gin, are found by Hilbert-driven stopping: with a
+hilbert.HilbertHint holding K(S/I), the pair loop skips pairs whose lcm
+degree is already saturated and stops once the leading terms have the
 K-polynomial of I, without the tail reduction of a reduced basis.
 Intersection, saturation and contraction to a variable subring are one
 elimination helper, _eliminate, which runs on raw term dicts (the
@@ -16,7 +31,8 @@ auxiliary-variable constructions are not multihomogeneous) and caches the
 result's reduced grevlex basis; colon is built on intersection.
 """
 
-import heapq
+from heapq import heapify, heappop, heappush
+from operator import mul
 
 from .errors import (
     BadArgument,
@@ -26,169 +42,186 @@ from .errors import (
     RingMismatch,
     Unstable,
 )
-from .monomial import MonomialIdeal, minimalize
+from .monomial import MonomialIdeal
 from .orders import elimination_order, grevlex
-from .ring import Polynomial, _add_mul, is_homogeneous
+from .ring import (
+    Polynomial,
+    _add_mul,
+    _field_bits,
+    _max_exponent,
+    _Overflow,
+    _packing,
+    _times,
+    is_homogeneous,
+)
 
 
-def _neg_key(key):
-    return tuple(-x for x in key)
+def _packed(order, dicts, run, *args):
+    """run(pk, the term dicts packed by pk, *args) for the narrowest
+    _Packing pk for `order` that holds their exponents; while a new
+    exponent overflows its field, the fields are doubled and run reruns."""
+    bits = _field_bits(_max_exponent(dicts))
+    grevlex_tie = order.tiebreak == "grevlex"
+    while True:
+        pk = _packing(order.n, bits, order.weight_rows, grevlex_tie)
+        try:
+            return run(pk, [pk.pack_dict(d) for d in dicts], *args)
+        except _Overflow:
+            bits *= 2
 
 
-def _reduce_dict(f, lt_exps, polys, order, field):
-    """Full normal form of the term dict f against monic (lt, poly) pairs."""
-    key = order.key
+def _reduce_dict(f, basis, field, pk):
+    """Full normal form of the packed term dict f against `basis`, a dict
+    from leading term to monic element; its terms come out in descending
+    order."""
+    flip, guard = pk.flip, pk.guard
     work = dict(f)
-    heap = [(_neg_key(key(e)), e) for e in work]
-    heapq.heapify(heap)
+    heap = [-(e ^ flip) for e in work]
+    heapify(heap)
     out = {}
-    nred = len(lt_exps)
     while heap:
-        _, e = heapq.heappop(heap)
+        e = -heappop(heap) ^ flip
         c = work.pop(e, None)
         if c is None:
             continue
-        red = -1
-        for i in range(nred):
-            lt = lt_exps[i]
-            ok = True
-            for a, b in zip(lt, e):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
-                red = i
+        for lt in basis:
+            if not (e - lt) & guard:
                 break
-        if red < 0:
+        else:
             out[e] = c
             continue
-        lt = lt_exps[red]
-        shift = tuple(b - a for a, b in zip(lt, e))
-        for e2 in _add_mul(work, field.neg(c), shift, polys[red], field, skip=lt):
-            heapq.heappush(heap, (_neg_key(key(e2)), e2))
+        for e2 in _add_mul(work, field.neg(c), e - lt, basis[lt], field, guard, lt):
+            heappush(heap, -(e2 ^ flip))
     return out
 
 
-def _leading(terms, order):
-    return max(terms, key=order.key)
-
-
-def _make_monic(terms, order, field):
-    lt = _leading(terms, order)
+def _make_monic(terms, field):
+    """(leading term, monic multiple) of a packed term dict whose leading
+    term comes first."""
+    lt = next(iter(terms))
     c = terms[lt]
     if field.eq(c, field.one):
-        return lt, dict(terms)
+        return lt, terms
     inv = field.inv(c)
     return lt, {e: field.mul(inv, v) for e, v in terms.items()}
 
 
-def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _update_pairs(pairs, lts, t, pk):
+    """Gebauer-Moller pair update for the packed leading term t joining
+    the leading terms lts.
 
-
-def _coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
-def _update_pairs(pairs, lts, new_index, order):
-    """Gebauer-Moller pair update after appending generator new_index.
-
-    `pairs` maps (i, j) to (total degree, order key, lcm) of the pair's
-    lcm, which is computed once, here, when the pair is made.
+    `pairs` maps (a, b), two leading terms, to (total degree, order key,
+    lcm) of their lcm, which is computed once, here, when the pair is made.
     """
-    t = lts[new_index]
-    fresh = [_lcm(lt, t) for lt in lts[:new_index]]
+    guard = pk.guard
+    fresh = {a: pk.lcm(a, t) for a in lts}
     # drop old pairs whose lcm is strictly reducible by the new element
     stale = [
-        (i, j)
-        for (i, j), (_, _, l) in pairs.items()
-        if all(a <= b for a, b in zip(t, l)) and l != fresh[i] and l != fresh[j]
+        ab
+        for ab, (_, _, l) in pairs.items()
+        if not (l - t) & guard and l != fresh[ab[0]] and l != fresh[ab[1]]
     ]
-    for ij in stale:
-        del pairs[ij]
-    # among the new pairs keep one representative per minimal lcm
+    for ab in stale:
+        del pairs[ab]
+    # among the new pairs keep one representative per minimal lcm; a proper
+    # divisor has smaller variable fields, so it is met first
     chosen = []
-    for i in sorted(range(new_index), key=lambda i: (sum(fresh[i]), fresh[i])):
-        l = fresh[i]
-        if any(all(a <= b for a, b in zip(l2, l)) for l2 in chosen):
+    for a in sorted(lts, key=lambda a: fresh[a] & pk.vmask):
+        l = fresh[a]
+        if any(not (l - m) & guard for m in chosen):
             continue
         chosen.append(l)
-        if not _coprime(lts[i], t):  # Buchberger's first criterion
-            pairs[(i, new_index)] = (sum(l), order.key(l), l)
+        if l != a + t:  # Buchberger's first criterion: a, t not coprime
+            pairs[(a, t)] = (sum(pk.unpack(l)), l ^ pk.flip, l)
 
 
 def buchberger(gen_dicts, order, field, hilbert=None):
-    """Monic Groebner basis of the given term dicts.
+    """Monic Groebner basis of the given term dicts, each element with its
+    terms in descending order, so that its leading term comes first.
 
-    Without `hilbert` this is the reduced basis.  `hilbert` is a
-    hilbert.HilbertHint for an ideal with the Hilbert function of the
-    input: a pair is then skipped when the hint finds the leading terms so
-    far saturated at the degree of its lcm, and the loop stops as soon as
-    they have the hint's K-polynomial.  The basis returned is then neither
-    minimal nor tail-reduced, but its leading terms generate the initial
-    ideal.  If the pairs run out first, the hint does not fit the input
-    and Unstable is raised.
+    Without `hilbert` this is the reduced basis, sorted by leading term.
+    `hilbert` is a hilbert.HilbertHint for an ideal with the Hilbert
+    function of the input: a pair is then skipped when the hint finds the
+    leading terms so far saturated at the degree of its lcm, and the loop
+    stops as soon as they have the hint's K-polynomial.  The basis
+    returned is then neither minimal nor tail-reduced, but its leading
+    terms generate the initial ideal.  If the pairs run out first, the
+    hint does not fit the input and Unstable is raised.
     """
-    key = order.key
-    lts, polys = [], []
+    return _packed(order, gen_dicts, _buchberger, field, hilbert)
+
+
+def _buchberger(pk, gens, field, hilbert):
+    flip, guard = pk.flip, pk.guard
+    basis = {}  # leading term -> monic element, in the order found
+    seen = []  # the leading terms unpacked, for the hint
     pairs = {}
 
     def add(d):
         """Append the normal form of d if it is nonzero; report whether it was."""
-        r = _reduce_dict(d, lts, polys, order, field)
+        r = _reduce_dict(d, basis, field, pk)
         if not r:
             return False
-        lt, monic = _make_monic(r, order, field)
-        lts.append(lt)
-        polys.append(monic)
-        _update_pairs(pairs, lts, len(lts) - 1, order)
+        lt, monic = _make_monic(r, field)
+        _update_pairs(pairs, basis, lt, pk)
+        basis[lt] = monic
+        if hilbert is not None:
+            seen.append(pk.unpack(lt))
         return True
 
-    gens = [d for d in gen_dicts if d]
-    gens.sort(key=lambda d: key(_leading(d, order)))
+    gens = [d for d in gens if d]
+    gens.sort(key=lambda d: max(e ^ flip for e in d))
     for d in gens:
         add(d)
-    done = hilbert is not None and hilbert.complete(lts)
+    done = hilbert is not None and hilbert.complete(seen)
+    minus_one = field.neg(field.one)
     while pairs and not done:
-        i, j = min(pairs, key=pairs.__getitem__)
-        l = pairs.pop((i, j))[2]
-        if hilbert is not None and hilbert.saturated(lts, l):
+        a, b = min(pairs, key=pairs.__getitem__)
+        l = pairs.pop((a, b))[2]
+        if hilbert is not None and hilbert.saturated(seen, pk.unpack(l)):
             continue
-        si = tuple(a - b for a, b in zip(l, lts[i]))
-        sj = tuple(a - b for a, b in zip(l, lts[j]))
-        s = {tuple(a + b for a, b in zip(e, si)): c for e, c in polys[i].items()}
-        _add_mul(s, field.neg(field.one), sj, polys[j], field)
+        s = {}
+        _add_mul(s, field.one, l - a, basis[a], field, guard)
+        _add_mul(s, minus_one, l - b, basis[b], field, guard)
         if add(s) and hilbert is not None:
-            done = hilbert.complete(lts)
+            done = hilbert.complete(seen)
     if hilbert is None:
-        return _reduce_basis(lts, polys, order, field)
-    if not done:
+        out = _reduce_basis(basis, field, pk)
+    elif done:
+        out = basis.values()
+    else:
         raise Unstable(
             "the leading terms of a complete Groebner basis do not have "
             "the K-polynomial of the Hilbert hint"
         )
-    return polys
+    return [pk.unpack_dict(d) for d in out]
 
 
-def _reduce_basis(lts, polys, order, field):
-    """Minimalize leading terms, then tail-reduce: the reduced basis.
+def _reduce_basis(basis, field, pk):
+    """Minimalize leading terms, then tail-reduce: the reduced basis,
+    sorted by leading term.
 
     No two leading terms are equal, since each was reduced against the
     earlier ones, so the kept elements are those whose leading terms are
-    minimal generators of the monomial ideal they span.
+    minimal generators of the monomial ideal they span; a proper divisor
+    has smaller variable fields, so it is kept before its multiples are met.
     """
-    keep = minimalize(lts)
-    min_lts = [lt for lt in lts if lt in keep]
-    min_polys = [g for lt, g in zip(lts, polys) if lt in keep]
+    guard, flip = pk.guard, pk.flip
+    keep = []
+    for a in sorted(basis, key=lambda a: a & pk.vmask):
+        if all((a - b) & guard for b in keep):
+            keep.append(a)
+    keep.sort(key=lambda a: a ^ flip)
     out = []
-    for i in range(len(min_lts)):
-        others_lts = min_lts[:i] + min_lts[i + 1 :]
-        others_polys = min_polys[:i] + min_polys[i + 1 :]
-        r = _reduce_dict(min_polys[i], others_lts, others_polys, order, field)
-        _, monic = _make_monic(r, order, field)
-        out.append(monic)
-    out.sort(key=lambda d: order.key(_leading(d, order)))
+    for a in keep:
+        others = {b: basis[b] for b in keep if b != a}
+        out.append(_make_monic(_reduce_dict(basis[a], others, field, pk), field)[1])
     return out
+
+
+def _normal_form(pk, dicts, field):
+    f, *gb = dicts
+    return pk.unpack_dict(_reduce_dict(f, {next(iter(g)): g for g in gb}, field, pk))
 
 
 class Ideal:
@@ -238,7 +271,8 @@ class Ideal:
     def initial_ideal(self, order=None, hilbert=None):
         """in(I) under `order`, from the cached reduced basis; or, with
         `hilbert`, a hilbert.HilbertHint with the Hilbert function of I,
-        from the Hilbert-driven pair loop, whose basis is not cached."""
+        from the Hilbert-driven pair loop, whose basis is not cached.
+        Every basis element lists its leading term first."""
         if order is None:
             order = grevlex(self.ring)
         if hilbert is None:
@@ -247,15 +281,13 @@ class Ideal:
             basis = buchberger(
                 [f.terms for f in self.gens], order, self.ring.field, hilbert
             )
-        return MonomialIdeal(self.ring, [_leading(d, order) for d in basis])
+        return MonomialIdeal(self.ring, [next(iter(d)) for d in basis])
 
     def normal_form(self, f, order=None):
         if order is None:
             order = grevlex(self.ring)
-        gb = self.groebner_basis(order)
-        lts = [_leading(g.terms, order) for g in gb]
-        r = _reduce_dict(f.terms, lts, [g.terms for g in gb], order, self.ring.field)
-        return Polynomial(self.ring, r)
+        dicts = [f.terms] + [g.terms for g in self.groebner_basis(order)]
+        return Polynomial(self.ring, _packed(order, dicts, _normal_form, self.ring.field))
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
@@ -311,21 +343,25 @@ def intersect(I, J):
 def _divide_exact(g, f):
     """Exact polynomial quotient g / f (remainder must vanish)."""
     ring = g.ring
-    order = grevlex(ring)
-    F = ring.field
-    lt = _leading(f.terms, order)
-    lc = f.terms[lt]
-    rem = dict(g.terms)
+    quo = _packed(grevlex(ring), [g.terms, f.terms], _quotient, ring.field)
+    return Polynomial(ring, quo)
+
+
+def _quotient(pk, dicts, F):
+    rem, f = dicts
+    flip, guard = pk.flip, pk.guard
+    lt = max(x ^ flip for x in f) ^ flip
+    lc = f[lt]
     quo = {}
     while rem:
-        e = _leading(rem, order)
-        if not all(a <= b for a, b in zip(lt, e)):
+        e = max(x ^ flip for x in rem) ^ flip
+        shift = e - lt
+        if shift & guard:
             raise ArithmeticError("division is not exact")
-        shift = tuple(b - a for a, b in zip(lt, e))
         qc = F.div(rem[e], lc)
         quo[shift] = qc
-        _add_mul(rem, F.neg(qc), shift, f.terms, F)
-    return Polynomial(ring, quo)
+        _add_mul(rem, F.neg(qc), shift, f, F, guard)
+    return pk.unpack_dict(quo)
 
 
 def colon(I, f):
@@ -441,19 +477,27 @@ def contract(I, block_indices, keep_grading=False):
 
 
 def substituted_ideal(I, images):
-    """Apply the ring map x_i -> images[i] (Polynomials) to the generators,
-    multiplying the last factor of each term's image straight into one
-    term dict per generator."""
+    """Apply the ring map x_i -> images[i] (Polynomials) to the generators.
+
+    The images are packed once, with fields wide enough for every image
+    of a term, and each term's image is multiplied out on packed dicts,
+    its last factor straight into one term dict per generator."""
     ring = images[0].ring if images else I.ring
+    F = ring.field
+    tops = [_max_exponent([g.terms]) for g in images]
+    bound = max((sum(map(mul, e, tops)) for f in I.gens for e in f.terms), default=0)
+    pk = _packing(ring.n, _field_bits(bound))
+    packed = [pk.pack_dict(g.terms) for g in images]
+    one = {0: F.one}
     out = []
     for f in I.gens:
         acc = {}
         for e, c in f.terms.items():
-            factors = [images[i] for i, k in enumerate(e) for _ in range(k)]
-            head = ring.constant(c)
+            factors = [packed[i] for i, k in enumerate(e) for _ in range(k)] or [one]
+            head = {0: c}
             for g in factors[:-1]:
-                head = head * g
-            for el, cl in (factors[-1] if factors else ring.one()).terms.items():
-                _add_mul(acc, cl, el, head.terms, ring.field)
-        out.append(Polynomial(ring, acc))
+                head = _times(head, g, F, pk.guard)
+            for el, cl in factors[-1].items():
+                _add_mul(acc, cl, el, head, F, pk.guard)
+        out.append(Polynomial(ring, pk.unpack_dict(acc)))
     return Ideal(ring, out)

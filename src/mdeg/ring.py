@@ -5,9 +5,30 @@ A GradedRing fixes variable names, an N^p degree vector for each variable
 Polynomials are immutable dicts mapping exponent tuples to nonzero field
 elements; the canonical storage order used for printing is plain lex on
 exponent vectors, independent of any monomial order.
+
+Arithmetic runs on packed exponents (Monagan-Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  A
+_Packing stores an exponent vector as one int: each variable has a field
+of B bits (8, 16, 32, ...) whose top bit is a guard, clear in every valid
+exponent.  A monomial product is one int add, and a | b is
+`not (b - a) & GUARD`, since a field with a_i > b_i borrows into its own
+guard.  Packed for a monomial order, the fields above the variables hold
+the total degree (grevlex only) and then the weight rows, first row
+highest, as signed fields wide enough for any valid exponent, so the
+order's sort key is one int: P ^ LOW for grevlex, where x_n sits in the
+top variable field and LOW masks the variable fields, and P itself for
+lex, where x_1 sits in the top variable field.  _add_mul, the one loop
+that combines two term dicts, raises _Overflow when a new exponent has a
+guard bit set; its caller widens B and reruns, so results stay exact for
+any exponent size.  Polynomial +, - and * pack at their boundary, with
+fields wide enough for the result.
 """
 
+import struct
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
+from operator import mul
 
 from .errors import (
     DuplicateVariableName,
@@ -130,40 +151,154 @@ def _monomial_str(ring, exps):
     return "*".join(parts) if parts else "1"
 
 
-def _add_mul(acc, c, shift, g, field, skip=None):
+# struct codes of the field widths packed and unpacked in C
+_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+class _Overflow(Exception):
+    """A new packed exponent set a guard bit: widen the fields and rerun."""
+
+
+def _field_bits(m):
+    """Bits per variable field, 8 doubled as often as needed for the
+    value bits below the guard to hold the exponent m."""
+    bits = 8
+    while m >> (bits - 1):
+        bits *= 2
+    return bits
+
+
+def _max_exponent(dicts):
+    """Largest exponent in the exponent tuples of some term dicts."""
+    return max(chain.from_iterable(chain.from_iterable(dicts)), default=0)
+
+
+class _Packing:
+    """Exponent tuples of n variables as ints, `bits` bits per variable
+    field, laid out for grevlex or lex refined from the weight `rows` (see
+    the module docstring); lex with no rows is the plain layout of
+    Polynomial arithmetic.
+
+    `guard` holds the guard bits, `vmask` the variable fields and `flip`
+    what a packed exponent is XORed with to give its order key.
+    """
+
+    def __init__(self, n, bits, rows=(), grevlex=False):
+        top = (1 << (bits - 1)) - 1  # the largest exponent a field holds
+        nv = n * bits
+        self.bits = bits
+        self.vmask = (1 << nv) - 1
+        self.guard = self.vmask // ((1 << bits) - 1) << (bits - 1)
+        self.flip = self.vmask if grevlex else 0
+        # fields above the variables, lowest first: (row, shift), where
+        # row None is the total degree; a field's width covers the values
+        # of the row on every valid exponent
+        self._high = []
+        shift = nv
+        for row in ([None] if grevlex else []) + list(reversed(rows)):
+            self._high.append((row, shift))
+            shift += (top * (n if row is None else sum(map(abs, row)))).bit_length()
+        fmt = _FORMATS.get(bits)
+        endian = "little" if grevlex else "big"
+        if fmt:
+            st = struct.Struct(("<" if grevlex else ">") + fmt * n)
+            nbytes = nv // 8
+            self._join = lambda e: int.from_bytes(st.pack(*e), endian)
+            self._split = lambda v: st.unpack(v.to_bytes(nbytes, endian))
+        else:
+            shifts = [k * bits for k in range(n)]
+            if not grevlex:
+                shifts.reverse()
+            fmask = (1 << bits) - 1
+            self._join = lambda e: sum(x << s for x, s in zip(e, shifts))
+            self._split = lambda v: tuple(v >> s & fmask for s in shifts)
+
+    def pack(self, e):
+        p = self._join(e)
+        for row, shift in self._high:
+            p += (sum(e) if row is None else sum(map(mul, row, e))) << shift
+        return p
+
+    def unpack(self, p):
+        return self._split(p & self.vmask)
+
+    def pack_dict(self, d):
+        pack = self.pack
+        return {pack(e): c for e, c in d.items()}
+
+    def unpack_dict(self, d):
+        unpack = self.unpack
+        return {unpack(e): c for e, c in d.items()}
+
+    def lcm(self, a, b):
+        """lcm of two packed exponents: a plus the fieldwise excess of b."""
+        d = ((b & self.vmask) | self.guard) - (a & self.vmask)
+        g = d & self.guard  # the guards of the fields where b_i >= a_i
+        x = d & (g - (g >> (self.bits - 1)))
+        if x and self._high:
+            x = self.pack(self._split(x))
+        return a + x
+
+
+@lru_cache(maxsize=128)
+def _packing(n, bits, rows=(), grevlex=False):
+    """The _Packing for these arguments, made once: Polynomial arithmetic
+    asks for one on every operation."""
+    return _Packing(n, bits, rows, grevlex)
+
+
+def _add_mul(acc, c, shift, g, field, guard, skip=None):
     """acc += c * x^shift * g in place, leaving out g's term at `skip`.
 
     The one loop that combines two term dicts (Polynomial arithmetic,
-    substitution, Buchberger).  c must be nonzero, so no new term is zero;
-    returns the exponents that were new to acc.
+    substitution, Buchberger), on packed exponents with guard bits
+    `guard`; raises _Overflow on a new exponent that sets one.  c must be
+    nonzero, so no new term is zero; returns the exponents that were new
+    to acc.
     """
     new = []
+    fmul, fadd, eq, zero = field.mul, field.add, field.eq, field.zero
     for eg, cg in g.items():
         if eg == skip:
             continue
-        e = tuple(x + y for x, y in zip(eg, shift))
+        e = eg + shift
         prev = acc.get(e)
-        delta = field.mul(c, cg)
         if prev is None:
-            acc[e] = delta
+            if e & guard:
+                raise _Overflow
+            acc[e] = fmul(c, cg)
             new.append(e)
         else:
-            nv = field.add(prev, delta)
-            if field.eq(nv, field.zero):
+            nv = fadd(prev, fmul(c, cg))
+            if eq(nv, zero):
                 del acc[e]
             else:
                 acc[e] = nv
     return new
 
 
+def _times(f, g, field, guard):
+    """The product of two packed term dicts: one _add_mul per term of the
+    smaller."""
+    small, big = sorted((f, g), key=len)
+    out = {}
+    for e, c in small.items():
+        _add_mul(out, c, e, big, field, guard)
+    return out
+
+
 class Polynomial:
-    """Immutable exact polynomial over a GradedRing."""
+    """Immutable exact polynomial over a GradedRing.
+
+    `terms` maps exponent tuples to nonzero coefficients; the polynomial
+    keeps the dict it is given, so the caller must not change it after.
+    """
 
     __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if not ring.field.eq(c, ring.field.zero)}
+        self.terms = terms
         self._hash = None
 
     def is_zero(self):
@@ -178,9 +313,11 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        _add_mul(out, self.ring.field.one, (0,) * self.ring.n, other.terms, self.ring.field)
-        return Polynomial(self.ring, out)
+        F = self.ring.field
+        pk = _packing(self.ring.n, _field_bits(_max_exponent((self.terms, other.terms))))
+        out = pk.pack_dict(self.terms)
+        _add_mul(out, F.one, 0, pk.pack_dict(other.terms), F, pk.guard)
+        return Polynomial(self.ring, pk.unpack_dict(out))
 
     def __neg__(self):
         return self.scale(-1)
@@ -190,21 +327,27 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
-        small, big = sorted((self.terms, other.terms), key=len)
-        out = {}
-        for e, c in small.items():
-            _add_mul(out, c, e, big, self.ring.field)
-        return Polynomial(self.ring, out)
+        F = self.ring.field
+        # fields that hold twice the largest exponent hold every product
+        pk = _packing(self.ring.n, _field_bits(2 * _max_exponent((self.terms, other.terms))))
+        out = _times(pk.pack_dict(self.terms), pk.pack_dict(other.terms), F, pk.guard)
+        return Polynomial(self.ring, pk.unpack_dict(out))
 
     def __pow__(self, k):
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
+        out, base = self.ring.one(), self
+        while k > 0:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k > 0:
+                base = base * base
         return out
 
     def scale(self, c):
         F = self.ring.field
         c = F.coerce(c)
+        if F.eq(c, F.zero):
+            return self.ring.zero()
         return Polynomial(self.ring, {e: F.mul(c, v) for e, v in self.terms.items()})
 
     def __eq__(self, other):

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -201,6 +203,34 @@ def test_cs_check_takes_no_order(capsys):
         main(["cs-check", RMK59, "--ideal", "J", "--order", "lex"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --order lex" in capsys.readouterr().err
+
+
+def test_parser_reused_after_a_usage_error_answers_as_a_fresh_process(capsys):
+    """main builds its parser once per process; a usage error (SystemExit)
+    leaves it answering as in a fresh interpreter, errors included."""
+    bad = ["cs-check", RMK59, "--ideal", "J", "--order", "lex"]
+    good = ["gin", RMK59, "--ideal", "J", "--json", "--trials", "1"]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src"))
+    env.pop("MDEG_SEED", None)
+
+    def fresh(argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "mdeg.cli", *argv], capture_output=True, text=True, env=env
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def here(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    with mock.patch.dict(os.environ, env, clear=True):
+        assert here(bad) == fresh(bad)
+        assert here(good) == fresh(good)
+        assert here(bad) == fresh(bad)
 
 
 def test_python_value_error_is_a_computation_error(small, capsys, monkeypatch):

@@ -1,5 +1,4 @@
 import functools
-import heapq
 import random
 
 import pytest
@@ -26,10 +25,6 @@ from mdeg.fields import GF32003, QQ
 from mdeg.genin import random_block_change
 from mdeg.groebner import (
     Ideal,
-    _coprime,
-    _lcm,
-    _leading,
-    _make_monic,
     as_ideal,
     buchberger,
     colon,
@@ -43,8 +38,17 @@ from mdeg.groebner import (
 )
 from mdeg.hilbert import HilbertHint
 from mdeg.monomial import MonomialIdeal
-from mdeg.orders import elimination_order, grevlex, lex, weight_order
-from mdeg.ring import make_ring
+from mdeg.orders import (
+    MonomialOrder,
+    elimination_order,
+    grevlex,
+    lex,
+    lift_order_phi,
+    weight_order,
+)
+from mdeg.ring import _field_bits, make_ring
+from mdeg.standardize import standardize
+import tuple_kernel
 
 
 def twisted_cubic():
@@ -261,9 +265,18 @@ def test_prime_field_gb():
 # Hilbert-driven initial ideals: the full reduced basis is the oracle.
 
 
-def _three_orders(rng, ring):
+def _orders(rng, ring):
+    """grevlex, lex, a random weight order, a weight order whose second
+    row has negative entries, and grevlex lifted along the (identity)
+    standardization of a standard ring: lex refined from the rows of
+    grevlex, negative entries included."""
     weights = [tuple(rng.randrange(1, 9) for _ in range(ring.n))]
-    return [grevlex(ring), lex(ring), weight_order(ring, weights)]
+    signed = weights + [tuple(rng.randrange(-4, 5) for _ in range(ring.n))]
+    orders = [grevlex(ring), lex(ring), weight_order(ring, weights)]
+    orders.append(weight_order(ring, signed))
+    if ring.is_standard:
+        orders.append(lift_order_phi(grevlex(ring), standardize(ring)))
+    return orders
 
 
 def _assert_hinted_matches_full_basis(rng, I, seed):
@@ -273,7 +286,7 @@ def _assert_hinted_matches_full_basis(rng, I, seed):
     hint = HilbertHint(I)
     moved = substituted_ideal(I, random_block_change(R, seed))
     for J in (I, moved):
-        for order in _three_orders(rng, R):
+        for order in _orders(rng, R):
             assert J.initial_ideal(order, hilbert=hint) == J.initial_ideal(order)
 
 
@@ -314,148 +327,25 @@ def test_hint_of_another_hilbert_function_raises_unstable():
 
 
 # ---------------------------------------------------------------------------
-# The Buchberger loop as it was before each pair's lcm and order key were
-# stored with the pair and before one kernel did every subtraction of a
-# term-dict multiple: a set of pairs whose lcms are recomputed at every
-# selection, with the subtraction loops written out.  It is the oracle of
-# buchberger.
+# The Buchberger loop on exponent tuples, from before exponents were packed
+# (tests/tuple_kernel.py), is the oracle of buchberger: the same basis,
+# element for element and in order, with every element's leading term
+# listed first.
 
 
-def _reduce_dict_reference(f, lt_exps, polys, order, field):
-    key = order.key
-    work = dict(f)
-    heap = [(tuple(-x for x in key(e)), e) for e in work]
-    heapq.heapify(heap)
-    out = {}
-    while heap:
-        _, e = heapq.heappop(heap)
-        c = work.pop(e, None)
-        if c is None:
-            continue
-        red = next(
-            (i for i, lt in enumerate(lt_exps) if all(a <= b for a, b in zip(lt, e))),
-            -1,
-        )
-        if red < 0:
-            out[e] = c
-            continue
-        lt = lt_exps[red]
-        shift = tuple(b - a for a, b in zip(lt, e))
-        for eg, cg in polys[red].items():
-            if eg == lt:
-                continue
-            e2 = tuple(x + y for x, y in zip(eg, shift))
-            prev = work.get(e2)
-            delta = field.mul(c, cg)
-            if prev is None:
-                nv = field.neg(delta)
-                if not field.eq(nv, field.zero):
-                    work[e2] = nv
-                    heapq.heappush(heap, (tuple(-x for x in key(e2)), e2))
-            else:
-                nv = field.sub(prev, delta)
-                if field.eq(nv, field.zero):
-                    del work[e2]
-                else:
-                    work[e2] = nv
-    return out
-
-
-def _update_pairs_reference(pairs, lts, new_index):
-    t = lts[new_index]
-    fresh = {i: _lcm(lts[i], t) for i in range(new_index)}
-    kept = set()
-    for i, j in pairs:
-        lij = _lcm(lts[i], lts[j])
-        if (
-            all(a <= b for a, b in zip(t, lij))
-            and lij != fresh[i]
-            and lij != fresh[j]
-        ):
-            continue
-        kept.add((i, j))
-    items = sorted(fresh.items(), key=lambda kv: (sum(kv[1]), kv[1]))
-    chosen = []
-    for i, l in items:
-        if any(all(a <= b for a, b in zip(l2, l)) and l2 != l for _, l2 in chosen):
-            continue
-        if any(l2 == l for _, l2 in chosen):
-            continue
-        chosen.append((i, l))
-    for i, l in chosen:
-        if not _coprime(lts[i], t):
-            kept.add((i, new_index))
-    pairs.clear()
-    pairs.update(kept)
-
-
-def _buchberger_reference(gen_dicts, order, field):
-    key = order.key
-    lts, polys = [], []
-    pairs = set()
-
-    def add(d):
-        r = _reduce_dict_reference(d, lts, polys, order, field)
-        if r:
-            lt, monic = _make_monic(r, order, field)
-            lts.append(lt)
-            polys.append(monic)
-            _update_pairs_reference(pairs, lts, len(lts) - 1)
-
-    for d in sorted((d for d in gen_dicts if d), key=lambda d: key(_leading(d, order))):
-        add(d)
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda ij: (
-                sum(_lcm(lts[ij[0]], lts[ij[1]])),
-                key(_lcm(lts[ij[0]], lts[ij[1]])),
-            ),
-        )
-        pairs.discard((i, j))
-        l = _lcm(lts[i], lts[j])
-        si = tuple(a - b for a, b in zip(l, lts[i]))
-        sj = tuple(a - b for a, b in zip(l, lts[j]))
-        s = {}
-        for e, c in polys[i].items():
-            s[tuple(a + b for a, b in zip(e, si))] = c
-        for e, c in polys[j].items():
-            e2 = tuple(a + b for a, b in zip(e, sj))
-            prev = s.get(e2)
-            if prev is None:
-                s[e2] = field.neg(c)
-            else:
-                nv = field.sub(prev, c)
-                if field.eq(nv, field.zero):
-                    del s[e2]
-                else:
-                    s[e2] = nv
-        add(s)
-    keep = [
-        i
-        for i, lt in enumerate(lts)
-        if not any(
-            j != i and all(a <= b for a, b in zip(lts[j], lt)) and (lts[j] != lt or j < i)
-            for j in range(len(lts))
-        )
-    ]
-    out = []
-    for i in keep:
-        others = [j for j in keep if j != i]
-        r = _reduce_dict_reference(
-            polys[i], [lts[j] for j in others], [polys[j] for j in others], order, field
-        )
-        out.append(_make_monic(r, order, field)[1])
-    out.sort(key=lambda d: key(_leading(d, order)))
-    return out
+def _assert_matches_tuple_loop(gens, order, field, hint=None, hint_again=None):
+    got = buchberger(gens, order, field, hint)
+    assert got == tuple_kernel.buchberger(gens, order, field, hint_again)
+    for d in got:
+        assert next(iter(d)) == tuple_kernel.leading(d, order)
+    return got
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([QQ, GF32003]), st.booleans())
 def test_buchberger_matches_reference(seed, field, empty_block):
-    """The same reduced basis, element for element and in order, under
-    grevlex, lex, a random weight order and a random elimination order, and
-    for the non-homogeneous input of a saturation."""
+    """Unhinted, under every order of _orders and a random elimination
+    order, and for the non-homogeneous input of a saturation."""
     rng = random.Random(seed)
     R = random_standard_ring(rng, max_vars=5, field=field)
     if empty_block:
@@ -463,18 +353,61 @@ def test_buchberger_matches_reference(seed, field, empty_block):
     I = random_ideal(rng, R, max_degree=3, max_gens=4)
     gens = [f.terms for f in I.gens]
     drop = rng.sample(range(R.n), rng.randint(0, R.n))
-    for order in _three_orders(rng, R) + [elimination_order(R.n, drop)]:
-        assert buchberger(gens, order, field) == _buchberger_reference(gens, order, field)
+    for order in _orders(rng, R) + [elimination_order(R.n, drop)]:
+        _assert_matches_tuple_loop(gens, order, field)
     f = random_form(rng, R, 1)
     aux = {(1,) + e: field.neg(c) for e, c in f.terms.items()}
     aux[(0,) * (R.n + 1)] = field.one
     raw = [{(0,) + e: c for e, c in g.items()} for g in gens] + [aux]
-    order = elimination_order(R.n + 1, [0])
-    assert buchberger(raw, order, field) == _buchberger_reference(raw, order, field)
+    _assert_matches_tuple_loop(raw, elimination_order(R.n + 1, [0]), field)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_hilbert_driven_buchberger_matches_reference(seed, empty_block):
+    """Hinted, on I and on g(I) over GF(32003), under every order of
+    _orders: the same unreduced basis in the same order."""
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=5, field=GF32003)
+    if empty_block:
+        R = add_empty_block(rng, R)
+    I = random_ideal(rng, R, max_degree=3, max_gens=4)
+    moved = substituted_ideal(I, random_block_change(R, seed))
+    for J in (I, moved):
+        gens = [f.terms for f in J.gens]
+        for order in _orders(rng, R):
+            _assert_matches_tuple_loop(gens, order, GF32003, HilbertHint(I), HilbertHint(I))
 
 
 def test_buchberger_matches_reference_on_the_threefold():
     R = three_block_ring()
     gens = [f.terms for f in surface_prime(R).gens]
     for order in (grevlex(R), elimination_order(R.n, range(4))):
-        assert buchberger(gens, order, QQ) == _buchberger_reference(gens, order, QQ)
+        _assert_matches_tuple_loop(gens, order, QQ)
+
+
+# Generators over QQ in k[x, y, z], with orders on three variables, and
+# whether the basis outgrows the fields that hold the input's exponents:
+# x^100*y - 1, x*y^100 - 1 near the top of 8-bit fields, and exponents of
+# 2^17 in 32-bit fields, where x - y^a, y - z^a gives z^(a^2) under lex.
+_A = 1 << 17
+_NEAR = [{(100, 1, 0): QQ.one, (0, 0, 0): -QQ.one}, {(1, 100, 0): QQ.one, (0, 0, 0): -QQ.one}]
+_POWER = [{(_A, 1, 0): QQ.one, (0, 0, _A + 1): -QQ.one}, {(0, 1, 0): QQ.one, (0, 0, 1): -QQ.one}]
+_CHAIN = [{(1, 0, 0): QQ.one, (0, _A, 0): -QQ.one}, {(0, 1, 0): QQ.one, (0, 0, _A): -QQ.one}]
+_GREVLEX3, _LEX3 = MonomialOrder(3), MonomialOrder(3, (), "lex")
+WIDENING = {
+    "near-grevlex": (_NEAR, _GREVLEX3, True),
+    "near-lex": (_NEAR, _LEX3, True),
+    "near-elim-x": (_NEAR, elimination_order(3, [0]), True),
+    "power-grevlex": (_POWER, _GREVLEX3, False),
+    "chain-lex": (_CHAIN, _LEX3, True),
+    "chain-elim-y": (_CHAIN, elimination_order(3, [1]), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDENING))
+def test_exponents_past_the_field_width_widen_and_match_reference(name):
+    gens, order, widens = WIDENING[name]
+    got = _assert_matches_tuple_loop(gens, order, QQ)
+    top = (1 << _field_bits(max(x for d in gens for e in d for x in e)) - 1) - 1
+    assert (max(x for d in got for e in d for x in e) > top) == widens

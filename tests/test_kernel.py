@@ -1,13 +1,17 @@
-"""Differential tests of the term kernel ring._add_mul.
+"""Differential tests of the packed term kernel ring._add_mul and of the
+exponent packing it runs on.
 
 Polynomial +, -, * and unary minus and groebner.substituted_ideal all go
 through the kernel.  The loops they were written with before are kept
 here as references and compared with them over QQ and GF(32003): on sums
 that cancel to zero, on zero, constant and very unequal operands, and on
 random block changes of coordinates, with blocks of one variable and on
-standardized rings.
+standardized rings.  The kernel itself is compared with the tuple kernel
+it replaced (tests/tuple_kernel.py), and the packing with the tuple order
+keys, divisibility and lcm it stands for.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,8 +23,17 @@ from mdeg.determinantal import build_determinantal
 from mdeg.fields import GF32003, QQ
 from mdeg.genin import random_block_change
 from mdeg.groebner import Ideal, substituted_ideal
-from mdeg.ring import Polynomial, _add_mul, make_ring
-from mdeg.standardize import standardize_ideal
+from mdeg.orders import MonomialOrder, lift_order_phi
+from mdeg.ring import (
+    Polynomial,
+    _add_mul,
+    _field_bits,
+    _Overflow,
+    _packing,
+    make_ring,
+)
+from mdeg.standardize import standardize, standardize_ideal
+import tuple_kernel
 
 
 def ref_add(f, g):
@@ -90,10 +103,18 @@ coefficients = st.one_of(
 )
 
 
+def nonzero_terms(ring, terms):
+    """The terms, coerced into the ring's field, without those that vanish
+    there (a Polynomial is given nonzero coefficients only)."""
+    F = ring.field
+    coerced = {e: F.coerce(c) for e, c in terms.items()}
+    return {e: c for e, c in coerced.items() if not F.eq(c, F.zero)}
+
+
 @st.composite
 def polynomials(draw, ring, max_terms=8):
     terms = draw(st.dictionaries(exponents, coefficients, max_size=max_terms))
-    return Polynomial(ring, {e: ring.field.coerce(c) for e, c in terms.items()})
+    return Polynomial(ring, nonzero_terms(ring, terms))
 
 
 @st.composite
@@ -150,23 +171,99 @@ def test_sums_and_products_cancel_to_zero(name):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(RINGS)), st.data())
 def test_kernel_skips_and_reports_new_exponents(name, data):
+    """The packed kernel against the tuple kernel on the same dicts: the
+    same sum, the same new exponents, `skip` honoured."""
     ring = RINGS[name]
     F = ring.field
     acc = dict(data.draw(polynomials(ring)).terms)
-    g = data.draw(polynomials(ring))
+    g = data.draw(polynomials(ring)).terms
     c = F.coerce(data.draw(coefficients.filter(bool)))
     shift = data.draw(exponents)
     skip = None
-    if g.terms and data.draw(st.booleans()):
-        skip = data.draw(st.sampled_from(sorted(g.terms)))
-    before = dict(acc)
-    new = _add_mul(acc, c, shift, g.terms, F, skip=skip)
-    kept = Polynomial(ring, {e: v for e, v in g.terms.items() if e != skip})
-    expect = ref_add(
-        Polynomial(ring, before), ref_mul(ring.monomial(shift, 1).scale(c), kept)
+    if g and data.draw(st.booleans()):
+        skip = data.draw(st.sampled_from(sorted(g)))
+    pk = _packing(ring.n, 8)
+    packed = pk.pack_dict(acc)
+    new = _add_mul(
+        packed, c, pk.pack(shift), pk.pack_dict(g), F, pk.guard,
+        None if skip is None else pk.pack(skip),
     )
-    assert acc == expect.terms
-    assert sorted(new) == sorted(e for e in acc if e not in before)
+    want_new = tuple_kernel.add_mul(acc, c, shift, g, F, skip=skip)
+    assert pk.unpack_dict(packed) == acc
+    assert sorted(map(pk.unpack, new)) == sorted(want_new)
+
+
+@pytest.mark.parametrize("bits", [8, 16, 128])
+def test_kernel_raises_overflow_on_a_new_exponent_past_the_guard(bits):
+    top = (1 << (bits - 1)) - 1
+    pk = _packing(3, bits)
+    g = pk.pack_dict({(top, 0, 1): QQ.one, (0, 2, 0): QQ.one})
+    acc = {}
+    _add_mul(acc, QQ.one, pk.pack((0, top - 2, 1)), g, QQ, pk.guard)
+    assert pk.unpack_dict(acc) == {(top, top - 2, 2): 1, (0, top, 1): 1}
+    with pytest.raises(_Overflow):
+        _add_mul(acc, QQ.one, pk.pack((0, top - 1, 0)), g, QQ, pk.guard)
+    # a sum that lands on an existing exponent is not new and cannot overflow
+    acc = {pk.pack((top, 0, 1)): QQ.one}
+    assert _add_mul(acc, QQ.one, 0, g, QQ, pk.guard) == [pk.pack((0, 2, 0))]
+
+
+def _layouts(n, rows):
+    """(MonomialOrder, grevlex?) for grevlex and lex, with and without the
+    weight rows."""
+    return [
+        (MonomialOrder(n, r, t), t == "grevlex")
+        for r in ((), rows)
+        for t in ("grevlex", "lex")
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(*[st.integers(0, 40)] * n), min_size=2, max_size=6),
+            st.lists(st.tuples(*[st.integers(-9, 9)] * n), max_size=2),
+        )
+    ),
+    st.sampled_from([8, 16, 72]),
+)
+def test_packed_keys_divisibility_and_lcm_match_tuples(data, bits):
+    """Order keys compare as MonomialOrder.key does, also with negative
+    weights, and divisibility and lcm agree with the exponent tuples; the
+    fields are wide enough for the lcms (exponents up to 40 < 2^7)."""
+    n, monos, rows = data
+    rows = [tuple(n * [1])] + rows  # a positive first row keeps a well-order
+    for order, is_grevlex in _layouts(n, rows):
+        pk = _packing(n, bits, order.weight_rows, is_grevlex)
+        for a in monos:
+            assert pk.unpack(pk.pack(a)) == a
+            for b in monos:
+                pa, pb = pk.pack(a), pk.pack(b)
+                assert ((pa ^ pk.flip) < (pb ^ pk.flip)) == (order.key(a) < order.key(b))
+                divides = all(x <= y for x, y in zip(a, b))
+                assert (not (pb - pa) & pk.guard) == divides
+                assert pk.lcm(pa, pb) == pk.pack(tuple_kernel.lcm(a, b))
+                assert pa + pb == pk.pack(tuple(x + y for x, y in zip(a, b)))
+
+
+def test_lifted_grevlex_keys_match_tuples():
+    """lift_order_phi(grevlex) on a standardized ring: lex refined from
+    rows with negative entries."""
+    R = make_ring(["a", "b"], [(2,), (1,)])
+    std = standardize(R)
+    order = lift_order_phi(MonomialOrder(R.n), std)
+    pk = _packing(std.target.n, 8, order.weight_rows, False)
+    monos = list(itertools.product(range(3), repeat=std.target.n))
+    keys = sorted(monos, key=order.key)
+    assert sorted(monos, key=lambda e: pk.pack(e) ^ pk.flip) == keys
+
+
+def test_field_bits_doubles_from_eight():
+    assert [_field_bits(m) for m in (0, 127, 128, 32767, 32768, 1 << 63)] == [
+        8, 8, 16, 16, 32, 128,
+    ]
 
 
 def _block_ring(sizes, field):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mdeg.errors import (
     DuplicateVariableName,
@@ -11,7 +11,10 @@ from mdeg.errors import (
     ZeroPolynomial,
 )
 from mdeg.fields import GF32003, PrimeField, QQ
-from mdeg.ring import is_homogeneous, make_ring, multidegree_of
+from mdeg.groebner import Ideal, substituted_ideal
+from mdeg.inputlang import parse_input
+from mdeg.ring import Polynomial, is_homogeneous, make_ring, multidegree_of
+from mdeg.standardize import standardize
 
 
 def test_ring_construction_and_blocks():
@@ -104,3 +107,62 @@ def test_str_roundtrip_shapes():
     x, y = R.gens()
     s = str(x * x - y)
     assert "x^2" in s and "y" in s
+
+
+# Polynomial keeps the term dict it is given, so every public route that
+# can cancel or scale a coefficient to zero has to drop it itself.
+FIELDS = [QQ, PrimeField(7)]
+small_ints = st.integers(-8, 8)
+exponent_tuples = st.tuples(*[st.integers(0, 2)] * 3)
+
+
+def _no_zero_coefficient(*polys):
+    for f in polys:
+        F = f.ring.field
+        assert not any(F.eq(c, F.zero) for c in f.terms.values()), f.terms
+
+
+@st.composite
+def texts(draw):
+    """Polynomial text whose coefficients often vanish mod 7 or cancel."""
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        c = draw(st.sampled_from([0, 1, 2, 3, 7, 14, 5]))
+        mono = "*".join(
+            f"{v}^{k}" for v, k in zip("xyz", draw(exponent_tuples)) if k
+        )
+        terms.append(f"{c}*{mono}" if mono else str(c))
+        if draw(st.booleans()):
+            terms.append(f"- ({terms[-1]})")
+    body = " + ".join(terms).replace("+ -", "-")
+    if draw(st.booleans()):
+        body = f"({body})^{draw(st.integers(0, 3))}"
+    return body
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS), small_ints, exponent_tuples, small_ints, texts(), texts())
+def test_no_public_construction_leaves_a_zero_coefficient(F, c, e, k, text_f, text_g):
+    field_line = "field QQ" if F is QQ else "field Fp 7"
+    session = parse_input(
+        f"{field_line}\nvars x y z\ndeg x = (1)\ndeg y = (1)\ndeg z = (1)\n"
+        f"ideal I = [ {text_f}; {text_g} ]\n"
+    )
+    R = session.ring
+    f, g = (session.ideals["I"] + [R.zero(), R.zero()])[:2]
+    _no_zero_coefficient(f, g, R.constant(c), R.monomial(e, c))
+    _no_zero_coefficient(f.scale(k), f + g, f - g, f - f, f * g, -f, f ** 2)
+    _no_zero_coefficient(f + f.scale(-1), (f + g) * (f - g) - f * f + g * g)
+    x, y, z = R.gens()
+    parts = [  # the homogeneous parts of f and g, which the images keep homogeneous
+        Polynomial(R, {e: c for e, c in h.terms.items() if sum(e) == d})
+        for h in (f, g)
+        for d in {sum(e) for e in h.terms}
+    ]
+    images = [y - x, x.scale(k), z + y.scale(c)]
+    _no_zero_coefficient(*substituted_ideal(Ideal(R, parts), images).gens)
+    I = Ideal(R, [f], check_homogeneous=False)
+    _no_zero_coefficient(*I.groebner_basis(), I.normal_form(g))
+    std = standardize(make_ring(["a", "b"], [(2,), (1,)], F))
+    a, b = std.source.gens()
+    _no_zero_coefficient(std.phi(a.scale(k) * b + b * b * b.scale(c)))
