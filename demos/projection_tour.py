@@ -56,10 +56,7 @@ def main():
 def _coerce(ring, f):
     from mdeg import Polynomial
 
-    F = ring.field
-    terms = {e: F.coerce(c) for e, c in f.terms.items()}
-    # a Polynomial takes nonzero coefficients only; drop those that vanish in F
-    return Polynomial(ring, {e: c for e, c in terms.items() if not F.eq(c, F.zero)})
+    return Polynomial(ring, {e: ring.field.coerce(c) for e, c in f.terms.items()})
 
 
 if __name__ == "__main__":

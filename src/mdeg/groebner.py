@@ -265,7 +265,7 @@ class Ideal:
             order = grevlex(self.ring)
         if order not in self._gb:
             dicts = buchberger([f.terms for f in self.gens], order, self.ring.field)
-            self._gb[order] = tuple(Polynomial(self.ring, d) for d in dicts)
+            self._gb[order] = tuple(Polynomial._of(self.ring, d) for d in dicts)
         return self._gb[order]
 
     def initial_ideal(self, order=None, hilbert=None):
@@ -287,7 +287,7 @@ class Ideal:
         if order is None:
             order = grevlex(self.ring)
         dicts = [f.terms] + [g.terms for g in self.groebner_basis(order)]
-        return Polynomial(self.ring, _packed(order, dicts, _normal_form, self.ring.field))
+        return Polynomial._of(self.ring, _packed(order, dicts, _normal_form, self.ring.field))
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
@@ -317,7 +317,7 @@ def _eliminate(ring, dicts, n, drop, check_homogeneous=True):
     """
     keep = [k for k in range(n) if k not in drop]
     gens = [
-        Polynomial(ring, {tuple(e[k] for k in keep): c for e, c in d.items()})
+        Polynomial._of(ring, {tuple(e[k] for k in keep): c for e, c in d.items()})
         for d in buchberger(dicts, elimination_order(n, drop), ring.field)
         if not any(e[k] for e in d for k in drop)
     ]
@@ -344,7 +344,7 @@ def _divide_exact(g, f):
     """Exact polynomial quotient g / f (remainder must vanish)."""
     ring = g.ring
     quo = _packed(grevlex(ring), [g.terms, f.terms], _quotient, ring.field)
-    return Polynomial(ring, quo)
+    return Polynomial._of(ring, quo)
 
 
 def _quotient(pk, dicts, F):
@@ -499,5 +499,5 @@ def substituted_ideal(I, images):
                 head = _times(head, g, F, pk.guard)
             for el, cl in factors[-1].items():
                 _add_mul(acc, cl, el, head, F, pk.guard)
-        out.append(Polynomial(ring, pk.unpack_dict(acc)))
+        out.append(Polynomial._of(ring, pk.unpack_dict(acc)))
     return Ideal(ring, out)

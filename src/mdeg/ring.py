@@ -24,11 +24,10 @@ any exponent size.  Polynomial +, - and * pack at their boundary, with
 fields wide enough for the result.
 """
 
-import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from operator import mul
+from operator import lshift, mul
 
 from .errors import (
     DuplicateVariableName,
@@ -151,10 +150,6 @@ def _monomial_str(ring, exps):
     return "*".join(parts) if parts else "1"
 
 
-# struct codes of the field widths packed and unpacked in C
-_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
-
-
 class _Overflow(Exception):
     """A new packed exponent set a guard bit: widen the fields and rerun."""
 
@@ -198,29 +193,19 @@ class _Packing:
         for row in ([None] if grevlex else []) + list(reversed(rows)):
             self._high.append((row, shift))
             shift += (top * (n if row is None else sum(map(abs, row)))).bit_length()
-        fmt = _FORMATS.get(bits)
-        endian = "little" if grevlex else "big"
-        if fmt:
-            st = struct.Struct(("<" if grevlex else ">") + fmt * n)
-            nbytes = nv // 8
-            self._join = lambda e: int.from_bytes(st.pack(*e), endian)
-            self._split = lambda v: st.unpack(v.to_bytes(nbytes, endian))
-        else:
-            shifts = [k * bits for k in range(n)]
-            if not grevlex:
-                shifts.reverse()
-            fmask = (1 << bits) - 1
-            self._join = lambda e: sum(x << s for x, s in zip(e, shifts))
-            self._split = lambda v: tuple(v >> s & fmask for s in shifts)
+        # the bit offset of each variable's field
+        self._shifts = [k * bits for k in (range(n) if grevlex else reversed(range(n)))]
+        self._fmask = (1 << bits) - 1
 
     def pack(self, e):
-        p = self._join(e)
+        p = sum(map(lshift, e, self._shifts))
         for row, shift in self._high:
             p += (sum(e) if row is None else sum(map(mul, row, e))) << shift
         return p
 
     def unpack(self, p):
-        return self._split(p & self.vmask)
+        fmask = self._fmask
+        return tuple([p >> s & fmask for s in self._shifts])
 
     def pack_dict(self, d):
         pack = self.pack
@@ -236,7 +221,7 @@ class _Packing:
         g = d & self.guard  # the guards of the fields where b_i >= a_i
         x = d & (g - (g >> (self.bits - 1)))
         if x and self._high:
-            x = self.pack(self._split(x))
+            x = self.pack(self.unpack(x))
         return a + x
 
 
@@ -288,18 +273,22 @@ def _times(f, g, field, guard):
 
 
 class Polynomial:
-    """Immutable exact polynomial over a GradedRing.
-
-    `terms` maps exponent tuples to nonzero coefficients; the polynomial
-    keeps the dict it is given, so the caller must not change it after.
-    """
+    """Immutable exact polynomial over a GradedRing."""
 
     __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = terms
+        self.terms = {e: c for e, c in terms.items() if not ring.field.eq(c, ring.field.zero)}
         self._hash = None
+
+    @classmethod
+    def _of(cls, ring, terms):
+        """The polynomial on `terms` as given, for kernel results, which
+        hold no zero coefficient; the caller must not change the dict."""
+        p = cls.__new__(cls)
+        p.ring, p.terms, p._hash = ring, terms, None
+        return p
 
     def is_zero(self):
         return not self.terms
@@ -317,7 +306,7 @@ class Polynomial:
         pk = _packing(self.ring.n, _field_bits(_max_exponent((self.terms, other.terms))))
         out = pk.pack_dict(self.terms)
         _add_mul(out, F.one, 0, pk.pack_dict(other.terms), F, pk.guard)
-        return Polynomial(self.ring, pk.unpack_dict(out))
+        return Polynomial._of(self.ring, pk.unpack_dict(out))
 
     def __neg__(self):
         return self.scale(-1)
@@ -331,23 +320,17 @@ class Polynomial:
         # fields that hold twice the largest exponent hold every product
         pk = _packing(self.ring.n, _field_bits(2 * _max_exponent((self.terms, other.terms))))
         out = _times(pk.pack_dict(self.terms), pk.pack_dict(other.terms), F, pk.guard)
-        return Polynomial(self.ring, pk.unpack_dict(out))
+        return Polynomial._of(self.ring, pk.unpack_dict(out))
 
     def __pow__(self, k):
-        out, base = self.ring.one(), self
-        while k > 0:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k > 0:
-                base = base * base
+        out = self.ring.one()
+        for _ in range(k):
+            out = out * self
         return out
 
     def scale(self, c):
         F = self.ring.field
         c = F.coerce(c)
-        if F.eq(c, F.zero):
-            return self.ring.zero()
         return Polynomial(self.ring, {e: F.mul(c, v) for e, v in self.terms.items()})
 
     def __eq__(self, other):

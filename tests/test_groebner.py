@@ -1,4 +1,5 @@
 import functools
+import heapq
 import random
 
 import pytest
@@ -327,15 +328,151 @@ def test_hint_of_another_hilbert_function_raises_unstable():
 
 
 # ---------------------------------------------------------------------------
-# The Buchberger loop on exponent tuples, from before exponents were packed
-# (tests/tuple_kernel.py), is the oracle of buchberger: the same basis,
-# element for element and in order, with every element's leading term
-# listed first.
+# Two oracles of buchberger.  The Buchberger loop on exponent tuples, from
+# before exponents were packed (tests/tuple_kernel.py), gives the same
+# basis element for element and in order, hinted or not, with every
+# element's leading term listed first.  The older loop below, from before
+# each pair's lcm and order key were stored with the pair and before one
+# kernel did every subtraction of a term-dict multiple (a set of pairs
+# whose lcms are recomputed at every selection, with the subtraction loops
+# written out), gives the same reduced basis.
 
 
-def _assert_matches_tuple_loop(gens, order, field, hint=None, hint_again=None):
+def _reduce_dict_reference(f, lt_exps, polys, order, field):
+    key = order.key
+    work = dict(f)
+    heap = [(tuple(-x for x in key(e)), e) for e in work]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        _, e = heapq.heappop(heap)
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        red = next(
+            (i for i, lt in enumerate(lt_exps) if all(a <= b for a, b in zip(lt, e))),
+            -1,
+        )
+        if red < 0:
+            out[e] = c
+            continue
+        lt = lt_exps[red]
+        shift = tuple(b - a for a, b in zip(lt, e))
+        for eg, cg in polys[red].items():
+            if eg == lt:
+                continue
+            e2 = tuple(x + y for x, y in zip(eg, shift))
+            prev = work.get(e2)
+            delta = field.mul(c, cg)
+            if prev is None:
+                nv = field.neg(delta)
+                if not field.eq(nv, field.zero):
+                    work[e2] = nv
+                    heapq.heappush(heap, (tuple(-x for x in key(e2)), e2))
+            else:
+                nv = field.sub(prev, delta)
+                if field.eq(nv, field.zero):
+                    del work[e2]
+                else:
+                    work[e2] = nv
+    return out
+
+
+def _update_pairs_reference(pairs, lts, new_index):
+    t = lts[new_index]
+    fresh = {i: tuple_kernel.lcm(lts[i], t) for i in range(new_index)}
+    kept = set()
+    for i, j in pairs:
+        lij = tuple_kernel.lcm(lts[i], lts[j])
+        if (
+            all(a <= b for a, b in zip(t, lij))
+            and lij != fresh[i]
+            and lij != fresh[j]
+        ):
+            continue
+        kept.add((i, j))
+    items = sorted(fresh.items(), key=lambda kv: (sum(kv[1]), kv[1]))
+    chosen = []
+    for i, l in items:
+        if any(all(a <= b for a, b in zip(l2, l)) and l2 != l for _, l2 in chosen):
+            continue
+        if any(l2 == l for _, l2 in chosen):
+            continue
+        chosen.append((i, l))
+    for i, l in chosen:
+        if not tuple_kernel.coprime(lts[i], t):
+            kept.add((i, new_index))
+    pairs.clear()
+    pairs.update(kept)
+
+
+def _buchberger_reference(gen_dicts, order, field):
+    key = order.key
+    lts, polys = [], []
+    pairs = set()
+
+    def add(d):
+        r = _reduce_dict_reference(d, lts, polys, order, field)
+        if r:
+            lt, monic = tuple_kernel.make_monic(r, order, field)
+            lts.append(lt)
+            polys.append(monic)
+            _update_pairs_reference(pairs, lts, len(lts) - 1)
+
+    gens = [d for d in gen_dicts if d]
+    for d in sorted(gens, key=lambda d: key(tuple_kernel.leading(d, order))):
+        add(d)
+    while pairs:
+        i, j = min(
+            pairs,
+            key=lambda ij: (
+                sum(tuple_kernel.lcm(lts[ij[0]], lts[ij[1]])),
+                key(tuple_kernel.lcm(lts[ij[0]], lts[ij[1]])),
+            ),
+        )
+        pairs.discard((i, j))
+        l = tuple_kernel.lcm(lts[i], lts[j])
+        si = tuple(a - b for a, b in zip(l, lts[i]))
+        sj = tuple(a - b for a, b in zip(l, lts[j]))
+        s = {}
+        for e, c in polys[i].items():
+            s[tuple(a + b for a, b in zip(e, si))] = c
+        for e, c in polys[j].items():
+            e2 = tuple(a + b for a, b in zip(e, sj))
+            prev = s.get(e2)
+            if prev is None:
+                s[e2] = field.neg(c)
+            else:
+                nv = field.sub(prev, c)
+                if field.eq(nv, field.zero):
+                    del s[e2]
+                else:
+                    s[e2] = nv
+        add(s)
+    keep = [
+        i
+        for i, lt in enumerate(lts)
+        if not any(
+            j != i and all(a <= b for a, b in zip(lts[j], lt)) and (lts[j] != lt or j < i)
+            for j in range(len(lts))
+        )
+    ]
+    out = []
+    for i in keep:
+        others = [j for j in keep if j != i]
+        r = _reduce_dict_reference(
+            polys[i], [lts[j] for j in others], [polys[j] for j in others], order, field
+        )
+        out.append(tuple_kernel.make_monic(r, order, field)[1])
+    out.sort(key=lambda d: key(tuple_kernel.leading(d, order)))
+    return out
+
+
+def _assert_matches_oracles(gens, order, field, hint=None, hint_again=None):
     got = buchberger(gens, order, field, hint)
     assert got == tuple_kernel.buchberger(gens, order, field, hint_again)
+    if hint is None:
+        assert got == _buchberger_reference(gens, order, field)
     for d in got:
         assert next(iter(d)) == tuple_kernel.leading(d, order)
     return got
@@ -354,12 +491,12 @@ def test_buchberger_matches_reference(seed, field, empty_block):
     gens = [f.terms for f in I.gens]
     drop = rng.sample(range(R.n), rng.randint(0, R.n))
     for order in _orders(rng, R) + [elimination_order(R.n, drop)]:
-        _assert_matches_tuple_loop(gens, order, field)
+        _assert_matches_oracles(gens, order, field)
     f = random_form(rng, R, 1)
     aux = {(1,) + e: field.neg(c) for e, c in f.terms.items()}
     aux[(0,) * (R.n + 1)] = field.one
     raw = [{(0,) + e: c for e, c in g.items()} for g in gens] + [aux]
-    _assert_matches_tuple_loop(raw, elimination_order(R.n + 1, [0]), field)
+    _assert_matches_oracles(raw, elimination_order(R.n + 1, [0]), field)
 
 
 @settings(max_examples=30, deadline=None)
@@ -376,14 +513,14 @@ def test_hilbert_driven_buchberger_matches_reference(seed, empty_block):
     for J in (I, moved):
         gens = [f.terms for f in J.gens]
         for order in _orders(rng, R):
-            _assert_matches_tuple_loop(gens, order, GF32003, HilbertHint(I), HilbertHint(I))
+            _assert_matches_oracles(gens, order, GF32003, HilbertHint(I), HilbertHint(I))
 
 
 def test_buchberger_matches_reference_on_the_threefold():
     R = three_block_ring()
     gens = [f.terms for f in surface_prime(R).gens]
     for order in (grevlex(R), elimination_order(R.n, range(4))):
-        _assert_matches_tuple_loop(gens, order, QQ)
+        _assert_matches_oracles(gens, order, QQ)
 
 
 # Generators over QQ in k[x, y, z], with orders on three variables, and
@@ -408,6 +545,6 @@ WIDENING = {
 @pytest.mark.parametrize("name", sorted(WIDENING))
 def test_exponents_past_the_field_width_widen_and_match_reference(name):
     gens, order, widens = WIDENING[name]
-    got = _assert_matches_tuple_loop(gens, order, QQ)
+    got = _assert_matches_oracles(gens, order, QQ)
     top = (1 << _field_bits(max(x for d in gens for e in d for x in e)) - 1) - 1
     assert (max(x for d in got for e in d for x in e) > top) == widens

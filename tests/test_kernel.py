@@ -103,18 +103,10 @@ coefficients = st.one_of(
 )
 
 
-def nonzero_terms(ring, terms):
-    """The terms, coerced into the ring's field, without those that vanish
-    there (a Polynomial is given nonzero coefficients only)."""
-    F = ring.field
-    coerced = {e: F.coerce(c) for e, c in terms.items()}
-    return {e: c for e, c in coerced.items() if not F.eq(c, F.zero)}
-
-
 @st.composite
 def polynomials(draw, ring, max_terms=8):
     terms = draw(st.dictionaries(exponents, coefficients, max_size=max_terms))
-    return Polynomial(ring, nonzero_terms(ring, terms))
+    return Polynomial(ring, {e: ring.field.coerce(c) for e, c in terms.items()})
 
 
 @st.composite

@@ -109,8 +109,9 @@ def test_str_roundtrip_shapes():
     assert "x^2" in s and "y" in s
 
 
-# Polynomial keeps the term dict it is given, so every public route that
-# can cancel or scale a coefficient to zero has to drop it itself.
+# Kernel results skip the constructor's zero filter (Polynomial._of), so
+# every public route that can cancel or scale a coefficient to zero is
+# checked to leave none.
 FIELDS = [QQ, PrimeField(7)]
 small_ints = st.integers(-8, 8)
 exponent_tuples = st.tuples(*[st.integers(0, 2)] * 3)
@@ -151,6 +152,10 @@ def test_no_public_construction_leaves_a_zero_coefficient(F, c, e, k, text_f, te
     R = session.ring
     f, g = (session.ideals["I"] + [R.zero(), R.zero()])[:2]
     _no_zero_coefficient(f, g, R.constant(c), R.monomial(e, c))
+    # exponents of 3 lie outside exponent_tuples, so no key repeats
+    given = Polynomial(R, {e: F.coerce(c), (3, 0, 0): F.zero, (0, 3, 0): F.coerce(7)})
+    _no_zero_coefficient(given)
+    assert given == R.monomial(e, c) + R.monomial((0, 3, 0), 7)
     _no_zero_coefficient(f.scale(k), f + g, f - g, f - f, f * g, -f, f ** 2)
     _no_zero_coefficient(f + f.scale(-1), (f + g) * (f - g) - f * f + g * g)
     x, y, z = R.gens()
