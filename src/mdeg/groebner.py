@@ -148,10 +148,12 @@ def buchberger(gen_dicts, order, field, hilbert=None):
     terms generate the initial ideal.  If the pairs run out first, the
     hint does not fit the input and Unstable is raised.
     """
-    return _packed(order, gen_dicts, _buchberger, field, hilbert)
+    pk, basis = _packed(order, gen_dicts, _buchberger, field, hilbert)
+    return [pk.unpack_dict(d) for d in basis]
 
 
 def _buchberger(pk, gens, field, hilbert):
+    """(pk, the packed basis) for `buchberger`."""
     flip, guard = pk.flip, pk.guard
     basis = {}  # leading term -> monic element, in the order found
     seen = []  # the leading terms unpacked, for the hint
@@ -194,7 +196,7 @@ def _buchberger(pk, gens, field, hilbert):
             "the leading terms of a complete Groebner basis do not have "
             "the K-polynomial of the Hilbert hint"
         )
-    return [pk.unpack_dict(d) for d in out]
+    return pk, list(out)
 
 
 def _reduce_basis(basis, field, pk):
@@ -271,17 +273,18 @@ class Ideal:
     def initial_ideal(self, order=None, hilbert=None):
         """in(I) under `order`, from the cached reduced basis; or, with
         `hilbert`, a hilbert.HilbertHint with the Hilbert function of I,
-        from the Hilbert-driven pair loop, whose basis is not cached.
-        Every basis element lists its leading term first."""
+        from the Hilbert-driven pair loop, whose basis is neither cached
+        nor unpacked: only its leading terms are.  Every basis element
+        lists its leading term first."""
         if order is None:
             order = grevlex(self.ring)
         if hilbert is None:
-            basis = [g.terms for g in self.groebner_basis(order)]
+            lts = [next(iter(g.terms)) for g in self.groebner_basis(order)]
         else:
-            basis = buchberger(
-                [f.terms for f in self.gens], order, self.ring.field, hilbert
-            )
-        return MonomialIdeal(self.ring, [next(iter(d)) for d in basis])
+            dicts = [f.terms for f in self.gens]
+            pk, basis = _packed(order, dicts, _buchberger, self.ring.field, hilbert)
+            lts = [pk.unpack(next(iter(d))) for d in basis]
+        return MonomialIdeal(self.ring, lts)
 
     def normal_form(self, f, order=None):
         if order is None:

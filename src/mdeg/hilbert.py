@@ -31,34 +31,13 @@ from .monomial import (
 ORACLE_BOUND_LIMIT = 8
 
 
-def _pick_pivot(I):
-    """Most frequent variable among the non-coprime minimal generators."""
-    counts = [0] * I.ring.n
-    for g in I.gens:
-        for i, e in enumerate(g):
-            if e:
-                counts[i] += 1
-    best = max(range(I.ring.n), key=lambda i: (counts[i], -i))
-    return best
-
-
-def _supports_pairwise_coprime(gens):
-    seen = set()
-    for g in gens:
-        s = {i for i, e in enumerate(g) if e}
-        if s & seen:
-            return False
-        seen |= s
-    return True
-
-
 def k_polynomial_monomial(I, _memo=None):
     """K(S/I; t) for a monomial ideal, by the colon/sum recursion.
 
-    Splits off one variable of a generator: with x the pivot variable,
-    K(S/I) = K(S/(I + (x))) + t^deg(x) * K(S/(I : x)).  Generators with
-    pairwise disjoint supports form a regular sequence, giving the base
-    case prod(1 - t^deg(g)).
+    Splits off one variable: with x the variable in the most minimal
+    generators, K(S/I) = K(S/(I + (x))) + t^deg(x) * K(S/(I : x)).
+    Generators with pairwise disjoint supports form a regular sequence,
+    giving the base case prod(1 - t^deg(g)).
     """
     if _memo is None:
         _memo = {}
@@ -69,7 +48,7 @@ def k_polynomial_monomial(I, _memo=None):
         return cached
     if I.is_unit():
         out = IntegerPolynomial.zero(p)
-    elif _supports_pairwise_coprime(I.gens):
+    elif (split := I._pivot_split()) is None:
         out = IntegerPolynomial.one(p)
         for g in I.gens:
             out = out * (
@@ -77,10 +56,7 @@ def k_polynomial_monomial(I, _memo=None):
                 - IntegerPolynomial.monomial(ring.monomial_degree(g))
             )
     else:
-        i = _pick_pivot(I)
-        x = tuple(int(j == i) for j in range(ring.n))
-        plus = I.add_monomial(x)
-        quot = I.colon_monomial(x)
+        i, plus, quot = split
         tdeg = IntegerPolynomial.monomial(ring.degrees[i])
         out = k_polynomial_monomial(plus, _memo) + tdeg * k_polynomial_monomial(
             quot, _memo

@@ -5,7 +5,26 @@ decomposition, Borel-fixedness, Alexander duality, polarization, the
 dimension filtration and the Reisner Cohen-Macaulayness test all live
 here; everything is exact and field-free except the homology ranks, which
 are computed modulo a prime.
+
+A MonomialIdeal stores its minimal generators as ints, packed by the one
+exponent packing of ring._Packing in its plain layout: a field of B bits
+per variable with a guard bit on top, x_1 in the top field.  Int order is
+then lex order on exponent tuples, a proper divisor is a smaller int, and
+a | b is `not (b - a) & GUARD`.  So the minimal generators are found by
+sorting the ints and keeping each one that no kept one divides; a colon
+is the fieldwise max(g - m, 0) of `_Packing.excess`, an intersection the
+lcm of each pair of generators, a variable saturation and the radical are
+field masks.  B is the narrowest of 8, 16, 32, ... bits that holds every
+exponent of the minimal generators (_field_bits), so two equal ideals
+have the same B and the same ints.  Exponent tuples are only read and
+written at the public boundary: the constructor, `gens` (unpacked once,
+on first use) and the tuple arguments of contains, add_monomial and
+colon_monomial.
 """
+
+from bisect import bisect_right
+from functools import reduce
+from operator import or_
 
 from .errors import (
     BadArgument,
@@ -16,39 +35,129 @@ from .errors import (
     TooManyVertices,
 )
 from .fields import rank_mod_p
-from .ring import GradedRing
+from .ring import GradedRing, _field_bits, _max_exponent, _packing
 
 
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _minimal(ints, guard):
+    """The minimal generators among distinct packed exponents `ints`, in
+    ascending order: a proper divisor is a smaller int, so each one is
+    kept unless a kept one divides it."""
+    out = []
+    for g in ints:
+        for h in out:
+            if not (g - h) & guard:
+                break
+        else:
+            out.append(g)
+    return out
+
+
+def _has_divisor(ints, p, guard):
+    """Whether one of the ascending packed exponents `ints` divides p."""
+    for g in ints:
+        if g > p:
+            return False
+        if not (p - g) & guard:
+            return True
+    return False
+
+
+def _exponents(n, mono):
+    """`mono` as an exponent tuple of n variables, or ValueError."""
+    e = tuple(mono)
+    if len(e) != n:
+        raise ValueError("exponent length mismatch")
+    if e and min(e) < 0:
+        raise ValueError("negative exponent")
+    return e
+
+
+def _pack_minimal(n, gens):
+    """(pk, ascending ints) of the minimal generators among exponent
+    tuples of n variables, pk the narrowest plain packing that holds them."""
+    gens = {_exponents(n, g) for g in gens}
+    pk = _packing(n, _field_bits(_max_exponent([gens])))
+    return pk, _minimal(sorted(map(pk.pack, gens)), pk.guard)
 
 
 def minimalize(gens):
-    """Unique minimal generating set: drop multiples of other generators."""
-    gens = sorted(set(gens), key=lambda e: (sum(e), e))
-    out = []
-    for g in gens:
-        if not any(_divides(h, g) for h in out):
-            out.append(g)
-    return frozenset(out)
+    """Unique minimal generating set of exponent tuples of one length:
+    drop multiples of other generators."""
+    gens = [tuple(g) for g in gens]
+    if not gens:
+        return frozenset()
+    pk, ints = _pack_minimal(len(gens[0]), gens)
+    return frozenset(map(pk.unpack, ints))
 
 
 class MonomialIdeal:
-    """Monomial ideal stored by its unique minimal generators."""
+    """Monomial ideal stored by its unique minimal generators, packed (see
+    the module docstring); `gens` is their frozenset of exponent tuples."""
+
+    __slots__ = ("ring", "_pk", "_ints", "_gens", "_hash")
 
     def __init__(self, ring, gens):
+        self._set(ring, *_pack_minimal(ring.n, gens))
+
+    @classmethod
+    def _of(cls, ring, pk, ints):
+        """The ideal minimally generated by the ascending ints, packed by
+        pk = _packing(ring.n, bits)."""
+        I = cls.__new__(cls)
+        I._set(ring, pk, ints)
+        return I
+
+    def _set(self, ring, pk, ints):
+        ints = tuple(ints)
+        if pk.bits > 8:
+            # narrow to the canonical width: a field of the OR of the ints
+            # has the bit length of the largest exponent in it
+            bits = _field_bits(max(pk.unpack(reduce(or_, ints, 0)), default=0))
+            if bits < pk.bits:
+                wide, pk = pk, _packing(ring.n, bits)
+                ints = tuple(pk.pack(wide.unpack(g)) for g in ints)
         self.ring = ring
-        self.gens = minimalize(tuple(g) for g in gens)
+        self._pk = pk
+        self._ints = ints
+        self._gens = None
+        self._hash = None
+
+    @property
+    def gens(self):
+        if self._gens is None:
+            self._gens = frozenset(map(self._pk.unpack, self._ints))
+        return self._gens
+
+    def _at(self, bits):
+        """(packing, ints) of the generators at `bits` or the ideal's own
+        width, whichever is wider."""
+        pk = self._pk
+        if bits <= pk.bits:
+            return pk, self._ints
+        wide = _packing(self.ring.n, bits)
+        return wide, tuple(wide.pack(pk.unpack(g)) for g in self._ints)
+
+    def _with(self, other):
+        """(packing, own ints, other's ints) at the wider of two widths."""
+        bits = max(self._pk.bits, other._pk.bits)
+        pk, mine = self._at(bits)
+        return pk, mine, other._at(bits)[1]
+
+    def _unit_vector(self, i):
+        return self._pk.pack(tuple(int(j == i) for j in range(self.ring.n)))
 
     def __eq__(self, other):
         return (
             isinstance(other, MonomialIdeal)
+            and self._ints == other._ints
+            and self._pk.bits == other._pk.bits
             and self.ring == other.ring
-            and self.gens == other.gens
         )
 
     def __hash__(self):
-        return hash((self.ring, self.gens))
+        if self._hash is None:
+            self._hash = hash((self.ring, self._pk.bits, self._ints))
+        return self._hash
 
     def __repr__(self):
         names = self.ring.names
@@ -64,55 +173,133 @@ class MonomialIdeal:
         return f"MonomialIdeal({', '.join(strs)})"
 
     def is_zero(self):
-        return not self.gens
+        return not self._ints
 
     def is_unit(self):
-        return (0,) * self.ring.n in self.gens
+        return self._ints[:1] == (0,)
+
+    def _pack_capped(self, mono):
+        """The packed exponent tuple `mono`, each entry capped at the
+        largest a field holds.  No generator has a larger entry, so the
+        cap changes neither which generators divide the monomial nor the
+        colon by it."""
+        e = _exponents(self.ring.n, mono)
+        top = (1 << (self._pk.bits - 1)) - 1
+        if e and max(e) > top:
+            e = [min(x, top) for x in e]
+        return self._pk.pack(e)
 
     def contains(self, mono):
-        return any(_divides(g, mono) for g in self.gens)
+        return _has_divisor(self._ints, self._pack_capped(mono), self._pk.guard)
 
     def contains_ideal(self, other):
-        return all(self.contains(g) for g in other.gens)
+        pk, mine, theirs = self._with(other)
+        guard = pk.guard
+        return all(_has_divisor(mine, h, guard) for h in theirs)
 
     def is_squarefree(self):
-        return all(max(g) <= 1 for g in self.gens if g)
+        pk = self._pk
+        high = pk.vmask ^ (pk.guard >> (pk.bits - 1))  # all but each field's 1 bit
+        return not any(g & high for g in self._ints)
 
     def support_vars(self):
         """Indices of variables occurring in some minimal generator."""
-        out = set()
-        for g in self.gens:
-            out.update(i for i, e in enumerate(g) if e)
-        return out
+        top = self._pk.unpack(reduce(or_, self._ints, 0))
+        return {i for i, e in enumerate(top) if e}
+
+    def _supports(self):
+        """Each generator's nonzero fields, marked by their guard bits."""
+        pk = self._pk
+        guard = pk.guard
+        up = guard - (guard >> (pk.bits - 1))  # 2^(B-1) - 1 per field
+        return [(g + up) & guard for g in self._ints]
+
+    def _derived(self, ints):
+        """The ideal generated by packed exponents under the same packing."""
+        pk = self._pk
+        return MonomialIdeal._of(self.ring, pk, _minimal(sorted(set(ints)), pk.guard))
 
     def radical(self):
-        return MonomialIdeal(
-            self.ring, (tuple(int(e > 0) for e in g) for g in self.gens)
-        )
+        shift = self._pk.bits - 1
+        return self._derived(s >> shift for s in self._supports())
 
     def add_monomial(self, mono):
-        return MonomialIdeal(self.ring, set(self.gens) | {tuple(mono)})
+        e = _exponents(self.ring.n, mono)
+        pk, ints = self._at(_field_bits(max(e, default=0)))
+        return self._plus_packed(pk, ints, pk.pack(e))
+
+    def _plus_packed(self, pk, ints, p):
+        """I + (x^p), for p and the generators `ints` packed by pk: I itself
+        when one of the generators below p divides it, else the generators
+        with p in and its multiples, all above it, out."""
+        guard = pk.guard
+        k = bisect_right(ints, p)
+        if _has_divisor(ints[:k], p, guard):
+            return self
+        out = ints[:k] + (p,) + tuple(g for g in ints[k:] if (g - p) & guard)
+        return MonomialIdeal._of(self.ring, pk, out)
 
     def intersect(self, other):
-        lcms = set()
-        for g in self.gens:
-            for h in other.gens:
-                lcms.add(tuple(max(a, b) for a, b in zip(g, h)))
-        return MonomialIdeal(self.ring, lcms)
+        pk, mine, theirs = self._with(other)
+        lcm = pk.lcm
+        lcms = sorted({lcm(g, h) for g in mine for h in theirs})
+        return MonomialIdeal._of(self.ring, pk, _minimal(lcms, pk.guard))
 
     def colon_monomial(self, mono):
-        mono = tuple(mono)
-        return MonomialIdeal(
-            self.ring,
-            (tuple(max(a - b, 0) for a, b in zip(g, mono)) for g in self.gens),
-        )
+        return self._colon_packed(self._pack_capped(mono))
+
+    def _colon_packed(self, p):
+        excess = self._pk.excess
+        return self._derived(excess(p, g) for g in self._ints)
 
     def saturate_variable(self, i):
         """(I : x_i^infinity): zero out the x_i exponent of every generator."""
-        return MonomialIdeal(
-            self.ring,
-            (tuple(0 if j == i else e for j, e in enumerate(g)) for g in self.gens),
-        )
+        keep = ~(self._unit_vector(i) * ((1 << self._pk.bits) - 1))
+        return self._derived(g & keep for g in self._ints)
+
+    def _pivot_split(self):
+        """None when the minimal generators have pairwise disjoint
+        supports; otherwise (i, I + (x_i), I : x_i) for x_i the variable
+        in the most generators, the first of those on a tie."""
+        supports = self._supports()
+        seen = 0
+        for s in supports:
+            if s & seen:
+                break
+            seen |= s
+        else:
+            return None
+        pk = self._pk
+        shift = pk.bits - 1
+        # a field sums the marks of at most 2^B - 1 generators, so sum in
+        # chunks of that many
+        chunk = (1 << pk.bits) - 1
+        counts = [0] * self.ring.n
+        for k in range(0, len(supports), chunk):
+            total = sum(s >> shift for s in supports[k : k + chunk])
+            counts = [a + b for a, b in zip(counts, pk.unpack(total))]
+        i = max(range(self.ring.n), key=lambda i: (counts[i], -i))
+        x = self._unit_vector(i)
+        return i, self._plus_packed(pk, self._ints, x), self._colon_packed(x)
+
+    def _split(self):
+        """None when every minimal generator is a pure power; otherwise
+        (I + (u), I + (v)) for the first generator g = u*v in ascending
+        (lex) order that has two variables, u the power of its first
+        variable, which sits in the highest nonzero field of g."""
+        pk = self._pk
+        bits = pk.bits
+        fmask = (1 << bits) - 1
+        for g in self._ints:
+            top = (g.bit_length() - 1) // bits * bits if g else 0
+            u = g & (fmask << top)
+            v = g ^ u
+            if v:
+                return (
+                    self._plus_packed(pk, self._ints, u),
+                    self._plus_packed(pk, self._ints, v),
+                )
+        return None
 
     def standard_monomials(self):
         """All monomials outside the ideal; requires finite colength."""
@@ -207,26 +394,19 @@ def codim_of(I):
 # irreducible / primary decomposition
 
 
-def _split_generator(I):
-    """Find a generator with two coprime nontrivial parts, or None."""
-    for g in I.gens:
-        supp = [i for i, e in enumerate(g) if e]
-        if len(supp) > 1:
-            i = supp[0]
-            u = tuple(e if j == i else 0 for j, e in enumerate(g))
-            v = tuple(0 if j == i else e for j, e in enumerate(g))
-            return u, v
-    return None
-
-
 def irreducible_decomposition(I):
     """Irredundant decomposition into irreducible (pure-power) ideals.
 
-    Irreducible monomial ideals are strongly irreducible: if J contains an
-    intersection of monomial ideals K_1, ..., K_r, then J contains some K_i
-    (take the lcm of witnesses m_i in K_i outside J).  So a component is
-    redundant exactly when it contains another one, and the result is the
-    inclusion-minimal components in the order the split tree found them.
+    Each ideal of the split tree with a generator g = u*v of two or more
+    variables splits into I + (u) and I + (v), at the first such g in
+    ascending (lex) order of the minimal generators and with u the power
+    of g's first variable, so the tree and the order of the result depend
+    on I alone.  Irreducible monomial ideals are strongly irreducible: if
+    J contains an intersection of monomial ideals K_1, ..., K_r, then J
+    contains some K_i (take the lcm of witnesses m_i in K_i outside J).
+    So a component is redundant exactly when it contains another one, and
+    the result is the inclusion-minimal components in the order the
+    depth-first split tree, I + (v) first, reaches them.
     """
     if I.is_unit():
         return []
@@ -238,13 +418,11 @@ def irreducible_decomposition(I):
         if J in seen:
             continue
         seen.add(J)
-        sp = _split_generator(J)
+        sp = J._split()
         if sp is None:
             done.append(J)
         else:
-            u, v = sp
-            todo.append(J.add_monomial(u))
-            todo.append(J.add_monomial(v))
+            todo.extend(sp)
     done = list(dict.fromkeys(done))
     return [
         J for J in done if not any(K is not J and J.contains_ideal(K) for K in done)

@@ -22,6 +22,13 @@ that combines two term dicts, raises _Overflow when a new exponent has a
 guard bit set; its caller widens B and reruns, so results stay exact for
 any exponent size.  Polynomial +, - and * pack at their boundary, with
 fields wide enough for the result.
+
+The same packing, in its plain layout (lex, no rows: x_1 in the top
+field, so int order is lex order on exponent tuples and a proper divisor
+is a smaller int), stores the minimal generators of every
+monomial.MonomialIdeal, at the narrowest B that holds their exponents;
+the fieldwise max(b - a, 0) of `_Packing.excess` gives its colons and,
+through `_Packing.lcm`, its intersections.
 """
 
 from fractions import Fraction
@@ -215,11 +222,17 @@ class _Packing:
         unpack = self.unpack
         return {unpack(e): c for e, c in d.items()}
 
-    def lcm(self, a, b):
-        """lcm of two packed exponents: a plus the fieldwise excess of b."""
+    def excess(self, a, b):
+        """The variable fields of max(b - a, 0), fieldwise, for two packed
+        exponents: each field of (b | GUARD) - a keeps its guard exactly
+        where b_i >= a_i, and those fields keep their value bits."""
         d = ((b & self.vmask) | self.guard) - (a & self.vmask)
         g = d & self.guard  # the guards of the fields where b_i >= a_i
-        x = d & (g - (g >> (self.bits - 1)))
+        return d & (g - (g >> (self.bits - 1)))
+
+    def lcm(self, a, b):
+        """lcm of two packed exponents: a plus the fieldwise excess of b."""
+        x = self.excess(a, b)
         if x and self._high:
             x = self.pack(self.unpack(x))
         return a + x
@@ -323,6 +336,8 @@ class Polynomial:
         return Polynomial._of(self.ring, pk.unpack_dict(out))
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
         out = self.ring.one()
         for _ in range(k):
             out = out * self

@@ -302,6 +302,24 @@ def test_hilbert_driven_initial_ideal_matches_full_basis(seed, empty_block):
     _assert_hinted_matches_full_basis(rng, I, seed)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_hinted_initial_ideal_is_the_leading_terms_of_the_hinted_basis(seed, empty_block):
+    # initial_ideal with a hint unpacks only the leading terms of the
+    # packed basis; buchberger returns the whole of it, unpacked
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=5, field=GF32003)
+    if empty_block:
+        R = add_empty_block(rng, R)
+    I = random_ideal(rng, R, max_degree=3, max_gens=4)
+    hint = HilbertHint(I)
+    J = substituted_ideal(I, random_block_change(R, seed))
+    for order in _orders(rng, R):
+        basis = buchberger([f.terms for f in J.gens], order, R.field, hint)
+        lts = MonomialIdeal(R, [max(d, key=order.key) for d in basis])
+        assert J.initial_ideal(order, hilbert=hint) == lts == J.initial_ideal(order)
+
+
 def test_hilbert_driven_initial_ideal_of_zero_and_unit_ideals():
     rng = random.Random(3)
     R = make_ring(["x0", "x1", "y0"], [(1, 0), (1, 0), (0, 1)], GF32003)

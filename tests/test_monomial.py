@@ -9,7 +9,6 @@ from mdeg.groebner import contract
 from mdeg.monomial import (
     MonomialIdeal,
     PrimaryComponent,
-    _split_generator,
     alexander_dual,
     borel_fixed_check,
     borel_prime_exponent,
@@ -19,13 +18,16 @@ from mdeg.monomial import (
     length_at_minimal_prime,
     localize_at,
     minimal_primes,
+    minimalize,
     mlength,
     polarize,
     primary_decomposition,
     reisner_cm_check,
     stanley_reisner_complex,
 )
+from mdeg.hilbert import k_polynomial_monomial
 from mdeg.ring import make_ring
+import tuple_monomial
 
 
 def std_ring(n, p=1):
@@ -317,6 +319,19 @@ def _intersection_of(ideals):
     return out
 
 
+def _split_generator(J):
+    """The first generator, in ascending (lex) order, with two variables,
+    split into the power of its first variable and the rest; or None."""
+    for g in sorted(J.gens):
+        supp = [i for i, e in enumerate(g) if e]
+        if len(supp) > 1:
+            i = supp[0]
+            u = tuple(e if j == i else 0 for j, e in enumerate(g))
+            v = tuple(0 if j == i else e for j, e in enumerate(g))
+            return u, v
+    return None
+
+
 def _old_irreducible_decomposition(I):
     if I.is_unit() or I.is_zero():
         return []
@@ -380,3 +395,142 @@ def test_decompositions_match_intersection_pruning(seed):
     new = [(c.prime, c.component, c.length_at_prime) for c in primary_decomposition(I)]
     old = [(c.prime, c.component, c.length_at_prime) for c in _old_primary_decomposition(I)]
     assert new == old
+
+
+# ---------------------------------------------------------------------------
+# Packed generators against the tuple code they replaced (tests/tuple_monomial.py).
+
+
+def _random_exponents(rng, n, big):
+    """An exponent tuple of entries 0-3, where with `big` each entry is
+    128-300 with probability 1/4, which needs 16-bit fields."""
+    return tuple(
+        rng.randrange(128, 301) if big and rng.random() < 0.25 else rng.randrange(4)
+        for _ in range(n)
+    )
+
+
+def _random_gens(rng, n, big):
+    return [_random_exponents(rng, n, big) for _ in range(rng.randrange(0, 6))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.booleans())
+def test_packed_operations_match_tuple_oracle(seed, big_i, big_j):
+    rng = random.Random(seed)
+    R = random_positive_ring(rng)
+    gi, gj = _random_gens(rng, R.n, big_i), _random_gens(rng, R.n, big_j)
+    I, J = MonomialIdeal(R, gi), MonomialIdeal(R, gj)
+    ti, tj = tuple_monomial.minimalize(gi), tuple_monomial.minimalize(gj)
+    assert (I.gens, J.gens) == (ti, tj)
+    assert I.is_zero() == (not ti)
+    assert I.is_unit() == ((0,) * R.n in ti)
+    assert I.is_squarefree() == all(max(g, default=0) <= 1 for g in ti)
+    assert I.support_vars() == {i for g in ti for i, e in enumerate(g) if e}
+    assert I.radical().gens == tuple_monomial.radical(ti)
+    for _ in range(3):
+        m = _random_exponents(rng, R.n, rng.random() < 0.5)
+        assert I.contains(m) == tuple_monomial.contains(ti, m)
+        assert I.add_monomial(m).gens == tuple_monomial.add_monomial(ti, m)
+        assert I.colon_monomial(m).gens == tuple_monomial.colon_monomial(ti, m)
+    for i in range(R.n):
+        assert I.saturate_variable(i).gens == tuple_monomial.saturate_variable(ti, i)
+    # ideals of different widths meet, compare and hash as their tuples do
+    IJ = I.intersect(J)
+    assert IJ.gens == tuple_monomial.intersect(ti, tj)
+    assert IJ == J.intersect(I) and hash(IJ) == hash(J.intersect(I))
+    assert I.contains_ideal(J) == tuple_monomial.contains_ideal(ti, tj)
+    assert J.contains_ideal(I) == tuple_monomial.contains_ideal(tj, ti)
+    assert (I == J) == (ti == tj)
+    for K in (I, J, IJ):
+        again = MonomialIdeal(R, list(K.gens))
+        assert again == K and hash(again) == hash(K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_colon_that_lowers_the_largest_exponent_narrows_the_fields(seed):
+    # generators with exponents >= 128 need 16-bit fields; a colon that
+    # brings every exponent below 128 gives an ideal equal to, and hashing
+    # as, the same ideal built from its tuples in 8-bit fields
+    rng = random.Random(seed)
+    R = random_positive_ring(rng)
+    gens = [_random_exponents(rng, R.n, True) for _ in range(rng.randrange(1, 5))]
+    I = MonomialIdeal(R, gens)
+    m = tuple(max(max(g[i] for g in gens) - rng.randrange(128), 0) for i in range(R.n))
+    Q = I.colon_monomial(m)
+    narrow = MonomialIdeal(R, tuple_monomial.colon_monomial(I.gens, m))
+    assert max((max(g) for g in narrow.gens), default=0) < 128
+    assert Q == narrow and hash(Q) == hash(narrow)
+    assert Q.contains_ideal(narrow) and narrow.contains_ideal(Q)
+    # and the sum with a monomial of the 8-bit ideal widens back
+    back = narrow.add_monomial(max(gens))
+    assert back.gens == tuple_monomial.add_monomial(narrow.gens, max(gens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_irreducible_decomposition_in_16_bit_fields(seed):
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=5)
+    gens = _random_gens(rng, R.n, True) or [(200,) + (0,) * (R.n - 1)]
+    I = MonomialIdeal(R, gens)
+    assert irreducible_decomposition(I) == _old_irreducible_decomposition(I)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_k_polynomial_matches_tuple_recursion(seed, big):
+    rng = random.Random(seed)
+    R = random_positive_ring(rng, max_vars=4)
+    gens = [
+        tuple(
+            rng.randrange(128, 134) if big and rng.random() < 0.2 else rng.randrange(4)
+            for _ in range(R.n)
+        )
+        for _ in range(rng.randrange(0, 5))
+    ]
+    I = MonomialIdeal(R, gens)
+    oracle = tuple_monomial.k_polynomial_monomial(R, tuple_monomial.minimalize(gens))
+    assert k_polynomial_monomial(I) == oracle
+
+
+@pytest.mark.parametrize(
+    "mono", [(1,), (1, 0, 0), (1, -1), (-1, 0)], ids=["short", "long", "neg", "neg-first"]
+)
+def test_wrong_length_or_negative_exponents_are_rejected(mono):
+    R = std_ring(2)
+    I = MonomialIdeal(R, [(1, 0)])
+    for call in (
+        lambda: MonomialIdeal(R, [mono]),
+        lambda: I.contains(mono),
+        lambda: I.add_monomial(mono),
+        lambda: I.colon_monomial(mono),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    # a correct tuple of the same ring still works
+    assert not I.contains((0, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_minimalize_matches_tuple_oracle(seed, big):
+    rng = random.Random(seed)
+    n = rng.randrange(0, 5)
+    gens = _random_gens(rng, n, big)
+    assert minimalize(gens) == tuple_monomial.minimalize(gens)
+    with pytest.raises(ValueError):
+        minimalize([(0,) * n, (0,) * (n + 1)])
+
+
+def test_pivot_counts_more_generators_than_a_field_holds():
+    # the 280 monomials x^a y^b z^c of degree 24 with c <= 15: x and y
+    # lie in 264 of them, more than an 8-bit field counts, and z in 255,
+    # so the pivot is x, which a count that overflowed would miss
+    R = std_ring(3)
+    gens = [(a, 24 - a - c, c) for c in range(16) for a in range(25 - c)]
+    I = MonomialIdeal(R, gens)
+    i, plus, quot = I._pivot_split()
+    assert i == tuple_monomial.pick_pivot(I.gens, R.n) == 0
+    assert plus == I.add_monomial((1, 0, 0)) and quot == I.colon_monomial((1, 0, 0))

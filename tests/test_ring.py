@@ -109,6 +109,16 @@ def test_str_roundtrip_shapes():
     assert "x^2" in s and "y" in s
 
 
+def test_powers():
+    R = make_ring(["x", "y"], [(1,), (1,)])
+    x, y = R.gens()
+    f = x + y
+    assert f**0 == R.one()
+    assert f**3 == f * f * f
+    with pytest.raises(ValueError):
+        x**-1
+
+
 # Kernel results skip the constructor's zero filter (Polynomial._of), so
 # every public route that can cancel or scale a coefficient to zero is
 # checked to leave none.

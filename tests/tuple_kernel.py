@@ -11,7 +11,7 @@ MonomialOrder.key and exponents added and compared with zip.
 import heapq
 
 from mdeg.errors import Unstable
-from mdeg.monomial import minimalize
+from tuple_monomial import minimalize
 
 
 def add_mul(acc, c, shift, g, field, skip=None):
