@@ -22,9 +22,13 @@ Critical pairs are pruned with the Gebauer-Moller update and picked
 smallest lcm first, which makes the reduced basis of a homogeneous input
 deterministic.  Initial ideals of g(I), for the block changes of
 coordinates g of a gin, are found by Hilbert-driven stopping: with a
-hilbert.HilbertHint holding K(S/I), the pair loop skips pairs whose lcm
-degree is already saturated and stops once the leading terms have the
-K-polynomial of I, without the tail reduction of a reduced basis.
+hilbert.HilbertHint holding K(S/I), fed each new packed leading term, the
+pair loop skips pairs whose lcm degree is already saturated and stops
+once the leading terms have the K-polynomial of I.  Only leading terms
+count there, so each new element is top-reduced (reduced until its
+leading term is irreducible) and its tail is left as it stands, neither
+sorted nor reduced; the leading terms still lie in in(g(I)), which is
+all the hint's rules need.
 Intersection, saturation and contraction to a variable subring are one
 elimination helper, _eliminate, which runs on raw term dicts (the
 auxiliary-variable constructions are not multihomogeneous) and caches the
@@ -70,10 +74,11 @@ def _packed(order, dicts, run, *args):
             bits *= 2
 
 
-def _reduce_dict(f, basis, field, pk):
+def _reduce_dict(f, basis, field, pk, top=False):
     """Full normal form of the packed term dict f against `basis`, a dict
     from leading term to monic element; its terms come out in descending
-    order."""
+    order.  With `top`, f is reduced only until its leading term is
+    irreducible: that term comes first, the rest of f as it stands."""
     flip, guard = pk.flip, pk.guard
     work = dict(f)
     heap = [-(e ^ flip) for e in work]
@@ -88,6 +93,8 @@ def _reduce_dict(f, basis, field, pk):
             if not (e - lt) & guard:
                 break
         else:
+            if top:
+                return {e: c, **work}
             out[e] = c
             continue
         for e2 in _add_mul(work, field.neg(c), e - lt, basis[lt], field, guard, lt):
@@ -143,10 +150,11 @@ def buchberger(gen_dicts, order, field, hilbert=None):
     `hilbert` is a hilbert.HilbertHint for an ideal with the Hilbert
     function of the input: a pair is then skipped when the hint finds the
     leading terms so far saturated at the degree of its lcm, and the loop
-    stops as soon as they have the hint's K-polynomial.  The basis
-    returned is then neither minimal nor tail-reduced, but its leading
-    terms generate the initial ideal.  If the pairs run out first, the
-    hint does not fit the input and Unstable is raised.
+    stops as soon as they have the hint's K-polynomial.  Each new element
+    is then only top-reduced: it lists its leading term first, and its
+    tail is neither sorted nor reduced.  The basis is not minimal either,
+    but its leading terms generate the initial ideal.  If the pairs run
+    out first, the hint does not fit the input and Unstable is raised.
     """
     pk, basis = _packed(order, gen_dicts, _buchberger, field, hilbert)
     return [pk.unpack_dict(d) for d in basis]
@@ -156,38 +164,41 @@ def _buchberger(pk, gens, field, hilbert):
     """(pk, the packed basis) for `buchberger`."""
     flip, guard = pk.flip, pk.guard
     basis = {}  # leading term -> monic element, in the order found
-    seen = []  # the leading terms unpacked, for the hint
     pairs = {}
+    hinted = hilbert is not None
+    if hinted:
+        hilbert.start(pk)
 
     def add(d):
-        """Append the normal form of d if it is nonzero; report whether it was."""
-        r = _reduce_dict(d, basis, field, pk)
+        """Append d, reduced, if it does not reduce to zero; report whether
+        it was appended."""
+        r = _reduce_dict(d, basis, field, pk, top=hinted)
         if not r:
             return False
         lt, monic = _make_monic(r, field)
         _update_pairs(pairs, basis, lt, pk)
         basis[lt] = monic
-        if hilbert is not None:
-            seen.append(pk.unpack(lt))
+        if hinted:
+            hilbert.add(lt)
         return True
 
     gens = [d for d in gens if d]
     gens.sort(key=lambda d: max(e ^ flip for e in d))
     for d in gens:
         add(d)
-    done = hilbert is not None and hilbert.complete(seen)
+    done = hinted and hilbert.complete()
     minus_one = field.neg(field.one)
     while pairs and not done:
         a, b = min(pairs, key=pairs.__getitem__)
         l = pairs.pop((a, b))[2]
-        if hilbert is not None and hilbert.saturated(seen, pk.unpack(l)):
+        if hinted and hilbert.saturated(l):
             continue
         s = {}
         _add_mul(s, field.one, l - a, basis[a], field, guard)
         _add_mul(s, minus_one, l - b, basis[b], field, guard)
-        if add(s) and hilbert is not None:
-            done = hilbert.complete(seen)
-    if hilbert is None:
+        if add(s) and hinted:
+            done = hilbert.complete()
+    if not hinted:
         out = _reduce_basis(basis, field, pk)
     elif done:
         out = basis.values()
@@ -484,8 +495,17 @@ def substituted_ideal(I, images):
 
     The images are packed once, with fields wide enough for every image
     of a term, and each term's image is multiplied out on packed dicts,
-    its last factor straight into one term dict per generator."""
+    its last factor straight into one term dict per generator.  When each
+    image is zero or homogeneous of the degree of its variable, as for a
+    block change of coordinates, and the generators are homogeneous, so
+    are their images, and the result's generators are not checked again;
+    otherwise each one is, and NotHomogeneous is raised for one that is
+    not."""
     ring = images[0].ring if images else I.ring
+    graded = all(
+        all(ring.monomial_degree(e) == d for e in g.terms)
+        for g, d in zip(images, I.ring.degrees)
+    ) and all(is_homogeneous(f) for f in I.gens)
     F = ring.field
     tops = [_max_exponent([g.terms]) for g in images]
     bound = max((sum(map(mul, e, tops)) for f in I.gens for e in f.terms), default=0)
@@ -503,4 +523,4 @@ def substituted_ideal(I, images):
             for el, cl in factors[-1].items():
                 _add_mul(acc, cl, el, head, F, pk.guard)
         out.append(Polynomial._of(ring, pk.unpack_dict(acc)))
-    return Ideal(ring, out)
+    return Ideal(ring, out, check_homogeneous=not graded)

@@ -2,12 +2,17 @@
 
 The K-polynomial of S/I is the numerator of the multigraded Hilbert series
 over prod(1 - t^deg(x)).  For monomial ideals it is computed by the
-variable-splitting recursion; general homogeneous ideals go through their
-initial ideal, which has the same Hilbert function.  HilbertHint carries
-K(S/I) into Buchberger runs on ideals with that Hilbert function.
+variable-splitting recursion, on dicts from t-exponents packed into ints
+(ring._Packing, one field per grading coordinate) to coefficients;
+general homogeneous ideals go through their initial ideal, which has the
+same Hilbert function.  HilbertHint carries K(S/I) into Buchberger runs
+on ideals with that Hilbert function, and takes their leading terms as
+packed ints.
 """
 
+from functools import reduce
 from math import comb, prod
+from operator import mul
 
 from .errors import (
     BadArgument,
@@ -17,7 +22,7 @@ from .errors import (
     NotStandardGraded,
 )
 from .groebner import saturate_irrelevant, saturate_var_block
-from .intpoly import IntegerPolynomial, series_expansion
+from .intpoly import ZZ, IntegerPolynomial, series_expansion
 from .monomial import (
     MonomialIdeal,
     codim_of,
@@ -26,42 +31,47 @@ from .monomial import (
     minimalize,
     primary_decomposition,
 )
+from .ring import _add_mul, _field_bits, _packing
 
 #: Largest componentwise bound hilbert_function_oracle enumerates up to.
 ORACLE_BOUND_LIMIT = 8
 
 
-def k_polynomial_monomial(I, _memo=None):
+def k_polynomial_monomial(I):
     """K(S/I; t) for a monomial ideal, by the colon/sum recursion.
 
     Splits off one variable: with x the variable in the most minimal
     generators, K(S/I) = K(S/(I + (x))) + t^deg(x) * K(S/(I : x)).
     Generators with pairwise disjoint supports form a regular sequence,
-    giving the base case prod(1 - t^deg(g)).
+    giving the base case prod(1 - t^deg(g)).  The recursion runs on
+    {packed t-exponent: coefficient} dicts (_k_packed), t packed by the
+    plain ring._Packing of p fields wide enough for deg(lcm of the
+    generators); that bounds every node, because the pivot x divides the
+    lcm, and so do lcm(I + (x)) and lcm(I : x) * x.
     """
-    if _memo is None:
-        _memo = {}
     ring = I.ring
-    p = ring.p
-    cached = _memo.get(I.gens)
-    if cached is not None:
-        return cached
+    pk = I._pk
+    top = ring.monomial_degree(pk.unpack(reduce(pk.lcm, I._ints, 0)))
+    tpk = _packing(ring.p, _field_bits(max(top, default=0)))
+    terms = _k_packed(I, [tpk.pack(d) for d in ring.degrees])
+    return IntegerPolynomial(ring.p, tpk.unpack_dict(terms))
+
+
+def _k_packed(I, tdeg):
+    """K(S/I) as a dict from packed t-exponent to nonzero coefficient,
+    tdeg[i] the packed degree of the ring's variable x_i."""
     if I.is_unit():
-        out = IntegerPolynomial.zero(p)
-    elif (split := I._pivot_split()) is None:
-        out = IntegerPolynomial.one(p)
-        for g in I.gens:
-            out = out * (
-                IntegerPolynomial.one(p)
-                - IntegerPolynomial.monomial(ring.monomial_degree(g))
-            )
-    else:
-        i, plus, quot = split
-        tdeg = IntegerPolynomial.monomial(ring.degrees[i])
-        out = k_polynomial_monomial(plus, _memo) + tdeg * k_polynomial_monomial(
-            quot, _memo
-        )
-    _memo[I.gens] = out
+        return {}
+    split = I._pivot_split()
+    if split is None:
+        out = {0: 1}
+        unpack = I._pk.unpack
+        for g in I._ints:
+            _add_mul(out, -1, sum(map(mul, unpack(g), tdeg)), dict(out), ZZ, 0)
+        return out
+    i, plus, quot = split
+    out = _k_packed(plus, tdeg)
+    _add_mul(out, 1, tdeg[i], _k_packed(quot, tdeg), ZZ, 0)
     return out
 
 
@@ -83,9 +93,13 @@ class HilbertHint:
     equality at the degree of a monomial: every element of J of that
     degree then reduces to zero, S-polynomials included.  `complete`
     reports K(S/L) = K(S/I), which means L = in(J).  Both work on the
-    difference K(S/L) - K(S/I), recomputed when the leading terms change:
-    HF(S/L, d) - HF(S/I, d) is the sum over its terms c*t^a of c times the
-    number of monomials of degree d - a.
+    excess K(S/L) - K(S/I): HF(S/L, d) - HF(S/I, d) is the sum over its
+    terms c*t^a of c times the number of monomials of degree d - a.
+
+    The hint is the state of one Buchberger run at a time: `start` sets L
+    to 0 for the run's packing, and `add` feeds it each new leading term,
+    packed by that packing.  The excess is a dict from packed t-exponent
+    to coefficient, kept by K(S/(L + m)) = K(S/L) - t^deg(m) * K(S/(L : m)).
     """
 
     def __init__(self, I):
@@ -95,53 +109,56 @@ class HilbertHint:
         self.ring = ring
         self.k = k_polynomial(I)
         self._sizes = [len(ring.block_variables(k)) for k in range(ring.p)]
-        self._lts = None  # the leading terms L and _excess belong to
-        self._L = None
-        self._excess = None  # K(S/L) - K(S/I)
-        self._saturated = {}  # degree -> saturated for the current L
 
-    def _excess_for(self, lts):
-        """K(S/L) - K(S/I); when lts extends the previous call's by one
-        monomial m, by K(S/(L + m)) = K(S/L) - t^deg(m) * K(S/(L : m))."""
-        lts = tuple(lts)
-        if lts == self._lts:
-            return self._excess
-        if self._lts is not None and lts[:-1] == self._lts:
-            m = lts[-1]
-            step = IntegerPolynomial.monomial(self.ring.monomial_degree(m))
-            quot = k_polynomial_monomial(self._L.colon_monomial(m))
-            self._excess = self._excess - step * quot
-            self._L = self._L.add_monomial(m)
-        else:
-            self._L = MonomialIdeal(self.ring, lts)
-            self._excess = k_polynomial_monomial(self._L) - self.k
-        self._lts = lts
+    def start(self, pk):
+        """Begin a run whose exponents pk packs, with L = 0."""
+        ring = self.ring
+        n = ring.n
+        # a block degree of a monomial pk holds is at most n times the
+        # largest exponent a field holds
+        top = n * ((1 << (pk.bits - 1)) - 1)
+        kmax = max((max(e, default=0) for e in self.k.terms), default=0)
+        tpk = _packing(ring.p, _field_bits(max(top, kmax)))
+        self._pk = pk
+        self._tpk = tpk
+        self._tdeg = [tpk.pack(d) for d in ring.degrees]
+        self._L = MonomialIdeal(ring, ())
+        self._excess = {0: 1}
+        _add_mul(self._excess, -1, 0, tpk.pack_dict(self.k.terms), ZZ, 0)
+        self._saturated = {}  # packed degree -> saturated for the current L
+
+    def add(self, lt):
+        """Put the packed leading term lt, which L does not hold, into L."""
+        L, e = self._L, self._pk.unpack(lt)
+        quot, self._L = L.colon_monomial(e), L.add_monomial(e)
+        shift = sum(map(mul, e, self._tdeg))
+        _add_mul(self._excess, -1, shift, _k_packed(quot, self._tdeg), ZZ, 0)
         self._saturated = {}
-        return self._excess
 
-    def complete(self, lts):
-        """K(S/L) = K(S/I) for L generated by the exponent tuples lts."""
-        return not self._excess_for(lts)
+    def complete(self):
+        """K(S/L) = K(S/I)."""
+        return not self._excess
 
-    def saturated(self, lts, mono):
-        """HF(S/L, d) = HF(S/I, d) at d = deg(mono)."""
-        excess = self._excess_for(lts)
-        d = self.ring.monomial_degree(mono)
+    def saturated(self, mono):
+        """HF(S/L, d) = HF(S/I, d) at d = deg(mono), mono packed."""
+        d = sum(map(mul, self._pk.unpack(mono), self._tdeg))
         hit = self._saturated.get(d)
         if hit is None:
+            guard = self._tpk.guard
             hit = not sum(
-                c * self._count(tuple(x - y for x, y in zip(d, a)))
-                for a, c in excess.terms.items()
-                if all(y <= x for x, y in zip(d, a))
+                c * self._count(d - a)
+                for a, c in self._excess.items()
+                if not (d - a) & guard
             )
             self._saturated[d] = hit
         return hit
 
     def _count(self, d):
-        """Number of monomials of degree d >= 0: per block of n_k variables
-        C(d_k + n_k - 1, n_k - 1), and for an empty block 1 if d_k = 0."""
+        """Number of monomials of the packed degree d >= 0: per block of
+        n_k variables C(d_k + n_k - 1, n_k - 1), and for an empty block 1
+        if d_k = 0."""
         out = 1
-        for dk, nk in zip(d, self._sizes):
+        for dk, nk in zip(self._tpk.unpack(d), self._sizes):
             if nk:
                 out *= comb(dk + nk - 1, nk - 1)
             elif dk:

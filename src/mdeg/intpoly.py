@@ -1,6 +1,20 @@
 """Integer polynomials in Z[t_1..t_p]: K-polynomials and multidegrees."""
 
 from math import comb
+from operator import add, eq, mul
+
+
+class _Integers:
+    """The integers, with the add/mul/eq/zero of a coefficient field, for
+    the term kernel ring._add_mul."""
+
+    zero = 0
+    add = staticmethod(add)
+    mul = staticmethod(mul)
+    eq = staticmethod(eq)
+
+
+ZZ = _Integers()
 
 
 class IntegerPolynomial:

@@ -249,7 +249,8 @@ def _add_mul(acc, c, shift, g, field, guard, skip=None):
     """acc += c * x^shift * g in place, leaving out g's term at `skip`.
 
     The one loop that combines two term dicts (Polynomial arithmetic,
-    substitution, Buchberger), on packed exponents with guard bits
+    substitution, Buchberger, and with intpoly.ZZ and guard 0 the
+    K-polynomials of hilbert), on packed exponents with guard bits
     `guard`; raises _Overflow on a new exponent that sets one.  c must be
     nonzero, so no new term is zero; returns the exponents that were new
     to acc.

@@ -60,6 +60,21 @@ def test_gin_has_the_k_polynomial_of_the_ideal(seed, empty_block):
     assert k_polynomial(res.ideal) == k_polynomial(I)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_gin_does_not_depend_on_the_order_of_the_generators(seed, empty_block):
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=5, field=GF32003)
+    if empty_block:
+        R = add_empty_block(rng, R)
+    I = random_ideal(rng, R, max_degree=3, max_gens=4)
+    gens = list(I.gens)
+    rng.shuffle(gens)
+    if gens == list(I.gens):
+        gens.reverse()
+    assert gin(Ideal(R, gens), seed=seed).ideal == gin(I, seed=seed).ideal
+
+
 def test_gin_trial_with_another_hilbert_function_is_unstable(monkeypatch):
     # a substitution that loses a generator changes the Hilbert function;
     # the trial's K-polynomial check must catch it

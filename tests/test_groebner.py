@@ -47,9 +47,10 @@ from mdeg.orders import (
     lift_order_phi,
     weight_order,
 )
-from mdeg.ring import _field_bits, make_ring
+from mdeg.ring import Polynomial, _field_bits, make_ring
 from mdeg.standardize import standardize
 import tuple_kernel
+from tuple_monomial import minimalize
 
 
 def twisted_cubic():
@@ -346,14 +347,16 @@ def test_hint_of_another_hilbert_function_raises_unstable():
 
 
 # ---------------------------------------------------------------------------
-# Two oracles of buchberger.  The Buchberger loop on exponent tuples, from
+# Oracles of buchberger.  The Buchberger loop on exponent tuples, from
 # before exponents were packed (tests/tuple_kernel.py), gives the same
-# basis element for element and in order, hinted or not, with every
-# element's leading term listed first.  The older loop below, from before
-# each pair's lcm and order key were stored with the pair and before one
-# kernel did every subtraction of a term-dict multiple (a set of pairs
-# whose lcms are recomputed at every selection, with the subtraction loops
-# written out), gives the same reduced basis.
+# basis element for element and in order, hinted (with its tuple hint and
+# the same top-reduction) or not, with every element's leading term listed
+# first.  Hinted, the same tuple loop with every new element fully reduced,
+# as before top-reduction, gives the same leading-term ideal in(J).  The
+# older loop below, from before each pair's lcm and order key were stored
+# with the pair and before one kernel did every subtraction of a term-dict
+# multiple (a set of pairs whose lcms are recomputed at every selection,
+# with the subtraction loops written out), gives the same reduced basis.
 
 
 def _reduce_dict_reference(f, lt_exps, polys, order, field):
@@ -486,11 +489,15 @@ def _buchberger_reference(gen_dicts, order, field):
     return out
 
 
-def _assert_matches_oracles(gens, order, field, hint=None, hint_again=None):
+def _assert_matches_oracles(gens, order, field, hint=None, tuple_hint=None):
     got = buchberger(gens, order, field, hint)
-    assert got == tuple_kernel.buchberger(gens, order, field, hint_again)
+    assert got == tuple_kernel.buchberger(gens, order, field, tuple_hint)
     if hint is None:
         assert got == _buchberger_reference(gens, order, field)
+    else:
+        full = tuple_kernel.buchberger(gens, order, field, tuple_hint, full=True)
+        lts = [tuple_kernel.leading(d, order) for d in full]
+        assert minimalize(next(iter(d)) for d in got) == minimalize(lts)
     for d in got:
         assert next(iter(d)) == tuple_kernel.leading(d, order)
     return got
@@ -521,17 +528,54 @@ def test_buchberger_matches_reference(seed, field, empty_block):
 @given(st.integers(0, 10_000), st.booleans())
 def test_hilbert_driven_buchberger_matches_reference(seed, empty_block):
     """Hinted, on I and on g(I) over GF(32003), under every order of
-    _orders: the same unreduced basis in the same order."""
+    _orders: the same top-reduced basis in the same order, and the
+    leading-term ideal of the fully reduced loop."""
     rng = random.Random(seed)
     R = random_standard_ring(rng, max_vars=5, field=GF32003)
     if empty_block:
         R = add_empty_block(rng, R)
     I = random_ideal(rng, R, max_degree=3, max_gens=4)
+    hint, tuple_hint = HilbertHint(I), tuple_kernel.HilbertHint(I)
     moved = substituted_ideal(I, random_block_change(R, seed))
     for J in (I, moved):
         gens = [f.terms for f in J.gens]
         for order in _orders(rng, R):
-            _assert_matches_oracles(gens, order, GF32003, HilbertHint(I), HilbertHint(I))
+            _assert_matches_oracles(gens, order, GF32003, hint, tuple_hint)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_hinted_basis_elements_are_monic_members_leading_term_first(seed, empty_block):
+    """Top-reduction leaves the tails as they stand, but every element of
+    the hinted basis of g(I) lies in g(I), is monic and lists its leading
+    term first."""
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=5, field=GF32003)
+    if empty_block:
+        R = add_empty_block(rng, R)
+    I = random_ideal(rng, R, max_degree=3, max_gens=4)
+    hint = HilbertHint(I)
+    J = substituted_ideal(I, random_block_change(R, seed))
+    for order in _orders(rng, R):
+        for d in buchberger([f.terms for f in J.gens], order, R.field, hint):
+            lt = next(iter(d))
+            assert lt == max(d, key=order.key)
+            assert d[lt] == R.field.one
+            assert J.normal_form(Polynomial(R, d), order).is_zero()
+
+
+def test_hilbert_driven_buchberger_at_degrees_past_the_exponent_fields():
+    # every exponent fits an 8-bit field, but the degrees reach 130, so
+    # the hint's t-exponents need wider fields
+    R = make_ring(["x", "y", "z"], [(1,)] * 3, GF32003)
+    x, y, z = R.gens()
+    I = Ideal(R, [x**70 * y**60 - y**65 * z**65, x * x - y * z])
+    hint, tuple_hint = HilbertHint(I), tuple_kernel.HilbertHint(I)
+    gens = [f.terms for f in I.gens]
+    for order in (grevlex(R), lex(R)):
+        got = _assert_matches_oracles(gens, order, GF32003, hint, tuple_hint)
+        assert max(sum(next(iter(d))) for d in got) >= 128
+        assert I.initial_ideal(order, hilbert=hint) == I.initial_ideal(order)
 
 
 def test_buchberger_matches_reference_on_the_threefold():

@@ -35,7 +35,9 @@ from mdeg.monomial import (
     minimal_primes,
     primary_decomposition,
 )
-from mdeg.ring import make_ring
+from mdeg.orders import lex, weight_order
+from mdeg.ring import Polynomial, _packing, make_ring
+import tuple_kernel
 
 
 def test_k_polynomial_complete_intersection():
@@ -274,19 +276,81 @@ def test_multidegree_G_matches_pairwise_oracle(seed):
     assert multidegree_G(I) == _pairwise_minimal_terms(sub)
 
 
+def _random_binomial_ideal(rng, ring):
+    """1-4 homogeneous binomials x^a - c*x^b of degree 1-3, or the monomial
+    x^a when no other exponent of at most 3 has its degree."""
+    F = ring.field
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        support = [rng.randrange(ring.n) for _ in range(rng.randint(1, 3))]
+        a = tuple(support.count(i) for i in range(ring.n))
+        d = ring.monomial_degree(a)
+        partners = [
+            e
+            for e in itertools.product(range(4), repeat=ring.n)
+            if e != a and ring.monomial_degree(e) == d
+        ]
+        terms = {a: F.one}
+        if partners:
+            terms[rng.choice(partners)] = F.coerce(rng.choice([-2, -1, 1, 2]))
+        gens.append(Polynomial(ring, terms))
+    return Ideal(ring, gens)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.booleans())
-def test_hilbert_hint_matches_hf_oracle(seed, empty_block):
+def test_k_polynomial_does_not_depend_on_the_order(seed, positive):
+    # on a positively graded ring, or on a standard one with an empty block
+    rng = random.Random(seed)
+    if positive:
+        R = random_positive_ring(rng, max_vars=5)
+    else:
+        R = add_empty_block(rng, random_standard_ring(rng, max_vars=5))
+    I = _random_binomial_ideal(rng, R)
+    weights = [tuple(rng.randrange(1, 9) for _ in range(R.n))]
+    k = k_polynomial(I)
+    for order in (lex(R), weight_order(R, weights)):
+        assert k_polynomial(I, order) == k
+
+
+@pytest.mark.parametrize("grevlex_layout", [False, True])
+def test_hilbert_hint_at_degrees_past_the_exponent_fields(grevlex_layout):
+    # leading terms in 8-bit fields whose lcms reach degree 250 and more,
+    # though K(S/I) stops at degree 6: the hint agrees with the tuple hint
+    R = make_ring(["x", "y", "z"], [(1,)] * 3)
+    I = MonomialIdeal(R, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    lts = [(100, 20, 0), (0, 90, 30), (70, 0, 60), (0, 0, 127)]
+    pk = _packing(R.n, 8, (), grevlex_layout)
+    hint, tuple_hint = HilbertHint(I), tuple_kernel.HilbertHint(I)
+    hint.start(pk)
+    monos = [(a, b, c) for a in (0, 60, 127) for b in (0, 90, 127) for c in (0, 1, 127)]
+    for k in range(len(lts) + 1):
+        if k:
+            hint.add(pk.pack(lts[k - 1]))
+        for mono in monos:
+            assert hint.saturated(pk.pack(mono)) == tuple_hint.saturated(lts[:k], mono)
+        assert not hint.complete() and not tuple_hint.complete(lts[:k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.booleans(), st.sampled_from([8, 16]))
+def test_hilbert_hint_matches_hf_oracle(seed, empty_block, grevlex_layout, bits):
     # L generated by some generators of a monomial ideal I lies in I, as the
-    # leading terms found so far lie in the initial ideal; the prefixes of
-    # lts are passed in turn, as the pair loop appends leading terms
+    # leading terms found so far lie in the initial ideal; they are fed in
+    # turn, packed with or without weight rows, in the grevlex or the lex
+    # layout and in fields as wide as or wider than L's own, as the pair
+    # loop feeds its leading terms; the tuple hint of tests/tuple_kernel.py
+    # is given the prefixes of lts
     rng = random.Random(seed)
     R = random_standard_ring(rng, max_vars=4)
     if empty_block:
         R = add_empty_block(rng, R)
     I = random_monomial_ideal(rng, R, max_exp=2)
     lts = rng.sample(sorted(I.gens), rng.randint(0, len(I.gens)))
-    hint = HilbertHint(I)
+    rows = (tuple(rng.randrange(1, 4) for _ in range(R.n)),) if rng.randrange(2) else ()
+    pk = _packing(R.n, bits, rows, grevlex_layout)
+    hint, tuple_hint = HilbertHint(I), tuple_kernel.HilbertHint(I)
+    hint.start(pk)
     bound = (3,) * R.p
     hf_I = hilbert_function_oracle(I, bound)
     monos = [
@@ -295,10 +359,13 @@ def test_hilbert_hint_matches_hf_oracle(seed, empty_block):
         if all(x <= 3 for x in R.monomial_degree(m))
     ]
     for k in range(len(lts) + 1):
+        if k:
+            hint.add(pk.pack(lts[k - 1]))
         L = MonomialIdeal(R, lts[:k])
         hf_L = hilbert_function_oracle(L, bound)
         for mono in monos:
             d = R.monomial_degree(mono)
             expected = hf_L.get(d, 0) == hf_I.get(d, 0)
-            assert hint.saturated(lts[:k], mono) == expected
-        assert hint.complete(lts[:k]) == (L == I)
+            assert hint.saturated(pk.pack(mono)) == expected
+            assert tuple_hint.saturated(lts[:k], mono) == expected
+        assert hint.complete() == tuple_hint.complete(lts[:k]) == (L == I)

@@ -22,6 +22,8 @@ from conftest import random_form, random_ideal, random_positive_ring
 from mdeg.determinantal import build_determinantal
 from mdeg.fields import GF32003, QQ
 from mdeg.genin import random_block_change
+from mdeg import groebner
+from mdeg.errors import NotHomogeneous
 from mdeg.groebner import Ideal, substituted_ideal
 from mdeg.orders import MonomialOrder, lift_order_phi
 from mdeg.ring import (
@@ -320,4 +322,54 @@ def test_substitution_of_standardized_minors_matches_reference():
     assert not I.ring.is_standard and J.ring.is_standard
     images = random_block_change(J.ring, 3)
     assert substituted_ideal(J, images).gens == ref_substituted_ideal(J, images).gens
+
+
+def _checked_by_substitution(monkeypatch, I, images):
+    """(the substituted ideal, the polynomials is_homogeneous was asked
+    about while substituted_ideal built it)."""
+    asked = []
+
+    def spy(f):
+        asked.append(f)
+        return real(f)
+
+    real = groebner.is_homogeneous
+    monkeypatch.setattr(groebner, "is_homogeneous", spy)
+    return substituted_ideal(I, images), asked
+
+
+def test_degree_preserving_substitution_checks_only_the_images(monkeypatch):
+    # a block change keeps each variable's degree: the generators of I are
+    # checked, their images are not
+    _, I = build_determinantal(2, 3, 2, GF32003)
+    J, _ = standardize_ideal(I)
+    images = random_block_change(J.ring, 3)
+    out, asked = _checked_by_substitution(monkeypatch, J, images)
+    assert asked == list(J.gens)
+    assert out.gens == ref_substituted_ideal(J, images).gens
+
+
+def test_degree_changing_substitution_checks_every_image(monkeypatch):
+    R = make_ring(["x", "y"], [(1,), (1,)], GF32003)
+    x, y = R.gens()
+    # x -> y^2, y -> x changes a degree, so the images x*y^2 and y^4 of
+    # x*y and x^2 are checked, and pass
+    I = Ideal(R, [x * y, x * x])
+    out, asked = _checked_by_substitution(monkeypatch, I, [y * y, x])
+    assert asked == list(out.gens)
+    assert out.gens == ref_substituted_ideal(I, [y * y, x]).gens
+    # the image of x - y is y^2 - y
+    with pytest.raises(NotHomogeneous):
+        substituted_ideal(Ideal(R, [x - y]), [y * y, y])
+    # a zero image changes no degree
+    assert substituted_ideal(Ideal(R, [x - y]), [R.zero(), y]).gens == (-y,)
+
+
+def test_substitution_of_an_unchecked_generator_checks_its_image():
+    # the images keep every degree, but I was built without its check
+    R = make_ring(["x", "y"], [(1,), (1,)], GF32003)
+    x, y = R.gens()
+    I = Ideal(R, [x * x - y], check_homogeneous=False)
+    with pytest.raises(NotHomogeneous):
+        substituted_ideal(I, [y, x])
 

@@ -495,6 +495,17 @@ def test_k_polynomial_matches_tuple_recursion(seed, big):
     assert k_polynomial_monomial(I) == oracle
 
 
+@pytest.mark.parametrize("top", [25, 26, 127, 128])
+def test_k_polynomial_with_degrees_past_the_exponent_fields(top):
+    # the t-exponents of K reach deg(lcm) = (2 * top + 3 * top, top): from
+    # top = 26 on they need 16-bit fields, although up to top = 127 every
+    # exponent fits 8 bits
+    R = make_ring(["x", "y", "z"], [(2, 0), (3, 0), (0, 1)])
+    gens = [(top, top - 1, 0), (top - 1, top, 0), (1, 0, top), (0, 1, top - 2)]
+    oracle = tuple_monomial.k_polynomial_monomial(R, tuple_monomial.minimalize(gens))
+    assert k_polynomial_monomial(MonomialIdeal(R, gens)) == oracle
+
+
 @pytest.mark.parametrize(
     "mono", [(1,), (1, 0, 0), (1, -1), (-1, 0)], ids=["short", "long", "neg", "neg-first"]
 )

@@ -4,13 +4,21 @@ groebner.buchberger (tests/test_kernel.py, tests/test_groebner.py).
 
 `add_mul` combines two tuple-keyed term dicts; `buchberger` takes and
 returns tuple-keyed term dicts, with the same pair selection, reducer
-choice and Hilbert-driven stopping as the packed loop, keys from
-MonomialOrder.key and exponents added and compared with zip.
+choice, Hilbert-driven stopping and, with a hint, top-reduction as the
+packed loop, keys from MonomialOrder.key and exponents added and compared
+with zip.  With `full` the hinted loop reduces every new element fully,
+as the packed loop did before top-reduction.  `HilbertHint` is the hint
+on exponent tuples, as it was before leading terms were packed, with
+its K-polynomials from the tuple recursion of tests/tuple_monomial.py.
 """
 
 import heapq
+from math import comb
 
-from mdeg.errors import Unstable
+from mdeg.errors import NotStandardGraded, Unstable
+from mdeg.intpoly import IntegerPolynomial
+from mdeg.monomial import MonomialIdeal
+import tuple_monomial
 from tuple_monomial import minimalize
 
 
@@ -40,8 +48,10 @@ def _neg_key(key):
     return tuple(-x for x in key)
 
 
-def reduce_dict(f, lt_exps, polys, order, field):
-    """Full normal form of the term dict f against monic (lt, poly) pairs."""
+def reduce_dict(f, lt_exps, polys, order, field, top=False):
+    """Full normal form of the term dict f against monic (lt, poly) pairs;
+    with `top`, f reduced until its leading term is irreducible, that term
+    first and the rest as it stands."""
     key = order.key
     work = dict(f)
     heap = [(_neg_key(key(e)), e) for e in work]
@@ -59,6 +69,8 @@ def reduce_dict(f, lt_exps, polys, order, field):
                 red = i
                 break
         if red < 0:
+            if top:
+                return {e: c, **work}
             out[e] = c
             continue
         lt = lt_exps[red]
@@ -109,16 +121,18 @@ def _update_pairs(pairs, lts, new_index, order):
             pairs[(i, new_index)] = (sum(l), order.key(l), l)
 
 
-def buchberger(gen_dicts, order, field, hilbert=None):
+def buchberger(gen_dicts, order, field, hilbert=None, full=False):
     """Monic Groebner basis: reduced without `hilbert`, and with it the
-    Hilbert-driven basis, which raises Unstable when the pairs run out
-    before the leading terms have the hint's K-polynomial."""
+    Hilbert-driven basis, top-reduced unless `full`, which raises Unstable
+    when the pairs run out before the leading terms have the hint's
+    K-polynomial."""
     key = order.key
     lts, polys = [], []
     pairs = {}
+    top = hilbert is not None and not full
 
     def add(d):
-        r = reduce_dict(d, lts, polys, order, field)
+        r = reduce_dict(d, lts, polys, order, field, top)
         if not r:
             return False
         lt, monic = make_monic(r, order, field)
@@ -162,3 +176,68 @@ def _reduce_basis(lts, polys, order, field):
         out.append(make_monic(r, order, field)[1])
     out.sort(key=lambda d: order.key(leading(d, order)))
     return out
+
+
+class HilbertHint:
+    """K(S/I) as the stopping rule of `buchberger`, on exponent tuples:
+    `saturated(lts, mono)` and `complete(lts)` take the leading terms
+    found so far, and the excess K(S/L) - K(S/I) is recomputed when they
+    change, by one colon when they extend the last call's by one."""
+
+    def __init__(self, I):
+        ring = I.ring
+        if not ring.is_standard:
+            raise NotStandardGraded("a Hilbert hint needs a standard grading")
+        self.ring = ring
+        mono = I if isinstance(I, MonomialIdeal) else I.initial_ideal()
+        self.k = self._k(mono.gens)
+        self._sizes = [len(ring.block_variables(k)) for k in range(ring.p)]
+        self._lts = None  # the leading terms L and _excess belong to
+        self._L = None
+        self._excess = None  # K(S/L) - K(S/I)
+        self._saturated = {}  # degree -> saturated for the current L
+
+    def _k(self, gens):
+        return tuple_monomial.k_polynomial_monomial(self.ring, minimalize(gens))
+
+    def _excess_for(self, lts):
+        lts = tuple(lts)
+        if lts == self._lts:
+            return self._excess
+        if self._lts is not None and lts[:-1] == self._lts:
+            m = lts[-1]
+            step = IntegerPolynomial.monomial(self.ring.monomial_degree(m))
+            quot = self._k(tuple_monomial.colon_monomial(self._L, m))
+            self._excess = self._excess - step * quot
+            self._L = tuple_monomial.add_monomial(self._L, m)
+        else:
+            self._L = minimalize(lts)
+            self._excess = self._k(self._L) - self.k
+        self._lts = lts
+        self._saturated = {}
+        return self._excess
+
+    def complete(self, lts):
+        return not self._excess_for(lts)
+
+    def saturated(self, lts, mono):
+        excess = self._excess_for(lts)
+        d = self.ring.monomial_degree(mono)
+        hit = self._saturated.get(d)
+        if hit is None:
+            hit = not sum(
+                c * self._count(tuple(x - y for x, y in zip(d, a)))
+                for a, c in excess.terms.items()
+                if all(y <= x for x, y in zip(d, a))
+            )
+            self._saturated[d] = hit
+        return hit
+
+    def _count(self, d):
+        out = 1
+        for dk, nk in zip(d, self._sizes):
+            if nk:
+                out *= comb(dk + nk - 1, nk - 1)
+            elif dk:
+                return 0
+        return out
