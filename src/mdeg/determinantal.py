@@ -16,7 +16,7 @@ from .fields import QQ
 from .groebner import Ideal
 from .intpoly import IntegerPolynomial
 from .monomial import MonomialIdeal
-from .ring import GradedRing
+from .ring import GradedRing, Polynomial
 
 
 def determinantal_ring(m, n, field=QQ):
@@ -35,16 +35,13 @@ def determinantal_ring(m, n, field=QQ):
     return GradedRing(names, degrees, field)
 
 
-def _entry(ring, m, n, i, j):
-    """The variable x_{i,j} (1-based)."""
-    return ring.variable(f"x{i}_{j}")
-
-
-def minor(ring, m, n, rows, cols):
-    """Determinant of the submatrix on the given 1-based rows and columns."""
+def minor(ring, rows, cols):
+    """Determinant of the submatrix on the given 1-based rows and columns:
+    one signed squarefree monomial per permutation."""
     r = len(rows)
     F = ring.field
-    out = ring.zero()
+    index = ring._index
+    terms = {}
     for perm in permutations(range(r)):
         sign = 1
         # count inversions for the permutation sign
@@ -52,11 +49,11 @@ def minor(ring, m, n, rows, cols):
             for b in range(a + 1, r):
                 if perm[a] > perm[b]:
                     sign = -sign
-        term = ring.one().scale(F.coerce(sign))
+        e = [0] * ring.n
         for a in range(r):
-            term = term * _entry(ring, m, n, rows[a], cols[perm[a]])
-        out = out + term
-    return out
+            e[index[f"x{rows[a]}_{cols[perm[a]]}"]] = 1
+        terms[tuple(e)] = F.coerce(sign)
+    return Polynomial(ring, terms)
 
 
 def build_determinantal(m, n, r, field=QQ):
@@ -67,7 +64,7 @@ def build_determinantal(m, n, r, field=QQ):
     gens = []
     for rows in combinations(range(1, m + 1), r):
         for cols in combinations(range(1, n + 1), r):
-            gens.append(minor(ring, m, n, rows, cols))
+            gens.append(minor(ring, rows, cols))
     return ring, Ideal(ring, gens)
 
 

@@ -58,13 +58,6 @@ class TooManyVertices(MdegError):
 
 
 # hilbert / multidegrees
-class LowerDegreeTermsPresent(MdegError):
-    """Terms of total degree below the codimension survived the 1-t substitution.
-
-    This always signals an implementation bug, never bad input.
-    """
-
-
 class EmptyScheme(MdegError):
     pass
 

@@ -5,26 +5,24 @@ over prod(1 - t^deg(x)).  For monomial ideals it is computed by the
 variable-splitting recursion, on dicts from t-exponents packed into ints
 (ring._Packing, one field per grading coordinate) to coefficients;
 general homogeneous ideals go through their initial ideal, which has the
-same Hilbert function.  HilbertHint carries K(S/I) into Buchberger runs
-on ideals with that Hilbert function, and takes their leading terms as
-packed ints.
+same Hilbert function.  The multidegree C is the lowest-degree part of
+K(S/I; 1 - t), and the other invariants are read off K as well.
+HilbertHint carries K(S/I) into Buchberger runs on ideals with that
+Hilbert function, and takes their leading terms as packed ints.
+hilbert_function_oracle counts standard monomials instead, as an
+independent check of K (the hf-oracle command).
 """
 
 from functools import reduce
 from math import comb, prod
-from operator import mul
+from operator import add, gt, mul
 
-from .errors import (
-    BadArgument,
-    BoundTooLarge,
-    EmptyScheme,
-    LowerDegreeTermsPresent,
-    NotStandardGraded,
-)
+from .errors import BadArgument, BoundTooLarge, EmptyScheme, NotStandardGraded
 from .groebner import saturate_irrelevant, saturate_var_block
-from .intpoly import ZZ, IntegerPolynomial, series_expansion
+from .intpoly import ZZ, IntegerPolynomial
 from .monomial import (
     MonomialIdeal,
+    _has_divisor,
     codim_of,
     dimension_filtration,
     localize_at,
@@ -173,21 +171,19 @@ def codimension(I, order=None):
 
 
 def multidegree_C(I, order=None):
-    """The multidegree: codimension part of K(S/I; 1 - t).
+    """The multidegree: lowest-degree part of K(S/I; 1 - t), and 0 for
+    the unit ideal.
 
-    K(1-t) has no terms below the codimension; if the input data violates
-    that (it cannot for a true K-polynomial) LowerDegreeTermsPresent is
-    raised rather than silently truncating.
+    For a positive grading that part sits at the codimension c: K(1 - t)
+    has no term of total degree below c, and its degree-c part is the sum
+    over the codimension-c minimal primes P of the length at P times
+    prod_{x_i in P} <deg x_i, t>, which is not zero (Miller-Sturmfels,
+    Combinatorial Commutative Algebra, ch. 8).
     """
-    k = k_polynomial(I, order)
-    c = codimension(I, order)
-    sub = k.substitute_one_minus_t()
-    mind = sub.min_total_degree()
-    if mind is not None and mind < c:
-        raise LowerDegreeTermsPresent(
-            f"terms of total degree {mind} below the codimension {c}"
-        )
-    return sub.total_degree_part(c)
+    sub = k_polynomial(I, order).substitute_one_minus_t()
+    if not sub:
+        return sub
+    return sub.total_degree_part(sub.min_total_degree())
 
 
 def multidegree_G(I, order=None):
@@ -290,7 +286,7 @@ def geometric_multidegrees(I, order=None):
     cee = multidegree_C(sat_ideal, order)
     m = [max(len(ring.block_variables(k)) - 1, 0) for k in range(ring.p)]
     total_m = sum(m)
-    dim = total_m - codimension(sat_ideal, order)
+    dim = total_m - cee.min_total_degree()
     entries = {}
     for e, c in cee.terms.items():
         n = tuple(mk - ek for mk, ek in zip(m, e))
@@ -304,9 +300,10 @@ def geometric_multidegrees(I, order=None):
 def hilbert_function_oracle(I, bound, order=None):
     """Exact Hilbert function values for all multidegrees <= bound.
 
-    Counts standard monomials of the initial ideal degree by degree; the
-    componentwise bound is capped at ORACLE_BOUND_LIMIT because the
-    enumeration is exponential in it.  Returns a dict nu -> dim_k (S/I)_nu.
+    Counts standard monomials of the initial ideal degree by degree, so
+    it does not depend on the K-polynomial recursion; the componentwise
+    bound is capped at ORACLE_BOUND_LIMIT because the enumeration is
+    exponential in it.  Returns a dict nu -> dim_k (S/I)_nu.
     """
     ring = I.ring
     bound = tuple(bound)
@@ -317,34 +314,25 @@ def hilbert_function_oracle(I, bound, order=None):
     if any(b > ORACLE_BOUND_LIMIT for b in bound):
         raise BoundTooLarge(f"componentwise bound above {ORACLE_BOUND_LIMIT}")
     mono = I if isinstance(I, MonomialIdeal) else I.initial_ideal(order)
+    n, degrees = ring.n, ring.degrees
+    # every variable has a nonzero degree, so no exponent of the walk
+    # passes ORACLE_BOUND_LIMIT + 1, which a field of any width holds: the
+    # walk adds packed unit vectors to a packed exponent
+    ints, guard = mono._ints, mono._pk.guard
+    units = [mono._unit_vector(i) for i in range(n)]
     counts = {}
 
-    def within(d):
-        return all(a <= b for a, b in zip(d, bound))
-
-    def rec(i, exps, deg):
-        if i == ring.n:
+    def rec(i, p, deg):
+        """Count the standard monomials of degree <= bound whose exponents
+        before variable i are those of the packed p, of degree deg."""
+        if i == n:
             counts[deg] = counts.get(deg, 0) + 1
             return
-        e = 0
-        while True:
-            d = tuple(
-                a + e * b for a, b in zip(deg, ring.degrees[i])
-            ) if e else deg
-            if not within(d):
-                break
-            exps.append(e)
-            if not mono.contains(tuple(exps) + (0,) * (ring.n - i - 1)):
-                rec(i + 1, exps, d)
-            exps.pop()
-            e += 1
-        return
+        step = degrees[i]
+        while not (any(map(gt, deg, bound)) or _has_divisor(ints, p, guard)):
+            rec(i + 1, p, deg)
+            p += units[i]
+            deg = tuple(map(add, deg, step))
 
-    rec(0, [], (0,) * ring.p)
+    rec(0, 0, (0,) * ring.p)
     return counts
-
-
-def hilbert_series_table(I, bound, order=None):
-    """Series expansion of K / prod(1 - t^deg x), for cross-checking."""
-    k = k_polynomial(I, order)
-    return series_expansion(k, list(I.ring.degrees), bound)

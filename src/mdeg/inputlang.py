@@ -71,10 +71,13 @@ class Session:
         if name not in self.ideals:
             raise InputError(f"no ideal named {name!r} in the input")
         gens = self.ideals[name]
-        for f, (line, col) in zip(gens, self.positions.get(name, ())):
+        # every generator is checked here, with its position when known,
+        # so Ideal need not check them again
+        where = self.positions.get(name) or [(None, None)] * len(gens)
+        for f, (line, col) in zip(gens, where):
             if not is_homogeneous(f):
                 raise InputError(f"generator {f} is not multihomogeneous", line, col)
-        return Ideal(self.ring, gens)
+        return Ideal(self.ring, gens, check_homogeneous=False)
 
 
 class _Parser:

@@ -1,4 +1,8 @@
-"""Integer polynomials in Z[t_1..t_p]: K-polynomials and multidegrees."""
+"""Integer polynomials in Z[t_1..t_p]: K-polynomials and multidegrees.
+
+IntegerPolynomial has the arithmetic that hilbert and determinantal use:
+sums, products, homogeneous parts and the substitution t -> 1 - t.
+"""
 
 from math import comb
 from operator import add, eq, mul
@@ -75,16 +79,6 @@ class IntegerPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        out = IntegerPolynomial.one(self.p)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         return isinstance(other, IntegerPolynomial) and self.terms == other.terms
 
@@ -99,14 +93,6 @@ class IntegerPolynomial:
         if not self.terms:
             return None
         return min(sum(e) for e in self.terms)
-
-    def max_total_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
-    def support(self):
-        return set(self.terms)
 
     def substitute_one_minus_t(self):
         """Exact substitution t_i -> 1 - t_i, one binomial pass per variable.
@@ -133,21 +119,6 @@ class IntegerPolynomial:
                     out[f] = out.get(f, 0) + (-b if j & 1 else b)
             terms = {e: c for e, c in out.items() if c}
         return IntegerPolynomial(self.p, terms)
-
-    def evaluate(self, values):
-        """Evaluate at integer (or Fraction) arguments."""
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(values, e):
-                v *= x**k
-            total += v
-        return total
-
-    def ge_coefficientwise(self, other):
-        """self >=_c other: every coefficient dominates."""
-        keys = set(self.terms) | set(other.terms)
-        return all(self.terms.get(e, 0) >= other.terms.get(e, 0) for e in keys)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0])
@@ -182,38 +153,3 @@ class IntegerPolynomial:
     def __repr__(self):
         return f"IntPoly({self})"
 
-
-def linear_form(degree_vector):
-    """<d, t> = d_1 t_1 + ... + d_p t_p for a degree vector d."""
-    p = len(degree_vector)
-    return IntegerPolynomial(p, {tuple(int(i == k) for i in range(p)): degree_vector[k] for k in range(p) if degree_vector[k]})
-
-
-def series_expansion(numerator, denominators, bound):
-    """Expand numerator / prod(1 - t^d) as a table up to a componentwise bound.
-
-    `denominators` is a list of degree vectors d (one per ring variable);
-    returns a dict mapping exponent tuples nu <= bound to integers.
-    """
-    p = numerator.p
-    bound = tuple(bound)
-
-    def within(e):
-        return all(a <= b for a, b in zip(e, bound))
-
-    table = {e: c for e, c in numerator.terms.items() if within(e) and all(a >= 0 for a in e)}
-    for d in denominators:
-        # multiply the truncated series by 1/(1 - t^d) = sum_k t^{kd}
-        out = dict(table)
-        frontier = table
-        while frontier:
-            nxt = {}
-            for e, c in frontier.items():
-                e2 = tuple(a + b for a, b in zip(e, d))
-                if within(e2):
-                    nxt[e2] = nxt.get(e2, 0) + c
-            for e, c in nxt.items():
-                out[e] = out.get(e, 0) + c
-            frontier = nxt
-        table = out
-    return {e: c for e, c in table.items() if c}

@@ -51,30 +51,6 @@ def exchange_check(points):
     return True, None
 
 
-def rank_from_points(points):
-    """Rank function of a polymatroid base set: r(J) = max over the base
-    of the coordinate sum on J."""
-    pts = [tuple(q) for q in points]
-    p = len(pts[0])
-
-    def r(J):
-        return max(sum(q[j] for j in J) for q in pts)
-
-    return r, p
-
-
-def dual_rank(r, multiplicities, p):
-    """s(J) = sum_{j in J} m_j + r([p] \\ J) - r([p])."""
-    full = list(range(p))
-
-    def s(J):
-        J = set(J)
-        comp = [j for j in full if j not in J]
-        return sum(multiplicities[j] for j in J) + r(comp) - r(full)
-
-    return s
-
-
 def _simplex_feasible(A, b):
     """Is {x >= 0 : A x = b} nonempty?  Exact phase-1 simplex, Bland's rule.
 
@@ -174,38 +150,3 @@ def snp_check(poly_or_support):
         if q not in supp:
             return False, q
     return True, None
-
-
-def polymatroid_from_rank(r, p, total=None):
-    """Base set of the polymatroid of a submodular rank function.
-
-    Enumerates the lattice points q >= 0 with sum_J q_j <= r(J) for every
-    J and |q| = r([p]).  Intended for small p (test fixtures).
-    """
-    full = list(range(p))
-    rtot = r(full) if total is None else total
-    subsets = []
-    for mask in range(1, 1 << p):
-        J = [k for k in range(p) if mask >> k & 1]
-        subsets.append((J, r(J)))
-    out = set()
-
-    def rec(k, cur, left):
-        if k == p:
-            if left == 0:
-                q = tuple(cur)
-                if all(sum(q[j] for j in J) <= rj for J, rj in subsets):
-                    out.add(q)
-            return
-        cap = min(left, r([k]))
-        for e in range(cap + 1):
-            cur.append(e)
-            rec(k + 1, cur, left - e)
-            cur.pop()
-
-    rec(0, [], rtot)
-    return out
-
-
-def minkowski_sum(A, B):
-    return {tuple(a + b for a, b in zip(u, v)) for u in A for v in B}

@@ -30,9 +30,6 @@ class StandardizationMap:
     def first_copy(self, i):
         return self.copy_index[i][0]
 
-    def is_identity(self):
-        return self.source is self.target
-
     def phi_exponents(self, exps):
         out = [0] * self.target.n
         for i, e in enumerate(exps):

@@ -5,6 +5,7 @@ import pytest
 
 from mdeg.fields import GF32003, QQ
 from mdeg.groebner import Ideal, buchberger
+from mdeg.hilbert import k_polynomial
 from mdeg.monomial import MonomialIdeal
 from mdeg.orders import MonomialOrder, elimination_order
 from mdeg.ring import GradedRing, Polynomial, make_ring
@@ -161,3 +162,60 @@ def random_ideal(rng, ring, max_degree=2, max_gens=3):
         for _ in range(rng.randint(1, max_gens))
     ]
     return Ideal(ring, gens)
+
+
+# Reference helpers: the Hilbert series expansion that the oracle and the
+# K-polynomials are compared against, and integer-polynomial evaluation
+# and coefficientwise comparison.
+
+
+def series_expansion(numerator, denominators, bound):
+    """Expand numerator / prod(1 - t^d) as a table up to a componentwise bound.
+
+    `denominators` is a list of degree vectors d (one per ring variable);
+    returns a dict mapping exponent tuples nu <= bound to integers.
+    """
+    bound = tuple(bound)
+
+    def within(e):
+        return all(a <= b for a, b in zip(e, bound))
+
+    table = {e: c for e, c in numerator.terms.items() if within(e) and all(a >= 0 for a in e)}
+    for d in denominators:
+        # multiply the truncated series by 1/(1 - t^d) = sum_k t^{kd}
+        out = dict(table)
+        frontier = table
+        while frontier:
+            nxt = {}
+            for e, c in frontier.items():
+                e2 = tuple(a + b for a, b in zip(e, d))
+                if within(e2):
+                    nxt[e2] = nxt.get(e2, 0) + c
+            for e, c in nxt.items():
+                out[e] = out.get(e, 0) + c
+            frontier = nxt
+        table = out
+    return {e: c for e, c in table.items() if c}
+
+
+def hilbert_series_table(I, bound, order=None):
+    """Series expansion of K / prod(1 - t^deg x), for cross-checking."""
+    k = k_polynomial(I, order)
+    return series_expansion(k, list(I.ring.degrees), bound)
+
+
+def evaluate(f, values):
+    """The IntegerPolynomial f at integer (or Fraction) arguments."""
+    total = 0
+    for e, c in f.terms.items():
+        v = c
+        for x, k in zip(values, e):
+            v *= x**k
+        total += v
+    return total
+
+
+def ge_coefficientwise(f, g):
+    """f >=_c g for IntegerPolynomials: every coefficient dominates."""
+    keys = set(f.terms) | set(g.terms)
+    return all(f.terms.get(e, 0) >= g.terms.get(e, 0) for e in keys)

@@ -35,7 +35,7 @@ def test_ring_grading():
 
 def test_minor_expansion():
     R = determinantal_ring(2, 2)
-    f = minor(R, 2, 2, (1, 2), (1, 2))
+    f = minor(R, (1, 2), (1, 2))
     a = R.variable("x1_1") * R.variable("x2_2")
     b = R.variable("x1_2") * R.variable("x2_1")
     assert f == a - b

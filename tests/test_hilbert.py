@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     SURFACE_CEE_TERMS,
     add_empty_block,
+    hilbert_series_table,
     random_monomial_ideal,
     random_positive_ring,
     random_standard_ring,
@@ -19,9 +20,9 @@ from mdeg.hilbert import (
     HilbertHint,
     arithmetic_multidegree,
     cee_of_quotient_prime,
+    codimension,
     geometric_multidegrees,
     hilbert_function_oracle,
-    hilbert_series_table,
     k_polynomial,
     multidegree_C,
     multidegree_G,
@@ -311,6 +312,23 @@ def test_k_polynomial_does_not_depend_on_the_order(seed, positive):
     k = k_polynomial(I)
     for order in (lex(R), weight_order(R, weights)):
         assert k_polynomial(I, order) == k
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_multidegree_C_is_the_part_at_the_codimension(seed, binomial):
+    # for a positive grading K(S/I; 1 - t) has no term below codim I and a
+    # nonzero part at it, unless I is the unit ideal; so the lowest-degree
+    # part that multidegree_C returns is the part at the codimension
+    rng = random.Random(seed)
+    R = random_positive_ring(rng, max_vars=5)
+    I = _random_binomial_ideal(rng, R) if binomial else random_monomial_ideal(rng, R)
+    sub = k_polynomial(I).substitute_one_minus_t()
+    c = codimension(I)
+    C = multidegree_C(I)
+    assert all(sum(e) >= c for e in sub.terms)
+    assert C == sub.total_degree_part(c)
+    assert bool(C) != I.is_unit()
 
 
 @pytest.mark.parametrize("grevlex_layout", [False, True])

@@ -6,7 +6,9 @@ module holds an assert statement.
 The package's ``__init__.py`` imports names only to re-export them, so it
 is exempt from the first check.  For the second, a definition counts as
 used when its name is referred to outside the definition itself in the
-package, the tests, the demos or the benchmark.  For the third,
+package (a re-export from ``__init__.py`` included), the demos or the
+benchmark.  A reference from the tests does not count: code that only
+the tests call belongs in the tests.  For the third,
 LOCAL_IMPORTS names the functions allowed an import in their body.  The
 fourth holds because ``python -O`` strips assert statements, and the
 exit-code contract needs errors that are raised under every flag.
@@ -23,7 +25,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mdeg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-REFERRING = [SRC, ROOT / "tests", ROOT / "demos", ROOT / "mdegbench"]
+# the folders whose references make a definition of the package used
+REFERRING = [SRC, ROOT / "demos", ROOT / "mdegbench"]
 
 
 def unused_imports(source):
@@ -141,13 +144,18 @@ def unused_definitions(source, references):
     return sorted(out)
 
 
-@functools.cache
-def all_references():
+def folder_references(folders):
+    """referenced_names summed over the Python files of `folders`."""
     out = Counter()
-    for folder in REFERRING:
+    for folder in folders:
         for path in folder.glob("*.py"):
             out += referenced_names(ast.parse(path.read_text()))
     return out
+
+
+@functools.cache
+def all_references():
+    return folder_references(REFERRING)
 
 
 def test_unused_definitions_are_found():
@@ -168,6 +176,20 @@ def test_unused_definitions_are_found():
     )
     refs = referenced_names(ast.parse(source))
     assert unused_definitions(source, refs) == [(4, "recursive"), (8, "dead")]
+
+
+def test_definitions_named_only_outside_the_referring_folders_are_found(tmp_path):
+    package, demos, tests = (tmp_path / d for d in ("package", "demos", "tests"))
+    for folder in (package, demos, tests):
+        folder.mkdir()
+    source = "def shown():\n    pass\ndef tested():\n    pass\n"
+    (package / "mod.py").write_text(source)
+    (demos / "demo.py").write_text("from package.mod import shown\nshown()\n")
+    (tests / "test_mod.py").write_text("from package.mod import tested\ntested()\n")
+    refs = folder_references([package, demos])
+    assert unused_definitions(source, refs) == [(3, "tested")]
+    refs = folder_references([package, demos, tests])
+    assert unused_definitions(source, refs) == []
 
 
 @pytest.mark.parametrize(

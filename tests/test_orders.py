@@ -80,7 +80,7 @@ def test_diagonal_order_leads_with_diagonal():
 
     ring = determinantal_ring(2, 3)
     o = lex(ring)
-    f = minor(ring, 2, 3, (1, 2), (1, 3))  # x11*x23 - x13*x21
+    f = minor(ring, (1, 2), (1, 3))  # x11*x23 - x13*x21
     lead = max(f.terms, key=o.key)
     e = [0] * 6
     e[0] = 1  # x1_1

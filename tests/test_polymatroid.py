@@ -5,23 +5,20 @@ from hypothesis import given, settings, strategies as st
 from conftest import SURFACE_CEE_TERMS
 from mdeg.intpoly import IntegerPolynomial
 from mdeg.polymatroid import (
-    dual_rank,
     exchange_check,
     in_convex_hull,
-    minkowski_sum,
     newton_polytope_points,
-    polymatroid_from_rank,
-    rank_from_points,
     snp_check,
     support_points,
 )
 
 
 def test_exchange_positive_matroid_bases():
-    # graphic matroid of a triangle: bases = edge pairs
-    pts = {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
-    ok, w = exchange_check(pts)
-    assert ok and w is None
+    # graphic matroid of a triangle: bases = edge pairs; and its dual, the
+    # rank-1 uniform matroid on 3 elements
+    for pts in ({(1, 1, 0), (1, 0, 1), (0, 1, 1)}, {(1, 0, 0), (0, 1, 0), (0, 0, 1)}):
+        ok, w = exchange_check(pts)
+        assert ok and w is None
 
 
 def test_exchange_positive_threefold_support():
@@ -43,42 +40,17 @@ def test_exchange_rejects_mixed_degrees():
     assert w[2] == -1
 
 
-def test_rank_and_dual_rank():
-    pts = {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
-    r, p = rank_from_points(pts)
-    assert p == 3
-    assert r([0]) == 1 and r([0, 1]) == 2 and r([0, 1, 2]) == 2
-    s = dual_rank(r, [1, 1, 1], p)
-    # dual of the rank-2 uniform matroid on 3 elements is the rank-1 one
-    assert s([0]) == 1 and s([0, 1]) == 1 and s([0, 1, 2]) == 1
-    assert polymatroid_from_rank(s, p) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-
-
-def test_polymatroid_from_rank_roundtrip():
-    pts = {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
-    r, p = rank_from_points(pts)
-    assert polymatroid_from_rank(r, p) == pts
-
-
 def test_polymatroid_from_truncated_modular_rank():
-    # r(J) = min(|J| + 1, 3) on 3 elements: bases of a polymatroid
-    def r(J):
-        return min(len(list(J)) + 1, 3)
-
-    pts = polymatroid_from_rank(r, 3)
+    # the 7 bases of the polymatroid of r(J) = min(|J| + 1, 3) on 3 elements
+    pts = {(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 1, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)}
     ok, _ = exchange_check(pts)
     assert ok
-    assert all(sum(q) == 3 for q in pts)
-    assert max(max(q) for q in pts) == 2
 
 
 def test_minkowski_sum_of_bases_is_bases():
-    a = {(1, 0), (0, 1)}
-    b = {(2, 0), (1, 1), (0, 2)}
-    s = minkowski_sum(a, b)
-    ok, _ = exchange_check(s)
+    # {(1, 0), (0, 1)} + {(2, 0), (1, 1), (0, 2)}
+    ok, _ = exchange_check({(3, 0), (2, 1), (1, 2), (0, 3)})
     assert ok
-    assert s == {(3, 0), (2, 1), (1, 2), (0, 3)}
 
 
 def test_hull_membership_exact():
