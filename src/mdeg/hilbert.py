@@ -6,7 +6,12 @@ variable-splitting recursion, on dicts from t-exponents packed into ints
 (ring._Packing, one field per grading coordinate) to coefficients;
 general homogeneous ideals go through their initial ideal, which has the
 same Hilbert function.  The multidegree C is the lowest-degree part of
-K(S/I; 1 - t), and the other invariants are read off K as well.
+K(S/I; 1 - t).  multidegree_C walks the same pivot tree without
+expanding K(1 - t): each node keeps only its codimension and lowest
+part.  Every lowest part has positive coefficients and the factor
+(1 - t)^deg(x) of a split starts with 1, so a split adds its children's
+lowest parts without cancellation.  The other invariants are read off
+K(1 - t).
 HilbertHint carries K(S/I) into Buchberger runs on ideals with that
 Hilbert function, and takes their leading terms as packed ints.
 hilbert_function_oracle counts standard monomials instead, as an
@@ -29,7 +34,7 @@ from .monomial import (
     minimalize,
     primary_decomposition,
 )
-from .ring import _add_mul, _field_bits, _packing
+from .ring import _add_mul, _field_bits, _packing, _times
 
 #: Largest componentwise bound hilbert_function_oracle enumerates up to.
 ORACLE_BOUND_LIMIT = 8
@@ -171,19 +176,54 @@ def codimension(I, order=None):
 
 
 def multidegree_C(I, order=None):
-    """The multidegree: lowest-degree part of K(S/I; 1 - t), and 0 for
-    the unit ideal.
+    """The multidegree C(S/I): the lowest-degree part of K(S/I; 1 - t),
+    0 for the unit ideal and 1 for the zero ideal, for I monomial or else
+    for its initial ideal.
 
-    For a positive grading that part sits at the codimension c: K(1 - t)
-    has no term of total degree below c, and its degree-c part is the sum
-    over the codimension-c minimal primes P of the length at P times
-    prod_{x_i in P} <deg x_i, t>, which is not zero (Miller-Sturmfels,
-    Combinatorial Commutative Algebra, ch. 8).
+    Computed on the pivot tree of k_polynomial_monomial, where each node
+    keeps only (codim, lowest part) (Miller-Sturmfels, Combinatorial
+    Commutative Algebra, ch. 8):
+    - generators with pairwise disjoint supports are a regular sequence,
+      of codim their number and C = prod <deg g, t>;
+    - at a split, K(S/I; 1 - t) = K(S/(I + x); 1 - t)
+      + (1 - t)^deg(x) K(S/(I : x); 1 - t), and (1 - t)^deg(x) starts
+      with 1, so the node's codim is the smaller child's and its C that
+      child's C, or the sum of both children's C on a tie.
+    By induction each node's C is nonzero with positive coefficients, so
+    that sum never cancels.
     """
-    sub = k_polynomial(I, order).substitute_one_minus_t()
-    if not sub:
-        return sub
-    return sub.total_degree_part(sub.min_total_degree())
+    if not isinstance(I, MonomialIdeal):
+        I = I.initial_ideal(order)
+    ring = I.ring
+    # C has total degree codim I <= n, so no t-exponent passes n
+    tpk = _packing(ring.p, _field_bits(ring.n))
+    units = [tpk.pack([int(j == k) for j in range(ring.p)]) for k in range(ring.p)]
+    return IntegerPolynomial(ring.p, tpk.unpack_dict(_c_packed(I, units)[1]))
+
+
+def _c_packed(I, units):
+    """(codim I, C(S/I)) for a monomial ideal by multidegree_C's
+    recursion, C as a dict from packed t-exponent to coefficient, units[k]
+    the packed t_k; the unit ideal gets codim n + 1, as in
+    monomial.codim_of, and C = 0."""
+    if I.is_unit():
+        return I.ring.n + 1, {}
+    split = I._pivot_split()
+    if split is None:
+        out = {0: 1}
+        degree, unpack = I.ring.monomial_degree, I._pk.unpack
+        for g in I._ints:
+            form = {u: d for u, d in zip(units, degree(unpack(g))) if d}
+            out = _times(out, form, ZZ, 0)
+        return len(I._ints), out
+    _, plus, quot = split
+    c, C = _c_packed(plus, units)
+    cq, Cq = _c_packed(quot, units)
+    if cq < c:
+        return cq, Cq
+    if cq == c:
+        _add_mul(C, 1, 0, Cq, ZZ, 0)
+    return c, C
 
 
 def multidegree_G(I, order=None):

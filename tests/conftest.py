@@ -1,14 +1,11 @@
 import itertools
-import random
 
-import pytest
-
-from mdeg.fields import GF32003, QQ
+from mdeg.fields import QQ
 from mdeg.groebner import Ideal, buchberger
 from mdeg.hilbert import k_polynomial
 from mdeg.monomial import MonomialIdeal
-from mdeg.orders import MonomialOrder, elimination_order
-from mdeg.ring import GradedRing, Polynomial, make_ring
+from mdeg.orders import elimination_order
+from mdeg.ring import Polynomial, make_ring
 
 
 def three_block_ring(field=QQ):
@@ -165,8 +162,8 @@ def random_ideal(rng, ring, max_degree=2, max_gens=3):
 
 
 # Reference helpers: the Hilbert series expansion that the oracle and the
-# K-polynomials are compared against, and integer-polynomial evaluation
-# and coefficientwise comparison.
+# K-polynomials are compared against, the multidegree C by substitution,
+# and integer-polynomial evaluation and coefficientwise comparison.
 
 
 def series_expansion(numerator, denominators, bound):
@@ -196,6 +193,16 @@ def series_expansion(numerator, denominators, bound):
             frontier = nxt
         table = out
     return {e: c for e, c in table.items() if c}
+
+
+def multidegree_C_by_substitution(I, order=None):
+    """C(S/I) as the lowest-degree part of the full expansion of
+    K(S/I; 1 - t), 0 for the unit ideal: the oracle for the pivot-tree
+    recursion of hilbert.multidegree_C."""
+    sub = k_polynomial(I, order).substitute_one_minus_t()
+    if not sub:
+        return sub
+    return sub.total_degree_part(sub.min_total_degree())
 
 
 def hilbert_series_table(I, bound, order=None):

@@ -5,7 +5,6 @@ lines always appear in the run log) and then asserts.
 """
 
 import random
-import sys
 import time
 
 from conftest import (

@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import gt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,16 +9,19 @@ from conftest import (
     SURFACE_CEE_TERMS,
     add_empty_block,
     hilbert_series_table,
+    multidegree_C_by_substitution,
     random_monomial_ideal,
     random_positive_ring,
     random_standard_ring,
     surface_prime,
     three_block_ring,
 )
+from mdeg.determinantal import build_determinantal
 from mdeg.errors import BoundTooLarge, EmptyScheme, NotStandardGraded
 from mdeg.groebner import Ideal, saturate_var_block
 from mdeg.hilbert import (
     HilbertHint,
+    _c_packed,
     arithmetic_multidegree,
     cee_of_quotient_prime,
     codimension,
@@ -32,12 +36,13 @@ from mdeg.intpoly import IntegerPolynomial
 from mdeg.monomial import (
     MonomialIdeal,
     associated_primes,
+    codim_of,
     localize_at,
     minimal_primes,
     primary_decomposition,
 )
 from mdeg.orders import lex, weight_order
-from mdeg.ring import Polynomial, _packing, make_ring
+from mdeg.ring import Polynomial, _field_bits, _packing, make_ring
 import tuple_kernel
 
 
@@ -329,6 +334,84 @@ def test_multidegree_C_is_the_part_at_the_codimension(seed, binomial):
     assert all(sum(e) >= c for e in sub.terms)
     assert C == sub.total_degree_part(c)
     assert bool(C) != I.is_unit()
+
+
+def check_C_recursion(I):
+    """multidegree_C's pivot-tree recursion on the monomial ideal I gives
+    codim_of(I) and the C of the substitution oracle, with positive
+    coefficients."""
+    ring = I.ring
+    tpk = _packing(ring.p, _field_bits(ring.n))
+    units = [tpk.pack([int(j == k) for j in range(ring.p)]) for k in range(ring.p)]
+    codim, terms = _c_packed(I, units)
+    assert codim == codim_of(I)
+    C = multidegree_C(I)
+    assert C.terms == tpk.unpack_dict(terms)
+    assert C == multidegree_C_by_substitution(I)
+    assert all(c > 0 for c in C.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_C_recursion_matches_the_substitution_oracle(seed, empty_block):
+    # random monomial ideals over random positive gradings, some with a
+    # grading coordinate that no variable uses, as `project --blocks` gives
+    rng = random.Random(seed)
+    R = random_positive_ring(rng, max_vars=6)
+    if empty_block:
+        R = add_empty_block(rng, R)
+    check_C_recursion(random_monomial_ideal(rng, R, max_gens=8))
+
+
+@pytest.mark.parametrize("gens", [[], [(0, 0, 0)]], ids=["zero", "unit"])
+def test_C_recursion_on_the_zero_and_unit_ideals(gens):
+    R = make_ring(["x", "y", "z"], [(1, 0), (1, 1), (0, 2)])
+    I = MonomialIdeal(R, gens)
+    check_C_recursion(I)
+    assert multidegree_C(I) == (IntegerPolynomial.zero(2) if gens else IntegerPolynomial.one(2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_C_recursion_in_16_bit_fields(seed):
+    # a minimal generator with an exponent of 128 or more, so the ideal
+    # packs its exponents in 16-bit fields
+    rng = random.Random(seed)
+    R = random_positive_ring(rng, max_vars=3, max_blocks=2)
+    i = rng.randrange(R.n)
+    wide = tuple(rng.randint(128, 130) if j == i else rng.randrange(2) for j in range(R.n))
+    gens = [
+        g
+        for g in random_monomial_ideal(rng, R, max_exp=2).gens
+        if any(map(gt, g, wide))
+    ]
+    I = MonomialIdeal(R, gens + [wide])
+    assert I._pk.bits == 16
+    check_C_recursion(I)
+
+
+def test_C_recursion_past_255_generators():
+    # the 330 monomials of degree 7 in 5 variables: the pivot counts sum
+    # the supports of 8-bit fields in chunks of 255 generators
+    R = make_ring([f"v{i}" for i in range(5)], [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
+    gens = [e for e in itertools.product(range(8), repeat=5) if sum(e) == 7]
+    I = MonomialIdeal(R, gens)
+    assert len(I._ints) == 330 and I._pk.bits == 8
+    check_C_recursion(I)
+
+
+# the det shapes of the benchmark: (m, n, r) for the r-minors of m x n
+BENCHMARK_DET_SHAPES = [(3, 4, 2), (3, 3, 2)] + [
+    (m, n, m) for n in range(1, 5) for m in range(1, n + 1)
+] + [(2, 5, 2)]
+
+
+@pytest.mark.parametrize("m,n,r", BENCHMARK_DET_SHAPES)
+def test_C_recursion_on_lex_initial_ideals_of_minors(m, n, r):
+    ring, I = build_determinantal(m, n, r)
+    order = lex(ring)
+    check_C_recursion(I.initial_ideal(order))
+    assert multidegree_C(I, order) == multidegree_C_by_substitution(I, order)
 
 
 @pytest.mark.parametrize("grevlex_layout", [False, True])

@@ -1,7 +1,7 @@
-"""Every name a module of the package imports is used in that module,
-every class, function and method it defines is named somewhere else,
-imports sit at module level unless they have a reason not to, and no
-module holds an assert statement.
+"""Every name a module of the package, the tests or the demos imports is
+used in that module, every class, function and method of the package is
+named somewhere else, the package's imports sit at module level unless
+they have a reason not to, and no module of it holds an assert statement.
 
 The package's ``__init__.py`` imports names only to re-export them, so it
 is exempt from the first check.  For the second, a definition counts as
@@ -27,6 +27,14 @@ SRC = ROOT / "src" / "mdeg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # the folders whose references make a definition of the package used
 REFERRING = [SRC, ROOT / "demos", ROOT / "mdegbench"]
+# the files whose imports must all be used
+IMPORTING = MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
+
+
+def module_id(path):
+    """A module of the package by its file name, any other file by its
+    path from the root of the checkout."""
+    return path.name if path.parent == SRC else path.relative_to(ROOT).as_posix()
 
 
 def unused_imports(source):
@@ -47,7 +55,7 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == [(1, "os"), (3, "b")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTING, ids=module_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from mdeg.errors import MdegError
 from mdeg.orders import (
     GT,
-    LT,
     MonomialOrder,
     elimination_order,
     grevlex,

@@ -1,9 +1,6 @@
 import random
 
-import pytest
-
 from mdeg.determinantal import build_determinantal
-from mdeg.errors import Unstable
 from mdeg.fields import GF32003
 from mdeg.groebner import Ideal
 from mdeg.monomial import MonomialIdeal
