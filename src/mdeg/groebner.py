@@ -29,10 +29,15 @@ count there, so each new element is top-reduced (reduced until its
 leading term is irreducible) and its tail is left as it stands, neither
 sorted nor reduced; the leading terms still lie in in(g(I)), which is
 all the hint's rules need.
-Intersection, saturation and contraction to a variable subring are one
-elimination helper, _eliminate, which runs on raw term dicts (the
-auxiliary-variable constructions are not multihomogeneous) and caches the
-result's reduced grevlex basis; colon is built on intersection.
+Intersection, saturation I : f^infinity and contraction to a variable
+subring are one elimination helper, _eliminate, which runs on raw term
+dicts (the auxiliary-variable constructions are not multihomogeneous) and
+caches the result's reduced grevlex basis; colon is built on intersection.
+Saturation by a block of variables, which the geometric multidegrees
+need, eliminates nothing: by Bayer's lemma, each I : x_i^infinity of a
+multihomogeneous I is read off one homogeneous basis of I under a degree
+order with x_i last (_saturate_variable), walking each block from its
+last variable, whose order in a standard grading is grevlex itself.
 """
 
 from heapq import heapify, heappop, heappush
@@ -47,7 +52,7 @@ from .errors import (
     Unstable,
 )
 from .monomial import MonomialIdeal
-from .orders import elimination_order, grevlex
+from .orders import elimination_order, grevlex, weight_order
 from .ring import (
     Polynomial,
     _add_mul,
@@ -411,6 +416,40 @@ def saturate(I, f):
     return _eliminate(ring, raw, ring.n + 1, [0], check_homogeneous=False)
 
 
+def _saturate_variable(I, i):
+    """I : x_i^infinity for an Ideal I, by Bayer's lemma; I itself when I
+    is already x_i-saturated.
+
+    With w_j the sum of the entries of deg(x_j), every multihomogeneous
+    generator is homogeneous for w.  Under the weight rows (w, -e_i)
+    refined by grevlex, the leading term of a w-homogeneous f has the
+    least x_i exponent among the terms of f, so x_i divides in(f) exactly
+    when it divides f.  Dividing each element of the reduced basis by the
+    largest power of x_i that divides it then gives a basis of
+    I : x_i^infinity (Bayer-Stillman 1987; Eisenbud, Commutative Algebra,
+    Prop. 15.12).  If no element is divisible, I is saturated; if one is,
+    g / x_i is not in I, since in(g) is a minimal generator of in(I).
+    When every w_j is equal and i is the last variable, the order is
+    grevlex itself, whose basis I caches for is_unit and __eq__.
+    """
+    ring = I.ring
+    w = tuple(sum(d) for d in ring.degrees)
+    if i == ring.n - 1 and len(set(w)) == 1:
+        order = grevlex(ring)
+    else:
+        order = weight_order(ring, (w, tuple(-int(j == i) for j in range(ring.n))))
+    gens, divided = [], False
+    for g in I.groebner_basis(order):
+        k = min(e[i] for e in g.terms)
+        if k:
+            divided = True
+            g = Polynomial._of(
+                ring, {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in g.terms.items()}
+            )
+        gens.append(g)
+    return Ideal(ring, gens, check_homogeneous=False) if divided else I
+
+
 def saturate_var_block(I, var_indices):
     """Saturate an Ideal or a MonomialIdeal by the ideal of some variables.
 
@@ -419,18 +458,25 @@ def saturate_var_block(I, var_indices):
     I <= I : m^infinity <= I : x_i^infinity for every i, the first x_i with
     I : x_i^infinity == I shows that I is already saturated, and I is
     returned at once.  An empty index set also returns I.
+
+    For an Ideal, each I : x_i^infinity is one homogeneous Buchberger run
+    (_saturate_variable), which relies on the generators being
+    multihomogeneous.  The variables are walked from the highest index
+    down, so that in a standard grading the first run of the last block is
+    the grevlex basis of I, which its callers need anyway.
     """
-    ring = I.ring
     out = None
-    for i in var_indices:
+    for i in sorted(var_indices, reverse=True):
         if isinstance(I, MonomialIdeal):
             s = I.saturate_variable(i)
+            if s == I:
+                return I
             meet = MonomialIdeal.intersect
         else:
-            s = saturate(I, ring.variable(ring.names[i]))
+            s = _saturate_variable(I, i)
+            if s is I:
+                return I
             meet = intersect
-        if s == I:
-            return I
         out = s if out is None else meet(out, s)
     return I if out is None else out
 

@@ -108,7 +108,7 @@ def random_standard_ring(rng, max_vars=8, max_blocks=3, field=QQ):
     return make_ring(names, degs, field)
 
 
-def random_positive_ring(rng, max_vars=6, max_blocks=3):
+def random_positive_ring(rng, max_vars=6, max_blocks=3, field=QQ):
     """A ring of 1..max_vars variables with random nonzero degree vectors
     in N^p, p <= max_blocks, of entries 0-2: so some |deg x| >= 2 and some
     zero coordinates."""
@@ -119,7 +119,7 @@ def random_positive_ring(rng, max_vars=6, max_blocks=3):
         while not any(d):
             d = tuple(rng.randrange(3) for _ in range(p))
         degs.append(d)
-    return make_ring([f"v{i}" for i in range(len(degs))], degs)
+    return make_ring([f"v{i}" for i in range(len(degs))], degs, field)
 
 
 def add_empty_block(rng, ring):

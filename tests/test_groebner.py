@@ -15,6 +15,7 @@ from conftest import (
     surface_prime,
     three_block_ring,
 )
+from mdeg import groebner
 from mdeg.errors import (
     BadArgument,
     BlocksNotSeparable,
@@ -26,6 +27,7 @@ from mdeg.fields import GF32003, QQ
 from mdeg.genin import random_block_change
 from mdeg.groebner import (
     Ideal,
+    _saturate_variable,
     as_ideal,
     buchberger,
     colon,
@@ -37,7 +39,7 @@ from mdeg.groebner import (
     saturate_var_block,
     substituted_ideal,
 )
-from mdeg.hilbert import HilbertHint
+from mdeg.hilbert import HilbertHint, geometric_multidegrees
 from mdeg.monomial import MonomialIdeal
 from mdeg.orders import (
     MonomialOrder,
@@ -159,13 +161,22 @@ def test_elimination_result_caches_its_reduced_grevlex_basis(seed, field):
         assert E.groebner_basis() == recomputed
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000))
-def test_saturate_var_block_matches_intersection_of_variable_saturations(seed):
+def _random_graded_ideal(seed, field):
+    """(rng, ring, Ideal) over `field`, the ring graded at random by a
+    standard or a positive grading."""
     rng = random.Random(seed)
-    R = random_standard_ring(rng, max_vars=4)
+    make = rng.choice([random_standard_ring, random_positive_ring])
+    R = make(rng, max_vars=4, field=field)
+    return rng, R, random_ideal(rng, R)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([QQ, GF32003]))
+def test_saturate_var_block_matches_intersection_of_variable_saturations(
+    seed, field
+):
+    rng, R, I = _random_graded_ideal(seed, field)
     idx = rng.sample(range(R.n), rng.randint(1, R.n))
-    I = random_ideal(rng, R)
     plain = functools.reduce(intersect, [saturate(I, R.gens()[i]) for i in idx])
     assert saturate_var_block(I, idx) == plain
     M = random_monomial_ideal(rng, R)
@@ -173,6 +184,49 @@ def test_saturate_var_block_matches_intersection_of_variable_saturations(seed):
         MonomialIdeal.intersect, [M.saturate_variable(i) for i in idx]
     )
     assert saturate_var_block(M, idx) == plain
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([QQ, GF32003]))
+def test_bayer_variable_saturation_matches_elimination(seed, field):
+    rng, R, I = _random_graded_ideal(seed, field)
+    for i in range(R.n):
+        s, plain = _saturate_variable(I, i), saturate(I, R.gens()[i])
+        assert s == plain
+        assert (s is I) == (plain == I)
+
+
+def _surface_and_torsion():
+    """(ring, P, P cap (x0, x1, x2, x3)^2) for the example46 threefold P."""
+    R = three_block_ring()
+    P = surface_prime(R)
+    xs = R.gens()[:4]
+    square = Ideal(R, [a * b for k, a in enumerate(xs) for b in xs[k:]])
+    return R, P, intersect(P, square)
+
+
+def test_bayer_variable_saturation_of_the_threefold():
+    R, P, J = _surface_and_torsion()
+    for i in range(R.n):
+        assert _saturate_variable(P, i) is P
+        s = _saturate_variable(J, i)
+        if i < 4:  # J : x_i^infinity drops the x-block torsion
+            assert s == saturate(J, R.gens()[i]) == P
+        else:
+            assert s is J
+    assert saturate_irrelevant(J) == P
+    assert geometric_multidegrees(J).entries == geometric_multidegrees(P).entries
+
+
+def test_saturated_prime_is_returned_without_elimination(monkeypatch):
+    R = three_block_ring()
+    P = surface_prime(R)
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("a saturated ideal reached an elimination")
+
+    monkeypatch.setattr(groebner, "_eliminate", no_elimination)
+    assert saturate_irrelevant(P) is P
 
 
 def test_saturate_irrelevant_of_irrelevant_is_unit():
