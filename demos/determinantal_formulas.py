@@ -26,7 +26,7 @@ def main():
             f"s{j}" for j in range(1, n + 1)
         ]
 
-        H, K = closed_formulas(m, n)  # also asserts the defining recursions
+        H, K = closed_formulas(m, n)
         print("closed multidegree formula:")
         print("  ", H.__str__(names))
         match_C = multidegree_C(I, order) == H

@@ -9,6 +9,10 @@ The main entry points:
 - :func:`gin` / :func:`gin_structure_report` handle generic initial ideals,
 - :func:`standardize` / :func:`cs_check` cover non-standard gradings,
 - :mod:`mdeg.determinantal` has the closed formulas for maximal minors.
+
+Every name re-exported here is used by the package itself, a demo or the
+benchmark: a re-export alone is not a use (tests/test_imports.py), and
+code that only the tests call lives in the tests.
 """
 
 from .errors import MdegError
@@ -16,8 +20,6 @@ from .fields import GF32003, QQ, PrimeField, Rationals
 from .genin import GinReport, gin, gin_structure_report, random_block_change
 from .groebner import (
     Ideal,
-    colon,
-    colon_ideal,
     contract,
     intersect,
     saturate,
@@ -31,21 +33,15 @@ from .hilbert import (
     k_polynomial,
     multidegree_C,
     multidegree_G,
-    truncation_multidegree,
 )
 from .inputlang import Session, format_ring_file, parse_input
 from .intpoly import IntegerPolynomial
 from .monomial import (
     MonomialIdeal,
-    alexander_dual,
-    associated_primes,
     borel_fixed_check,
-    dimension_and_minimal_primes,
-    dimension_filtration,
     length_at_minimal_prime,
     minimal_primes,
     mlength,
-    polarize,
     primary_decomposition,
     reisner_cm_check,
 )

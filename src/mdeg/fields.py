@@ -52,9 +52,6 @@ class Rationals:
     def inv(self, a):
         return 1 / a
 
-    def div(self, a, b):
-        return a / b
-
     def eq(self, a, b):
         return a == b
 
@@ -99,9 +96,6 @@ class PrimeField:
 
     def inv(self, a):
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
 
     def eq(self, a, b):
         return a == b

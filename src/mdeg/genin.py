@@ -126,12 +126,7 @@ class GinReport:
 
     def __init__(self):
         self.gin = None
-        self.borel_fixed = None
-        self.radical_cm = None
-        self.primes_are_borel_segments = None
-        self.minimal_components_equidimensional = None
         self.contraction_mlength = {}
-        self.divisibility_witness = {}
         self.clauses = {}
 
     def ok(self):
@@ -159,28 +154,22 @@ def gin_structure_report(I, order=None, trials=2, seed=0):
     if G.is_unit():
         raise EmptyScheme("the ideal cuts out the empty scheme")
     rep.gin = res
-    rep.borel_fixed = res.borel
     rep.clauses["borel_fixed"] = bool(res.borel)
-
-    rad = G.radical()
-    rep.radical_cm = reisner_cm_check(rad, HOMOLOGY_PRIME)
-    rep.clauses["radical_cohen_macaulay"] = bool(rep.radical_cm)
-
+    rep.clauses["radical_cohen_macaulay"] = bool(
+        reisner_cm_check(G.radical(), HOMOLOGY_PRIME)
+    )
     comps = primary_decomposition(G)
-    seg = all(
+    rep.clauses["associated_primes_are_block_segments"] = all(
         borel_prime_exponent(c.prime, G.ring) is not None for c in comps
     )
-    rep.primes_are_borel_segments = seg
-    rep.clauses["associated_primes_are_block_segments"] = seg
-
     minimal = [c for c in comps if c.length_at_prime is not None]
-    equi = len({len(c.prime) for c in minimal}) <= 1
-    rep.minimal_components_equidimensional = equi
-    rep.clauses["minimal_primes_equidimensional"] = equi
+    rep.clauses["minimal_primes_equidimensional"] = (
+        len({len(c.prime) for c in minimal}) <= 1
+    )
 
     ring = G.ring
     p = ring.p
-    base_lengths = sorted(c.length_at_prime for c in minimal)
+    base_lengths = [c.length_at_prime for c in minimal]
     base_ml = max(base_lengths)
     rep.contraction_mlength[tuple(range(1, p + 1))] = base_ml
     ml_ok = True
@@ -190,23 +179,15 @@ def gin_structure_report(I, order=None, trials=2, seed=0):
         IJ = contract(I, J)
         if IJ.is_zero():
             rep.contraction_mlength[J] = 1
-            rep.divisibility_witness[J] = []
             continue
         GJ = gin(IJ, trials=trials, seed=seed).ideal
-        lengths = {
-            frozenset(P): length_at_minimal_prime(GJ, P) for P in minimal_primes(GJ)
-        }
-        ml = max(lengths.values())
+        lengths = [length_at_minimal_prime(GJ, P) for P in minimal_primes(GJ)]
+        ml = max(lengths)
         rep.contraction_mlength[J] = ml
         if ml > base_ml:
             ml_ok = False
-        witness = []
-        for P, l in sorted(lengths.items(), key=lambda kv: sorted(kv[0])):
-            target = next((b for b in base_lengths if b % l == 0), None)
-            witness.append((sorted(P), l, target))
-            if target is None:
-                div_ok = False
-        rep.divisibility_witness[J] = witness
+        if not all(any(b % l == 0 for b in base_lengths) for l in lengths):
+            div_ok = False
     rep.clauses["contraction_mlength_monotone"] = ml_ok
     rep.clauses["component_length_divisibility"] = div_ok
     return rep

@@ -10,13 +10,13 @@ variable field, LOW masking the variable fields) or P itself (lex, x_1 in
 the top variable field).  A monomial product is one int add, a | b is
 `not (b - a) & GUARD`, and a new exponent with a guard bit set widens B
 and reruns (`_packed`), so answers stay exact for any exponent size.
-Normal forms, exact division and the leading terms of initial ideals use
-the same packing.
+Normal forms and the leading terms of initial ideals use the same
+packing.
 
 Polynomials are reduced with a lazy-deletion heap of order keys, so each
 term is touched once and the normal form comes out in descending order:
 every basis element lists its leading term first.  Every subtraction of a
-term multiple (reduction, S-polynomial, exact division) and the products
+term multiple (reduction, S-polynomial) and the products
 of a substitution go through the one term kernel, ring._add_mul.
 Critical pairs are pruned with the Gebauer-Moller update and picked
 smallest lcm first, which makes the reduced basis of a homogeneous input
@@ -32,7 +32,7 @@ all the hint's rules need.
 Intersection, saturation I : f^infinity and contraction to a variable
 subring are one elimination helper, _eliminate, which runs on raw term
 dicts (the auxiliary-variable constructions are not multihomogeneous) and
-caches the result's reduced grevlex basis; colon is built on intersection.
+caches the result's reduced grevlex basis.
 Saturation by a block of variables, which the geometric multidegrees
 need, eliminates nothing: by Bayer's lemma, each I : x_i^infinity of a
 multihomogeneous I is read off one homogeneous basis of I under a degree
@@ -311,9 +311,6 @@ class Ideal:
     def contains(self, f):
         return self.normal_form(f).is_zero()
 
-    def contains_ideal(self, other):
-        return all(self.contains(g) for g in other.gens)
-
 
 def as_ideal(I):
     """I itself for an Ideal; for a MonomialIdeal, the Ideal it generates."""
@@ -357,51 +354,6 @@ def intersect(I, J):
         d.update({(1,) + e: F.neg(c) for e, c in g.terms.items()})
         raw.append(d)
     return _eliminate(ring, raw, ring.n + 1, [0])
-
-
-def _divide_exact(g, f):
-    """Exact polynomial quotient g / f (remainder must vanish)."""
-    ring = g.ring
-    quo = _packed(grevlex(ring), [g.terms, f.terms], _quotient, ring.field)
-    return Polynomial._of(ring, quo)
-
-
-def _quotient(pk, dicts, F):
-    rem, f = dicts
-    flip, guard = pk.flip, pk.guard
-    lt = max(x ^ flip for x in f) ^ flip
-    lc = f[lt]
-    quo = {}
-    while rem:
-        e = max(x ^ flip for x in rem) ^ flip
-        shift = e - lt
-        if shift & guard:
-            raise ArithmeticError("division is not exact")
-        qc = F.div(rem[e], lc)
-        quo[shift] = qc
-        _add_mul(rem, F.neg(qc), shift, f, F, guard)
-    return pk.unpack_dict(quo)
-
-
-def colon(I, f):
-    """(I : f) for a single nonzero polynomial f, via (I cap (f)) / f."""
-    ring = I.ring
-    if f.is_zero():
-        raise ZeroDivisionError("colon by zero")
-    inter = intersect(I, Ideal(ring, [f], check_homogeneous=False))
-    gens = [_divide_exact(g, f) for g in inter.gens]
-    return Ideal(ring, gens, check_homogeneous=False)
-
-
-def colon_ideal(I, J):
-    """(I : J) = cap over generators of J."""
-    out = None
-    for g in J.gens:
-        c = colon(I, g)
-        out = c if out is None else intersect(out, c)
-    if out is None:
-        raise ValueError("colon by the zero ideal")
-    return out
 
 
 def saturate(I, f):

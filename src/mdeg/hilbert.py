@@ -29,7 +29,6 @@ from .monomial import (
     MonomialIdeal,
     _has_divisor,
     codim_of,
-    dimension_filtration,
     localize_at,
     minimalize,
     primary_decomposition,
@@ -80,8 +79,6 @@ def _k_packed(I, tdeg):
 
 def k_polynomial(I, order=None):
     """K(S/I; t) for a homogeneous ideal or a MonomialIdeal."""
-    if isinstance(I, MonomialIdeal):
-        return k_polynomial_monomial(I)
     return k_polynomial_monomial(I.initial_ideal(order))
 
 
@@ -170,15 +167,13 @@ class HilbertHint:
 
 
 def codimension(I, order=None):
-    if isinstance(I, MonomialIdeal):
-        return codim_of(I)
     return codim_of(I.initial_ideal(order))
 
 
 def multidegree_C(I, order=None):
     """The multidegree C(S/I): the lowest-degree part of K(S/I; 1 - t),
-    0 for the unit ideal and 1 for the zero ideal, for I monomial or else
-    for its initial ideal.
+    0 for the unit ideal and 1 for the zero ideal, read off the initial
+    ideal of I (I itself for a MonomialIdeal).
 
     Computed on the pivot tree of k_polynomial_monomial, where each node
     keeps only (codim, lowest part) (Miller-Sturmfels, Combinatorial
@@ -192,8 +187,7 @@ def multidegree_C(I, order=None):
     By induction each node's C is nonzero with positive coefficients, so
     that sum never cancels.
     """
-    if not isinstance(I, MonomialIdeal):
-        I = I.initial_ideal(order)
+    I = I.initial_ideal(order)
     ring = I.ring
     # C has total degree codim I <= n, so no t-exponent passes n
     tpk = _packing(ring.p, _field_bits(ring.n))
@@ -288,13 +282,6 @@ def arithmetic_multidegree(I):
     return out
 
 
-def truncation_multidegree(I, i):
-    """[C(R^i)]_i where R^i = Q_i/I is the dimension filtration quotient."""
-    Qi = dimension_filtration(I, i)
-    diff = k_polynomial_monomial(I) - k_polynomial_monomial(Qi)
-    return diff.substitute_one_minus_t().total_degree_part(i)
-
-
 class MultiplicityTable:
     """Mixed multiplicities e(n) of a saturated standard multigraded ideal."""
 
@@ -353,7 +340,7 @@ def hilbert_function_oracle(I, bound, order=None):
         raise BadArgument("bound must be componentwise non-negative")
     if any(b > ORACLE_BOUND_LIMIT for b in bound):
         raise BoundTooLarge(f"componentwise bound above {ORACLE_BOUND_LIMIT}")
-    mono = I if isinstance(I, MonomialIdeal) else I.initial_ideal(order)
+    mono = I.initial_ideal(order)
     n, degrees = ring.n, ring.degrees
     # every variable has a nonzero degree, so no exponent of the walk
     # passes ORACLE_BOUND_LIMIT + 1, which a field of any width holds: the

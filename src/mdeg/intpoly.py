@@ -1,7 +1,7 @@
 """Integer polynomials in Z[t_1..t_p]: K-polynomials and multidegrees.
 
 IntegerPolynomial has the arithmetic that hilbert and determinantal use:
-sums, products, homogeneous parts and the substitution t -> 1 - t.
+sums, products, the lowest total degree and the substitution t -> 1 - t.
 """
 
 from math import comb
@@ -43,12 +43,6 @@ class IntegerPolynomial:
     def monomial(cls, e, c=1):
         return cls(len(e), {tuple(e): c})
 
-    @classmethod
-    def variable(cls, p, i):
-        e = [0] * p
-        e[i] = 1
-        return cls(p, {tuple(e): 1})
-
     def is_zero(self):
         return not self.terms
 
@@ -84,10 +78,6 @@ class IntegerPolynomial:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def total_degree_part(self, d):
-        """Sum of the terms of total degree exactly d."""
-        return IntegerPolynomial(self.p, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def min_total_degree(self):
         if not self.terms:

@@ -1,10 +1,10 @@
 """Combinatorics of monomial ideals.
 
-Minimal generators, dimension and minimal primes, irreducible and primary
-decomposition, Borel-fixedness, Alexander duality, polarization, the
-dimension filtration and the Reisner Cohen-Macaulayness test all live
-here; everything is exact and field-free except the homology ranks, which
-are computed modulo a prime.
+Minimal generators, codimension and minimal primes, irreducible and
+primary decomposition, localization at a monomial prime, Borel-fixedness
+and the Reisner Cohen-Macaulayness test all live here; everything is
+exact and field-free except the homology ranks, which are computed modulo
+a prime.
 
 A MonomialIdeal stores its minimal generators as ints, packed by the one
 exponent packing of ring._Packing in its plain layout: a field of B bits
@@ -35,7 +35,7 @@ from .errors import (
     TooManyVertices,
 )
 from .fields import rank_mod_p
-from .ring import GradedRing, _field_bits, _max_exponent, _packing
+from .ring import _field_bits, _max_exponent, _packing
 
 
 def _minimal(ints, guard):
@@ -177,6 +177,10 @@ class MonomialIdeal:
 
     def is_unit(self):
         return self._ints[:1] == (0,)
+
+    def initial_ideal(self, order=None):
+        """A monomial ideal is its own initial ideal under every order."""
+        return self
 
     def _pack_capped(self, mono):
         """The packed exponent tuple `mono`, each entry capped at the
@@ -343,7 +347,7 @@ def from_polynomial_gens(ring, polys):
 
 
 # ---------------------------------------------------------------------------
-# minimal primes / dimension
+# minimal primes / codimension
 
 
 def minimal_primes(I):
@@ -371,15 +375,6 @@ def minimal_primes(I):
         (c for c in covers if not any(o < c for o in covers)),
         key=lambda c: (len(c), sorted(c)),
     )
-
-
-def dimension_and_minimal_primes(I):
-    """(Krull dimension of S/I, minimal primes as variable index sets)."""
-    if I.is_unit():
-        return (-1, [])
-    primes = minimal_primes(I)
-    codim = min(len(P) for P in primes)
-    return (I.ring.n - codim, primes)
 
 
 def codim_of(I):
@@ -469,10 +464,6 @@ def primary_decomposition(I):
     return out
 
 
-def associated_primes(I):
-    return [c.prime for c in primary_decomposition(I)]
-
-
 def localize_at(I, prime):
     """Set the variables outside `prime` to 1 and re-minimalize.
 
@@ -560,75 +551,6 @@ def borel_prime_exponent(prime, ring):
     if sum(a) != len(prime):
         return None
     return tuple(a)
-
-
-# ---------------------------------------------------------------------------
-# Alexander dual and polarization
-
-
-def alexander_dual(I):
-    """Dual of a squarefree ideal: generators <-> minimal primes."""
-    if not I.is_squarefree():
-        raise NotSquarefree("Alexander dual requires a squarefree ideal")
-    n = I.ring.n
-    gens = []
-    for P in minimal_primes(I):
-        gens.append(tuple(int(i in P) for i in range(n)))
-    return MonomialIdeal(I.ring, gens)
-
-
-def polarize(I):
-    """Standard polarization into an enlarged ring.
-
-    Returns (ideal, provenance) where provenance maps each new variable
-    index to the (original variable index, copy number) pair.  Copies keep
-    the multidegree of the original variable.
-    """
-    n = I.ring.n
-    copies = [1] * n
-    for g in I.gens:
-        for i, e in enumerate(g):
-            copies[i] = max(copies[i], e)
-    names, degrees, provenance = [], [], {}
-    index_of = {}
-    for i in range(n):
-        for c in range(copies[i]):
-            idx = len(names)
-            nm = I.ring.names[i] if copies[i] == 1 else f"{I.ring.names[i]}({c + 1})"
-            names.append(nm)
-            degrees.append(I.ring.degrees[i])
-            provenance[idx] = (i, c)
-            index_of[(i, c)] = idx
-    big = GradedRing(names, degrees, I.ring.field)
-    gens = []
-    for g in I.gens:
-        e = [0] * big.n
-        for i, k in enumerate(g):
-            for c in range(k):
-                e[index_of[(i, c)]] = 1
-        gens.append(tuple(e))
-    return MonomialIdeal(big, gens), provenance
-
-
-# ---------------------------------------------------------------------------
-# dimension filtration R^i
-
-
-def dimension_filtration(I, i):
-    """Q_i = intersection of the primary components of codimension < i.
-
-    R^i(S/I) is then Q_i/I; the empty intersection is the unit ideal, and
-    Q_i = I encodes R^i = 0 (all associated primes have codimension < i).
-    """
-    if i < 0:
-        raise ValueError("i must be non-negative")
-    comps = [c for c in primary_decomposition(I) if len(c.prime) < i]
-    if not comps:
-        return MonomialIdeal(I.ring, [(0,) * I.ring.n])
-    out = comps[0].component
-    for c in comps[1:]:
-        out = out.intersect(c.component)
-    return out
 
 
 # ---------------------------------------------------------------------------

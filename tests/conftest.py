@@ -2,8 +2,9 @@ import itertools
 
 from mdeg.fields import QQ
 from mdeg.groebner import Ideal, buchberger
-from mdeg.hilbert import k_polynomial
-from mdeg.monomial import MonomialIdeal
+from mdeg.hilbert import k_polynomial, k_polynomial_monomial
+from mdeg.intpoly import IntegerPolynomial
+from mdeg.monomial import MonomialIdeal, primary_decomposition
 from mdeg.orders import elimination_order
 from mdeg.ring import Polynomial, make_ring
 
@@ -163,7 +164,9 @@ def random_ideal(rng, ring, max_degree=2, max_gens=3):
 
 # Reference helpers: the Hilbert series expansion that the oracle and the
 # K-polynomials are compared against, the multidegree C by substitution,
-# and integer-polynomial evaluation and coefficientwise comparison.
+# the truncations [C(R^i)]_i of the dimension filtration that sum to the
+# arithmetic multidegree, and integer-polynomial parts, variables,
+# evaluation and coefficientwise comparison.
 
 
 def series_expansion(numerator, denominators, bound):
@@ -202,13 +205,47 @@ def multidegree_C_by_substitution(I, order=None):
     sub = k_polynomial(I, order).substitute_one_minus_t()
     if not sub:
         return sub
-    return sub.total_degree_part(sub.min_total_degree())
+    return total_degree_part(sub, sub.min_total_degree())
+
+
+def dimension_filtration(I, i):
+    """Q_i = intersection of the primary components of codimension < i.
+
+    R^i(S/I) is then Q_i/I; the empty intersection is the unit ideal, and
+    Q_i = I encodes R^i = 0 (all associated primes have codimension < i).
+    """
+    if i < 0:
+        raise ValueError("i must be non-negative")
+    comps = [c for c in primary_decomposition(I) if len(c.prime) < i]
+    if not comps:
+        return MonomialIdeal(I.ring, [(0,) * I.ring.n])
+    out = comps[0].component
+    for c in comps[1:]:
+        out = out.intersect(c.component)
+    return out
+
+
+def truncation_multidegree(I, i):
+    """[C(R^i)]_i where R^i = Q_i/I is the dimension filtration quotient."""
+    Qi = dimension_filtration(I, i)
+    diff = k_polynomial_monomial(I) - k_polynomial_monomial(Qi)
+    return total_degree_part(diff.substitute_one_minus_t(), i)
 
 
 def hilbert_series_table(I, bound, order=None):
     """Series expansion of K / prod(1 - t^deg x), for cross-checking."""
     k = k_polynomial(I, order)
     return series_expansion(k, list(I.ring.degrees), bound)
+
+
+def total_degree_part(f, d):
+    """The sum of the terms of the IntegerPolynomial f of total degree d."""
+    return IntegerPolynomial(f.p, {e: c for e, c in f.terms.items() if sum(e) == d})
+
+
+def int_variable(p, i):
+    """The IntegerPolynomial t_{i+1} in p variables."""
+    return IntegerPolynomial.monomial(tuple(int(j == i) for j in range(p)))
 
 
 def evaluate(f, values):

@@ -16,6 +16,7 @@ from conftest import (
     surface_prime,
     three_block_ring,
     toric_kernel,
+    truncation_multidegree,
 )
 from mdeg.cli import main as cli_main
 from mdeg.determinantal import build_determinantal, closed_formulas, multidegree_formula
@@ -28,7 +29,6 @@ from mdeg.hilbert import (
     hilbert_function_oracle,
     k_polynomial,
     multidegree_C,
-    truncation_multidegree,
 )
 from mdeg.intpoly import IntegerPolynomial
 from mdeg.monomial import (
@@ -163,7 +163,7 @@ def test_criterion_05_closed_formulas_match_pipeline(capsys):
     worst = 0.0
     for m, n in cells:
         t0 = time.monotonic()
-        H, K = closed_formulas(m, n)  # asserts both recursions internally
+        H, K = closed_formulas(m, n)
         ring, I = build_determinantal(m, n, m)
         order = lex(ring)
         good = (

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import int_variable
 from mdeg.determinantal import (
     build_determinantal,
     closed_formulas,
@@ -9,8 +10,7 @@ from mdeg.determinantal import (
     minor,
     multidegree_formula,
 )
-from mdeg import determinantal
-from mdeg.errors import BadShape, MdegError
+from mdeg.errors import BadShape
 from mdeg.hilbert import k_polynomial, multidegree_C
 from mdeg.intpoly import IntegerPolynomial
 from mdeg.monomial import MonomialIdeal
@@ -136,20 +136,30 @@ def test_formulas_match_groebner_computation():
         assert k_polynomial(I) == K, (m, n)
 
 
+def _embed(poly, m_src, n_src, m, n):
+    """Reindex a (m_src + n_src)-variable polynomial into m + n variables,
+    keeping t_1..t_{m_src} and s_1..s_{n_src}."""
+    out = {}
+    for e, c in poly.terms.items():
+        t = e[:m_src] + (0,) * (m - m_src)
+        s = e[m_src:] + (0,) * (n - n_src)
+        out[t + s] = c
+    return IntegerPolynomial(m + n, out)
+
+
 def test_recursions_asserted_on_larger_shapes():
-    # closed_formulas verifies its own recursions; just exercise them
-    for m, n in [(2, 5), (3, 4), (3, 5), (4, 5)]:
-        closed_formulas(m, n)
-
-
-def test_broken_recursion_raises_even_under_optimize(monkeypatch):
-    # the identity checks are raises, not asserts, so `python -O` keeps them
-    good = determinantal.multidegree_formula
-
-    def wrong(m, n):
-        H = good(m, n)
-        return H + IntegerPolynomial.one(H.p) if (m, n) == (3, 4) else H
-
-    monkeypatch.setattr(determinantal, "multidegree_formula", wrong)
-    with pytest.raises(MdegError, match="H recursion failed"):
-        closed_formulas(3, 4)
+    # the defining recursions of H = H_{m,n} and K = K(R/I_m), with
+    # a = (m, n - 1), b = (m - 1, n - 1):
+    #   H = (s_n + t_m) H_a + H_b,  K = (1 - t_m s_n) K_a + t_m s_n K_b
+    for n in range(3, 6):
+        for m in range(2, n):
+            p = m + n
+            tm, sn = int_variable(p, m - 1), int_variable(p, p - 1)
+            H, K = closed_formulas(m, n)
+            Ha = _embed(multidegree_formula(m, n - 1), m, n - 1, m, n)
+            Hb = _embed(multidegree_formula(m - 1, n - 1), m - 1, n - 1, m, n)
+            assert H == sn * Ha + tm * Ha + Hb, (m, n)
+            Ka = _embed(k_polynomial_formula(m, n - 1), m, n - 1, m, n)
+            Kb = _embed(k_polynomial_formula(m - 1, n - 1), m - 1, n - 1, m, n)
+            one = IntegerPolynomial.one(p)
+            assert K == (one - tm * sn) * Ka + tm * sn * Kb, (m, n)

@@ -15,6 +15,8 @@ from conftest import (
     random_standard_ring,
     surface_prime,
     three_block_ring,
+    total_degree_part,
+    truncation_multidegree,
 )
 from mdeg.determinantal import build_determinantal
 from mdeg.errors import BoundTooLarge, EmptyScheme, NotStandardGraded
@@ -30,12 +32,10 @@ from mdeg.hilbert import (
     k_polynomial,
     multidegree_C,
     multidegree_G,
-    truncation_multidegree,
 )
 from mdeg.intpoly import IntegerPolynomial
 from mdeg.monomial import (
     MonomialIdeal,
-    associated_primes,
     codim_of,
     localize_at,
     minimal_primes,
@@ -175,7 +175,7 @@ def test_zero_ideal_has_the_empty_prime_and_arithmetic_multidegree_one():
     R = make_ring(["x", "y"], [(1,), (1,)])
     zero = MonomialIdeal(R, [])
     one = IntegerPolynomial.one(1)
-    assert associated_primes(zero) == [frozenset()]
+    assert [c.prime for c in primary_decomposition(zero)] == [frozenset()]
     assert multidegree_C(zero) == one
     assert arithmetic_multidegree(zero) == one
     truncations = [truncation_multidegree(zero, i) for i in range(R.n + 1)]
@@ -332,7 +332,7 @@ def test_multidegree_C_is_the_part_at_the_codimension(seed, binomial):
     c = codimension(I)
     C = multidegree_C(I)
     assert all(sum(e) >= c for e in sub.terms)
-    assert C == sub.total_degree_part(c)
+    assert C == total_degree_part(sub, c)
     assert bool(C) != I.is_unit()
 
 

@@ -6,9 +6,9 @@ they have a reason not to, and no module of it holds an assert statement.
 The package's ``__init__.py`` imports names only to re-export them, so it
 is exempt from the first check.  For the second, a definition counts as
 used when its name is referred to outside the definition itself in the
-package (a re-export from ``__init__.py`` included), the demos or the
-benchmark.  A reference from the tests does not count: code that only
-the tests call belongs in the tests.  For the third,
+package, the demos or the benchmark.  Neither a reference from the tests
+nor a re-export from an ``__init__.py`` counts: code that only the tests
+call belongs in the tests, and a re-export calls nothing.  For the third,
 LOCAL_IMPORTS names the functions allowed an import in their body.  The
 fourth holds because ``python -O`` strips assert statements, and the
 exit-code contract needs errors that are raised under every flag.
@@ -153,11 +153,13 @@ def unused_definitions(source, references):
 
 
 def folder_references(folders):
-    """referenced_names summed over the Python files of `folders`."""
+    """referenced_names summed over the Python files of `folders`, each
+    folder's ``__init__.py`` aside."""
     out = Counter()
     for folder in folders:
         for path in folder.glob("*.py"):
-            out += referenced_names(ast.parse(path.read_text()))
+            if path.name != "__init__.py":
+                out += referenced_names(ast.parse(path.read_text()))
     return out
 
 
@@ -198,6 +200,18 @@ def test_definitions_named_only_outside_the_referring_folders_are_found(tmp_path
     assert unused_definitions(source, refs) == [(3, "tested")]
     refs = folder_references([package, demos, tests])
     assert unused_definitions(source, refs) == []
+
+
+def test_definitions_only_re_exported_by_an_init_are_found(tmp_path):
+    package, tests = tmp_path / "package", tmp_path / "tests"
+    for folder in (package, tests):
+        folder.mkdir()
+    source = "def called():\n    pass\ndef exported():\n    pass\ncalled()\n"
+    (package / "mod.py").write_text(source)
+    (package / "__init__.py").write_text("from .mod import called, exported\n")
+    (tests / "test_mod.py").write_text("from package import exported\nexported()\n")
+    refs = folder_references([package])
+    assert unused_definitions(source, refs) == [(3, "exported")]
 
 
 @pytest.mark.parametrize(

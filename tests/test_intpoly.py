@@ -2,7 +2,13 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import evaluate, ge_coefficientwise, series_expansion
+from conftest import (
+    evaluate,
+    ge_coefficientwise,
+    int_variable,
+    series_expansion,
+    total_degree_part,
+)
 from mdeg.determinantal import build_determinantal
 from mdeg.hilbert import k_polynomial
 from mdeg.intpoly import IntegerPolynomial
@@ -26,7 +32,7 @@ def test_substitution_is_involution():
 
 def test_total_degree_part_and_support():
     f = P(2, {(1, 0): 1, (0, 1): 2, (1, 1): -5})
-    assert f.total_degree_part(1) == P(2, {(1, 0): 1, (0, 1): 2})
+    assert total_degree_part(f, 1) == P(2, {(1, 0): 1, (0, 1): 2})
     assert f.min_total_degree() == 1
 
 
@@ -91,7 +97,7 @@ def _substitute_one_minus_t_reference(f):
             if k == 0:
                 cache[k] = IntegerPolynomial.one(f.p)
             else:
-                lin = IntegerPolynomial.one(f.p) - IntegerPolynomial.variable(f.p, i)
+                lin = IntegerPolynomial.one(f.p) - int_variable(f.p, i)
                 cache[k] = pw(i, k - 1) * lin
         return cache[k]
 

@@ -3,24 +3,26 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_monomial_ideal, random_positive_ring, random_standard_ring
+from conftest import (
+    dimension_filtration,
+    random_monomial_ideal,
+    random_positive_ring,
+    random_standard_ring,
+)
 from mdeg.errors import EmptyScheme, NotMinimalPrime, NotSquarefree, TooManyVertices
 from mdeg.groebner import contract
 from mdeg.monomial import (
     MonomialIdeal,
     PrimaryComponent,
-    alexander_dual,
     borel_fixed_check,
     borel_prime_exponent,
-    dimension_and_minimal_primes,
-    dimension_filtration,
+    codim_of,
     irreducible_decomposition,
     length_at_minimal_prime,
     localize_at,
     minimal_primes,
     minimalize,
     mlength,
-    polarize,
     primary_decomposition,
     reisner_cm_check,
     stanley_reisner_complex,
@@ -46,18 +48,17 @@ def test_dimension_and_minimal_primes():
     R = std_ring(3)
     # (xy, xz) = (x) cap (y, z)
     I = MonomialIdeal(R, [(1, 1, 0), (1, 0, 1)])
-    dim, primes = dimension_and_minimal_primes(I)
-    assert dim == 2
-    assert sorted(sorted(P) for P in primes) == [[0], [1, 2]]
+    assert R.n - codim_of(I) == 2
+    assert sorted(sorted(P) for P in minimal_primes(I)) == [[0], [1, 2]]
 
 
 def test_unit_and_zero_edge_cases():
     R = std_ring(2)
     unit = MonomialIdeal(R, [(0, 0)])
     assert unit.is_unit()
-    assert dimension_and_minimal_primes(unit) == (-1, [])
+    assert R.n - codim_of(unit) == -1 and minimal_primes(unit) == []
     zero = MonomialIdeal(R, [])
-    assert dimension_and_minimal_primes(zero) == (2, [frozenset()])
+    assert R.n - codim_of(zero) == 2 and minimal_primes(zero) == [frozenset()]
     assert irreducible_decomposition(zero) == [zero]
     (comp,) = primary_decomposition(zero)
     assert (comp.prime, comp.component, comp.length_at_prime) == (frozenset(), zero, 1)
@@ -164,41 +165,6 @@ def test_borel_prime_exponent():
     assert borel_prime_exponent({1}, R) is None
 
 
-def test_alexander_dual_small():
-    R = std_ring(3)
-    I = MonomialIdeal(R, [(1, 1, 0), (0, 1, 1)])
-    D = alexander_dual(I)
-    assert D == MonomialIdeal(R, [(0, 1, 0), (1, 0, 1)])
-    with pytest.raises(NotSquarefree):
-        alexander_dual(MonomialIdeal(R, [(2, 0, 0)]))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000))
-def test_alexander_dual_involution(seed):
-    rng = random.Random(seed)
-    R = std_ring(rng.randrange(2, 6))
-    gens = []
-    for _ in range(rng.randrange(1, 5)):
-        e = tuple(rng.randrange(0, 2) for _ in range(R.n))
-        if any(e):
-            gens.append(e)
-    if not gens:
-        return
-    I = MonomialIdeal(R, gens)
-    assert alexander_dual(alexander_dual(I)) == I
-
-
-def test_polarize():
-    R = std_ring(2)
-    I = MonomialIdeal(R, [(2, 1)])
-    J, provenance = polarize(I)
-    assert J.ring.n == 3
-    assert J.is_squarefree()
-    # polarized copies keep the original multidegree
-    assert all(J.ring.degrees[i] == R.degrees[provenance[i][0]] for i in provenance)
-
-
 def test_dimension_filtration():
     R = std_ring(3)
     # (x) cap (x^2, y, z): codims 1 and 3
@@ -219,6 +185,8 @@ def test_stanley_reisner_and_reisner():
     assert len(c.facets) == 4
     assert reisner_cm_check(I, 2)
     assert reisner_cm_check(I, 32003)
+    with pytest.raises(NotSquarefree):
+        stanley_reisner_complex(MonomialIdeal(R, [(2, 0, 0, 0)]))
 
 
 def test_reisner_negative():
