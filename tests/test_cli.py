@@ -347,6 +347,20 @@ def test_standardize_verify_and_roundtrip(tmp_path, capsys):
 
 WEIGHTED_FP = "field Fp 32003\n" + WEIGHTED + "ideal Q = [ x^2 ]\n"
 
+# rational coefficients, divisions, a negated parenthesized power and
+# implicit products; its projections print negative and non-integral
+# coefficients
+FRACTIONS = """\
+field QQ
+vars a b c d e
+deg a = (1,0,0)
+deg b = (1,0,0)
+deg c = (0,1,0)
+deg d = (0,1,0)
+deg e = (0,0,1)
+ideal F = [ 3/2 a c e - b d e/2 ; -(a - 2b)^2 c + 2/3 a b d ; a/2 (b c - 1/3 a d) e ]
+"""
+
 GOLDEN_FILES = {
     "small": SMALL,
     "weighted": WEIGHTED,
@@ -360,6 +374,8 @@ GOLDEN_FILES = {
     "not_homogeneous": "vars x y\ndeg x = (1)\ndeg y = (2)\nideal I = [ x + y ]\n",
     "ex46_fp": pathlib.Path(EX46).read_text().replace("field QQ", "field Fp 32003"),
     "unit_fp": pathlib.Path(RMK59).read_text() + "ideal U = [ x0; y0; 1 ]\n",
+    "fractions": FRACTIONS,
+    "divide_by_zero": "vars x\ndeg x = (1)\nideal I = [ x + x/0 ]\n",
 }
 FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}
 
@@ -403,6 +419,9 @@ GOLDEN_CASES = {
     "project-text": ["project", "{ex46}", "--ideal", "P", "--blocks", "2,3"],
     "project-json": ["project", "{ex46}", "--ideal", "P", "--blocks", "2,3", "--json"],
     "project-one-block-json": ["project", "{ex46}", "--ideal", "P", "--blocks", "1", "--json"],
+    "project-fractions-text": ["project", "{fractions}", "--ideal", "F", "--blocks", "1,2,3"],
+    "project-fractions-json": ["project", "{fractions}", "--ideal", "F", "--blocks", "1,2,3", "--json"],
+    "project-fractions-reparsed-json": ["project", "-", "--ideal", "F", "--blocks", "1,2", "--json"],
     "standardize-text": ["standardize", "{weighted}", "--ideal", "I"],
     "standardize-json": ["standardize", "{weighted}", "--ideal", "I", "--json"],
     "standardize-emit-ring-json": ["standardize", "{weighted}", "--ideal", "I", "--emit-ring", "--json"],
@@ -432,6 +451,7 @@ GOLDEN_CASES = {
     "err-missing-file": ["kpoly", "no-such-file.ring", "--ideal", "I"],
     "err-parse": ["kpoly", "{parse_error}", "--ideal", "I"],
     "err-unknown-var": ["kpoly", "{unknown_var}", "--ideal", "I", "--json"],
+    "err-divide-by-zero": ["kpoly", "{divide_by_zero}", "--ideal", "I"],
     "err-not-homogeneous": ["cee", "{not_homogeneous}", "--ideal", "I"],
     "err-unknown-ideal": ["gee", "{small}", "--ideal", "Nope"],
     "err-unknown-ideal-arith": ["arith", "{small}", "--ideal", "Nope"],
@@ -452,6 +472,8 @@ GOLDEN_STDIN = {"cee-stdin": SMALL}
 # project to blocks 2,3 of P over GF(32003): the first grading block is empty
 GOLDEN_PIPES = {
     "gin-empty-block-json": ["project", "{ex46_fp}", "--ideal", "P", "--blocks", "2,3"],
+    # the printed fractions parse back to the same ideal
+    "project-fractions-reparsed-json": ["project", "{fractions}", "--ideal", "F", "--blocks", "1,2,3"],
 }
 GOLDEN_ENV = {"gin-json": {"MDEG_SEED": "5"}}
 GOLDEN = FIXTURES / "cli_golden.json"
