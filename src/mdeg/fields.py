@@ -1,8 +1,13 @@
 """Coefficient fields: the rationals and word-size prime fields, and the
 one Gaussian elimination modulo a prime (rank_mod_p).
 
-Elements are plain Python objects (Fraction for QQ, int in [0, p) for a
-prime field) so the Groebner inner loops stay allocation-light.
+Elements are plain Python objects, so the Groebner inner loops stay
+allocation-light: an element of QQ is an int when it is integral and a
+Fraction otherwise, and an element of a prime field is an int in [0, p).
+QQ's coerce and inv return an int for an integral value, so integer input
+stays on int arithmetic; its add and mul are the plain operators, so a
+sum or product of Fractions stays a Fraction even when it is integral,
+which is the same value: it compares, hashes and prints as that int.
 """
 
 from fractions import Fraction
@@ -24,18 +29,19 @@ def _is_prime(n):
 
 
 class Rationals:
-    """Exact rational arithmetic via fractions.Fraction."""
+    """Exact rational arithmetic on ints and fractions.Fraction."""
 
     p = 0  # characteristic
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __repr__(self):
         return "QQ"
 
     def coerce(self, a):
-        return Fraction(a)
+        a = Fraction(a)
+        return a.numerator if a.denominator == 1 else a
 
     def add(self, a, b):
         return a + b
@@ -50,7 +56,8 @@ class Rationals:
         return -a
 
     def inv(self, a):
-        return 1 / a
+        a = Fraction(a.denominator, a.numerator)
+        return a.numerator if a.denominator == 1 else a
 
     def eq(self, a, b):
         return a == b

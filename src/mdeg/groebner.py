@@ -109,13 +109,16 @@ def _reduce_dict(f, basis, field, pk, top=False):
 
 def _make_monic(terms, field):
     """(leading term, monic multiple) of a packed term dict whose leading
-    term comes first."""
+    term comes first.  The leading coefficient is set to one, since over
+    QQ inv(c) * c may come out as Fraction(1) rather than the int 1."""
     lt = next(iter(terms))
     c = terms[lt]
     if field.eq(c, field.one):
         return lt, terms
     inv = field.inv(c)
-    return lt, {e: field.mul(inv, v) for e, v in terms.items()}
+    monic = {e: field.mul(inv, v) for e, v in terms.items()}
+    monic[lt] = field.one
+    return lt, monic
 
 
 def _update_pairs(pairs, lts, t, pk):

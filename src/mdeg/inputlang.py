@@ -7,21 +7,33 @@ Grammar (whitespace-insensitive, # comments):
     deg x0 = (1,0,0)
     ideal P = [ x0*x1 - x2^2 ; x0^3 ]
 
-Every variable needs a degree declaration; one ring per file; several
-named ideals may follow.  Errors carry line and column.
+Every variable needs a degree declaration, and every deg names a
+variable; one ring per file, with at most one field declaration; several
+named ideals may follow, each name once.  Errors carry line and column.
+
+The text is tokenized in one regex scan that counts lines as
+str.splitlines does.  Each generator is read into one term dict: a
+product of numbers, names and their ^ or / is one coefficient and one
+exponent list, so x^k costs one multiplication of exponents, and + and -
+add the product into the dict.  Only a parenthesized sum of several
+terms is a Polynomial, multiplied and raised to powers by Polynomial
+arithmetic.
 """
 
+import operator
 import re
-from fractions import Fraction
 
 from .errors import InputError
 from .fields import QQ, PrimeField
 from .groebner import Ideal
-from .ring import GradedRing, is_homogeneous
+from .ring import GradedRing, Polynomial, is_homogeneous
 
+# the line breaks of str.splitlines
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# a line break, other whitespace, a comment, or a token
 _TOKEN = re.compile(
-    r"\s*(?:(?P<comment>#[^\n]*)|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
-    r"|(?P<op>[=\[\]();,+\-*^/]))"
+    rf"(?P<br>\r\n|[{_BREAKS}])|[^\S{_BREAKS}]+|#[^{_BREAKS}]*"
+    r"|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[=\[\]();,+\-*^/])"
 )
 
 
@@ -36,26 +48,27 @@ class _Tok:
 
 
 def _tokenize(text):
+    """The tokens of `text` and a last "eof" token, in one regex scan that
+    counts lines as str.splitlines does.  An unexpected character is
+    reported at the column just past the last token before it on its
+    line."""
     toks = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN.match(line, pos)
-            if not m or m.end() == pos:
-                rest = line[pos:].lstrip()
-                if not rest:
-                    break
-                raise InputError(
-                    f"unexpected character {rest[0]!r}", lineno, pos + 1
-                )
-            if m.lastgroup == "comment":
-                break
-            if m.lastgroup:
-                toks.append(
-                    _Tok(m.lastgroup, m.group(m.lastgroup), lineno, m.start(m.lastgroup) + 1)
-                )
-            pos = m.end()
-    toks.append(_Tok("eof", "", len(text.splitlines()) + 1, 1))
+    line, start, end = 1, 0, 0  # line number, its first offset, its last token's end
+    pos = 0
+    match = _TOKEN.match
+    while pos < len(text):
+        m = match(text, pos)
+        if m is None:
+            raise InputError(f"unexpected character {text[pos]!r}", line, end - start + 1)
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "br":
+            line += 1
+            start = end = pos
+        elif kind:
+            toks.append(_Tok(kind, m.group(), line, m.start() - start + 1))
+            end = pos
+    toks.append(_Tok("eof", "", line + (pos > start), 1))
     return toks
 
 
@@ -107,34 +120,43 @@ class _Parser:
         field = None
         names = None
         degrees = {}
-        ideals = {}
-        order = []
+        deg_tokens = {}  # name -> its token in the deg declaration
+        raw_ideals = {}  # name -> (first token, token slice) of each generator
         while self.peek().kind != "eof":
             t = self.next()
             if t.kind != "name":
                 self.error("expected a declaration keyword", t)
             if t.text == "field":
+                if field is not None:
+                    self.error("duplicate field declaration", t)
                 field = self._parse_field()
             elif t.text == "vars":
                 if names is not None:
                     self.error("duplicate vars declaration", t)
                 names = self._parse_vars()
             elif t.text == "deg":
-                nm, d = self._parse_deg(names)
+                nt, d = self._parse_deg(names)
+                nm = nt.text
                 if nm in degrees:
                     self.error(f"duplicate degree for {nm}", t)
                 if all(c == 0 for c in d) or any(c < 0 for c in d):
                     self.error(f"deg {nm} = {d} is not a positive degree", t)
                 degrees[nm] = d
+                deg_tokens[nm] = nt
             elif t.text == "ideal":
                 nm, gens = self._parse_ideal_header()
-                order.append((nm, gens))
+                if nm in raw_ideals:
+                    self.error(f"duplicate ideal {nm}", t)
+                raw_ideals[nm] = gens
             else:
                 self.error(f"unknown declaration {t.text!r}", t)
         if field is None:
             field = QQ
         if names is None:
             raise InputError("missing vars declaration", 1, 1)
+        for nm, nt in deg_tokens.items():
+            if nm not in names:  # a deg before the vars declaration
+                self.error(f"unknown variable {nm!r}", nt)
         missing = [nm for nm in names if nm not in degrees]
         if missing:
             raise InputError(f"missing degree for {missing[0]}", 1, 1)
@@ -146,8 +168,9 @@ class _Parser:
             ring = GradedRing(names, [degrees[nm] for nm in names], field)
         except Exception as e:
             raise InputError(str(e), 1, 1)
+        ideals = {}
         positions = {}
-        for nm, raw_gens in order:
+        for nm, raw_gens in raw_ideals.items():
             ideals[nm] = [_build_poly(ring, toks) for _, toks in raw_gens]
             positions[nm] = [(start.line, start.col) for start, _ in raw_gens]
         return Session(ring, ideals, positions)
@@ -185,7 +208,7 @@ class _Parser:
             self.next()
             comps.append(int(self.expect("num").text))
         self.expect("op", ")")
-        return t.text, tuple(comps)
+        return t, tuple(comps)
 
     def _parse_ideal_header(self):
         t = self.expect("name")
@@ -221,91 +244,139 @@ class _Parser:
 
 
 def _build_poly(ring, toks):
-    """Recursive-descent evaluation of a generator token slice."""
-    pos = [0]
+    """The Polynomial of a generator's token slice, evaluated by recursive
+    descent into one term dict."""
+    F = ring.field
+    index = ring._index
+    minus_one = F.neg(F.one)
+    pos = 0
 
     def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
-
-    def advance():
-        t = toks[pos[0]]
-        pos[0] += 1
-        return t
+        return toks[pos] if pos < len(toks) else None
 
     def err(msg, t=None):
-        t = t or (toks[-1] if toks else None)
-        raise InputError(msg, t.line if t else 0, t.col if t else 0)
+        t = t or toks[-1]
+        raise InputError(msg, t.line, t.col)
 
-    def parse_expr():
+    def add(out, e, c):
+        prev = out.get(e)
+        if prev is not None:
+            c = F.add(prev, c)
+        if F.eq(c, F.zero):
+            out.pop(e, None)
+        else:
+            out[e] = c
+
+    def expr():
+        """The term dict of a sum: each term added in, with its sign."""
+        nonlocal pos
+        out = {}
+        sign = F.one
         t = peek()
-        neg = False
         if t is not None and t.text == "-":
-            advance()
-            neg = True
-        acc = parse_term()
-        if neg:
-            acc = -acc
-        while peek() is not None and peek().text in ("+", "-"):
-            op = advance().text
-            rhs = parse_term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
-
-    def parse_term():
-        acc = parse_factor()
-        while peek() is not None and (
-            peek().text == "*" or peek().kind in ("num", "name") or peek().text == "("
-        ):
-            if peek().text == "*":
-                advance()
-            acc = acc * parse_factor()
-        return acc
-
-    def parse_factor():
-        base = parse_base()
-        while peek() is not None and peek().text in ("^", "/"):
-            op = advance().text
-            t = peek()
-            if t is None or t.kind != "num":
-                err("expected an integer after " + op, t)
-            advance()
-            if op == "^":
-                base = base ** int(t.text)
+            pos += 1
+            sign = minus_one
+        while True:
+            c, e, poly = term()
+            c = F.mul(sign, c)
+            if poly is None:
+                add(out, tuple(e), c)
             else:
-                try:
-                    base = base.scale(Fraction(1, int(t.text)))
-                except ZeroDivisionError:
-                    err(f"cannot divide by {t.text} over {ring.field!r}", t)
-        return base
+                for pe, pc in poly.terms.items():
+                    add(out, tuple(map(operator.add, pe, e)), F.mul(c, pc))
+            t = peek()
+            if t is None or t.text not in ("+", "-"):
+                return out
+            pos += 1
+            sign = F.one if t.text == "+" else minus_one
 
-    def parse_base():
+    def term():
+        """(coefficient, exponent list, Polynomial or None) of a product:
+        its monomial factors multiply into the coefficient and the
+        exponents, the others into the Polynomial."""
+        nonlocal pos
+        c, e, poly = F.one, [0] * ring.n, None
+        while True:
+            fc, fe, fp = factor()
+            if fp is None:
+                c = F.mul(c, fc)
+                for i, k in fe.items():
+                    e[i] += k
+            else:
+                poly = fp if poly is None else poly * fp
+            t = peek()
+            if t is None:
+                return c, e, poly
+            if t.text == "*":
+                pos += 1
+            elif t.kind not in ("num", "name") and t.text != "(":
+                return c, e, poly
+
+    def factor():
+        """A base and its ^ and /: (coefficient, {variable index:
+        exponent}, None) for a monomial, (None, None, Polynomial) for a
+        parenthesized sum of several terms."""
+        nonlocal pos
+        c, exps, poly = base()
+        while True:
+            t = peek()
+            if t is None or t.text not in ("^", "/"):
+                return c, exps, poly
+            pos += 1
+            k = peek()
+            if k is None or k.kind != "num":
+                err("expected an integer after " + t.text, k)
+            pos += 1
+            m = int(k.text)
+            if t.text == "^":
+                if poly is None:
+                    c = pow(c, m, F.p) if F.p else F.coerce(c**m)
+                    exps = {i: v * m for i, v in exps.items()}
+                else:
+                    poly = poly**m
+            else:
+                d = F.coerce(m)
+                if F.eq(d, F.zero):
+                    err(f"cannot divide by {k.text} over {F!r}", k)
+                if poly is None:
+                    c = F.mul(c, F.inv(d))
+                else:
+                    poly = poly.scale(F.inv(d))
+
+    def base():
+        nonlocal pos
         t = peek()
         if t is None:
             err("unexpected end of polynomial")
+        pos += 1
         if t.kind == "num":
-            advance()
-            return ring.constant(int(t.text))
+            return F.coerce(int(t.text)), {}, None
         if t.kind == "name":
-            if t.text not in ring._index:
+            if t.text not in index:
                 err(f"unknown variable {t.text!r}", t)
-            advance()
-            return ring.variable(t.text)
+            return F.one, {index[t.text]: 1}, None
         if t.text == "(":
-            advance()
-            inner = parse_expr()
+            inner = expr()
             t2 = peek()
             if t2 is None or t2.text != ")":
                 err("expected )", t2 or t)
-            advance()
-            return inner
+            pos += 1
+            if len(inner) > 1:
+                return None, None, Polynomial._of(ring, inner)
+            # a monomial in parentheses stays a monomial, so that its
+            # powers too are products of exponents
+            if not inner:
+                return F.zero, {}, None
+            [(e, c)] = inner.items()
+            return c, {i: k for i, k in enumerate(e) if k}, None
         err(f"unexpected token {t.text!r}", t)
 
     if not toks:
         return ring.zero()
-    out = parse_expr()
-    if pos[0] != len(toks):
-        err(f"trailing tokens in polynomial", toks[pos[0]])
-    return out
+    out = expr()
+    if pos != len(toks):
+        err("trailing tokens in polynomial", toks[pos])
+    return Polynomial._of(ring, out)
 
 
 def parse_input(text):

@@ -31,7 +31,6 @@ the fieldwise max(b - a, 0) of `_Packing.excess` gives its colons and,
 through `_Packing.lcm`, its intersections.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import lshift, mul
@@ -102,12 +101,6 @@ class GradedRing:
 
     def one(self):
         return Polynomial(self, {(0,) * self.n: self.field.one})
-
-    def constant(self, c):
-        c = self.field.coerce(c)
-        if self.field.eq(c, self.field.zero):
-            return self.zero()
-        return Polynomial(self, {(0,) * self.n: c})
 
     def monomial(self, exps, coeff=1):
         exps = tuple(exps)
@@ -371,10 +364,9 @@ class Polynomial:
         parts = []
         for e, c in self.sorted_terms():
             mono = _monomial_str(self.ring, e)
-            neg = False
-            if isinstance(c, Fraction):
-                neg = c < 0
-                c = -c if neg else c
+            neg = c < 0
+            if neg:
+                c = -c
             cs = str(c)
             if mono == "1":
                 body = cs

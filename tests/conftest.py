@@ -243,6 +243,11 @@ def total_degree_part(f, d):
     return IntegerPolynomial(f.p, {e: c for e, c in f.terms.items() if sum(e) == d})
 
 
+def constant(ring, c):
+    """The constant polynomial c of `ring`."""
+    return ring.monomial((0,) * ring.n, c)
+
+
 def int_variable(p, i):
     """The IntegerPolynomial t_{i+1} in p variables."""
     return IntegerPolynomial.monomial(tuple(int(j == i) for j in range(p)))

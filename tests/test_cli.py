@@ -376,6 +376,10 @@ GOLDEN_FILES = {
     "unit_fp": pathlib.Path(RMK59).read_text() + "ideal U = [ x0; y0; 1 ]\n",
     "fractions": FRACTIONS,
     "divide_by_zero": "vars x\ndeg x = (1)\nideal I = [ x + x/0 ]\n",
+    "two_fields": "field QQ\nvars x\n  field Fp 7\ndeg x = (1)\nideal I = [ x ]\n",
+    "two_ideals": "vars x\ndeg x = (1)\nideal I = [ x ]\n ideal I = [ x^2 ]\n",
+    "deg_not_a_var": "deg w = (1)\nvars x\ndeg x = (1)\nideal I = [ x ]\n",
+    "deg_not_a_var_length": "deg  w = (1,0)\nvars x\ndeg x = (1)\nideal I = [ x ]\n",
 }
 FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}
 
@@ -452,6 +456,10 @@ GOLDEN_CASES = {
     "err-parse": ["kpoly", "{parse_error}", "--ideal", "I"],
     "err-unknown-var": ["kpoly", "{unknown_var}", "--ideal", "I", "--json"],
     "err-divide-by-zero": ["kpoly", "{divide_by_zero}", "--ideal", "I"],
+    "err-duplicate-field": ["kpoly", "{two_fields}", "--ideal", "I"],
+    "err-duplicate-ideal": ["kpoly", "{two_ideals}", "--ideal", "I", "--json"],
+    "err-deg-not-a-var": ["kpoly", "{deg_not_a_var}", "--ideal", "I"],
+    "err-deg-not-a-var-length": ["kpoly", "{deg_not_a_var_length}", "--ideal", "I"],
     "err-not-homogeneous": ["cee", "{not_homogeneous}", "--ideal", "I"],
     "err-unknown-ideal": ["gee", "{small}", "--ideal", "Nope"],
     "err-unknown-ideal-arith": ["arith", "{small}", "--ideal", "Nope"],
