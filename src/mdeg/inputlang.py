@@ -134,6 +134,7 @@ class _Parser:
                 if names is not None:
                     self.error("duplicate vars declaration", t)
                 names = self._parse_vars()
+                vars_token = t
             elif t.text == "deg":
                 nt, d = self._parse_deg(names)
                 nm = nt.text
@@ -159,11 +160,11 @@ class _Parser:
                 self.error(f"unknown variable {nm!r}", nt)
         missing = [nm for nm in names if nm not in degrees]
         if missing:
-            raise InputError(f"missing degree for {missing[0]}", 1, 1)
+            self.error(f"missing degree for {missing[0]}", vars_token)
         p = len(next(iter(degrees.values())))
         for nm in names:
             if len(degrees[nm]) != p:
-                raise InputError(f"degree of {nm} has wrong length", 1, 1)
+                self.error(f"degree of {nm} has wrong length", deg_tokens[nm])
         try:
             ring = GradedRing(names, [degrees[nm] for nm in names], field)
         except Exception as e:

@@ -380,6 +380,8 @@ GOLDEN_FILES = {
     "two_ideals": "vars x\ndeg x = (1)\nideal I = [ x ]\n ideal I = [ x^2 ]\n",
     "deg_not_a_var": "deg w = (1)\nvars x\ndeg x = (1)\nideal I = [ x ]\n",
     "deg_not_a_var_length": "deg  w = (1,0)\nvars x\ndeg x = (1)\nideal I = [ x ]\n",
+    "missing_degree": "field QQ\n vars x y\ndeg x = (1)\nideal I = [ x ]\n",
+    "degree_length": "vars x y\ndeg x = (1)\ndeg  y = (1,0)\nideal I = [ x ]\n",
 }
 FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}
 
@@ -460,6 +462,8 @@ GOLDEN_CASES = {
     "err-duplicate-ideal": ["kpoly", "{two_ideals}", "--ideal", "I", "--json"],
     "err-deg-not-a-var": ["kpoly", "{deg_not_a_var}", "--ideal", "I"],
     "err-deg-not-a-var-length": ["kpoly", "{deg_not_a_var_length}", "--ideal", "I"],
+    "err-missing-degree": ["kpoly", "{missing_degree}", "--ideal", "I"],
+    "err-degree-length": ["kpoly", "{degree_length}", "--ideal", "I"],
     "err-not-homogeneous": ["cee", "{not_homogeneous}", "--ideal", "I"],
     "err-unknown-ideal": ["gee", "{small}", "--ideal", "Nope"],
     "err-unknown-ideal-arith": ["arith", "{small}", "--ideal", "Nope"],

@@ -3,8 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import constant
-
 from mdeg.errors import (
     DuplicateVariableName,
     NotHomogeneous,
@@ -163,7 +161,7 @@ def test_no_public_construction_leaves_a_zero_coefficient(F, c, e, k, text_f, te
     )
     R = session.ring
     f, g = (session.ideals["I"] + [R.zero(), R.zero()])[:2]
-    _no_zero_coefficient(f, g, constant(R, c), R.monomial(e, c))
+    _no_zero_coefficient(f, g, R.monomial((0, 0, 0), c), R.monomial(e, c))
     # exponents of 3 lie outside exponent_tuples, so no key repeats
     given = Polynomial(R, {e: F.coerce(c), (3, 0, 0): F.zero, (0, 3, 0): F.coerce(7)})
     _no_zero_coefficient(given)
