@@ -1,13 +1,13 @@
 """Generic determinantal ideals under the fine N^m + N^n grading.
 
 The ring has one variable x_{i,j} per matrix entry with degree e_i + f_j;
-I_r is generated by the r-minors.  For maximal minors the multidegree and
-K-polynomial have closed forms, and the diagonal (row-major lex) order
-gives the main-diagonal initial ideal.  The defining recursions of both
-formulas and of the diagonal initial ideals are checked by the tests.
+I_r is generated by the r-minors, which are built multihomogeneous.  For
+maximal minors the multidegree and K-polynomial are sums of h_j(t) e_k(s),
+and the diagonal (row-major lex) order gives the main-diagonal initial
+ideal.  The tests check the formulas' recursions and the diagonal ideals.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 from .errors import BadShape
 from .fields import QQ
@@ -35,7 +35,8 @@ def determinantal_ring(m, n, field=QQ):
 
 def minor(ring, rows, cols):
     """Determinant of the submatrix on the given 1-based rows and columns:
-    one signed squarefree monomial per permutation."""
+    one signed squarefree monomial per permutation, each of degree
+    sum(e_i for rows) + sum(f_j for cols), with coefficient +-1."""
     r = len(rows)
     F = ring.field
     index = ring._index
@@ -51,7 +52,7 @@ def minor(ring, rows, cols):
         for a in range(r):
             e[index[f"x{rows[a]}_{cols[perm[a]]}"]] = 1
         terms[tuple(e)] = F.coerce(sign)
-    return Polynomial(ring, terms)
+    return Polynomial._of(ring, terms)
 
 
 def build_determinantal(m, n, r, field=QQ):
@@ -63,87 +64,54 @@ def build_determinantal(m, n, r, field=QQ):
     for rows in combinations(range(1, m + 1), r):
         for cols in combinations(range(1, n + 1), r):
             gens.append(minor(ring, rows, cols))
-    return ring, Ideal(ring, gens)
+    return ring, Ideal._of(ring, gens)
 
 
 # ---------------------------------------------------------------------------
 # closed formulas for maximal minors
 
 
+def _monomial_sum(p, picks):
+    """Sum of the monomials in p variables, each given by the indices of
+    its factors: drawn by combinations from s_1..s_n this is e_k(s), by
+    combinations_with_replacement from t_1..t_m it is h_j(t)."""
+    out = {}
+    for pick in picks:
+        e = [0] * p
+        for i in pick:
+            e[i] += 1
+        out[tuple(e)] = 1
+    return IntegerPolynomial(p, out)
+
+
+def _h_e_products(m, n, pairs):
+    """sum of c * h_j(t) * e_k(s) over (c, j, k) in pairs, in Z[t_1..t_m,
+    s_1..s_n]."""
+    p = m + n
+    acc = IntegerPolynomial.zero(p)
+    for c, j, k in pairs:
+        h = _monomial_sum(p, combinations_with_replacement(range(m), j))
+        e = _monomial_sum(p, combinations(range(m, p), k))
+        acc = acc + h * e * c
+    return acc
+
+
 def multidegree_formula(m, n):
-    """H_{m,n}: sum of t^a s^b over a in N^m, b in {0,1}^n with
-    |a| + |b| = n - m + 1."""
+    """H_{m,n} = sum_j h_j(t) e_{d-j}(s) over j = 0..d, d = n - m + 1: the
+    sum of t^a s^b over a in N^m, b in {0,1}^n with |a| + |b| = d."""
     if m < 1 or n < m:
         raise BadShape(f"need 1 <= m <= n, got ({m}, {n})")
-    p = m + n
     d = n - m + 1
-    out = {}
-
-    def avecs(i, left, cur):
-        if i == m:
-            yield tuple(cur), left
-            return
-        for e in range(left + 1):
-            cur.append(e)
-            yield from avecs(i + 1, left - e, cur)
-            cur.pop()
-
-    for a, rem in avecs(0, d, []):
-        used = d - rem
-        k = d - used  # remaining goes into the squarefree s part
-        if k > n:
-            continue
-        for cols in combinations(range(n), k):
-            b = [0] * n
-            for j in cols:
-                b[j] = 1
-            out[a + tuple(b)] = out.get(a + tuple(b), 0) + 1
-    return IntegerPolynomial(p, out)
-
-
-def _h_complete(m, n, j):
-    """Complete homogeneous symmetric polynomial of degree j in t_1..t_m,
-    as an (m+n)-variable polynomial."""
-    p = m + n
-    out = {}
-
-    def rec(i, left, cur):
-        if i == m:
-            if left == 0:
-                out[tuple(cur) + (0,) * n] = 1
-            return
-        for e in range(left + 1):
-            cur.append(e)
-            rec(i + 1, left - e, cur)
-            cur.pop()
-
-    rec(0, j, [])
-    return IntegerPolynomial(p, out)
-
-
-def _e_elementary(m, n, j):
-    """Elementary symmetric polynomial of degree j in s_1..s_n."""
-    p = m + n
-    out = {}
-    for cols in combinations(range(n), j):
-        e = [0] * n
-        for c in cols:
-            e[c] = 1
-        out[(0,) * m + tuple(e)] = 1
-    return IntegerPolynomial(p, out)
+    return _h_e_products(m, n, [(1, j, d - j) for j in range(d + 1)])
 
 
 def k_polynomial_formula(m, n):
     """K(R/I_m) = 1 - t_1..t_m * sum_j (-1)^j h_j(t) e_{m+j}(s)."""
     if m < 1 or n < m:
         raise BadShape(f"need 1 <= m <= n, got ({m}, {n})")
-    p = m + n
     tprod = IntegerPolynomial.monomial((1,) * m + (0,) * n)
-    acc = IntegerPolynomial.zero(p)
-    for j in range(n - m + 1):
-        term = _h_complete(m, n, j) * _e_elementary(m, n, m + j)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return IntegerPolynomial.one(p) - tprod * acc
+    acc = _h_e_products(m, n, [((-1) ** j, j, m + j) for j in range(n - m + 1)])
+    return IntegerPolynomial.one(m + n) - tprod * acc
 
 
 def closed_formulas(m, n):

@@ -42,9 +42,10 @@ def _random_invertible(F, k, rng):
 def random_block_change(ring, seed):
     """Seeded random block-diagonal change of coordinates.
 
-    Returns the list of variable images (linear forms mixing each grading
-    block).  The field must be large (p >= 10007) so random choices behave
-    generically.
+    Returns the list of variable images: linear forms mixing each grading
+    block, so each image is homogeneous of its variable's degree, as
+    groebner.substituted_ideal requires.  The field must be large
+    (p >= 10007) so random choices behave generically.
     """
     if not ring.is_standard:
         raise NotStandardGraded("generic initial ideals need a standard grading")
@@ -64,7 +65,7 @@ def random_block_change(ring, seed):
                     e = [0] * ring.n
                     e[j] = 1
                     terms[tuple(e)] = M[r][c]
-            images[i] = Polynomial(ring, terms)
+            images[i] = Polynomial._of(ring, terms)
     return images
 
 

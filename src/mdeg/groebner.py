@@ -38,6 +38,9 @@ need, eliminates nothing: by Bayer's lemma, each I : x_i^infinity of a
 multihomogeneous I is read off one homogeneous basis of I under a degree
 order with x_i last (_saturate_variable), walking each block from its
 last variable, whose order in a standard grading is grevlex itself.
+Ideal checks the generators a caller passes; the ideals built here
+(eliminations, saturations, substitutions) are multihomogeneous by
+construction and are wrapped by Ideal._of without a second check.
 """
 
 from heapq import heapify, heappop, heappush
@@ -246,24 +249,36 @@ def _normal_form(pk, dicts, field):
 
 
 class Ideal:
-    """A multihomogeneous ideal with cached reduced Groebner bases."""
+    """A multihomogeneous ideal with cached reduced Groebner bases.
 
-    def __init__(self, ring, gens, check_homogeneous=True):
+    Ideal(ring, gens) checks that each generator is a multihomogeneous
+    Polynomial of `ring`, and drops the zero ones."""
+
+    def __init__(self, ring, gens):
         self.ring = ring
         clean = []
         for f in gens:
-            if isinstance(f, Polynomial):
-                if f.ring != ring:
-                    raise RingMismatch("generator from a different ring")
-                if f.is_zero():
-                    continue
-                if check_homogeneous and not is_homogeneous(f):
-                    raise NotHomogeneous(f"generator {f} is not multihomogeneous")
-                clean.append(f)
-            else:
+            if not isinstance(f, Polynomial):
                 raise TypeError("generators must be Polynomials")
+            if f.ring != ring:
+                raise RingMismatch("generator from a different ring")
+            if f.is_zero():
+                continue
+            if not is_homogeneous(f):
+                raise NotHomogeneous(f"generator {f} is not multihomogeneous")
+            clean.append(f)
         self.gens = tuple(clean)
         self._gb = {}
+
+    @classmethod
+    def _of(cls, ring, gens):
+        """The ideal on `gens` as given, unchecked: for nonzero
+        multihomogeneous Polynomials of `ring` that the program built, such
+        as elimination results, minors or images under a map that keeps
+        degrees."""
+        I = cls.__new__(cls)
+        I.ring, I.gens, I._gb = ring, tuple(gens), {}
+        return I
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
@@ -319,11 +334,11 @@ def as_ideal(I):
     """I itself for an Ideal; for a MonomialIdeal, the Ideal it generates."""
     if isinstance(I, MonomialIdeal):
         ring = I.ring
-        return Ideal(ring, [Polynomial(ring, {g: ring.field.one}) for g in I.gens])
+        return Ideal._of(ring, [Polynomial._of(ring, {g: ring.field.one}) for g in I.gens])
     return I
 
 
-def _eliminate(ring, dicts, n, drop, check_homogeneous=True):
+def _eliminate(ring, dicts, n, drop):
     """Ideal of `ring` cut out of the term dicts, in an n-slot exponent
     space, by eliminating the slots `drop`.
 
@@ -340,7 +355,7 @@ def _eliminate(ring, dicts, n, drop, check_homogeneous=True):
         for d in buchberger(dicts, elimination_order(n, drop), ring.field)
         if not any(e[k] for e in d for k in drop)
     ]
-    out = Ideal(ring, gens, check_homogeneous=check_homogeneous)
+    out = Ideal._of(ring, gens)
     out._gb[grevlex(ring)] = out.gens
     return out
 
@@ -368,7 +383,7 @@ def saturate(I, f):
     aux = {(1,) + e: F.neg(c) for e, c in f.terms.items()}
     aux[(0,) * (ring.n + 1)] = F.one
     raw = [{(0,) + e: c for e, c in g.terms.items()} for g in I.gens] + [aux]
-    return _eliminate(ring, raw, ring.n + 1, [0], check_homogeneous=False)
+    return _eliminate(ring, raw, ring.n + 1, [0])
 
 
 def _saturate_variable(I, i):
@@ -402,7 +417,7 @@ def _saturate_variable(I, i):
                 ring, {e[:i] + (e[i] - k,) + e[i + 1 :]: c for e, c in g.terms.items()}
             )
         gens.append(g)
-    return Ideal(ring, gens, check_homogeneous=False) if divided else I
+    return Ideal._of(ring, gens) if divided else I
 
 
 def saturate_var_block(I, var_indices):
@@ -496,17 +511,13 @@ def substituted_ideal(I, images):
 
     The images are packed once, with fields wide enough for every image
     of a term, and each term's image is multiplied out on packed dicts,
-    its last factor straight into one term dict per generator.  When each
-    image is zero or homogeneous of the degree of its variable, as for a
-    block change of coordinates, and the generators are homogeneous, so
-    are their images, and the result's generators are not checked again;
-    otherwise each one is, and NotHomogeneous is raised for one that is
-    not."""
+    its last factor straight into one term dict per generator; a
+    generator whose image is zero is dropped.  Each image must be zero or
+    homogeneous of the degree of its variable, as for the block changes
+    of coordinates of genin.random_block_change: the images of the
+    multihomogeneous generators are then multihomogeneous, and nothing is
+    checked."""
     ring = images[0].ring if images else I.ring
-    graded = all(
-        all(ring.monomial_degree(e) == d for e in g.terms)
-        for g, d in zip(images, I.ring.degrees)
-    ) and all(is_homogeneous(f) for f in I.gens)
     F = ring.field
     tops = [_max_exponent([g.terms]) for g in images]
     bound = max((sum(map(mul, e, tops)) for f in I.gens for e in f.terms), default=0)
@@ -523,5 +534,6 @@ def substituted_ideal(I, images):
                 head = _times(head, g, F, pk.guard)
             for el, cl in factors[-1].items():
                 _add_mul(acc, cl, el, head, F, pk.guard)
-        out.append(Polynomial._of(ring, pk.unpack_dict(acc)))
-    return Ideal(ring, out, check_homogeneous=not graded)
+        if acc:
+            out.append(Polynomial._of(ring, pk.unpack_dict(acc)))
+    return Ideal._of(ring, out)

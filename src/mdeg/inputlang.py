@@ -7,9 +7,11 @@ Grammar (whitespace-insensitive, # comments):
     deg x0 = (1,0,0)
     ideal P = [ x0*x1 - x2^2 ; x0^3 ]
 
-Every variable needs a degree declaration, and every deg names a
-variable; one ring per file, with at most one field declaration; several
-named ideals may follow, each name once.  Errors carry line and column.
+Every variable is named once in vars and needs a degree declaration, and
+every deg names a variable; one ring per file, with at most one field
+declaration; several named ideals may follow, each name once.  Errors
+carry line and column: each precondition of GradedRing is checked at the
+token that breaks it, a repeated variable at its second name.
 
 The text is tokenized in one regex scan that counts lines as
 str.splitlines does.  Each generator is read into one term dict: a
@@ -90,7 +92,7 @@ class Session:
         for f, (line, col) in zip(gens, where):
             if not is_homogeneous(f):
                 raise InputError(f"generator {f} is not multihomogeneous", line, col)
-        return Ideal(self.ring, gens, check_homogeneous=False)
+        return Ideal._of(self.ring, [f for f in gens if f])
 
 
 class _Parser:
@@ -154,7 +156,7 @@ class _Parser:
         if field is None:
             field = QQ
         if names is None:
-            raise InputError("missing vars declaration", 1, 1)
+            self.error("missing vars declaration")
         for nm, nt in deg_tokens.items():
             if nm not in names:  # a deg before the vars declaration
                 self.error(f"unknown variable {nm!r}", nt)
@@ -165,10 +167,7 @@ class _Parser:
         for nm in names:
             if len(degrees[nm]) != p:
                 self.error(f"degree of {nm} has wrong length", deg_tokens[nm])
-        try:
-            ring = GradedRing(names, [degrees[nm] for nm in names], field)
-        except Exception as e:
-            raise InputError(str(e), 1, 1)
+        ring = GradedRing(names, [degrees[nm] for nm in names], field)
         ideals = {}
         positions = {}
         for nm, raw_gens in raw_ideals.items():
@@ -193,7 +192,10 @@ class _Parser:
             "ideal",
             "vars",
         ):
-            names.append(self.next().text)
+            t = self.next()
+            if t.text in names:
+                self.error(f"repeated variable {t.text!r}", t)
+            names.append(t.text)
         if not names:
             self.error("vars needs at least one name")
         return names

@@ -7,6 +7,8 @@ sums, products, the lowest total degree and the substitution t -> 1 - t.
 from math import comb
 from operator import add, eq, mul
 
+from .ring import _monomial_str
+
 
 class _Integers:
     """The integers, with the add/mul/eq/zero of a coefficient field, for
@@ -124,11 +126,9 @@ class IntegerPolynomial:
             names = [f"t{i + 1}" for i in range(self.p)]
         parts = []
         for e, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0])):
-            mono = "*".join(
-                nm if k == 1 else f"{nm}^{k}" for nm, k in zip(names, e) if k
-            )
+            mono = _monomial_str(names, e)
             ac = abs(c)
-            if not mono:
+            if mono == "1":
                 body = str(ac)
             elif ac == 1:
                 body = mono

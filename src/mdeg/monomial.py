@@ -35,7 +35,7 @@ from .errors import (
     TooManyVertices,
 )
 from .fields import rank_mod_p
-from .ring import _field_bits, _max_exponent, _packing
+from .ring import _field_bits, _max_exponent, _monomial_str, _packing
 
 
 def _minimal(ints, guard):
@@ -160,17 +160,11 @@ class MonomialIdeal:
         return self._hash
 
     def __repr__(self):
-        names = self.ring.names
         if not self.gens:
             return "MonomialIdeal(0)"
+        names = self.ring.names
         gs = sorted(self.gens, key=lambda e: (sum(e), e))
-        strs = []
-        for g in gs:
-            parts = [
-                nm if e == 1 else f"{nm}^{e}" for nm, e in zip(names, g) if e
-            ]
-            strs.append("*".join(parts) if parts else "1")
-        return f"MonomialIdeal({', '.join(strs)})"
+        return f"MonomialIdeal({', '.join(_monomial_str(names, g) for g in gs)})"
 
     def is_zero(self):
         return not self._ints

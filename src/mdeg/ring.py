@@ -140,14 +140,11 @@ def make_ring(names, degrees, field=QQ):
     return GradedRing(names, degrees, field)
 
 
-def _monomial_str(ring, exps):
-    parts = []
-    for nm, e in zip(ring.names, exps):
-        if e == 1:
-            parts.append(nm)
-        elif e > 1:
-            parts.append(f"{nm}^{e}")
-    return "*".join(parts) if parts else "1"
+def _monomial_str(names, exps):
+    """The monomial with these exponents in the named variables, as
+    x*y^2; "1" for the empty product."""
+    parts = [nm if e == 1 else f"{nm}^{e}" for nm, e in zip(names, exps) if e]
+    return "*".join(parts) or "1"
 
 
 class _Overflow(Exception):
@@ -363,7 +360,7 @@ class Polynomial:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
-            mono = _monomial_str(self.ring, e)
+            mono = _monomial_str(self.ring.names, e)
             neg = c < 0
             if neg:
                 c = -c
@@ -401,8 +398,8 @@ def multidegree_of(f):
             deg, first = d, e
         elif d != deg:
             raise NotHomogeneous(
-                f"terms {_monomial_str(ring, first)} (degree {deg}) and "
-                f"{_monomial_str(ring, e)} (degree {d}) disagree"
+                f"terms {_monomial_str(ring.names, first)} (degree {deg}) and "
+                f"{_monomial_str(ring.names, e)} (degree {d}) disagree"
             )
     return deg
 

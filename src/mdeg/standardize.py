@@ -39,11 +39,12 @@ class StandardizationMap:
         return tuple(out)
 
     def phi(self, f):
-        """Image of a polynomial of the source ring."""
-        terms = {}
-        for e, c in f.terms.items():
-            terms[self.phi_exponents(e)] = c
-        return Polynomial(self.target, terms)
+        """Image of a polynomial of the source ring.  phi_exponents is
+        injective and keeps degrees, so the image has f's coefficients and
+        is multihomogeneous when f is."""
+        return Polynomial._of(
+            self.target, {self.phi_exponents(e): c for e, c in f.terms.items()}
+        )
 
 
 def standardize(ring):
@@ -83,7 +84,7 @@ def standardize_ideal(I, std_map=None):
             std_map.target, [std_map.phi_exponents(g) for g in I.gens]
         )
         return J, std_map
-    J = Ideal(std_map.target, [std_map.phi(g) for g in I.gens])
+    J = Ideal._of(std_map.target, [std_map.phi(g) for g in I.gens])
     return J, std_map
 
 

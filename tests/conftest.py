@@ -109,6 +109,17 @@ def random_standard_ring(rng, max_vars=8, max_blocks=3, field=QQ):
     return make_ring(names, degs, field)
 
 
+def block_ring(sizes, field=QQ):
+    """The standard graded ring with blocks of the given sizes, variables
+    v{k}_{i}."""
+    names, degs = [], []
+    for k, s in enumerate(sizes):
+        for i in range(s):
+            names.append(f"v{k}_{i}")
+            degs.append(tuple(int(j == k) for j in range(len(sizes))))
+    return make_ring(names, degs, field)
+
+
 def random_positive_ring(rng, max_vars=6, max_blocks=3, field=QQ):
     """A ring of 1..max_vars variables with random nonzero degree vectors
     in N^p, p <= max_blocks, of entries 0-2: so some |deg x| >= 2 and some

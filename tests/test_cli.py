@@ -382,6 +382,8 @@ GOLDEN_FILES = {
     "deg_not_a_var_length": "deg  w = (1,0)\nvars x\ndeg x = (1)\nideal I = [ x ]\n",
     "missing_degree": "field QQ\n vars x y\ndeg x = (1)\nideal I = [ x ]\n",
     "degree_length": "vars x y\ndeg x = (1)\ndeg  y = (1,0)\nideal I = [ x ]\n",
+    "repeated_variable": "field QQ\nvars x y x\ndeg x = (1)\ndeg y = (1)\nideal I = [ x ]\n",
+    "missing_vars": "field QQ\ndeg x = (1)\nideal I = [ x ]\n",
 }
 FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}
 
@@ -464,6 +466,8 @@ GOLDEN_CASES = {
     "err-deg-not-a-var-length": ["kpoly", "{deg_not_a_var_length}", "--ideal", "I"],
     "err-missing-degree": ["kpoly", "{missing_degree}", "--ideal", "I"],
     "err-degree-length": ["kpoly", "{degree_length}", "--ideal", "I"],
+    "err-repeated-variable": ["kpoly", "{repeated_variable}", "--ideal", "I"],
+    "err-missing-vars": ["kpoly", "{missing_vars}", "--ideal", "I", "--json"],
     "err-not-homogeneous": ["cee", "{not_homogeneous}", "--ideal", "I"],
     "err-unknown-ideal": ["gee", "{small}", "--ideal", "Nope"],
     "err-unknown-ideal-arith": ["arith", "{small}", "--ideal", "Nope"],

@@ -5,6 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     add_empty_block,
+    block_ring,
+    evaluate,
+    ge_coefficientwise,
     random_ideal,
     random_standard_ring,
     surface_prime,
@@ -15,10 +18,10 @@ from mdeg.errors import EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
 from mdeg.fields import GF32003, PrimeField, QQ, rank_mod_p
 from mdeg.genin import gin, gin_structure_report
 from mdeg.groebner import Ideal, as_ideal, contract
-from mdeg.hilbert import k_polynomial
+from mdeg.hilbert import arithmetic_multidegree, k_polynomial
 from mdeg.monomial import MonomialIdeal, minimal_primes, primary_decomposition
 from mdeg.orders import MonomialOrder
-from mdeg.ring import make_ring
+from mdeg.ring import Polynomial, make_ring, multidegree_of
 
 
 def two_block_ring(field=GF32003):
@@ -90,6 +93,93 @@ def test_gin_trial_with_another_hilbert_function_is_unstable(monkeypatch):
     monkeypatch.setattr(genin, "substituted_ideal", lossy)
     with pytest.raises(Unstable):
         gin(I)
+
+
+def _random_block_ring(rng):
+    """A standard graded ring over GF(32003): 1-3 blocks of 1-3 variables."""
+    return block_ring([rng.randint(1, 3) for _ in range(rng.randint(1, 3))], GF32003)
+
+
+def test_arithmetic_multidegree_is_upper_semicontinuous_under_gin():
+    # gin J is a flat degeneration of g(J) ~ J, so A(J) <= A(gin J)
+    # coefficient by coefficient (the paper's multidegree version of
+    # Hartshorne's semicontinuity)
+    rng = random.Random(2208)
+    strict = 0
+    for _ in range(200):
+        R = _random_block_ring(rng)
+        gens = [
+            tuple(rng.randint(0, 2) for _ in range(R.n)) for _ in range(rng.randint(1, 4))
+        ]
+        J = MonomialIdeal(R, gens)
+        if J.is_unit():
+            continue
+        a, b = arithmetic_multidegree(J), arithmetic_multidegree(gin(as_ideal(J)).ideal)
+        assert ge_coefficientwise(b, a), (J, a, b)
+        strict += a != b
+    assert strict
+
+
+def _first_column(ring, images):
+    """Each variable's image's coefficient of the first variable of its
+    block."""
+    out = []
+    for i, g in enumerate(images):
+        first = ring.block_variables(ring.degrees[i].index(1))[0]
+        out.append(g.terms.get(tuple(int(j == first) for j in range(ring.n)), 0))
+    return out
+
+
+def _principal_gin_is_first_variables_power(R, f):
+    """Check in(g f) against x^d = prod_k x_{k,1}^{d_k}, d = deg f, for the
+    changes g of gin's two default trials, and gin((f)) = (x^d) when both
+    are generic for f; return whether they are.
+
+    x^d is the grevlex-largest monomial of degree d, and its coefficient
+    in f(g x) is f at the first columns of g: in(g f) = x^d exactly when
+    that value is nonzero."""
+    I = Ideal(R, [f])
+    d = multidegree_of(f)
+    top = [0] * R.n
+    for k in range(R.p):
+        top[R.block_variables(k)[0]] = d[k]
+    xd = MonomialIdeal(R, [tuple(top)])
+    generic = True
+    for seed in (0, 1):
+        images = genin.random_block_change(R, seed)
+        value = evaluate(f, _first_column(R, images)) % R.field.p
+        trial = genin.substituted_ideal(I, images).initial_ideal()
+        assert (trial == xd) == (value != 0)
+        generic = generic and value != 0
+    if generic:
+        assert gin(I).ideal == xd
+    return generic
+
+
+def test_gin_of_a_principal_ideal_is_a_power_of_the_first_variables():
+    rng = random.Random(2208)
+    F = GF32003
+    for _ in range(200):
+        R = _random_block_ring(rng)
+        d = [0] * R.p
+        while not any(d):
+            d = [rng.randint(0, 2) for _ in range(R.p)]
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = [0] * R.n
+            for k, dk in enumerate(d):
+                for _ in range(dk):
+                    e[rng.choice(R.block_variables(k))] += 1
+            terms[tuple(e)] = F.coerce(rng.randrange(1, F.p))
+        _principal_gin_is_first_variables_power(R, Polynomial(R, terms))
+    # a form that vanishes at the first columns of the second trial's change:
+    # that trial's initial ideal differs, and gin reports the disagreement
+    R = block_ring([2, 3, 1], F)
+    v = R.gens()
+    f = v[1] * (v[2] * v[2]).scale(24471) + v[1] * (v[3] * v[4]).scale(2504)
+    assert not _principal_gin_is_first_variables_power(R, f)
+    with pytest.raises(Unstable):
+        gin(Ideal(R, [f]))
 
 
 def test_gin_seed_independent():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     add_empty_block,
+    block_ring,
     random_form,
     random_ideal,
     random_monomial_ideal,
@@ -16,11 +17,13 @@ from conftest import (
     three_block_ring,
 )
 from mdeg import groebner
+from mdeg.determinantal import build_determinantal
 from mdeg.errors import (
     BadArgument,
     BlocksNotSeparable,
     NotHomogeneous,
     NotStandardGraded,
+    RingMismatch,
     Unstable,
 )
 from mdeg.fields import GF32003, QQ
@@ -49,7 +52,7 @@ from mdeg.orders import (
     weight_order,
 )
 from mdeg.ring import Polynomial, _add_mul, _field_bits, make_ring
-from mdeg.standardize import standardize
+from mdeg.standardize import standardize, standardize_ideal
 import tuple_kernel
 from tuple_monomial import minimalize
 
@@ -98,6 +101,43 @@ def test_nonhomogeneous_generator_rejected():
         Ideal(R, [x + y])
 
 
+def test_ideal_checks_the_generators_it_is_given():
+    R = make_ring(["x", "y"], [(1, 0), (0, 1)])
+    x, y = R.gens()
+    with pytest.raises(RingMismatch):
+        Ideal(R, [make_ring(["x"], [(1,)]).variable("x")])
+    with pytest.raises(TypeError):
+        Ideal(R, [(1, 0)])
+    assert Ideal(R, [R.zero(), x * y, R.zero()]).gens == (x * y,)
+
+
+def _as_if_checked(E):
+    """Whether Ideal(...) accepts every generator of E and drops none:
+    the checks that Ideal._of leaves out."""
+    return Ideal(E.ring, E.gens).gens == E.gens
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([QQ, GF32003]))
+def test_program_built_ideals_pass_the_generator_checks(seed, field):
+    # the results of intersect, contract, substituted_ideal, standardize_ideal
+    # and build_determinantal are built by Ideal._of, unchecked
+    rng, R, I = _random_graded_ideal(seed, field)
+    built = [intersect(I, random_ideal(rng, R)), standardize_ideal(I)[0]]
+    for mask in range(1, 1 << R.p):
+        try:
+            built.append(contract(I, [k + 1 for k in range(R.p) if mask >> k & 1]))
+        except BlocksNotSeparable:
+            pass
+    m = rng.randint(1, 3)
+    built.append(build_determinantal(m, rng.randint(m, 4), rng.randint(1, m), field)[1])
+    S = block_ring([rng.randint(1, 3) for _ in range(rng.randint(1, 3))], GF32003)
+    J = random_ideal(rng, S, max_degree=3, max_gens=3)
+    built.append(substituted_ideal(J, random_block_change(S, seed)))
+    for E in built:
+        assert _as_if_checked(E)
+
+
 def test_intersect_colon_saturate():
     R = make_ring(["x", "y", "z"], [(1,)] * 3)
     x, y, z = R.gens()
@@ -143,9 +183,9 @@ def colon(I, f):
     ring = I.ring
     if f.is_zero():
         raise ZeroDivisionError("colon by zero")
-    inter = intersect(I, Ideal(ring, [f], check_homogeneous=False))
+    inter = intersect(I, Ideal._of(ring, [f]))
     gens = [_divide_exact(g, f) for g in inter.gens]
-    return Ideal(ring, gens, check_homogeneous=False)
+    return Ideal._of(ring, gens)
 
 
 def _fixpoint_saturate(I, f):
@@ -189,7 +229,7 @@ def test_elimination_result_caches_its_reduced_grevlex_basis(seed, field):
             except BlocksNotSeparable:
                 pass
     for E in results:
-        recomputed = Ideal(E.ring, E.gens, check_homogeneous=False).groebner_basis()
+        recomputed = Ideal._of(E.ring, E.gens).groebner_basis()
         assert E.groebner_basis() == recomputed
 
 

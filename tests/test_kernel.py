@@ -18,15 +18,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import constant, random_form, random_ideal, random_positive_ring
+from conftest import block_ring, constant, random_form, random_ideal, random_positive_ring
 from mdeg.determinantal import build_determinantal
 from mdeg.fields import GF32003, QQ
 from mdeg.genin import random_block_change
 from mdeg import groebner
-from mdeg.errors import NotHomogeneous
 from mdeg.groebner import Ideal, substituted_ideal
 from mdeg.orders import MonomialOrder, lift_order_phi
 from mdeg.ring import (
+    GradedRing,
     Polynomial,
     _add_mul,
     _field_bits,
@@ -260,15 +260,6 @@ def test_field_bits_doubles_from_eight():
     ]
 
 
-def _block_ring(sizes, field):
-    names, degs = [], []
-    for k, s in enumerate(sizes):
-        for i in range(s):
-            names.append(f"v{k}_{i}")
-            degs.append(tuple(int(j == k) for j in range(len(sizes))))
-    return make_ring(names, degs, field)
-
-
 def _random_linear_images(rng, ring):
     """Per block, random linear forms in the block's variables (QQ has no
     random_block_change, which needs a large prime field)."""
@@ -295,7 +286,7 @@ def _random_linear_images(rng, ring):
 @example(sizes=[1, 3], name="QQ", seed=1)
 def test_substitution_matches_reference(sizes, name, seed):
     rng = random.Random(seed)
-    R = _block_ring(sizes, FIELDS[name])
+    R = block_ring(sizes, FIELDS[name])
     I = random_ideal(rng, R, max_degree=3, max_gens=4)
     if name == "GF32003":
         images = random_block_change(R, seed)
@@ -324,52 +315,29 @@ def test_substitution_of_standardized_minors_matches_reference():
     assert substituted_ideal(J, images).gens == ref_substituted_ideal(J, images).gens
 
 
-def _checked_by_substitution(monkeypatch, I, images):
-    """(the substituted ideal, the polynomials is_homogeneous was asked
-    about while substituted_ideal built it)."""
-    asked = []
-
-    def spy(f):
-        asked.append(f)
-        return real(f)
-
-    real = groebner.is_homogeneous
-    monkeypatch.setattr(groebner, "is_homogeneous", spy)
-    return substituted_ideal(I, images), asked
-
-
-def test_degree_preserving_substitution_checks_only_the_images(monkeypatch):
-    # a block change keeps each variable's degree: the generators of I are
-    # checked, their images are not
+def test_substitution_checks_no_degree(monkeypatch):
+    # each image is zero or keeps its variable's degree, so the images of
+    # the generators are multihomogeneous without a check
     _, I = build_determinantal(2, 3, 2, GF32003)
     J, _ = standardize_ideal(I)
     images = random_block_change(J.ring, 3)
-    out, asked = _checked_by_substitution(monkeypatch, J, images)
-    assert asked == list(J.gens)
-    assert out.gens == ref_substituted_ideal(J, images).gens
-
-
-def test_degree_changing_substitution_checks_every_image(monkeypatch):
+    expected = ref_substituted_ideal(J, images).gens
     R = make_ring(["x", "y"], [(1,), (1,)], GF32003)
     x, y = R.gens()
-    # x -> y^2, y -> x changes a degree, so the images x*y^2 and y^4 of
-    # x*y and x^2 are checked, and pass
-    I = Ideal(R, [x * y, x * x])
-    out, asked = _checked_by_substitution(monkeypatch, I, [y * y, x])
-    assert asked == list(out.gens)
-    assert out.gens == ref_substituted_ideal(I, [y * y, x]).gens
-    # the image of x - y is y^2 - y
-    with pytest.raises(NotHomogeneous):
-        substituted_ideal(Ideal(R, [x - y]), [y * y, y])
-    # a zero image changes no degree
-    assert substituted_ideal(Ideal(R, [x - y]), [R.zero(), y]).gens == (-y,)
+    I1, I2 = Ideal(R, [x - y]), Ideal(R, [x])
+    asked = []
 
+    def spy(real):
+        def call(*args):
+            asked.append(real.__name__)
+            return real(*args)
 
-def test_substitution_of_an_unchecked_generator_checks_its_image():
-    # the images keep every degree, but I was built without its check
-    R = make_ring(["x", "y"], [(1,), (1,)], GF32003)
-    x, y = R.gens()
-    I = Ideal(R, [x * x - y], check_homogeneous=False)
-    with pytest.raises(NotHomogeneous):
-        substituted_ideal(I, [y, x])
+        return call
 
+    monkeypatch.setattr(groebner, "is_homogeneous", spy(groebner.is_homogeneous))
+    monkeypatch.setattr(GradedRing, "monomial_degree", spy(GradedRing.monomial_degree))
+    assert substituted_ideal(J, images).gens == expected
+    # a generator whose image is zero is dropped
+    assert substituted_ideal(I1, [R.zero(), y]).gens == (-y,)
+    assert substituted_ideal(I2, [R.zero(), y]).gens == ()
+    assert asked == []

@@ -176,7 +176,7 @@ def test_no_public_construction_leaves_a_zero_coefficient(F, c, e, k, text_f, te
     ]
     images = [y - x, x.scale(k), z + y.scale(c)]
     _no_zero_coefficient(*substituted_ideal(Ideal(R, parts), images).gens)
-    I = Ideal(R, [f], check_homogeneous=False)
+    I = Ideal._of(R, [f] if f else [])
     _no_zero_coefficient(*I.groebner_basis(), I.normal_form(g))
     std = standardize(make_ring(["a", "b"], [(2,), (1,)], F))
     a, b = std.source.gens()
