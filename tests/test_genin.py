@@ -16,8 +16,8 @@ from conftest import (
 from mdeg import genin
 from mdeg.errors import EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
 from mdeg.fields import GF32003, PrimeField, QQ, rank_mod_p
-from mdeg.genin import gin, gin_structure_report
-from mdeg.groebner import Ideal, as_ideal, contract
+from mdeg.genin import gin, gin_structure_report, random_block_change
+from mdeg.groebner import Ideal, as_ideal, contract, substituted_ideal
 from mdeg.hilbert import arithmetic_multidegree, k_polynomial
 from mdeg.monomial import MonomialIdeal, minimal_primes, primary_decomposition
 from mdeg.orders import MonomialOrder
@@ -146,9 +146,9 @@ def _principal_gin_is_first_variables_power(R, f):
     xd = MonomialIdeal(R, [tuple(top)])
     generic = True
     for seed in (0, 1):
-        images = genin.random_block_change(R, seed)
+        images = random_block_change(R, seed)
         value = evaluate(f, _first_column(R, images)) % R.field.p
-        trial = genin.substituted_ideal(I, images).initial_ideal()
+        trial = substituted_ideal(I, images).initial_ideal()
         assert (trial == xd) == (value != 0)
         generic = generic and value != 0
     if generic:
