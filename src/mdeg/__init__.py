@@ -10,8 +10,8 @@ The main entry points:
 - :func:`standardize` / :func:`cs_check` cover non-standard gradings,
 - :mod:`mdeg.determinantal` has the closed formulas for maximal minors.
 
-Every name re-exported here is used by the package itself, a demo or the
-benchmark: a re-export alone is not a use (tests/test_imports.py), and
+Every function of the package is executed by a command, demo or README
+example, or looked up by name by the benchmark (tests/test_imports.py);
 code that only the tests call lives in the tests.
 """
 
@@ -41,7 +41,6 @@ from .monomial import (
     borel_fixed_check,
     length_at_minimal_prime,
     minimal_primes,
-    mlength,
     primary_decomposition,
     reisner_cm_check,
 )

@@ -71,29 +71,20 @@ def build_determinantal(m, n, r, field=QQ):
 # closed formulas for maximal minors
 
 
-def _monomial_sum(p, picks):
-    """Sum of the monomials in p variables, each given by the indices of
-    its factors: drawn by combinations from s_1..s_n this is e_k(s), by
-    combinations_with_replacement from t_1..t_m it is h_j(t)."""
+def _h_e_sum(m, n, pairs, shift):
+    """The term dict of t^shift * sum c * h_j(t) * e_k(s) over (c, j, k) in
+    `pairs`, of distinct j, in Z[t_1..t_m, s_1..s_n].  h_j(t) and e_k(s)
+    share no variable, so each product term is one exponent list, a
+    multiset of j t's beside a set of k s's, and no two terms meet."""
     out = {}
-    for pick in picks:
-        e = [0] * p
-        for i in pick:
-            e[i] += 1
-        out[tuple(e)] = 1
-    return IntegerPolynomial(p, out)
-
-
-def _h_e_products(m, n, pairs):
-    """sum of c * h_j(t) * e_k(s) over (c, j, k) in pairs, in Z[t_1..t_m,
-    s_1..s_n]."""
-    p = m + n
-    acc = IntegerPolynomial.zero(p)
     for c, j, k in pairs:
-        h = _monomial_sum(p, combinations_with_replacement(range(m), j))
-        e = _monomial_sum(p, combinations(range(m, p), k))
-        acc = acc + h * e * c
-    return acc
+        for pick in combinations_with_replacement(range(m), j):
+            for picked in combinations(range(m, m + n), k):
+                e = list(shift)
+                for i in pick + picked:
+                    e[i] += 1
+                out[tuple(e)] = c
+    return out
 
 
 def multidegree_formula(m, n):
@@ -102,16 +93,17 @@ def multidegree_formula(m, n):
     if m < 1 or n < m:
         raise BadShape(f"need 1 <= m <= n, got ({m}, {n})")
     d = n - m + 1
-    return _h_e_products(m, n, [(1, j, d - j) for j in range(d + 1)])
+    pairs = [(1, j, d - j) for j in range(d + 1)]
+    return IntegerPolynomial(m + n, _h_e_sum(m, n, pairs, (0,) * (m + n)))
 
 
 def k_polynomial_formula(m, n):
     """K(R/I_m) = 1 - t_1..t_m * sum_j (-1)^j h_j(t) e_{m+j}(s)."""
     if m < 1 or n < m:
         raise BadShape(f"need 1 <= m <= n, got ({m}, {n})")
-    tprod = IntegerPolynomial.monomial((1,) * m + (0,) * n)
-    acc = _h_e_products(m, n, [((-1) ** j, j, m + j) for j in range(n - m + 1)])
-    return IntegerPolynomial.one(m + n) - tprod * acc
+    pairs = [((-1) ** (j + 1), j, m + j) for j in range(n - m + 1)]
+    terms = _h_e_sum(m, n, pairs, (1,) * m + (0,) * n)
+    return IntegerPolynomial(m + n, {(0,) * (m + n): 1, **terms})
 
 
 def closed_formulas(m, n):

@@ -8,6 +8,7 @@ QQ's coerce and inv return an int for an integral value, so integer input
 stays on int arithmetic; its add and mul are the plain operators, so a
 sum or product of Fractions stays a Fraction even when it is integral,
 which is the same value: it compares, hashes and prints as that int.
+Every element is falsy exactly at zero: code tests a coefficient with `if c:`.
 """
 
 from fractions import Fraction
@@ -46,9 +47,6 @@ class Rationals:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -58,9 +56,6 @@ class Rationals:
     def inv(self, a):
         a = Fraction(a.denominator, a.numerator)
         return a.numerator if a.denominator == 1 else a
-
-    def eq(self, a, b):
-        return a == b
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -92,9 +87,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return a * b % self.p
 
@@ -103,9 +95,6 @@ class PrimeField:
 
     def inv(self, a):
         return pow(a, -1, self.p)
-
-    def eq(self, a, b):
-        return a == b
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -116,7 +116,7 @@ def _make_monic(terms, field):
     QQ inv(c) * c may come out as Fraction(1) rather than the int 1."""
     lt = next(iter(terms))
     c = terms[lt]
-    if field.eq(c, field.one):
+    if c == 1:
         return lt, terms
     inv = field.inv(c)
     monic = {e: field.mul(inv, v) for e, v in terms.items()}
@@ -243,11 +243,6 @@ def _reduce_basis(basis, field, pk):
     return out
 
 
-def _normal_form(pk, dicts, field):
-    f, *gb = dicts
-    return pk.unpack_dict(_reduce_dict(f, {next(iter(g)): g for g in gb}, field, pk))
-
-
 class Ideal:
     """A multihomogeneous ideal with cached reduced Groebner bases.
 
@@ -319,15 +314,6 @@ class Ideal:
             pk, basis = _packed(order, dicts, _buchberger, self.ring.field, hilbert)
             lts = [pk.unpack(next(iter(d))) for d in basis]
         return MonomialIdeal(self.ring, lts)
-
-    def normal_form(self, f, order=None):
-        if order is None:
-            order = grevlex(self.ring)
-        dicts = [f.terms] + [g.terms for g in self.groebner_basis(order)]
-        return Polynomial._of(self.ring, _packed(order, dicts, _normal_form, self.ring.field))
-
-    def contains(self, f):
-        return self.normal_form(f).is_zero()
 
 
 def as_ideal(I):

@@ -241,16 +241,17 @@ def finite_length(k, ring):
     K-polynomial k = K(M; t).
 
     K(M; t) = H(M; t) * prod (1 - t^deg x_i), where the Hilbert series
-    H(M; t) is a polynomial with H(M; 1) = length(M).  After t -> 1 - t
-    each factor 1 - (1 - t)^deg(x_i) starts in total degree 1 with
-    <deg x_i, t>, so the lowest part, of total degree ring.n, is
-    length(M) * prod <deg x_i, t>; at t = 1 it reads length(M) times the
-    product of the |deg x_i|.
+    H(M; t) is a polynomial with H(M; 1) = length(M).  Put every t_k equal
+    to s: each factor becomes 1 - s^|deg x_i| = (1 - s) [|deg x_i|]_s, so
+    K(M; s) = (1 - s)^n H(M; s) prod [|deg x_i|]_s for n = ring.n, and its
+    n-th derivative at s = 1 is (-1)^n n! length(M) prod |deg x_i|.  The
+    term c t^e of K contributes c s^|e|, whose n-th derivative at 1 is
+    n! c C(|e|, n).  So length(M) = (-1)^n sum c C(|e|, n) / prod |deg x_i|,
+    with no expansion of K(M; 1 - t).
     """
-    top = sum(
-        c for e, c in k.substitute_one_minus_t().terms.items() if sum(e) == ring.n
-    )
-    return top // prod(sum(d) for d in ring.degrees)
+    n = ring.n
+    total = sum(c * comb(sum(e), n) for e, c in k.terms.items())
+    return (-1) ** n * total // prod(sum(d) for d in ring.degrees)
 
 
 def arithmetic_multidegree(I):

@@ -265,10 +265,10 @@ def _build_poly(ring, toks):
         prev = out.get(e)
         if prev is not None:
             c = F.add(prev, c)
-        if F.eq(c, F.zero):
-            out.pop(e, None)
-        else:
+        if c:
             out[e] = c
+        else:
+            out.pop(e, None)
 
     def expr():
         """The term dict of a sum: each term added in, with its sign."""
@@ -339,7 +339,7 @@ def _build_poly(ring, toks):
                     poly = poly**m
             else:
                 d = F.coerce(m)
-                if F.eq(d, F.zero):
+                if not d:
                     err(f"cannot divide by {k.text} over {F!r}", k)
                 if poly is None:
                     c = F.mul(c, F.inv(d))

@@ -1,23 +1,21 @@
 """Integer polynomials in Z[t_1..t_p]: K-polynomials and multidegrees.
 
-IntegerPolynomial has the arithmetic that hilbert and determinantal use:
-sums, products, the lowest total degree and the substitution t -> 1 - t.
+IntegerPolynomial has the arithmetic that hilbert uses: sums, products,
+the lowest total degree and the substitution t -> 1 - t.
 """
 
 from math import comb
-from operator import add, eq, mul
+from operator import add, mul
 
-from .ring import _monomial_str
+from .ring import _sum_str
 
 
 class _Integers:
-    """The integers, with the add/mul/eq/zero of a coefficient field, for
-    the term kernel ring._add_mul."""
+    """The integers, with the add and mul of a coefficient field, for the
+    term kernel ring._add_mul."""
 
-    zero = 0
     add = staticmethod(add)
     mul = staticmethod(mul)
-    eq = staticmethod(eq)
 
 
 ZZ = _Integers()
@@ -36,17 +34,6 @@ class IntegerPolynomial:
     @classmethod
     def zero(cls, p):
         return cls(p)
-
-    @classmethod
-    def one(cls, p):
-        return cls(p, {(0,) * p: 1})
-
-    @classmethod
-    def monomial(cls, e, c=1):
-        return cls(len(e), {tuple(e): c})
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -120,25 +107,9 @@ class IntegerPolynomial:
         return [{"exp": list(e), "coeff": str(c)} for e, c in self.sorted_terms()]
 
     def __str__(self, names=None):
-        if not self.terms:
-            return "0"
         if names is None:
             names = [f"t{i + 1}" for i in range(self.p)]
-        parts = []
-        for e, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0])):
-            mono = _monomial_str(names, e)
-            ac = abs(c)
-            if mono == "1":
-                body = str(ac)
-            elif ac == 1:
-                body = mono
-            else:
-                body = f"{ac}*{mono}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+        return _sum_str(names, sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0])))
 
     def __repr__(self):
         return f"IntPoly({self})"

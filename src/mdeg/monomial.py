@@ -28,7 +28,6 @@ from operator import or_
 
 from .errors import (
     BadArgument,
-    EmptyScheme,
     NotMinimalPrime,
     NotSquarefree,
     NotStandardGraded,
@@ -36,6 +35,10 @@ from .errors import (
 )
 from .fields import rank_mod_p
 from .ring import _field_bits, _max_exponent, _monomial_str, _packing
+
+
+#: Most vertices reisner_cm_check accepts in a complex's core: it walks every face.
+MAX_CORE_VERTICES = 25
 
 
 def _minimal(ints, guard):
@@ -490,14 +493,6 @@ def length_at_minimal_prime(I, prime):
     raise NotMinimalPrime(f"{sorted(prime)} is not a minimal prime")
 
 
-def mlength(I):
-    """Maximal length of the minimal primary components."""
-    primes = minimal_primes(I)
-    if not primes:
-        raise EmptyScheme("the ideal cuts out the empty scheme")
-    return max(length_at_minimal_prime(I, P) for P in primes)
-
-
 # ---------------------------------------------------------------------------
 # Borel-fixedness
 
@@ -649,7 +644,7 @@ def reduced_homology_ranks(complex_, p):
     return ranks
 
 
-def reisner_cm_check(I, p, max_vertices=25):
+def reisner_cm_check(I, p):
     """Cohen-Macaulayness over F_p of the Stanley-Reisner ring of I.
 
     Checks that every face link has vanishing reduced homology below its
@@ -657,9 +652,9 @@ def reisner_cm_check(I, p, max_vertices=25):
     bound honest for Borel-fixed radicals whose core is small.
     """
     complex_ = stanley_reisner_complex(I).core()
-    if len(complex_.vertices) > max_vertices:
+    if len(complex_.vertices) > MAX_CORE_VERTICES:
         raise TooManyVertices(
-            f"{len(complex_.vertices)} vertices exceeds the limit {max_vertices}"
+            f"{len(complex_.vertices)} vertices exceeds the limit {MAX_CORE_VERTICES}"
         )
     # non-pure complexes are never CM
     if complex_.facets and len({len(f) for f in complex_.facets}) > 1:

@@ -5,11 +5,12 @@ the ring's declared variable sequence.  Elimination orders and the
 standardization-compatible lifted order are instances.  Lex on the
 row-major variables of a generic matrix is the diagonal order of
 determinantal ideals: every minor leads with its main diagonal.
+
+Comparisons run on ring._Packing, whose layout makes the weight rows and
+tie-break one int key; tests/tuple_kernel.py keeps the tuple key as oracle.
 """
 
 from .errors import BadArgument
-
-LT, EQ, GT = -1, 0, 1
 
 
 class MonomialOrder:
@@ -35,22 +36,6 @@ class MonomialOrder:
                     break
                 if r[j] < 0:
                     raise BadArgument(f"not a well-order: variable {j} below 1")
-
-    def key(self, exps):
-        """Sort key: larger key means larger monomial."""
-        head = tuple(sum(w * e for w, e in zip(r, exps)) for r in self.weight_rows)
-        if self.tiebreak == "lex":
-            return head + exps
-        deg = sum(exps)
-        return head + (deg,) + tuple(-e for e in reversed(exps))
-
-    def compare(self, a, b):
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return LT
-        if ka > kb:
-            return GT
-        return EQ
 
     def full_weight_rows(self):
         """Weight-matrix form with the tie-break expanded into rows."""

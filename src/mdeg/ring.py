@@ -102,15 +102,6 @@ class GradedRing:
     def one(self):
         return Polynomial(self, {(0,) * self.n: self.field.one})
 
-    def monomial(self, exps, coeff=1):
-        exps = tuple(exps)
-        if len(exps) != self.n:
-            raise ValueError("exponent length mismatch")
-        c = self.field.coerce(coeff)
-        if self.field.eq(c, self.field.zero):
-            return self.zero()
-        return Polynomial(self, {exps: c})
-
     def monomial_degree(self, exps):
         """Multidegree in N^p of the monomial with the given exponents."""
         d = [0] * self.p
@@ -145,6 +136,26 @@ def _monomial_str(names, exps):
     x*y^2; "1" for the empty product."""
     parts = [nm if e == 1 else f"{nm}^{e}" for nm, e in zip(names, exps) if e]
     return "*".join(parts) or "1"
+
+
+def _sum_str(names, terms):
+    """The signed sum of the (exponents, coefficient) pairs `terms`, in
+    their order, as 1 - 2*x + x^2; "0" for no terms."""
+    parts = []
+    for e, c in terms:
+        mono = _monomial_str(names, e)
+        cs = str(abs(c))
+        if mono == "1":
+            body = cs
+        elif cs == "1":
+            body = mono
+        else:
+            body = f"{cs}*{mono}"
+        if parts:
+            parts.append(("- " if c < 0 else "+ ") + body)
+        else:
+            parts.append(("-" if c < 0 else "") + body)
+    return " ".join(parts) or "0"
 
 
 class _Overflow(Exception):
@@ -246,7 +257,7 @@ def _add_mul(acc, c, shift, g, field, guard, skip=None):
     to acc.
     """
     new = []
-    fmul, fadd, eq, zero = field.mul, field.add, field.eq, field.zero
+    fmul, fadd = field.mul, field.add
     for eg, cg in g.items():
         if eg == skip:
             continue
@@ -259,10 +270,10 @@ def _add_mul(acc, c, shift, g, field, guard, skip=None):
             new.append(e)
         else:
             nv = fadd(prev, fmul(c, cg))
-            if eq(nv, zero):
-                del acc[e]
-            else:
+            if nv:
                 acc[e] = nv
+            else:
+                del acc[e]
     return new
 
 
@@ -283,7 +294,7 @@ class Polynomial:
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if not ring.field.eq(c, ring.field.zero)}
+        self.terms = {e: c for e, c in terms.items() if c}
         self._hash = None
 
     @classmethod
@@ -356,26 +367,7 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = _monomial_str(self.ring.names, e)
-            neg = c < 0
-            if neg:
-                c = -c
-            cs = str(c)
-            if mono == "1":
-                body = cs
-            elif cs == "1":
-                body = mono
-            else:
-                body = f"{cs}*{mono}"
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+        return _sum_str(self.ring.names, self.sorted_terms())
 
     def __repr__(self):
         return f"Poly({self})"

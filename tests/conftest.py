@@ -1,11 +1,17 @@
 import itertools
 
+from mdeg.errors import EmptyScheme
 from mdeg.fields import QQ
-from mdeg.groebner import Ideal, buchberger
+from mdeg.groebner import Ideal, _packed, _reduce_dict, buchberger
 from mdeg.hilbert import k_polynomial, k_polynomial_monomial
 from mdeg.intpoly import IntegerPolynomial
-from mdeg.monomial import MonomialIdeal, primary_decomposition
-from mdeg.orders import elimination_order
+from mdeg.monomial import (
+    MonomialIdeal,
+    length_at_minimal_prime,
+    minimal_primes,
+    primary_decomposition,
+)
+from mdeg.orders import elimination_order, grevlex
 from mdeg.ring import Polynomial, make_ring
 
 
@@ -176,7 +182,8 @@ def random_ideal(rng, ring, max_degree=2, max_gens=3):
 # Reference helpers: the Hilbert series expansion that the oracle and the
 # K-polynomials are compared against, the multidegree C by substitution,
 # the truncations [C(R^i)]_i of the dimension filtration that sum to the
-# arithmetic multidegree, and integer-polynomial parts, variables,
+# arithmetic multidegree, normal forms and membership for Ideals, MLength,
+# monomials of a ring, and integer-polynomial parts, monomials, variables,
 # evaluation and coefficientwise comparison.
 
 
@@ -254,14 +261,57 @@ def total_degree_part(f, d):
     return IntegerPolynomial(f.p, {e: c for e, c in f.terms.items() if sum(e) == d})
 
 
+def normal_form(I, f, order=None):
+    """f reduced by the reduced Groebner basis of the Ideal I under `order`
+    (grevlex by default), with the packed reduction of groebner."""
+    if order is None:
+        order = grevlex(I.ring)
+
+    def reduce(pk, dicts, field):
+        f, *gb = dicts
+        return pk.unpack_dict(_reduce_dict(f, {next(iter(g)): g for g in gb}, field, pk))
+
+    dicts = [f.terms] + [g.terms for g in I.groebner_basis(order)]
+    return Polynomial._of(I.ring, _packed(order, dicts, reduce, I.ring.field))
+
+
+def ideal_contains(I, f):
+    """Whether the Ideal I holds the polynomial f."""
+    return not normal_form(I, f)
+
+
+def mlength(I):
+    """Maximal length of the minimal primary components of the monomial
+    ideal I."""
+    primes = minimal_primes(I)
+    if not primes:
+        raise EmptyScheme("the ideal cuts out the empty scheme")
+    return max(length_at_minimal_prime(I, P) for P in primes)
+
+
+def monomial(ring, exps, c=1):
+    """The polynomial c * x^exps of `ring`, zero when c is."""
+    return Polynomial(ring, {tuple(exps): ring.field.coerce(c)})
+
+
 def constant(ring, c):
     """The constant polynomial c of `ring`."""
-    return ring.monomial((0,) * ring.n, c)
+    return monomial(ring, (0,) * ring.n, c)
+
+
+def int_monomial(e, c=1):
+    """The IntegerPolynomial c * t^e."""
+    return IntegerPolynomial(len(e), {tuple(e): c})
+
+
+def int_one(p):
+    """The IntegerPolynomial 1 in p variables."""
+    return int_monomial((0,) * p)
 
 
 def int_variable(p, i):
     """The IntegerPolynomial t_{i+1} in p variables."""
-    return IntegerPolynomial.monomial(tuple(int(j == i) for j in range(p)))
+    return int_monomial(tuple(int(j == i) for j in range(p)))
 
 
 def evaluate(f, values):

@@ -23,9 +23,6 @@ class FractionRationals:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -34,9 +31,6 @@ class FractionRationals:
 
     def inv(self, a):
         return 1 / a
-
-    def eq(self, a, b):
-        return a == b
 
     def __eq__(self, other):
         return isinstance(other, FractionRationals)

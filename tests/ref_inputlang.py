@@ -10,6 +10,7 @@ and x^k is k of them.
 import re
 from fractions import Fraction
 
+from conftest import constant
 from mdeg.errors import InputError
 from mdeg.inputlang import _Tok
 
@@ -107,7 +108,7 @@ def build_poly(ring, toks):
             err("unexpected end of polynomial")
         if t.kind == "num":
             advance()
-            return ring.monomial((0,) * ring.n, int(t.text))
+            return constant(ring, int(t.text))
         if t.kind == "name":
             if t.text not in ring._index:
                 err(f"unknown variable {t.text!r}", t)

@@ -11,6 +11,7 @@ from conftest import (
     SURFACE_CEE_TERMS,
     ge_coefficientwise,
     hilbert_series_table,
+    mlength,
     random_monomial_ideal,
     random_standard_ring,
     surface_prime,
@@ -34,7 +35,6 @@ from mdeg.intpoly import IntegerPolynomial
 from mdeg.monomial import (
     MonomialIdeal,
     minimal_primes,
-    mlength,
     primary_decomposition,
     reisner_cm_check,
 )

@@ -375,6 +375,7 @@ GOLDEN_FILES = {
     "ex46_fp": pathlib.Path(EX46).read_text().replace("field QQ", "field Fp 32003"),
     "unit_fp": pathlib.Path(RMK59).read_text() + "ideal U = [ x0; y0; 1 ]\n",
     "fractions": FRACTIONS,
+    "empty_generator": "vars x y\ndeg x = (1)\ndeg y = (1)\nideal I = [ x ;; y ]\n",
     "divide_by_zero": "vars x\ndeg x = (1)\nideal I = [ x + x/0 ]\n",
     "two_fields": "field QQ\nvars x\n  field Fp 7\ndeg x = (1)\nideal I = [ x ]\n",
     "two_ideals": "vars x\ndeg x = (1)\nideal I = [ x ]\n ideal I = [ x^2 ]\n",
@@ -395,6 +396,8 @@ GOLDEN_CASES = {
     "kpoly-diag-json": ["kpoly", "{small}", "--ideal", "I", "--order", "diag", "--json"],
     "kpoly-weights": ["kpoly", "{small}", "--ideal", "I", "--order", "weights:1,2,3"],
     "kpoly-zero-ideal": ["kpoly", "{small}", "--ideal", "Z", "--json"],
+    # an empty generator slot is the zero polynomial, which the ideal drops
+    "kpoly-empty-generator": ["kpoly", "{empty_generator}", "--ideal", "I"],
     "kpoly-weighted": ["kpoly", "{weighted}", "--ideal", "I"],
     "cee-text": ["cee", "{ex46}", "--ideal", "P"],
     "cee-json": ["cee", "{ex46}", "--ideal", "P", "--json"],

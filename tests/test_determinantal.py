@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import int_variable
+from conftest import int_monomial, int_one, int_variable
 from mdeg.determinantal import (
     build_determinantal,
     closed_formulas,
@@ -116,14 +116,14 @@ def test_row_case_k_polynomial_factors():
     # K = prod_j (1 - t s_j)
     n = 4
     K = k_polynomial_formula(1, n)
-    acc = IntegerPolynomial.one(1 + n)
+    acc = int_one(1 + n)
     for j in range(n):
         e = [0] * (1 + n)
         e[0] = 1
         e[1 + j] = 1
         acc = acc * (
-            IntegerPolynomial.one(1 + n)
-            - IntegerPolynomial.monomial(tuple(e))
+            int_one(1 + n)
+            - int_monomial(tuple(e))
         )
     assert K == acc
 
@@ -161,5 +161,5 @@ def test_recursions_asserted_on_larger_shapes():
             assert H == sn * Ha + tm * Ha + Hb, (m, n)
             Ka = _embed(k_polynomial_formula(m, n - 1), m, n - 1, m, n)
             Kb = _embed(k_polynomial_formula(m - 1, n - 1), m - 1, n - 1, m, n)
-            one = IntegerPolynomial.one(p)
+            one = int_one(p)
             assert K == (one - tm * sn) * Ka + tm * sn * Kb, (m, n)

@@ -208,7 +208,7 @@ def _det_nonzero(M, F):
     for col in range(k):
         piv = None
         for r in range(col, k):
-            if not F.eq(M[r][col], F.zero):
+            if M[r][col] != F.zero:
                 piv = r
                 break
         if piv is None:
@@ -217,10 +217,10 @@ def _det_nonzero(M, F):
         inv = F.inv(M[col][col])
         for r in range(col + 1, k):
             c = F.mul(M[r][col], inv)
-            if F.eq(c, F.zero):
+            if c == F.zero:
                 continue
             for cc in range(col, k):
-                M[r][cc] = F.sub(M[r][cc], F.mul(c, M[col][cc]))
+                M[r][cc] = F.add(M[r][cc], F.neg(F.mul(c, M[col][cc])))
     return True
 
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     add_empty_block,
     block_ring,
+    ideal_contains,
+    normal_form,
     random_form,
     random_ideal,
     random_monomial_ideal,
@@ -79,8 +81,8 @@ def test_gb_lex_differs():
 def test_membership():
     R, I = twisted_cubic()
     a, b, c, d = R.gens()
-    assert I.contains((a * c - b * b) * d)
-    assert not I.contains(a * d)
+    assert ideal_contains(I, (a * c - b * b) * d)
+    assert not ideal_contains(I, a * d)
 
 
 def test_gb_is_deterministic_and_monic():
@@ -90,7 +92,7 @@ def test_gb_is_deterministic_and_monic():
     assert gb1 == gb2
     o = grevlex(R)
     for g in gb1:
-        lt = max(g.terms, key=o.key)
+        lt = max(g.terms, key=tuple_kernel.order_key(o))
         assert g.terms[lt] == R.field.one
 
 
@@ -324,8 +326,8 @@ def test_contract_basic():
     g = (
         v["y1"] * v["y1"] + v["y2"] * v["y2"] - v["y0"] * v["y3"]
     )
-    assert Q.contains(g)
-    assert not Q.contains(v["y0"])
+    assert ideal_contains(Q, g)
+    assert not ideal_contains(Q, v["y0"])
 
 
 def test_contract_keep_grading():
@@ -443,7 +445,7 @@ def test_hinted_initial_ideal_is_the_leading_terms_of_the_hinted_basis(seed, emp
     J = substituted_ideal(I, random_block_change(R, seed))
     for order in _orders(rng, R):
         basis = buchberger([f.terms for f in J.gens], order, R.field, hint)
-        lts = MonomialIdeal(R, [max(d, key=order.key) for d in basis])
+        lts = MonomialIdeal(R, [max(d, key=tuple_kernel.order_key(order)) for d in basis])
         assert J.initial_ideal(order, hilbert=hint) == lts == J.initial_ideal(order)
 
 
@@ -486,7 +488,7 @@ def test_hint_of_another_hilbert_function_raises_unstable():
 
 
 def _reduce_dict_reference(f, lt_exps, polys, order, field):
-    key = order.key
+    key = tuple_kernel.order_key(order)
     work = dict(f)
     heap = [(tuple(-x for x in key(e)), e) for e in work]
     heapq.heapify(heap)
@@ -513,12 +515,12 @@ def _reduce_dict_reference(f, lt_exps, polys, order, field):
             delta = field.mul(c, cg)
             if prev is None:
                 nv = field.neg(delta)
-                if not field.eq(nv, field.zero):
+                if nv != field.zero:
                     work[e2] = nv
                     heapq.heappush(heap, (tuple(-x for x in key(e2)), e2))
             else:
-                nv = field.sub(prev, delta)
-                if field.eq(nv, field.zero):
+                nv = field.add(prev, field.neg(delta))
+                if nv == field.zero:
                     del work[e2]
                 else:
                     work[e2] = nv
@@ -554,7 +556,7 @@ def _update_pairs_reference(pairs, lts, new_index):
 
 
 def _buchberger_reference(gen_dicts, order, field):
-    key = order.key
+    key = tuple_kernel.order_key(order)
     lts, polys = [], []
     pairs = set()
 
@@ -590,8 +592,8 @@ def _buchberger_reference(gen_dicts, order, field):
             if prev is None:
                 s[e2] = field.neg(c)
             else:
-                nv = field.sub(prev, c)
-                if field.eq(nv, field.zero):
+                nv = field.add(prev, field.neg(c))
+                if nv == field.zero:
                     del s[e2]
                 else:
                     s[e2] = nv
@@ -685,9 +687,9 @@ def test_hinted_basis_elements_are_monic_members_leading_term_first(seed, empty_
     for order in _orders(rng, R):
         for d in buchberger([f.terms for f in J.gens], order, R.field, hint):
             lt = next(iter(d))
-            assert lt == max(d, key=order.key)
+            assert lt == max(d, key=tuple_kernel.order_key(order))
             assert d[lt] == R.field.one
-            assert J.normal_form(Polynomial(R, d), order).is_zero()
+            assert not normal_form(J, Polynomial(R, d), order)
 
 
 def test_hilbert_driven_buchberger_at_degrees_past_the_exponent_fields():

@@ -9,6 +9,8 @@ from conftest import (
     SURFACE_CEE_TERMS,
     add_empty_block,
     hilbert_series_table,
+    int_monomial,
+    int_one,
     multidegree_C_by_substitution,
     random_monomial_ideal,
     random_positive_ring,
@@ -174,7 +176,7 @@ def test_arithmetic_multidegree_matches_box_count(seed):
 def test_zero_ideal_has_the_empty_prime_and_arithmetic_multidegree_one():
     R = make_ring(["x", "y"], [(1,), (1,)])
     zero = MonomialIdeal(R, [])
-    one = IntegerPolynomial.one(1)
+    one = int_one(1)
     assert [c.prime for c in primary_decomposition(zero)] == [frozenset()]
     assert multidegree_C(zero) == one
     assert arithmetic_multidegree(zero) == one
@@ -255,7 +257,7 @@ def test_k_polynomial_additive_on_colon_split(seed):
     i = rng.randrange(R.n)
     x = tuple(int(j == i) for j in range(R.n))
     lhs = k_polynomial(I)
-    t = IntegerPolynomial.monomial(R.degrees[i])
+    t = int_monomial(R.degrees[i])
     rhs = k_polynomial(I.add_monomial(x)) + t * k_polynomial(I.colon_monomial(x))
     assert lhs == rhs
 
@@ -368,7 +370,7 @@ def test_C_recursion_on_the_zero_and_unit_ideals(gens):
     R = make_ring(["x", "y", "z"], [(1, 0), (1, 1), (0, 2)])
     I = MonomialIdeal(R, gens)
     check_C_recursion(I)
-    assert multidegree_C(I) == (IntegerPolynomial.zero(2) if gens else IntegerPolynomial.one(2))
+    assert multidegree_C(I) == (IntegerPolynomial.zero(2) if gens else int_one(2))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,32 +1,41 @@
 """Every name a module of the package, the tests or the demos imports is
-used in that module, every class, function and method of the package is
-named somewhere else, the package's imports sit at module level unless
-they have a reason not to, and no module of it holds an assert statement.
+used in that module, the package's imports sit at module level unless
+they have a reason not to, every function and method of the package is
+executed by a command, demo or README example, and no module of the
+package holds an assert statement.
 
 The package's ``__init__.py`` imports names only to re-export them, so it
-is exempt from the first check.  For the second, a definition counts as
-used when its name is referred to outside the definition itself in the
-package, the demos or the benchmark.  Neither a reference from the tests
-nor a re-export from an ``__init__.py`` counts: code that only the tests
-call belongs in the tests, and a re-export calls nothing.  For the third,
-LOCAL_IMPORTS names the functions allowed an import in their body.  The
-fourth holds because ``python -O`` strips assert statements, and the
-exit-code contract needs errors that are raised under every flag.
+is exempt from the first check.  For the second, LOCAL_IMPORTS names the
+functions allowed an import in their body.  The third runs every golden
+CLI transcript of tests/test_cli.py, each demo and the README's python
+block under sys.setprofile, and names each function, method and nested
+function of ``src/mdeg`` that none of them calls: code that only the
+tests call belongs in the tests.  Dunder methods are exempt, as are the
+functions the benchmark looks up by name (mdegbench/run.py and
+mdegbench/tracing.py).  The fourth holds because ``python -O`` strips
+assert statements, and the exit-code contract needs errors that are
+raised under every flag.
 """
 
 import ast
+import contextlib
 import functools
+import importlib.util
+import io
+import json
+import os
 import pathlib
 import re
-from collections import Counter
+import runpy
+import subprocess
+import sys
+import tempfile
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mdeg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-# the folders whose references make a definition of the package used
-REFERRING = [SRC, ROOT / "demos", ROOT / "mdegbench"]
 # the files whose imports must all be used
 IMPORTING = MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
@@ -109,116 +118,151 @@ def test_no_function_level_imports(path):
     assert [(line, f) for line, f in found if (path.name, f) not in LOCAL_IMPORTS] == []
 
 
-def referenced_names(tree):
-    """How often the syntax tree refers to each name: as a variable, an
-    attribute, an imported name, or a word of a string constant that is
-    not a docstring (mdegbench/tracing.py names the functions it wraps in
-    strings)."""
-    docstrings = {
-        id(n.value)
-        for n in ast.walk(tree)
-        if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)
-    }
-    out = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            out[node.name.split(".")[-1]] += 1
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and id(node) not in docstrings
-        ):
-            out.update(re.findall(r"\w+", node.value))
-    return out
-
-
-def unused_definitions(source, references):
-    """(line, name) of each class, function and method of `source`, dunders
-    aside, that `references` (referenced_names summed over every referring
-    file, this one included) names only inside the definition itself."""
+def definitions(path):
+    """(first line, qualified name) of each function, method and nested
+    function of the module at `path`, dunder methods aside.  The first
+    line is that of the first decorator, if any, as in co_firstlineno; a
+    nested function's name runs through ``<locals>``, as in __qualname__."""
     out = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        name = node.name
-        if name.startswith("__") and name.endswith("__"):
-            continue
-        if references[name] <= referenced_names(node)[name]:
-            out.append((node.lineno, name))
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out.append((first, prefix + name))
+                visit(child, f"{prefix}{name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), "")
     return sorted(out)
 
 
-def folder_references(folders):
-    """referenced_names summed over the Python files of `folders`, each
-    folder's ``__init__.py`` aside."""
-    out = Counter()
-    for folder in folders:
-        for path in folder.glob("*.py"):
-            if path.name != "__init__.py":
-                out += referenced_names(ast.parse(path.read_text()))
+def executed(run):
+    """(file, first line) of the code of every Python function that run()
+    calls, directly or not: the key that `definitions` gives a definition
+    (co_qualname, which would name it, is new in Python 3.11)."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return {(str(pathlib.Path(f).resolve()), line) for f, line in seen}
+
+
+def unexecuted(paths, seen):
+    """(file name, line, qualified name) of each definition of the modules
+    at `paths` whose key is not in `seen`."""
+    return [
+        (path.name, line, name)
+        for path in paths
+        for line, name in definitions(path)
+        if (str(path.resolve()), line) not in seen
+    ]
+
+
+def test_definitions_that_do_not_run_are_found(tmp_path):
+    path = tmp_path / "synthetic.py"
+    path.write_text(
+        "import functools\n"
+        "def called():\n"
+        "    def inner_called():\n"
+        "        pass\n"
+        "    def inner_dead():\n"
+        "        pass\n"
+        "    inner_called()\n"
+        "class C:\n"
+        "    def __repr__(self):\n"
+        "        return 'C'\n"
+        "    @staticmethod\n"
+        "    def dead_method():\n"
+        "        pass\n"
+        "    @functools.lru_cache\n"
+        "    @staticmethod\n"
+        "    def cached():\n"
+        "        pass\n"
+        "def dead():\n"
+        "    called()\n"
+    )
+    spec = importlib.util.spec_from_file_location("synthetic", path)
+    module = importlib.util.module_from_spec(spec)
+
+    def run():
+        spec.loader.exec_module(module)
+        module.called()
+        module.C.cached()
+
+    assert unexecuted([path], executed(run)) == [
+        ("synthetic.py", 5, "called.<locals>.inner_dead"),
+        ("synthetic.py", 11, "C.dead_method"),
+        ("synthetic.py", 18, "dead"),
+    ]
+
+
+def run_commands_demos_and_readme():
+    """Every golden CLI transcript of tests/test_cli.py, pipes included,
+    each demo as __main__ and the README's python block, their output
+    discarded."""
+    test_cli = importlib.import_module("test_cli")
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"^```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
+        for name in test_cli.GOLDEN_CASES:
+            test_cli.golden_transcript(name, work)
+        for demo in sorted((ROOT / "demos").glob("*.py")):
+            runpy.run_path(str(demo), run_name="__main__")
+        exec(example, {"__name__": "__main__"})
+
+
+def benchmark_names():
+    """module.qualified name of each function that mdegbench/ looks up by
+    name: run.LAYER_FUNCTIONS, tracing.METHODS and tracing.COUNTED."""
+    out = set()
+    for file, names in (("run.py", {"LAYER_FUNCTIONS"}), ("tracing.py", {"METHODS", "COUNTED"})):
+        for node in ast.parse((ROOT / "mdegbench" / file).read_text()).body:
+            if isinstance(node, ast.Assign) and {getattr(t, "id", None) for t in node.targets} & names:
+                for item in ast.literal_eval(node.value):
+                    out.add(item if isinstance(item, str) else ".".join(item))
     return out
 
 
 @functools.cache
-def all_references():
-    return folder_references(REFERRING)
+def executed_by_the_program():
+    """The keys of the functions that run_commands_demos_and_readme calls,
+    collected once, in a fresh interpreter: cli._parser and ring._packing
+    are lru_cached, so a call made by an earlier test would hide a miss."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("MDEG_SEED", None)
+    with tempfile.TemporaryDirectory() as work:
+        out = pathlib.Path(work) / "executed.json"
+        done = subprocess.run(
+            [sys.executable, __file__, str(out)], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        return {tuple(key) for key in json.loads(out.read_text())}
 
 
-def test_unused_definitions_are_found():
-    source = (
-        "class A:\n"
-        "    def used(self):\n"
-        "        return TABLE\n"
-        "    def recursive(self):\n"
-        "        return self.recursive()\n"
-        "    def __eq__(self, other):\n"
-        "        return False\n"
-        "def dead():\n"
-        '    """dead is named in its docstring only."""\n'
-        "def named_in_a_string():\n"
-        "    pass\n"
-        "A().used()\n"
-        'TABLE = [("A", "named_in_a_string")]\n'
-    )
-    refs = referenced_names(ast.parse(source))
-    assert unused_definitions(source, refs) == [(4, "recursive"), (8, "dead")]
-
-
-def test_definitions_named_only_outside_the_referring_folders_are_found(tmp_path):
-    package, demos, tests = (tmp_path / d for d in ("package", "demos", "tests"))
-    for folder in (package, demos, tests):
-        folder.mkdir()
-    source = "def shown():\n    pass\ndef tested():\n    pass\n"
-    (package / "mod.py").write_text(source)
-    (demos / "demo.py").write_text("from package.mod import shown\nshown()\n")
-    (tests / "test_mod.py").write_text("from package.mod import tested\ntested()\n")
-    refs = folder_references([package, demos])
-    assert unused_definitions(source, refs) == [(3, "tested")]
-    refs = folder_references([package, demos, tests])
-    assert unused_definitions(source, refs) == []
-
-
-def test_definitions_only_re_exported_by_an_init_are_found(tmp_path):
-    package, tests = tmp_path / "package", tmp_path / "tests"
-    for folder in (package, tests):
-        folder.mkdir()
-    source = "def called():\n    pass\ndef exported():\n    pass\ncalled()\n"
-    (package / "mod.py").write_text(source)
-    (package / "__init__.py").write_text("from .mod import called, exported\n")
-    (tests / "test_mod.py").write_text("from package import exported\nexported()\n")
-    refs = folder_references([package])
-    assert unused_definitions(source, refs) == [(3, "exported")]
-
-
-@pytest.mark.parametrize(
-    "path", sorted(SRC.glob("*.py")), ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_definitions(path):
-    assert unused_definitions(path.read_text(), all_references()) == []
+    exempt = benchmark_names()
+    dead = [
+        f"{file}:{line} {name}"
+        for file, line, name in unexecuted([path], executed_by_the_program())
+        # a function nested in an exempt one is exempt with it
+        if f"{file[:-3]}.{name}".split(".<locals>.")[0] not in exempt
+    ]
+    assert not dead, "never executed:\n" + "\n".join(dead)
 
 
 def assert_statements(source):
@@ -243,3 +287,9 @@ def test_assert_statements_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert assert_statements(path.read_text()) == []
+
+
+if __name__ == "__main__":
+    # the collection of executed_by_the_program: write the keys of the
+    # executed functions, as JSON, to the file named by the one argument
+    pathlib.Path(sys.argv[1]).write_text(json.dumps(sorted(executed(run_commands_demos_and_readme))))

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     dimension_filtration,
+    mlength,
     random_monomial_ideal,
     random_positive_ring,
     random_standard_ring,
 )
 from mdeg.errors import EmptyScheme, NotMinimalPrime, NotSquarefree, TooManyVertices
+from mdeg import monomial
 from mdeg.groebner import contract
 from mdeg.monomial import (
     MonomialIdeal,
@@ -22,7 +24,6 @@ from mdeg.monomial import (
     localize_at,
     minimal_primes,
     minimalize,
-    mlength,
     primary_decomposition,
     reisner_cm_check,
     stanley_reisner_complex,
@@ -223,14 +224,15 @@ def test_reisner_field_dependence_projective_plane():
     assert reisner_cm_check(I, 32003)
 
 
-def test_reisner_cone_stripping_and_vertex_cap():
+def test_reisner_cone_stripping_and_vertex_cap(monkeypatch):
     R = std_ring(30)
     gens = [tuple(int(i in (a, b)) for i in range(30)) for a, b in [(0, 1)]]
     I = MonomialIdeal(R, gens)
     # 28 cone vertices are stripped, so the cap is not hit
     assert reisner_cm_check(I, 2)
+    monkeypatch.setattr(monomial, "MAX_CORE_VERTICES", 1)
     with pytest.raises(TooManyVertices):
-        reisner_cm_check(I, 2, max_vertices=1)
+        reisner_cm_check(I, 2)
 
 
 def test_contract_blocks_monomial():

@@ -1,12 +1,14 @@
 """The term kernel and Buchberger loop on exponent tuples, as they were
 before exponents were packed into ints: the oracles of ring._add_mul and
 groebner.buchberger (tests/test_kernel.py, tests/test_groebner.py).
+`order_key` and `compare` rank exponent tuples by a MonomialOrder's
+weight rows and tie-break, the oracle of the order keys of ring._Packing.
 
 `add_mul` combines two tuple-keyed term dicts; `buchberger` takes and
 returns tuple-keyed term dicts, with the same pair selection, reducer
 choice, Hilbert-driven stopping and, with a hint, top-reduction as the
-packed loop, keys from MonomialOrder.key and exponents added and compared
-with zip.  With `full` the hinted loop reduces every new element fully,
+packed loop, keys from `order_key` and exponents added and compared with
+zip.  With `full` the hinted loop reduces every new element fully,
 as the packed loop did before top-reduction.  `HilbertHint` is the hint
 on exponent tuples, as it was before leading terms were packed, with
 its K-polynomials from the tuple recursion of tests/tuple_monomial.py.
@@ -15,11 +17,33 @@ its K-polynomials from the tuple recursion of tests/tuple_monomial.py.
 import heapq
 from math import comb
 
+from conftest import int_monomial
 from mdeg.errors import NotStandardGraded, Unstable
-from mdeg.intpoly import IntegerPolynomial
 from mdeg.monomial import MonomialIdeal
 import tuple_monomial
 from tuple_monomial import minimalize
+
+
+def order_key(order):
+    """The sort key of monomials under `order`, on exponent tuples: a
+    larger key is a larger monomial.  The oracle of the order keys that
+    ring._Packing packs."""
+
+    def key(exps):
+        head = tuple(sum(w * e for w, e in zip(r, exps)) for r in order.weight_rows)
+        if order.tiebreak == "lex":
+            return head + exps
+        return head + (sum(exps),) + tuple(-e for e in reversed(exps))
+
+    return key
+
+
+def compare(order, a, b):
+    """1, 0 or -1 as the monomial a is above, equal to or below b under
+    `order`."""
+    key = order_key(order)
+    ka, kb = key(a), key(b)
+    return (ka > kb) - (ka < kb)
 
 
 def add_mul(acc, c, shift, g, field, skip=None):
@@ -37,7 +61,7 @@ def add_mul(acc, c, shift, g, field, skip=None):
             new.append(e)
         else:
             nv = field.add(prev, delta)
-            if field.eq(nv, field.zero):
+            if nv == field.zero:
                 del acc[e]
             else:
                 acc[e] = nv
@@ -52,7 +76,7 @@ def reduce_dict(f, lt_exps, polys, order, field, top=False):
     """Full normal form of the term dict f against monic (lt, poly) pairs;
     with `top`, f reduced until its leading term is irreducible, that term
     first and the rest as it stands."""
-    key = order.key
+    key = order_key(order)
     work = dict(f)
     heap = [(_neg_key(key(e)), e) for e in work]
     heapq.heapify(heap)
@@ -81,13 +105,13 @@ def reduce_dict(f, lt_exps, polys, order, field, top=False):
 
 
 def leading(terms, order):
-    return max(terms, key=order.key)
+    return max(terms, key=order_key(order))
 
 
 def make_monic(terms, order, field):
     lt = leading(terms, order)
     c = terms[lt]
-    if field.eq(c, field.one):
+    if c == field.one:
         return lt, dict(terms)
     inv = field.inv(c)
     return lt, {e: field.mul(inv, v) for e, v in terms.items()}
@@ -118,7 +142,7 @@ def _update_pairs(pairs, lts, new_index, order):
             continue
         chosen.append(l)
         if not coprime(lts[i], t):
-            pairs[(i, new_index)] = (sum(l), order.key(l), l)
+            pairs[(i, new_index)] = (sum(l), order_key(order)(l), l)
 
 
 def buchberger(gen_dicts, order, field, hilbert=None, full=False):
@@ -126,7 +150,7 @@ def buchberger(gen_dicts, order, field, hilbert=None, full=False):
     Hilbert-driven basis, top-reduced unless `full`, which raises Unstable
     when the pairs run out before the leading terms have the hint's
     K-polynomial."""
-    key = order.key
+    key = order_key(order)
     lts, polys = [], []
     pairs = {}
     top = hilbert is not None and not full
@@ -174,7 +198,7 @@ def _reduce_basis(lts, polys, order, field):
         others_polys = min_polys[:i] + min_polys[i + 1 :]
         r = reduce_dict(min_polys[i], others_lts, others_polys, order, field)
         out.append(make_monic(r, order, field)[1])
-    out.sort(key=lambda d: order.key(leading(d, order)))
+    out.sort(key=lambda d: order_key(order)(leading(d, order)))
     return out
 
 
@@ -206,7 +230,7 @@ class HilbertHint:
             return self._excess
         if self._lts is not None and lts[:-1] == self._lts:
             m = lts[-1]
-            step = IntegerPolynomial.monomial(self.ring.monomial_degree(m))
+            step = int_monomial(self.ring.monomial_degree(m))
             quot = self._k(tuple_monomial.colon_monomial(self._L, m))
             self._excess = self._excess - step * quot
             self._L = tuple_monomial.add_monomial(self._L, m)

@@ -7,6 +7,7 @@ every operation below takes and returns one, with divisibility, colons,
 lcms and the K-polynomial recursion done with zip over the tuples.
 """
 
+from conftest import int_monomial, int_one
 from mdeg.intpoly import IntegerPolynomial
 
 
@@ -84,16 +85,16 @@ def k_polynomial_monomial(ring, gens, _memo=None):
     if (0,) * ring.n in gens:
         out = IntegerPolynomial.zero(p)
     elif _supports_pairwise_coprime(gens):
-        out = IntegerPolynomial.one(p)
+        out = int_one(p)
         for g in gens:
             out = out * (
-                IntegerPolynomial.one(p)
-                - IntegerPolynomial.monomial(ring.monomial_degree(g))
+                int_one(p)
+                - int_monomial(ring.monomial_degree(g))
             )
     else:
         i = pick_pivot(gens, ring.n)
         x = tuple(int(j == i) for j in range(ring.n))
-        tdeg = IntegerPolynomial.monomial(ring.degrees[i])
+        tdeg = int_monomial(ring.degrees[i])
         out = k_polynomial_monomial(ring, add_monomial(gens, x), _memo) + tdeg * (
             k_polynomial_monomial(ring, colon_monomial(gens, x), _memo)
         )
