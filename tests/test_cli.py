@@ -385,6 +385,14 @@ GOLDEN_FILES = {
     "degree_length": "vars x y\ndeg x = (1)\ndeg  y = (1,0)\nideal I = [ x ]\n",
     "repeated_variable": "field QQ\nvars x y x\ndeg x = (1)\ndeg y = (1)\nideal I = [ x ]\n",
     "missing_vars": "field QQ\ndeg x = (1)\nideal I = [ x ]\n",
+    # a sum that cancels, a monomial in parentheses, exponents past an
+    # 8-bit field, and an empty ideal
+    "paths": (
+        "field Fp 32003\nvars x y z\ndeg x = (1)\ndeg y = (1)\ndeg z = (1)\n"
+        "ideal K = [ x^200*y - y^3*x^198 ; (x) ; x + x - 2*x ; z^2 ]\n"
+        "ideal A = [ x^300*y ; x^2*y^200 ; y^3*z ]\n"
+        "ideal E = []\n"
+    ),
 }
 FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}
 
@@ -399,6 +407,7 @@ GOLDEN_CASES = {
     # an empty generator slot is the zero polynomial, which the ideal drops
     "kpoly-empty-generator": ["kpoly", "{empty_generator}", "--ideal", "I"],
     "kpoly-weighted": ["kpoly", "{weighted}", "--ideal", "I"],
+    "kpoly-cancelling-sum": ["kpoly", "{paths}", "--ideal", "K"],
     "cee-text": ["cee", "{ex46}", "--ideal", "P"],
     "cee-json": ["cee", "{ex46}", "--ideal", "P", "--json"],
     "cee-lex-json": ["cee", "{ex46}", "--ideal", "P", "--order", "lex", "--json"],
@@ -410,6 +419,8 @@ GOLDEN_CASES = {
     "arith-text": ["arith", "{small}", "--ideal", "I"],
     "arith-json": ["arith", "{small}", "--ideal", "I", "--json"],
     "arith-rmk59-json": ["arith", "{rmk59}", "--ideal", "J", "--json"],
+    # generators wider than their ideal's field, narrowed and widened
+    "arith-wide-exponents": ["arith", "{paths}", "--ideal", "A"],
     "geom-text": ["geom", "{ex46}", "--ideal", "P"],
     "geom-json": ["geom", "{ex46}", "--ideal", "P", "--json"],
     "geom-small": ["geom", "{small}", "--ideal", "I"],
@@ -430,6 +441,7 @@ GOLDEN_CASES = {
     "project-text": ["project", "{ex46}", "--ideal", "P", "--blocks", "2,3"],
     "project-json": ["project", "{ex46}", "--ideal", "P", "--blocks", "2,3", "--json"],
     "project-one-block-json": ["project", "{ex46}", "--ideal", "P", "--blocks", "1", "--json"],
+    "project-empty-ideal": ["project", "{paths}", "--ideal", "E", "--blocks", "1"],
     "project-fractions-text": ["project", "{fractions}", "--ideal", "F", "--blocks", "1,2,3"],
     "project-fractions-json": ["project", "{fractions}", "--ideal", "F", "--blocks", "1,2,3", "--json"],
     "project-fractions-reparsed-json": ["project", "-", "--ideal", "F", "--blocks", "1,2", "--json"],
