@@ -31,6 +31,7 @@ from .hilbert import (
     geometric_multidegrees,
     hilbert_function_oracle,
     k_polynomial,
+    local_length,
     multidegree_C,
     multidegree_G,
 )
@@ -39,7 +40,6 @@ from .intpoly import IntegerPolynomial
 from .monomial import (
     MonomialIdeal,
     borel_fixed_check,
-    length_at_minimal_prime,
     minimal_primes,
     primary_decomposition,
     reisner_cm_check,

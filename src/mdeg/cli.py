@@ -245,7 +245,7 @@ def cmd_snp_check(args):
         ok, witness = snp_check(_read_points(args.points))
     elif args.file and args.ideal:
         _, I, order = _load(args)
-        ok, witness = snp_check(multidegree_C(I, order))
+        ok, witness = snp_check(support_points(multidegree_C(I, order)))
     else:
         raise InputError("snp-check needs --points or a ring file with --ideal")
     result = {"ok": ok, "witness": list(witness) if witness else None}

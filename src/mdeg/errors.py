@@ -45,10 +45,6 @@ class NotStandardGraded(MdegError):
 
 
 # monomial combinatorics
-class NotMinimalPrime(MdegError):
-    pass
-
-
 class NotSquarefree(MdegError):
     pass
 

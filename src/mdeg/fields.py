@@ -13,19 +13,38 @@ Every element is falsy exactly at zero: code tests a coefficient with `if c:`.
 
 from fractions import Fraction
 
-from .errors import NonPrimeModulus
+from .errors import BadArgument, NonPrimeModulus
+
+#: The Miller-Rabin bases of _is_prime: the primes up to 41.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: The least composite that passes Miller-Rabin at every base of _BASES
+#: (Sorenson and Webster, Math. Comp. 86, 2017): _is_prime is exact below
+#: it, so a PrimeField modulus must be smaller.
+MODULUS_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n):
+    """Whether n < MODULUS_LIMIT is prime, by Miller-Rabin at _BASES."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -68,6 +87,8 @@ class PrimeField:
     """Arithmetic modulo a prime, elements represented as ints in [0, p)."""
 
     def __init__(self, p):
+        if p >= MODULUS_LIMIT:
+            raise BadArgument(f"modulus {p} is not below {MODULUS_LIMIT}, the limit of the primality test")
         if not _is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         self.p = p

@@ -12,11 +12,10 @@ import random
 from .errors import BadArgument, EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
 from .fields import rank_mod_p
 from .groebner import as_ideal, contract, substituted_ideal
-from .hilbert import HilbertHint
+from .hilbert import HilbertHint, local_length
 from .monomial import (
     borel_fixed_check,
     borel_prime_exponent,
-    length_at_minimal_prime,
     minimal_primes,
     primary_decomposition,
     reisner_cm_check,
@@ -158,18 +157,15 @@ def gin_structure_report(I, order=None, trials=2, seed=0):
     rep.clauses["radical_cohen_macaulay"] = bool(
         reisner_cm_check(G.radical(), HOMOLOGY_PRIME)
     )
-    comps = primary_decomposition(G)
     rep.clauses["associated_primes_are_block_segments"] = all(
-        borel_prime_exponent(c.prime, G.ring) is not None for c in comps
+        borel_prime_exponent(c.prime, G.ring) is not None
+        for c in primary_decomposition(G)
     )
-    minimal = [c for c in comps if c.length_at_prime is not None]
-    rep.clauses["minimal_primes_equidimensional"] = (
-        len({len(c.prime) for c in minimal}) <= 1
-    )
+    minimal = minimal_primes(G)
+    rep.clauses["minimal_primes_equidimensional"] = len({len(P) for P in minimal}) <= 1
 
-    ring = G.ring
-    p = ring.p
-    base_lengths = [c.length_at_prime for c in minimal]
+    p = G.ring.p
+    base_lengths = [local_length(G, P) for P in minimal]
     base_ml = max(base_lengths)
     rep.contraction_mlength[tuple(range(1, p + 1))] = base_ml
     ml_ok = True
@@ -181,7 +177,7 @@ def gin_structure_report(I, order=None, trials=2, seed=0):
             rep.contraction_mlength[J] = 1
             continue
         GJ = gin(IJ, trials=trials, seed=seed).ideal
-        lengths = [length_at_minimal_prime(GJ, P) for P in minimal_primes(GJ)]
+        lengths = [local_length(GJ, P) for P in minimal_primes(GJ)]
         ml = max(lengths)
         rep.contraction_mlength[J] = ml
         if ml > base_ml:

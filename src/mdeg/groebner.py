@@ -153,11 +153,18 @@ def _update_pairs(pairs, lts, t, pk):
             pairs[(a, t)] = (sum(pk.unpack(l)), l ^ pk.flip, l)
 
 
-def buchberger(gen_dicts, order, field, hilbert=None):
-    """Monic Groebner basis of the given term dicts, each element with its
-    terms in descending order, so that its leading term comes first.
+def buchberger(gen_dicts, order, field):
+    """The reduced Groebner basis of the given term dicts, sorted by
+    leading term, each element monic with its terms in descending order,
+    so that its leading term comes first."""
+    pk, basis = _packed(order, gen_dicts, _buchberger, field, None)
+    return [pk.unpack_dict(d) for d in basis]
 
-    Without `hilbert` this is the reduced basis, sorted by leading term.
+
+def _buchberger(pk, gens, field, hilbert):
+    """(pk, the packed basis) for `buchberger`, or, with `hilbert`, for
+    Ideal.initial_ideal.
+
     `hilbert` is a hilbert.HilbertHint for an ideal with the Hilbert
     function of the input: a pair is then skipped when the hint finds the
     leading terms so far saturated at the degree of its lcm, and the loop
@@ -167,12 +174,6 @@ def buchberger(gen_dicts, order, field, hilbert=None):
     but its leading terms generate the initial ideal.  If the pairs run
     out first, the hint does not fit the input and Unstable is raised.
     """
-    pk, basis = _packed(order, gen_dicts, _buchberger, field, hilbert)
-    return [pk.unpack_dict(d) for d in basis]
-
-
-def _buchberger(pk, gens, field, hilbert):
-    """(pk, the packed basis) for `buchberger`."""
     flip, guard = pk.flip, pk.guard
     basis = {}  # leading term -> monic element, in the order found
     pairs = {}
@@ -257,7 +258,7 @@ class Ideal:
                 raise TypeError("generators must be Polynomials")
             if f.ring != ring:
                 raise RingMismatch("generator from a different ring")
-            if f.is_zero():
+            if not f:
                 continue
             if not is_homogeneous(f):
                 raise NotHomogeneous(f"generator {f} is not multihomogeneous")
@@ -362,7 +363,7 @@ def intersect(I, J):
 
 def saturate(I, f):
     """(I : f^infinity) as (I + (1 - t*f)) cap k[x], eliminating t."""
-    if f.is_zero():
+    if not f:
         raise ZeroDivisionError("saturation by zero")
     ring = I.ring
     F = ring.field

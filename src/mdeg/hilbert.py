@@ -11,7 +11,10 @@ expanding K(1 - t): each node keeps only its codimension and lowest
 part.  Every lowest part has positive coefficients and the factor
 (1 - t)^deg(x) of a split starts with 1, so a split adds its children's
 lowest parts without cancellation.  The other invariants are read off
-K(1 - t).
+K(1 - t).  finite_length reads the length of a finite-length module off
+its K-polynomial; local_length, the length of H^0 of S/I at a monomial
+prime, is the weight of each associated prime in the arithmetic
+multidegree and the component length of the gin report.
 HilbertHint carries K(S/I) into Buchberger runs on ideals with that
 Hilbert function, and takes their leading terms as packed ints.
 hilbert_function_oracle counts standard monomials instead, as an
@@ -254,32 +257,38 @@ def finite_length(k, ring):
     return (-1) ** n * total // prod(sum(d) for d in ring.degrees)
 
 
-def arithmetic_multidegree(I):
-    """A(S/I) = sum over associated primes P of the local H^0 length times
-    the multidegree of S/P.  Monomial ideals only.  At a minimal prime that
-    length is the component's length_at_prime.  At an embedded prime, with
-    loc = I with the variables outside P set to 1, and sat = loc : m^infinity
-    for the ideal m of the variables of P, it is the length of sat/loc,
-    which finite_length reads off K(S/loc) - K(S/sat).
+def local_length(I, prime):
+    """Length of H^0 of (S/I) localized at the monomial prime P of the
+    variable indices `prime`: positive exactly when P is an associated
+    prime of the monomial ideal I, and 0 otherwise.
+
+    With loc = localize_at(I, P), in the ring T on P's variables, and
+    sat = loc : m^infinity for m the ideal of T's variables, H^0 is
+    sat/loc, of finite length since a power of every variable annihilates
+    it, and finite_length reads it off K(T/loc) - K(T/sat).  At a minimal
+    prime sat is the unit ideal, so this is the length of T/loc.  At the
+    empty prime T is the field and m = 0, so sat is the unit ideal, not
+    the loc that saturate_var_block returns for no variables: the length
+    is 1 for the zero ideal and 0 otherwise.
     """
+    prime = frozenset(prime)
+    if not prime <= set(range(I.ring.n)):
+        raise BadArgument(f"{sorted(prime)} is not a set of variable indices")
+    if not prime:
+        return int(I.is_zero())
+    loc = localize_at(I, prime)
+    sat = saturate_var_block(loc, range(loc.ring.n))
+    return finite_length(k_polynomial_monomial(loc) - k_polynomial_monomial(sat), loc.ring)
+
+
+def arithmetic_multidegree(I):
+    """A(S/I) = sum over the associated primes P of I of local_length(I, P)
+    times the multidegree of S/P.  Monomial ideals only."""
     if not isinstance(I, MonomialIdeal):
         raise TypeError("arithmetic multidegree requires a monomial ideal")
-    ring = I.ring
-    p = ring.p
-    out = IntegerPolynomial.zero(p)
+    out = IntegerPolynomial(I.ring.p)
     for comp in primary_decomposition(I):
-        prime = comp.prime
-        length = comp.length_at_prime
-        if length is None:
-            loc = localize_at(I, prime)
-            sat = saturate_var_block(loc, range(loc.ring.n))
-            # H^0 at the prime is sat/loc, of finite length since it is
-            # annihilated by a power of every variable
-            length = finite_length(
-                k_polynomial_monomial(loc) - k_polynomial_monomial(sat), loc.ring
-            )
-        if length:
-            out = out + length * cee_of_quotient_prime(ring, prime)
+        out = out + local_length(I, comp.prime) * cee_of_quotient_prime(I.ring, comp.prime)
     return out
 
 

@@ -25,7 +25,7 @@ arithmetic.
 import operator
 import re
 
-from .errors import InputError
+from .errors import BadArgument, InputError, NonPrimeModulus
 from .fields import QQ, PrimeField
 from .groebner import Ideal
 from .ring import GradedRing, Polynomial, is_homogeneous
@@ -77,19 +77,18 @@ def _tokenize(text):
 class Session:
     """Parsed ring file: the ring plus named ideals (as Polynomial lists)."""
 
-    def __init__(self, ring, ideals, positions=None):
+    def __init__(self, ring, ideals, positions):
         self.ring = ring
         self.ideals = ideals  # name -> list of Polynomial
-        self.positions = positions or {}  # name -> (line, col) of each generator
+        self.positions = positions  # name -> (line, col) of each generator
 
     def ideal(self, name):
         if name not in self.ideals:
             raise InputError(f"no ideal named {name!r} in the input")
         gens = self.ideals[name]
-        # every generator is checked here, with its position when known,
-        # so Ideal need not check them again
-        where = self.positions.get(name) or [(None, None)] * len(gens)
-        for f, (line, col) in zip(gens, where):
+        # every generator is checked here, with its position, so Ideal
+        # need not check them again
+        for f, (line, col) in zip(gens, self.positions[name]):
             if not is_homogeneous(f):
                 raise InputError(f"generator {f} is not multihomogeneous", line, col)
         return Ideal._of(self.ring, [f for f in gens if f])
@@ -181,7 +180,10 @@ class _Parser:
             return QQ
         if t.text == "Fp":
             n = self.expect("num")
-            return PrimeField(int(n.text))
+            try:
+                return PrimeField(int(n.text))
+            except (BadArgument, NonPrimeModulus) as e:
+                self.error(str(e), n)
         self.error(f"unknown field {t.text!r} (use QQ or Fp <prime>)", t)
 
     def _parse_vars(self):

@@ -31,10 +31,6 @@ class IntegerPolynomial:
         # the keys of a dict are distinct, so no two terms need adding
         self.terms = {tuple(e): c for e, c in terms.items() if c} if terms else {}
 
-    @classmethod
-    def zero(cls, p):
-        return cls(p)
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -28,7 +28,6 @@ from operator import or_
 
 from .errors import (
     BadArgument,
-    NotMinimalPrime,
     NotSquarefree,
     NotStandardGraded,
     TooManyVertices,
@@ -335,7 +334,7 @@ def from_polynomial_gens(ring, polys):
     """Monomial ideal from single-term generators."""
     gens = []
     for f in polys:
-        if f.is_zero():
+        if not f:
             continue
         if len(f.terms) != 1:
             raise BadArgument(f"{f} is not a monomial")
@@ -422,13 +421,11 @@ def irreducible_decomposition(I):
 
 
 class PrimaryComponent:
-    """One primary component together with its prime and, when the prime is
-    minimal, the localized length."""
+    """One primary component together with its prime."""
 
-    def __init__(self, prime, component, length_at_prime=None):
+    def __init__(self, prime, component):
         self.prime = frozenset(prime)
         self.component = component
-        self.length_at_prime = length_at_prime
 
     def __repr__(self):
         return f"PrimaryComponent(prime={sorted(self.prime)}, {self.component!r})"
@@ -443,22 +440,13 @@ def primary_decomposition(I):
     hence (strong irreducibility) contain an irreducible of another group,
     which the irredundancy of irreducible_decomposition rules out.
     """
-    irr = irreducible_decomposition(I)
     by_prime = {}
-    for J in irr:
+    for J in irreducible_decomposition(I):
         by_prime.setdefault(frozenset(J.support_vars()), []).append(J)
-    comps = []
-    for prime, parts in by_prime.items():
-        comp = parts[0]
-        for other in parts[1:]:
-            comp = comp.intersect(other)
-        comps.append((prime, comp))
-    out = []
-    for prime, comp in sorted(comps, key=lambda c: (len(c[0]), sorted(c[0]))):
-        minimal = not any(other < prime for other in by_prime)
-        length = length_at_minimal_prime(I, prime) if minimal else None
-        out.append(PrimaryComponent(prime, comp, length))
-    return out
+    return [
+        PrimaryComponent(prime, reduce(MonomialIdeal.intersect, by_prime[prime]))
+        for prime in sorted(by_prime, key=lambda P: (len(P), sorted(P)))
+    ]
 
 
 def localize_at(I, prime):
@@ -471,26 +459,6 @@ def localize_at(I, prime):
     return MonomialIdeal(
         I.ring.subring(keep), [tuple(g[i] for i in keep) for g in I.gens]
     )
-
-
-def length_at_minimal_prime(I, prime):
-    """length of (S/I) localized at a minimal prime (a variable subset).
-
-    That is the length of T/loc, for T the ring on the prime's variables
-    and loc = localize_at(I, prime); hilbert.finite_length reads it off
-    K(T/loc).  The prime is minimal over I exactly when loc is proper (I
-    lies in the prime) and has finite colength (no smaller prime holds
-    I), that is, when loc contains a pure power of each of its variables.
-    """
-    from .hilbert import finite_length, k_polynomial_monomial
-
-    prime = frozenset(prime)
-    if prime <= set(range(I.ring.n)):
-        loc = localize_at(I, prime)
-        pure = {i for g in loc.gens for i, e in enumerate(g) if e and sum(g) == e}
-        if not loc.is_unit() and len(pure) == loc.ring.n:
-            return finite_length(k_polynomial_monomial(loc), loc.ring)
-    raise NotMinimalPrime(f"{sorted(prime)} is not a minimal prime")
 
 
 # ---------------------------------------------------------------------------

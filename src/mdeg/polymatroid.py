@@ -2,8 +2,9 @@
 
 The support of the multidegree of a prime is expected to be the base set
 of a discrete polymatroid; exchange_check tests the M-convex exchange
-axiom directly and returns a witness on failure.  snp_check compares the
-support of a polynomial with the lattice points of its Newton polytope,
+axiom directly and returns a witness on failure.  snp_check compares a
+set of lattice points, such as the support of a polynomial, with the
+lattice points of its convex hull,
 using an exact rational feasibility LP for hull membership.
 """
 
@@ -134,16 +135,13 @@ def newton_polytope_points(support):
     return out
 
 
-def snp_check(poly_or_support):
-    """Saturated Newton polytope: support = lattice points of its hull.
-
-    Accepts an IntegerPolynomial or a plain set of exponent tuples.
-    Returns (True, None) or (False, witness) with a missing lattice point.
+def snp_check(points):
+    """Saturated Newton polytope: the lattice points `points`, such as
+    support_points of a polynomial, are all the lattice points of their
+    convex hull.  Returns (True, None) or (False, witness) with a missing
+    lattice point.
     """
-    if hasattr(poly_or_support, "terms"):
-        supp = set(poly_or_support.terms)
-    else:
-        supp = {tuple(q) for q in poly_or_support}
+    supp = {tuple(q) for q in points}
     if not supp:
         return True, None
     for q in newton_polytope_points(supp):

@@ -305,9 +305,6 @@ class Polynomial:
         p.ring, p.terms, p._hash = ring, terms, None
         return p
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -379,7 +376,7 @@ def multidegree_of(f):
     Raises NotHomogeneous (naming two offending terms) when terms disagree,
     ZeroPolynomial on zero input.
     """
-    if f.is_zero():
+    if not f:
         raise ZeroPolynomial("the zero polynomial has no multidegree")
     ring = f.ring
     deg = None
@@ -397,7 +394,7 @@ def multidegree_of(f):
 
 
 def is_homogeneous(f):
-    if f.is_zero():
+    if not f:
         return True
     try:
         multidegree_of(f)

@@ -3,11 +3,10 @@ import itertools
 from mdeg.errors import EmptyScheme
 from mdeg.fields import QQ
 from mdeg.groebner import Ideal, _packed, _reduce_dict, buchberger
-from mdeg.hilbert import k_polynomial, k_polynomial_monomial
+from mdeg.hilbert import k_polynomial, k_polynomial_monomial, local_length
 from mdeg.intpoly import IntegerPolynomial
 from mdeg.monomial import (
     MonomialIdeal,
-    length_at_minimal_prime,
     minimal_primes,
     primary_decomposition,
 )
@@ -286,7 +285,7 @@ def mlength(I):
     primes = minimal_primes(I)
     if not primes:
         raise EmptyScheme("the ideal cuts out the empty scheme")
-    return max(length_at_minimal_prime(I, P) for P in primes)
+    return max(local_length(I, P) for P in primes)
 
 
 def monomial(ring, exps, c=1):

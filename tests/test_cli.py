@@ -385,6 +385,10 @@ GOLDEN_FILES = {
     "degree_length": "vars x y\ndeg x = (1)\ndeg  y = (1,0)\nideal I = [ x ]\n",
     "repeated_variable": "field QQ\nvars x y x\ndeg x = (1)\ndeg y = (1)\nideal I = [ x ]\n",
     "missing_vars": "field QQ\ndeg x = (1)\nideal I = [ x ]\n",
+    "not_prime_field": "field Fp 4\nvars x\ndeg x = (1)\nideal I = [ x ]\n",
+    # the Mersenne prime 2^61 - 1
+    "big_prime_field": "field Fp 2305843009213693951\nvars x y\ndeg x = (1)\ndeg y = (1)\n"
+    "ideal I = [ x*y - 3*y^2 ; x^2 ]\n",
     # a sum that cancels, a monomial in parentheses, exponents past an
     # 8-bit field, and an empty ideal
     "paths": (
@@ -408,6 +412,7 @@ GOLDEN_CASES = {
     "kpoly-empty-generator": ["kpoly", "{empty_generator}", "--ideal", "I"],
     "kpoly-weighted": ["kpoly", "{weighted}", "--ideal", "I"],
     "kpoly-cancelling-sum": ["kpoly", "{paths}", "--ideal", "K"],
+    "kpoly-big-prime": ["kpoly", "{big_prime_field}", "--ideal", "I"],
     "cee-text": ["cee", "{ex46}", "--ideal", "P"],
     "cee-json": ["cee", "{ex46}", "--ideal", "P", "--json"],
     "cee-lex-json": ["cee", "{ex46}", "--ideal", "P", "--order", "lex", "--json"],
@@ -483,6 +488,7 @@ GOLDEN_CASES = {
     "err-degree-length": ["kpoly", "{degree_length}", "--ideal", "I"],
     "err-repeated-variable": ["kpoly", "{repeated_variable}", "--ideal", "I"],
     "err-missing-vars": ["kpoly", "{missing_vars}", "--ideal", "I", "--json"],
+    "err-field-not-prime": ["kpoly", "{not_prime_field}", "--ideal", "I"],
     "err-not-homogeneous": ["cee", "{not_homogeneous}", "--ideal", "I"],
     "err-unknown-ideal": ["gee", "{small}", "--ideal", "Nope"],
     "err-unknown-ideal-arith": ["arith", "{small}", "--ideal", "Nope"],

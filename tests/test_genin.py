@@ -18,7 +18,7 @@ from mdeg.errors import EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
 from mdeg.fields import GF32003, PrimeField, QQ, rank_mod_p
 from mdeg.genin import gin, gin_structure_report, random_block_change
 from mdeg.groebner import Ideal, as_ideal, contract, substituted_ideal
-from mdeg.hilbert import arithmetic_multidegree, k_polynomial
+from mdeg.hilbert import arithmetic_multidegree, k_polynomial, local_length
 from mdeg.monomial import MonomialIdeal, minimal_primes, primary_decomposition
 from mdeg.orders import MonomialOrder
 from mdeg.ring import Polynomial, make_ring, multidegree_of
@@ -260,7 +260,7 @@ def test_gin_threefold_component_structure():
     assert len(comps) == 9
     mins = {frozenset(Q) for Q in minimal_primes(G)}
     min_lengths = sorted(
-        c.length_at_prime for c in comps if frozenset(c.prime) in mins
+        local_length(G, c.prime) for c in comps if frozenset(c.prime) in mins
     )
     assert min_lengths == [2, 2, 2, 4, 4]
     embedded = [c for c in comps if frozenset(c.prime) not in mins]

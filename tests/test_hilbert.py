@@ -21,7 +21,7 @@ from conftest import (
     truncation_multidegree,
 )
 from mdeg.determinantal import build_determinantal
-from mdeg.errors import BoundTooLarge, EmptyScheme, NotStandardGraded
+from mdeg.errors import BadArgument, BoundTooLarge, EmptyScheme, NotStandardGraded
 from mdeg.groebner import Ideal, saturate_var_block
 from mdeg.hilbert import (
     HilbertHint,
@@ -32,6 +32,7 @@ from mdeg.hilbert import (
     geometric_multidegrees,
     hilbert_function_oracle,
     k_polynomial,
+    local_length,
     multidegree_C,
     multidegree_G,
 )
@@ -150,7 +151,7 @@ def _box_arithmetic_multidegree(I):
     ideal there; saturate_var_block would return loc itself at the empty
     prime of the zero ideal.
     """
-    out = IntegerPolynomial.zero(I.ring.p)
+    out = IntegerPolynomial(I.ring.p)
     minimal = minimal_primes(I)
     for comp in primary_decomposition(I):
         loc = localize_at(I, comp.prime)
@@ -181,13 +182,52 @@ def test_zero_ideal_has_the_empty_prime_and_arithmetic_multidegree_one():
     assert multidegree_C(zero) == one
     assert arithmetic_multidegree(zero) == one
     truncations = [truncation_multidegree(zero, i) for i in range(R.n + 1)]
-    assert sum(truncations, IntegerPolynomial.zero(1)) == one
+    assert sum(truncations, IntegerPolynomial(1)) == one
+
+
+def test_local_length_at_an_embedded_prime():
+    # (x^2, x*y) = (x) cap (x^2, y): at (x, y), H^0 is (x)/(x^2, x*y),
+    # spanned by x
+    R = make_ring(["x", "y"], [(1,), (1,)])
+    I = MonomialIdeal(R, [(2, 0), (1, 1)])
+    assert [local_length(I, P) for P in (set(), {0}, {1}, {0, 1})] == [0, 1, 0, 1]
+    assert arithmetic_multidegree(I) == IntegerPolynomial(1, {(1,): 1, (2,): 1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_local_length_is_positive_exactly_at_the_associated_primes(seed):
+    # the zero ideal has the one associated prime (0), the unit ideal none
+    rng = random.Random(seed)
+    R = random_positive_ring(rng)
+    unit = MonomialIdeal(R, [(0,) * R.n])
+    for I in (random_monomial_ideal(rng, R), MonomialIdeal(R, []), unit):
+        associated = {c.prime for c in primary_decomposition(I)}
+        for mask in range(1 << R.n):
+            P = frozenset(i for i in range(R.n) if mask >> i & 1)
+            assert (local_length(I, P) > 0) == (P in associated)
+        for outside in ({R.n}, {-1}):
+            with pytest.raises(BadArgument):
+                local_length(I, outside)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_local_length_at_a_minimal_prime_counts_standard_monomials(seed):
+    # the zero ideal has the empty minimal prime, localized to a ring
+    # without variables
+    rng = random.Random(seed)
+    R = random_positive_ring(rng)
+    for I in (random_monomial_ideal(rng, R), MonomialIdeal(R, [])):
+        for P in minimal_primes(I):
+            loc = localize_at(I, P)
+            assert local_length(I, P) == len(loc.standard_monomials())
 
 
 def test_truncation_identity_small():
     R = make_ring(["x", "y", "z"], [(1,)] * 3)
     I = MonomialIdeal(R, [(1, 0, 0)]).intersect(MonomialIdeal(R, [(2, 0, 0), (0, 1, 0)]))
-    total = IntegerPolynomial.zero(1)
+    total = IntegerPolynomial(1)
     for i in range(R.n + 1):
         total = total + truncation_multidegree(I, i)
     assert total == arithmetic_multidegree(I)
@@ -370,7 +410,7 @@ def test_C_recursion_on_the_zero_and_unit_ideals(gens):
     R = make_ring(["x", "y", "z"], [(1, 0), (1, 1), (0, 2)])
     I = MonomialIdeal(R, gens)
     check_C_recursion(I)
-    assert multidegree_C(I) == (IntegerPolynomial.zero(2) if gens else int_one(2))
+    assert multidegree_C(I) == (IntegerPolynomial(2) if gens else int_one(2))
 
 
 @settings(max_examples=25, deadline=None)

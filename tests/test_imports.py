@@ -1,8 +1,8 @@
 """Every name a module of the package, the tests or the demos imports is
 used in that module, the package's imports sit at module level unless
 they have a reason not to, every function and method of the package is
-executed by a command, demo or README example, and no module of the
-package holds an assert statement.
+executed by a command, demo or README example, no module of the
+package holds an assert statement, and every error class is raised.
 
 The package's ``__init__.py`` imports names only to re-export them, so it
 is exempt from the first check.  For the second, LOCAL_IMPORTS names the
@@ -14,7 +14,10 @@ tests call belongs in the tests.  Dunder methods are exempt, as are the
 functions the benchmark looks up by name (mdegbench/run.py and
 mdegbench/tracing.py).  The fourth holds because ``python -O`` strips
 assert statements, and the exit-code contract needs errors that are
-raised under every flag.
+raised under every flag.  The fifth names each class of ``errors.py``
+that no raise statement of the package names, leaving out the classes
+another one derives from (MdegError, BadArgument): an error that nothing
+raises is an error no caller can meet.
 """
 
 import ast
@@ -73,8 +76,6 @@ def test_no_unused_imports(path):
 LOCAL_IMPORTS = {
     # keeps mdeg.determinantal out of `import mdeg.cli`
     ("cli.py", "cmd_det"),
-    # mdeg.hilbert imports mdeg.monomial at module level
-    ("monomial.py", "length_at_minimal_prime"),
 }
 
 
@@ -287,6 +288,60 @@ def test_assert_statements_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert assert_statements(path.read_text()) == []
+
+
+def unraised_errors(errors_source, sources):
+    """Names of the classes of `errors_source` that no raise statement of
+    `sources` names, bare (``raise E``), called (``raise E(...)``) or as
+    an attribute (``raise errors.E(...)``), the classes another class of
+    `errors_source` derives from aside."""
+    classes = [n for n in ast.parse(errors_source).body if isinstance(n, ast.ClassDef)]
+    bases = {b.id for c in classes for b in c.bases if isinstance(b, ast.Name)}
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    return [c.name for c in classes if c.name not in raised | bases]
+
+
+def test_unraised_errors_are_found():
+    errors = (
+        "class Base(Exception):\n"
+        "    pass\n"
+        "class Bare(Base):\n"
+        "    pass\n"
+        "class Called(Base):\n"
+        "    pass\n"
+        "class Qualified(Base):\n"
+        "    pass\n"
+        "class Named(Base):\n"
+        "    pass\n"
+        "class Parent(Base):\n"
+        "    pass\n"
+        "class Child(Parent):\n"
+        "    pass\n"
+    )
+    source = (
+        "from . import errors\n"
+        "from .errors import Bare, Called, Named\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise Called('message') from None\n"
+        "    if x is None:\n"
+        "        raise errors.Qualified()\n"
+        "    try:\n"
+        "        raise Bare\n"
+        "    except Named:\n"
+        "        raise\n"
+    )
+    assert unraised_errors(errors, [source]) == ["Named", "Child"]
+
+
+def test_every_error_class_is_raised():
+    sources = [path.read_text() for path in MODULES]
+    assert unraised_errors((SRC / "errors.py").read_text(), sources) == []
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ref_inputlang
 from mdeg.errors import InputError
-from mdeg.fields import GF32003, QQ, PrimeField
+from mdeg.fields import GF32003, MODULUS_LIMIT, QQ, PrimeField
 from mdeg.inputlang import _build_poly, _tokenize, parse_input
 from mdeg.ring import make_ring
 
@@ -152,3 +152,11 @@ def test_a_huge_power_of_a_variable_is_one_exponent(field):
     with time_limit(10):
         session = parse_input(text)
     assert session.ideals["I"][0].terms == {(10**20,): 1}
+
+
+@pytest.mark.parametrize("modulus", ["0", "1", "4", "3215031751", str(MODULUS_LIMIT), str(10**30)])
+def test_a_modulus_that_is_not_a_prime_below_the_limit_is_an_input_error_at_it(modulus):
+    text = f"field  Fp {modulus}\nvars x\ndeg x = (1)\nideal I = [ x ]\n"
+    with pytest.raises(InputError) as e:
+        parse_input(text)
+    assert (e.value.line, e.value.col) == (1, 11)

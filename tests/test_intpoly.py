@@ -102,7 +102,7 @@ def _substitute_one_minus_t_reference(f):
                 cache[k] = pw(i, k - 1) * lin
         return cache[k]
 
-    out = IntegerPolynomial.zero(f.p)
+    out = IntegerPolynomial(f.p)
     for e, c in f.terms.items():
         term = IntegerPolynomial(f.p, {(0,) * f.p: c})
         for i, k in enumerate(e):

@@ -10,7 +10,7 @@ from conftest import (
     random_positive_ring,
     random_standard_ring,
 )
-from mdeg.errors import EmptyScheme, NotMinimalPrime, NotSquarefree, TooManyVertices
+from mdeg.errors import EmptyScheme, NotSquarefree, TooManyVertices
 from mdeg import monomial
 from mdeg.groebner import contract
 from mdeg.monomial import (
@@ -20,15 +20,13 @@ from mdeg.monomial import (
     borel_prime_exponent,
     codim_of,
     irreducible_decomposition,
-    length_at_minimal_prime,
-    localize_at,
     minimal_primes,
     minimalize,
     primary_decomposition,
     reisner_cm_check,
     stanley_reisner_complex,
 )
-from mdeg.hilbert import k_polynomial_monomial
+from mdeg.hilbert import k_polynomial_monomial, local_length
 from mdeg.ring import make_ring
 import tuple_monomial
 
@@ -62,27 +60,7 @@ def test_unit_and_zero_edge_cases():
     assert R.n - codim_of(zero) == 2 and minimal_primes(zero) == [frozenset()]
     assert irreducible_decomposition(zero) == [zero]
     (comp,) = primary_decomposition(zero)
-    assert (comp.prime, comp.component, comp.length_at_prime) == (frozenset(), zero, 1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000))
-def test_length_at_minimal_prime_accepts_exactly_the_minimal_primes(seed):
-    rng = random.Random(seed)
-    R = random_positive_ring(rng)
-    unit = MonomialIdeal(R, [(0,) * R.n])
-    for I in (random_monomial_ideal(rng, R), MonomialIdeal(R, []), unit):
-        minimal = minimal_primes(I)
-        for mask in range(1 << R.n):
-            P = frozenset(i for i in range(R.n) if mask >> i & 1)
-            if P in minimal:
-                box = localize_at(I, P).standard_monomials()
-                assert length_at_minimal_prime(I, P) == len(box)
-            else:
-                with pytest.raises(NotMinimalPrime):
-                    length_at_minimal_prime(I, P)
-        with pytest.raises(NotMinimalPrime):
-            length_at_minimal_prime(I, {R.n})
+    assert (comp.prime, comp.component, local_length(zero, comp.prime)) == (frozenset(), zero, 1)
 
 
 def test_irreducible_decomposition():
@@ -106,16 +84,14 @@ def test_primary_decomposition_merges_by_radical():
     primes = sorted(sorted(c.prime) for c in comps)
     assert primes == [[0], [1, 2]]
     by_prime = {frozenset(c.prime): c for c in comps}
-    assert by_prime[frozenset({0})].length_at_prime == 1
-    assert by_prime[frozenset({1, 2})].length_at_prime == 2
+    assert [local_length(I, P) for P in sorted(by_prime, key=len)] == [1, 2]
 
 
 def test_lengths():
     R = std_ring(1)
     I = MonomialIdeal(R, [(2,)])
-    assert length_at_minimal_prime(I, {0}) == 2
-    with pytest.raises(NotMinimalPrime):
-        length_at_minimal_prime(I, set())
+    assert local_length(I, {0}) == 2
+    assert local_length(I, set()) == 0
 
 
 def test_mlength_example_component():
@@ -246,19 +222,6 @@ def test_contract_blocks_monomial():
     assert J == MonomialIdeal(J.ring, [(1, 1)])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000))
-def test_length_at_minimal_prime_counts_standard_monomials(seed):
-    # the zero ideal has the empty minimal prime, localized to a ring
-    # without variables
-    rng = random.Random(seed)
-    R = random_positive_ring(rng)
-    for I in (random_monomial_ideal(rng, R), MonomialIdeal(R, [])):
-        for P in minimal_primes(I):
-            loc = localize_at(I, P)
-            assert length_at_minimal_prime(I, P) == len(loc.standard_monomials())
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_primary_decomposition_intersects_back(seed):
@@ -344,9 +307,8 @@ def _old_primary_decomposition(I):
                 comps.pop(k)
                 changed = True
                 break
-    minimal = {frozenset(P) for P in minimal_primes(I)} if not I.is_zero() else set()
     return [
-        PrimaryComponent(P, Q, length_at_minimal_prime(I, P) if P in minimal else None)
+        PrimaryComponent(P, Q)
         for P, Q in sorted(comps, key=lambda c: (len(c[0]), sorted(c[0])))
     ]
 
@@ -362,8 +324,8 @@ def test_decompositions_match_intersection_pruning(seed):
     assert not any(
         J.contains_ideal(K) for J in irr for K in irr if K is not J
     )
-    new = [(c.prime, c.component, c.length_at_prime) for c in primary_decomposition(I)]
-    old = [(c.prime, c.component, c.length_at_prime) for c in _old_primary_decomposition(I)]
+    new = [(c.prime, c.component) for c in primary_decomposition(I)]
+    old = [(c.prime, c.component) for c in _old_primary_decomposition(I)]
     assert new == old
 
 

@@ -67,7 +67,7 @@ def test_newton_polytope_points_triangle():
 
 def test_snp_positive_and_negative():
     poly = IntegerPolynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-    ok, w = snp_check(poly)
+    ok, w = snp_check(support_points(poly))
     assert ok and w is None
     ok, w = snp_check({(2, 0), (0, 2)})
     assert not ok

@@ -83,7 +83,7 @@ def k_polynomial_monomial(ring, gens, _memo=None):
     if cached is not None:
         return cached
     if (0,) * ring.n in gens:
-        out = IntegerPolynomial.zero(p)
+        out = IntegerPolynomial(p)
     elif _supports_pairwise_coprime(gens):
         out = int_one(p)
         for g in gens:
