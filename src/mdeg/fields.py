@@ -88,7 +88,9 @@ class PrimeField:
 
     def __init__(self, p):
         if p >= MODULUS_LIMIT:
-            raise BadArgument(f"modulus {p} is not below {MODULUS_LIMIT}, the limit of the primality test")
+            raise BadArgument(
+                f"modulus {p} is not below {MODULUS_LIMIT}, the limit of the primality test"
+            )
         if not _is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         self.p = p
