@@ -397,7 +397,38 @@ GOLDEN_FILES = {
         "ideal A = [ x^300*y ; x^2*y^200 ; y^3*z ]\n"
         "ideal E = []\n"
     ),
+    # a parenthesized sum divided by a number, a zero in parentheses and a
+    # trailing ;
+    "divided_sum": "field QQ\nvars x y\ndeg x = (1)\ndeg y = (1)\nideal I = [ (x + y)/2 ; (x - x)*y + x ; ]\n",
+    # 2^16 + 1, whose Miller-Rabin squarings run past the first
+    "fermat_prime_field": "field Fp 65537\nvars x y\ndeg x = (1)\ndeg y = (1)\nideal I = [ x*y ]\n",
+    "field_one": "field Fp 1\nvars x\ndeg x = (1)\nideal I = [ x ]\n",
+    # 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7
+    "pseudoprime_field": "field Fp 3215031751\nvars x\ndeg x = (1)\nideal I = [ x ]\n",
+    "zero_and_unit": "vars x y\ndeg x = (1)\ndeg y = (1)\nideal E = []\nideal U = [ 1 ]\n",
+    "rmk59_more": pathlib.Path(RMK59).read_text() + "ideal E = []\nideal C = [ x0*y0 ; x1*y1 ]\n",
+    "no_pts": "# no points\n",
+    "negative_pts": "1 -1\n0 0\n",
 }
+# ring files that each stop the parser at a different error (exit 2), by
+# the name of their golden case
+PARSE_ERRORS = {
+    "err-expected-equals": "vars x\ndeg x (1)\nideal I = [ x ]\n",
+    "err-number-declaration": "vars x\ndeg x = (1)\n3\n",
+    "err-duplicate-vars": "vars x\nvars y\ndeg x = (1)\nideal I = [ x ]\n",
+    "err-duplicate-degree": "vars x\ndeg x = (1)\ndeg x = (1)\nideal I = [ x ]\n",
+    "err-unknown-declaration": "vars x\ndeg x = (1)\nring x\n",
+    "err-unknown-field": "field RR\nvars x\ndeg x = (1)\nideal I = [ x ]\n",
+    "err-empty-vars": "vars\ndeg x = (1)\nideal I = [ x ]\n",
+    "err-deg-unknown-var": "vars x\ndeg w = (1)\nideal I = [ x ]\n",
+    "err-unterminated-ideal": "vars x\ndeg x = (1)\nideal I = [ x\n",
+    "err-symbolic-exponent": "vars x y\ndeg x = (1)\ndeg y = (1)\nideal I = [ x^y ]\n",
+    "err-dangling-sum": "vars x\ndeg x = (1)\nideal I = [ x + ]\n",
+    "err-unclosed-parenthesis": "vars x\ndeg x = (1)\nideal I = [ (x = ) ]\n",
+    "err-unexpected-token": "vars x\ndeg x = (1)\nideal I = [ x + = ]\n",
+    "err-trailing-tokens": "vars x\ndeg x = (1)\nideal I = [ x ) ( ]\n",
+}
+GOLDEN_FILES.update({name.replace("-", "_"): text for name, text in PARSE_ERRORS.items()})
 FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}
 
 GOLDEN_CASES = {
@@ -504,7 +535,25 @@ GOLDEN_CASES = {
     "err-gin-not-standard": ["gin", "{weighted_fp}", "--ideal", "I", "--json"],
     "err-gin-report-unit-ideal": ["gin-report", "{unit_fp}", "--ideal", "U"],
     "err-bound-too-large": ["hf-oracle", "{small}", "--ideal", "I", "--bound", "9"],
+    # input paths: parser branches, Miller-Rabin, zero and unit ideals,
+    # degenerate point sets
+    "kpoly-divided-sum": ["kpoly", "{divided_sum}", "--ideal", "I"],
+    "kpoly-fermat-prime": ["kpoly", "{fermat_prime_field}", "--ideal", "I"],
+    "err-field-one": ["kpoly", "{field_one}", "--ideal", "I"],
+    "err-field-pseudoprime": ["kpoly", "{pseudoprime_field}", "--ideal", "I"],
+    "arith-zero-ideal": ["arith", "{zero_and_unit}", "--ideal", "E"],
+    "arith-unit-ideal": ["arith", "{zero_and_unit}", "--ideal", "U"],
+    "cee-unit-ideal": ["cee", "{zero_and_unit}", "--ideal", "U"],
+    "gin-report-zero-ideal": ["gin-report", "{rmk59_more}", "--ideal", "E"],
+    # the Stanley-Reisner complex of the gin is a cone, whose core strips it
+    "gin-report-cone": ["gin-report", "{rmk59_more}", "--ideal", "C"],
+    "polymatroid-no-points": ["polymatroid-check", "--points", "{no_pts}"],
+    "snp-no-points": ["snp-check", "--points", "{no_pts}"],
+    "snp-negative-coordinate": ["snp-check", "--points", "{negative_pts}"],
 }
+GOLDEN_CASES.update(
+    {name: ["kpoly", "{" + name.replace("-", "_") + "}", "--ideal", "I"] for name in PARSE_ERRORS}
+)
 GOLDEN_STDIN = {"cee-stdin": SMALL}
 # project to blocks 2,3 of P over GF(32003): the first grading block is empty
 GOLDEN_PIPES = {
