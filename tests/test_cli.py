@@ -406,9 +406,19 @@ GOLDEN_FILES = {
     # 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7
     "pseudoprime_field": "field Fp 3215031751\nvars x\ndeg x = (1)\nideal I = [ x ]\n",
     "zero_and_unit": "vars x y\ndeg x = (1)\ndeg y = (1)\nideal E = []\nideal U = [ 1 ]\n",
-    "rmk59_more": pathlib.Path(RMK59).read_text() + "ideal E = []\nideal C = [ x0*y0 ; x1*y1 ]\n",
+    "weighted_zero_and_unit": WEIGHTED + "ideal E = []\nideal U = [ 1 ]\n",
+    # its gin has components of codims 1 and 3 (N), or the two whole
+    # blocks (B)
+    "rmk59_more": pathlib.Path(RMK59).read_text()
+    + "ideal E = []\nideal C = [ x0*y0 ; x1*y1 ]\nideal N = [ x0*y0 ; x0*y1 ; x0*y2 ]\n"
+    + "ideal B = [ x0*y0 ; x0*y1 ; x0*y2 ; x1*y0 ; x1*y1 ; x1*y2 ; x2*y0 ; x2*y1 ; x2*y2 ]\n",
+    # the colon by the pivot x3 has a lower codim than the sum with it
+    "five_vars": "vars x0 x1 x2 x3 x4\n"
+    + "".join(f"deg x{i} = (1)\n" for i in range(5))
+    + "ideal M = [ x0*x4 ; x1*x3 ; x2*x3 ; x1*x2*x4 ]\n",
     "no_pts": "# no points\n",
     "negative_pts": "1 -1\n0 0\n",
+    "mixed_degree_pts": "1 0\n1 1\n",
 }
 # ring files that each stop the parser at a different error (exit 2), by
 # the name of their golden case
@@ -544,12 +554,18 @@ GOLDEN_CASES = {
     "arith-zero-ideal": ["arith", "{zero_and_unit}", "--ideal", "E"],
     "arith-unit-ideal": ["arith", "{zero_and_unit}", "--ideal", "U"],
     "cee-unit-ideal": ["cee", "{zero_and_unit}", "--ideal", "U"],
+    "gee-unit-ideal": ["gee", "{zero_and_unit}", "--ideal", "U"],
+    "cee-lower-codim-colon": ["cee", "{five_vars}", "--ideal", "M"],
+    "standardize-verify-zero-ideal": ["standardize", "{weighted_zero_and_unit}", "--ideal", "E", "--verify"],
     "gin-report-zero-ideal": ["gin-report", "{rmk59_more}", "--ideal", "E"],
     # the Stanley-Reisner complex of the gin is a cone, whose core strips it
     "gin-report-cone": ["gin-report", "{rmk59_more}", "--ideal", "C"],
+    "gin-report-not-pure": ["gin-report", "{rmk59_more}", "--ideal", "N"],
+    "gin-report-not-cohen-macaulay": ["gin-report", "{rmk59_more}", "--ideal", "B"],
     "polymatroid-no-points": ["polymatroid-check", "--points", "{no_pts}"],
     "snp-no-points": ["snp-check", "--points", "{no_pts}"],
     "snp-negative-coordinate": ["snp-check", "--points", "{negative_pts}"],
+    "polymatroid-mixed-degrees": ["polymatroid-check", "--points", "{mixed_degree_pts}"],
 }
 GOLDEN_CASES.update(
     {name: ["kpoly", "{" + name.replace("-", "_") + "}", "--ideal", "I"] for name in PARSE_ERRORS}
