@@ -10,9 +10,9 @@ The main entry points:
 - :func:`standardize` / :func:`cs_check` cover non-standard gradings,
 - :mod:`mdeg.determinantal` has the closed formulas for maximal minors.
 
-Every function of the package is executed by a command, demo or README
-example, or looked up by name by the benchmark (tests/test_imports.py);
-code that only the tests call lives in the tests.
+Every function and statement of the package is run by a command, demo
+or README example, or is kept for a reason that tests/test_imports.py
+names; code that only the tests call lives in the tests.
 """
 
 from .errors import MdegError
@@ -22,7 +22,6 @@ from .groebner import (
     Ideal,
     contract,
     intersect,
-    saturate,
     saturate_irrelevant,
     saturate_var_block,
 )

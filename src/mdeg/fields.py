@@ -101,10 +101,7 @@ class PrimeField:
         return f"GF({self.p})"
 
     def coerce(self, a):
-        if isinstance(a, Fraction):
-            if a.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return a.numerator * pow(a.denominator, -1, self.p) % self.p
+        """The residue of the int a; a quotient is a product with inv."""
         return a % self.p
 
     def add(self, a, b):

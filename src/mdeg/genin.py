@@ -11,7 +11,7 @@ import random
 
 from .errors import BadArgument, EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
 from .fields import rank_mod_p
-from .groebner import as_ideal, contract, substituted_ideal
+from .groebner import contract, substituted_ideal
 from .hilbert import HilbertHint, local_length
 from .monomial import (
     borel_fixed_check,
@@ -146,7 +146,6 @@ def gin_structure_report(I, order=None, trials=2, seed=0):
     CLI), which is exactly what non-prime inputs produce.  A unit ideal
     raises EmptyScheme.
     """
-    I = as_ideal(I)
     rep = GinReport()
     res = gin(I, order=order, trials=trials, seed=seed)
     G = res.ideal

@@ -29,10 +29,10 @@ count there, so each new element is top-reduced (reduced until its
 leading term is irreducible) and its tail is left as it stands, neither
 sorted nor reduced; the leading terms still lie in in(g(I)), which is
 all the hint's rules need.
-Intersection, saturation I : f^infinity and contraction to a variable
-subring are one elimination helper, _eliminate, which runs on raw term
-dicts (the auxiliary-variable constructions are not multihomogeneous) and
-caches the result's reduced grevlex basis.
+Intersection and contraction to a variable subring are one elimination
+helper, _eliminate, which runs on raw term dicts (the auxiliary-variable
+construction of an intersection is not multihomogeneous) and caches the
+result's reduced grevlex basis.
 Saturation by a block of variables, which the geometric multidegrees
 need, eliminates nothing: by Bayer's lemma, each I : x_i^infinity of a
 multihomogeneous I is read off one homogeneous basis of I under a degree
@@ -317,14 +317,6 @@ class Ideal:
         return MonomialIdeal(self.ring, lts)
 
 
-def as_ideal(I):
-    """I itself for an Ideal; for a MonomialIdeal, the Ideal it generates."""
-    if isinstance(I, MonomialIdeal):
-        ring = I.ring
-        return Ideal._of(ring, [Polynomial._of(ring, {g: ring.field.one}) for g in I.gens])
-    return I
-
-
 def _eliminate(ring, dicts, n, drop):
     """Ideal of `ring` cut out of the term dicts, in an n-slot exponent
     space, by eliminating the slots `drop`.
@@ -358,18 +350,6 @@ def intersect(I, J):
         d = {(0,) + e: c for e, c in g.terms.items()}
         d.update({(1,) + e: F.neg(c) for e, c in g.terms.items()})
         raw.append(d)
-    return _eliminate(ring, raw, ring.n + 1, [0])
-
-
-def saturate(I, f):
-    """(I : f^infinity) as (I + (1 - t*f)) cap k[x], eliminating t."""
-    if not f:
-        raise ZeroDivisionError("saturation by zero")
-    ring = I.ring
-    F = ring.field
-    aux = {(1,) + e: F.neg(c) for e, c in f.terms.items()}
-    aux[(0,) * (ring.n + 1)] = F.one
-    raw = [{(0,) + e: c for e, c in g.terms.items()} for g in I.gens] + [aux]
     return _eliminate(ring, raw, ring.n + 1, [0])
 
 
@@ -411,29 +391,26 @@ def saturate_var_block(I, var_indices):
     """Saturate an Ideal or a MonomialIdeal by the ideal of some variables.
 
     I : m^infinity for m = (x_i : i in var_indices) is the intersection of
-    the variable saturations I : x_i^infinity.  Since
-    I <= I : m^infinity <= I : x_i^infinity for every i, the first x_i with
-    I : x_i^infinity == I shows that I is already saturated, and I is
-    returned at once.  An empty index set also returns I.
+    the variable saturations I : x_i^infinity; an empty index set returns
+    I.
 
     For an Ideal, each I : x_i^infinity is one homogeneous Buchberger run
     (_saturate_variable), which relies on the generators being
-    multihomogeneous.  The variables are walked from the highest index
-    down, so that in a standard grading the first run of the last block is
-    the grevlex basis of I, which its callers need anyway.
+    multihomogeneous.  Since I <= I : m^infinity <= I : x_i^infinity for
+    every i, the first x_i with I : x_i^infinity == I shows that I is
+    already saturated, and I is returned at once.  The variables are
+    walked from the highest index down, so that in a standard grading the
+    first run of the last block is the grevlex basis of I, which its
+    callers need anyway.
     """
     out = None
     for i in sorted(var_indices, reverse=True):
         if isinstance(I, MonomialIdeal):
-            s = I.saturate_variable(i)
-            if s == I:
-                return I
-            meet = MonomialIdeal.intersect
+            s, meet = I.saturate_variable(i), MonomialIdeal.intersect
         else:
-            s = _saturate_variable(I, i)
+            s, meet = _saturate_variable(I, i), intersect
             if s is I:
                 return I
-            meet = intersect
         out = s if out is None else meet(out, s)
     return I if out is None else out
 

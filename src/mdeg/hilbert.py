@@ -158,14 +158,12 @@ class HilbertHint:
 
     def _count(self, d):
         """Number of monomials of the packed degree d >= 0: per block of
-        n_k variables C(d_k + n_k - 1, n_k - 1), and for an empty block 1
-        if d_k = 0."""
+        n_k variables C(d_k + n_k - 1, n_k - 1), and 1 for an empty block,
+        where every degree of the ring, and so d, is 0."""
         out = 1
         for dk, nk in zip(self._tpk.unpack(d), self._sizes):
             if nk:
                 out *= comb(dk + nk - 1, nk - 1)
-            elif dk:
-                return 0
         return out
 
 
@@ -312,7 +310,9 @@ def geometric_multidegrees(I, order=None):
 
     Requires a standard N^p-graded ring.  e(n) is the coefficient of
     t^(m - n) in C of the saturation, m the block dimension vector; the
-    support MSupp collects the n with e(n) != 0.
+    support MSupp collects the n with e(n) != 0.  Every n is >= 0: no
+    associated prime of the saturation holds a whole block, so no
+    component's C has a t_k exponent above m_k.
     """
     ring = I.ring
     if not ring.is_standard:
@@ -324,12 +324,7 @@ def geometric_multidegrees(I, order=None):
     m = [max(len(ring.block_variables(k)) - 1, 0) for k in range(ring.p)]
     total_m = sum(m)
     dim = total_m - cee.min_total_degree()
-    entries = {}
-    for e, c in cee.terms.items():
-        n = tuple(mk - ek for mk, ek in zip(m, e))
-        if any(v < 0 for v in n):
-            continue
-        entries[n] = c
+    entries = {tuple(mk - ek for mk, ek in zip(m, e)): c for e, c in cee.terms.items()}
     msupp = sorted(n for n in entries if entries[n])
     return MultiplicityTable(ring, dim, entries, msupp, cee)
 

@@ -61,12 +61,7 @@ class IntegerPolynomial:
     def __eq__(self, other):
         return isinstance(other, IntegerPolynomial) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def min_total_degree(self):
-        if not self.terms:
-            return None
         return min(sum(e) for e in self.terms)
 
     def substitute_one_minus_t(self):

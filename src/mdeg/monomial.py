@@ -334,8 +334,6 @@ def from_polynomial_gens(ring, polys):
     """Monomial ideal from single-term generators."""
     gens = []
     for f in polys:
-        if not f:
-            continue
         if len(f.terms) != 1:
             raise BadArgument(f"{f} is not a monomial")
         gens.append(next(iter(f.terms)))
@@ -347,12 +345,10 @@ def from_polynomial_gens(ring, polys):
 
 
 def minimal_primes(I):
-    """Minimal primes as frozensets of variable indices (minimal covers)."""
+    """Minimal primes as frozensets of variable indices (minimal covers):
+    none for the unit ideal, whose generator 1 has an empty support no
+    cover meets, and the empty set for the zero ideal."""
     supports = [frozenset(i for i, e in enumerate(g) if e) for g in I.gens]
-    if any(not s for s in supports):  # unit ideal
-        return []
-    if not supports:
-        return [frozenset()]
     covers = set()
 
     def rec(idx, chosen):
@@ -374,8 +370,6 @@ def minimal_primes(I):
 
 
 def codim_of(I):
-    if I.is_zero():
-        return 0
     if I.is_unit():
         return I.ring.n + 1
     return min(len(P) for P in minimal_primes(I))
@@ -505,8 +499,6 @@ def borel_prime_exponent(prime, ring):
         if any(v in prime for v in block[k:]):
             return None
         a.append(k)
-    if sum(a) != len(prime):
-        return None
     return tuple(a)
 
 
@@ -515,7 +507,10 @@ def borel_prime_exponent(prime, ring):
 
 
 class SimplicialComplex:
-    """Finite simplicial complex given by facets on integer vertices."""
+    """Finite simplicial complex given by its facets, at least one, on
+    integer vertices: the complexes of reisner_cm_check, whose ideal is
+    not the unit ideal, and their links, since every face lies in a
+    facet."""
 
     def __init__(self, vertices, facets):
         self.vertices = sorted(set(vertices))
@@ -526,8 +521,6 @@ class SimplicialComplex:
         )
 
     def dim(self):
-        if not self.facets:
-            return -2  # void complex
         return max(len(f) for f in self.facets) - 1
 
     def faces(self):
@@ -537,21 +530,14 @@ class SimplicialComplex:
             for mask in range(1 << len(f)):
                 face = frozenset(f[i] for i in range(len(f)) if mask >> i & 1)
                 seen.add(face)
-        if self.facets:
-            seen.add(frozenset())
         return seen
 
     def link(self, face):
         face = frozenset(face)
         facets = [f - face for f in self.facets if face <= f]
-        if not facets:
-            return SimplicialComplex([], [])
-        verts = set().union(*facets) if facets else set()
-        return SimplicialComplex(verts, facets)
+        return SimplicialComplex(set().union(*facets), facets)
 
     def cone_points(self):
-        if not self.facets:
-            return set()
         common = set(self.facets[0])
         for f in self.facets[1:]:
             common &= f
@@ -583,8 +569,6 @@ def stanley_reisner_complex(I):
 def reduced_homology_ranks(complex_, p):
     """Ranks of the reduced homology groups over F_p, indexed by dimension."""
     faces = complex_.faces()
-    if not faces:
-        return {}
     by_dim = {}
     for f in faces:
         by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
@@ -625,7 +609,7 @@ def reisner_cm_check(I, p):
             f"{len(complex_.vertices)} vertices exceeds the limit {MAX_CORE_VERTICES}"
         )
     # non-pure complexes are never CM
-    if complex_.facets and len({len(f) for f in complex_.facets}) > 1:
+    if len({len(f) for f in complex_.facets}) > 1:
         return False
     for face in complex_.faces():
         link = complex_.link(face)

@@ -26,8 +26,6 @@ def exchange_check(points):
     (False, (u, v, i)) with a failing triple.
     """
     pts = {tuple(q) for q in points}
-    if not pts:
-        return True, None
     degs = {sum(q) for q in pts}
     if len(degs) > 1:
         a = next(iter(pts))
@@ -55,11 +53,10 @@ def exchange_check(points):
 def _simplex_feasible(A, b):
     """Is {x >= 0 : A x = b} nonempty?  Exact phase-1 simplex, Bland's rule.
 
-    A: list of rows (lists of Fractions), b: list of Fractions.
+    A: list of rows, at least one (lists of Fractions), b: list of
+    Fractions.
     """
     m = len(A)
-    if m == 0:
-        return True
     n = len(A[0])
     A = [[Fraction(v) for v in row] for row in A]
     b = [Fraction(v) for v in b]
@@ -107,10 +104,9 @@ def _simplex_feasible(A, b):
 
 
 def in_convex_hull(q, points):
-    """Exact test: is q a convex combination of the given lattice points?"""
+    """Exact test: is q a convex combination of the given lattice points,
+    at least one?"""
     pts = [tuple(v) for v in points]
-    if not pts:
-        return False
     p = len(q)
     A = [[Fraction(v[k]) for v in pts] for k in range(p)]
     A.append([Fraction(1)] * len(pts))

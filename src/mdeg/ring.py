@@ -290,19 +290,18 @@ def _times(f, g, field, guard):
 class Polynomial:
     """Immutable exact polynomial over a GradedRing."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c}
-        self._hash = None
 
     @classmethod
     def _of(cls, ring, terms):
         """The polynomial on `terms` as given, for kernel results, which
         hold no zero coefficient; the caller must not change the dict."""
         p = cls.__new__(cls)
-        p.ring, p.terms, p._hash = ring, terms, None
+        p.ring, p.terms = ring, terms
         return p
 
     def __bool__(self):
@@ -353,11 +352,6 @@ class Polynomial:
             and self.ring == other.ring
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
-        return self._hash
 
     def sorted_terms(self):
         """Terms in the canonical (descending lex on exponents) print order."""

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 from mdeg.errors import EmptyScheme
 from mdeg.fields import QQ
@@ -88,6 +89,12 @@ def toric_kernel(target_ring, param_names, images):
         if all(all(e[k] == 0 for k in range(n_par)) for e in d):
             gens.append(Polynomial(target_ring, {e[n_par:]: c for e, c in d.items()}))
     return Ideal(target_ring, gens)
+
+
+def as_ideal(M):
+    """The Ideal that the MonomialIdeal M generates."""
+    ring = M.ring
+    return Ideal._of(ring, [Polynomial._of(ring, {g: ring.field.one}) for g in M.gens])
 
 
 def random_monomial_ideal(rng, ring, max_gens=5, max_exp=3):
@@ -288,9 +295,22 @@ def mlength(I):
     return max(local_length(I, P) for P in primes)
 
 
+def field_element(F, c):
+    """The element of the field F that the int or Fraction c names: over
+    GF(p), the numerator times the inverse of the denominator, which
+    ZeroDivisionError refuses when p divides it.  The parser divides with
+    F.inv, so only the tests need this."""
+    c = Fraction(c)
+    if not F.p:
+        return F.coerce(c)
+    if c.denominator % F.p == 0:
+        raise ZeroDivisionError(f"denominator divisible by {F.p}")
+    return c.numerator * pow(c.denominator, -1, F.p) % F.p
+
+
 def monomial(ring, exps, c=1):
     """The polynomial c * x^exps of `ring`, zero when c is."""
-    return Polynomial(ring, {tuple(exps): ring.field.coerce(c)})
+    return Polynomial(ring, {tuple(exps): field_element(ring.field, c)})
 
 
 def constant(ring, c):

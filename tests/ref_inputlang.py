@@ -10,7 +10,7 @@ and x^k is k of them.
 import re
 from fractions import Fraction
 
-from conftest import constant
+from conftest import constant, field_element
 from mdeg.errors import InputError
 from mdeg.inputlang import _Tok
 
@@ -97,7 +97,7 @@ def build_poly(ring, toks):
                 base = base ** int(t.text)
             else:
                 try:
-                    base = base.scale(Fraction(1, int(t.text)))
+                    base = base.scale(field_element(ring.field, Fraction(1, int(t.text))))
                 except ZeroDivisionError:
                     err(f"cannot divide by {t.text} over {ring.field!r}", t)
         return base

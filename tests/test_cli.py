@@ -557,6 +557,8 @@ GOLDEN_CASES = {
     "gee-unit-ideal": ["gee", "{zero_and_unit}", "--ideal", "U"],
     "cee-lower-codim-colon": ["cee", "{five_vars}", "--ideal", "M"],
     "standardize-verify-zero-ideal": ["standardize", "{weighted_zero_and_unit}", "--ideal", "E", "--verify"],
+    # the unit ideal passes the codim clause, though its codim grows with n
+    "standardize-verify-unit-ideal": ["standardize", "{weighted_zero_and_unit}", "--ideal", "U", "--verify"],
     "gin-report-zero-ideal": ["gin-report", "{rmk59_more}", "--ideal", "E"],
     # the Stanley-Reisner complex of the gin is a cone, whose core strips it
     "gin-report-cone": ["gin-report", "{rmk59_more}", "--ideal", "C"],

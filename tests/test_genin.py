@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     add_empty_block,
+    as_ideal,
     block_ring,
     evaluate,
     ge_coefficientwise,
@@ -17,7 +18,7 @@ from mdeg import genin
 from mdeg.errors import EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
 from mdeg.fields import GF32003, PrimeField, QQ, rank_mod_p
 from mdeg.genin import gin, gin_structure_report, random_block_change
-from mdeg.groebner import Ideal, as_ideal, contract, substituted_ideal
+from mdeg.groebner import Ideal, contract, substituted_ideal
 from mdeg.hilbert import arithmetic_multidegree, k_polynomial, local_length
 from mdeg.monomial import MonomialIdeal, minimal_primes, primary_decomposition
 from mdeg.orders import MonomialOrder

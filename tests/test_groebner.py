@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     add_empty_block,
+    as_ideal,
     block_ring,
     ideal_contains,
     normal_form,
@@ -34,12 +35,11 @@ from mdeg.groebner import (
     Ideal,
     _buchberger,
     _packed,
+    _eliminate,
     _saturate_variable,
-    as_ideal,
     buchberger,
     contract,
     intersect,
-    saturate,
     saturate_irrelevant,
     saturate_var_block,
     substituted_ideal,
@@ -189,6 +189,20 @@ def colon(I, f):
     inter = intersect(I, Ideal._of(ring, [f]))
     gens = [_divide_exact(g, f) for g in inter.gens]
     return Ideal._of(ring, gens)
+
+
+def saturate(I, f):
+    """(I : f^infinity) as (I + (1 - t*f)) cap k[x], eliminating t: no
+    command saturates by a polynomial, so it is an oracle of
+    saturate_var_block and a check of _eliminate's cached basis."""
+    if not f:
+        raise ZeroDivisionError("saturation by zero")
+    ring = I.ring
+    F = ring.field
+    aux = {(1,) + e: F.neg(c) for e, c in f.terms.items()}
+    aux[(0,) * (ring.n + 1)] = F.one
+    raw = [{(0,) + e: c for e, c in g.terms.items()} for g in I.gens] + [aux]
+    return _eliminate(ring, raw, ring.n + 1, [0])
 
 
 def _fixpoint_saturate(I, f):

@@ -18,7 +18,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import block_ring, constant, random_form, random_ideal, random_positive_ring
+from conftest import (
+    block_ring,
+    constant,
+    field_element,
+    random_form,
+    random_ideal,
+    random_positive_ring,
+)
 from mdeg.determinantal import build_determinantal
 from mdeg.fields import GF32003, QQ
 from mdeg.genin import random_block_change
@@ -108,7 +115,7 @@ coefficients = st.one_of(
 @st.composite
 def polynomials(draw, ring, max_terms=8):
     terms = draw(st.dictionaries(exponents, coefficients, max_size=max_terms))
-    return Polynomial(ring, {e: ring.field.coerce(c) for e, c in terms.items()})
+    return Polynomial(ring, {e: field_element(ring.field, c) for e, c in terms.items()})
 
 
 @st.composite
@@ -171,7 +178,7 @@ def test_kernel_skips_and_reports_new_exponents(name, data):
     F = ring.field
     acc = dict(data.draw(polynomials(ring)).terms)
     g = data.draw(polynomials(ring)).terms
-    c = F.coerce(data.draw(coefficients.filter(bool)))
+    c = field_element(F, data.draw(coefficients.filter(bool)))
     shift = data.draw(exponents)
     skip = None
     if g and data.draw(st.booleans()):

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -73,7 +71,6 @@ def test_prime_field_arithmetic():
     F = PrimeField(7)
     assert F.add(5, 4) == 2
     assert F.inv(3) == 5
-    assert F.coerce(Fraction(1, 3)) == 5
     assert F.coerce(-1) == 6
 
 
