@@ -1,25 +1,32 @@
 """Every name a module of the package, the tests or the demos imports is
 used in that module, the package's imports sit at module level unless
 they have a reason not to, every function and method of the package is
-executed by a command, demo or README example, no module of the
-package holds an assert statement, and every error class is raised.
+executed by a command, demo or README example, and so is every statement
+that KEPT_UNREACHED does not name, no module of the package holds an
+assert statement, and every error class is raised.
 
 The package's ``__init__.py`` imports names only to re-export them, so it
 is exempt from the first check.  For the second, LOCAL_IMPORTS names the
-functions allowed an import in their body.  The third runs every golden
-CLI transcript of tests/test_cli.py, each demo and the README's python
-block under sys.setprofile, and names each function, method and nested
-function of ``src/mdeg`` that none of them calls: code that only the
-tests call belongs in the tests.  Dunder methods are exempt, as are the
-functions the benchmark looks up by name (mdegbench/run.py and
-mdegbench/tracing.py).  The fourth holds because ``python -O`` strips
-assert statements, and the exit-code contract needs errors that are
-raised under every flag.  The fifth names each class of ``errors.py``
-that no raise statement of the package names, leaving out the classes
-another one derives from (MdegError, BadArgument): an error that nothing
-raises is an error no caller can meet.
+functions allowed an import in their body.  The third and fourth share
+one collection: every golden CLI transcript of tests/test_cli.py, each
+demo and the README's python block run under sys.settrace, which records
+each function called and each line run in ``src/mdeg``.  The third names
+each function, method and nested function of ``src/mdeg`` that none of
+them calls: code that only the tests call belongs in the tests.  Dunder
+methods are exempt, as are the functions the benchmark looks up by name
+(mdegbench/run.py and mdegbench/tracing.py).  The fourth names each
+statement in a function of ``src/mdeg`` whose first line never runs,
+leaving out raise statements, except bodies, dunder bodies and nonlocal
+and global declarations: an input path that no golden transcript pins,
+or dead weight.  Each statement kept on purpose is in KEPT_UNREACHED with
+its reason, and an entry whose statement runs or is gone fails the check
+too.  The fifth holds because ``python -O`` strips assert statements, and
+the exit-code contract needs errors that are raised under every flag.
+The sixth names each class of ``errors.py`` that no raise statement of
+the package names, leaving out the classes another one derives from
+(MdegError, BadArgument): an error that nothing raises is an error no
+caller can meet.
 """
-
 import ast
 import contextlib
 import functools
@@ -143,22 +150,35 @@ def definitions(path):
     return sorted(out)
 
 
-def executed(run):
-    """(file, first line) of the code of every Python function that run()
-    calls, directly or not: the key that `definitions` gives a definition
-    (co_qualname, which would name it, is new in Python 3.11)."""
-    seen = set()
+def executed(run, directory):
+    """What run() executes, as two sets of (resolved file, line) keys.
+    The first holds the first line of the code of every Python function
+    that run() calls, directly or not: the key that `definitions` gives a
+    definition (co_qualname, which would name it, is new in Python 3.11).
+    The second holds every line event in the code of the modules in
+    `directory`."""
+    calls, lines = set(), set()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+    @functools.cache
+    def inside(filename):
+        return pathlib.Path(filename).resolve().parent == directory
 
-    sys.setprofile(profile)
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        code = frame.f_code
+        calls.add((code.co_filename, code.co_firstlineno))
+        return trace_lines if inside(code.co_filename) else None
+
+    sys.settrace(trace_calls)
     try:
         run()
     finally:
-        sys.setprofile(None)
-    return {(str(pathlib.Path(f).resolve()), line) for f, line in seen}
+        sys.settrace(None)
+    return tuple({(str(pathlib.Path(f).resolve()), n) for f, n in keys} for keys in (calls, lines))
 
 
 def unexecuted(paths, seen):
@@ -203,11 +223,126 @@ def test_definitions_that_do_not_run_are_found(tmp_path):
         module.called()
         module.C.cached()
 
-    assert unexecuted([path], executed(run)) == [
+    assert unexecuted([path], executed(run, tmp_path.resolve())[0]) == [
         ("synthetic.py", 5, "called.<locals>.inner_dead"),
         ("synthetic.py", 11, "C.dead_method"),
         ("synthetic.py", 18, "dead"),
     ]
+
+
+def statements(path):
+    """(first line, enclosing function, text of the first line) of each
+    statement in a function of the module at `path`, the function named
+    as in `definitions`.  A statement runs when its first line, that of
+    its first decorator if it has one, has a line event.  Left out: raise
+    statements and except bodies, which run when something fails; the
+    bodies of dunder methods, which the function-level check exempts too;
+    nonlocal and global declarations, which make no line event; and
+    docstrings, which are not code."""
+    text = path.read_text().splitlines()
+    out = []
+
+    def visit(node, prefix, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ExceptHandler, ast.Raise, ast.Nonlocal, ast.Global)):
+                continue
+            docstring = (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and child is node.body[0]
+                and isinstance(child, ast.Expr)
+                and isinstance(child.value, ast.Constant)
+                and isinstance(child.value.value, str)
+            )
+            if function and isinstance(child, ast.stmt) and not docstring:
+                first = min([child.lineno] + [d.lineno for d in getattr(child, "decorator_list", [])])
+                out.append((first, function, text[first - 1].strip()))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    visit(child, f"{prefix}{child.name}.<locals>.", prefix + child.name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", None)
+            else:
+                visit(child, prefix, function)
+
+    visit(ast.parse(path.read_text()), "", None)
+    return out
+
+
+def unreached(paths, lines):
+    """(file name, line, enclosing function, text) of each statement of
+    the modules at `paths` whose first line has no event in `lines`."""
+    return [
+        (path.name, line, function, text)
+        for path in paths
+        for line, function, text in statements(path)
+        if (str(path.resolve()), line) not in lines
+    ]
+
+
+def unnamed_and_stale(found, kept):
+    """The statements of `found` (from `unreached`) whose key, (file name,
+    enclosing function, text), `kept` does not hold; and the keys of
+    `kept` that no statement of `found` has, because the statement now
+    runs or is gone."""
+    keys = {(file, function, text) for file, _, function, text in found}
+    unnamed = [s for s in found if (s[0], s[2], s[3]) not in kept]
+    return unnamed, sorted(set(kept) - keys)
+
+
+def test_statements_that_do_not_run_are_found(tmp_path):
+    path = tmp_path / "synthetic.py"
+    path.write_text(
+        "import functools\n"
+        "COUNT = 0\n"
+        "def f(x):\n"
+        "    'Docstring.'\n"
+        "    global COUNT\n"
+        "    total = 0\n"
+        "    def inner():\n"
+        "        nonlocal total\n"
+        "        total += 1\n"
+        "    if x:\n"
+        "        inner()\n"
+        "    else:\n"
+        "        total = -1\n"
+        "    try:\n"
+        "        int(x)\n"
+        "    except TypeError:\n"
+        "        total = -2\n"
+        "    if total > 1:\n"
+        "        raise ValueError(total)\n"
+        "    @functools.cache\n"
+        "    def cached():\n"
+        "        return 0\n"
+        "    return total\n"
+        "class C:\n"
+        "    def __repr__(self):\n"
+        "        return 'C'\n"
+        "    def kept(self):\n"
+        "        return 1\n"
+    )
+    spec = importlib.util.spec_from_file_location("synthetic", path)
+    module = importlib.util.module_from_spec(spec)
+
+    def run():
+        spec.loader.exec_module(module)
+        module.f(1)
+
+    found = unreached([path], executed(run, tmp_path.resolve())[1])
+    missed = [
+        ("synthetic.py", 13, "f", "total = -1"),
+        ("synthetic.py", 22, "f.<locals>.cached", "return 0"),
+    ]
+    assert found == missed + [("synthetic.py", 28, "C.kept", "return 1")]
+    kept = {
+        ("synthetic.py", "C.kept", "return 1"): "named",
+        ("synthetic.py", "f", "total = 0"): "runs",
+        ("synthetic.py", "f", "gone()"): "is gone",
+    }
+    assert unnamed_and_stale(found, kept) == (
+        missed,
+        [("synthetic.py", "f", "gone()"), ("synthetic.py", "f", "total = 0")],
+    )
 
 
 def run_commands_demos_and_readme():
@@ -239,9 +374,10 @@ def benchmark_names():
 
 @functools.cache
 def executed_by_the_program():
-    """The keys of the functions that run_commands_demos_and_readme calls,
-    collected once, in a fresh interpreter: cli._parser and ring._packing
-    are lru_cached, so a call made by an earlier test would hide a miss."""
+    """The keys of `executed` for run_commands_demos_and_readme and the
+    package: the functions it calls and the lines it runs, collected
+    once, in a fresh interpreter: cli._parser and ring._packing are
+    lru_cached, so a call made by an earlier test would hide a miss."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("MDEG_SEED", None)
@@ -251,7 +387,7 @@ def executed_by_the_program():
             [sys.executable, __file__, str(out)], capture_output=True, text=True, env=env, timeout=300
         )
         assert done.returncode == 0, done.stderr
-        return {tuple(key) for key in json.loads(out.read_text())}
+        return tuple({tuple(key) for key in keys} for keys in json.loads(out.read_text()))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -259,11 +395,112 @@ def test_no_unused_definitions(path):
     exempt = benchmark_names()
     dead = [
         f"{file}:{line} {name}"
-        for file, line, name in unexecuted([path], executed_by_the_program())
+        for file, line, name in unexecuted([path], executed_by_the_program()[0])
         # a function nested in an exempt one is exempt with it
         if f"{file[:-3]}.{name}".split(".<locals>.")[0] not in exempt
     ]
     assert not dead, "never executed:\n" + "\n".join(dead)
+
+
+# Statements of src/mdeg that no command, demo or README example runs,
+# kept on purpose, keyed by (file name, enclosing function, text of the
+# statement's first line) and mapped to the reason.
+_BENCHMARK_ONLY = (
+    "no command enumerates standard monomials; mdegbench/tracing.py's "
+    "METHODS looks standard_monomials up with vars(owner)[attr], so every "
+    "--trace 1 run needs it (ROADMAP item 1)"
+)
+_STANDARD_MONOMIALS = {
+    "MonomialIdeal.standard_monomials": [
+        "n = self.ring.n",
+        "bounds = [0] * n",
+        "for g in self.gens:",
+        "for i, e in enumerate(g):",
+        "bounds[i] = max(bounds[i], e)",
+        "out = []",
+        "def rec(i, cur):",
+        "for i in range(n):",
+        "if not any(all(j == i or e == 0 for j, e in enumerate(g)) for g in self.gens):",
+        "rec(0, [])",
+        "return out",
+    ],
+    "MonomialIdeal.standard_monomials.<locals>.rec": [
+        "if i == n:",
+        "m = tuple(cur)",
+        "if not self.contains(m):",
+        "out.append(m)",
+        "return",
+        "for e in range(bounds[i] + 1):",
+        "cur.append(e)",
+        "rec(i + 1, cur)",
+        "cur.pop()",
+    ],
+}
+KEPT_UNREACHED = {
+    ("cli.py", "cmd_standardize", "return EXIT_CHECK_FAILED"): (
+        "a failed standardize --verify: standardization keeps every checked "
+        "invariant, so only a wrong program fails a clause"
+    ),
+    ("groebner.py", "Ideal.groebner_basis", "order = grevlex(self.ring)"): (
+        "the default order of a library call; every call in the package passes an order"
+    ),
+    ("groebner.py", "contract", "return MonomialIdeal("): (
+        "contract of a MonomialIdeal: no command passes one, but acceptance "
+        "criterion 3 contracts a gin"
+    ),
+    ("monomial.py", "MonomialIdeal._pack_capped", "e = [min(x, top) for x in e]"): (
+        "a monomial with an entry past the generators' field: contains answers "
+        "for every monomial, and in the commands only borel_fixed_check asks "
+        "about one, for an ideal that is not Borel-fixed"
+    ),
+    ("monomial.py", "MonomialIdeal._plus_packed", "return self"): (
+        "I + (m) for an m in I: add_monomial takes any monomial, while the "
+        "commands add only monomials outside I (a pivot variable, a proper "
+        "factor of a minimal generator, a new leading term)"
+    ),
+    ("monomial.py", "borel_fixed_check", "return False"): (
+        "every gin is Borel-fixed, so only a wrong gin fails"
+    ),
+    ("monomial.py", "borel_prime_exponent", "return None"): (
+        "every associated prime of a gin is a block segment, so only a wrong gin fails"
+    ),
+    ("orders.py", "MonomialOrder.full_weight_rows", "for j in range(self.n):"): (
+        "the lex tie-break: the commands lift only grevlex (standardize "
+        "--verify), but lift_order_phi must stay right for every order it accepts"
+    ),
+    (
+        "orders.py",
+        "MonomialOrder.full_weight_rows",
+        "rows.append(tuple(int(i == j) for i in range(self.n)))",
+    ): "the lex tie-break, as above",
+    ("polymatroid.py", "_simplex_feasible", "break  # unbounded cannot happen for phase 1; safety"): (
+        "phase 1 minimizes a sum of artificial variables, which is bounded "
+        "below by 0, so only a wrong pivot leaves no row"
+    ),
+    (
+        "standardize.py",
+        "standardize_ideal",
+        "J = MonomialIdeal(std_map.target, [std_map.phi_exponents(g) for g in I.gens])",
+    ): (
+        "standardize_ideal of a MonomialIdeal: no command passes one, but "
+        "acceptance criterion 7 verifies monomial ideals"
+    ),
+    **{
+        ("monomial.py", function, text): _BENCHMARK_ONLY
+        for function, texts in _STANDARD_MONOMIALS.items()
+        for text in texts
+    },
+}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_statement_runs(path):
+    kept = {key for key in KEPT_UNREACHED if key[0] == path.name}
+    unnamed, stale = unnamed_and_stale(unreached([path], executed_by_the_program()[1]), kept)
+    assert not unnamed and not stale, "\n".join(
+        [f"never run: {file}:{line} {function}: {text}" for file, line, function, text in unnamed]
+        + [f"KEPT_UNREACHED names a statement that runs or is gone: {key}" for key in stale]
+    )
 
 
 def assert_statements(source):
@@ -346,5 +583,7 @@ def test_every_error_class_is_raised():
 
 if __name__ == "__main__":
     # the collection of executed_by_the_program: write the keys of the
-    # executed functions, as JSON, to the file named by the one argument
-    pathlib.Path(sys.argv[1]).write_text(json.dumps(sorted(executed(run_commands_demos_and_readme))))
+    # called functions and of the run lines, as JSON, to the file named by
+    # the one argument
+    keys = executed(run_commands_demos_and_readme, SRC.resolve())
+    pathlib.Path(sys.argv[1]).write_text(json.dumps([sorted(k) for k in keys]))
