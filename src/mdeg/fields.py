@@ -12,6 +12,7 @@ Every element is falsy exactly at zero: code tests a coefficient with `if c:`.
 """
 
 from fractions import Fraction
+from operator import index
 
 from .errors import BadArgument, NonPrimeModulus
 
@@ -101,8 +102,9 @@ class PrimeField:
         return f"GF({self.p})"
 
     def coerce(self, a):
-        """The residue of the int a; a quotient is a product with inv."""
-        return a % self.p
+        """The residue of the int a, TypeError for any other number: a
+        quotient is a product with inv."""
+        return index(a) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

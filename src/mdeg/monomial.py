@@ -508,9 +508,8 @@ def borel_prime_exponent(prime, ring):
 
 class SimplicialComplex:
     """Finite simplicial complex given by its facets, at least one, on
-    integer vertices: the complexes of reisner_cm_check, whose ideal is
-    not the unit ideal, and their links, since every face lies in a
-    facet."""
+    integer vertices: the complex of a squarefree ideal other than the
+    unit ideal, and each link in it, since every face lies in a facet."""
 
     def __init__(self, vertices, facets):
         self.vertices = sorted(set(vertices))
@@ -597,7 +596,9 @@ def reduced_homology_ranks(complex_, p):
 
 
 def reisner_cm_check(I, p):
-    """Cohen-Macaulayness over F_p of the Stanley-Reisner ring of I.
+    """Cohen-Macaulayness over F_p of the Stanley-Reisner ring of I, a
+    squarefree ideal other than the unit ideal (gin-report raises
+    EmptyScheme on a unit gin before it asks).
 
     Checks that every face link has vanishing reduced homology below its
     dimension.  Cone vertices are stripped first; this keeps the desk-scale

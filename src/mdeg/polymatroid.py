@@ -53,8 +53,7 @@ def exchange_check(points):
 def _simplex_feasible(A, b):
     """Is {x >= 0 : A x = b} nonempty?  Exact phase-1 simplex, Bland's rule.
 
-    A: list of rows, at least one (lists of Fractions), b: list of
-    Fractions.
+    A: a nonempty list of rows (lists of Fractions), b: list of Fractions.
     """
     m = len(A)
     n = len(A[0])
@@ -104,8 +103,7 @@ def _simplex_feasible(A, b):
 
 
 def in_convex_hull(q, points):
-    """Exact test: is q a convex combination of the given lattice points,
-    at least one?"""
+    """Exact test: is q a convex combination of the given lattice points?"""
     pts = [tuple(v) for v in points]
     p = len(q)
     A = [[Fraction(v[k]) for v in pts] for k in range(p)]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,6 +74,8 @@ def test_prime_field_arithmetic():
     assert F.add(5, 4) == 2
     assert F.inv(3) == 5
     assert F.coerce(-1) == 6
+    with pytest.raises(TypeError):  # a quotient is a product with F.inv
+        F.coerce(Fraction(1, 3))
 
 
 @given(
