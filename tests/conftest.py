@@ -297,9 +297,9 @@ def mlength(I):
 
 def field_element(F, c):
     """The element of the field F that the int or Fraction c names: over
-    GF(p), the numerator times the inverse of the denominator, which
-    ZeroDivisionError refuses when p divides it.  The parser divides with
-    F.inv, so only the tests need this."""
+    GF(p), the numerator times the inverse of the denominator, and
+    ZeroDivisionError when p divides the denominator.  The parser divides
+    with F.inv, so only the tests need this."""
     c = Fraction(c)
     if not F.p:
         return F.coerce(c)
