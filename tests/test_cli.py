@@ -419,6 +419,10 @@ GOLDEN_FILES = {
     "no_pts": "# no points\n",
     "negative_pts": "1 -1\n0 0\n",
     "mixed_degree_pts": "1 0\n1 1\n",
+    # the twisted cubic, whose lex gin differs from its grevlex one
+    "cubic_fp": "field Fp 32003\nvars a b c d\n"
+    + "".join(f"deg {v} = (1)\n" for v in "abcd")
+    + "ideal T = [ a*c - b^2 ; b*d - c^2 ; a*d - b*c ]\n",
 }
 # ring files that each stop the parser at a different error (exit 2), by
 # the name of their golden case
@@ -472,9 +476,14 @@ GOLDEN_CASES = {
     "geom-small": ["geom", "{small}", "--ideal", "I"],
     # gin, gin-report, cs-check over GF(32003)
     "gin-text": ["gin", "{rmk59}", "--ideal", "J"],
-    "gin-json": ["gin", "{rmk59}", "--ideal", "Z", "--json"],
+    "gin-json": ["gin", "{rmk59}", "--ideal", "Z", "--seed", "5", "--json"],
     "gin-trials-seed": ["gin", "{rmk59}", "--ideal", "J", "--trials", "3", "--seed", "7", "--json"],
     "gin-empty-block-json": ["gin", "-", "--ideal", "P", "--json"],
+    "gin-lex": ["gin", "{cubic_fp}", "--ideal", "T", "--order", "lex"],
+    "gin-weights": ["gin", "{cubic_fp}", "--ideal", "T", "--order", "weights:1,1,1,0"],
+    "gin-report-weights-rows": [
+        "gin-report", "{cubic_fp}", "--ideal", "T", "--order", "weights:1,1,0,0;1,0,0,0", "--json"
+    ],
     "gin-report-fail-text": ["gin-report", "{rmk59}", "--ideal", "J"],
     "gin-report-fail-json": ["gin-report", "{rmk59}", "--ideal", "J", "--json"],
     "gin-report-prime-text": ["gin-report", "{rmk59}", "--ideal", "Z"],
@@ -533,7 +542,7 @@ GOLDEN_CASES = {
     "err-not-homogeneous": ["cee", "{not_homogeneous}", "--ideal", "I"],
     "err-unknown-ideal": ["gee", "{small}", "--ideal", "Nope"],
     "err-unknown-ideal-arith": ["arith", "{small}", "--ideal", "Nope"],
-    "err-unknown-order": ["cee", "{small}", "--ideal", "I", "--order", "mystery"],
+    "err-unknown-order": ["gin", "{small}", "--ideal", "I", "--order", "mystery"],
     "err-arith-not-monomial": ["arith", "{weighted}", "--ideal", "I", "--json"],
     "err-formulas-submaximal": ["det", "--m", "2", "--n", "3", "--r", "1", "--formulas-only"],
     "err-points-bad-line": ["snp-check", "--points", "{badline_pts}"],
@@ -579,7 +588,6 @@ GOLDEN_PIPES = {
     # the printed fractions parse back to the same ideal
     "project-fractions-reparsed-json": ["project", "{fractions}", "--ideal", "F", "--blocks", "1,2,3"],
 }
-GOLDEN_ENV = {"gin-json": {"MDEG_SEED": "5"}}
 GOLDEN = FIXTURES / "cli_golden.json"
 
 
@@ -590,15 +598,13 @@ def golden_transcript(name, workdir):
         path = pathlib.Path(workdir) / key
         path.write_text(text)
         paths[key] = str(path)
-    env = {k: v for k, v in os.environ.items() if k != "MDEG_SEED"}
-    env.update(GOLDEN_ENV.get(name, {}))
 
     def run_main(args, stdin_text):
         argv = [a.format(**paths) for a in args]
         out, err = io.StringIO(), io.StringIO()
-        with mock.patch.dict(os.environ, env, clear=True), mock.patch(
-            "sys.stdin", io.StringIO(stdin_text)
-        ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch("sys.stdin", io.StringIO(stdin_text)), contextlib.redirect_stdout(
+            out
+        ), contextlib.redirect_stderr(err):
             rc = main(argv)
         return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
