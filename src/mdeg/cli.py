@@ -11,7 +11,6 @@ in-process call of `main`.
 
 import argparse
 import json
-import os
 import sys
 from functools import lru_cache
 
@@ -53,7 +52,7 @@ def _ints(text, what):
 def _resolve_order(ring, spec):
     if spec is None or spec == "grevlex":
         return grevlex(ring)
-    if spec in ("lex", "diag"):
+    if spec == "lex":
         return lex(ring)
     if spec.startswith("weights:"):
         chunks = spec[len("weights:") :].split(";")
@@ -62,7 +61,7 @@ def _resolve_order(ring, spec):
 
 
 def _load(args, ideal=None):
-    """Read the ring file; return (ring, ideal, order) for --ideal or `ideal`."""
+    """Read the ring file; return (ring, ideal) for --ideal or `ideal`."""
     if args.file == "-":
         text = sys.stdin.read()
     else:
@@ -72,14 +71,7 @@ def _load(args, ideal=None):
         except OSError as e:
             raise InputError(f"cannot read {args.file}: {e}")
     session = parse_input(text)
-    I = session.ideal(ideal or args.ideal)
-    order = _resolve_order(session.ring, getattr(args, "order", None))
-    return session.ring, I, order
-
-
-def _seed(args):
-    env = os.environ.get("MDEG_SEED")
-    return args.seed if env is None else _int(env, "MDEG_SEED")
+    return session.ring, session.ideal(ideal or args.ideal)
 
 
 def _emit(args, ring, kind, result, text, notes=(), rc=EXIT_OK):
@@ -116,29 +108,29 @@ def _mono_json(I):
 
 
 def cmd_kpoly(args):
-    ring, I, order = _load(args)
-    return _emit_poly(args, ring, "kpoly", k_polynomial(I, order))
+    ring, I = _load(args)
+    return _emit_poly(args, ring, "kpoly", k_polynomial(I))
 
 
 def cmd_cee(args):
-    ring, I, order = _load(args)
-    return _emit_poly(args, ring, "cee", multidegree_C(I, order))
+    ring, I = _load(args)
+    return _emit_poly(args, ring, "cee", multidegree_C(I))
 
 
 def cmd_gee(args):
-    ring, I, order = _load(args)
-    return _emit_poly(args, ring, "gee", multidegree_G(I, order))
+    ring, I = _load(args)
+    return _emit_poly(args, ring, "gee", multidegree_G(I))
 
 
 def cmd_arith(args):
-    ring, I, _ = _load(args)
+    ring, I = _load(args)
     M = from_polynomial_gens(ring, I.gens)
     return _emit_poly(args, ring, "arith", arithmetic_multidegree(M))
 
 
 def cmd_geom(args):
-    ring, I, order = _load(args)
-    table = geometric_multidegrees(I, order)
+    ring, I = _load(args)
+    table = geometric_multidegrees(I)
     entries = sorted(table.entries.items())
     meta = {
         "dim": table.dim,
@@ -152,8 +144,8 @@ def cmd_geom(args):
 
 
 def cmd_gin(args):
-    ring, I, order = _load(args)
-    res = gin(I, order=order, trials=args.trials, seed=_seed(args))
+    ring, I = _load(args)
+    res = gin(I, order=_resolve_order(ring, args.order), trials=args.trials, seed=args.seed)
     meta = {"trials": res.trials, "seed": res.seed, "borel": res.borel}
     notes = [f"# {k}: {meta[k]}" for k in sorted(meta)]
     result = {"gens": _mono_json(res.ideal), "meta": meta}
@@ -161,8 +153,9 @@ def cmd_gin(args):
 
 
 def cmd_gin_report(args):
-    ring, I, order = _load(args)
-    rep = gin_structure_report(I, order=order, trials=args.trials, seed=_seed(args))
+    ring, I = _load(args)
+    order = _resolve_order(ring, args.order)
+    rep = gin_structure_report(I, order=order, trials=args.trials, seed=args.seed)
     clauses = sorted(rep.clauses.items())
     mlength = {
         ",".join(str(j) for j in J): v for J, v in sorted(rep.contraction_mlength.items())
@@ -179,7 +172,7 @@ def cmd_gin_report(args):
 
 
 def cmd_project(args):
-    _, I, _ = _load(args)
+    _, I = _load(args)
     blocks = _ints(args.blocks, "--blocks")
     IJ = contract(I, blocks, keep_grading=True)
     result = {"gens": [str(g) for g in IJ.gens], "meta": {"blocks": blocks}}
@@ -188,8 +181,8 @@ def cmd_project(args):
 
 
 def cmd_cs_check(args):
-    ring, I, _ = _load(args)
-    verdict = cs_check(I, trials=args.trials, seed=_seed(args), paranoid=args.paranoid)
+    ring, I = _load(args)
+    verdict = cs_check(I, trials=args.trials, seed=args.seed)
     result = {
         "is_cs": verdict.is_cs,
         "gin": _mono_json(verdict.gin),
@@ -200,7 +193,7 @@ def cmd_cs_check(args):
 
 
 def cmd_standardize(args):
-    ring, I, _ = _load(args)
+    ring, I = _load(args)
     std = standardize(ring)
     J, _ = standardize_ideal(I, std)
     if args.verify:
@@ -209,7 +202,6 @@ def cmd_standardize(args):
             print(f"{k}: {'pass' if v else 'FAIL'}", file=sys.stderr)
         if not all(rep.values()):
             return EXIT_CHECK_FAILED
-    args.json = args.json and not args.emit_ring  # --emit-ring wins over --json
     target = std.target
     copies = {
         ring.names[i]: [target.names[j] for j in std.copy_index[i]] for i in range(ring.n)
@@ -223,8 +215,8 @@ def cmd_polymatroid_check(args):
     if args.points:
         pts = _read_points(args.points)
     elif args.file and args.from_cee:
-        _, I, order = _load(args, args.from_cee)
-        pts = support_points(multidegree_C(I, order))
+        _, I = _load(args, args.from_cee)
+        pts = support_points(multidegree_C(I))
     else:
         raise InputError("polymatroid-check needs --points or a ring file with --from-cee")
     ok, witness = exchange_check(pts)
@@ -244,8 +236,8 @@ def cmd_snp_check(args):
     if args.points:
         ok, witness = snp_check(_read_points(args.points))
     elif args.file and args.ideal:
-        _, I, order = _load(args)
-        ok, witness = snp_check(support_points(multidegree_C(I, order)))
+        _, I = _load(args)
+        ok, witness = snp_check(support_points(multidegree_C(I)))
     else:
         raise InputError("snp-check needs --points or a ring file with --ideal")
     result = {"ok": ok, "witness": list(witness) if witness else None}
@@ -303,9 +295,9 @@ def cmd_det(args):
 
 
 def cmd_hf_oracle(args):
-    ring, I, order = _load(args)
+    ring, I = _load(args)
     bound = _ints(args.bound, "--bound")
-    table = sorted(hilbert_function_oracle(I, bound, order).items())
+    table = sorted(hilbert_function_oracle(I, bound).items())
     result = {
         "table": [{"nu": list(nu), "hf": v} for nu, v in table],
         "meta": {"bound": list(bound)},
@@ -314,11 +306,9 @@ def cmd_hf_oracle(args):
     return _emit(args, ring, "hf-oracle", result, text)
 
 
-def _add_common(sp, order=True):
+def _add_common(sp):
     sp.add_argument("file", help="ring file, or - for stdin")
     sp.add_argument("--ideal", required=True, help="name of the ideal")
-    if order:
-        sp.add_argument("--order", default=None, help="grevlex | lex | diag | weights:r1c1,r1c2;r2c1,...")
     sp.add_argument("--json", action="store_true", help="canonical JSON output")
 
 
@@ -340,45 +330,37 @@ def build_parser():
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("arith", help="arithmetic multidegree (monomial ideals)")
-    sp.add_argument("file")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--json", action="store_true")
+    _add_common(sp)
     sp.set_defaults(fn=cmd_arith)
 
     for name, fn in (("gin", cmd_gin), ("gin-report", cmd_gin_report)):
         sp = sub.add_parser(name)
         _add_common(sp)
+        sp.add_argument("--order", default=None, help="grevlex | lex | weights:r1c1,r1c2;r2c1,...")
         sp.add_argument("--trials", type=int, default=2)
         sp.add_argument("--seed", type=int, default=0)
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("project", help="contraction to a block subset")
-    sp.add_argument("file")
-    sp.add_argument("--ideal", required=True)
+    _add_common(sp)
     sp.add_argument("--blocks", required=True, help="e.g. 2,3")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_project)
 
     sp = sub.add_parser("cs-check", help="Cartwright-Sturmfels detection")
-    _add_common(sp, order=False)
+    _add_common(sp)
     sp.add_argument("--trials", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--paranoid", action="store_true")
     sp.set_defaults(fn=cmd_cs_check)
 
     sp = sub.add_parser("standardize")
-    sp.add_argument("file")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--emit-ring", action="store_true")
+    _add_common(sp)
     sp.add_argument("--verify", action="store_true")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_standardize)
 
     sp = sub.add_parser("polymatroid-check")
     sp.add_argument("file", nargs="?", default=None)
     sp.add_argument("--from-cee", dest="from_cee", default=None, help="ideal name")
     sp.add_argument("--points", default=None, help="file of lattice points")
-    sp.add_argument("--order", default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_polymatroid_check)
 
@@ -386,7 +368,6 @@ def build_parser():
     sp.add_argument("file", nargs="?", default=None)
     sp.add_argument("--ideal", default=None)
     sp.add_argument("--points", default=None)
-    sp.add_argument("--order", default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_snp_check)
 
@@ -399,11 +380,8 @@ def build_parser():
     sp.set_defaults(fn=cmd_det)
 
     sp = sub.add_parser("hf-oracle")
-    sp.add_argument("file")
-    sp.add_argument("--ideal", required=True)
+    _add_common(sp)
     sp.add_argument("--bound", required=True, help="e.g. 2,2,2")
-    sp.add_argument("--order", default=None)
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_hf_oracle)
 
     return ap

@@ -167,8 +167,8 @@ class HilbertHint:
         return out
 
 
-def codimension(I, order=None):
-    return codim_of(I.initial_ideal(order))
+def codimension(I):
+    return codim_of(I.initial_ideal())
 
 
 def multidegree_C(I, order=None):
@@ -221,9 +221,9 @@ def _c_packed(I, units):
     return c, C
 
 
-def multidegree_G(I, order=None):
+def multidegree_G(I):
     """G-multidegree: terms of K(1-t) minimal in the divisibility order."""
-    sub = k_polynomial(I, order).substitute_one_minus_t()
+    sub = k_polynomial(I).substitute_one_minus_t()
     keep = minimalize(sub.terms)
     return IntegerPolynomial(sub.p, {e: c for e, c in sub.terms.items() if e in keep})
 
@@ -305,7 +305,7 @@ class MultiplicityTable:
         return f"MultiplicityTable(dim={self.dim}, {rows})"
 
 
-def geometric_multidegrees(I, order=None):
+def geometric_multidegrees(I):
     """Multiplicity table of the scheme cut out by I (always saturates).
 
     Requires a standard N^p-graded ring.  e(n) is the coefficient of
@@ -320,7 +320,7 @@ def geometric_multidegrees(I, order=None):
     sat_ideal = saturate_irrelevant(I)
     if sat_ideal.is_unit():
         raise EmptyScheme("the ideal cuts out the empty scheme")
-    cee = multidegree_C(sat_ideal, order)
+    cee = multidegree_C(sat_ideal)
     m = [max(len(ring.block_variables(k)) - 1, 0) for k in range(ring.p)]
     total_m = sum(m)
     dim = total_m - cee.min_total_degree()
@@ -329,7 +329,7 @@ def geometric_multidegrees(I, order=None):
     return MultiplicityTable(ring, dim, entries, msupp, cee)
 
 
-def hilbert_function_oracle(I, bound, order=None):
+def hilbert_function_oracle(I, bound):
     """Exact Hilbert function values for all multidegrees <= bound.
 
     Counts standard monomials of the initial ideal degree by degree, so
@@ -345,7 +345,7 @@ def hilbert_function_oracle(I, bound, order=None):
         raise BadArgument("bound must be componentwise non-negative")
     if any(b > ORACLE_BOUND_LIMIT for b in bound):
         raise BoundTooLarge(f"componentwise bound above {ORACLE_BOUND_LIMIT}")
-    mono = I.initial_ideal(order)
+    mono = I.initial_ideal()
     n, degrees = ring.n, ring.degrees
     # every variable has a nonzero degree, so no exponent of the walk
     # passes ORACLE_BOUND_LIMIT + 1, which a field of any width holds: the

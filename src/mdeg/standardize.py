@@ -9,7 +9,6 @@ ideal.  cs_check then asks whether the standardized ideal has squarefree
 generic initial ideal.
 """
 
-from .errors import Unstable
 from .genin import gin
 from .groebner import Ideal
 from .hilbert import codimension, k_polynomial, multidegree_C
@@ -121,24 +120,18 @@ class CsVerdict:
         return f"CsVerdict({self.is_cs}, {self.detail})"
 
 
-def cs_check(I, trials=2, seed=0, paranoid=False):
+def cs_check(I, trials=2, seed=0):
     """Cartwright-Sturmfels detection: is gin of the standardization
     squarefree?
 
     A positive verdict means every initial ideal of the standardized ideal
     is radical and the multidegree is multiplicity-free.  The verdict is
     relative to the coefficient field (a large prime field is required for
-    the underlying gin).  With paranoid=True two extra seeds are run and
-    must agree.
+    the underlying gin), whose trials must agree on one gin.
     """
     J = standardize_ideal(I)[0]
     res = gin(J, trials=trials, seed=seed)
     sq = res.ideal.is_squarefree()
-    if paranoid:
-        for extra in (seed + 101, seed + 202):
-            res2 = gin(J, trials=trials, seed=extra)
-            if res2.ideal != res.ideal:
-                raise Unstable("gin differs across paranoid reruns")
     detail = "gin of standardization is squarefree" if sq else (
         "gin of standardization has a non-squarefree generator"
     )

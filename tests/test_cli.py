@@ -165,35 +165,29 @@ def test_bad_generator_is_an_input_error_with_position(
 def test_unknown_ideal_and_order(small, capsys):
     rc, _, err = run(capsys, ["cee", small, "--ideal", "Nope"])
     assert rc == 2
-    rc, _, err = run(capsys, ["cee", small, "--ideal", "I", "--order", "mystery"])
+    rc, _, err = run(capsys, ["gin", small, "--ideal", "I", "--order", "mystery"])
     assert rc == 2
 
 
 BAD_OPTION_VALUES = {
-    "order-weights-not-int": (["kpoly", "{small}", "--ideal", "I", "--order", "weights:1,x"], {}),
-    "order-weights-row-length": (["kpoly", "{small}", "--ideal", "I", "--order", "weights:1,1"], {}),
-    "order-weights-not-well-order": (
-        ["kpoly", "{small}", "--ideal", "I", "--order", "weights:-1,0,0"], {}
-    ),
-    "blocks-not-int": (["project", EX46, "--ideal", "P", "--blocks", "2,x"], {}),
-    "blocks-out-of-range": (["project", EX46, "--ideal", "P", "--blocks", "4"], {}),
-    "bound-not-int": (["hf-oracle", "{small}", "--ideal", "I", "--bound", "2,x"], {}),
-    "bound-length": (["hf-oracle", "{small}", "--ideal", "I", "--bound", "2,2"], {}),
-    "bound-negative": (["hf-oracle", "{small}", "--ideal", "I", "--bound", "-1"], {}),
-    "bound-too-large": (["hf-oracle", "{small}", "--ideal", "I", "--bound", "9"], {}),
-    "det-m-above-n": (["det", "--m", "3", "--n", "2", "--r", "2"], {}),
-    "det-r-zero": (["det", "--m", "2", "--n", "3", "--r", "0"], {}),
-    "gin-no-trials": (["gin", RMK59, "--ideal", "Z", "--trials", "0"], {}),
-    "seed-env-not-int": (["gin", RMK59, "--ideal", "Z"], {"MDEG_SEED": "abc"}),
+    "order-weights-not-int": ["gin", "{small}", "--ideal", "I", "--order", "weights:1,x"],
+    "order-weights-row-length": ["gin-report", "{small}", "--ideal", "I", "--order", "weights:1,1"],
+    "order-weights-not-well-order": ["gin", "{small}", "--ideal", "I", "--order", "weights:-1,0,0"],
+    "blocks-not-int": ["project", EX46, "--ideal", "P", "--blocks", "2,x"],
+    "blocks-out-of-range": ["project", EX46, "--ideal", "P", "--blocks", "4"],
+    "bound-not-int": ["hf-oracle", "{small}", "--ideal", "I", "--bound", "2,x"],
+    "bound-length": ["hf-oracle", "{small}", "--ideal", "I", "--bound", "2,2"],
+    "bound-negative": ["hf-oracle", "{small}", "--ideal", "I", "--bound", "-1"],
+    "bound-too-large": ["hf-oracle", "{small}", "--ideal", "I", "--bound", "9"],
+    "det-m-above-n": ["det", "--m", "3", "--n", "2", "--r", "2"],
+    "det-r-zero": ["det", "--m", "2", "--n", "3", "--r", "0"],
+    "gin-no-trials": ["gin", RMK59, "--ideal", "Z", "--trials", "0"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_OPTION_VALUES))
-def test_bad_option_value_is_an_input_error(name, small, capsys, monkeypatch):
-    argv, env = BAD_OPTION_VALUES[name]
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
-    rc, out, err = run(capsys, [a.format(small=small) for a in argv])
+def test_bad_option_value_is_an_input_error(name, small, capsys):
+    rc, out, err = run(capsys, [a.format(small=small) for a in BAD_OPTION_VALUES[name]])
     assert (rc, out) == (2, "")
     assert err.startswith("input error: ")
 
@@ -205,13 +199,34 @@ def test_cs_check_takes_no_order(capsys):
     assert "unrecognized arguments: --order lex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kpoly", EX46, "--ideal", "P"],
+        ["cee", EX46, "--ideal", "P"],
+        ["gee", EX46, "--ideal", "P"],
+        ["geom", EX46, "--ideal", "P"],
+        ["hf-oracle", EX46, "--ideal", "P", "--bound", "1,1,1"],
+        ["polymatroid-check", EX46, "--from-cee", "P"],
+        ["snp-check", EX46, "--ideal", "P"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_invariant_commands_take_no_order(argv, capsys):
+    """No monomial order changes K, C, G, the geometric table or the
+    Hilbert function, so only gin and gin-report take --order."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--order", "lex"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order lex" in capsys.readouterr().err
+
+
 def test_parser_reused_after_a_usage_error_answers_as_a_fresh_process(capsys):
     """main builds its parser once per process; a usage error (SystemExit)
     leaves it answering as in a fresh interpreter, errors included."""
     bad = ["cs-check", RMK59, "--ideal", "J", "--order", "lex"]
     good = ["gin", RMK59, "--ideal", "J", "--json", "--trials", "1"]
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src"))
-    env.pop("MDEG_SEED", None)
 
     def fresh(argv):
         done = subprocess.run(
@@ -234,7 +249,7 @@ def test_parser_reused_after_a_usage_error_answers_as_a_fresh_process(capsys):
 
 
 def test_python_value_error_is_a_computation_error(small, capsys, monkeypatch):
-    monkeypatch.setattr("mdeg.cli.k_polynomial", lambda I, order: max([]))
+    monkeypatch.setattr("mdeg.cli.k_polynomial", lambda I: max([]))
     rc, _, err = run(capsys, ["kpoly", small, "--ideal", "I"])
     assert rc == 3
     assert err.startswith("error: ")
@@ -290,16 +305,6 @@ def test_json_output_is_byte_stable(capsys):
     rc2, out2, _ = run(capsys, ["cee", EX46, "--ideal", "P", "--json"])
     assert rc == rc2 == 0
     assert out1 == out2
-
-
-def test_mdeg_seed_env_overrides_flag(capsys, monkeypatch):
-    monkeypatch.setenv("MDEG_SEED", "5")
-    rc, out, _ = run(
-        capsys, ["gin", RMK59, "--ideal", "Z", "--seed", "0", "--json"]
-    )
-    assert rc == 0
-    obj = json.loads(out)
-    assert obj["result"]["meta"]["seed"] == 5
 
 
 def test_det_matches_closed_formulas(capsys):
@@ -446,12 +451,13 @@ GOLDEN_FILES.update({name.replace("-", "_"): text for name, text in PARSE_ERRORS
 FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}
 
 GOLDEN_CASES = {
-    # kpoly / cee / gee under every order syntax
+    # kpoly / cee / gee; kpoly-lex, kpoly-weights, cee-lex-json and
+    # cee-weights-rows were recorded under --order lex and weights, which
+    # no monomial order changes, and keep those transcripts without it
     "kpoly-text": ["kpoly", "{small}", "--ideal", "I"],
     "kpoly-json": ["kpoly", "{small}", "--ideal", "I", "--json"],
-    "kpoly-lex": ["kpoly", "{small}", "--ideal", "I", "--order", "lex"],
-    "kpoly-diag-json": ["kpoly", "{small}", "--ideal", "I", "--order", "diag", "--json"],
-    "kpoly-weights": ["kpoly", "{small}", "--ideal", "I", "--order", "weights:1,2,3"],
+    "kpoly-lex": ["kpoly", "{small}", "--ideal", "I"],
+    "kpoly-weights": ["kpoly", "{small}", "--ideal", "I"],
     "kpoly-zero-ideal": ["kpoly", "{small}", "--ideal", "Z", "--json"],
     # an empty generator slot is the zero polynomial, which the ideal drops
     "kpoly-empty-generator": ["kpoly", "{empty_generator}", "--ideal", "I"],
@@ -460,8 +466,8 @@ GOLDEN_CASES = {
     "kpoly-big-prime": ["kpoly", "{big_prime_field}", "--ideal", "I"],
     "cee-text": ["cee", "{ex46}", "--ideal", "P"],
     "cee-json": ["cee", "{ex46}", "--ideal", "P", "--json"],
-    "cee-lex-json": ["cee", "{ex46}", "--ideal", "P", "--order", "lex", "--json"],
-    "cee-weights-rows": ["cee", "{small}", "--ideal", "I", "--order", "weights:1,1,1;0,0,1"],
+    "cee-lex-json": ["cee", "{ex46}", "--ideal", "P", "--json"],
+    "cee-weights-rows": ["cee", "{small}", "--ideal", "I"],
     "cee-stdin": ["cee", "-", "--ideal", "I"],
     "gee-text": ["gee", "{ex46}", "--ideal", "P"],
     "gee-json": ["gee", "{ex46}", "--ideal", "P", "--json"],
@@ -490,7 +496,6 @@ GOLDEN_CASES = {
     "gin-report-prime-json": ["gin-report", "{rmk59}", "--ideal", "Z", "--json"],
     "cs-check-text": ["cs-check", "{weighted_fp}", "--ideal", "I"],
     "cs-check-json": ["cs-check", "{weighted_fp}", "--ideal", "I", "--json"],
-    "cs-check-square-paranoid": ["cs-check", "{weighted_fp}", "--ideal", "Q", "--paranoid"],
     "cs-check-standard-json": ["cs-check", "{rmk59}", "--ideal", "J", "--json"],
     # project / standardize emit ring files
     "project-text": ["project", "{ex46}", "--ideal", "P", "--blocks", "2,3"],
@@ -502,13 +507,12 @@ GOLDEN_CASES = {
     "project-fractions-reparsed-json": ["project", "-", "--ideal", "F", "--blocks", "1,2", "--json"],
     "standardize-text": ["standardize", "{weighted}", "--ideal", "I"],
     "standardize-json": ["standardize", "{weighted}", "--ideal", "I", "--json"],
-    "standardize-emit-ring-json": ["standardize", "{weighted}", "--ideal", "I", "--emit-ring", "--json"],
     "standardize-verify": ["standardize", "{weighted}", "--ideal", "I", "--verify"],
     "standardize-verify-json": ["standardize", "{weighted}", "--ideal", "I", "--verify", "--json"],
     "standardize-standard-json": ["standardize", "{small}", "--ideal", "I", "--json"],
     # polymatroid / SNP checks from a multidegree or a points file
     "polymatroid-cee-text": ["polymatroid-check", "{ex46}", "--from-cee", "P"],
-    "polymatroid-cee-json": ["polymatroid-check", "{ex46}", "--from-cee", "P", "--order", "lex", "--json"],
+    "polymatroid-cee-json": ["polymatroid-check", "{ex46}", "--from-cee", "P", "--json"],
     "polymatroid-good-json": ["polymatroid-check", "--points", "{good_pts}", "--json"],
     "polymatroid-bad-text": ["polymatroid-check", "--points", "{bad_pts}"],
     "polymatroid-bad-json": ["polymatroid-check", "--points", "{bad_pts}", "--json"],
@@ -524,7 +528,7 @@ GOLDEN_CASES = {
     "det-formulas-text": ["det", "--m", "3", "--n", "4", "--r", "3", "--formulas-only"],
     "det-formulas-json": ["det", "--m", "3", "--n", "4", "--r", "3", "--formulas-only", "--json"],
     "hf-oracle-text": ["hf-oracle", "{small}", "--ideal", "I", "--bound", "3"],
-    "hf-oracle-json": ["hf-oracle", "{ex46}", "--ideal", "P", "--bound", "1,1,1", "--order", "lex", "--json"],
+    "hf-oracle-json": ["hf-oracle", "{ex46}", "--ideal", "P", "--bound", "1,1,1", "--json"],
     # exit 2: input errors
     "err-missing-file": ["kpoly", "no-such-file.ring", "--ideal", "I"],
     "err-parse": ["kpoly", "{parse_error}", "--ideal", "I"],
@@ -543,6 +547,8 @@ GOLDEN_CASES = {
     "err-unknown-ideal": ["gee", "{small}", "--ideal", "Nope"],
     "err-unknown-ideal-arith": ["arith", "{small}", "--ideal", "Nope"],
     "err-unknown-order": ["gin", "{small}", "--ideal", "I", "--order", "mystery"],
+    # an option the command does not take: argparse's usage error
+    "err-order-on-invariant-command": ["kpoly", "{small}", "--ideal", "I", "--order", "lex"],
     "err-arith-not-monomial": ["arith", "{weighted}", "--ideal", "I", "--json"],
     "err-formulas-submaximal": ["det", "--m", "2", "--n", "3", "--r", "1", "--formulas-only"],
     "err-points-bad-line": ["snp-check", "--points", "{badline_pts}"],
@@ -602,10 +608,16 @@ def golden_transcript(name, workdir):
     def run_main(args, stdin_text):
         argv = [a.format(**paths) for a in args]
         out, err = io.StringIO(), io.StringIO()
-        with mock.patch("sys.stdin", io.StringIO(stdin_text)), contextlib.redirect_stdout(
-            out
-        ), contextlib.redirect_stderr(err):
-            rc = main(argv)
+        try:
+            with mock.patch("sys.stdin", io.StringIO(stdin_text)), contextlib.redirect_stdout(
+                out
+            ), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        except SystemExit as exc:
+            # an argparse usage error, whose usage lines wrap by the terminal
+            # width and the Python version: only its error line is kept
+            rc = exc.code
+            err = io.StringIO(err.getvalue().splitlines()[-1] + "\n")
         return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
     stdin_text = GOLDEN_STDIN.get(name, "")

@@ -24,7 +24,6 @@ def test_every_demo_has_a_fixture():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_stdout_is_unchanged(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("MDEG_SEED", None)
     done = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, env=env, cwd=ROOT, timeout=60
     )

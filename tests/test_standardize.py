@@ -142,9 +142,13 @@ def test_cs_negative_fat_point():
 
 
 def test_cs_paranoid_agrees():
+    """Other seeds give the same verdict and gin."""
     _, I = build_determinantal(2, 3, 2, GF32003)
-    v = cs_check(I, paranoid=True)
+    v = cs_check(I)
     assert v.is_cs
+    for seed in (101, 202):
+        other = cs_check(I, seed=seed)
+        assert other.is_cs and other.gin == v.gin
 
 
 def test_cs_positive_has_squarefree_initial_under_sampled_orders():
