@@ -227,7 +227,12 @@ def cmd_polymatroid_check(args):
         else None,
         "meta": {"points": sorted(list(q) for q in pts)},
     }
-    text = ["polymatroid" if ok else f"not a polymatroid: witness {witness}"]
+    if ok:
+        text = ["polymatroid"]
+    elif len(witness) == 2:
+        text = [f"not a polymatroid: {witness[0]} and {witness[1]} differ in total degree"]
+    else:
+        text = [f"not a polymatroid: witness {witness}"]
     rc = EXIT_OK if ok else EXIT_CHECK_FAILED
     return _emit(args, None, "polymatroid-check", result, text, rc=rc)
 

@@ -13,29 +13,32 @@ declaration; several named ideals may follow, each name once.  Errors
 carry line and column: each precondition of GradedRing is checked at the
 token that breaks it, a repeated variable at its second name.
 
-The text is tokenized in one regex scan that counts lines as
-str.splitlines does.  Each generator is read into one term dict: a
-product of numbers, names and their ^ or / is one coefficient and one
-exponent list, so x^k costs one multiplication of exponents, and + and -
-add the product into the dict.  Only a parenthesized sum of several
-terms is a Polynomial, multiplied and raised to powers by Polynomial
-arithmetic.
+The text is tokenized line by line (str.splitlines), one regex scan per
+line.  Each generator is read into one term dict: a product of numbers,
+names and their ^ or / is one coefficient and one exponent list, so x^k
+costs one multiplication of exponents, and + and - add the product into
+the dict.  Only a parenthesized sum of several terms is a Polynomial,
+multiplied and raised to powers by Polynomial arithmetic; a power (f)^k
+of a sum of r terms is refused when C(k + r, r), which bounds the terms
+of f, f^2, ..., f^k together, passes POWER_TERMS_LIMIT.
 """
 
 import operator
 import re
+from math import comb
 
 from .errors import BadArgument, InputError, NonPrimeModulus
 from .fields import QQ, PrimeField
 from .groebner import Ideal
 from .ring import GradedRing, Polynomial, is_homogeneous
 
-# the line breaks of str.splitlines
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-# a line break, other whitespace, a comment, or a token
+#: Largest C(k + r, r) for a power (f)^k of a parenthesized sum f of r terms.
+POWER_TERMS_LIMIT = 10**6
+
+# whitespace, then a token, a comment, or a character no token takes
 _TOKEN = re.compile(
-    rf"(?P<br>\r\n|[{_BREAKS}])|[^\S{_BREAKS}]+|#[^{_BREAKS}]*"
-    r"|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[=\[\]();,+\-*^/])"
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[=\[\]();,+\-*^/])"
+    r"|#.*|(?P<bad>\S))"
 )
 
 
@@ -50,27 +53,21 @@ class _Tok:
 
 
 def _tokenize(text):
-    """The tokens of `text` and a last "eof" token, in one regex scan that
-    counts lines as str.splitlines does.  An unexpected character is
-    reported at the column just past the last token before it on its
-    line."""
+    """The tokens of `text` and a last "eof" token on the line after the
+    last line.  An unexpected character is reported at the column just
+    past the last token before it on its line."""
     toks = []
-    line, start, end = 1, 0, 0  # line number, its first offset, its last token's end
-    pos = 0
-    match = _TOKEN.match
-    while pos < len(text):
-        m = match(text, pos)
-        if m is None:
-            raise InputError(f"unexpected character {text[pos]!r}", line, end - start + 1)
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "br":
-            line += 1
-            start = end = pos
-        elif kind:
-            toks.append(_Tok(kind, m.group(), line, m.start() - start + 1))
-            end = pos
-    toks.append(_Tok("eof", "", line + (pos > start), 1))
+    lines = text.splitlines()
+    for line, chars in enumerate(lines, start=1):
+        end = 0  # where the last token on the line ends
+        for m in _TOKEN.finditer(chars):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise InputError(f"unexpected character {m.group(kind)!r}", line, end + 1)
+            if kind:
+                toks.append(_Tok(kind, m.group(kind), line, m.start(kind) + 1))
+                end = m.end()
+    toks.append(_Tok("eof", "", len(lines) + 1, 1))
     return toks
 
 
@@ -134,7 +131,7 @@ class _Parser:
             elif t.text == "vars":
                 if names is not None:
                     self.error("duplicate vars declaration", t)
-                names = self._parse_vars()
+                names = self._parse_vars(t)
                 vars_token = t
             elif t.text == "deg":
                 nt, d = self._parse_deg(names)
@@ -186,7 +183,7 @@ class _Parser:
                 self.error(str(e), n)
         self.error(f"unknown field {t.text!r} (use QQ or Fp <prime>)", t)
 
-    def _parse_vars(self):
+    def _parse_vars(self, vars_token):
         names = []
         while self.peek().kind == "name" and self.peek().text not in (
             "field",
@@ -199,7 +196,7 @@ class _Parser:
                 self.error(f"repeated variable {t.text!r}", t)
             names.append(t.text)
         if not names:
-            self.error("vars needs at least one name")
+            self.error("vars needs at least one name", vars_token)
         return names
 
     def _parse_deg(self, names):
@@ -338,6 +335,13 @@ def _build_poly(ring, toks):
                     c = pow(c, m, F.p) if F.p else F.coerce(c**m)
                     exps = {i: v * m for i, v in exps.items()}
                 else:
+                    r = len(poly.terms)
+                    if comb(m + r, r) > POWER_TERMS_LIMIT:
+                        err(
+                            f"power {m} of a sum of {r} terms is too large: "
+                            f"C({m} + {r}, {r}) > {POWER_TERMS_LIMIT}",
+                            k,
+                        )
                     poly = poly**m
             else:
                 d = F.coerce(m)

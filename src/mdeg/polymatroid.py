@@ -22,15 +22,15 @@ def exchange_check(points):
 
     All points must share their total degree (a base set).  For every u, v
     and every i with u_i > v_i there must be j with u_j < v_j such that
-    u - e_i + e_j stays in the set.  Returns (True, None) or
-    (False, (u, v, i)) with a failing triple.
+    u - e_i + e_j stays in the set.  Returns (True, None), or (False, w)
+    with a witness w: a pair (u, v) of points of different total degrees,
+    or a triple (u, v, i) whose exchange fails.
     """
     pts = {tuple(q) for q in points}
     degs = {sum(q) for q in pts}
     if len(degs) > 1:
         a = next(iter(pts))
-        b = next(q for q in pts if sum(q) != sum(a))
-        return False, (a, b, -1)
+        return False, (a, next(q for q in pts if sum(q) != sum(a)))
     for u in pts:
         for v in pts:
             for i in range(len(u)):

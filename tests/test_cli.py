@@ -446,6 +446,9 @@ PARSE_ERRORS = {
     "err-unclosed-parenthesis": "vars x\ndeg x = (1)\nideal I = [ (x = ) ]\n",
     "err-unexpected-token": "vars x\ndeg x = (1)\nideal I = [ x + = ]\n",
     "err-trailing-tokens": "vars x\ndeg x = (1)\nideal I = [ x ) ( ]\n",
+    # C(10^20 + 2, 2) terms: refused at the exponent instead of expanded
+    "err-huge-power-of-a-sum": "vars x y\ndeg x = (1)\ndeg y = (1)\n"
+    "ideal I = [ (x + y)^100000000000000000000 ]\n",
 }
 GOLDEN_FILES.update({name.replace("-", "_"): text for name, text in PARSE_ERRORS.items()})
 FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}

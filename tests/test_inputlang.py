@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import ref_inputlang
 from mdeg.errors import InputError
 from mdeg.fields import GF32003, MODULUS_LIMIT, QQ, PrimeField
+from mdeg import inputlang
 from mdeg.inputlang import _build_poly, _tokenize, parse_input
 from mdeg.ring import make_ring
 
@@ -152,6 +153,23 @@ def test_a_huge_power_of_a_variable_is_one_exponent(field):
     with time_limit(10):
         session = parse_input(text)
     assert session.ideals["I"][0].terms == {(10**20,): 1}
+
+
+def test_a_huge_power_of_a_sum_is_an_input_error_at_its_exponent():
+    text = "vars x y\ndeg x = (1)\ndeg y = (1)\nideal I = [ (x + y)^100000000000000000000 ]\n"
+    with time_limit(1), pytest.raises(InputError) as e:
+        parse_input(text)
+    assert (e.value.line, e.value.col) == (4, 21)
+
+
+def test_a_power_of_a_sum_is_read_up_to_the_limit(monkeypatch):
+    """(f)^k for a sum f of r terms is read while C(k + r, r) is at most
+    POWER_TERMS_LIMIT; here C(3 + 2, 2) = 10."""
+    monkeypatch.setattr(inputlang, "POWER_TERMS_LIMIT", 10)
+    text = "vars x y\ndeg x = (1)\ndeg y = (1)\nideal I = [ (x + y)^{} ]\n"
+    assert len(parse_input(text.format(3)).ideals["I"][0].terms) == 4
+    with pytest.raises(InputError):
+        parse_input(text.format(4))
 
 
 @pytest.mark.parametrize("modulus", ["0", "1", "4", "3215031751", str(MODULUS_LIMIT), str(10**30)])
