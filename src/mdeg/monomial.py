@@ -345,28 +345,15 @@ def from_polynomial_gens(ring, polys):
 
 
 def minimal_primes(I):
-    """Minimal primes as frozensets of variable indices (minimal covers):
-    none for the unit ideal, whose generator 1 has an empty support no
-    cover meets, and the empty set for the zero ideal."""
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in I.gens]
-    covers = set()
-
-    def rec(idx, chosen):
-        if any(chosen >= c for c in covers):
-            return
-        while idx < len(supports) and supports[idx] & chosen:
-            idx += 1
-        if idx == len(supports):
-            covers.add(frozenset(chosen))
-            return
-        for v in sorted(supports[idx]):
-            rec(idx + 1, chosen | {v})
-
-    rec(0, frozenset())
-    return sorted(
-        (c for c in covers if not any(o < c for o in covers)),
-        key=lambda c: (len(c), sorted(c)),
+    """Minimal primes as frozensets of variable indices: the supports of
+    the irreducible components of the radical, which are generated by
+    variables; none for the unit ideal and the empty set for the zero
+    ideal."""
+    supports = (
+        frozenset(i for g in P.gens for i, e in enumerate(g) if e)
+        for P in irreducible_decomposition(I.radical())
     )
+    return sorted(supports, key=lambda c: (len(c), sorted(c)))
 
 
 def codim_of(I):

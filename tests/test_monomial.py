@@ -240,6 +240,15 @@ def test_primary_decomposition_intersects_back(seed):
     assert mins <= {c.prime for c in comps}
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000))
+def test_minimal_primes_are_the_minimal_covers(seed):
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=6)
+    I = random_monomial_ideal(rng, R, max_gens=6)
+    assert minimal_primes(I) == tuple_monomial.minimal_covers(I.gens)
+
+
 # The intersection-based pruning that irreducible_decomposition and
 # primary_decomposition used before pruning by pairwise containment; kept
 # as a differential oracle for the new kernel.

@@ -37,6 +37,32 @@ def radical(gens):
     return minimalize(tuple(int(e > 0) for e in g) for g in gens)
 
 
+def minimal_covers(gens):
+    """The minimal primes that monomial.minimal_primes found before it read
+    them off the irreducible decomposition of the radical: the minimal sets
+    of variables that meet the support of every generator, by a search
+    over covers, sorted by size and then by their indices."""
+    supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
+    covers = set()
+
+    def rec(idx, chosen):
+        if any(chosen >= c for c in covers):
+            return
+        while idx < len(supports) and supports[idx] & chosen:
+            idx += 1
+        if idx == len(supports):
+            covers.add(frozenset(chosen))
+            return
+        for v in sorted(supports[idx]):
+            rec(idx + 1, chosen | {v})
+
+    rec(0, frozenset())
+    return sorted(
+        (c for c in covers if not any(o < c for o in covers)),
+        key=lambda c: (len(c), sorted(c)),
+    )
+
+
 def add_monomial(gens, mono):
     return minimalize(set(gens) | {tuple(mono)})
 
