@@ -1,15 +1,17 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from unittest import mock
 
 import pytest
 
-from mdeg.cli import main
+from mdeg.cli import build_parser, main
 from mdeg.inputlang import parse_input
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -219,6 +221,20 @@ def test_invariant_commands_take_no_order(argv, capsys):
         main([*argv, "--order", "lex"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --order lex" in capsys.readouterr().err
+
+
+def test_readme_lists_the_options_of_every_subcommand():
+    """The README's table of subcommands names each option the parser
+    declares, the positional ring file as `file`, and no other."""
+    readme = (FIXTURES.parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` \| ((?:`[^`]+` ?)+)\|", readme, re.M)
+    documented = {cmd: {opt.split()[0] for opt in re.findall(r"`([^`]+)`", cell)} for cmd, cell in rows}
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        cmd: {a.option_strings[0] if a.option_strings else a.dest for a in sp._actions} - {"-h"}
+        for cmd, sp in sub.choices.items()
+    }
+    assert documented == declared
 
 
 def test_parser_reused_after_a_usage_error_answers_as_a_fresh_process(capsys):
