@@ -4,14 +4,19 @@ gin(I) is computed as in(g(I)) for a random block-diagonal change of
 coordinates g; several independent trials must agree before the result is
 accepted, and the consensus ideal is checked to be Borel-fixed per block.
 g preserves the multigraded Hilbert series, so K(S/I) is computed once and
-drives every trial's Buchberger run (hilbert.HilbertHint).
+drives every trial's Buchberger run (hilbert.HilbertHint).  Each trial is
+one call of groebner.gin_trial, which substitutes g into the packed layout
+of the monomial order and unpacks only the leading terms it finds.  The
+structure report decomposes the radical of the gin once, and reads both
+its minimal primes and its Stanley-Reisner complex off that one
+decomposition.
 """
 
 import random
 
 from .errors import BadArgument, EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
 from .fields import rank_mod_p
-from .groebner import contract, substituted_ideal
+from .groebner import contract, gin_trial
 from .hilbert import HilbertHint, local_length
 from .monomial import (
     borel_fixed_check,
@@ -43,7 +48,7 @@ def random_block_change(ring, seed):
 
     Returns the list of variable images: linear forms mixing each grading
     block, so each image is homogeneous of its variable's degree, as
-    groebner.substituted_ideal requires.  The field must be large
+    groebner.gin_trial requires.  The field must be large
     (p >= 10007) so random choices behave generically.
     """
     if not ring.is_standard:
@@ -108,10 +113,7 @@ def gin(I, order=None, trials=2, seed=0):
         raise BadArgument("at least one trial required")
     changes = [random_block_change(ring, seed + k) for k in range(trials)]
     hint = HilbertHint(I)
-    results = [
-        substituted_ideal(I, images).initial_ideal(order, hilbert=hint)
-        for images in changes
-    ]
+    results = [gin_trial(I, images, order, hint) for images in changes]
     first = results[0]
     if any(r != first for r in results[1:]):
         raise Unstable(
@@ -152,15 +154,15 @@ def gin_structure_report(I, order=None, trials=2, seed=0):
     if G.is_unit():
         raise EmptyScheme("the ideal cuts out the empty scheme")
     rep.gin = res
+    minimal = minimal_primes(G)
     rep.clauses["borel_fixed"] = bool(res.borel)
     rep.clauses["radical_cohen_macaulay"] = bool(
-        reisner_cm_check(G.radical(), HOMOLOGY_PRIME)
+        reisner_cm_check(G.radical(), HOMOLOGY_PRIME, minimal)
     )
     rep.clauses["associated_primes_are_block_segments"] = all(
         borel_prime_exponent(c.prime, G.ring) is not None
         for c in primary_decomposition(G)
     )
-    minimal = minimal_primes(G)
     rep.clauses["minimal_primes_equidimensional"] = len({len(P) for P in minimal}) <= 1
 
     p = G.ring.p

@@ -10,25 +10,33 @@ variable field, LOW masking the variable fields) or P itself (lex, x_1 in
 the top variable field).  A monomial product is one int add, a | b is
 `not (b - a) & GUARD`, and a new exponent with a guard bit set widens B
 and reruns (`_packed`), so answers stay exact for any exponent size.
-Normal forms and the leading terms of initial ideals use the same
-packing.
+Normal forms use the same packing.
 
 Polynomials are reduced with a lazy-deletion heap of order keys, so each
 term is touched once and the normal form comes out in descending order:
 every basis element lists its leading term first.  Every subtraction of a
 term multiple (reduction, S-polynomial) and the products
 of a substitution go through the one term kernel, ring._add_mul.
-Critical pairs are pruned with the Gebauer-Moller update and picked
-smallest lcm first, which makes the reduced basis of a homogeneous input
-deterministic.  Initial ideals of g(I), for the block changes of
-coordinates g of a gin, are found by Hilbert-driven stopping: with a
-hilbert.HilbertHint holding K(S/I), fed each new packed leading term, the
-pair loop skips pairs whose lcm degree is already saturated and stops
-once the leading terms have the K-polynomial of I.  Only leading terms
-count there, so each new element is top-reduced (reduced until its
-leading term is irreducible) and its tail is left as it stands, neither
-sorted nor reduced; the leading terms still lie in in(g(I)), which is
-all the hint's rules need.
+Critical pairs are pruned with the Gebauer-Moller update, on lcms found
+on the variable fields alone; only a kept pair's lcm is unpacked, once,
+and packed again with the order's fields.  Pairs are picked smallest lcm
+first, which makes the reduced basis of a homogeneous input
+deterministic.
+
+A gin trial, in(g(I)) for a block change of coordinates g (gin_trial),
+stays packed from substitution to leading terms.  _Packing.pack is
+additive, so the images of the variables are packed once in the order's
+own layout and each generator is substituted straight into it; the
+packed dicts go to the pair loop, and only the leading terms of its basis
+are unpacked.  That loop stops by the Hilbert function: with a
+hilbert.HilbertHint holding K(S/I), fed each new packed leading term, it
+skips pairs whose lcm degree is already saturated and stops once the
+leading terms have the K-polynomial of I.  Only leading terms count
+there, so each new element is top-reduced (reduced until its leading
+term is irreducible) and its tail is left as it stands, neither sorted
+nor reduced; the leading terms still lie in in(g(I)), which is all the
+hint's rules need.  An exponent past the fields, in the substitution or
+in the loop, doubles them and reruns the whole trial.
 Intersection and contraction to a variable subring are one elimination
 helper, _eliminate, which runs on raw term dicts (the auxiliary-variable
 construction of an intersection is not multihomogeneous) and caches the
@@ -39,12 +47,11 @@ multihomogeneous I is read off one homogeneous basis of I under a degree
 order with x_i last (_saturate_variable), walking each block from its
 last variable, whose order in a standard grading is grevlex itself.
 Ideal checks the generators a caller passes; the ideals built here
-(eliminations, saturations, substitutions) are multihomogeneous by
-construction and are wrapped by Ideal._of without a second check.
+(eliminations, saturations) are multihomogeneous by construction and are
+wrapped by Ideal._of without a second check.
 """
 
 from heapq import heapify, heappop, heappush
-from operator import mul
 
 from .errors import (
     BadArgument,
@@ -129,28 +136,35 @@ def _update_pairs(pairs, lts, t, pk):
     the leading terms lts.
 
     `pairs` maps (a, b), two leading terms, to (total degree, order key,
-    lcm) of their lcm, which is computed once, here, when the pair is made.
+    lcm) of their lcm.  Each candidate lcm is found on the variable fields
+    alone, (a & vmask) + excess(a, t), which is all that divisibility and
+    equality look at; only a pair that is kept has its lcm unpacked, once,
+    for the total degree, and packed again with the fields above the
+    variables, which the order key and the S-polynomial's shifts need.
     """
-    guard = pk.guard
-    fresh = {a: pk.lcm(a, t) for a in lts}
+    guard, vmask = pk.guard, pk.vmask
+    fresh = {a: (a & vmask) + pk.excess(a, t) for a in lts}
     # drop old pairs whose lcm is strictly reducible by the new element
     stale = [
         ab
         for ab, (_, _, l) in pairs.items()
-        if not (l - t) & guard and l != fresh[ab[0]] and l != fresh[ab[1]]
+        if not (l - t) & guard and l & vmask not in (fresh[ab[0]], fresh[ab[1]])
     ]
     for ab in stale:
         del pairs[ab]
     # among the new pairs keep one representative per minimal lcm; a proper
     # divisor has smaller variable fields, so it is met first
+    tv = t & vmask
     chosen = []
-    for a in sorted(lts, key=lambda a: fresh[a] & pk.vmask):
+    for a in sorted(lts, key=fresh.__getitem__):
         l = fresh[a]
         if any(not (l - m) & guard for m in chosen):
             continue
         chosen.append(l)
-        if l != a + t:  # Buchberger's first criterion: a, t not coprime
-            pairs[(a, t)] = (sum(pk.unpack(l)), l ^ pk.flip, l)
+        if l != (a & vmask) + tv:  # Buchberger's first criterion: a, t not coprime
+            u = pk.unpack(l)
+            l = pk.pack(u)
+            pairs[(a, t)] = (sum(u), l ^ pk.flip, l)
 
 
 def buchberger(gen_dicts, order, field):
@@ -163,7 +177,7 @@ def buchberger(gen_dicts, order, field):
 
 def _buchberger(pk, gens, field, hilbert):
     """(pk, the packed basis) for `buchberger`, or, with `hilbert`, for
-    Ideal.initial_ideal.
+    gin_trial.
 
     `hilbert` is a hilbert.HilbertHint for an ideal with the Hilbert
     function of the input: a pair is then skipped when the hint finds the
@@ -300,20 +314,12 @@ class Ideal:
             self._gb[order] = tuple(Polynomial._of(self.ring, d) for d in dicts)
         return self._gb[order]
 
-    def initial_ideal(self, order=None, hilbert=None):
-        """in(I) under `order`, from the cached reduced basis; or, with
-        `hilbert`, a hilbert.HilbertHint with the Hilbert function of I,
-        from the Hilbert-driven pair loop, whose basis is neither cached
-        nor unpacked: only its leading terms are.  Every basis element
-        lists its leading term first."""
+    def initial_ideal(self, order=None):
+        """in(I) under `order`: the leading terms of the cached reduced
+        basis, each of whose elements lists its leading term first."""
         if order is None:
             order = grevlex(self.ring)
-        if hilbert is None:
-            lts = [next(iter(g.terms)) for g in self.groebner_basis(order)]
-        else:
-            dicts = [f.terms for f in self.gens]
-            pk, basis = _packed(order, dicts, _buchberger, self.ring.field, hilbert)
-            lts = [pk.unpack(next(iter(d))) for d in basis]
+        lts = [next(iter(g.terms)) for g in self.groebner_basis(order)]
         return MonomialIdeal(self.ring, lts)
 
 
@@ -470,34 +476,51 @@ def contract(I, block_indices, keep_grading=False):
     return _eliminate(sub, [g.terms for g in I.gens], ring.n, drop)
 
 
-def substituted_ideal(I, images):
-    """Apply the ring map x_i -> images[i] (Polynomials) to the generators.
+def _substitute(gens, images, pk, field):
+    """The images of the term dicts `gens` under the ring map x_i ->
+    images[i], for images packed by pk, as term dicts packed by pk; a zero
+    image is dropped.
 
-    The images are packed once, with fields wide enough for every image
-    of a term, and each term's image is multiplied out on packed dicts,
-    its last factor straight into one term dict per generator; a
-    generator whose image is zero is dropped.  Each image must be zero or
-    homogeneous of the degree of its variable, as for the block changes
-    of coordinates of genin.random_block_change: the images of the
-    multihomogeneous generators are then multihomogeneous, and nothing is
-    checked."""
-    ring = images[0].ring if images else I.ring
-    F = ring.field
-    tops = [_max_exponent([g.terms]) for g in images]
-    bound = max((sum(map(mul, e, tops)) for f in I.gens for e in f.terms), default=0)
-    pk = _packing(ring.n, _field_bits(bound))
-    packed = [pk.pack_dict(g.terms) for g in images]
-    one = {0: F.one}
+    pk.pack is additive, so the packed images multiply out in pk's own
+    layout, order fields included: each term's image is the product of
+    its factors, the last factor added straight into one term dict per
+    generator.  An exponent past the fields raises _Overflow."""
+    guard = pk.guard
+    one = {0: field.one}
     out = []
-    for f in I.gens:
+    for f in gens:
         acc = {}
-        for e, c in f.terms.items():
-            factors = [packed[i] for i, k in enumerate(e) for _ in range(k)] or [one]
+        for e, c in f.items():
+            factors = [images[i] for i, k in enumerate(e) for _ in range(k)] or [one]
             head = {0: c}
             for g in factors[:-1]:
-                head = _times(head, g, F, pk.guard)
+                head = _times(head, g, field, guard)
             for el, cl in factors[-1].items():
-                _add_mul(acc, cl, el, head, F, pk.guard)
+                _add_mul(acc, cl, el, head, field, guard)
         if acc:
-            out.append(Polynomial._of(ring, pk.unpack_dict(acc)))
-    return Ideal._of(ring, out)
+            out.append(acc)
+    return out
+
+
+def gin_trial(I, images, order, hilbert):
+    """in(g(I)) under `order`, for the ring map g: x_i -> images[i] and
+    `hilbert`, a hilbert.HilbertHint of I: one trial of genin.gin.
+
+    Each image must be zero or homogeneous of its variable's degree, as
+    the block changes of coordinates of genin.random_block_change are:
+    g(I) then has the Hilbert function of I and multihomogeneous
+    generators, and nothing is checked.  The images are packed once, in
+    the order's own layout, each generator of I is substituted into that
+    layout (_substitute) and the packed dicts go straight to the
+    Hilbert-driven pair loop; while a new exponent overflows its field,
+    the fields are doubled and the trial reruns (_packed).  Only the
+    leading terms of the basis are unpacked.
+    """
+    field = I.ring.field
+    gens = [f.terms for f in I.gens]
+
+    def run(pk, packed):
+        return _buchberger(pk, _substitute(gens, packed, pk, field), field, hilbert)
+
+    pk, basis = _packed(order, [g.terms for g in images], run)
+    return MonomialIdeal(I.ring, [pk.unpack(next(iter(d))) for d in basis])

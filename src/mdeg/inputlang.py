@@ -20,7 +20,10 @@ costs one multiplication of exponents, and + and - add the product into
 the dict.  Only a parenthesized sum of several terms is a Polynomial,
 multiplied and raised to powers by Polynomial arithmetic; a power (f)^k
 of a sum of r terms is refused when C(k + r, r), which bounds the terms
-of f, f^2, ..., f^k together, passes POWER_TERMS_LIMIT.
+of f, f^2, ..., f^k together, passes POWER_TERMS_LIMIT.  Over QQ a power
+c^k of a number is refused when the numerator or the denominator of c^k
+would have more than POWER_BITS_LIMIT bits (_capped_power); over Fp it
+is pow(c, k, p).
 """
 
 import operator
@@ -35,11 +38,31 @@ from .ring import GradedRing, Polynomial, is_homogeneous
 #: Largest C(k + r, r) for a power (f)^k of a parenthesized sum f of r terms.
 POWER_TERMS_LIMIT = 10**6
 
+#: Most bits of the numerator or the denominator of a power c^k of a number over QQ.
+POWER_BITS_LIMIT = 10**6
+
 # whitespace, then a token, a comment, or a character no token takes
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[=\[\]();,+\-*^/])"
     r"|#.*|(?P<bad>\S))"
 )
+
+
+def _capped_power(c, k):
+    """c^k for an int or Fraction c, or None when its numerator or its
+    denominator would have more than POWER_BITS_LIMIT bits.
+
+    An int a of b >= 2 bits has a^k >= 2^((b - 1) k), so a power is
+    refused unworked when (b - 1) k reaches the limit; otherwise a^k has
+    fewer than b k < 2 * POWER_BITS_LIMIT bits and is worked out.  A base
+    of at most one bit (0, 1, -1) passes for every k."""
+    parts = (c.numerator, c.denominator)
+    if any((a.bit_length() - 1) * k >= POWER_BITS_LIMIT for a in parts):
+        return None
+    out = c**k
+    if any(a.bit_length() > POWER_BITS_LIMIT for a in (out.numerator, out.denominator)):
+        return None
+    return out
 
 
 class _Tok:
@@ -332,7 +355,17 @@ def _build_poly(ring, toks):
             m = int(k.text)
             if t.text == "^":
                 if poly is None:
-                    c = pow(c, m, F.p) if F.p else F.coerce(c**m)
+                    if F.p:
+                        c = pow(c, m, F.p)
+                    else:
+                        c = _capped_power(c, m)
+                        if c is None:
+                            err(
+                                f"power {m} of a number is too large: more than "
+                                f"{POWER_BITS_LIMIT} bits",
+                                k,
+                            )
+                        c = F.coerce(c)
                     exps = {i: v * m for i, v in exps.items()}
                 else:
                     r = len(poly.terms)

@@ -5,17 +5,16 @@ the lowest total degree and the substitution t -> 1 - t.
 """
 
 from math import comb
-from operator import add, mul
 
 from .ring import _sum_str
 
 
 class _Integers:
-    """The integers, with the add and mul of a coefficient field, for the
-    term kernel ring._add_mul."""
+    """The integers as a coefficient ring of characteristic 0, for the
+    term kernel ring._add_mul, which adds and multiplies ints with the
+    plain operators."""
 
-    add = staticmethod(add)
-    mul = staticmethod(mul)
+    p = 0
 
 
 ZZ = _Integers()

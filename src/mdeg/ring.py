@@ -17,11 +17,13 @@ the total degree (grevlex only) and then the weight rows, first row
 highest, as signed fields wide enough for any valid exponent, so the
 order's sort key is one int: P ^ LOW for grevlex, where x_n sits in the
 top variable field and LOW masks the variable fields, and P itself for
-lex, where x_1 sits in the top variable field.  _add_mul, the one loop
-that combines two term dicts, raises _Overflow when a new exponent has a
-guard bit set; its caller widens B and reruns, so results stay exact for
-any exponent size.  Polynomial +, - and * pack at their boundary, with
-fields wide enough for the result.
+lex, where x_1 sits in the top variable field.  pack is additive, so a
+product of monomials packed in any layout is the sum of their packings.
+_add_mul, the one loop that combines two term dicts, works its
+coefficients out inline, modulo p or with the plain operators, and raises
+_Overflow when a new exponent has a guard bit set; its caller widens B
+and reruns, so results stay exact for any exponent size.  Polynomial +,
+- and * pack at their boundary, with fields wide enough for the result.
 
 The same packing, in its plain layout (lex, no rows: x_1 in the top
 field, so int order is lex order on exponent tuples and a proper divisor
@@ -232,11 +234,12 @@ class _Packing:
         return d & (g - (g >> (self.bits - 1)))
 
     def lcm(self, a, b):
-        """lcm of two packed exponents: a plus the fieldwise excess of b."""
-        x = self.excess(a, b)
-        if x and self._high:
-            x = self.pack(self.unpack(x))
-        return a + x
+        """lcm of two exponents packed in a layout with no fields above the
+        variables (the plain one): a plus the fieldwise excess of b.  In
+        an order's layout (a + excess) & vmask holds the lcm's variable
+        fields, and packing their unpacked tuple restores the fields
+        above (groebner._update_pairs)."""
+        return a + self.excess(a, b)
 
 
 @lru_cache(maxsize=128)
@@ -252,12 +255,32 @@ def _add_mul(acc, c, shift, g, field, guard, skip=None):
     The one loop that combines two term dicts (Polynomial arithmetic,
     substitution, Buchberger, and with intpoly.ZZ and guard 0 the
     K-polynomials of hilbert), on packed exponents with guard bits
-    `guard`; raises _Overflow on a new exponent that sets one.  c must be
-    nonzero, so no new term is zero; returns the exponents that were new
-    to acc.
+    `guard`; raises _Overflow on a new exponent that sets one.  The
+    coefficient arithmetic is written out, with no method call per term:
+    modulo field.p for a prime field, the plain + and * of ints and
+    Fractions for QQ and ZZ, whose p is 0.  c must be nonzero, so no new
+    term is zero; returns the exponents that were new to acc.
     """
     new = []
-    fmul, fadd = field.mul, field.add
+    p = field.p
+    if p:
+        for eg, cg in g.items():
+            if eg == skip:
+                continue
+            e = eg + shift
+            prev = acc.get(e)
+            if prev is None:
+                if e & guard:
+                    raise _Overflow
+                acc[e] = c * cg % p
+                new.append(e)
+            else:
+                nv = (prev + c * cg) % p
+                if nv:
+                    acc[e] = nv
+                else:
+                    del acc[e]
+        return new
     for eg, cg in g.items():
         if eg == skip:
             continue
@@ -266,10 +289,10 @@ def _add_mul(acc, c, shift, g, field, guard, skip=None):
         if prev is None:
             if e & guard:
                 raise _Overflow
-            acc[e] = fmul(c, cg)
+            acc[e] = c * cg
             new.append(e)
         else:
-            nv = fadd(prev, fmul(c, cg))
+            nv = prev + c * cg
             if nv:
                 acc[e] = nv
             else:

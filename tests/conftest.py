@@ -1,9 +1,11 @@
 import itertools
 from fractions import Fraction
+from operator import mul
 
 from mdeg.errors import EmptyScheme
 from mdeg.fields import QQ
-from mdeg.groebner import Ideal, _packed, _reduce_dict, buchberger
+from mdeg import groebner
+from mdeg.groebner import Ideal, _buchberger, _packed, _reduce_dict, buchberger
 from mdeg.hilbert import k_polynomial, k_polynomial_monomial, local_length
 from mdeg.intpoly import IntegerPolynomial
 from mdeg.monomial import (
@@ -12,7 +14,15 @@ from mdeg.monomial import (
     primary_decomposition,
 )
 from mdeg.orders import elimination_order, grevlex
-from mdeg.ring import Polynomial, make_ring
+from mdeg.ring import (
+    Polynomial,
+    _add_mul,
+    _field_bits,
+    _max_exponent,
+    _packing,
+    _times,
+    make_ring,
+)
 
 
 def three_block_ring(field=QQ):
@@ -279,6 +289,76 @@ def normal_form(I, f, order=None):
 
     dicts = [f.terms] + [g.terms for g in I.groebner_basis(order)]
     return Polynomial._of(I.ring, _packed(order, dicts, reduce, I.ring.field))
+
+
+# ---------------------------------------------------------------------------
+# Oracles of groebner.gin_trial: the path it replaced, which substituted in
+# the plain layout, unpacked the result into an Ideal and packed it again
+# for the order's Hilbert-driven pair loop; and the lcm of _Packing with
+# its repack of the fields above the variables, which _update_pairs does
+# for the pairs it keeps only.
+
+
+def substituted_ideal(I, images):
+    """Apply the ring map x_i -> images[i] (Polynomials) to the generators.
+
+    The images are packed once in the plain layout, with fields wide
+    enough for every image of a term, and each term's image is multiplied
+    out on packed dicts, its last factor straight into one term dict per
+    generator; a generator whose image is zero is dropped.  Each image
+    must be zero or homogeneous of the degree of its variable."""
+    ring = images[0].ring if images else I.ring
+    F = ring.field
+    tops = [_max_exponent([g.terms]) for g in images]
+    bound = max((sum(map(mul, e, tops)) for f in I.gens for e in f.terms), default=0)
+    pk = _packing(ring.n, _field_bits(bound))
+    packed = [pk.pack_dict(g.terms) for g in images]
+    one = {0: F.one}
+    out = []
+    for f in I.gens:
+        acc = {}
+        for e, c in f.terms.items():
+            factors = [packed[i] for i, k in enumerate(e) for _ in range(k)] or [one]
+            head = {0: c}
+            for g in factors[:-1]:
+                head = _times(head, g, F, pk.guard)
+            for el, cl in factors[-1].items():
+                _add_mul(acc, cl, el, head, F, pk.guard)
+        if acc:
+            out.append(Polynomial._of(ring, pk.unpack_dict(acc)))
+    return Ideal._of(ring, out)
+
+
+def hinted_initial_ideal(J, order, hint):
+    """in(J) under `order` from the Hilbert-driven pair loop on the
+    generators of J, with the hint of an ideal of J's Hilbert function:
+    only the leading terms of its basis are unpacked."""
+    dicts = [f.terms for f in J.gens]
+    pk, basis = _packed(order, dicts, _buchberger, J.ring.field, hint)
+    return MonomialIdeal(J.ring, [pk.unpack(next(iter(d))) for d in basis])
+
+
+def trial_substitution(I, images, order):
+    """The generators of g(I), x_i -> images[i], as gin_trial substitutes
+    them into the order's layout (groebner._substitute), unpacked."""
+    F = I.ring.field
+    gens = [f.terms for f in I.gens]
+
+    def run(pk, packed):
+        return pk, groebner._substitute(gens, packed, pk, F)
+
+    pk, out = _packed(order, [g.terms for g in images], run)
+    return tuple(Polynomial._of(I.ring, pk.unpack_dict(d)) for d in out)
+
+
+def order_lcm(pk, a, b):
+    """lcm of two exponents packed by pk in any layout: a plus the
+    fieldwise excess of b, whose fields above the variables are packed
+    again from its unpacked tuple."""
+    x = pk.excess(a, b)
+    if x:
+        x = pk.pack(pk.unpack(x))
+    return a + x
 
 
 def ideal_contains(I, f):

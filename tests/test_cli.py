@@ -444,6 +444,10 @@ GOLDEN_FILES = {
     "cubic_fp": "field Fp 32003\nvars a b c d\n"
     + "".join(f"deg {v} = (1)\n" for v in "abcd")
     + "ideal T = [ a*c - b^2 ; b*d - c^2 ; a*d - b*c ]\n",
+    # exponents that fit 8-bit fields, S-pairs of degree 128 that do not:
+    # each gin trial widens its fields and reruns
+    "wide_fp": "field Fp 32003\nvars x y\ndeg x = (1)\ndeg y = (1)\n"
+    "ideal W = [ x^127 + y^127 ; x^2 - 2*y^2 ]\n",
 }
 # ring files that each stop the parser at a different error (exit 2), by
 # the name of their golden case
@@ -465,6 +469,12 @@ PARSE_ERRORS = {
     # C(10^20 + 2, 2) terms: refused at the exponent instead of expanded
     "err-huge-power-of-a-sum": "vars x y\ndeg x = (1)\ndeg y = (1)\n"
     "ideal I = [ (x + y)^100000000000000000000 ]\n",
+    # 2^(10^20) has 10^20 + 1 bits: refused at the exponent instead of computed
+    "err-huge-power-of-a-number": "vars x y\ndeg x = (1)\ndeg y = (1)\n"
+    "ideal I = [ 2^100000000000000000000*x ]\n",
+    # 3^630930 has 1,000,001 bits: worked out, then refused at the exponent
+    "err-power-of-a-number-past-the-bit-limit": "vars x y\ndeg x = (1)\ndeg y = (1)\n"
+    "ideal I = [ 3^630930*x ]\n",
 }
 GOLDEN_FILES.update({name.replace("-", "_"): text for name, text in PARSE_ERRORS.items()})
 FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}
@@ -506,6 +516,7 @@ GOLDEN_CASES = {
     "gin-empty-block-json": ["gin", "-", "--ideal", "P", "--json"],
     "gin-lex": ["gin", "{cubic_fp}", "--ideal", "T", "--order", "lex"],
     "gin-weights": ["gin", "{cubic_fp}", "--ideal", "T", "--order", "weights:1,1,1,0"],
+    "gin-widens-its-fields": ["gin", "{wide_fp}", "--ideal", "W"],
     "gin-report-weights-rows": [
         "gin-report", "{cubic_fp}", "--ideal", "T", "--order", "weights:1,1,0,0;1,0,0,0", "--json"
     ],

@@ -9,6 +9,7 @@ from conftest import (
     add_empty_block,
     as_ideal,
     block_ring,
+    hinted_initial_ideal,
     ideal_contains,
     normal_form,
     random_form,
@@ -16,6 +17,7 @@ from conftest import (
     random_monomial_ideal,
     random_positive_ring,
     random_standard_ring,
+    substituted_ideal,
     surface_prime,
     three_block_ring,
 )
@@ -39,10 +41,10 @@ from mdeg.groebner import (
     _saturate_variable,
     buchberger,
     contract,
+    gin_trial,
     intersect,
     saturate_irrelevant,
     saturate_var_block,
-    substituted_ideal,
 )
 from mdeg.hilbert import HilbertHint, geometric_multidegrees
 from mdeg.monomial import MonomialIdeal
@@ -123,8 +125,8 @@ def _as_if_checked(E):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([QQ, GF32003]))
 def test_program_built_ideals_pass_the_generator_checks(seed, field):
-    # the results of intersect, contract, substituted_ideal, standardize_ideal
-    # and build_determinantal are built by Ideal._of, unchecked
+    # the results of intersect, contract, standardize_ideal and
+    # build_determinantal are built by Ideal._of, unchecked
     rng, R, I = _random_graded_ideal(seed, field)
     built = [intersect(I, random_ideal(rng, R)), standardize_ideal(I)[0]]
     for mask in range(1, 1 << R.p):
@@ -134,9 +136,6 @@ def test_program_built_ideals_pass_the_generator_checks(seed, field):
             pass
     m = rng.randint(1, 3)
     built.append(build_determinantal(m, rng.randint(m, 4), rng.randint(1, m), field)[1])
-    S = block_ring([rng.randint(1, 3) for _ in range(rng.randint(1, 3))], GF32003)
-    J = random_ideal(rng, S, max_degree=3, max_gens=3)
-    built.append(substituted_ideal(J, random_block_change(S, seed)))
     for E in built:
         assert _as_if_checked(E)
 
@@ -425,21 +424,23 @@ def _orders(rng, ring):
 
 
 def hinted_basis(gens, order, field, hint):
-    """The whole basis of the Hilbert-driven loop, unpacked, that
-    Ideal.initial_ideal(order, hilbert=hint) takes the leading terms of."""
+    """The whole basis of the Hilbert-driven loop, unpacked, whose leading
+    terms gin_trial takes."""
     pk, basis = _packed(order, gens, _buchberger, field, hint)
     return [pk.unpack_dict(d) for d in basis]
 
 
 def _assert_hinted_matches_full_basis(rng, I, seed):
-    """in(J) with the hint of I equals in(J) from the reduced basis, for
-    J = I and J = g(I), under grevlex, lex and a random weight order."""
+    """in(J) from gin_trial with the hint of I equals in(J) from the
+    reduced basis, for J = I (identity images) and J = g(I), under grevlex,
+    lex and a random weight order."""
     R = I.ring
     hint = HilbertHint(I)
-    moved = substituted_ideal(I, random_block_change(R, seed))
-    for J in (I, moved):
-        for order in _orders(rng, R):
-            assert J.initial_ideal(order, hilbert=hint) == J.initial_ideal(order)
+    images = random_block_change(R, seed)
+    moved = substituted_ideal(I, images)
+    for order in _orders(rng, R):
+        assert gin_trial(I, R.gens(), order, hint) == I.initial_ideal(order)
+        assert gin_trial(I, images, order, hint) == moved.initial_ideal(order)
 
 
 @settings(max_examples=40, deadline=None)
@@ -456,19 +457,20 @@ def test_hilbert_driven_initial_ideal_matches_full_basis(seed, empty_block):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.booleans())
 def test_hinted_initial_ideal_is_the_leading_terms_of_the_hinted_basis(seed, empty_block):
-    # initial_ideal with a hint unpacks only the leading terms of the
-    # packed basis; hinted_basis returns the whole of it, unpacked
+    # gin_trial unpacks only the leading terms of the packed basis;
+    # hinted_basis returns the whole of it, unpacked
     rng = random.Random(seed)
     R = random_standard_ring(rng, max_vars=5, field=GF32003)
     if empty_block:
         R = add_empty_block(rng, R)
     I = random_ideal(rng, R, max_degree=3, max_gens=4)
     hint = HilbertHint(I)
-    J = substituted_ideal(I, random_block_change(R, seed))
+    images = random_block_change(R, seed)
+    J = substituted_ideal(I, images)
     for order in _orders(rng, R):
         basis = hinted_basis([f.terms for f in J.gens], order, R.field, hint)
         lts = MonomialIdeal(R, [max(d, key=tuple_kernel.order_key(order)) for d in basis])
-        assert J.initial_ideal(order, hilbert=hint) == lts == J.initial_ideal(order)
+        assert gin_trial(I, images, order, hint) == lts == J.initial_ideal(order)
 
 
 def test_hilbert_driven_initial_ideal_of_zero_and_unit_ideals():
@@ -477,8 +479,8 @@ def test_hilbert_driven_initial_ideal_of_zero_and_unit_ideals():
     zero, unit = Ideal(R, []), Ideal(R, [R.one()])
     for I in (zero, unit):
         _assert_hinted_matches_full_basis(rng, I, 3)
-    assert zero.initial_ideal(hilbert=HilbertHint(zero)).is_zero()
-    assert unit.initial_ideal(hilbert=HilbertHint(unit)).is_unit()
+    assert gin_trial(zero, R.gens(), grevlex(R), HilbertHint(zero)).is_zero()
+    assert gin_trial(unit, R.gens(), grevlex(R), HilbertHint(unit)).is_unit()
 
 
 def test_hilbert_driven_initial_ideal_on_ring_with_empty_block():
@@ -489,11 +491,72 @@ def test_hilbert_driven_initial_ideal_on_ring_with_empty_block():
     _assert_hinted_matches_full_basis(random.Random(5), Q, 5)
 
 
+def _wide_ideal(rng):
+    """x^127 + c*y^127 and x*y, coprime, in a first block of two variables,
+    beside an optional second block, over GF(32003): the exponents of the
+    input fit 8-bit fields, while the S-pairs of degree 128 and the power
+    of y in in(g(I)) pass them."""
+    R = block_ring([2] + [rng.randint(1, 2)] * rng.randint(0, 1), GF32003)
+    x, y = R.gens()[:2]
+    c = R.field.coerce(rng.randint(1, R.field.p - 1))
+    return Ideal(R, [x**127 + (y**127).scale(c), x * y])
+
+
+def _trial_bits(I, images, order, hint):
+    """gin_trial's answer and the field width of each of its runs of the
+    pair loop."""
+    bits, real = [], groebner._buchberger
+
+    def spy(pk, *args):
+        bits.append(pk.bits)
+        return real(pk, *args)
+
+    groebner._buchberger = spy
+    try:
+        return gin_trial(I, images, order, hint), bits
+    finally:
+        groebner._buchberger = real
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["random", "empty block", "zero", "unit", "wide"]))
+def test_gin_trial_matches_the_oracle_paths(seed, kind):
+    """gin_trial over GF(32003), under grevlex, lex and weight orders,
+    against the path it replaced (substituted_ideal, then the hinted loop
+    on the unpacked ideal), the reduced basis of g(I) with no hint, and the
+    hinted tuple loop of tests/tuple_kernel.py; on random ideals, rings
+    with an empty block, the zero and unit ideals, and ideals whose S-pairs
+    pass 8-bit fields, where the trial widens its fields and reruns."""
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=4, field=GF32003)
+    if kind == "empty block":
+        R = add_empty_block(rng, R)
+    if kind == "zero":
+        I = Ideal(R, [])
+    elif kind == "unit":
+        I = Ideal(R, [R.one()] + list(random_ideal(rng, R).gens))
+    elif kind == "wide":
+        I = _wide_ideal(rng)
+        R = I.ring
+    else:
+        I = random_ideal(rng, R, max_degree=3, max_gens=4)
+    hint, tuple_hint = HilbertHint(I), tuple_kernel.HilbertHint(I)
+    images = random_block_change(R, seed)
+    J = substituted_ideal(I, images)
+    gens = [f.terms for f in J.gens]
+    for order in _orders(rng, R):
+        got, bits = _trial_bits(I, images, order, hint)
+        assert got == hinted_initial_ideal(J, order, hint) == J.initial_ideal(order)
+        tuple_basis = tuple_kernel.buchberger(gens, order, GF32003, tuple_hint)
+        assert got == MonomialIdeal(R, [tuple_kernel.leading(d, order) for d in tuple_basis])
+        assert bits[0] == 8 and len(bits) == 1 + (kind == "wide")
+
+
 def test_hint_of_another_hilbert_function_raises_unstable():
     R = make_ring(["x", "y"], [(1,), (1,)], GF32003)
     x, y = R.gens()
     with pytest.raises(Unstable):
-        Ideal(R, [x * x]).initial_ideal(hilbert=HilbertHint(Ideal(R, [x * x, y])))
+        gin_trial(Ideal(R, [x * x]), R.gens(), grevlex(R), HilbertHint(Ideal(R, [x * x, y])))
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +788,7 @@ def test_hilbert_driven_buchberger_at_degrees_past_the_exponent_fields():
     for order in (grevlex(R), lex(R)):
         got = _assert_matches_oracles(gens, order, GF32003, hint, tuple_hint)
         assert max(sum(next(iter(d))) for d in got) >= 128
-        assert I.initial_ideal(order, hilbert=hint) == I.initial_ideal(order)
+        assert gin_trial(I, R.gens(), order, hint) == I.initial_ideal(order)
 
 
 def test_buchberger_matches_reference_on_the_threefold():

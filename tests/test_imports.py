@@ -447,15 +447,15 @@ KEPT_UNREACHED = {
         "contract of a MonomialIdeal: no command passes one, but acceptance "
         "criterion 3 contracts a gin"
     ),
-    ("monomial.py", "MonomialIdeal._pack_capped", "e = [min(x, top) for x in e]"): (
-        "a monomial with an entry past the generators' field: contains answers "
-        "for every monomial, and in the commands only borel_fixed_check asks "
-        "about one, for an ideal that is not Borel-fixed"
-    ),
     ("monomial.py", "MonomialIdeal._plus_packed", "return self"): (
         "I + (m) for an m in I: add_monomial takes any monomial, while the "
         "commands add only monomials outside I (a pivot variable, a proper "
         "factor of a minimal generator, a new leading term)"
+    ),
+    ("monomial.py", "stanley_reisner_complex", "primes = minimal_primes(I)"): (
+        "the complex of an ideal whose minimal primes the caller does not "
+        "have: gin-report passes the ones it has decomposed, while the "
+        "acceptance gate and library callers pass the ideal alone"
     ),
     ("monomial.py", "borel_fixed_check", "return False"): (
         "every gin is Borel-fixed, so only a wrong gin fails"

@@ -6,6 +6,7 @@ InputError, text and position, for every malformed one.
 
 import contextlib
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -170,6 +171,49 @@ def test_a_power_of_a_sum_is_read_up_to_the_limit(monkeypatch):
     assert len(parse_input(text.format(3)).ideals["I"][0].terms) == 4
     with pytest.raises(InputError):
         parse_input(text.format(4))
+
+
+def test_a_huge_power_of_a_number_is_an_input_error_at_its_exponent():
+    text = "vars x y\ndeg x = (1)\ndeg y = (1)\nideal I = [ 2^100000000000000000000*x ]\n"
+    with time_limit(1), pytest.raises(InputError) as e:
+        parse_input(text)
+    assert (e.value.line, e.value.col) == (4, 15)
+
+
+@pytest.mark.parametrize(
+    "base, bits",
+    [("2", 20), ("3", 20), ("(2/3)", 20), ("(-5)", 21), ("(1/7)", 18), ("1000", 20)],
+)
+def test_a_power_of_a_number_is_read_up_to_the_bit_limit(monkeypatch, base, bits):
+    """c^k over QQ is read while the numerator and the denominator of c^k
+    have at most POWER_BITS_LIMIT bits, and refused at the first k past
+    it, whichever way the two-step test of _capped_power decides."""
+    monkeypatch.setattr(inputlang, "POWER_BITS_LIMIT", bits)
+    text = "vars x\ndeg x = (1)\nideal I = [ {}^{}*x ]\n"
+    c = Fraction(base.strip("()"))
+    k = 0
+    while max(abs(q).bit_length() for q in (c ** (k + 1)).as_integer_ratio()) <= bits:
+        k += 1
+    [f] = parse_input(text.format(base, k)).ideals["I"]
+    assert f.terms == {(1,): c**k}
+    with pytest.raises(InputError):
+        parse_input(text.format(base, k + 1))
+
+
+@pytest.mark.parametrize("base", ["0", "1", "(-1)"])
+@pytest.mark.parametrize("field", ["QQ", "Fp 32003"])
+def test_a_huge_power_of_zero_or_a_unit_is_read(base, field):
+    text = f"field {field}\nvars x y\ndeg x = (1)\ndeg y = (1)\nideal I = [ {base}^100000000000000000000*x + y ]\n"
+    with time_limit(1):
+        [f] = parse_input(text).ideals["I"]
+    assert f.terms.get((1, 0), 0) == {"0": 0, "1": 1, "(-1)": 1}[base]
+
+
+def test_a_huge_power_of_a_number_over_fp_is_a_modular_power():
+    text = "field Fp 32003\nvars x\ndeg x = (1)\nideal I = [ 2^100000000000000000000*x ]\n"
+    with time_limit(1):
+        [f] = parse_input(text).ideals["I"]
+    assert f.terms == {(1,): pow(2, 10**20, 32003)}
 
 
 @pytest.mark.parametrize("modulus", ["0", "1", "4", "3215031751", str(MODULUS_LIMIT), str(10**30)])

@@ -1,17 +1,20 @@
 """Differential tests of the packed term kernel ring._add_mul and of the
 exponent packing it runs on.
 
-Polynomial +, -, * and unary minus and groebner.substituted_ideal all go
-through the kernel.  The loops they were written with before are kept
-here as references and compared with them over QQ and GF(32003): on sums
-that cancel to zero, on zero, constant and very unequal operands, and on
-random block changes of coordinates, with blocks of one variable and on
-standardized rings.  The kernel itself is compared with the tuple kernel
-it replaced (tests/tuple_kernel.py), and the packing with the tuple order
+Polynomial +, -, * and unary minus and the substitution of
+groebner.gin_trial all go through the kernel.  The loops they were
+written with before are kept here as references and compared with them
+over QQ and GF(32003): on sums that cancel to zero, on zero, constant and
+very unequal operands, and on random block changes of coordinates, with
+blocks of one variable and on standardized rings.  The kernel itself is
+compared with the tuple kernel it replaced (tests/tuple_kernel.py), and
+with the loop that called the field's add and mul methods per term, on
+QQ, two prime fields and intpoly.ZZ; the packing with the tuple order
 keys, divisibility and lcm it stands for.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -22,16 +25,20 @@ from conftest import (
     block_ring,
     constant,
     field_element,
+    order_lcm,
     random_form,
     random_ideal,
     random_positive_ring,
+    substituted_ideal,
+    trial_substitution,
 )
 from mdeg.determinantal import build_determinantal
-from mdeg.fields import GF32003, QQ
+from mdeg.fields import GF32003, MODULUS_LIMIT, QQ, PrimeField, _is_prime
 from mdeg.genin import random_block_change
 from mdeg import groebner
-from mdeg.groebner import Ideal, substituted_ideal
-from mdeg.orders import MonomialOrder, lift_order_phi
+from mdeg.groebner import Ideal
+from mdeg.intpoly import ZZ
+from mdeg.orders import MonomialOrder, grevlex, lex, lift_order_phi, weight_order
 from mdeg.ring import (
     GradedRing,
     Polynomial,
@@ -209,6 +216,92 @@ def test_kernel_raises_overflow_on_a_new_exponent_past_the_guard(bits):
     assert _add_mul(acc, QQ.one, 0, g, QQ, pk.guard) == [pk.pack((0, 2, 0))]
 
 
+def ref_add_mul(acc, c, shift, g, field, guard, skip=None):
+    """The kernel as it was before its coefficient arithmetic was written
+    out: the field's add and mul methods called once per term."""
+    new = []
+    for eg, cg in g.items():
+        if eg == skip:
+            continue
+        e = eg + shift
+        prev = acc.get(e)
+        if prev is None:
+            if e & guard:
+                raise _Overflow
+            acc[e] = field.mul(c, cg)
+            new.append(e)
+        else:
+            nv = field.add(prev, field.mul(c, cg))
+            if nv:
+                acc[e] = nv
+            else:
+                del acc[e]
+    return new
+
+
+class _IntegerMethods:
+    """intpoly.ZZ as it was, with the add and mul methods of a field."""
+
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+
+
+#: The largest prime below fields.MODULUS_LIMIT, the largest modulus of a PrimeField.
+BIG_PRIME = next(q for q in range(MODULUS_LIMIT - 1, 0, -1) if _is_prime(q))
+
+# the field _add_mul is given, and the one with methods for ref_add_mul
+KERNEL_FIELDS = {
+    "QQ": (QQ, QQ),
+    "GF32003": (GF32003, GF32003),
+    "GF(big)": (PrimeField(BIG_PRIME), PrimeField(BIG_PRIME)),
+    "ZZ": (ZZ, _IntegerMethods()),
+}
+
+
+def _kernel_coefficients(field):
+    if field is QQ:
+        return coefficients
+    if field is ZZ:
+        return st.integers(-5, 5)
+    p = field.p
+    return st.one_of(st.integers(0, 3), st.integers(p - 3, p - 1), st.integers(0, p - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_FIELDS)), st.data())
+def test_inlined_arithmetic_matches_the_method_call_loop(name, data):
+    """The same sum, in the same order, and the same new exponents as the
+    loop that called field.add and field.mul, with some terms of acc set to
+    cancel against c * g exactly."""
+    field, methods = KERNEL_FIELDS[name]
+    coeffs = _kernel_coefficients(field).filter(bool)
+    terms = st.dictionaries(exponents, coeffs, max_size=8)
+    acc, g = data.draw(terms), data.draw(terms)
+    c, shift = data.draw(coeffs), data.draw(exponents)
+    minus_one = field.p - 1 if field.p else -1
+    for eg in data.draw(st.lists(st.sampled_from(sorted(g)), max_size=3)) if g else []:
+        e = tuple(map(operator.add, eg, shift))
+        acc[e] = methods.mul(minus_one, methods.mul(c, g[eg]))
+    skip = data.draw(st.sampled_from(sorted(g))) if g and data.draw(st.booleans()) else None
+    pk = _packing(3, 8)
+    got, want = pk.pack_dict(acc), pk.pack_dict(acc)
+    args = (c, pk.pack(shift), pk.pack_dict(g))
+    skip = None if skip is None else pk.pack(skip)
+    new = _add_mul(got, *args, field, pk.guard, skip)
+    assert new == ref_add_mul(want, *args, methods, pk.guard, skip)
+    assert list(got.items()) == list(want.items())
+    assert all(got.values())
+
+
+def test_inlined_arithmetic_cancels_fractions_to_zero():
+    pk = _packing(2, 8)
+    g = {pk.pack((1, 0)): Fraction(2, 3), pk.pack((0, 1)): Fraction(-1, 6)}
+    acc = {pk.pack((1, 1)): Fraction(1, 3), pk.pack((0, 2)): 5}
+    # 1/3 - 1/2 * 2/3 = 0 leaves acc; 5 + 1/2 * 1/6 stays
+    assert _add_mul(acc, Fraction(-1, 2), pk.pack((0, 1)), g, QQ, pk.guard) == []
+    assert acc == {pk.pack((0, 2)): Fraction(61, 12)}
+
+
 def _layouts(n, rows):
     """(MonomialOrder, grevlex?) for grevlex and lex, with and without the
     weight rows."""
@@ -233,8 +326,12 @@ def _layouts(n, rows):
 def test_packed_keys_divisibility_and_lcm_match_tuples(data, bits):
     """Order keys compare as tuple_kernel.order_key does, also with negative
     weights, and divisibility and lcm agree with the exponent tuples; the
-    fields are wide enough for the lcms (exponents up to 40 < 2^7)."""
+    fields are wide enough for the lcms (exponents up to 40 < 2^7).
+    _Packing.lcm, which has no repack, is the lcm of the plain layout."""
     n, monos, rows = data
+    plain = _packing(n, bits)
+    for a, b in itertools.product(monos, repeat=2):
+        assert plain.lcm(plain.pack(a), plain.pack(b)) == plain.pack(tuple_kernel.lcm(a, b))
     rows = [tuple(n * [1])] + rows  # a positive first row keeps a well-order
     for order, is_grevlex in _layouts(n, rows):
         pk = _packing(n, bits, order.weight_rows, is_grevlex)
@@ -246,7 +343,11 @@ def test_packed_keys_divisibility_and_lcm_match_tuples(data, bits):
                 assert ((pa ^ pk.flip) < (pb ^ pk.flip)) == (key(a) < key(b))
                 divides = all(x <= y for x, y in zip(a, b))
                 assert (not (pb - pa) & pk.guard) == divides
-                assert pk.lcm(pa, pb) == pk.pack(tuple_kernel.lcm(a, b))
+                lcm = pk.pack(tuple_kernel.lcm(a, b))
+                assert order_lcm(pk, pa, pb) == lcm
+                # groebner._update_pairs: the variable fields, then one repack
+                lv = (pa & pk.vmask) + pk.excess(pa, pb)
+                assert lv == lcm & pk.vmask and pk.pack(pk.unpack(lv)) == lcm
                 assert pa + pb == pk.pack(tuple(x + y for x, y in zip(a, b)))
 
 
@@ -284,6 +385,18 @@ def _random_linear_images(rng, ring):
     return images
 
 
+def _assert_substitution_matches_reference(rng, J, images):
+    """The substitution of gin_trial, in the layouts of grevlex, lex and a
+    random weight order, and the plain-layout oracle it replaced give the
+    generators of the reference loop."""
+    R = J.ring
+    want = ref_substituted_ideal(J, images).gens
+    assert substituted_ideal(J, images).gens == want
+    weights = [tuple(rng.randrange(1, 5) for _ in range(R.n))]
+    for order in (grevlex(R), lex(R), weight_order(R, weights)):
+        assert trial_substitution(J, images, order) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -300,7 +413,7 @@ def test_substitution_matches_reference(sizes, name, seed):
         images = random_block_change(R, seed)
     else:
         images = _random_linear_images(rng, R)
-    assert substituted_ideal(I, images).gens == ref_substituted_ideal(I, images).gens
+    _assert_substitution_matches_reference(rng, I, images)
 
 
 @settings(max_examples=30, deadline=None)
@@ -312,7 +425,7 @@ def test_substitution_on_standardized_rings_matches_reference(seed):
     I = Ideal(R, [random_form(rng, R, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))])
     J, _ = standardize_ideal(I)
     images = random_block_change(J.ring, seed)
-    assert substituted_ideal(J, images).gens == ref_substituted_ideal(J, images).gens
+    _assert_substitution_matches_reference(rng, J, images)
 
 
 def test_substitution_of_standardized_minors_matches_reference():
@@ -320,7 +433,7 @@ def test_substitution_of_standardized_minors_matches_reference():
     J, _ = standardize_ideal(I)
     assert not I.ring.is_standard and J.ring.is_standard
     images = random_block_change(J.ring, 3)
-    assert substituted_ideal(J, images).gens == ref_substituted_ideal(J, images).gens
+    _assert_substitution_matches_reference(random.Random(3), J, images)
 
 
 def test_substitution_checks_no_degree(monkeypatch):
@@ -344,8 +457,8 @@ def test_substitution_checks_no_degree(monkeypatch):
 
     monkeypatch.setattr(groebner, "is_homogeneous", spy(groebner.is_homogeneous))
     monkeypatch.setattr(GradedRing, "monomial_degree", spy(GradedRing.monomial_degree))
-    assert substituted_ideal(J, images).gens == expected
+    assert trial_substitution(J, images, grevlex(J.ring)) == expected
     # a generator whose image is zero is dropped
-    assert substituted_ideal(I1, [R.zero(), y]).gens == (-y,)
-    assert substituted_ideal(I2, [R.zero(), y]).gens == ()
+    assert trial_substitution(I1, [R.zero(), y], grevlex(R)) == (-y,)
+    assert trial_substitution(I2, [R.zero(), y], grevlex(R)) == ()
     assert asked == []
