@@ -7,9 +7,9 @@ g preserves the multigraded Hilbert series, so K(S/I) is computed once and
 drives every trial's Buchberger run (hilbert.HilbertHint).  Each trial is
 one call of groebner.gin_trial, which substitutes g into the packed layout
 of the monomial order and unpacks only the leading terms it finds.  The
-structure report decomposes the radical of the gin once, and reads both
-its minimal primes and its Stanley-Reisner complex off that one
-decomposition.
+structure report reads the minimal primes of the gin off the associated
+primes of its primary decomposition, so the radical of the gin is
+decomposed once, for its Stanley-Reisner complex.
 """
 
 import random
@@ -154,15 +154,17 @@ def gin_structure_report(I, order=None, trials=2, seed=0):
     if G.is_unit():
         raise EmptyScheme("the ideal cuts out the empty scheme")
     rep.gin = res
-    minimal = minimal_primes(G)
     rep.clauses["borel_fixed"] = bool(res.borel)
     rep.clauses["radical_cohen_macaulay"] = bool(
-        reisner_cm_check(G.radical(), HOMOLOGY_PRIME, minimal)
+        reisner_cm_check(G.radical(), HOMOLOGY_PRIME)
     )
+    associated = [c.prime for c in primary_decomposition(G)]
     rep.clauses["associated_primes_are_block_segments"] = all(
-        borel_prime_exponent(c.prime, G.ring) is not None
-        for c in primary_decomposition(G)
+        borel_prime_exponent(P, G.ring) is not None for P in associated
     )
+    # every associated prime contains a minimal one, and these come sorted
+    # as minimal_primes sorts them
+    minimal = [P for P in associated if not any(Q < P for Q in associated)]
     rep.clauses["minimal_primes_equidimensional"] = len({len(P) for P in minimal}) <= 1
 
     p = G.ring.p

@@ -28,6 +28,7 @@ is pow(c, k, p).
 
 import operator
 import re
+import sys
 from math import comb
 
 from .errors import BadArgument, InputError, NonPrimeModulus
@@ -38,8 +39,12 @@ from .ring import GradedRing, Polynomial, is_homogeneous
 #: Largest C(k + r, r) for a power (f)^k of a parenthesized sum f of r terms.
 POWER_TERMS_LIMIT = 10**6
 
-#: Most bits of the numerator or the denominator of a power c^k of a number over QQ.
-POWER_BITS_LIMIT = 10**6
+#: Most bits of the numerator or the denominator of a power c^k of a number
+#: over QQ, so that every power read can be printed: an int of at most
+#: D log2(10) bits is below 10^D, and D is the most digits Python writes as
+#: a string (sys.get_int_max_str_digits; 4,300 where that is 0 or missing).
+#: 14,284 bits at the default 4,300 digits.
+POWER_BITS_LIMIT = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) * 3321928 // 10**6
 
 # whitespace, then a token, a comment, or a character no token takes
 _TOKEN = re.compile(

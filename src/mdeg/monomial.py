@@ -540,17 +540,14 @@ class SimplicialComplex:
         )
 
 
-def stanley_reisner_complex(I, primes=None):
+def stanley_reisner_complex(I):
     """Complex whose minimal non-faces are the generators of squarefree I:
-    its facets are the complements of the minimal primes of I, which
-    `primes` holds when the caller has them already."""
+    its facets are the complements of the minimal primes of I."""
     if not I.is_squarefree():
         raise NotSquarefree("Stanley-Reisner complex requires a squarefree ideal")
     n = I.ring.n
     verts = [i for i in range(n) if not I.contains(tuple(int(j == i) for j in range(n)))]
-    if primes is None:
-        primes = minimal_primes(I)
-    return SimplicialComplex(verts, [frozenset(range(n)) - P for P in primes])
+    return SimplicialComplex(verts, [frozenset(range(n)) - P for P in minimal_primes(I)])
 
 
 def reduced_homology_ranks(complex_, p):
@@ -583,17 +580,16 @@ def reduced_homology_ranks(complex_, p):
     return ranks
 
 
-def reisner_cm_check(I, p, primes=None):
+def reisner_cm_check(I, p):
     """Cohen-Macaulayness over F_p of the Stanley-Reisner ring of I, a
     squarefree ideal other than the unit ideal (gin-report raises
-    EmptyScheme on a unit gin before it asks); `primes`, when given, are
-    the minimal primes of I, which gin-report has decomposed already.
+    EmptyScheme on a unit gin before it asks).
 
     Checks that every face link has vanishing reduced homology below its
     dimension.  Cone vertices are stripped first; this keeps the desk-scale
     bound honest for Borel-fixed radicals whose core is small.
     """
-    complex_ = stanley_reisner_complex(I, primes).core()
+    complex_ = stanley_reisner_complex(I).core()
     if len(complex_.vertices) > MAX_CORE_VERTICES:
         raise TooManyVertices(
             f"{len(complex_.vertices)} vertices exceeds the limit {MAX_CORE_VERTICES}"

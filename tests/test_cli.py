@@ -472,9 +472,9 @@ PARSE_ERRORS = {
     # 2^(10^20) has 10^20 + 1 bits: refused at the exponent instead of computed
     "err-huge-power-of-a-number": "vars x y\ndeg x = (1)\ndeg y = (1)\n"
     "ideal I = [ 2^100000000000000000000*x ]\n",
-    # 3^630930 has 1,000,001 bits: worked out, then refused at the exponent
+    # 3^9013 has 14,285 bits: worked out, then refused at the exponent
     "err-power-of-a-number-past-the-bit-limit": "vars x y\ndeg x = (1)\ndeg y = (1)\n"
-    "ideal I = [ 3^630930*x ]\n",
+    "ideal I = [ 3^9013*x ]\n",
 }
 GOLDEN_FILES.update({name.replace("-", "_"): text for name, text in PARSE_ERRORS.items()})
 FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}

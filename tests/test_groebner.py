@@ -20,6 +20,7 @@ from conftest import (
     substituted_ideal,
     surface_prime,
     three_block_ring,
+    trial_substitution,
 )
 from mdeg import groebner
 from mdeg.determinantal import build_determinantal
@@ -126,7 +127,8 @@ def _as_if_checked(E):
 @given(st.integers(0, 10_000), st.sampled_from([QQ, GF32003]))
 def test_program_built_ideals_pass_the_generator_checks(seed, field):
     # the results of intersect, contract, standardize_ideal and
-    # build_determinantal are built by Ideal._of, unchecked
+    # build_determinantal are built by Ideal._of, unchecked, and gin_trial
+    # hands the substituted generators to its pair loop unchecked
     rng, R, I = _random_graded_ideal(seed, field)
     built = [intersect(I, random_ideal(rng, R)), standardize_ideal(I)[0]]
     for mask in range(1, 1 << R.p):
@@ -136,6 +138,11 @@ def test_program_built_ideals_pass_the_generator_checks(seed, field):
             pass
     m = rng.randint(1, 3)
     built.append(build_determinantal(m, rng.randint(m, 4), rng.randint(1, m), field)[1])
+    S = block_ring([rng.randint(1, 3) for _ in range(rng.randint(1, 3))], GF32003)
+    J = random_ideal(rng, S, max_degree=3, max_gens=3)
+    images = random_block_change(S, seed)
+    for order in _orders(rng, S):
+        built.append(Ideal._of(S, list(trial_substitution(J, images, order))))
     for E in built:
         assert _as_if_checked(E)
 

@@ -452,11 +452,6 @@ KEPT_UNREACHED = {
         "commands add only monomials outside I (a pivot variable, a proper "
         "factor of a minimal generator, a new leading term)"
     ),
-    ("monomial.py", "stanley_reisner_complex", "primes = minimal_primes(I)"): (
-        "the complex of an ideal whose minimal primes the caller does not "
-        "have: gin-report passes the ones it has decomposed, while the "
-        "acceptance gate and library callers pass the ideal alone"
-    ),
     ("monomial.py", "borel_fixed_check", "return False"): (
         "every gin is Borel-fixed, so only a wrong gin fails"
     ),

@@ -200,6 +200,23 @@ def test_a_power_of_a_number_is_read_up_to_the_bit_limit(monkeypatch, base, bits
         parse_input(text.format(base, k + 1))
 
 
+@pytest.mark.parametrize("base", ["2", "3", "(2/3)", "(-5)", "(1/7)", "1000"])
+def test_every_power_of_a_number_read_can_be_printed(base):
+    """The largest power c^k read at the real POWER_BITS_LIMIT is written
+    back as a ring file and reads back the same, within the digits
+    Python writes for an int."""
+    text = "vars x\ndeg x = (1)\nideal I = [ {}^{}*x ]\n"
+    c = Fraction(base.strip("()"))
+    k = 0
+    while max(abs(q).bit_length() for q in (c ** (k + 1)).as_integer_ratio()) <= inputlang.POWER_BITS_LIMIT:
+        k += 1
+    parsed = parse_input(text.format(base, k))
+    printed = inputlang.format_ring_file(parsed.ring, parsed.ideals)
+    assert parse_input(printed).ideals["I"][0].terms == {(1,): c**k}
+    with pytest.raises(InputError):
+        parse_input(text.format(base, k + 1))
+
+
 @pytest.mark.parametrize("base", ["0", "1", "(-1)"])
 @pytest.mark.parametrize("field", ["QQ", "Fp 32003"])
 def test_a_huge_power_of_zero_or_a_unit_is_read(base, field):
