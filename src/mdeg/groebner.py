@@ -125,8 +125,9 @@ def _make_monic(terms, field):
     c = terms[lt]
     if c == 1:
         return lt, terms
-    inv = field.inv(c)
-    monic = {e: field.mul(inv, v) for e, v in terms.items()}
+    inv, p = field.inv(c), field.p
+    # _add_mul's arithmetic written out, modulo p or plain, with no call per term
+    monic = {e: inv * v % p if p else inv * v for e, v in terms.items()}
     monic[lt] = field.one
     return lt, monic
 

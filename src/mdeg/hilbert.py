@@ -2,40 +2,34 @@
 
 The K-polynomial of S/I is the numerator of the multigraded Hilbert series
 over prod(1 - t^deg(x)).  For monomial ideals it is computed by the
-variable-splitting recursion, on dicts from t-exponents packed into ints
-(ring._Packing, one field per grading coordinate) to coefficients;
-general homogeneous ideals go through their initial ideal, which has the
-same Hilbert function.  The multidegree C is the lowest-degree part of
+variable-splitting recursion (MonomialIdeal._pivot_split), on dicts from
+t-exponents packed into ints (ring._Packing, one field per grading
+coordinate) to coefficients, whose leaves read exponent tuples; general
+homogeneous ideals go through their initial ideal, which has the same
+Hilbert function.  The multidegree C is the lowest-degree part of
 K(S/I; 1 - t).  multidegree_C walks the same pivot tree without
 expanding K(1 - t): each node keeps only its codimension and lowest
-part.  Every lowest part has positive coefficients and the factor
-(1 - t)^deg(x) of a split starts with 1, so a split adds its children's
-lowest parts without cancellation.  The other invariants are read off
-K(1 - t).  finite_length reads the length of a finite-length module off
-its K-polynomial; local_length, the length of H^0 of S/I at a monomial
-prime, is the weight of each associated prime in the arithmetic
-multidegree and the component length of the gin report.
+part, and codimension is the root's.  Every lowest part has positive
+coefficients and the factor (1 - t)^deg(x) of a split starts with 1, so
+a split adds its children's lowest parts without cancellation.  The
+other invariants are read off K(1 - t).  finite_length reads the length
+of a finite-length module off its K-polynomial; local_length, the length
+of H^0 of S/I at a monomial prime, is the weight of each associated prime
+in the arithmetic multidegree and the component length of the gin report.
 HilbertHint carries K(S/I) into Buchberger runs on ideals with that
 Hilbert function, and takes their leading terms as packed ints.
-hilbert_function_oracle counts standard monomials instead, as an
-independent check of K (the hf-oracle command).
+hilbert_function_oracle counts MonomialIdeal.standard_monomials of the
+initial ideal instead, as an independent check of K (hf-oracle).
 """
 
-from functools import reduce
+from collections import Counter
 from math import comb, prod
-from operator import add, gt, mul
+from operator import mul
 
 from .errors import BadArgument, BoundTooLarge, EmptyScheme, NotStandardGraded
 from .groebner import saturate_irrelevant, saturate_var_block
 from .intpoly import ZZ, IntegerPolynomial
-from .monomial import (
-    MonomialIdeal,
-    _has_divisor,
-    codim_of,
-    localize_at,
-    minimalize,
-    primary_decomposition,
-)
+from .monomial import MonomialIdeal, localize_at, minimalize, primary_decomposition
 from .ring import _add_mul, _field_bits, _packing, _times
 
 #: Largest componentwise bound hilbert_function_oracle enumerates up to.
@@ -55,8 +49,7 @@ def k_polynomial_monomial(I):
     lcm, and so do lcm(I + (x)) and lcm(I : x) * x.
     """
     ring = I.ring
-    pk = I._pk
-    top = ring.monomial_degree(pk.unpack(reduce(pk.lcm, I._ints, 0)))
+    top = ring.monomial_degree([max(column) for column in zip(*I.gens)])
     tpk = _packing(ring.p, _field_bits(max(top, default=0)))
     terms = _k_packed(I, [tpk.pack(d) for d in ring.degrees])
     return IntegerPolynomial(ring.p, tpk.unpack_dict(terms))
@@ -70,9 +63,8 @@ def _k_packed(I, tdeg):
     split = I._pivot_split()
     if split is None:
         out = {0: 1}
-        unpack = I._pk.unpack
-        for g in I._ints:
-            _add_mul(out, -1, sum(map(mul, unpack(g), tdeg)), dict(out), ZZ, 0)
+        for g in I.gens:
+            _add_mul(out, -1, sum(map(mul, g, tdeg)), dict(out), ZZ, 0)
         return out
     i, plus, quot = split
     out = _k_packed(plus, tdeg)
@@ -168,7 +160,9 @@ class HilbertHint:
 
 
 def codimension(I):
-    return codim_of(I.initial_ideal())
+    """codim I, which _c_packed finds on in(I) as the total degree of every
+    term of C(S/I); n + 1 for the unit ideal, whose C is 0."""
+    return min(map(sum, multidegree_C(I).terms), default=I.ring.n + 1)
 
 
 def multidegree_C(I, order=None):
@@ -199,18 +193,18 @@ def multidegree_C(I, order=None):
 def _c_packed(I, units):
     """(codim I, C(S/I)) for a monomial ideal by multidegree_C's
     recursion, C as a dict from packed t-exponent to coefficient, units[k]
-    the packed t_k; the unit ideal gets codim n + 1, as in
-    monomial.codim_of, and C = 0."""
+    the packed t_k; the unit ideal gets codim n + 1, one more than any
+    proper ideal's, and C = 0."""
     if I.is_unit():
         return I.ring.n + 1, {}
     split = I._pivot_split()
     if split is None:
         out = {0: 1}
-        degree, unpack = I.ring.monomial_degree, I._pk.unpack
-        for g in I._ints:
-            form = {u: d for u, d in zip(units, degree(unpack(g))) if d}
+        degree = I.ring.monomial_degree
+        for g in I.gens:
+            form = {u: d for u, d in zip(units, degree(g)) if d}
             out = _times(out, form, ZZ, 0)
-        return len(I._ints), out
+        return len(I.gens), out
     _, plus, quot = split
     c, C = _c_packed(plus, units)
     cq, Cq = _c_packed(quot, units)
@@ -332,10 +326,11 @@ def geometric_multidegrees(I):
 def hilbert_function_oracle(I, bound):
     """Exact Hilbert function values for all multidegrees <= bound.
 
-    Counts standard monomials of the initial ideal degree by degree, so
-    it does not depend on the K-polynomial recursion; the componentwise
-    bound is capped at ORACLE_BOUND_LIMIT because the enumeration is
-    exponential in it.  Returns a dict nu -> dim_k (S/I)_nu.
+    Counts the standard monomials of the initial ideal
+    (MonomialIdeal.standard_monomials) degree by degree, so it does not
+    depend on the K-polynomial recursion; the componentwise bound is
+    capped at ORACLE_BOUND_LIMIT because the enumeration is exponential in
+    it.  Returns a dict nu -> dim_k (S/I)_nu.
     """
     ring = I.ring
     bound = tuple(bound)
@@ -345,26 +340,7 @@ def hilbert_function_oracle(I, bound):
         raise BadArgument("bound must be componentwise non-negative")
     if any(b > ORACLE_BOUND_LIMIT for b in bound):
         raise BoundTooLarge(f"componentwise bound above {ORACLE_BOUND_LIMIT}")
-    mono = I.initial_ideal()
-    n, degrees = ring.n, ring.degrees
-    # every variable has a nonzero degree, so no exponent of the walk
-    # passes ORACLE_BOUND_LIMIT + 1, which a field of any width holds: the
-    # walk adds packed unit vectors to a packed exponent
-    ints, guard = mono._ints, mono._pk.guard
-    units = [mono._unit_vector(i) for i in range(n)]
-    counts = {}
-
-    def rec(i, p, deg):
-        """Count the standard monomials of degree <= bound whose exponents
-        before variable i are those of the packed p, of degree deg."""
-        if i == n:
-            counts[deg] = counts.get(deg, 0) + 1
-            return
-        step = degrees[i]
-        while not (any(map(gt, deg, bound)) or _has_divisor(ints, p, guard)):
-            rec(i + 1, p, deg)
-            p += units[i]
-            deg = tuple(map(add, deg, step))
-
-    rec(0, 0, (0,) * ring.p)
-    return counts
+    tpk = _packing(ring.p, _field_bits(max(bound, default=0)))  # holds each degree counted
+    tdeg = [tpk.pack(d) for d in ring.degrees]
+    standard = I.initial_ideal().standard_monomials(bound)
+    return tpk.unpack_dict(Counter(sum(map(mul, e, tdeg)) for e in standard))

@@ -20,10 +20,10 @@ costs one multiplication of exponents, and + and - add the product into
 the dict.  Only a parenthesized sum of several terms is a Polynomial,
 multiplied and raised to powers by Polynomial arithmetic; a power (f)^k
 of a sum of r terms is refused when C(k + r, r), which bounds the terms
-of f, f^2, ..., f^k together, passes POWER_TERMS_LIMIT.  Over QQ a power
-c^k of a number is refused when the numerator or the denominator of c^k
-would have more than POWER_BITS_LIMIT bits (_capped_power); over Fp it
-is pow(c, k, p).
+of f, f^2, ..., f^k together, passes POWER_TERMS_LIMIT.  Over QQ no
+coefficient may have a numerator or denominator of more than
+POWER_BITS_LIMIT bits, and a power is refused before it is worked out
+(_capped_power); over Fp a power c^k of a number is pow(c, k, p).
 """
 
 import operator
@@ -39,8 +39,8 @@ from .ring import GradedRing, Polynomial, is_homogeneous
 #: Largest C(k + r, r) for a power (f)^k of a parenthesized sum f of r terms.
 POWER_TERMS_LIMIT = 10**6
 
-#: Most bits of the numerator or the denominator of a power c^k of a number
-#: over QQ, so that every power read can be printed: an int of at most
+#: Most bits of the numerator or the denominator of a coefficient over QQ,
+#: so that every coefficient read can be printed: an int of at most
 #: D log2(10) bits is below 10^D, and D is the most digits Python writes as
 #: a string (sys.get_int_max_str_digits; 4,300 where that is 0 or missing).
 #: 14,284 bits at the default 4,300 digits.
@@ -53,6 +53,11 @@ _TOKEN = re.compile(
 )
 
 
+def _bits(c):
+    """Bits of the wider of the numerator and denominator of c, an int or Fraction."""
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
 def _capped_power(c, k):
     """c^k for an int or Fraction c, or None when its numerator or its
     denominator would have more than POWER_BITS_LIMIT bits.
@@ -61,13 +66,10 @@ def _capped_power(c, k):
     refused unworked when (b - 1) k reaches the limit; otherwise a^k has
     fewer than b k < 2 * POWER_BITS_LIMIT bits and is worked out.  A base
     of at most one bit (0, 1, -1) passes for every k."""
-    parts = (c.numerator, c.denominator)
-    if any((a.bit_length() - 1) * k >= POWER_BITS_LIMIT for a in parts):
+    if (_bits(c) - 1) * k >= POWER_BITS_LIMIT:
         return None
     out = c**k
-    if any(a.bit_length() > POWER_BITS_LIMIT for a in (out.numerator, out.denominator)):
-        return None
-    return out
+    return None if _bits(out) > POWER_BITS_LIMIT else out
 
 
 class _Tok:
@@ -78,6 +80,15 @@ class _Tok:
         self.text = text
         self.line = line
         self.col = col
+
+
+def _number(t):
+    """The int of the "num" token t; a number of more digits than Python
+    reads into an int is an input error at t."""
+    try:
+        return int(t.text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise InputError(f"number of {len(t.text)} digits is too long", t.line, t.col) from None
 
 
 def _tokenize(text):
@@ -206,7 +217,7 @@ class _Parser:
         if t.text == "Fp":
             n = self.expect("num")
             try:
-                return PrimeField(int(n.text))
+                return PrimeField(_number(n))
             except (BadArgument, NonPrimeModulus) as e:
                 self.error(str(e), n)
         self.error(f"unknown field {t.text!r} (use QQ or Fp <prime>)", t)
@@ -233,10 +244,10 @@ class _Parser:
             self.error(f"unknown variable {t.text!r}", t)
         self.expect("op", "=")
         self.expect("op", "(")
-        comps = [int(self.expect("num").text)]
+        comps = [_number(self.expect("num"))]
         while self.peek().text == ",":
             self.next()
-            comps.append(int(self.expect("num").text))
+            comps.append(_number(self.expect("num")))
         self.expect("op", ")")
         return t, tuple(comps)
 
@@ -288,10 +299,19 @@ def _build_poly(ring, toks):
         t = t or toks[-1]
         raise InputError(msg, t.line, t.col)
 
+    def fit(t, cs):
+        """Over QQ, an input error at the token t when a coefficient of cs
+        has more than POWER_BITS_LIMIT bits, so that it can be printed: a
+        sum of like terms, each factor but a variable and each product
+        with a sum is checked, so none grows past twice the limit."""
+        if not F.p and max(map(_bits, cs), default=0) > POWER_BITS_LIMIT:
+            err(f"coefficient too large: more than {POWER_BITS_LIMIT} bits", t)
+
     def add(out, e, c):
         prev = out.get(e)
         if prev is not None:
             c = F.add(prev, c)
+            fit(toks[pos - 1], (c,))
         if c:
             out[e] = c
         else:
@@ -314,6 +334,7 @@ def _build_poly(ring, toks):
             else:
                 for pe, pc in poly.terms.items():
                     add(out, tuple(map(operator.add, pe, e)), F.mul(c, pc))
+                fit(toks[pos - 1], out.values())
             t = peek()
             if t is None or t.text not in ("+", "-"):
                 return out
@@ -323,17 +344,21 @@ def _build_poly(ring, toks):
     def term():
         """(coefficient, exponent list, Polynomial or None) of a product:
         its monomial factors multiply into the coefficient and the
-        exponents, the others into the Polynomial."""
+        exponents, the others into the Polynomial; each factor but a
+        variable is checked (fit) at its last token."""
         nonlocal pos
         c, e, poly = F.one, [0] * ring.n, None
         while True:
             fc, fe, fp = factor()
             if fp is None:
                 c = F.mul(c, fc)
+                if fc != F.one:
+                    fit(toks[pos - 1], (c,))
                 for i, k in fe.items():
                     e[i] += k
             else:
                 poly = fp if poly is None else poly * fp
+                fit(toks[pos - 1], poly.terms.values())
             t = peek()
             if t is None:
                 return c, e, poly
@@ -357,7 +382,7 @@ def _build_poly(ring, toks):
             if k is None or k.kind != "num":
                 err("expected an integer after " + t.text, k)
             pos += 1
-            m = int(k.text)
+            m = _number(k)
             if t.text == "^":
                 if poly is None:
                     if F.p:
@@ -380,6 +405,9 @@ def _build_poly(ring, toks):
                             f"C({m} + {r}, {r}) > {POWER_TERMS_LIMIT}",
                             k,
                         )
+                    # refused unworked when f's widest coefficient to the m passes the limit
+                    if not F.p and _capped_power(max(poly.terms.values(), key=_bits), m) is None:
+                        err(f"power {m} of a sum is too large: more than {POWER_BITS_LIMIT} bits", k)
                     poly = poly**m
             else:
                 d = F.coerce(m)
@@ -397,7 +425,7 @@ def _build_poly(ring, toks):
             err("unexpected end of polynomial")
         pos += 1
         if t.kind == "num":
-            return F.coerce(int(t.text)), {}, None
+            return F.coerce(_number(t)), {}, None
         if t.kind == "name":
             if t.text not in index:
                 err(f"unknown variable {t.text!r}", t)

@@ -1,30 +1,31 @@
 """Combinatorics of monomial ideals.
 
-Minimal generators, codimension and minimal primes, irreducible and
-primary decomposition, localization at a monomial prime, Borel-fixedness
-and the Reisner Cohen-Macaulayness test all live here; everything is
-exact and field-free except the homology ranks, which are computed modulo
-a prime.
+Minimal generators and minimal primes, irreducible and primary
+decomposition, localization at a monomial prime, standard monomials,
+Borel-fixedness and the Reisner Cohen-Macaulayness test all live here;
+everything is exact and field-free except the homology ranks, which are
+computed modulo a prime.
 
 A MonomialIdeal stores its minimal generators as ints, packed by the one
 exponent packing of ring._Packing in its plain layout: a field of B bits
-per variable with a guard bit on top, x_1 in the top field.  Int order is
-then lex order on exponent tuples, a proper divisor is a smaller int, and
-a | b is `not (b - a) & GUARD`.  So the minimal generators are found by
-sorting the ints and keeping each one that no kept one divides; a colon
-is the fieldwise max(g - m, 0) of `_Packing.excess`, an intersection the
-lcm of each pair of generators, a variable saturation and the radical are
-field masks.  B is the narrowest of 8, 16, 32, ... bits that holds every
-exponent of the minimal generators (_field_bits), so two equal ideals
-have the same B and the same ints.  Exponent tuples are only read and
-written at the public boundary: the constructor, `gens` (unpacked once,
-on first use) and the tuple arguments of contains, add_monomial and
-colon_monomial.
+per variable with a guard bit on top, x_1 in the top field.  Int order
+is then lex order on exponent tuples, a proper divisor is a smaller int,
+and a | b is `not (b - a) & GUARD`.  So the minimal generators are found
+by sorting the ints and keeping each one that no kept one divides; a
+colon is the fieldwise max(g - m, 0) of `_Packing.excess`, an
+intersection the lcm of each pair of generators, a variable saturation
+and the radical are field masks, and the standard monomials a walk over
+packed exponents.  B is the narrowest of 8, 16, 32, ... bits that holds
+every exponent of the minimal generators (_field_bits), so two equal
+ideals have the same B and the same ints.  Exponent tuples are only read
+and written at the public boundary: the constructor, `gens` (unpacked
+once, on first use), the tuple arguments of contains, add_monomial and
+colon_monomial, and the tuples standard_monomials returns.
 """
 
 from bisect import bisect_right
 from functools import reduce
-from operator import or_
+from operator import add, gt, or_
 
 from .errors import (
     BadArgument,
@@ -301,32 +302,35 @@ class MonomialIdeal:
                 )
         return None
 
-    def standard_monomials(self):
-        """All monomials outside the ideal; requires finite colength."""
-        n = self.ring.n
-        bounds = [0] * n
-        for g in self.gens:
-            for i, e in enumerate(g):
-                bounds[i] = max(bounds[i], e)
-        out = []
+    def standard_monomials(self, bound):
+        """The monomials outside the ideal of degree <= bound componentwise,
+        as exponent tuples: a walk that raises one variable at a time and
+        stops at a multiple of a generator or past the bound.  No variable
+        has degree 0, so no exponent passes max(bound) + 1, which the
+        fields are widened to hold."""
+        n, degrees = self.ring.n, self.ring.degrees
+        pk, ints = self._at(_field_bits(max(bound, default=0) + 1))
+        guard = pk.guard
+        units = [pk.pack([int(j == i) for j in range(n)]) for i in range(n)]
+        e, out = [0] * n, []
 
-        def rec(i, cur):
+        def walk(i, p, deg):
+            """Whether e, packed as p, of degree deg and 0 from x_i on, is
+            standard of degree <= bound; if so, add each such monomial
+            that agrees with e before x_i."""
+            if any(map(gt, deg, bound)) or _has_divisor(ints, p, guard):
+                return False
             if i == n:
-                m = tuple(cur)
-                if not self.contains(m):
-                    out.append(m)
-                return
-            for e in range(bounds[i] + 1):
-                cur.append(e)
-                rec(i + 1, cur)
-                cur.pop()
+                out.append(tuple(e))
+                return True
+            while walk(i + 1, p, deg):
+                p += units[i]
+                e[i] += 1
+                deg = tuple(map(add, deg, degrees[i]))
+            e[i] = 0
+            return True
 
-        # finite colength means every variable has a pure power in the ideal;
-        # detect the contrary to avoid an unbounded enumeration
-        for i in range(n):
-            if not any(all(j == i or e == 0 for j, e in enumerate(g)) for g in self.gens):
-                raise ValueError("ideal does not have finite colength")
-        rec(0, [])
+        walk(0, 0, (0,) * self.ring.p)
         return out
 
 
@@ -341,7 +345,7 @@ def from_polynomial_gens(ring, polys):
 
 
 # ---------------------------------------------------------------------------
-# minimal primes / codimension
+# minimal primes
 
 
 def minimal_primes(I):
@@ -354,12 +358,6 @@ def minimal_primes(I):
         for P in irreducible_decomposition(I.radical())
     )
     return sorted(supports, key=lambda c: (len(c), sorted(c)))
-
-
-def codim_of(I):
-    if I.is_unit():
-        return I.ring.n + 1
-    return min(len(P) for P in minimal_primes(I))
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ class GradedRing:
         self.field = field
         self.n = len(names)
         self._index = {nm: i for i, nm in enumerate(names)}
+        self._columns = tuple(zip(*degrees))  # the degrees' k-th coordinates
 
     @property
     def is_standard(self):
@@ -106,12 +107,7 @@ class GradedRing:
 
     def monomial_degree(self, exps):
         """Multidegree in N^p of the monomial with the given exponents."""
-        d = [0] * self.p
-        for e, dv in zip(exps, self.degrees):
-            if e:
-                for k in range(self.p):
-                    d[k] += e * dv[k]
-        return tuple(d)
+        return tuple([sum(map(mul, exps, column)) for column in self._columns])
 
     def __eq__(self, other):
         return (

@@ -3,10 +3,10 @@
 phi sends each variable x_i of degree (a_1,..,a_p) to a product of
 sum(a_k) new variables, a_1 of degree e_1 first, then a_2 of degree e_2
 and so on.  The substitution preserves codimension, K-polynomial and
-multidegree, and carries initial ideals to initial ideals under the
-lifted order; verify_standardization checks all of that on a concrete
-ideal.  cs_check then asks whether the standardized ideal has squarefree
-generic initial ideal.
+multidegree (all three read off initial ideals), and carries initial
+ideals to initial ideals under the lifted order; verify_standardization
+checks all of that on a concrete ideal.  cs_check then asks whether the
+standardized ideal has squarefree generic initial ideal.
 """
 
 from .genin import gin
@@ -88,8 +88,8 @@ def verify_standardization(I, std_map=None):
     K-polynomial, the multidegree and the initial-ideal compatibility
     in_{>'}(phi(I)) = phi(in_>(I)) under grevlex > and its lift >'.  The
     unit ideal passes the codimension clause: its image is the unit ideal,
-    though monomial.codim_of gives each the number of its ring's variables
-    plus 1.
+    though hilbert.codimension gives each the number of its ring's
+    variables plus 1.
     """
     order = grevlex(I.ring)
     if std_map is None:

@@ -366,6 +366,15 @@ def ideal_contains(I, f):
     return not normal_form(I, f)
 
 
+def codim_of(I):
+    """codim of the monomial ideal I from its minimal primes, n + 1 for the
+    unit ideal: the oracle of hilbert.codimension, which multidegree_C's
+    recursion finds."""
+    if I.is_unit():
+        return I.ring.n + 1
+    return min(len(P) for P in minimal_primes(I))
+
+
 def mlength(I):
     """Maximal length of the minimal primary components of the monomial
     ideal I."""

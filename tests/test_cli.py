@@ -475,6 +475,18 @@ PARSE_ERRORS = {
     # 3^9013 has 14,285 bits: worked out, then refused at the exponent
     "err-power-of-a-number-past-the-bit-limit": "vars x y\ndeg x = (1)\ndeg y = (1)\n"
     "ideal I = [ 3^9013*x ]\n",
+    # a number of 4,301 digits, one more than Python reads into an int by
+    # default: refused at the number
+    "err-number-past-the-digit-limit": "vars x\ndeg x = (1)\nideal I = [ x^" + "1" * 4301 + " ]\n",
+    # coefficients of 2^28000, past the bit limit, from factors that are
+    # not: refused at the last token of the factor or the term that makes
+    # them, or at the exponent of a sum before the power is worked out
+    "err-product-of-numbers-past-the-bit-limit": "vars x y\ndeg x = (1)\ndeg y = (1)\n"
+    "ideal I = [ 2^14000*2^14000*x + y ]\n",
+    "err-square-of-a-sum-past-the-bit-limit": "vars x y\ndeg x = (1)\ndeg y = (1)\n"
+    "ideal I = [ (2^14000*x + y)^2 ]\n",
+    "err-number-times-a-sum-past-the-bit-limit": "vars x y\ndeg x = (1)\ndeg y = (1)\n"
+    "ideal I = [ 2^14000*x*(2^14000*x + y) ]\n",
 }
 GOLDEN_FILES.update({name.replace("-", "_"): text for name, text in PARSE_ERRORS.items()})
 FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     add_empty_block,
@@ -66,6 +66,7 @@ def test_gin_has_the_k_polynomial_of_the_ideal(seed, empty_block):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.booleans())
+@example(9071, True)
 def test_gin_does_not_depend_on_the_order_of_the_generators(seed, empty_block):
     rng = random.Random(seed)
     R = random_standard_ring(rng, max_vars=5, field=GF32003)
@@ -76,7 +77,17 @@ def test_gin_does_not_depend_on_the_order_of_the_generators(seed, empty_block):
     rng.shuffle(gens)
     if gens == list(I.gens):
         gens.reverse()
-    assert gin(Ideal(R, gens), seed=seed).ideal == gin(I, seed=seed).ideal
+
+    def outcome(J):
+        """gin(J), or Unstable: a trial's change of coordinates can be
+        special for J (at seed 9071 one kills the x^2 term of a quadric),
+        and it is then special for every order of J's generators."""
+        try:
+            return gin(J, seed=seed).ideal
+        except Unstable:
+            return Unstable
+
+    assert outcome(Ideal(R, gens)) == outcome(I)
 
 
 def test_gin_trial_with_another_hilbert_function_is_unstable(monkeypatch):

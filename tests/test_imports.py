@@ -3,7 +3,8 @@ used in that module, the package's imports sit at module level unless
 they have a reason not to, every function and method of the package is
 executed by a command, demo or README example, and so is every statement
 that KEPT_UNREACHED does not name, no module of the package holds an
-assert statement, and every error class is raised.
+assert statement, every error class is raised, and no module of the
+package imports a private name from another one but ring.py.
 
 The package's ``__init__.py`` imports names only to re-export them, so it
 is exempt from the first check.  For the second, LOCAL_IMPORTS names the
@@ -25,7 +26,8 @@ the exit-code contract needs errors that are raised under every flag.
 The sixth names each class of ``errors.py`` that no raise statement of
 the package names, leaving out the classes another one derives from
 (MdegError, BadArgument): an error that nothing raises is an error no
-caller can meet.
+caller can meet.  The seventh keeps each module's private names its own,
+those of ring.py aside: its term kernel and exponent packing are shared.
 """
 import ast
 import contextlib
@@ -124,6 +126,49 @@ def test_function_level_imports_are_found():
 def test_no_function_level_imports(path):
     found = function_level_imports(path.read_text())
     assert [(line, f) for line, f in found if (path.name, f) not in LOCAL_IMPORTS] == []
+
+
+def private_imports(source):
+    """(line, module, name) of each private name, one with a single
+    leading underscore, that `source` imports from a module of its own
+    package (``from .module import _name``; module None for ``from .``)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    out.append((node.lineno, node.module, alias.name))
+    return sorted(out)
+
+
+def test_private_imports_are_found():
+    source = (
+        "from .ring import Polynomial, _add_mul\n"
+        "from .monomial import (\n"
+        "    MonomialIdeal,\n"
+        "    _has_divisor,\n"
+        ")\n"
+        "from . import _kernel, __version__\n"
+        "from os import _exit\n"
+        "def f():\n"
+        "    from .groebner import _packed\n"
+    )
+    assert private_imports(source) == [
+        (1, "ring", "_add_mul"),
+        (2, "monomial", "_has_divisor"),
+        (6, None, "_kernel"),
+        (9, "groebner", "_packed"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_private_names_are_imported_only_from_ring(path):
+    """ring.py's term kernel and exponent packing are shared by the
+    package; every other module's private names stay inside it, so that
+    only its own module knows, for one, how a MonomialIdeal packs its
+    generators."""
+    found = private_imports(path.read_text())
+    assert [(line, module, name) for line, module, name in found if module != "ring"] == []
 
 
 def definitions(path):
@@ -404,37 +449,6 @@ def test_no_unused_definitions(path):
 # Statements of src/mdeg that no command, demo or README example runs,
 # kept on purpose, keyed by (file name, enclosing function, text of the
 # statement's first line) and mapped to the reason.
-_BENCHMARK_ONLY = (
-    "no command enumerates standard monomials; mdegbench/tracing.py's "
-    "METHODS looks standard_monomials up with vars(owner)[attr], so every "
-    "--trace 1 run needs it (ROADMAP item 1)"
-)
-_STANDARD_MONOMIALS = {
-    "MonomialIdeal.standard_monomials": [
-        "n = self.ring.n",
-        "bounds = [0] * n",
-        "for g in self.gens:",
-        "for i, e in enumerate(g):",
-        "bounds[i] = max(bounds[i], e)",
-        "out = []",
-        "def rec(i, cur):",
-        "for i in range(n):",
-        "if not any(all(j == i or e == 0 for j, e in enumerate(g)) for g in self.gens):",
-        "rec(0, [])",
-        "return out",
-    ],
-    "MonomialIdeal.standard_monomials.<locals>.rec": [
-        "if i == n:",
-        "m = tuple(cur)",
-        "if not self.contains(m):",
-        "out.append(m)",
-        "return",
-        "for e in range(bounds[i] + 1):",
-        "cur.append(e)",
-        "rec(i + 1, cur)",
-        "cur.pop()",
-    ],
-}
 KEPT_UNREACHED = {
     ("cli.py", "cmd_standardize", "return EXIT_CHECK_FAILED"): (
         "a failed standardize --verify: standardization keeps every checked "
@@ -479,11 +493,6 @@ KEPT_UNREACHED = {
         "standardize_ideal of a MonomialIdeal: no command passes one, but "
         "acceptance criterion 7 verifies monomial ideals"
     ),
-    **{
-        ("monomial.py", function, text): _BENCHMARK_ONLY
-        for function, texts in _STANDARD_MONOMIALS.items()
-        for text in texts
-    },
 }
 
 

@@ -200,21 +200,49 @@ def test_a_power_of_a_number_is_read_up_to_the_bit_limit(monkeypatch, base, bits
         parse_input(text.format(base, k + 1))
 
 
-@pytest.mark.parametrize("base", ["2", "3", "(2/3)", "(-5)", "(1/7)", "1000"])
-def test_every_power_of_a_number_read_can_be_printed(base):
-    """The largest power c^k read at the real POWER_BITS_LIMIT is written
-    back as a ring file and reads back the same, within the digits
-    Python writes for an int."""
-    text = "vars x\ndeg x = (1)\nideal I = [ {}^{}*x ]\n"
+# generators whose widest coefficient is c^k, for c the base b, h = k // 2
+# and r = k - h, by a power, a product of two numbers, a number times a
+# sum, a product of two sums and the square of a sum (c^(2h) there)
+PRODUCTS = {
+    "power": "{b}^{k}*x",
+    "numbers": "{b}^{h}*{b}^{r}*x + y",
+    "number times sum": "{b}^{h}*x*({b}^{r}*x + y)",
+    "sum times sum": "({b}^{h}*x + y)*({b}^{r}*x - y)",
+    "square of a sum": "({b}^{h}*x + y)^2",
+}
+
+
+@pytest.mark.parametrize(
+    "base, form",
+    [
+        pytest.param(base, form, id=base if form == "power" else f"{base}-{form}")
+        for form in PRODUCTS
+        for base in ["2", "3", "(2/3)", "(-5)", "(1/7)", "1000"]
+    ],
+)
+def test_every_power_of_a_number_read_can_be_printed(base, form):
+    """The widest coefficient c^k read at the real POWER_BITS_LIMIT, by a
+    power of a number or by a product, is written back as a ring file and
+    reads back the same, within the digits Python writes for an int; the
+    next power is refused."""
+    text = "vars x y\ndeg x = (1)\ndeg y = (1)\nideal I = [ {} ]\n"
     c = Fraction(base.strip("()"))
     k = 0
     while max(abs(q).bit_length() for q in (c ** (k + 1)).as_integer_ratio()) <= inputlang.POWER_BITS_LIMIT:
         k += 1
-    parsed = parse_input(text.format(base, k))
+    if form == "square of a sum":
+        k -= k % 2
+
+    def generator(k):
+        return text.format(PRODUCTS[form].format(b=base, k=k, h=k // 2, r=k - k // 2))
+
+    parsed = parse_input(generator(k))
+    [f] = parsed.ideals["I"]
+    assert c**k in f.terms.values()
     printed = inputlang.format_ring_file(parsed.ring, parsed.ideals)
-    assert parse_input(printed).ideals["I"][0].terms == {(1,): c**k}
+    assert parse_input(printed).ideals["I"][0].terms == f.terms
     with pytest.raises(InputError):
-        parse_input(text.format(base, k + 1))
+        parse_input(generator(k + 2 if form == "square of a sum" else k + 1))
 
 
 @pytest.mark.parametrize("base", ["0", "1", "(-1)"])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    codim_of,
     dimension_filtration,
     mlength,
     random_monomial_ideal,
@@ -18,7 +19,6 @@ from mdeg.monomial import (
     PrimaryComponent,
     borel_fixed_check,
     borel_prime_exponent,
-    codim_of,
     irreducible_decomposition,
     minimal_primes,
     minimalize,
@@ -26,7 +26,7 @@ from mdeg.monomial import (
     reisner_cm_check,
     stanley_reisner_complex,
 )
-from mdeg.hilbert import k_polynomial_monomial, local_length
+from mdeg.hilbert import codimension, k_polynomial_monomial, local_length
 from mdeg.ring import make_ring
 import tuple_monomial
 
@@ -47,7 +47,7 @@ def test_dimension_and_minimal_primes():
     R = std_ring(3)
     # (xy, xz) = (x) cap (y, z)
     I = MonomialIdeal(R, [(1, 1, 0), (1, 0, 1)])
-    assert R.n - codim_of(I) == 2
+    assert R.n - codim_of(I) == 2 == R.n - codimension(I)
     assert sorted(sorted(P) for P in minimal_primes(I)) == [[0], [1, 2]]
 
 
@@ -55,9 +55,9 @@ def test_unit_and_zero_edge_cases():
     R = std_ring(2)
     unit = MonomialIdeal(R, [(0, 0)])
     assert unit.is_unit()
-    assert R.n - codim_of(unit) == -1 and minimal_primes(unit) == []
+    assert R.n - codim_of(unit) == -1 == R.n - codimension(unit) and minimal_primes(unit) == []
     zero = MonomialIdeal(R, [])
-    assert R.n - codim_of(zero) == 2 and minimal_primes(zero) == [frozenset()]
+    assert R.n - codim_of(zero) == 2 == R.n - codimension(zero) and minimal_primes(zero) == [frozenset()]
     assert irreducible_decomposition(zero) == [zero]
     (comp,) = primary_decomposition(zero)
     assert (comp.prime, comp.component, local_length(zero, comp.prime)) == (frozenset(), zero, 1)
