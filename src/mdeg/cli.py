@@ -77,12 +77,13 @@ def _load(args, ideal=None):
 def _emit(args, ring, kind, result, text, notes=(), rc=EXIT_OK):
     """Print one result and return rc.
 
-    With --json: one canonical line {"result": {..., "kind": kind}}, plus
-    "ring" unless ring is None.  Otherwise the text lines go to stdout and
-    the notes to stderr.
+    `result` and `text` are functions of no argument, and only the one
+    printed is called.  With --json: one canonical line {"result":
+    {...result(), "kind": kind}}, plus "ring" unless ring is None.
+    Otherwise the lines of text() go to stdout and the notes to stderr.
     """
     if args.json:
-        obj = {"result": {**result, "kind": kind}}
+        obj = {"result": {**result(), "kind": kind}}
         if ring is not None:
             obj["ring"] = {
                 "field": f"Fp {ring.field.p}" if ring.field.p else "QQ",
@@ -91,7 +92,7 @@ def _emit(args, ring, kind, result, text, notes=(), rc=EXIT_OK):
             }
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
-        for line in text:
+        for line in text():
             print(line)
         for line in notes:
             print(line, file=sys.stderr)
@@ -99,8 +100,9 @@ def _emit(args, ring, kind, result, text, notes=(), rc=EXIT_OK):
 
 
 def _emit_poly(args, ring, kind, poly):
-    result = {"poly": poly.to_json_obj(), "meta": {}}
-    return _emit(args, ring, kind, result, [str(poly)])
+    return _emit(
+        args, ring, kind, lambda: {"poly": poly.to_json_obj(), "meta": {}}, lambda: [str(poly)]
+    )
 
 
 def _mono_json(I):
@@ -132,14 +134,19 @@ def cmd_geom(args):
     ring, I = _load(args)
     table = geometric_multidegrees(I)
     entries = sorted(table.entries.items())
-    meta = {
-        "dim": table.dim,
-        "entries": [{"n": list(n), "e": v} for n, v in entries],
-        "msupp": [list(n) for n in table.msupp],
-    }
-    text = [f"dim = {table.dim}", f"C = {table.cee}"]
-    text += [f"e({','.join(str(x) for x in n)}) = {v}" for n, v in entries]
-    result = {"poly": table.cee.to_json_obj(), "meta": meta}
+
+    def result():
+        meta = {
+            "dim": table.dim,
+            "entries": [{"n": list(n), "e": v} for n, v in entries],
+            "msupp": [list(n) for n in table.msupp],
+        }
+        return {"poly": table.cee.to_json_obj(), "meta": meta}
+
+    def text():
+        lines = [f"dim = {table.dim}", f"C = {table.cee}"]
+        return lines + [f"e({','.join(str(x) for x in n)}) = {v}" for n, v in entries]
+
     return _emit(args, ring, "geom", result, text)
 
 
@@ -149,7 +156,7 @@ def cmd_gin(args):
     meta = {"trials": res.trials, "seed": res.seed, "borel": res.borel}
     notes = [f"# {k}: {meta[k]}" for k in sorted(meta)]
     result = {"gens": _mono_json(res.ideal), "meta": meta}
-    return _emit(args, ring, "gin", result, [str(res.ideal)], notes)
+    return _emit(args, ring, "gin", lambda: result, lambda: [str(res.ideal)], notes)
 
 
 def cmd_gin_report(args):
@@ -168,16 +175,20 @@ def cmd_gin_report(args):
     text = [f"{k}: {'pass' if v else 'FAIL'}" for k, v in clauses]
     text += [f"MLength(gin(I_({J}))) = {v}" for J, v in mlength.items()]
     rc = EXIT_OK if rep.ok() else EXIT_CHECK_FAILED
-    return _emit(args, ring, "gin-report", result, text, rc=rc)
+    return _emit(args, ring, "gin-report", lambda: result, lambda: text, rc=rc)
 
 
 def cmd_project(args):
     _, I = _load(args)
     blocks = _ints(args.blocks, "--blocks")
     IJ = contract(I, blocks, keep_grading=True)
-    result = {"gens": [str(g) for g in IJ.gens], "meta": {"blocks": blocks}}
-    text = format_ring_file(IJ.ring, {args.ideal: list(IJ.gens)}).splitlines()
-    return _emit(args, IJ.ring, "project", result, text)
+    return _emit(
+        args,
+        IJ.ring,
+        "project",
+        lambda: {"gens": [str(g) for g in IJ.gens], "meta": {"blocks": blocks}},
+        lambda: format_ring_file(IJ.ring, {args.ideal: list(IJ.gens)}).splitlines(),
+    )
 
 
 def cmd_cs_check(args):
@@ -189,7 +200,7 @@ def cmd_cs_check(args):
         "meta": {"field": repr(verdict.field), "detail": verdict.detail},
     }
     text = ["CS" if verdict.is_cs else "not CS"]
-    return _emit(args, ring, "cs-check", result, text, [f"# {verdict.detail}"])
+    return _emit(args, ring, "cs-check", lambda: result, lambda: text, [f"# {verdict.detail}"])
 
 
 def cmd_standardize(args):
@@ -203,12 +214,20 @@ def cmd_standardize(args):
         if not all(rep.values()):
             return EXIT_CHECK_FAILED
     target = std.target
-    copies = {
-        ring.names[i]: [target.names[j] for j in std.copy_index[i]] for i in range(ring.n)
-    }
-    result = {"gens": [str(g) for g in J.gens], "meta": {"copies": copies}}
-    text = format_ring_file(target, {args.ideal: list(J.gens)}).splitlines()
-    return _emit(args, target, "standardize", result, text)
+
+    def result():
+        copies = {
+            ring.names[i]: [target.names[j] for j in std.copy_index[i]] for i in range(ring.n)
+        }
+        return {"gens": [str(g) for g in J.gens], "meta": {"copies": copies}}
+
+    return _emit(
+        args,
+        target,
+        "standardize",
+        result,
+        lambda: format_ring_file(target, {args.ideal: list(J.gens)}).splitlines(),
+    )
 
 
 def cmd_polymatroid_check(args):
@@ -234,7 +253,7 @@ def cmd_polymatroid_check(args):
     else:
         text = [f"not a polymatroid: witness {witness}"]
     rc = EXIT_OK if ok else EXIT_CHECK_FAILED
-    return _emit(args, None, "polymatroid-check", result, text, rc=rc)
+    return _emit(args, None, "polymatroid-check", lambda: result, lambda: text, rc=rc)
 
 
 def cmd_snp_check(args):
@@ -248,7 +267,7 @@ def cmd_snp_check(args):
     result = {"ok": ok, "witness": list(witness) if witness else None}
     text = ["SNP" if ok else f"not SNP: missing lattice point {witness}"]
     rc = EXIT_OK if ok else EXIT_CHECK_FAILED
-    return _emit(args, None, "snp-check", result, text, rc=rc)
+    return _emit(args, None, "snp-check", lambda: result, lambda: text, rc=rc)
 
 
 def _read_points(path):
@@ -278,25 +297,37 @@ def cmd_det(args):
     names = [f"t{i}" for i in range(1, m + 1)] + [f"s{j}" for j in range(1, n + 1)]
     meta = {"m": m, "n": n, "r": r}
     notes = []
+    H = Kf = None
     if args.formulas_only:
         if r != m:
             raise InputError("closed formulas exist only for maximal minors (r = m)")
         C, K = closed_formulas(m, n)
-        result = {"meta": {**meta, "formulas_only": True}}
+        meta["formulas_only"] = True
     else:
         ring, I = build_determinantal(m, n, r)
         order = lex(ring)
         C, K = multidegree_C(I, order), k_polynomial(I, order)
-        result = {"diff": None, "meta": meta}
         if r == m:
             H, Kf = closed_formulas(m, n)
-            diff = {"C": (C - H).to_json_obj(), "K": (K - Kf).to_json_obj()}
-            result["diff"] = diff
             meta["matches_closed_formulas"] = C == H and K == Kf
             notes = [f"# closed formulas match: {meta['matches_closed_formulas']}"]
-    result.update(C=C.to_json_obj(), K=K.to_json_obj())
-    text = [f"C = {C.__str__(names)}", f"K = {K.__str__(names)}"]
-    return _emit(args, None, "det", result, text, notes)
+
+    def result():
+        out = {"C": C.to_json_obj(), "K": K.to_json_obj(), "meta": meta}
+        if not args.formulas_only:
+            out["diff"] = None
+            if H is not None:
+                out["diff"] = {"C": (C - H).to_json_obj(), "K": (K - Kf).to_json_obj()}
+        return out
+
+    return _emit(
+        args,
+        None,
+        "det",
+        result,
+        lambda: [f"C = {C.__str__(names)}", f"K = {K.__str__(names)}"],
+        notes,
+    )
 
 
 def cmd_hf_oracle(args):
@@ -308,7 +339,7 @@ def cmd_hf_oracle(args):
         "meta": {"bound": list(bound)},
     }
     text = [f"HF({','.join(str(x) for x in nu)}) = {v}" for nu, v in table]
-    return _emit(args, ring, "hf-oracle", result, text)
+    return _emit(args, ring, "hf-oracle", lambda: result, lambda: text)
 
 
 def _add_common(sp):

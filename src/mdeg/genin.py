@@ -4,9 +4,14 @@ gin(I) is computed as in(g(I)) for a random block-diagonal change of
 coordinates g; several independent trials must agree before the result is
 accepted, and the consensus ideal is checked to be Borel-fixed per block.
 g preserves the multigraded Hilbert series, so K(S/I) is computed once and
-drives every trial's Buchberger run (hilbert.HilbertHint).  Each trial is
-one call of groebner.gin_trial, which substitutes g into the packed layout
-of the monomial order and unpacks only the leading terms it finds.  The
+drives every trial's Buchberger run (hilbert.HilbertHint).  The trials
+share that one hint, a tree of the states their leading terms reach:
+in(g(I)) is the same ideal for every generic g, and generic trials
+usually meet its leading terms in the same order, so a later trial takes
+the hint's states and the new pairs of the Gebauer-Moller update from the
+tree instead of computing them again.  Each trial is one call of
+groebner.gin_trial, which substitutes g into the packed layout of the
+monomial order and unpacks only the leading terms it finds.  The
 structure report reads the minimal primes of the gin off the associated
 primes of its primary decomposition, so the radical of the gin is
 decomposed once, for its Stanley-Reisner complex.

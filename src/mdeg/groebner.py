@@ -35,8 +35,17 @@ leading terms have the K-polynomial of I.  Only leading terms count
 there, so each new element is top-reduced (reduced until its leading
 term is irreducible) and its tail is left as it stands, neither sorted
 nor reduced; the leading terms still lie in in(g(I)), which is all the
-hint's rules need.  An exponent past the fields, in the substitution or
-in the loop, doubles them and reruns the whole trial.
+hint's rules need.  The trials of one gin share one hint, a tree of
+the hint's states keyed by packed leading terms: each node keeps what
+depends only on the leading terms on its path, L, K(S/L) - K(S/I) and the
+saturation answers, and per leading term that joins there the new pairs
+the Gebauer-Moller update keeps, which _update_pairs takes from it
+instead of selecting them again.  A trial that meets the leading terms of
+an earlier one in the same order, as the trials of one gin usually do,
+recomputes none of this; one that leaves the path grows a branch.  An
+exponent past the fields, in the substitution or in the loop, doubles
+them and reruns the whole trial, from the hint's root for the wider
+packing.
 Intersection and contraction to a variable subring are one elimination
 helper, _eliminate, which runs on raw term dicts (the auxiliary-variable
 construction of an intersection is not multihomogeneous) and caches the
@@ -132,40 +141,63 @@ def _make_monic(terms, field):
     return lt, monic
 
 
-def _update_pairs(pairs, lts, t, pk):
+def _update_pairs(pairs, lts, t, pk, memo=None):
     """Gebauer-Moller pair update for the packed leading term t joining
     the leading terms lts.
 
     `pairs` maps (a, b), two leading terms, to (total degree, order key,
-    lcm) of their lcm.  Each candidate lcm is found on the variable fields
-    alone, (a & vmask) + excess(a, t), which is all that divisibility and
-    equality look at; only a pair that is kept has its lcm unpacked, once,
-    for the total degree, and packed again with the fields above the
-    variables, which the order key and the S-polynomial's shifts need.
+    lcm) of their lcm.  An old pair is dropped when t divides its lcm l
+    and l is neither lcm(a, t) nor lcm(b, t); those two are worked out
+    only for the pairs whose lcm t divides, on the variable fields alone,
+    (a & vmask) + excess(a, t), which is all that equality looks at.  The
+    new pairs are _new_pairs(lts, t, pk), or, with `memo`, a dict from a
+    leading term to the new pairs kept when it joins these same leading
+    terms (hilbert.HilbertHint.new_pairs), the pairs stored there.
+    """
+    guard, vmask, excess = pk.guard, pk.vmask, pk.excess
+    stale = []
+    for ab, (_, _, l) in pairs.items():
+        if not (l - t) & guard:
+            a, b = ab
+            lv = l & vmask
+            if lv != (a & vmask) + excess(a, t) and lv != (b & vmask) + excess(b, t):
+                stale.append(ab)
+    for ab in stale:
+        del pairs[ab]
+    new = None if memo is None else memo.get(t)
+    if new is None:
+        new = _new_pairs(lts, t, pk)
+        if memo is not None:
+            memo[t] = new
+    pairs.update(new)
+
+
+def _new_pairs(lts, t, pk):
+    """The pairs (a, t), a in lts, that the Gebauer-Moller update keeps,
+    as a list of ((a, t), (total degree, order key, lcm)): one per minimal
+    lcm, and none for an a coprime to t (Buchberger's first criterion).
+
+    Each candidate lcm is found on the variable fields alone, (a & vmask)
+    + excess(a, t), which is all that divisibility and equality look at;
+    only a pair that is kept has its lcm unpacked, once, for the total
+    degree, and packed again with the fields above the variables, which
+    the order key and the S-polynomial's shifts need.
     """
     guard, vmask = pk.guard, pk.vmask
     fresh = {a: (a & vmask) + pk.excess(a, t) for a in lts}
-    # drop old pairs whose lcm is strictly reducible by the new element
-    stale = [
-        ab
-        for ab, (_, _, l) in pairs.items()
-        if not (l - t) & guard and l & vmask not in (fresh[ab[0]], fresh[ab[1]])
-    ]
-    for ab in stale:
-        del pairs[ab]
-    # among the new pairs keep one representative per minimal lcm; a proper
-    # divisor has smaller variable fields, so it is met first
+    # a proper divisor has smaller variable fields, so it is met first
     tv = t & vmask
-    chosen = []
+    chosen, new = [], []
     for a in sorted(lts, key=fresh.__getitem__):
         l = fresh[a]
         if any(not (l - m) & guard for m in chosen):
             continue
         chosen.append(l)
-        if l != (a & vmask) + tv:  # Buchberger's first criterion: a, t not coprime
+        if l != (a & vmask) + tv:
             u = pk.unpack(l)
             l = pk.pack(u)
-            pairs[(a, t)] = (sum(u), l ^ pk.flip, l)
+            new.append(((a, t), (sum(u), l ^ pk.flip, l)))
+    return new
 
 
 def buchberger(gen_dicts, order, field):
@@ -203,7 +235,7 @@ def _buchberger(pk, gens, field, hilbert):
         if not r:
             return False
         lt, monic = _make_monic(r, field)
-        _update_pairs(pairs, basis, lt, pk)
+        _update_pairs(pairs, basis, lt, pk, hilbert.new_pairs if hinted else None)
         basis[lt] = monic
         if hinted:
             hilbert.add(lt)

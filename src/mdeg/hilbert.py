@@ -17,7 +17,10 @@ of a finite-length module off its K-polynomial; local_length, the length
 of H^0 of S/I at a monomial prime, is the weight of each associated prime
 in the arithmetic multidegree and the component length of the gin report.
 HilbertHint carries K(S/I) into Buchberger runs on ideals with that
-Hilbert function, and takes their leading terms as packed ints.
+Hilbert function, and takes their leading terms as packed ints; it is a
+tree of the states those leading terms reach, shared by the trials of
+one gin, so a trial that meets the leading terms of an earlier one finds
+each state computed.
 hilbert_function_oracle counts MonomialIdeal.standard_monomials of the
 initial ideal instead, as an independent check of K (hf-oracle).
 """
@@ -77,10 +80,26 @@ def k_polynomial(I, order=None):
     return k_polynomial_monomial(I.initial_ideal(order))
 
 
+class _State:
+    """A node of HilbertHint's tree, for the leading terms on its path:
+    L, the monomial ideal they generate; the excess K(S/L) - K(S/I), a dict
+    from packed t-exponent to coefficient; the saturation answers found at
+    it, by packed degree; and, per leading term t that has joined L here,
+    the child for L + (t) and the new pairs groebner._update_pairs keeps
+    when t joins."""
+
+    __slots__ = ("L", "excess", "saturated", "children", "new_pairs")
+
+    def __init__(self, L, excess):
+        self.L, self.excess = L, excess
+        self.saturated, self.children, self.new_pairs = {}, {}, {}
+
+
 class HilbertHint:
     """K(S/I) of an ideal I of a standard graded ring S, as a stopping rule
-    for Buchberger on an ideal J with the Hilbert function of I, such as
-    g(I) for a block change of coordinates g (groebner.buchberger).
+    for Buchberger on ideals J with the Hilbert function of I, such as the
+    g(I) of the trials of genin.gin, for block changes of coordinates g
+    (groebner.gin_trial).
 
     The monomial ideal L of the leading terms found so far lies in in(J),
     so HF(S/L, d) >= HF(S/J, d) = HF(S/I, d) at every multidegree d, with
@@ -91,10 +110,16 @@ class HilbertHint:
     excess K(S/L) - K(S/I): HF(S/L, d) - HF(S/I, d) is the sum over its
     terms c*t^a of c times the number of monomials of degree d - a.
 
-    The hint is the state of one Buchberger run at a time: `start` sets L
-    to 0 for the run's packing, and `add` feeds it each new leading term,
-    packed by that packing.  The excess is a dict from packed t-exponent
-    to coefficient, kept by K(S/(L + m)) = K(S/L) - t^deg(m) * K(S/(L : m)).
+    The hint is a tree of states (_State) keyed by packed leading terms,
+    with one root per packing.  A run's `start` takes the root for its
+    packing, where L = 0, and `add` feeds it each new leading term, packed
+    by that packing, and moves to the child for that term.  A node's L,
+    excess, saturation answers and new pairs depend only on the leading
+    terms on its path, so a child is computed the first time a run reaches
+    it, the excess by K(S/(L + m)) = K(S/L) - t^deg(m) * K(S/(L : m)), and
+    is taken as it stands by every later run that meets the same leading
+    terms, as the trials of one gin usually do.  A run that leaves the
+    path grows a branch.
     """
 
     def __init__(self, I):
@@ -104,48 +129,59 @@ class HilbertHint:
         self.ring = ring
         self.k = k_polynomial(I)
         self._sizes = [len(ring.block_variables(k)) for k in range(ring.p)]
+        self._roots = {}  # packing -> (root, t-exponent packing, packed variable degrees)
 
     def start(self, pk):
-        """Begin a run whose exponents pk packs, with L = 0."""
-        ring = self.ring
-        n = ring.n
-        # a block degree of a monomial pk holds is at most n times the
-        # largest exponent a field holds
-        top = n * ((1 << (pk.bits - 1)) - 1)
-        kmax = max((max(e, default=0) for e in self.k.terms), default=0)
-        tpk = _packing(ring.p, _field_bits(max(top, kmax)))
+        """Begin a run whose exponents pk packs, at the root, where L = 0."""
+        if pk not in self._roots:
+            ring = self.ring
+            # a block degree of a monomial pk holds is at most n times the
+            # largest exponent a field holds
+            top = ring.n * ((1 << (pk.bits - 1)) - 1)
+            kmax = max((max(e, default=0) for e in self.k.terms), default=0)
+            tpk = _packing(ring.p, _field_bits(max(top, kmax)))
+            excess = {0: 1}
+            _add_mul(excess, -1, 0, tpk.pack_dict(self.k.terms), ZZ, 0)
+            root = _State(MonomialIdeal(ring, ()), excess)
+            self._roots[pk] = root, tpk, [tpk.pack(d) for d in ring.degrees]
         self._pk = pk
-        self._tpk = tpk
-        self._tdeg = [tpk.pack(d) for d in ring.degrees]
-        self._L = MonomialIdeal(ring, ())
-        self._excess = {0: 1}
-        _add_mul(self._excess, -1, 0, tpk.pack_dict(self.k.terms), ZZ, 0)
-        self._saturated = {}  # packed degree -> saturated for the current L
+        self._node, self._tpk, self._tdeg = self._roots[pk]
 
     def add(self, lt):
         """Put the packed leading term lt, which L does not hold, into L."""
-        L, e = self._L, self._pk.unpack(lt)
-        quot, self._L = L.colon_monomial(e), L.add_monomial(e)
-        shift = sum(map(mul, e, self._tdeg))
-        _add_mul(self._excess, -1, shift, _k_packed(quot, self._tdeg), ZZ, 0)
-        self._saturated = {}
+        node = self._node
+        child = node.children.get(lt)
+        if child is None:
+            L, e = node.L, self._pk.unpack(lt)
+            excess = dict(node.excess)
+            shift = sum(map(mul, e, self._tdeg))
+            _add_mul(excess, -1, shift, _k_packed(L.colon_monomial(e), self._tdeg), ZZ, 0)
+            child = node.children[lt] = _State(L.add_monomial(e), excess)
+        self._node = child
+
+    @property
+    def new_pairs(self):
+        """The current node's dict from a packed leading term to the new
+        pairs kept when it joins L, for groebner._update_pairs."""
+        return self._node.new_pairs
 
     def complete(self):
         """K(S/L) = K(S/I)."""
-        return not self._excess
+        return not self._node.excess
 
     def saturated(self, mono):
         """HF(S/L, d) = HF(S/I, d) at d = deg(mono), mono packed."""
+        node = self._node
         d = sum(map(mul, self._pk.unpack(mono), self._tdeg))
-        hit = self._saturated.get(d)
+        hit = node.saturated.get(d)
         if hit is None:
             guard = self._tpk.guard
             hit = not sum(
                 c * self._count(d - a)
-                for a, c in self._excess.items()
+                for a, c in node.excess.items()
                 if not (d - a) & guard
             )
-            self._saturated[d] = hit
+            node.saturated[d] = hit
         return hit
 
     def _count(self, d):

@@ -1,4 +1,6 @@
+import pathlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,14 +16,15 @@ from conftest import (
     surface_prime,
     three_block_ring,
 )
-from mdeg import groebner
+from mdeg import groebner, hilbert
 from mdeg.errors import EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
 from mdeg.fields import GF32003, PrimeField, QQ, rank_mod_p
 from mdeg.genin import gin, gin_structure_report, random_block_change
 from mdeg.groebner import Ideal, contract, gin_trial
 from mdeg.hilbert import HilbertHint, arithmetic_multidegree, k_polynomial, local_length
+from mdeg.inputlang import parse_input
 from mdeg.monomial import MonomialIdeal, minimal_primes, primary_decomposition
-from mdeg.orders import MonomialOrder, grevlex
+from mdeg.orders import MonomialOrder, grevlex, lex, weight_order
 from mdeg.ring import Polynomial, make_ring, multidegree_of
 
 
@@ -104,6 +107,164 @@ def test_gin_trial_with_another_hilbert_function_is_unstable(monkeypatch):
     monkeypatch.setattr(groebner, "_substitute", lossy)
     with pytest.raises(Unstable):
         gin(I)
+
+
+def _outcome(run):
+    """run(), or Unstable when it raises Unstable."""
+    try:
+        return run()
+    except Unstable:
+        return Unstable
+
+
+def _gin_order(rng, R, kind):
+    """grevlex, lex, or a weight order refined by grevlex whose weights fall
+    along each block, so that it refines the block order gin needs."""
+    if kind == "grevlex":
+        return grevlex(R)
+    if kind == "lex":
+        return lex(R)
+    w = [0] * R.n
+    for k in range(R.p):
+        block = R.block_variables(k)
+        for i, v in zip(block, sorted((rng.randrange(1, 9) for _ in block), reverse=True)):
+            w[i] = v
+    return weight_order(R, [tuple(w)])
+
+
+def _random_gin_input(seed, empty_block):
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=5, field=GF32003)
+    if empty_block:
+        R = add_empty_block(rng, R)
+    return rng, random_ideal(rng, R, max_degree=3, max_gens=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 3),
+    st.sampled_from(["grevlex", "lex", "weights"]),
+    st.booleans(),
+)
+def test_a_shared_hint_gives_the_answers_of_a_fresh_hint_per_trial(seed, trials, kind, empty_block):
+    # gin passes one HilbertHint, a tree of the states its trials reach, to
+    # every trial; a fresh hint per trial holds one path, the state of that
+    # trial alone
+    rng, I = _random_gin_input(seed, empty_block)
+    R = I.ring
+    order = _gin_order(rng, R, kind)
+    changes = [random_block_change(R, seed + k) for k in range(trials)]
+    hint = HilbertHint(I)
+    shared = [_outcome(lambda: gin_trial(I, g, order, hint)) for g in changes]
+    fresh = [_outcome(lambda: gin_trial(I, g, order, HilbertHint(I))) for g in changes]
+    assert shared == fresh
+    agreed = Unstable not in fresh and all(r == fresh[0] for r in fresh)
+    expected = fresh[0] if agreed else Unstable
+    assert _outcome(lambda: gin(I, order=order, trials=trials, seed=seed).ideal) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["grevlex", "lex", "weights"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_a_hint_fed_in_I_and_a_generic_trial_gives_the_answers_of_fresh_hints(
+    seed, kind, identity_first, empty_block
+):
+    # the identity images give in(I), whose leading terms leave the path of
+    # a generic trial wherever in(I) and in(g(I)) differ: the second trial
+    # grows a branch of the tree the first one built
+    rng, I = _random_gin_input(seed, empty_block)
+    R = I.ring
+    order = _gin_order(rng, R, kind)
+    changes = [R.gens(), random_block_change(R, seed)]
+    if not identity_first:
+        changes.reverse()
+    hint = HilbertHint(I)
+    shared = [gin_trial(I, g, order, hint) for g in changes]
+    assert shared == [gin_trial(I, g, order, HilbertHint(I)) for g in changes]
+    assert shared[0 if identity_first else 1] == I.initial_ideal(order)
+
+
+def _count_calls(monkeypatch, counts, owner, name):
+    """Count the calls of owner.name in counts[name]."""
+    real = getattr(owner, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+HINT_AND_PAIR_WORK = [
+    (hilbert, "_k_packed"),
+    (MonomialIdeal, "colon_monomial"),
+    (groebner, "_new_pairs"),
+]
+
+
+def test_a_second_trial_on_the_same_path_recomputes_no_hint_or_pair_state(monkeypatch):
+    # gin P over GF(32003): the second trial meets the leading terms of the
+    # first in the same order, so it finds every state of the hint and every
+    # new pair in the tree; the first trial computes each of them once, for
+    # each of its 24 leading terms, which are the minimal generators of gin P
+    text = (pathlib.Path(__file__).parent / "fixtures" / "example46.ring").read_text()
+    P = parse_input(text.replace("field QQ", "field Fp 32003")).ideal("P")
+    R = P.ring
+    hint = HilbertHint(P)
+    counts = Counter()
+    for owner, name in HINT_AND_PAIR_WORK:
+        _count_calls(monkeypatch, counts, owner, name)
+    first = gin_trial(P, random_block_change(R, 0), grevlex(R), hint)
+    assert counts["colon_monomial"] == counts["_new_pairs"] == len(first.gens) == 24
+    assert counts["_k_packed"] >= counts["colon_monomial"]
+    counts.clear()
+    assert gin_trial(P, random_block_change(R, 1), grevlex(R), hint) == first
+    assert [counts[name] for _, name in HINT_AND_PAIR_WORK] == [0, 0, 0]
+
+
+def test_a_trial_that_leaves_the_path_computes_its_branch(monkeypatch):
+    # in((v0_1^2)) = (v0_1^2) under grevlex, while the gin is (v0_0^2): the
+    # generic trial leaves the identity trial's path at the root
+    R = block_ring([2], GF32003)
+    x, y = R.gens()
+    I = Ideal(R, [y * y])
+    hint = HilbertHint(I)
+    counts = Counter()
+    for owner, name in HINT_AND_PAIR_WORK:
+        _count_calls(monkeypatch, counts, owner, name)
+    assert gin_trial(I, R.gens(), grevlex(R), hint) == I.initial_ideal(grevlex(R))
+    counts.clear()
+    generic = gin_trial(I, random_block_change(R, 0), grevlex(R), hint)
+    assert generic == MonomialIdeal(R, [(2, 0)])
+    assert counts["colon_monomial"] == counts["_new_pairs"] == 1
+
+
+def test_a_trial_past_the_fields_starts_a_new_root(monkeypatch):
+    # x^127 + c*y^127 and x*y fit 8-bit fields, their S-pairs of degree 128
+    # do not: each trial overflows and reruns in 16-bit fields, whose
+    # packing has its own root in the shared hint
+    R = block_ring([2], GF32003)
+    x, y = R.gens()
+    I = Ideal(R, [x**127 + (y**127).scale(5), x * y])
+    starts, real = [], HilbertHint.start
+
+    def start(self, pk):
+        starts.append(pk.bits)
+        return real(self, pk)
+
+    monkeypatch.setattr(HilbertHint, "start", start)
+    hint = HilbertHint(I)
+    changes = [random_block_change(R, seed) for seed in (0, 1)]
+    shared = [gin_trial(I, g, grevlex(R), hint) for g in changes]
+    assert starts == [8, 16, 8, 16]
+    assert [pk.bits for pk in hint._roots] == [8, 16]
+    assert shared == [gin_trial(I, g, grevlex(R), HilbertHint(I)) for g in changes]
+    assert gin(I).ideal == shared[0]
 
 
 def _random_block_ring(rng):
