@@ -55,42 +55,49 @@ def test_gin_preserves_k_polynomial():
     assert k_polynomial(res.ideal) == k_polynomial(I)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.booleans())
-def test_gin_has_the_k_polynomial_of_the_ideal(seed, empty_block):
+def _random_gin_input(seed, empty_block):
+    """(rng, I) for a random ideal I of up to 4 forms of degree up to 3 in
+    a standard ring of up to 5 variables over GF(32003), with an empty
+    block added when asked; rng goes on from the draw."""
     rng = random.Random(seed)
     R = random_standard_ring(rng, max_vars=5, field=GF32003)
     if empty_block:
         R = add_empty_block(rng, R)
-    I = random_ideal(rng, R, max_degree=3, max_gens=4)
+    return rng, random_ideal(rng, R, max_degree=3, max_gens=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_gin_has_the_k_polynomial_of_the_ideal(seed, empty_block):
+    _, I = _random_gin_input(seed, empty_block)
     res = gin(I, seed=seed)
     assert k_polynomial(res.ideal) == k_polynomial(I)
+
+
+def _outcome(run):
+    """run(), or Unstable when it raises Unstable."""
+    try:
+        return run()
+    except Unstable:
+        return Unstable
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.booleans())
 @example(9071, True)
 def test_gin_does_not_depend_on_the_order_of_the_generators(seed, empty_block):
-    rng = random.Random(seed)
-    R = random_standard_ring(rng, max_vars=5, field=GF32003)
-    if empty_block:
-        R = add_empty_block(rng, R)
-    I = random_ideal(rng, R, max_degree=3, max_gens=4)
+    rng, I = _random_gin_input(seed, empty_block)
+    R = I.ring
     gens = list(I.gens)
     rng.shuffle(gens)
     if gens == list(I.gens):
         gens.reverse()
-
-    def outcome(J):
-        """gin(J), or Unstable: a trial's change of coordinates can be
-        special for J (at seed 9071 one kills the x^2 term of a quadric),
-        and it is then special for every order of J's generators."""
-        try:
-            return gin(J, seed=seed).ideal
-        except Unstable:
-            return Unstable
-
-    assert outcome(Ideal(R, gens)) == outcome(I)
+    # gin(J), or Unstable: a trial's change of coordinates can be special
+    # for J (at seed 9071 one kills the x^2 term of a quadric), and it is
+    # then special for every order of J's generators
+    shuffled = Ideal(R, gens)
+    expected = _outcome(lambda: gin(I, seed=seed).ideal)
+    assert _outcome(lambda: gin(shuffled, seed=seed).ideal) == expected
 
 
 def test_gin_trial_with_another_hilbert_function_is_unstable(monkeypatch):
@@ -109,14 +116,6 @@ def test_gin_trial_with_another_hilbert_function_is_unstable(monkeypatch):
         gin(I)
 
 
-def _outcome(run):
-    """run(), or Unstable when it raises Unstable."""
-    try:
-        return run()
-    except Unstable:
-        return Unstable
-
-
 def _gin_order(rng, R, kind):
     """grevlex, lex, or a weight order refined by grevlex whose weights fall
     along each block, so that it refines the block order gin needs."""
@@ -130,14 +129,6 @@ def _gin_order(rng, R, kind):
         for i, v in zip(block, sorted((rng.randrange(1, 9) for _ in block), reverse=True)):
             w[i] = v
     return weight_order(R, [tuple(w)])
-
-
-def _random_gin_input(seed, empty_block):
-    rng = random.Random(seed)
-    R = random_standard_ring(rng, max_vars=5, field=GF32003)
-    if empty_block:
-        R = add_empty_block(rng, R)
-    return rng, random_ideal(rng, R, max_degree=3, max_gens=4)
 
 
 @settings(max_examples=25, deadline=None)
