@@ -1,16 +1,21 @@
 """Multigraded generic initial ideals via random block coordinate changes.
 
-gin(I) is computed as in(g(I)) for a random block-diagonal change of
-coordinates g; several independent trials must agree before the result is
-accepted, and the consensus ideal is checked to be Borel-fixed per block.
-g preserves the multigraded Hilbert series, so K(S/I) is computed once and
-drives every trial's Buchberger run (hilbert.HilbertHint).  The trials
-share that one hint, a tree of the states their leading terms reach:
-in(g(I)) is the same ideal for every generic g, and generic trials
-usually meet its leading terms in the same order, so a later trial takes
-the hint's states and the new pairs of the Gebauer-Moller update from the
-tree instead of computing them again.  Each trial is one call of
-groebner.gin_trial, which substitutes g into the packed layout of the
+gin(I) is computed as in(u(I)) for a random unitriangular block change u:
+x_i maps to x_i plus random multiples of the earlier variables of its
+block.  That is exact because gin takes only orders that refine
+x_1 > x_2 > ... in each block (_check_order_refines_blocks): under them a
+change b sending x_i to c*x_i plus later variables of its block keeps
+every initial term, and a generic block change g is u followed by such a
+b, so in(g(I)) = in(u(I)) = gin(I) (Bayer-Stillman, Invent. Math. 87,
+1987; Eisenbud, Commutative Algebra, 15.9).  u is invertible whatever its
+entries.  Several trials must agree, and the consensus ideal is checked
+to be Borel-fixed per block.  u preserves the multigraded Hilbert series,
+so K(S/I) drives every trial's Buchberger run (hilbert.HilbertHint); the
+trials share that one hint, a tree of the states their leading terms
+reach, so a later trial that meets the leading terms of an earlier one in
+the same order takes the hint's states and the new pairs of the
+Gebauer-Moller update from the tree.  Each trial is one call of
+groebner.gin_trial, which substitutes u into the packed layout of the
 monomial order and unpacks only the leading terms it finds.  The
 structure report reads the minimal primes of the gin off the associated
 primes of its primary decomposition, so the radical of the gin is
@@ -20,7 +25,6 @@ decomposed once, for its Stanley-Reisner complex.
 import random
 
 from .errors import BadArgument, EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
-from .fields import rank_mod_p
 from .groebner import contract, gin_trial
 from .hilbert import HilbertHint, local_length
 from .monomial import (
@@ -40,21 +44,14 @@ MIN_FIELD_SIZE = 10007
 HOMOLOGY_PRIME = 32003
 
 
-def _random_invertible(F, k, rng):
-    """Random invertible k x k matrix over F (resampled until of full rank)."""
-    while True:
-        M = [[F.coerce(rng.randrange(F.p)) for _ in range(k)] for _ in range(k)]
-        if rank_mod_p([dict(enumerate(row)) for row in M], F.p) == k:
-            return M
-
-
 def random_block_change(ring, seed):
-    """Seeded random block-diagonal change of coordinates.
+    """Seeded random unitriangular block change of coordinates.
 
-    Returns the list of variable images: linear forms mixing each grading
-    block, so each image is homogeneous of its variable's degree, as
-    groebner.gin_trial requires.  The field must be large
-    (p >= 10007) so random choices behave generically.
+    Returns the variable images: x_i maps to x_i plus random nonzero
+    multiples of the earlier variables of its grading block, keeping its
+    degree, as groebner.gin_trial requires.  It gives gin(I) under the
+    orders _check_order_refines_blocks admits (see the module docstring).
+    The field must be large (p >= 10007) so random choices are generic.
     """
     if not ring.is_standard:
         raise NotStandardGraded("generic initial ideals need a standard grading")
@@ -63,17 +60,13 @@ def random_block_change(ring, seed):
         small = f"field of size {F.p} is below {MIN_FIELD_SIZE}"
         raise FieldTooSmall(small if F.p else "use a large prime field for gin computations")
     rng = random.Random(seed)
+    units = [tuple(int(j == i) for j in range(ring.n)) for i in range(ring.n)]
     images = [None] * ring.n
     for k in range(ring.p):
         block = ring.block_variables(k)
-        M = _random_invertible(F, len(block), rng)
         for r, i in enumerate(block):
-            terms = {}
-            for c, j in enumerate(block):
-                if M[r][c]:
-                    e = [0] * ring.n
-                    e[j] = 1
-                    terms[tuple(e)] = M[r][c]
+            terms = {units[j]: rng.randrange(1, F.p) for j in block[:r]}
+            terms[units[i]] = F.one
             images[i] = Polynomial._of(ring, terms)
     return images
 

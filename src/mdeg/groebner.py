@@ -540,14 +540,14 @@ def gin_trial(I, images, order, hilbert):
     `hilbert`, a hilbert.HilbertHint of I: one trial of genin.gin.
 
     Each image must be zero or homogeneous of its variable's degree, as
-    the block changes of coordinates of genin.random_block_change are:
-    g(I) then has the Hilbert function of I and multihomogeneous
-    generators, and nothing is checked.  The images are packed once, in
-    the order's own layout, each generator of I is substituted into that
-    layout (_substitute) and the packed dicts go straight to the
-    Hilbert-driven pair loop; while a new exponent overflows its field,
-    the fields are doubled and the trial reruns (_packed).  Only the
-    leading terms of the basis are unpacked.
+    the unitriangular block changes of genin.random_block_change are,
+    with (k + 1)/2 terms on average in a block of k: g(I) then has the
+    Hilbert function of I and multihomogeneous generators, and nothing is
+    checked.  The images are packed once, in the order's own layout, each
+    generator of I is substituted into that layout (_substitute) and the
+    packed dicts go straight to the Hilbert-driven pair loop; while a new
+    exponent overflows its field, the fields are doubled and the trial
+    reruns (_packed).  Only the leading terms of the basis are unpacked.
     """
     field = I.ring.field
     gens = [f.terms for f in I.gens]

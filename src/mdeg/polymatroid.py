@@ -4,12 +4,11 @@ The support of the multidegree of a prime is expected to be the base set
 of a discrete polymatroid; exchange_check tests the M-convex exchange
 axiom directly and returns a witness on failure.  snp_check compares a
 set of lattice points, such as the support of a polynomial, with the
-lattice points of its convex hull,
-using an exact rational feasibility LP for hull membership.
+lattice points of its convex hull up to the first one missing, using an
+exact rational feasibility LP for hull membership.
 """
 
 from fractions import Fraction
-from itertools import product
 
 
 def support_points(poly):
@@ -73,8 +72,10 @@ def _simplex_feasible(A, b):
             cost[k] += T[i][k]
     total = n + m
     while True:
+        # only real columns enter: the cost row sums the rows, which is an
+        # artificial column's reduced cost plus 1
         enter = -1
-        for k in range(total):
+        for k in range(n):
             if k not in basis and cost[k] > 0:
                 enter = k
                 break
@@ -112,33 +113,37 @@ def in_convex_hull(q, points):
     return _simplex_feasible(A, b)
 
 
-def newton_polytope_points(support):
-    """All lattice points of the convex hull of the support."""
-    pts = [tuple(q) for q in support]
-    p = len(pts[0])
-    lo = [min(q[k] for q in pts) for k in range(p)]
-    hi = [max(q[k] for q in pts) for k in range(p)]
-    dlo = min(sum(q) for q in pts)
-    dhi = max(sum(q) for q in pts)
-    out = set()
-    for cand in product(*(range(lo[k], hi[k] + 1) for k in range(p))):
-        if not dlo <= sum(cand) <= dhi:
-            continue
-        if in_convex_hull(cand, pts):
-            out.add(cand)
-    return out
+def _hull_points(support):
+    """The lattice points of the convex hull of the set `support`, in lex
+    order: each point of the bounding box whose total degree is in the
+    support's range and that is in the support or passes the exact LP."""
+    lo = [min(c) for c in zip(*support)]
+    hi = [max(c) for c in zip(*support)]
+    dlo, dhi = min(map(sum, support)), max(map(sum, support))
+
+    def walk(prefix, k):
+        # only values the later coordinates can complete to a degree in range
+        total = sum(prefix)
+        first = max(lo[k], dlo - total - sum(hi[k + 1 :]))
+        last = min(hi[k], dhi - total - sum(lo[k + 1 :]))
+        for x in range(first, last + 1):
+            q = prefix + (x,)
+            if k + 1 < len(lo):
+                yield from walk(q, k + 1)
+            elif q in support or in_convex_hull(q, support):
+                yield q
+
+    return walk((), 0)
 
 
 def snp_check(points):
     """Saturated Newton polytope: the lattice points `points`, such as
     support_points of a polynomial, are all the lattice points of their
-    convex hull.  Returns (True, None) or (False, witness) with a missing
-    lattice point.
+    convex hull.  Returns (True, None) or (False, witness) with the first
+    missing lattice point in lexicographic order; the walk stops there.
     """
     supp = {tuple(q) for q in points}
     if not supp:
         return True, None
-    for q in newton_polytope_points(supp):
-        if q not in supp:
-            return False, q
-    return True, None
+    missing = next((q for q in _hull_points(supp) if q not in supp), None)
+    return missing is None, missing

@@ -1,9 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 from operator import mul
 
 from mdeg.errors import EmptyScheme
-from mdeg.fields import QQ
+from mdeg.fields import QQ, rank_mod_p
 from mdeg import groebner
 from mdeg.groebner import Ideal, _buchberger, _packed, _reduce_dict, buchberger
 from mdeg.hilbert import k_polynomial, k_polynomial_monomial, local_length
@@ -294,9 +295,10 @@ def normal_form(I, f, order=None):
 # ---------------------------------------------------------------------------
 # Oracles of groebner.gin_trial: the path it replaced, which substituted in
 # the plain layout, unpacked the result into an Ideal and packed it again
-# for the order's Hilbert-driven pair loop; and the lcm of _Packing with
-# its repack of the fields above the variables, which _update_pairs does
-# for the pairs it keeps only.
+# for the order's Hilbert-driven pair loop; the dense block change of
+# coordinates that genin.random_block_change drew before its unitriangular
+# one; and the lcm of _Packing with its repack of the fields above the
+# variables, which _update_pairs does for the pairs it keeps only.
 
 
 def substituted_ideal(I, images):
@@ -327,6 +329,27 @@ def substituted_ideal(I, images):
         if acc:
             out.append(Polynomial._of(ring, pk.unpack_dict(acc)))
     return Ideal._of(ring, out)
+
+
+def dense_block_change(ring, seed):
+    """A seeded random invertible block change of coordinates over a prime
+    field, dense: per grading block a k x k matrix, drawn again until it
+    has full rank, whose rows give the images of the block's variables, so
+    an image has up to k terms where a unitriangular one has (k + 1)/2 on
+    average."""
+    F = ring.field
+    rng = random.Random(seed)
+    images = [None] * ring.n
+    for k in range(ring.p):
+        block = ring.block_variables(k)
+        while True:
+            M = [[F.coerce(rng.randrange(F.p)) for _ in block] for _ in block]
+            if rank_mod_p([dict(enumerate(row)) for row in M], F.p) == len(block):
+                break
+        for row, i in zip(M, block):
+            terms = {tuple(int(v == j) for v in range(ring.n)): c for j, c in zip(block, row) if c}
+            images[i] = Polynomial._of(ring, terms)
+    return images
 
 
 def hinted_initial_ideal(J, order, hint):

@@ -439,7 +439,10 @@ GOLDEN_FILES = {
     + "ideal M = [ x0*x4 ; x1*x3 ; x2*x3 ; x1*x2*x4 ]\n",
     "no_pts": "# no points\n",
     "negative_pts": "1 -1\n0 0\n",
+    "negative_gap_pts": "2 -2\n-2 2\n",
     "mixed_degree_pts": "1 0\n1 1\n",
+    # a bounding box of 20001^2 points, of which the degree slice holds 20001
+    "far_pts": "20000 0\n0 20000\n",
     # the twisted cubic, whose lex gin differs from its grevlex one
     "cubic_fp": "field Fp 32003\nvars a b c d\n"
     + "".join(f"deg {v} = (1)\n" for v in "abcd")
@@ -625,6 +628,11 @@ GOLDEN_CASES = {
     "snp-no-points": ["snp-check", "--points", "{no_pts}"],
     "snp-negative-coordinate": ["snp-check", "--points", "{negative_pts}"],
     "polymatroid-mixed-degrees": ["polymatroid-check", "--points", "{mixed_degree_pts}"],
+    # the walk stops at the first lattice point of the hull that is missing
+    "snp-far-points-text": ["snp-check", "--points", "{far_pts}"],
+    "snp-far-points-json": ["snp-check", "--points", "{far_pts}", "--json"],
+    # a missing point with a negative coordinate: the LP negates its row
+    "snp-negative-coordinate-missing": ["snp-check", "--points", "{negative_gap_pts}"],
 }
 GOLDEN_CASES.update(
     {name: ["kpoly", "{" + name.replace("-", "_") + "}", "--ideal", "I"] for name in PARSE_ERRORS}

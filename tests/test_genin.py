@@ -9,6 +9,7 @@ from conftest import (
     add_empty_block,
     as_ideal,
     block_ring,
+    dense_block_change,
     evaluate,
     ge_coefficientwise,
     random_ideal,
@@ -17,8 +18,9 @@ from conftest import (
     three_block_ring,
 )
 from mdeg import groebner, hilbert
+from mdeg.determinantal import build_determinantal
 from mdeg.errors import EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
-from mdeg.fields import GF32003, PrimeField, QQ, rank_mod_p
+from mdeg.fields import GF32003, PrimeField, QQ
 from mdeg.genin import gin, gin_structure_report, random_block_change
 from mdeg.groebner import Ideal, contract, gin_trial
 from mdeg.hilbert import HilbertHint, arithmetic_multidegree, k_polynomial, local_length
@@ -26,6 +28,8 @@ from mdeg.inputlang import parse_input
 from mdeg.monomial import MonomialIdeal, minimal_primes, primary_decomposition
 from mdeg.orders import MonomialOrder, grevlex, lex, weight_order
 from mdeg.ring import Polynomial, make_ring, multidegree_of
+from mdeg.standardize import standardize_ideal
+from test_prime_oracles import nonzero_toric_primes
 
 
 def two_block_ring(field=GF32003):
@@ -336,13 +340,46 @@ def test_gin_of_a_principal_ideal_is_a_power_of_the_first_variables():
             terms[tuple(e)] = F.coerce(rng.randrange(1, F.p))
         _principal_gin_is_first_variables_power(R, Polynomial(R, terms))
     # a form that vanishes at the first columns of the second trial's change:
-    # that trial's initial ideal differs, and gin reports the disagreement
+    # its factor c*v0_0 - v0_1 does, for c the coefficient of v0_0 in that
+    # change's image of v0_1; that trial's initial ideal differs, and gin
+    # reports the disagreement
     R = block_ring([2, 3, 1], F)
     v = R.gens()
-    f = v[1] * (v[2] * v[2]).scale(24471) + v[1] * (v[3] * v[4]).scale(2504)
+    c = _first_column(R, random_block_change(R, 1))[1]
+    f = (v[0].scale(c) - v[1]) * (v[2] * v[3] + (v[4] * v[4]).scale(2504)) * v[5]
     assert not _principal_gin_is_first_variables_power(R, f)
     with pytest.raises(Unstable):
         gin(Ideal(R, [f]))
+
+
+def dense_gin(I, trials=2, seed=0):
+    """gin(I) under grevlex as gin builds it, but from the dense changes of
+    conftest.dense_block_change: the trials share one hint and must agree.
+    Under an order that refines each block's variable order, generic dense
+    and unitriangular changes give the same initial ideal."""
+    R = I.ring
+    hint = HilbertHint(I)
+    results = [
+        gin_trial(I, dense_block_change(R, seed + k), grevlex(R), hint) for k in range(trials)
+    ]
+    assert all(r == results[0] for r in results[1:])
+    return results[0]
+
+
+def test_a_unitriangular_change_gives_the_gin_of_dense_changes_on_toric_primes():
+    for seed, P in nonzero_toric_primes():
+        assert gin(P).ideal == dense_gin(P), (seed, P)
+
+
+@pytest.mark.parametrize(
+    "m, n, r",
+    [(2, 4, 2), (3, 3, 2), (3, 4, 3)],
+    ids=["2x4 2-minors", "3x3 2-minors", "3x4 maximal minors"],
+)
+def test_a_unitriangular_change_gives_the_gin_of_dense_changes_on_cs_check_inputs(m, n, r):
+    # the standardization of the r-minors, whose gin cs_check takes
+    J = standardize_ideal(build_determinantal(m, n, r, GF32003)[1])[0]
+    assert gin(J).ideal == dense_gin(J)
 
 
 def test_gin_seed_independent():
@@ -361,43 +398,6 @@ def test_gin_field_guards():
     x, y = Rs.gens()
     with pytest.raises(FieldTooSmall):
         gin(Ideal(Rs, [x * y]))
-
-
-def _det_nonzero(M, F):
-    """Reference: the triangularization gin draws once tested invertibility
-    with, kept as the oracle for rank_mod_p."""
-    k = len(M)
-    M = [row[:] for row in M]
-    for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if M[r][col] != F.zero:
-                piv = r
-                break
-        if piv is None:
-            return False
-        M[col], M[piv] = M[piv], M[col]
-        inv = F.inv(M[col][col])
-        for r in range(col + 1, k):
-            c = F.mul(M[r][col], inv)
-            if c == F.zero:
-                continue
-            for cc in range(col, k):
-                M[r][cc] = F.add(M[r][cc], F.neg(F.mul(c, M[col][cc])))
-    return True
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([2, 3, 5, 32003]), st.data())
-def test_full_rank_iff_nonzero_determinant(p, data):
-    # small entries make singular matrices common even modulo 32003
-    k = data.draw(st.integers(0, 4))
-    M = data.draw(
-        st.lists(st.lists(st.integers(0, 6), min_size=k, max_size=k), min_size=k, max_size=k)
-    )
-    F = PrimeField(p)
-    M = [[F.coerce(v) for v in row] for row in M]
-    assert (rank_mod_p([dict(enumerate(row)) for row in M], p) == k) == _det_nonzero(M, F)
 
 
 def test_gin_rejects_nonstandard_ring():

@@ -9,6 +9,7 @@ from conftest import (
     add_empty_block,
     as_ideal,
     block_ring,
+    dense_block_change,
     hinted_initial_ideal,
     ideal_contains,
     normal_form,
@@ -528,12 +529,13 @@ def _trial_bits(I, images, order, hint):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(["random", "empty block", "zero", "unit", "wide"]))
 def test_gin_trial_matches_the_oracle_paths(seed, kind):
-    """gin_trial over GF(32003), under grevlex, lex and weight orders,
-    against the path it replaced (substituted_ideal, then the hinted loop
-    on the unpacked ideal), the reduced basis of g(I) with no hint, and the
-    hinted tuple loop of tests/tuple_kernel.py; on random ideals, rings
-    with an empty block, the zero and unit ideals, and ideals whose S-pairs
-    pass 8-bit fields, where the trial widens its fields and reruns."""
+    """gin_trial over GF(32003) on a dense change g, under grevlex, lex
+    and weight orders, against the path it replaced (substituted_ideal,
+    then the hinted loop on the unpacked ideal), the reduced basis of g(I)
+    with no hint, and the hinted tuple loop of tests/tuple_kernel.py; on
+    random ideals, rings with an empty block, the zero and unit ideals,
+    and ideals whose S-pairs pass 8-bit fields, where the trial widens its
+    fields and reruns."""
     rng = random.Random(seed)
     R = random_standard_ring(rng, max_vars=4, field=GF32003)
     if kind == "empty block":
@@ -548,7 +550,7 @@ def test_gin_trial_matches_the_oracle_paths(seed, kind):
     else:
         I = random_ideal(rng, R, max_degree=3, max_gens=4)
     hint, tuple_hint = HilbertHint(I), tuple_kernel.HilbertHint(I)
-    images = random_block_change(R, seed)
+    images = dense_block_change(R, seed)
     J = substituted_ideal(I, images)
     gens = [f.terms for f in J.gens]
     for order in _orders(rng, R):

@@ -5,8 +5,9 @@ Polynomial +, -, * and unary minus and the substitution of
 groebner.gin_trial all go through the kernel.  The loops they were
 written with before are kept here as references and compared with them
 over QQ and GF(32003): on sums that cancel to zero, on zero, constant and
-very unequal operands, and on random block changes of coordinates, with
-blocks of one variable and on standardized rings.  The kernel itself is
+very unequal operands, and on random dense block changes of coordinates
+(conftest.dense_block_change), with blocks of one variable and on
+standardized rings.  The kernel itself is
 compared with the tuple kernel it replaced (tests/tuple_kernel.py), and
 with the loop that called the field's add and mul methods per term, on
 QQ, two prime fields and intpoly.ZZ; the packing with the tuple order
@@ -24,6 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     block_ring,
     constant,
+    dense_block_change,
     field_element,
     order_lcm,
     random_form,
@@ -371,7 +373,7 @@ def test_field_bits_doubles_from_eight():
 
 def _random_linear_images(rng, ring):
     """Per block, random linear forms in the block's variables (QQ has no
-    random_block_change, which needs a large prime field)."""
+    dense_block_change, which needs a prime field)."""
     images = [None] * ring.n
     for k in range(ring.p):
         block = ring.block_variables(k)
@@ -410,7 +412,7 @@ def test_substitution_matches_reference(sizes, name, seed):
     R = block_ring(sizes, FIELDS[name])
     I = random_ideal(rng, R, max_degree=3, max_gens=4)
     if name == "GF32003":
-        images = random_block_change(R, seed)
+        images = dense_block_change(R, seed)
     else:
         images = _random_linear_images(rng, R)
     _assert_substitution_matches_reference(rng, I, images)
@@ -424,7 +426,7 @@ def test_substitution_on_standardized_rings_matches_reference(seed):
     R = make_ring(R.names, R.degrees, GF32003)
     I = Ideal(R, [random_form(rng, R, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))])
     J, _ = standardize_ideal(I)
-    images = random_block_change(J.ring, seed)
+    images = dense_block_change(J.ring, seed)
     _assert_substitution_matches_reference(rng, J, images)
 
 
@@ -432,7 +434,7 @@ def test_substitution_of_standardized_minors_matches_reference():
     _, I = build_determinantal(2, 3, 2, GF32003)
     J, _ = standardize_ideal(I)
     assert not I.ring.is_standard and J.ring.is_standard
-    images = random_block_change(J.ring, 3)
+    images = dense_block_change(J.ring, 3)
     _assert_substitution_matches_reference(random.Random(3), J, images)
 
 

@@ -1,16 +1,24 @@
 import random
+from fractions import Fraction
+from itertools import combinations, product
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import SURFACE_CEE_TERMS
 from mdeg.intpoly import IntegerPolynomial
 from mdeg.polymatroid import (
+    _hull_points,
     exchange_check,
     in_convex_hull,
-    newton_polytope_points,
     snp_check,
     support_points,
 )
+
+
+def newton_polytope_points(support):
+    """All lattice points of the convex hull of the support: the walk that
+    snp_check stops at the first missing point, run to its end."""
+    return set(_hull_points({tuple(q) for q in support}))
 
 
 def test_exchange_positive_matroid_bases():
@@ -60,6 +68,60 @@ def test_hull_membership_exact():
     assert not in_convex_hull((2, 1), pts)
 
 
+def unique_solution(A, b):
+    """The one solution of A x = b over QQ, or None when there is none or
+    more than one, by Gauss-Jordan elimination on Fractions."""
+    rows = [[Fraction(v) for v in row] + [Fraction(c)] for row, c in zip(A, b)]
+    n = len(A[0])
+    pivots = []
+    for col in range(n):
+        r = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+        if r is None:
+            return None
+        k = len(pivots)
+        rows[k], rows[r] = rows[r], rows[k]
+        rows[k] = [v / rows[k][col] for v in rows[k]]
+        for i in range(len(rows)):
+            if i != k and rows[i][col]:
+                rows[i] = [v - rows[i][col] * w for v, w in zip(rows[i], rows[k])]
+        pivots.append(col)
+    if any(row[-1] for row in rows[n:]):
+        return None
+    return [rows[k][-1] for k in range(n)]
+
+
+def caratheodory_in_hull(q, points):
+    """Reference for in_convex_hull: by Caratheodory, q is in the hull
+    exactly when it is a convex combination of an affinely independent set
+    of at most len(q) + 1 of the points, whose weights are then unique."""
+    pts = sorted(points)
+    for size in range(1, min(len(pts), len(q) + 1) + 1):
+        for sub in combinations(pts, size):
+            A = [[v[k] for v in sub] for k in range(len(q))] + [[1] * size]
+            x = unique_solution(A, list(q) + [1])
+            if x is not None and min(x) >= 0:
+                return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda p: st.tuples(
+            st.tuples(*[st.integers(-2, 3)] * p),
+            st.lists(st.tuples(*[st.integers(-2, 3)] * p), min_size=1, max_size=5),
+        )
+    )
+)
+def test_hull_membership_matches_caratheodory(case):
+    # negative coordinates too, and the points in either order: the LP once
+    # let a column that had left the basis enter again, and answered by the
+    # order of the points
+    q, points = case
+    assert in_convex_hull(q, points) == caratheodory_in_hull(q, points)
+    assert in_convex_hull(q, points[::-1]) == caratheodory_in_hull(q, points)
+
+
 def test_newton_polytope_points_triangle():
     pts = newton_polytope_points({(0, 0), (2, 0), (0, 2)})
     assert pts == {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)}
@@ -72,6 +134,41 @@ def test_snp_positive_and_negative():
     ok, w = snp_check({(2, 0), (0, 2)})
     assert not ok
     assert w == (1, 1)
+    # a bounding box of 20001^2 points, whose degree slice holds 20001: the
+    # walk stops at the slice's second point, the first one missing
+    assert snp_check({(20000, 0), (0, 20000)}) == (False, (1, 19999))
+
+
+def box_walk_hull_points(support):
+    """Reference: the lattice points of the convex hull of the support, by
+    the LP on every point of the bounding box whose total degree is in
+    range, as newton_polytope_points walked before it kept to the degree
+    slice."""
+    pts = [tuple(q) for q in support]
+    p = len(pts[0])
+    lo = [min(q[k] for q in pts) for k in range(p)]
+    hi = [max(q[k] for q in pts) for k in range(p)]
+    dlo = min(sum(q) for q in pts)
+    dhi = max(sum(q) for q in pts)
+    return {
+        q
+        for q in product(*(range(lo[k], hi[k] + 1) for k in range(p)))
+        if dlo <= sum(q) <= dhi and in_convex_hull(q, pts)
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda p: st.sets(st.tuples(*[st.integers(-2, 3)] * p), min_size=1, max_size=5)
+    )
+)
+def test_hull_points_match_the_box_walk(points):
+    # mixed total degrees too: the slice is then several hyperplanes thick
+    hull = box_walk_hull_points(points)
+    assert newton_polytope_points(points) == hull
+    missing = sorted(hull - points)
+    assert snp_check(points) == (not missing, missing[0] if missing else None)
 
 
 def test_snp_of_threefold_multidegree():

@@ -12,19 +12,35 @@ computes in only one way.
   C(S/P) is M-convex, since the multidegrees of an irreducible variety
   are Lorentzian (Branden-Huh, Ann. of Math. 192, 2020), so
   exchange_check passes.
+- Positivity, on the nonzero toric primes and on the threefold P: the
+  support MSupp of the multidegrees of X = V(P) is the set of n with
+  |n| = dim X and sum_{j in J} n_j <= dim pi_J(X) for every set J of
+  blocks (Castillo, Cid-Ruiz, Li, Montano, Zhang, "When are multidegrees
+  positive?", Adv. Math. 374, 2020, Theorem A).  geom computes the left
+  side; contract and geom give each dim pi_J(X) on the right.
+- Brion's converse, on the nonzero toric primes: C(S/P) is
+  multiplicity-free exactly when gin(P) is squarefree, exactly when
+  cs_check gives a CS verdict (M. Brion, Contemp. Math. 331, 2003, which
+  the paper reproves).  C comes from in(P), with no gin, so this checks
+  the change of coordinates of gin too.  PAPER.md holds only the
+  abstract, so the exact hypotheses, the characteristic among them, are
+  not checked here: the test encodes the equivalence as observed over
+  GF(32003), on every prime of the draw.
 """
 
+import functools
+import itertools
 import pathlib
 import random
 
 import pytest
 
-from conftest import block_ring, toric_kernel
+from conftest import block_ring, surface_prime, three_block_ring, toric_kernel
 from mdeg.determinantal import build_determinantal
-from mdeg.fields import GF32003
-from mdeg.genin import gin_structure_report
-from mdeg.groebner import Ideal
-from mdeg.hilbert import multidegree_C
+from mdeg.fields import GF32003, QQ
+from mdeg.genin import gin, gin_structure_report
+from mdeg.groebner import Ideal, contract
+from mdeg.hilbert import geometric_multidegrees, multidegree_C
 from mdeg.inputlang import parse_input
 from mdeg.polymatroid import exchange_check, support_points
 from mdeg.ring import make_ring
@@ -116,14 +132,89 @@ def random_toric_prime(rng):
     return toric_kernel(R, params, images)
 
 
+@functools.cache
+def toric_primes():
+    """(seed, P) for each draw: the draw is shared by the tests of this
+    file and by the differential test of the change of coordinates in
+    tests/test_genin.py."""
+    return [(seed, random_toric_prime(random.Random(seed))) for seed in range(TORIC_DRAWS)]
+
+
+def nonzero_toric_primes():
+    return [(seed, P) for seed, P in toric_primes() if not P.is_zero()]
+
+
 def test_random_toric_primes_satisfy_the_gin_structure_theorem():
-    nonzero = 0
-    for seed in range(TORIC_DRAWS):
-        P = random_toric_prime(random.Random(seed))
-        nonzero += not P.is_zero()
+    for seed, P in toric_primes():
         report = gin_structure_report(P)
         assert report.ok(), (seed, P, report.clauses)
         assert exchange_check(support_points(multidegree_C(P)))[0], (seed, P)
-        assert_cs_is_multiplicity_free(P)
     # most draws are not the zero ideal, so the clauses are tested
-    assert nonzero >= 100
+    assert len(nonzero_toric_primes()) >= 100
+
+
+def projection_dimensions(P):
+    """dim pi_J(X) of X = V(P) for each nonempty tuple J of blocks
+    (1-based): the dim of the contraction's table, or of the whole
+    product of the J blocks when the contraction is zero."""
+    R = P.ring
+    dims = {}
+    for mask in range(1, 1 << R.p):
+        J = tuple(k + 1 for k in range(R.p) if mask >> k & 1)
+        PJ = contract(P, J)
+        if PJ.is_zero():
+            dims[J] = sum(len(R.block_variables(j - 1)) - 1 for j in J)
+        else:
+            dims[J] = geometric_multidegrees(PJ).dim
+    return dims
+
+
+def degree_slice(R, d):
+    """The n in the box of the block dimensions of R with |n| = d."""
+    box = [range(len(R.block_variables(k))) for k in range(R.p)]
+    return [n for n in itertools.product(*box) if sum(n) == d]
+
+
+def positive_support(P):
+    """The n of Theorem A, sorted: |n| = dim X and sum_{j in J} n_j <=
+    dim pi_J(X) for every J; J the set of all blocks gives dim X."""
+    R = P.ring
+    dims = projection_dimensions(P)
+    return [
+        n
+        for n in degree_slice(R, dims[tuple(range(1, R.p + 1))])
+        if all(sum(n[j - 1] for j in J) <= d for J, d in dims.items())
+    ]
+
+
+def test_the_support_of_the_threefold_is_cut_out_by_its_projections():
+    # acceptance criteria 1 and 2: P and its six projections
+    P = surface_prime(three_block_ring(QQ))
+    assert projection_dimensions(P) == {
+        (1,): 1, (2,): 2, (3,): 3, (1, 2): 2, (1, 3): 3, (2, 3): 3, (1, 2, 3): 3
+    }
+    support = [(0, 0, 3), (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 1, 1)]
+    assert geometric_multidegrees(P).msupp == positive_support(P) == support
+
+
+def test_the_support_of_a_toric_prime_is_cut_out_by_its_projections():
+    cut = 0
+    for seed, P in nonzero_toric_primes():
+        table = geometric_multidegrees(P)
+        support = positive_support(P)
+        assert table.msupp == support, (seed, P)
+        cut += support != degree_slice(P.ring, table.dim)
+    # on some draws a projection cuts points from the box
+    assert cut
+
+
+def test_brions_converse_on_the_toric_primes():
+    # as observed over GF(32003), not derived: see the module docstring
+    free = 0
+    for seed, P in nonzero_toric_primes():
+        multiplicity_free = set(multidegree_C(P).terms.values()) <= {1}
+        squarefree = gin(P).ideal.is_squarefree()
+        assert multiplicity_free == squarefree == cs_check(P).is_cs, (seed, P)
+        free += multiplicity_free
+    # both sides of the equivalence occur
+    assert 0 < free < len(nonzero_toric_primes())
