@@ -5,10 +5,13 @@ of a discrete polymatroid; exchange_check tests the M-convex exchange
 axiom directly and returns a witness on failure.  snp_check compares a
 set of lattice points, such as the support of a polynomial, with the
 lattice points of its convex hull up to the first one missing, using an
-exact rational feasibility LP for hull membership.
+exact rational feasibility LP for hull membership, run only on points
+that satisfy the integer equations of the set's affine hull.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 
 def support_points(poly):
@@ -113,13 +116,50 @@ def in_convex_hull(q, points):
     return _simplex_feasible(A, b)
 
 
+def affine_equations(points):
+    """Integer equations (a, b), each a . x = b, that cut out the affine
+    hull of the nonempty set `points`, p - dim of them: one per free
+    column of the differences from one point, brought to reduced echelon
+    form by integer row operations."""
+    base, *rest = points
+    rows = [[x - y for x, y in zip(q, base)] for q in rest]
+    pivots = []  # the pivot column of each row of the echelon form so far
+    for col in range(len(base)):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        pivot = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                row = [pivot[col] * v - row[col] * w for v, w in zip(row, pivot)]
+                g = gcd(*row) or 1
+                rows[i] = [v // g for v in row]
+        pivots.append(col)
+    # row r reads rows[r][c_r] x_{c_r} + (its free columns) = 0
+    scale = lcm(*(row[col] for row, col in zip(rows, pivots)))
+    equations = []
+    for free in (col for col in range(len(base)) if col not in pivots):
+        a = [0] * len(base)
+        a[free] = scale
+        for row, col in zip(rows, pivots):
+            a[col] = -row[free] * scale // row[col]
+        g = gcd(*a)
+        a = [v // g for v in a]
+        equations.append((a, sum(map(mul, a, base))))
+    return equations
+
+
 def _hull_points(support):
     """The lattice points of the convex hull of the set `support`, in lex
     order: each point of the bounding box whose total degree is in the
-    support's range and that is in the support or passes the exact LP."""
+    support's range and that is in the support, or that lies on the
+    support's affine hull and passes the exact LP."""
     lo = [min(c) for c in zip(*support)]
     hi = [max(c) for c in zip(*support)]
     dlo, dhi = min(map(sum, support)), max(map(sum, support))
+    equations = affine_equations(support)
 
     def walk(prefix, k):
         # only values the later coordinates can complete to a degree in range
@@ -130,7 +170,9 @@ def _hull_points(support):
             q = prefix + (x,)
             if k + 1 < len(lo):
                 yield from walk(q, k + 1)
-            elif q in support or in_convex_hull(q, support):
+            elif q in support or (
+                all(sum(map(mul, a, q)) == b for a, b in equations) and in_convex_hull(q, support)
+            ):
                 yield q
 
     return walk((), 0)

@@ -407,10 +407,9 @@ def multidegree_of(f):
 
 
 def is_homogeneous(f):
-    if not f:
-        return True
+    """Whether all terms of f have one multidegree; the zero polynomial has."""
     try:
-        multidegree_of(f)
-        return True
+        f and multidegree_of(f)
     except NotHomogeneous:
         return False
+    return True

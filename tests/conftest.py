@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import random
+import signal
 from fractions import Fraction
 from operator import mul
 
@@ -460,3 +462,19 @@ def ge_coefficientwise(f, g):
     """f >=_c g for IntegerPolynomials: every coefficient dominates."""
     keys = set(f.terms) | set(g.terms)
     return all(f.terms.get(e, 0) >= g.terms.get(e, 0) for e in keys)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body after `seconds` (POSIX only)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

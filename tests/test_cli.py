@@ -443,6 +443,9 @@ GOLDEN_FILES = {
     "mixed_degree_pts": "1 0\n1 1\n",
     # a bounding box of 20001^2 points, of which the degree slice holds 20001
     "far_pts": "20000 0\n0 20000\n",
+    # a degree slice of the whole 20001^2 box, whose first 20001 points in
+    # lex order are off the line through the two points
+    "diagonal_pts": "0 0\n20000 20000\n",
     # the twisted cubic, whose lex gin differs from its grevlex one
     "cubic_fp": "field Fp 32003\nvars a b c d\n"
     + "".join(f"deg {v} = (1)\n" for v in "abcd")
@@ -631,6 +634,9 @@ GOLDEN_CASES = {
     # the walk stops at the first lattice point of the hull that is missing
     "snp-far-points-text": ["snp-check", "--points", "{far_pts}"],
     "snp-far-points-json": ["snp-check", "--points", "{far_pts}", "--json"],
+    # a point off the affine hull of the points needs no LP
+    "snp-diagonal-points-text": ["snp-check", "--points", "{diagonal_pts}"],
+    "snp-diagonal-points-json": ["snp-check", "--points", "{diagonal_pts}", "--json"],
     # a missing point with a negative coordinate: the LP negates its row
     "snp-negative-coordinate-missing": ["snp-check", "--points", "{negative_gap_pts}"],
 }

@@ -1,21 +1,21 @@
-"""The ring-file tokenizer and generator builder of mdeg.inputlang against
-the ones they replaced (tests/ref_inputlang.py): the same tokens, lines
-and columns, the same term dict for every generator, and the same
-InputError, text and position, for every malformed one.
+"""The ring-file reader of mdeg.inputlang against the one it replaced
+(tests/ref_inputlang.py): the same tokens, lines and columns, the same
+term dict, in the same order, for every generator, the same InputError,
+text and position, for every malformed one, and, on whole ring files,
+the same ring, ideals and homogeneity errors.
 """
 
-import contextlib
-import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ref_inputlang
+from conftest import time_limit
 from mdeg.errors import InputError
 from mdeg.fields import GF32003, MODULUS_LIMIT, QQ, PrimeField
 from mdeg import inputlang
-from mdeg.inputlang import _build_poly, _tokenize, parse_input
+from mdeg.inputlang import _terms, _tokenize, _where, parse_input
 from mdeg.ring import make_ring
 
 VARS = ("x", "y", "z")
@@ -30,8 +30,32 @@ def outcome(fn):
         return ("InputError", str(e), e.line, e.col)
 
 
-def token_fields(toks):
-    return [(t.kind, t.text, t.line, t.col) for t in toks]
+def token_fields(text):
+    """(kind, text, line, column) of each token of `text`, the positions
+    worked out by _where."""
+    lines = text.splitlines()
+    return [
+        (next((kind for kind, group in zip(("num", "name", "op"), t) if group), "eof"), "".join(t))
+        + _where(lines, i)
+        for i, t in enumerate(_tokenize(lines))
+    ]
+
+
+def reference_token_fields(text):
+    return [(t.kind, t.text, t.line, t.col) for t in ref_inputlang._tokenize(text)]
+
+
+def session_outcome(parse, text):
+    """The ring, each ideal's term dicts as item lists and the outcome of
+    Session.ideal on each ideal, or the InputError of parse(text)."""
+
+    def read():
+        session = parse(text)
+        ideals = [(name, [list(f.terms.items()) for f in gens]) for name, gens in session.ideals.items()]
+        checks = [(name, outcome(lambda: session.ideal(name) and None)) for name in session.ideals]
+        return session.ring, ideals, checks
+
+    return outcome(read)
 
 
 # numbers that vanish or divide by zero mod 7 or 32003 as well as over QQ
@@ -83,12 +107,17 @@ token_soup = st.lists(
 
 
 def same_generator(ring, text):
-    toks = _tokenize(text)[:-1]  # a generator's slice holds no eof token
-    got = outcome(lambda: _build_poly(ring, toks).terms)
-    assert got == outcome(lambda: ref_inputlang.build_poly(ring, toks).terms)
-    if isinstance(got, dict):
+    """_terms on the tokens of `text`, ended by a ;, as _build_poly of
+    the reference evaluates them, whatever their parentheses."""
+    lines = (text + " ;").splitlines()
+    toks = _tokenize(lines)
+    end = len(toks) - 2  # the ;
+    got = outcome(lambda: list(_terms(ring, toks, lines, 0, end).items()))
+    ref_toks = ref_inputlang._tokenize(text + " ;")[:end]
+    assert got == outcome(lambda: list(ref_inputlang._build_poly(ring, ref_toks).terms.items()))
+    if isinstance(got, list):
         F = ring.field
-        assert not any(c == F.zero for c in got.values())
+        assert not any(c == F.zero for _, c in got)
 
 
 @settings(max_examples=500, deadline=None)
@@ -128,24 +157,65 @@ tokenizer_alphabet = st.sampled_from(
 @example("x\r\n  \x85y # c\x0bz\n")
 @example("\n\n")
 def test_tokens_lines_and_columns_match_the_per_line_reference(text):
-    got = outcome(lambda: token_fields(_tokenize(text)))
-    assert got == outcome(lambda: token_fields(ref_inputlang.tokenize(text)))
+    assert outcome(lambda: token_fields(text)) == outcome(lambda: reference_token_fields(text))
 
 
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the body after `seconds` (POSIX only)."""
+rarely = st.sampled_from([False] * 19 + [True])
 
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+# declarations that each stop the parser, or not, in their own way
+odd_declarations = st.sampled_from(
+    ["3", "ring x", "vars", "field", "field RR", "field Fp", "field Fp 4", "deg x (1)",
+     "deg x = (1", "deg = (1)", "deg x = (0)", "ideal = [ x ]", "ideal I [ x ]",
+     "ideal I = [ x", "ideal I = [ x ; ]", "ideal I = ( x )", "ideal I = [ ]", "# note"]
+)
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+
+@st.composite
+def ring_files(draw):
+    """A ring file over the names of VARS and maybe w: mostly a
+    well-formed one, with a field, a vars and a deg declaration per name
+    and up to three ideals of drawn generators; at times a declaration
+    is missing, repeated or malformed, or a generator is token soup.  The
+    declarations come in any order, split into lines in several ways."""
+    p = draw(st.integers(1, 2))
+    names = draw(st.permutations(VARS + ("w",) * draw(st.booleans())))
+    if draw(rarely):
+        names = names[1:]
+    if draw(rarely):
+        names.append(draw(st.sampled_from(names)))
+    once = st.sampled_from([1] * 18 + [0, 2])  # how often a declaration comes
+    decls = [draw(st.sampled_from(["field QQ", "field Fp 7", "field Fp 32003"]))] * draw(once)
+    decls += ["vars " + " ".join(names)] * draw(once)
+    # one grading for most names, so that some generators are homogeneous
+    degrees = st.lists(st.integers(0, 2), min_size=p, max_size=p).map(lambda d: d if any(d) else [1] + d[1:])
+    common = draw(degrees)
+    extra = [draw(st.sampled_from(VARS))] if draw(rarely) else []
+    for name in dict.fromkeys(names + extra):
+        for _ in range(draw(once)):
+            d = draw(st.sampled_from([common] * 3 + [draw(degrees)]))
+            if draw(rarely):
+                d = d + [1]
+            decls.append(f"deg {name} = ({','.join(map(str, d))})")
+    ideals = draw(st.lists(st.sampled_from("IJK"), min_size=1, max_size=3, unique=True))
+    if draw(rarely):
+        ideals.append(ideals[0])
+    for ideal in ideals:
+        gens = draw(st.lists(token_soup if draw(rarely) else expressions(), max_size=3))
+        decls.append(f"ideal {ideal} = [ " + " ; ".join(gens) + " ]")
+    if draw(rarely):
+        decls.append(draw(odd_declarations))
+    decls = draw(st.permutations(decls))
+    seps = [draw(st.sampled_from(["\n", " ", "\n\n", "\r\n", "  # c\n"])) for _ in decls]
+    return "".join(d + sep for d, sep in zip(decls, seps))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ring_files())
+@example("vars x y\ndeg x = (1)\ndeg y = (2)\nideal I = [ x^2 - y ; x + y ]\n")
+@example("ideal I = [ x ]\ndeg x = (1)\nvars x\nideal J = [ ]\n")
+@example("vars x\ndeg x = (1)\nideal I = [ (x ; y) ]\n")
+def test_ring_files_read_as_the_reference_reads_them(text):
+    assert session_outcome(parse_input, text) == session_outcome(ref_inputlang.parse_input, text)
 
 
 @pytest.mark.parametrize("field", ["QQ", "Fp 32003"])

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -8,6 +9,7 @@ from conftest import SURFACE_CEE_TERMS
 from mdeg.intpoly import IntegerPolynomial
 from mdeg.polymatroid import (
     _hull_points,
+    affine_equations,
     exchange_check,
     in_convex_hull,
     snp_check,
@@ -122,6 +124,57 @@ def test_hull_membership_matches_caratheodory(case):
     assert in_convex_hull(q, points[::-1]) == caratheodory_in_hull(q, points)
 
 
+def rank(rows):
+    """Rank over QQ of a list of integer rows, by Gaussian elimination."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        k = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if k is not None:
+            rows[r], rows[k] = rows[k], rows[r]
+            for i in range(r + 1, len(rows)):
+                c = rows[i][col] / rows[r][col]
+                rows[i] = [v - c * w for v, w in zip(rows[i], rows[r])]
+            r += 1
+    return r
+
+
+@st.composite
+def flat_point_sets(draw):
+    """1 to 5 lattice points base + sum c_j d_j, in up to p drawn
+    directions d_j of Z^p, p <= 3, so that the set is mostly not full
+    dimensional, and up to 10 lattice points next to them."""
+    p = draw(st.integers(1, 3))
+    vectors = st.tuples(*[st.integers(-2, 2)] * p)
+    base = draw(vectors)
+    directions = draw(st.lists(vectors, max_size=p))
+    points = {base}
+    for _ in range(draw(st.integers(0, 4))):
+        cs = [draw(st.integers(-2, 2)) for _ in directions]
+        points.add(tuple(b + sum(c * d[k] for c, d in zip(cs, directions)) for k, b in enumerate(base)))
+    near = st.tuples(st.sampled_from(sorted(points)), st.tuples(*[st.integers(-1, 1)] * p))
+    queries = [tuple(map(sum, zip(q, step))) for q, step in draw(st.lists(near, max_size=10))]
+    return points, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_point_sets())
+def test_affine_equations_cut_out_the_affine_hull(case):
+    """p - dim independent equations that every point satisfies, so that
+    they cut out the affine hull; a lattice point near the set that breaks
+    one is outside the convex hull, which the LP confirms."""
+    points, queries = case
+    pts = sorted(points)
+    p = len(pts[0])
+    equations = affine_equations(points)
+    assert all(sum(a_k * x_k for a_k, x_k in zip(a, q)) == b for a, b in equations for q in pts)
+    dim = rank([[x - y for x, y in zip(q, pts[0])] for q in pts[1:]])
+    assert len(equations) == p - dim and rank([a for a, _ in equations]) == len(equations)
+    for q in queries:
+        if any(sum(a_k * x_k for a_k, x_k in zip(a, q)) != b for a, b in equations):
+            assert not in_convex_hull(q, pts)
+
+
 def test_newton_polytope_points_triangle():
     pts = newton_polytope_points({(0, 0), (2, 0), (0, 2)})
     assert pts == {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)}
@@ -137,6 +190,11 @@ def test_snp_positive_and_negative():
     # a bounding box of 20001^2 points, whose degree slice holds 20001: the
     # walk stops at the slice's second point, the first one missing
     assert snp_check({(20000, 0), (0, 20000)}) == (False, (1, 19999))
+    # a slice of the whole box, whose first 20001 points in lex order are
+    # off the line x = y: none of them needs an LP
+    start = time.perf_counter()
+    assert snp_check({(0, 0), (20000, 20000)}) == (False, (1, 1))
+    assert time.perf_counter() - start < 0.5
 
 
 def box_walk_hull_points(support):
