@@ -18,9 +18,10 @@ every basis element lists its leading term first.  Every subtraction of a
 term multiple (reduction, S-polynomial) and the products
 of a substitution go through the one term kernel, ring._add_mul.
 Critical pairs are pruned with the Gebauer-Moller update, on lcms found
-on the variable fields alone; only a kept pair's lcm is unpacked, once,
-and packed again with the order's fields.  Pairs are picked smallest lcm
-first, which makes the reduced basis of a homogeneous input
+on the variable fields alone; a kept pair's lcm gets the order's fields
+from the few variable fields where it exceeds the new leading term and a
+per-packing table, _Packing.above, with no unpacking.  Pairs are picked
+smallest lcm first, which makes the reduced basis of a homogeneous input
 deterministic.
 
 A gin trial, in(g(I)) for a block change of coordinates g (gin_trial),
@@ -61,6 +62,8 @@ wrapped by Ideal._of without a second check.
 """
 
 from heapq import heapify, heappop, heappush
+from itertools import islice
+from operator import itemgetter
 
 from .errors import (
     BadArgument,
@@ -148,19 +151,25 @@ def _update_pairs(pairs, lts, t, pk, memo=None):
     `pairs` maps (a, b), two leading terms, to (total degree, order key,
     lcm) of their lcm.  An old pair is dropped when t divides its lcm l
     and l is neither lcm(a, t) nor lcm(b, t); those two are worked out
-    only for the pairs whose lcm t divides, on the variable fields alone,
-    (a & vmask) + excess(a, t), which is all that equality looks at.  The
-    new pairs are _new_pairs(lts, t, pk), or, with `memo`, a dict from a
-    leading term to the new pairs kept when it joins these same leading
-    terms (hilbert.HilbertHint.new_pairs), the pairs stored there.
+    only for the pairs whose lcm t divides, b's only when a's differs, on
+    the variable fields alone (_Packing.excess written out).  The new pairs
+    are _new_pairs(lts, t, pk), or, with `memo`, a dict from a leading term
+    to the new pairs kept when it joins these same leading terms
+    (hilbert.HilbertHint.new_pairs), the pairs stored there.
     """
-    guard, vmask, excess = pk.guard, pk.vmask, pk.excess
+    guard, vmask, top = pk.guard, pk.vmask, pk.bits - 1
+    tg = (t & vmask) | guard
     stale = []
     for ab, (_, _, l) in pairs.items():
         if not (l - t) & guard:
-            a, b = ab
             lv = l & vmask
-            if lv != (a & vmask) + excess(a, t) and lv != (b & vmask) + excess(b, t):
+            for e in ab:
+                ev = e & vmask
+                d = tg - ev
+                g = d & guard
+                if lv == ev + (d & (g - (g >> top))):
+                    break
+            else:
                 stale.append(ab)
     for ab in stale:
         del pairs[ab]
@@ -177,26 +186,41 @@ def _new_pairs(lts, t, pk):
     as a list of ((a, t), (total degree, order key, lcm)): one per minimal
     lcm, and none for an a coprime to t (Buchberger's first criterion).
 
-    Each candidate lcm is found on the variable fields alone, (a & vmask)
-    + excess(a, t), which is all that divisibility and equality look at;
-    only a pair that is kept has its lcm unpacked, once, for the total
-    degree, and packed again with the fields above the variables, which
-    the order key and the S-polynomial's shifts need.
+    Each candidate lcm is found on the variable fields alone, a & vmask
+    plus _Packing.excess(a, t) written out, which is all that divisibility
+    and equality look at.  A kept pair's lcm is t + x + rows(x), x the
+    fields where a exceeds t, usually one or two: pack is additive, and
+    rows(x) adds each such field's value times pk.above, its variable's
+    share of the fields above; the total degree is t's plus those values.
     """
-    guard, vmask = pk.guard, pk.vmask
-    fresh = {a: (a & vmask) + pk.excess(a, t) for a in lts}
+    guard, vmask, bits, above, flip = pk.guard, pk.vmask, pk.bits, pk.above, pk.flip
+    top, fmask = bits - 1, (1 << bits) - 1
+    tv, tdeg = t & vmask, sum(pk.unpack(t))
+    tg = tv | guard
+    fresh = {}
+    for a in lts:
+        av = a & vmask
+        d = tg - av
+        g = d & guard
+        fresh[a] = av + (d & (g - (g >> top)))
     # a proper divisor has smaller variable fields, so it is met first
-    tv = t & vmask
     chosen, new = [], []
-    for a in sorted(lts, key=fresh.__getitem__):
-        l = fresh[a]
-        if any(not (l - m) & guard for m in chosen):
-            continue
-        chosen.append(l)
-        if l != (a & vmask) + tv:
-            u = pk.unpack(l)
-            l = pk.pack(u)
-            new.append(((a, t), (sum(u), l ^ pk.flip, l)))
+    for a, l in sorted(fresh.items(), key=itemgetter(1)):
+        for m in chosen:
+            if not (l - m) & guard:
+                break
+        else:
+            chosen.append(l)
+            x = l - tv
+            if x != a & vmask:
+                deg, lcm = tdeg, t + x
+                while x:
+                    k = ((x & -x).bit_length() - 1) // bits
+                    v = x >> k * bits & fmask
+                    x -= v << k * bits
+                    deg += v
+                    lcm += v * above[k]
+                new.append(((a, t), (deg, lcm ^ flip, lcm)))
     return new
 
 
@@ -277,6 +301,8 @@ def _reduce_basis(basis, field, pk):
     earlier ones, so the kept elements are those whose leading terms are
     minimal generators of the monomial ideal they span; a proper divisor
     has smaller variable fields, so it is kept before its multiples are met.
+    Each element's tail is reduced against all of them, its own leading
+    term dividing no smaller term, and its leading term put back in front.
     """
     guard, flip = pk.guard, pk.flip
     keep = []
@@ -284,11 +310,11 @@ def _reduce_basis(basis, field, pk):
         if all((a - b) & guard for b in keep):
             keep.append(a)
     keep.sort(key=lambda a: a ^ flip)
-    out = []
-    for a in keep:
-        others = {b: basis[b] for b in keep if b != a}
-        out.append(_make_monic(_reduce_dict(basis[a], others, field, pk), field)[1])
-    return out
+    kept = {a: basis[a] for a in keep}
+    return [
+        {a: f[a], **_reduce_dict(dict(islice(f.items(), 1, None)), kept, field, pk)}
+        for a, f in kept.items()
+    ]
 
 
 class Ideal:

@@ -61,7 +61,7 @@ class GradedRing:
         for nm, d in zip(names, degrees):
             if len(d) != p:
                 raise ValueError(f"degree of {nm} has wrong length")
-            if all(c == 0 for c in d) or any(c < 0 for c in d):
+            if not any(d) or min(d) < 0:
                 raise ZeroDegreeVariable(f"deg({nm}) = {d} is not in N^p \\ {{0}}")
         self.names = names
         self.degrees = degrees
@@ -181,7 +181,9 @@ class _Packing:
     Polynomial arithmetic.
 
     `guard` holds the guard bits, `vmask` the variable fields and `flip`
-    what a packed exponent is XORed with to give its order key.
+    what a packed exponent is XORed with to give its order key; pack is
+    additive, and `above[k]` is what a unit in the k-th variable field from
+    the bottom adds to the fields above the variables (groebner._new_pairs).
     """
 
     def __init__(self, n, bits, rows=(), grevlex=False):
@@ -199,9 +201,11 @@ class _Packing:
         for row in ([None] if grevlex else []) + list(reversed(rows)):
             self._high.append((row, shift))
             shift += (top * (n if row is None else sum(map(abs, row)))).bit_length()
-        # the bit offset of each variable's field
-        self._shifts = [k * bits for k in (range(n) if grevlex else reversed(range(n)))]
+        # the bit offset of each variable's field; field k holds variable fields[k]
+        fields = range(n) if grevlex else range(n - 1, -1, -1)
+        self._shifts = [k * bits for k in fields]
         self._fmask = (1 << bits) - 1
+        self.above = [sum((1 if r is None else r[i]) << h for r, h in self._high) for i in fields]
 
     def pack(self, e):
         p = sum(map(lshift, e, self._shifts))
@@ -232,9 +236,9 @@ class _Packing:
     def lcm(self, a, b):
         """lcm of two exponents packed in a layout with no fields above the
         variables (the plain one): a plus the fieldwise excess of b.  In
-        an order's layout (a + excess) & vmask holds the lcm's variable
-        fields, and packing their unpacked tuple restores the fields
-        above (groebner._update_pairs)."""
+        an order's layout a + excess gets the lcm's variable fields right,
+        and the excess's fields times `above` add the fields above
+        (groebner._new_pairs)."""
         return a + self.excess(a, b)
 
 

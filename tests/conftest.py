@@ -8,7 +8,7 @@ from operator import mul
 from mdeg.errors import EmptyScheme
 from mdeg.fields import QQ, rank_mod_p
 from mdeg import groebner
-from mdeg.groebner import Ideal, _buchberger, _packed, _reduce_dict, buchberger
+from mdeg.groebner import Ideal, _buchberger, _make_monic, _packed, _reduce_dict, buchberger
 from mdeg.hilbert import k_polynomial, k_polynomial_monomial, local_length
 from mdeg.intpoly import IntegerPolynomial
 from mdeg.monomial import (
@@ -300,7 +300,7 @@ def normal_form(I, f, order=None):
 # for the order's Hilbert-driven pair loop; the dense block change of
 # coordinates that genin.random_block_change drew before its unitriangular
 # one; and the lcm of _Packing with its repack of the fields above the
-# variables, which _update_pairs does for the pairs it keeps only.
+# variables, which groebner._new_pairs replaced with _Packing.above.
 
 
 def substituted_ideal(I, images):
@@ -384,6 +384,68 @@ def order_lcm(pk, a, b):
     if x:
         x = pk.pack(pk.unpack(x))
     return a + x
+
+
+# ---------------------------------------------------------------------------
+# Oracles of groebner's pair bookkeeping: the Gebauer-Moller update that
+# called _Packing.excess per candidate and unpacked and packed again the lcm
+# of every kept pair, and the interreduction that built the other kept
+# elements' dict once per element and made each result monic again.
+
+
+def update_pairs(pairs, lts, t, pk, memo=None):
+    """groebner._update_pairs as it was: the same pairs, in the same order."""
+    guard, vmask, excess = pk.guard, pk.vmask, pk.excess
+    stale = []
+    for ab, (_, _, l) in pairs.items():
+        if not (l - t) & guard:
+            a, b = ab
+            lv = l & vmask
+            if lv != (a & vmask) + excess(a, t) and lv != (b & vmask) + excess(b, t):
+                stale.append(ab)
+    for ab in stale:
+        del pairs[ab]
+    new = None if memo is None else memo.get(t)
+    if new is None:
+        new = new_pairs(lts, t, pk)
+        if memo is not None:
+            memo[t] = new
+    pairs.update(new)
+
+
+def new_pairs(lts, t, pk):
+    """groebner._new_pairs as it was: candidate lcms through
+    _Packing.excess, and each kept lcm unpacked and packed again."""
+    guard, vmask = pk.guard, pk.vmask
+    fresh = {a: (a & vmask) + pk.excess(a, t) for a in lts}
+    tv = t & vmask
+    chosen, new = [], []
+    for a in sorted(lts, key=fresh.__getitem__):
+        l = fresh[a]
+        if any(not (l - m) & guard for m in chosen):
+            continue
+        chosen.append(l)
+        if l != (a & vmask) + tv:
+            u = pk.unpack(l)
+            l = pk.pack(u)
+            new.append(((a, t), (sum(u), l ^ pk.flip, l)))
+    return new
+
+
+def reduce_basis(basis, field, pk):
+    """groebner._reduce_basis as it was: each kept element fully reduced
+    against the others, then made monic."""
+    guard, flip = pk.guard, pk.flip
+    keep = []
+    for a in sorted(basis, key=lambda a: a & pk.vmask):
+        if all((a - b) & guard for b in keep):
+            keep.append(a)
+    keep.sort(key=lambda a: a ^ flip)
+    out = []
+    for a in keep:
+        others = {b: basis[b] for b in keep if b != a}
+        out.append(_make_monic(_reduce_dict(basis[a], others, field, pk), field)[1])
+    return out
 
 
 def ideal_contains(I, f):

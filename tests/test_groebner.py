@@ -18,10 +18,12 @@ from conftest import (
     random_monomial_ideal,
     random_positive_ring,
     random_standard_ring,
+    reduce_basis,
     substituted_ideal,
     surface_prime,
     three_block_ring,
     trial_substitution,
+    update_pairs,
 )
 from mdeg import groebner
 from mdeg.determinantal import build_determinantal
@@ -38,8 +40,10 @@ from mdeg.genin import random_block_change
 from mdeg.groebner import (
     Ideal,
     _buchberger,
+    _make_monic,
     _packed,
     _eliminate,
+    _reduce_dict,
     _saturate_variable,
     buchberger,
     contract,
@@ -58,7 +62,7 @@ from mdeg.orders import (
     lift_order_phi,
     weight_order,
 )
-from mdeg.ring import Polynomial, _add_mul, _field_bits, make_ring
+from mdeg.ring import Polynomial, _Overflow, _add_mul, _field_bits, _packing, make_ring
 from mdeg.standardize import standardize, standardize_ideal
 import tuple_kernel
 from tuple_monomial import minimalize
@@ -832,3 +836,65 @@ def test_exponents_past_the_field_width_widen_and_match_reference(name):
     got = _assert_matches_oracles(gens, order, QQ)
     top = (1 << _field_bits(max(x for d in gens for e in d for x in e)) - 1) - 1
     assert (max(x for d in got for e in d for x in e) > top) == widens
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.dictionaries(
+                    st.tuples(*[st.integers(0, 6)] * n), st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                    min_size=1, max_size=4,
+                ),
+                min_size=1, max_size=6,
+            ),
+            st.integers(0, 10_000),
+            st.sets(st.integers(0, n - 1)),
+        )
+    ),
+    st.sampled_from([8, 16]),
+    st.sampled_from([QQ, GF32003]),
+    st.booleans(),
+)
+def test_pair_update_and_interreduction_match_the_oracles(data, bits, field, memo):
+    """The leading terms of a short Buchberger run, under every order of
+    _orders and an elimination order, in 8- and 16-bit fields, go through
+    _update_pairs and the oracle it replaced: after every update the same
+    pairs, values and insertion order, with or without a memo, and at the
+    end the same interreduced basis, term for term."""
+    n, polys, seed, drop = data
+    R = make_ring([f"v{i}" for i in range(n)], [(1,)] * n)
+    for order in _orders(random.Random(seed), R) + [elimination_order(n, drop)]:
+        pk = _packing(n, bits, order.weight_rows, order.tiebreak == "grevlex")
+        basis, got, want = {}, {}, {}
+        memos = ({}, {}) if memo else (None, None)
+        todo = [pk.pack_dict({e: field.coerce(c) for e, c in d.items()}) for d in polys]
+        try:
+            for _ in range(20):
+                if todo:
+                    d = todo.pop(0)
+                elif got:
+                    a, b = min(got, key=got.__getitem__)
+                    l = got.pop((a, b))[2]
+                    del want[a, b]
+                    d = {}
+                    _add_mul(d, field.one, l - a, basis[a], field, pk.guard)
+                    _add_mul(d, field.neg(field.one), l - b, basis[b], field, pk.guard)
+                else:
+                    break
+                r = _reduce_dict(d, basis, field, pk)
+                if not r:
+                    continue
+                lt, monic = _make_monic(r, field)
+                groebner._update_pairs(got, basis, lt, pk, memos[0])
+                update_pairs(want, basis, lt, pk, memos[1])
+                assert list(got.items()) == list(want.items())
+                basis[lt] = monic
+        except _Overflow:
+            pass
+        assert memos[0] == memos[1]
+        got, want = groebner._reduce_basis(basis, field, pk), reduce_basis(basis, field, pk)
+        assert [list(f.items()) for f in got] == [list(f.items()) for f in want]

@@ -347,9 +347,16 @@ def test_packed_keys_divisibility_and_lcm_match_tuples(data, bits):
                 assert (not (pb - pa) & pk.guard) == divides
                 lcm = pk.pack(tuple_kernel.lcm(a, b))
                 assert order_lcm(pk, pa, pb) == lcm
-                # groebner._update_pairs: the variable fields, then one repack
-                lv = (pa & pk.vmask) + pk.excess(pa, pb)
+                # the variable fields and one repack (conftest.new_pairs);
+                # groebner._new_pairs: t + x + rows(x), x the fields where b
+                # exceeds a, each field's value times its share of the fields
+                # above, and the degree t's plus those values
+                x = pk.excess(pa, pb)
+                lv = (pa & pk.vmask) + x
                 assert lv == lcm & pk.vmask and pk.pack(pk.unpack(lv)) == lcm
+                xs = [x >> k * bits & ((1 << bits) - 1) for k in range(n)]
+                assert pa + x + sum(map(operator.mul, xs, pk.above)) == lcm
+                assert sum(a) + sum(xs) == sum(tuple_kernel.lcm(a, b))
                 assert pa + pb == pk.pack(tuple(x + y for x, y in zip(a, b)))
 
 
