@@ -206,7 +206,7 @@ def cmd_cs_check(args):
 def cmd_standardize(args):
     ring, I = _load(args)
     std = standardize(ring)
-    J, _ = standardize_ideal(I, std)
+    J = standardize_ideal(I, std)
     if args.verify:
         rep = verify_standardization(I, std_map=std)
         for k, v in sorted(rep.items()):

@@ -47,10 +47,11 @@ recomputes none of this; one that leaves the path grows a branch.  An
 exponent past the fields, in the substitution or in the loop, doubles
 them and reruns the whole trial, from the hint's root for the wider
 packing.
-Intersection and contraction to a variable subring are one elimination
-helper, _eliminate, which runs on raw term dicts (the auxiliary-variable
-construction of an intersection is not multihomogeneous) and caches the
-result's reduced grevlex basis.
+Intersection eliminates the auxiliary variable t from t*I + (1-t)*J, on
+raw term dicts (that construction is not multihomogeneous), and caches the
+result's reduced grevlex basis.  Contraction to the blocks J eliminates
+nothing: in a positive grading with separable blocks, I cap k[x_J] is
+generated by the generators of I whose degree is supported on J.
 Saturation by a block of variables, which the geometric multidegrees
 need, eliminates nothing: by Bayer's lemma, each I : x_i^infinity of a
 multihomogeneous I is read off one homogeneous basis of I under a degree
@@ -382,30 +383,11 @@ class Ideal:
         return MonomialIdeal(self.ring, lts)
 
 
-def _eliminate(ring, dicts, n, drop):
-    """Ideal of `ring` cut out of the term dicts, in an n-slot exponent
-    space, by eliminating the slots `drop`.
-
-    Buchberger runs under elimination_order(n, drop); the basis elements
-    that avoid the drop slots generate the elimination ideal, and with
-    those slots removed they are its generators in `ring`.  On monomials
-    that avoid the drop slots the elimination order is grevlex on the kept
-    slots, in the same order, so these generators are the reduced grevlex
-    basis of the result, already sorted; they are cached as such.
-    """
-    keep = [k for k in range(n) if k not in drop]
-    gens = [
-        Polynomial._of(ring, {tuple(e[k] for k in keep): c for e, c in d.items()})
-        for d in buchberger(dicts, elimination_order(n, drop), ring.field)
-        if not any(e[k] for e in d for k in drop)
-    ]
-    out = Ideal._of(ring, gens)
-    out._gb[grevlex(ring)] = out.gens
-    return out
-
-
 def intersect(I, J):
-    """I cap J via t*I + (1-t)*J and elimination of t."""
+    """I cap J via t*I + (1-t)*J and elimination of t, in slot 0.  On
+    monomials free of t, elimination_order(n + 1, [0]) is grevlex on the
+    other slots, so the basis elements free of t, slot 0 stripped, are the
+    reduced grevlex basis of I cap J, already sorted, and are cached."""
     if I.ring != J.ring:
         raise RingMismatch("ideals live in different rings")
     ring = I.ring
@@ -415,7 +397,14 @@ def intersect(I, J):
         d = {(0,) + e: c for e, c in g.terms.items()}
         d.update({(1,) + e: F.neg(c) for e, c in g.terms.items()})
         raw.append(d)
-    return _eliminate(ring, raw, ring.n + 1, [0])
+    gens = [
+        Polynomial._of(ring, {e[1:]: c for e, c in d.items()})
+        for d in buchberger(raw, elimination_order(ring.n + 1, [0]), F)
+        if not any(e[0] for e in d)
+    ]
+    out = Ideal._of(ring, gens)
+    out._gb[grevlex(ring)] = out.gens
+    return out
 
 
 def _saturate_variable(I, i):
@@ -497,18 +486,25 @@ def saturate_irrelevant(I):
 
 
 def contract(I, block_indices, keep_grading=False):
-    """I_(J) for an Ideal or a MonomialIdeal: intersect with the subring of
-    the blocks in J (1-based).
+    """I_(J) = I cap k[x_J] for an Ideal or a MonomialIdeal, x_J the
+    variables of the blocks in J (1-based).
 
     Every variable's degree must be supported inside J or inside its
     complement; the result lives in GradedRing.subring on the kept
     variables, with degree vectors restricted to the J coordinates.  With
     keep_grading the original N^p grading is preserved (blocks outside J
     become empty), which keeps the t_k labels of the multidegree aligned
-    with the source.  The generators that avoid the dropped variables are
-    kept: from _eliminate, whose result carries its reduced grevlex basis,
-    and for a monomial ideal from its minimal generators, which are already
-    such a basis.
+    with the source.
+
+    Nothing is eliminated.  Degrees lie in N^p and none is zero, so a
+    monomial of degree supported on J avoids the dropped variables, and
+    the degree-d part of a sum h_i*g_i, d supported on J, takes only
+    generators of degree <= d: I cap k[x_J] is generated by the generators
+    that avoid the dropped variables, restricted to the kept ones.  This
+    relies on the generators being multihomogeneous: one term of each
+    decides.  An Ideal's result is the ideal on the reduced grevlex basis
+    of those generators, cached as such; a monomial ideal's minimal
+    generators are already such a basis.
     """
     ring = I.ring
     J = sorted(set(block_indices))
@@ -532,7 +528,15 @@ def contract(I, block_indices, keep_grading=False):
             sub,
             [tuple(g[i] for i in keep) for g in I.gens if not any(g[i] for i in drop)],
         )
-    return _eliminate(sub, [g.terms for g in I.gens], ring.n, drop)
+    gens = [
+        {tuple(e[i] for i in keep): c for e, c in g.terms.items()}
+        for g in I.gens
+        if not any(next(iter(g.terms))[i] for i in drop)
+    ]
+    order = grevlex(sub)
+    out = Ideal._of(sub, [Polynomial._of(sub, d) for d in buchberger(gens, order, sub.field)])
+    out._gb[order] = out.gens
+    return out
 
 
 def _substitute(gens, images, pk, field):

@@ -1,10 +1,11 @@
 """Integer polynomials in Z[t_1..t_p]: K-polynomials and multidegrees.
 
-IntegerPolynomial has the arithmetic that hilbert uses: sums, products,
-the lowest total degree and the substitution t -> 1 - t.
+IntegerPolynomial has the arithmetic that hilbert uses: sums, integer
+multiples, the lowest total degree and the substitution t -> 1 - t.
 """
 
 from math import comb
+from operator import index
 
 from .ring import _sum_str
 
@@ -45,15 +46,10 @@ class IntegerPolynomial:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntegerPolynomial(self.p, {e: c * other for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return IntegerPolynomial(self.p, out)
+    def __mul__(self, k):
+        """The multiple by an integer k: any other operand raises TypeError."""
+        k = index(k)
+        return IntegerPolynomial(self.p, {e: c * k for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 

@@ -163,11 +163,9 @@ class MonomialIdeal:
         return self._hash
 
     def __repr__(self):
-        if not self.gens:
-            return "MonomialIdeal(0)"
         names = self.ring.names
         gs = sorted(self.gens, key=lambda e: (sum(e), e))
-        return f"MonomialIdeal({', '.join(_monomial_str(names, g) for g in gs)})"
+        return f"MonomialIdeal({', '.join(_monomial_str(names, g) for g in gs) or 0})"
 
     def is_zero(self):
         return not self._ints

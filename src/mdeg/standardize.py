@@ -71,14 +71,12 @@ def standardize(ring):
 
 
 def standardize_ideal(I, std_map=None):
-    """Image ideal phi(I) together with the map used."""
+    """The image ideal phi(I) under std_map, standardize(I.ring) by default."""
     if std_map is None:
         std_map = standardize(I.ring)
     if isinstance(I, MonomialIdeal):
-        J = MonomialIdeal(std_map.target, [std_map.phi_exponents(g) for g in I.gens])
-    else:
-        J = Ideal._of(std_map.target, [std_map.phi(g) for g in I.gens])
-    return J, std_map
+        return MonomialIdeal(std_map.target, [std_map.phi_exponents(g) for g in I.gens])
+    return Ideal._of(std_map.target, [std_map.phi(g) for g in I.gens])
 
 
 def verify_standardization(I, std_map=None):
@@ -94,7 +92,7 @@ def verify_standardization(I, std_map=None):
     order = grevlex(I.ring)
     if std_map is None:
         std_map = standardize(I.ring)
-    J, _ = standardize_ideal(I, std_map)
+    J = standardize_ideal(I, std_map)
     report = {}
     report["codim"] = codimension(I) == codimension(J) or I.is_unit()
     report["k_polynomial"] = k_polynomial(I) == k_polynomial(J)
@@ -129,7 +127,7 @@ def cs_check(I, trials=2, seed=0):
     relative to the coefficient field (a large prime field is required for
     the underlying gin), whose trials must agree on one gin.
     """
-    J = standardize_ideal(I)[0]
+    J = standardize_ideal(I)
     res = gin(J, trials=trials, seed=seed)
     sq = res.ideal.is_squarefree()
     detail = "gin of standardization is squarefree" if sq else (

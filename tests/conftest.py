@@ -73,6 +73,40 @@ SURFACE_CEE_TERMS = {
 }
 
 
+def eliminate(ring, dicts, n, drop):
+    """Ideal of `ring` cut out of the term dicts, in an n-slot exponent
+    space, by eliminating the slots `drop`: an oracle of groebner.contract,
+    and the elimination of toric kernels and of saturation by a polynomial.
+
+    Buchberger runs under elimination_order(n, drop); the basis elements
+    that avoid the drop slots generate the elimination ideal, and with
+    those slots removed they are its generators in `ring`.  On monomials
+    that avoid the drop slots the elimination order is grevlex on the kept
+    slots, in the same order, so these generators are the reduced grevlex
+    basis of the result, already sorted; they are cached as such.
+    """
+    keep = [k for k in range(n) if k not in drop]
+    gens = [
+        Polynomial._of(ring, {tuple(e[k] for k in keep): c for e, c in d.items()})
+        for d in buchberger(dicts, elimination_order(n, drop), ring.field)
+        if not any(e[k] for e in d for k in drop)
+    ]
+    out = Ideal._of(ring, gens)
+    out._gb[grevlex(ring)] = out.gens
+    return out
+
+
+def contract_by_elimination(I, block_indices, keep_grading=False):
+    """groebner.contract of an Ideal by elimination of the variables whose
+    degree leaves the blocks J, for a J that separates the blocks."""
+    ring = I.ring
+    jset = {j - 1 for j in block_indices}
+    drop = [i for i, d in enumerate(ring.degrees) if any(d[k] for k in range(ring.p) if k not in jset)]
+    keep = [i for i in range(ring.n) if i not in drop]
+    sub = ring.subring(keep, None if keep_grading else sorted(jset))
+    return eliminate(sub, [g.terms for g in I.gens], ring.n, drop)
+
+
 def toric_kernel(target_ring, param_names, images):
     """Kernel of the monomial map x_i -> images[i], certified prime.
 
@@ -81,27 +115,16 @@ def toric_kernel(target_ring, param_names, images):
     eliminating the parameters from (x_i - image_i).
     """
     n_par = len(param_names)
-    n = target_ring.n
-    total = n_par + n
+    total = n_par + target_ring.n
     F = target_ring.field
     raw = []
     for i, img in enumerate(images):
-        d = {}
-        e = [0] * total
-        e[n_par + i] = 1
-        d[tuple(e)] = F.one
         pe = [0] * total
         for pname, k in img.items():
             pe[param_names.index(pname)] = k
-        d[tuple(pe)] = F.neg(F.one)
-        raw.append(d)
-    order = elimination_order(total, range(n_par))
-    gb = buchberger(raw, order, F)
-    gens = []
-    for d in gb:
-        if all(all(e[k] == 0 for k in range(n_par)) for e in d):
-            gens.append(Polynomial(target_ring, {e[n_par:]: c for e, c in d.items()}))
-    return Ideal(target_ring, gens)
+        x = tuple(int(k == n_par + i) for k in range(total))
+        raw.append({x: F.one, tuple(pe): F.neg(F.one)})
+    return Ideal(target_ring, eliminate(target_ring, raw, total, range(n_par)).gens)
 
 
 def as_ideal(M):
@@ -507,6 +530,17 @@ def int_one(p):
 def int_variable(p, i):
     """The IntegerPolynomial t_{i+1} in p variables."""
     return int_monomial(tuple(int(j == i) for j in range(p)))
+
+
+def int_product(f, g):
+    """The product of the IntegerPolynomials f and g, term by term: the
+    program multiplies an IntegerPolynomial only by an integer."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return IntegerPolynomial(f.p, out)
 
 
 def evaluate(f, values):

@@ -382,8 +382,22 @@ deg e = (0,0,1)
 ideal F = [ 3/2 a c e - b d e/2 ; -(a - 2b)^2 c + 2/3 a b d ; a/2 (b c - 1/3 a d) e ]
 """
 
+# the graph of the conic s -> (s0^2 : s0*s1 : s1^2) in P^1 x P^2: no
+# generator has a degree supported on block 2, so its contraction there is
+# zero, while the projection it defines, after saturation, is the conic
+CONIC_GRAPH = """\
+vars s0 s1 y0 y1 y2
+deg s0 = (1,0)
+deg s1 = (1,0)
+deg y0 = (0,1)
+deg y1 = (0,1)
+deg y2 = (0,1)
+ideal G = [ s0^2*y1 - s0*s1*y0 ; s0^2*y2 - s1^2*y0 ; s0*s1*y2 - s1^2*y1 ]
+"""
+
 GOLDEN_FILES = {
     "small": SMALL,
+    "conic_graph": CONIC_GRAPH,
     "weighted": WEIGHTED,
     "weighted_fp": WEIGHTED_FP,
     "good_pts": "# a polymatroid base set\n1 1 0\n1,0,1\n0 1 1\n",
@@ -550,6 +564,10 @@ GOLDEN_CASES = {
     "project-json": ["project", "{ex46}", "--ideal", "P", "--blocks", "2,3", "--json"],
     "project-one-block-json": ["project", "{ex46}", "--ideal", "P", "--blocks", "1", "--json"],
     "project-empty-ideal": ["project", "{paths}", "--ideal", "E", "--blocks", "1"],
+    # contract is the algebraic I cap k[x_J]; geom saturates first
+    "project-conic-graph-text": ["project", "{conic_graph}", "--ideal", "G", "--blocks", "2"],
+    "project-conic-graph-json": ["project", "{conic_graph}", "--ideal", "G", "--blocks", "2", "--json"],
+    "geom-conic-graph": ["geom", "{conic_graph}", "--ideal", "G"],
     "project-fractions-text": ["project", "{fractions}", "--ideal", "F", "--blocks", "1,2,3"],
     "project-fractions-json": ["project", "{fractions}", "--ideal", "F", "--blocks", "1,2,3", "--json"],
     "project-fractions-reparsed-json": ["project", "-", "--ideal", "F", "--blocks", "1,2", "--json"],

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import int_monomial, int_one, int_variable
+from conftest import int_monomial, int_one, int_product, int_variable
 from mdeg.determinantal import (
     build_determinantal,
     closed_formulas,
@@ -121,10 +121,7 @@ def test_row_case_k_polynomial_factors():
         e = [0] * (1 + n)
         e[0] = 1
         e[1 + j] = 1
-        acc = acc * (
-            int_one(1 + n)
-            - int_monomial(tuple(e))
-        )
+        acc = int_product(acc, int_one(1 + n) - int_monomial(tuple(e)))
     assert K == acc
 
 
@@ -158,8 +155,9 @@ def test_recursions_asserted_on_larger_shapes():
             H, K = closed_formulas(m, n)
             Ha = _embed(multidegree_formula(m, n - 1), m, n - 1, m, n)
             Hb = _embed(multidegree_formula(m - 1, n - 1), m - 1, n - 1, m, n)
-            assert H == sn * Ha + tm * Ha + Hb, (m, n)
+            assert H == int_product(sn, Ha) + int_product(tm, Ha) + Hb, (m, n)
             Ka = _embed(k_polynomial_formula(m, n - 1), m, n - 1, m, n)
             Kb = _embed(k_polynomial_formula(m - 1, n - 1), m - 1, n - 1, m, n)
             one = int_one(p)
-            assert K == (one - tm * sn) * Ka + tm * sn * Kb, (m, n)
+            tmsn = int_product(tm, sn)
+            assert K == int_product(one - tmsn, Ka) + int_product(tmsn, Kb), (m, n)

@@ -378,7 +378,7 @@ def test_a_unitriangular_change_gives_the_gin_of_dense_changes_on_toric_primes()
 )
 def test_a_unitriangular_change_gives_the_gin_of_dense_changes_on_cs_check_inputs(m, n, r):
     # the standardization of the r-minors, whose gin cs_check takes
-    J = standardize_ideal(build_determinantal(m, n, r, GF32003)[1])[0]
+    J = standardize_ideal(build_determinantal(m, n, r, GF32003)[1])
     assert gin(J).ideal == dense_gin(J)
 
 

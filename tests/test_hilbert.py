@@ -12,6 +12,7 @@ from conftest import (
     hilbert_series_table,
     int_monomial,
     int_one,
+    int_product,
     multidegree_C_by_substitution,
     random_monomial_ideal,
     random_positive_ring,
@@ -303,7 +304,7 @@ def test_k_polynomial_additive_on_colon_split(seed):
     x = tuple(int(j == i) for j in range(R.n))
     lhs = k_polynomial(I)
     t = int_monomial(R.degrees[i])
-    rhs = k_polynomial(I.add_monomial(x)) + t * k_polynomial(I.colon_monomial(x))
+    rhs = k_polynomial(I.add_monomial(x)) + int_product(t, k_polynomial(I.colon_monomial(x)))
     assert lhs == rhs
 
 

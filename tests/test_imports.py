@@ -17,11 +17,11 @@ them calls: code that only the tests call belongs in the tests.  Dunder
 methods are exempt, as are the functions the benchmark looks up by name
 (mdegbench/run.py and mdegbench/tracing.py).  The fourth names each
 statement in a function of ``src/mdeg`` whose first line never runs,
-leaving out raise statements, except bodies, dunder bodies and nonlocal
-and global declarations: an input path that no golden transcript pins,
-or dead weight.  Each statement kept on purpose is in KEPT_UNREACHED with
-its reason, and an entry whose statement runs or is gone fails the check
-too.  The fifth holds because ``python -O`` strips assert statements, and
+leaving out raise statements, except bodies, nonlocal and global
+declarations and the bodies of the dunder methods that nothing calls: an
+input path that no golden transcript pins, or dead weight.  Each
+statement kept on purpose is in KEPT_UNREACHED with its reason, and an
+entry whose statement runs or is gone fails the check too.  The fifth holds because ``python -O`` strips assert statements, and
 the exit-code contract needs errors that are raised under every flag.
 The sixth names each class of ``errors.py`` that no raise statement of
 the package names, leaving out the classes another one derives from
@@ -280,10 +280,9 @@ def statements(path):
     statement in a function of the module at `path`, the function named
     as in `definitions`.  A statement runs when its first line, that of
     its first decorator if it has one, has a line event.  Left out: raise
-    statements and except bodies, which run when something fails; the
-    bodies of dunder methods, which the function-level check exempts too;
-    nonlocal and global declarations, which make no line event; and
-    docstrings, which are not code."""
+    statements and except bodies, which run when something fails; nonlocal
+    and global declarations, which make no line event; and docstrings,
+    which are not code.  The bodies of dunder methods are in."""
     text = path.read_text().splitlines()
     out = []
 
@@ -302,8 +301,7 @@ def statements(path):
                 first = min([child.lineno] + [d.lineno for d in getattr(child, "decorator_list", [])])
                 out.append((first, function, text[first - 1].strip()))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if not (child.name.startswith("__") and child.name.endswith("__")):
-                    visit(child, f"{prefix}{child.name}.<locals>.", prefix + child.name)
+                visit(child, f"{prefix}{child.name}.<locals>.", prefix + child.name)
             elif isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}{child.name}.", None)
             else:
@@ -315,13 +313,21 @@ def statements(path):
 
 def unreached(paths, lines):
     """(file name, line, enclosing function, text) of each statement of
-    the modules at `paths` whose first line has no event in `lines`."""
-    return [
-        (path.name, line, function, text)
-        for path in paths
-        for line, function, text in statements(path)
-        if (str(path.resolve()), line) not in lines
-    ]
+    the modules at `paths` whose first line has no event in `lines`.  A
+    dunder method none of whose statements runs is one that nothing calls,
+    such as a repr, which the function-level check exempts too; its
+    statements are left out."""
+    out = []
+    for path in paths:
+        key = str(path.resolve())
+        found = [(line, function, text, (key, line) in lines) for line, function, text in statements(path)]
+        called = {function for _, function, _, ran in found if ran}
+        out += [
+            (path.name, line, function, text)
+            for line, function, text, ran in found
+            if not ran and (function in called or not re.fullmatch(r"__\w+__", function.rsplit(".", 1)[-1]))
+        ]
+    return out
 
 
 def unnamed_and_stale(found, kept):
@@ -365,6 +371,9 @@ def test_statements_that_do_not_run_are_found(tmp_path):
         "        return 'C'\n"
         "    def kept(self):\n"
         "        return 1\n"
+        "    def __init__(self, x=0):\n"
+        "        if x:\n"
+        "            self.x = x\n"
     )
     spec = importlib.util.spec_from_file_location("synthetic", path)
     module = importlib.util.module_from_spec(spec)
@@ -372,20 +381,22 @@ def test_statements_that_do_not_run_are_found(tmp_path):
     def run():
         spec.loader.exec_module(module)
         module.f(1)
+        module.C()
 
     found = unreached([path], executed(run, tmp_path.resolve())[1])
     missed = [
         ("synthetic.py", 13, "f", "total = -1"),
         ("synthetic.py", 22, "f.<locals>.cached", "return 0"),
     ]
-    assert found == missed + [("synthetic.py", 28, "C.kept", "return 1")]
+    dunder = ("synthetic.py", 31, "C.__init__", "self.x = x")
+    assert found == missed + [("synthetic.py", 28, "C.kept", "return 1"), dunder]
     kept = {
         ("synthetic.py", "C.kept", "return 1"): "named",
         ("synthetic.py", "f", "total = 0"): "runs",
         ("synthetic.py", "f", "gone()"): "is gone",
     }
     assert unnamed_and_stale(found, kept) == (
-        missed,
+        missed + [dunder],
         [("synthetic.py", "f", "gone()"), ("synthetic.py", "f", "total = 0")],
     )
 
@@ -457,6 +468,10 @@ KEPT_UNREACHED = {
     ("groebner.py", "Ideal.groebner_basis", "order = grevlex(self.ring)"): (
         "the default order of a library call; every call in the package passes an order"
     ),
+    ("groebner.py", "Ideal.__init__", "continue"): (
+        "a zero generator passed to Ideal: only library callers pass one, and "
+        "every command builds its ideals with Ideal._of"
+    ),
     ("groebner.py", "contract", "return MonomialIdeal("): (
         "contract of a MonomialIdeal: no command passes one, but acceptance "
         "criterion 3 contracts a gin"
@@ -488,7 +503,7 @@ KEPT_UNREACHED = {
     (
         "standardize.py",
         "standardize_ideal",
-        "J = MonomialIdeal(std_map.target, [std_map.phi_exponents(g) for g in I.gens])",
+        "return MonomialIdeal(std_map.target, [std_map.phi_exponents(g) for g in I.gens])",
     ): (
         "standardize_ideal of a MonomialIdeal: no command passes one, but "
         "acceptance criterion 7 verifies monomial ideals"

@@ -17,7 +17,7 @@ its K-polynomials from the tuple recursion of tests/tuple_monomial.py.
 import heapq
 from math import comb
 
-from conftest import int_monomial
+from conftest import int_monomial, int_product
 from mdeg.errors import NotStandardGraded, Unstable
 from mdeg.monomial import MonomialIdeal
 import tuple_monomial
@@ -232,7 +232,7 @@ class HilbertHint:
             m = lts[-1]
             step = int_monomial(self.ring.monomial_degree(m))
             quot = self._k(tuple_monomial.colon_monomial(self._L, m))
-            self._excess = self._excess - step * quot
+            self._excess = self._excess - int_product(step, quot)
             self._L = tuple_monomial.add_monomial(self._L, m)
         else:
             self._L = minimalize(lts)

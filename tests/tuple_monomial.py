@@ -7,7 +7,7 @@ every operation below takes and returns one, with divisibility, colons,
 lcms and the K-polynomial recursion done with zip over the tuples.
 """
 
-from conftest import int_monomial, int_one
+from conftest import int_monomial, int_one, int_product
 from mdeg.intpoly import IntegerPolynomial
 
 
@@ -113,16 +113,13 @@ def k_polynomial_monomial(ring, gens, _memo=None):
     elif _supports_pairwise_coprime(gens):
         out = int_one(p)
         for g in gens:
-            out = out * (
-                int_one(p)
-                - int_monomial(ring.monomial_degree(g))
-            )
+            out = int_product(out, int_one(p) - int_monomial(ring.monomial_degree(g)))
     else:
         i = pick_pivot(gens, ring.n)
         x = tuple(int(j == i) for j in range(ring.n))
         tdeg = int_monomial(ring.degrees[i])
-        out = k_polynomial_monomial(ring, add_monomial(gens, x), _memo) + tdeg * (
-            k_polynomial_monomial(ring, colon_monomial(gens, x), _memo)
+        out = k_polynomial_monomial(ring, add_monomial(gens, x), _memo) + int_product(
+            tdeg, k_polynomial_monomial(ring, colon_monomial(gens, x), _memo)
         )
     _memo[gens] = out
     return out
