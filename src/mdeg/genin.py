@@ -17,9 +17,10 @@ the same order takes the hint's states and the new pairs of the
 Gebauer-Moller update from the tree.  Each trial is one call of
 groebner.gin_trial, which substitutes u into the packed layout of the
 monomial order and unpacks only the leading terms it finds.  The
-structure report reads the minimal primes of the gin off the associated
-primes of its primary decomposition, so the radical of the gin is
-decomposed once, for its Stanley-Reisner complex.
+structure report computes one gin, whose contractions are the gins of the
+contractions of I, and reads its minimal primes off the associated primes
+of its primary decomposition, so its radical is decomposed once, for its
+Stanley-Reisner complex.
 """
 
 import random
@@ -145,6 +146,18 @@ def gin_structure_report(I, order=None, trials=2, seed=0):
     gin(I).  Any failed clause flags the report (and exit code 4 in the
     CLI), which is exactly what non-prime inputs produce.  A unit ideal
     raises EmptyScheme.
+
+    One gin is computed: gin(I_(J)) is contract(gin(I), J).  Degrees lie
+    in N^p minus 0 and the blocks are separable, so a monomial of a degree
+    d supported on J lies in k[x_J] and I_d = (I_(J))_d; so under any
+    order in(I_(J)) = in(I) cap k[x_J], whose minimal generators are those
+    of in(I) that avoid the dropped variables.  A block change g maps
+    k[x_J] onto itself, so g(I)_(J) = g_J(I_(J)) for g_J its restriction
+    to the J blocks, which is generic when g is (both conditions hold on a
+    nonempty open set) and unitriangular when g is.  So gin(I)_(J) =
+    gin(I_(J)) under `order` restricted to x_J, grevlex of k[x_J] for
+    grevlex.  A zero contraction has only the empty minimal prime, where
+    local_length is 1.
     """
     rep = GinReport()
     res = gin(I, order=order, trials=trials, seed=seed)
@@ -173,11 +186,7 @@ def gin_structure_report(I, order=None, trials=2, seed=0):
     div_ok = True
     for mask in range(1, (1 << p) - 1):
         J = tuple(k + 1 for k in range(p) if mask >> k & 1)
-        IJ = contract(I, J)
-        if IJ.is_zero():
-            rep.contraction_mlength[J] = 1
-            continue
-        GJ = gin(IJ, trials=trials, seed=seed).ideal
+        GJ = contract(G, J)
         lengths = [local_length(GJ, P) for P in minimal_primes(GJ)]
         ml = max(lengths)
         rep.contraction_mlength[J] = ml

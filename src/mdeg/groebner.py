@@ -359,9 +359,6 @@ class Ideal:
         o = grevlex(self.ring)
         return self.groebner_basis(o) == other.groebner_basis(o)
 
-    def is_zero(self):
-        return not self.gens
-
     def is_unit(self):
         gb = self.groebner_basis(grevlex(self.ring))
         return len(gb) == 1 and gb[0].terms == {(0,) * self.ring.n: self.ring.field.one}
@@ -504,7 +501,8 @@ def contract(I, block_indices, keep_grading=False):
     relies on the generators being multihomogeneous: one term of each
     decides.  An Ideal's result is the ideal on the reduced grevlex basis
     of those generators, cached as such; a monomial ideal's minimal
-    generators are already such a basis.
+    generators, such as the gin whose contractions gin-report reads, are
+    already such a basis.
     """
     ring = I.ring
     J = sorted(set(block_indices))

@@ -30,8 +30,9 @@ from math import comb, prod
 from operator import mul
 
 from .errors import BadArgument, BoundTooLarge, EmptyScheme, NotStandardGraded
+from .fields import QQ
 from .groebner import saturate_irrelevant, saturate_var_block
-from .intpoly import ZZ, IntegerPolynomial
+from .intpoly import IntegerPolynomial
 from .monomial import MonomialIdeal, localize_at, minimalize, primary_decomposition
 from .ring import _add_mul, _field_bits, _packing, _times
 
@@ -67,11 +68,11 @@ def _k_packed(I, tdeg):
     if split is None:
         out = {0: 1}
         for g in I.gens:
-            _add_mul(out, -1, sum(map(mul, g, tdeg)), dict(out), ZZ, 0)
+            _add_mul(out, -1, sum(map(mul, g, tdeg)), dict(out), QQ, 0)
         return out
     i, plus, quot = split
     out = _k_packed(plus, tdeg)
-    _add_mul(out, 1, tdeg[i], _k_packed(quot, tdeg), ZZ, 0)
+    _add_mul(out, 1, tdeg[i], _k_packed(quot, tdeg), QQ, 0)
     return out
 
 
@@ -141,7 +142,7 @@ class HilbertHint:
             kmax = max((max(e, default=0) for e in self.k.terms), default=0)
             tpk = _packing(ring.p, _field_bits(max(top, kmax)))
             excess = {0: 1}
-            _add_mul(excess, -1, 0, tpk.pack_dict(self.k.terms), ZZ, 0)
+            _add_mul(excess, -1, 0, tpk.pack_dict(self.k.terms), QQ, 0)
             root = _State(MonomialIdeal(ring, ()), excess)
             self._roots[pk] = root, tpk, [tpk.pack(d) for d in ring.degrees]
         self._pk = pk
@@ -155,7 +156,7 @@ class HilbertHint:
             L, e = node.L, self._pk.unpack(lt)
             excess = dict(node.excess)
             shift = sum(map(mul, e, self._tdeg))
-            _add_mul(excess, -1, shift, _k_packed(L.colon_monomial(e), self._tdeg), ZZ, 0)
+            _add_mul(excess, -1, shift, _k_packed(L.colon_monomial(e), self._tdeg), QQ, 0)
             child = node.children[lt] = _State(L.add_monomial(e), excess)
         self._node = child
 
@@ -239,7 +240,7 @@ def _c_packed(I, units):
         degree = I.ring.monomial_degree
         for g in I.gens:
             form = {u: d for u, d in zip(units, degree(g)) if d}
-            out = _times(out, form, ZZ, 0)
+            out = _times(out, form, QQ, 0)
         return len(I.gens), out
     _, plus, quot = split
     c, C = _c_packed(plus, units)
@@ -247,7 +248,7 @@ def _c_packed(I, units):
     if cq < c:
         return cq, Cq
     if cq == c:
-        _add_mul(C, 1, 0, Cq, ZZ, 0)
+        _add_mul(C, 1, 0, Cq, QQ, 0)
     return c, C
 
 
@@ -340,9 +341,10 @@ def geometric_multidegrees(I):
 
     Requires a standard N^p-graded ring.  e(n) is the coefficient of
     t^(m - n) in C of the saturation, m the block dimension vector; the
-    support MSupp collects the n with e(n) != 0.  Every n is >= 0: no
-    associated prime of the saturation holds a whole block, so no
-    component's C has a t_k exponent above m_k.
+    support MSupp collects the n with e(n) != 0: all of them, since C
+    holds no zero coefficient.  Every n is >= 0: no associated prime of
+    the saturation holds a whole block, so no component's C has a t_k
+    exponent above m_k.
     """
     ring = I.ring
     if not ring.is_standard:
@@ -355,7 +357,7 @@ def geometric_multidegrees(I):
     total_m = sum(m)
     dim = total_m - cee.min_total_degree()
     entries = {tuple(mk - ek for mk, ek in zip(m, e)): c for e, c in cee.terms.items()}
-    msupp = sorted(n for n in entries if entries[n])
+    msupp = sorted(entries)
     return MultiplicityTable(ring, dim, entries, msupp, cee)
 
 

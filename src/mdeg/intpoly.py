@@ -10,17 +10,6 @@ from operator import index
 from .ring import _sum_str
 
 
-class _Integers:
-    """The integers as a coefficient ring of characteristic 0, for the
-    term kernel ring._add_mul, which adds and multiplies ints with the
-    plain operators."""
-
-    p = 0
-
-
-ZZ = _Integers()
-
-
 class IntegerPolynomial:
     """Sparse polynomial with integer coefficients over p grading variables."""
 

@@ -253,12 +253,12 @@ def _add_mul(acc, c, shift, g, field, guard, skip=None):
     """acc += c * x^shift * g in place, leaving out g's term at `skip`.
 
     The one loop that combines two term dicts (Polynomial arithmetic,
-    substitution, Buchberger, and with intpoly.ZZ and guard 0 the
+    substitution, Buchberger, and with QQ and guard 0 the integer
     K-polynomials of hilbert), on packed exponents with guard bits
     `guard`; raises _Overflow on a new exponent that sets one.  The
     coefficient arithmetic is written out, with no method call per term:
     modulo field.p for a prime field, the plain + and * of ints and
-    Fractions for QQ and ZZ, whose p is 0.  c must be nonzero, so no new
+    Fractions for QQ, whose p is 0.  c must be nonzero, so no new
     term is zero; returns the exponents that were new to acc.
     """
     new = []

@@ -8,7 +8,8 @@ from operator import mul
 from mdeg.errors import EmptyScheme
 from mdeg.fields import QQ, rank_mod_p
 from mdeg import groebner
-from mdeg.groebner import Ideal, _buchberger, _make_monic, _packed, _reduce_dict, buchberger
+from mdeg.genin import gin
+from mdeg.groebner import Ideal, _buchberger, _make_monic, _packed, _reduce_dict, buchberger, contract
 from mdeg.hilbert import k_polynomial, k_polynomial_monomial, local_length
 from mdeg.intpoly import IntegerPolynomial
 from mdeg.monomial import (
@@ -225,6 +226,7 @@ def random_ideal(rng, ring, max_degree=2, max_gens=3):
 # K-polynomials are compared against, the multidegree C by substitution,
 # the truncations [C(R^i)]_i of the dimension filtration that sum to the
 # arithmetic multidegree, normal forms and membership for Ideals, MLength,
+# the contraction clauses of the gin report by one gin per contraction,
 # monomials of a ring, and integer-polynomial parts, monomials, variables,
 # evaluation and coefficientwise comparison.
 
@@ -492,6 +494,37 @@ def mlength(I):
     if not primes:
         raise EmptyScheme("the ideal cuts out the empty scheme")
     return max(local_length(I, P) for P in primes)
+
+
+def contraction_mlength_by_gins(I, order=None, trials=2, seed=0):
+    """The contraction clauses of genin.gin_structure_report by the route
+    it took before it read each contraction's gin off gin(I): one gin of
+    each proper contraction I_(J), under grevlex whatever `order` is, and
+    MLength 1 for a zero contraction.  Returns gin(I) under `order`, the
+    MLength table of every nonempty J and the two contraction clauses."""
+    G = gin(I, order=order, trials=trials, seed=seed).ideal
+    if G.is_unit():
+        raise EmptyScheme("the ideal cuts out the empty scheme")
+    base_lengths = [local_length(G, P) for P in minimal_primes(G)]
+    base_ml = max(base_lengths)
+    p = G.ring.p
+    table = {tuple(range(1, p + 1)): base_ml}
+    ml_ok = div_ok = True
+    for mask in range(1, (1 << p) - 1):
+        J = tuple(k + 1 for k in range(p) if mask >> k & 1)
+        IJ = contract(I, J)
+        if not IJ.gens:
+            table[J] = 1
+            continue
+        GJ = gin(IJ, trials=trials, seed=seed).ideal
+        lengths = [local_length(GJ, P) for P in minimal_primes(GJ)]
+        table[J] = max(lengths)
+        if table[J] > base_ml:
+            ml_ok = False
+        if not all(any(b % l == 0 for b in base_lengths) for l in lengths):
+            div_ok = False
+    clauses = {"contraction_mlength_monotone": ml_ok, "component_length_divisibility": div_ok}
+    return G, table, clauses
 
 
 def field_element(F, c):

@@ -556,6 +556,9 @@ GOLDEN_CASES = {
     "gin-report-fail-json": ["gin-report", "{rmk59}", "--ideal", "J", "--json"],
     "gin-report-prime-text": ["gin-report", "{rmk59}", "--ideal", "Z"],
     "gin-report-prime-json": ["gin-report", "{rmk59}", "--ideal", "Z", "--json"],
+    # three blocks: seven MLength rows, from (1) = 2 to (1,2,3) = 4
+    "gin-report-threefold-text": ["gin-report", "{ex46_fp}", "--ideal", "P"],
+    "gin-report-threefold-json": ["gin-report", "{ex46_fp}", "--ideal", "P", "--json"],
     "cs-check-text": ["cs-check", "{weighted_fp}", "--ideal", "I"],
     "cs-check-json": ["cs-check", "{weighted_fp}", "--ideal", "I", "--json"],
     "cs-check-standard-json": ["cs-check", "{rmk59}", "--ideal", "J", "--json"],

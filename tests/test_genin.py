@@ -9,6 +9,7 @@ from conftest import (
     add_empty_block,
     as_ideal,
     block_ring,
+    contraction_mlength_by_gins,
     dense_block_change,
     evaluate,
     ge_coefficientwise,
@@ -17,7 +18,7 @@ from conftest import (
     surface_prime,
     three_block_ring,
 )
-from mdeg import groebner, hilbert
+from mdeg import genin, groebner, hilbert
 from mdeg.determinantal import build_determinantal
 from mdeg.errors import EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
 from mdeg.fields import GF32003, PrimeField, QQ
@@ -29,7 +30,8 @@ from mdeg.monomial import MonomialIdeal, minimal_primes, primary_decomposition
 from mdeg.orders import MonomialOrder, grevlex, lex, weight_order
 from mdeg.ring import Polynomial, make_ring, multidegree_of
 from mdeg.standardize import standardize_ideal
-from test_prime_oracles import nonzero_toric_primes
+from test_prime_oracles import nonzero_toric_primes, toric_primes
+import test_cli
 
 
 def two_block_ring(field=GF32003):
@@ -486,3 +488,84 @@ def test_gin_report_on_unit_ideal_is_empty_scheme():
     x0, x1, x2, y0, y1, y2 = R.gens()
     with pytest.raises(EmptyScheme):
         gin_structure_report(Ideal(R, [x0, y0, R.one()]))
+
+
+def test_gin_report_computes_one_gin(monkeypatch):
+    """The report reads each contraction's gin off gin(I): on the threefold
+    P, with three blocks and six proper contractions, gin runs once."""
+    calls = []
+    real = genin.gin
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(genin, "gin", counted)
+    rep = gin_structure_report(surface_prime(three_block_ring(GF32003)))
+    assert len(rep.contraction_mlength) == 7
+    assert len(calls) == 1
+
+
+def _report_parts(I, order):
+    """gin(I), the MLength table and the two contraction clauses of the
+    report, or the class of the error it raises."""
+    try:
+        rep = gin_structure_report(I, order=order)
+    except (EmptyScheme, Unstable) as exc:
+        return type(exc)
+    clauses = {k: rep.clauses[k] for k in ("contraction_mlength_monotone", "component_length_divisibility")}
+    return rep.gin.ideal, rep.contraction_mlength, clauses
+
+
+def _parts_by_gins(I, order):
+    try:
+        return contraction_mlength_by_gins(I, order)
+    except (EmptyScheme, Unstable) as exc:
+        return type(exc)
+
+
+def _assert_report_matches_the_gins_of_the_contractions(label, I, kind, rng):
+    """The report and the oracle that runs one gin per contraction agree;
+    under grevlex, the order the oracle's contraction gins use, each
+    contraction of gin(I) is the gin of that contraction of I."""
+    order = _gin_order(rng, I.ring, kind)
+    got = _report_parts(I, order)
+    assert got == _parts_by_gins(I, order), (label, kind)
+    if kind != "grevlex" or isinstance(got, type):
+        return
+    G, table, _ = got
+    for J in table:
+        assert contract(G, J) == gin(contract(I, J)).ideal, (label, J)
+
+
+def test_the_report_matches_the_gins_of_the_contractions_on_toric_primes():
+    """Every toric prime of tests/test_prime_oracles.py under grevlex, and
+    every fifth under lex and under a weight order along the blocks."""
+    rng = random.Random(0)
+    for seed, P in toric_primes():
+        kinds = ("grevlex", "lex", "weights") if seed % 5 == 0 else ("grevlex",)
+        for kind in kinds:
+            _assert_report_matches_the_gins_of_the_contractions(seed, P, kind, rng)
+
+
+def test_the_report_matches_the_gins_of_the_contractions_on_remark_59():
+    """The ideals of remark59.ring and of the rmk59_more golden file: a
+    prime, the zero ideal, a cone and three that fail clauses."""
+    rng = random.Random(0)
+    ring_file = parse_input(test_cli.GOLDEN_FILES["rmk59_more"])
+    for name in ("J", "Z", "E", "C", "N", "B"):
+        for kind in ("grevlex", "lex", "weights"):
+            _assert_report_matches_the_gins_of_the_contractions(name, ring_file.ideal(name), kind, rng)
+
+
+#: Random ideals of the differential test: 2-3 blocks of 1-3 variables.
+RANDOM_REPORT_DRAWS = 40
+
+
+def test_the_report_matches_the_gins_of_the_contractions_on_random_ideals():
+    for seed in range(RANDOM_REPORT_DRAWS):
+        rng = random.Random(seed)
+        R = block_ring([rng.randint(1, 3) for _ in range(rng.randint(2, 3))], GF32003)
+        I = random_ideal(rng, R)
+        for kind in ("grevlex", "lex", "weights"):
+            _assert_report_matches_the_gins_of_the_contractions(seed, I, kind, rng)

@@ -472,10 +472,6 @@ KEPT_UNREACHED = {
         "a zero generator passed to Ideal: only library callers pass one, and "
         "every command builds its ideals with Ideal._of"
     ),
-    ("groebner.py", "contract", "return MonomialIdeal("): (
-        "contract of a MonomialIdeal: no command passes one, but acceptance "
-        "criterion 3 contracts a gin"
-    ),
     ("monomial.py", "MonomialIdeal._plus_packed", "return self"): (
         "I + (m) for an m in I: add_monomial takes any monomial, while the "
         "commands add only monomials outside I (a pivot variable, a proper "

@@ -10,8 +10,9 @@ very unequal operands, and on random dense block changes of coordinates
 standardized rings.  The kernel itself is
 compared with the tuple kernel it replaced (tests/tuple_kernel.py), and
 with the loop that called the field's add and mul methods per term, on
-QQ, two prime fields and intpoly.ZZ; the packing with the tuple order
-keys, divisibility and lcm it stands for.
+QQ, on int coefficients over QQ (the K-polynomials of hilbert) and on
+two prime fields; the packing with the tuple order keys, divisibility
+and lcm it stands for.
 """
 
 import itertools
@@ -39,7 +40,6 @@ from mdeg.fields import GF32003, MODULUS_LIMIT, QQ, PrimeField, _is_prime
 from mdeg.genin import random_block_change
 from mdeg import groebner
 from mdeg.groebner import Ideal
-from mdeg.intpoly import ZZ
 from mdeg.orders import MonomialOrder, grevlex, lex, lift_order_phi, weight_order
 from mdeg.ring import (
     GradedRing,
@@ -241,29 +241,24 @@ def ref_add_mul(acc, c, shift, g, field, guard, skip=None):
     return new
 
 
-class _IntegerMethods:
-    """intpoly.ZZ as it was, with the add and mul methods of a field."""
-
-    add = staticmethod(operator.add)
-    mul = staticmethod(operator.mul)
-
-
 #: The largest prime below fields.MODULUS_LIMIT, the largest modulus of a PrimeField.
 BIG_PRIME = next(q for q in range(MODULUS_LIMIT - 1, 0, -1) if _is_prime(q))
 
-# the field _add_mul is given, and the one with methods for ref_add_mul
+# the fields _add_mul is given; "QQ integers" draws only int coefficients,
+# as the K-polynomials of hilbert have
 KERNEL_FIELDS = {
-    "QQ": (QQ, QQ),
-    "GF32003": (GF32003, GF32003),
-    "GF(big)": (PrimeField(BIG_PRIME), PrimeField(BIG_PRIME)),
-    "ZZ": (ZZ, _IntegerMethods()),
+    "QQ": QQ,
+    "QQ integers": QQ,
+    "GF32003": GF32003,
+    "GF(big)": PrimeField(BIG_PRIME),
 }
 
 
-def _kernel_coefficients(field):
-    if field is QQ:
+def _kernel_coefficients(name):
+    field = KERNEL_FIELDS[name]
+    if name == "QQ":
         return coefficients
-    if field is ZZ:
+    if field is QQ:
         return st.integers(-5, 5)
     p = field.p
     return st.one_of(st.integers(0, 3), st.integers(p - 3, p - 1), st.integers(0, p - 1))
@@ -275,22 +270,22 @@ def test_inlined_arithmetic_matches_the_method_call_loop(name, data):
     """The same sum, in the same order, and the same new exponents as the
     loop that called field.add and field.mul, with some terms of acc set to
     cancel against c * g exactly."""
-    field, methods = KERNEL_FIELDS[name]
-    coeffs = _kernel_coefficients(field).filter(bool)
+    field = KERNEL_FIELDS[name]
+    coeffs = _kernel_coefficients(name).filter(bool)
     terms = st.dictionaries(exponents, coeffs, max_size=8)
     acc, g = data.draw(terms), data.draw(terms)
     c, shift = data.draw(coeffs), data.draw(exponents)
     minus_one = field.p - 1 if field.p else -1
     for eg in data.draw(st.lists(st.sampled_from(sorted(g)), max_size=3)) if g else []:
         e = tuple(map(operator.add, eg, shift))
-        acc[e] = methods.mul(minus_one, methods.mul(c, g[eg]))
+        acc[e] = field.mul(minus_one, field.mul(c, g[eg]))
     skip = data.draw(st.sampled_from(sorted(g))) if g and data.draw(st.booleans()) else None
     pk = _packing(3, 8)
     got, want = pk.pack_dict(acc), pk.pack_dict(acc)
     args = (c, pk.pack(shift), pk.pack_dict(g))
     skip = None if skip is None else pk.pack(skip)
     new = _add_mul(got, *args, field, pk.guard, skip)
-    assert new == ref_add_mul(want, *args, methods, pk.guard, skip)
+    assert new == ref_add_mul(want, *args, field, pk.guard, skip)
     assert list(got.items()) == list(want.items())
     assert all(got.values())
 

@@ -141,7 +141,7 @@ def toric_primes():
 
 
 def nonzero_toric_primes():
-    return [(seed, P) for seed, P in toric_primes() if not P.is_zero()]
+    return [(seed, P) for seed, P in toric_primes() if P.gens]
 
 
 def test_random_toric_primes_satisfy_the_gin_structure_theorem():
@@ -162,7 +162,7 @@ def projection_dimensions(P):
     for mask in range(1, 1 << R.p):
         J = tuple(k + 1 for k in range(R.p) if mask >> k & 1)
         PJ = contract(P, J)
-        if PJ.is_zero():
+        if not PJ.gens:
             dims[J] = sum(len(R.block_variables(j - 1)) - 1 for j in J)
         else:
             dims[J] = geometric_multidegrees(PJ).dim
