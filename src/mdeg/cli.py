@@ -272,6 +272,7 @@ def cmd_snp_check(args):
 
 def _read_points(path):
     pts = set()
+    dim = 0  # that of the first point
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -279,13 +280,17 @@ def _read_points(path):
                 if not line:
                     continue
                 try:
-                    pts.add(tuple(int(x) for x in line.replace(",", " ").split()))
+                    q = tuple(int(x) for x in line.replace(",", " ").split())
                 except ValueError:
+                    q = ()
+                if not q:  # a line of commas has no coordinate
                     raise InputError("bad point line", lineno, 1)
+                dim = dim or len(q)
+                if len(q) != dim:
+                    raise InputError("points have inconsistent dimensions", lineno, 1)
+                pts.add(q)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
-    if len({len(q) for q in pts}) > 1:
-        raise InputError("points have inconsistent dimensions")
     return pts
 
 

@@ -4,13 +4,14 @@ The support of the multidegree of a prime is expected to be the base set
 of a discrete polymatroid; exchange_check tests the M-convex exchange
 axiom directly and returns a witness on failure.  snp_check compares a
 set of lattice points, such as the support of a polynomial, with the
-lattice points of its convex hull up to the first one missing, using an
-exact rational feasibility LP for hull membership, run only on points
-that satisfy the integer equations of the set's affine hull.
+lattice points of its convex hull up to the first one missing.  Hull
+membership reads one exact H-representation of the hull, integer
+equations and facet inequalities that hull_rows works out by double
+description once per check, and only when a point outside the set needs
+it.
 """
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 
@@ -52,114 +53,74 @@ def exchange_check(points):
     return True, None
 
 
-def _simplex_feasible(A, b):
-    """Is {x >= 0 : A x = b} nonempty?  Exact phase-1 simplex, Bland's rule.
-
-    A: a nonempty list of rows (lists of Fractions), b: list of Fractions.
-    """
-    m = len(A)
-    n = len(A[0])
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-    # tableau with artificial basis; columns 0..n-1 real, n..n+m-1 artificial
-    T = [A[i] + [Fraction(int(k == i)) for k in range(m)] + [b[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    # objective: minimize sum of artificials; cost row in terms of nonbasic
-    cost = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        for k in range(n + m + 1):
-            cost[k] += T[i][k]
-    total = n + m
-    while True:
-        # only real columns enter: the cost row sums the rows, which is an
-        # artificial column's reduced cost plus 1
-        enter = -1
-        for k in range(n):
-            if k not in basis and cost[k] > 0:
-                enter = k
-                break
-        if enter < 0:
-            break
-        leave, best = -1, None
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][total] / T[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best, leave = ratio, i
-        if leave < 0:
-            break  # unbounded cannot happen for phase 1; safety
-        piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][enter]:
-                c = T[i][enter]
-                T[i] = [v - c * w for v, w in zip(T[i], T[leave])]
-        c = cost[enter]
-        cost = [v - c * w for v, w in zip(cost, T[leave])]
-        basis[leave] = enter
-    return cost[total] == 0
+def _primitive(v):
+    """The nonzero int vector v divided by the gcd of its entries."""
+    g = gcd(*v)
+    return [x // g for x in v]
 
 
-def in_convex_hull(q, points):
-    """Exact test: is q a convex combination of the given lattice points?"""
-    pts = [tuple(v) for v in points]
-    p = len(q)
-    A = [[Fraction(v[k]) for v in pts] for k in range(p)]
-    A.append([Fraction(1)] * len(pts))
-    b = [Fraction(x) for x in q] + [Fraction(1)]
-    return _simplex_feasible(A, b)
-
-
-def affine_equations(points):
-    """Integer equations (a, b), each a . x = b, that cut out the affine
-    hull of the nonempty set `points`, p - dim of them: one per free
-    column of the differences from one point, brought to reduced echelon
-    form by integer row operations."""
-    base, *rest = points
-    rows = [[x - y for x, y in zip(q, base)] for q in rest]
-    pivots = []  # the pivot column of each row of the echelon form so far
-    for col in range(len(base)):
-        r = len(pivots)
-        k = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if k is None:
+def hull_rows(points):
+    """Integer rows (equations, facets) of the convex hull of the nonempty
+    list `points`: q lies in the hull exactly when y . (1, q) is 0 for every
+    equation y and >= 0 for every facet y.  They are a lineality basis and
+    the extreme rays of the cone {y : y . (1, q) >= 0 for q in points}, by
+    double description on ints (Fukuda-Prodon 1996), one point at a time
+    in the order given; two rays combine only when adjacent, as read off
+    bit masks of the points each ray is tight at."""
+    n = len(points[0]) + 1
+    lineality = [[int(i == j) for j in range(n)] for i in range(n)]
+    rays = []  # (mask of the points the ray is tight at, ray)
+    for bit, q in enumerate(points):
+        a = (1, *q)
+        dots = [sum(map(mul, a, l)) for l in lineality]
+        k = next((i for i, c in enumerate(dots) if c), None)
+        if k is not None:
+            # a lineality vector that a does not meet at 0 turns into the ray
+            # l with a . l > 0 (times c, then primitive: no sign test); the
+            # other rows are moved along l into the hyperplane a . y = 0
+            c = dots.pop(k)
+            l = _primitive([c * v for v in lineality.pop(k)])
+            d = sum(map(mul, a, l))
+            lineality = [_primitive([d * v - e * w for v, w in zip(m, l)]) for m, e in zip(lineality, dots)]
+            rays = [
+                (mask | 1 << bit, _primitive([d * v - sum(map(mul, a, r)) * w for v, w in zip(r, l)]))
+                for mask, r in rays
+            ]
+            rays.append(((1 << bit) - 1, l))
             continue
-        rows[r], rows[k] = rows[k], rows[r]
-        pivot = rows[r]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                row = [pivot[col] * v - row[col] * w for v, w in zip(row, pivot)]
-                g = gcd(*row) or 1
-                rows[i] = [v // g for v in row]
-        pivots.append(col)
-    # row r reads rows[r][c_r] x_{c_r} + (its free columns) = 0
-    scale = lcm(*(row[col] for row, col in zip(rows, pivots)))
-    equations = []
-    for free in (col for col in range(len(base)) if col not in pivots):
-        a = [0] * len(base)
-        a[free] = scale
-        for row, col in zip(rows, pivots):
-            a[col] = -row[free] * scale // row[col]
-        g = gcd(*a)
-        a = [v // g for v in a]
-        equations.append((a, sum(map(mul, a, base))))
-    return equations
+        signs = [sum(map(mul, a, r)) for _, r in rays]
+        pos = [(mask, r, s) for (mask, r), s in zip(rays, signs) if s > 0]
+        neg = [(mask, r, s) for (mask, r), s in zip(rays, signs) if s < 0]
+        # two rays are adjacent when their common tight points can have rank
+        # n - len(lineality) - 2 and no third ray is tight at all of them
+        need = n - len(lineality) - 2
+        masks = [mask for mask, _ in rays]
+        new = []
+        for mask, r, s in pos:
+            for other, t, u in neg:
+                z = mask & other
+                if z.bit_count() >= need and not any(z & m == z for m in masks if m != mask and m != other):
+                    new.append((z | 1 << bit, _primitive([s * w - u * v for v, w in zip(r, t)])))
+        rays = [(mask | (s == 0) << bit, r) for (mask, r), s in zip(rays, signs) if s >= 0] + new
+    return lineality, [r for _, r in rays]
 
 
 def _hull_points(support):
     """The lattice points of the convex hull of the set `support`, in lex
     order: each point of the bounding box whose total degree is in the
-    support's range and that is in the support, or that lies on the
-    support's affine hull and passes the exact LP."""
+    support's range and that is in the support, or that meets the rows of
+    hull_rows, worked out when the walk first meets a point outside the
+    support."""
     lo = [min(c) for c in zip(*support)]
     hi = [max(c) for c in zip(*support)]
     dlo, dhi = min(map(sum, support)), max(map(sum, support))
-    equations = affine_equations(support)
+    rows = None
+
+    def in_hull(q):
+        nonlocal rows
+        equations, facets = rows = rows or hull_rows(sorted(support))
+        v = (1, *q)
+        return all(sum(map(mul, y, v)) == 0 for y in equations) and all(sum(map(mul, y, v)) >= 0 for y in facets)
 
     def walk(prefix, k):
         # only values the later coordinates can complete to a degree in range
@@ -170,9 +131,7 @@ def _hull_points(support):
             q = prefix + (x,)
             if k + 1 < len(lo):
                 yield from walk(q, k + 1)
-            elif q in support or (
-                all(sum(map(mul, a, q)) == b for a, b in equations) and in_convex_hull(q, support)
-            ):
+            elif q in support or in_hull(q):
                 yield q
 
     return walk((), 0)

@@ -311,6 +311,22 @@ def test_polymatroid_and_snp_points_files(tmp_path, capsys):
     assert rc == 0
 
 
+def test_points_line_of_commas_is_an_input_error(tmp_path, capsys):
+    # it read as the empty point (), on which snp-check raised IndexError
+    path = tmp_path / "commas.pts"
+    path.write_text("1 1\n,\n")
+    for command in ("snp-check", "polymatroid-check"):
+        rc, out, err = run(capsys, [command, "--points", str(path)])
+        assert (rc, out, err) == (2, "", "input error: line 2, col 1: bad point line\n")
+
+
+def test_points_of_another_dimension_name_their_line(tmp_path, capsys):
+    path = tmp_path / "mixed.pts"
+    path.write_text("1 1\n# a comment\n1,0\n1 0 1\n0 1\n1 1 1\n")
+    rc, out, err = run(capsys, ["snp-check", "--points", str(path)])
+    assert (rc, out, err) == (2, "", "input error: line 4, col 1: points have inconsistent dimensions\n")
+
+
 def test_snp_check_requires_source(capsys):
     rc, _, err = run(capsys, ["snp-check"])
     assert rc == 2
@@ -460,6 +476,14 @@ GOLDEN_FILES = {
     # a degree slice of the whole 20001^2 box, whose first 20001 points in
     # lex order are off the line through the two points
     "diagonal_pts": "0 0\n20000 20000\n",
+    # a thin triangle whose first 20002 slice points in lex order are
+    # outside it, the first missing point (1, 1) on its long edge
+    "thin_pts": "0 0\n20000 20000\n20000 20001\n",
+    # five points, negative coordinates among them, listed out of lex
+    # order: the first three in lex order span the plane, so that the
+    # fourth and the fifth each split the hull's rows by sign, and the
+    # fifth lies on the line of an edge
+    "negative_square_pts": "1 1\n0 1\n-1 0\n1 0\n0 -1\n",
     # the twisted cubic, whose lex gin differs from its grevlex one
     "cubic_fp": "field Fp 32003\nvars a b c d\n"
     + "".join(f"deg {v} = (1)\n" for v in "abcd")
@@ -655,11 +679,14 @@ GOLDEN_CASES = {
     # the walk stops at the first lattice point of the hull that is missing
     "snp-far-points-text": ["snp-check", "--points", "{far_pts}"],
     "snp-far-points-json": ["snp-check", "--points", "{far_pts}", "--json"],
-    # a point off the affine hull of the points needs no LP
+    # a point off the line through the two points breaks an equation row
     "snp-diagonal-points-text": ["snp-check", "--points", "{diagonal_pts}"],
     "snp-diagonal-points-json": ["snp-check", "--points", "{diagonal_pts}", "--json"],
-    # a missing point with a negative coordinate: the LP negates its row
+    # a missing point with a negative coordinate
     "snp-negative-coordinate-missing": ["snp-check", "--points", "{negative_gap_pts}"],
+    "snp-thin-triangle-text": ["snp-check", "--points", "{thin_pts}"],
+    "snp-thin-triangle-json": ["snp-check", "--points", "{thin_pts}", "--json"],
+    "snp-negative-square": ["snp-check", "--points", "{negative_square_pts}"],
 }
 GOLDEN_CASES.update(
     {name: ["kpoly", "{" + name.replace("-", "_") + "}", "--ideal", "I"] for name in PARSE_ERRORS}

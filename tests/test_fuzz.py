@@ -1,14 +1,15 @@
-"""The exit-code contract on edited ring files.
+"""The exit-code contract on edited ring and points files.
 
 Each case takes a golden command of tests/test_cli.py whose input is a
-ring file, applies one to three token edits to that file (delete,
-insert, replace or duplicate a token), and runs the command through
-cli.main in process under a time limit.  Every case must exit 0, 2, 3
-or 4; an input error in the ring file must name a line of the file, or
-the line after it, and a column inside that line or one past its end;
-and the file must read as the reference parser (tests/ref_inputlang.py)
-reads it.  The draw is seeded and uses only the standard library.
-Points files are left out: their reader is not the ring-file parser.
+ring file, or the points file good_pts or bad_pts, applies one to three
+token edits to that file (delete, insert, replace or duplicate a token),
+and runs the command through cli.main in process under a time limit.
+Every case must exit 0, 2, 3 or 4; an input error in the file must name
+a line of the file, or the line after it, and a column inside that line
+or one past its end.  A ring file must read as the reference parser
+(tests/ref_inputlang.py) reads it, and every input error in a points
+file must name its line.  The draw is seeded and uses only the standard
+library.
 """
 
 import contextlib
@@ -43,6 +44,14 @@ OPERATORS = ["+", "-", "*", "^", "/"]
 INSERTS = ["0", "1", "2", "7", "x", "y0", "(", ")", "[", "]", ";", "=", ","] + OPERATORS + [
     "field", "vars", "deg", "ideal", "QQ", "Fp", "$", "#"]
 ERROR_AT = re.compile(r"input error: line (\d+), col (\d+): ")
+# the golden commands that read the points file good_pts or bad_pts
+POINTS_COMMANDS = sorted(
+    name for name, args in GOLDEN_CASES.items() if "{good_pts}" in args or "{bad_pts}" in args
+)
+# a token of a points file outside a comment, line breaks among them, and
+# tokens an edit may insert, a comment sign and non-integers among them
+POINT_TOKEN = re.compile(r"#[^\n]*|(-?\d+|[,\n-])")
+POINT_INSERTS = ["0", "1", "2", "-1", "20", "-", ",", "\n", "+3", "x", "1.5", "#"]
 
 
 def ring_text(key):
@@ -55,18 +64,19 @@ def kind(token):
     return "num" if token.isdigit() else "name" if token[0].isalpha() or token[0] == "_" else token
 
 
-def edit(rng, text):
-    """`text` with one token deleted, duplicated, preceded by another token,
-    or replaced by another token, which half the time is one of the
-    file's tokens of the same kind (an operator only by an operator).
-    Half the edits fall after the file's first [, among the generators."""
-    spans = [m.span(1) for m in TOKEN.finditer(text) if m.group(1)]
+def edit(rng, text, pattern=TOKEN, inserts=INSERTS):
+    """`text` with one token of `pattern` deleted, duplicated, preceded by
+    another token, or replaced by another token, which half the time is
+    one of the file's tokens of the same kind (an operator only by an
+    operator).  Half the edits fall after the file's first [, among the
+    generators, when it has one."""
+    spans = [m.span(1) for m in pattern.finditer(text) if m.group(1)]
     if not spans:
-        return text + rng.choice(INSERTS)
+        return text + rng.choice(inserts)
     tokens = [text[c:d] for c, d in spans]
     first = tokens.index("[") if "[" in tokens and rng.random() < 0.5 else 0
     a, b = rng.choice(spans[first:])
-    token = rng.choice(INSERTS + tokens)
+    token = rng.choice(inserts + tokens)
     how = rng.choice(["delete", "insert", "replace", "replace alike", "duplicate"])
     if how == "delete":
         return text[:a] + text[b:]
@@ -92,13 +102,14 @@ def run(argv):
 
 
 def check(text, argv):
-    """What breaks the contract when argv runs on the ring file `text`."""
+    """What breaks the contract when argv runs on the edited file `text`,
+    and the exit code."""
     problems = []
     try:
         with time_limit(SECONDS):
             rc, err = run(argv)
     except TimeoutError:
-        return [f"still running after {SECONDS} s"]
+        return [f"still running after {SECONDS} s"], None
     if rc not in (0, 2, 3, 4):
         problems.append(f"exit code {rc}: {err}")
     m = ERROR_AT.match(err)
@@ -107,9 +118,9 @@ def check(text, argv):
         line, col = int(m.group(1)), int(m.group(2))
         if not 1 <= line <= len(lines) + 1 or not 1 <= col <= len((lines + [""])[line - 1]) + 1:
             problems.append(f"position outside the file: {err}")
-    if session_outcome(parse_input, text) != session_outcome(ref_inputlang.parse_input, text):
-        problems.append("read otherwise than by the reference parser")
-    return problems
+    elif rc == 2 and "--points" in argv:
+        problems.append(f"no position: {err}")
+    return problems, rc
 
 
 def test_edited_ring_files_keep_the_exit_code_contract(tmp_path):
@@ -124,5 +135,29 @@ def test_edited_ring_files_keep_the_exit_code_contract(tmp_path):
             text = edit(rng, text)
         path.write_text(text)
         argv[1] = str(path)
-        failures += [f"{name} on {text!r}: {problem}" for problem in check(text, argv)]
+        problems, _ = check(text, argv)
+        if session_outcome(parse_input, text) != session_outcome(ref_inputlang.parse_input, text):
+            problems.append("read otherwise than by the reference parser")
+        failures += [f"{name} on {text!r}: {problem}" for problem in problems]
     assert not failures, "\n".join(failures[:10])
+
+
+def test_edited_points_files_keep_the_exit_code_contract(tmp_path):
+    rng = random.Random(SEED)
+    path = tmp_path / "edited.pts"
+    failures, codes = [], set()
+    for _ in range(CASES):
+        name = rng.choice(POINTS_COMMANDS)
+        argv = list(GOLDEN_CASES[name])
+        i = argv.index("--points") + 1
+        text = GOLDEN_FILES[argv[i][1:-1]]
+        for _ in range(rng.randint(1, 3)):
+            text = edit(rng, text, POINT_TOKEN, POINT_INSERTS)
+        path.write_text(text)
+        argv[i] = str(path)
+        problems, rc = check(text, argv)
+        codes.add(rc)
+        failures += [f"{name} on {text!r}: {problem}" for problem in problems]
+    assert not failures, "\n".join(failures[:10])
+    # the draw reaches answers and input errors both
+    assert {0, 2, 4} <= codes

@@ -492,10 +492,6 @@ KEPT_UNREACHED = {
         "MonomialOrder.full_weight_rows",
         "rows.append(tuple(int(i == j) for i in range(self.n)))",
     ): "the lex tie-break, as above",
-    ("polymatroid.py", "_simplex_feasible", "break  # unbounded cannot happen for phase 1; safety"): (
-        "phase 1 minimizes a sum of artificial variables, which is bounded "
-        "below by 0, so only a wrong pivot leaves no row"
-    ),
     (
         "standardize.py",
         "standardize_ideal",

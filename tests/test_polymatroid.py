@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -6,15 +8,13 @@ from itertools import combinations, product
 from hypothesis import given, settings, strategies as st
 
 from conftest import SURFACE_CEE_TERMS
+from mdeg.hilbert import multidegree_C
+from mdeg.inputlang import parse_input
 from mdeg.intpoly import IntegerPolynomial
-from mdeg.polymatroid import (
-    _hull_points,
-    affine_equations,
-    exchange_check,
-    in_convex_hull,
-    snp_check,
-    support_points,
-)
+from mdeg.polymatroid import _hull_points, exchange_check, hull_rows, snp_check, support_points
+from ref_polymatroid import affine_equations, in_convex_hull
+
+JOBS = pathlib.Path(__file__).resolve().parent.parent / "mdegbench" / "jobs.py"
 
 
 def newton_polytope_points(support):
@@ -63,11 +63,21 @@ def test_minkowski_sum_of_bases_is_bases():
     assert ok
 
 
+def in_rows(q, rows):
+    """Is q in the hull whose hull_rows are `rows`?"""
+    equations, facets = rows
+    v = (1, *q)
+    dot = [sum(a * b for a, b in zip(y, v)) for y in equations + facets]
+    return not any(dot[: len(equations)]) and min(dot[len(equations) :], default=0) >= 0
+
+
 def test_hull_membership_exact():
     pts = [(0, 0), (2, 0), (0, 2)]
-    assert in_convex_hull((1, 1), pts)
-    assert in_convex_hull((0, 1), pts)
-    assert not in_convex_hull((2, 1), pts)
+    rows = hull_rows(pts)
+    for q, inside in [((1, 1), True), ((0, 1), True), ((2, 1), False), ((-1, 0), False)]:
+        assert in_convex_hull(q, pts) == in_rows(q, rows) == inside
+    # x >= 0, y >= 0, x + y <= 2: three facets, no equation
+    assert sorted(map(tuple, rows[1])) == [(0, 0, 1), (0, 1, 0), (2, -1, -1)] and rows[0] == []
 
 
 def unique_solution(A, b):
@@ -93,7 +103,7 @@ def unique_solution(A, b):
 
 
 def caratheodory_in_hull(q, points):
-    """Reference for in_convex_hull: by Caratheodory, q is in the hull
+    """Reference for hull membership: by Caratheodory, q is in the hull
     exactly when it is a convex combination of an affinely independent set
     of at most len(q) + 1 of the points, whose weights are then unique."""
     pts = sorted(points)
@@ -120,8 +130,10 @@ def test_hull_membership_matches_caratheodory(case):
     # let a column that had left the basis enter again, and answered by the
     # order of the points
     q, points = case
-    assert in_convex_hull(q, points) == caratheodory_in_hull(q, points)
-    assert in_convex_hull(q, points[::-1]) == caratheodory_in_hull(q, points)
+    inside = caratheodory_in_hull(q, points)
+    assert in_convex_hull(q, points) == in_convex_hull(q, points[::-1]) == inside
+    assert in_rows(q, hull_rows(sorted(points))) == in_rows(q, hull_rows(sorted(points, reverse=True))) == inside
+    assert in_rows(q, hull_rows(points)) == inside
 
 
 def rank(rows):
@@ -159,20 +171,24 @@ def flat_point_sets(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(flat_point_sets())
-def test_affine_equations_cut_out_the_affine_hull(case):
-    """p - dim independent equations that every point satisfies, so that
-    they cut out the affine hull; a lattice point near the set that breaks
-    one is outside the convex hull, which the LP confirms."""
+def test_hull_rows_cut_out_the_affine_hull(case):
+    """The equations of hull_rows are p - dim independent rows that every
+    point meets, as those of the oracle affine_equations are, and span the
+    same rows; a lattice point near the set is in the hull by the rows
+    exactly when the LP says so."""
     points, queries = case
     pts = sorted(points)
     p = len(pts[0])
-    equations = affine_equations(points)
-    assert all(sum(a_k * x_k for a_k, x_k in zip(a, q)) == b for a, b in equations for q in pts)
+    equations, facets = rows = hull_rows(pts)
+    assert all(sum(a * b for a, b in zip(y, (1, *q))) == 0 for y in equations for q in pts)
     dim = rank([[x - y for x, y in zip(q, pts[0])] for q in pts[1:]])
-    assert len(equations) == p - dim and rank([a for a, _ in equations]) == len(equations)
-    for q in queries:
-        if any(sum(a_k * x_k for a_k, x_k in zip(a, q)) != b for a, b in equations):
-            assert not in_convex_hull(q, pts)
+    assert len(equations) == p - dim and rank(equations) == len(equations)
+    oracle = [(-b, *a) for a, b in affine_equations(points)]
+    assert len(oracle) == len(equations) and rank(equations + oracle) == len(equations)
+    # a facet row is no equation: some point is off its hyperplane
+    assert all(any(sum(a * b for a, b in zip(y, (1, *q))) for q in pts) for y in facets)
+    for q in queries + pts:
+        assert in_rows(q, rows) == in_convex_hull(q, pts)
 
 
 def test_newton_polytope_points_triangle():
@@ -191,7 +207,7 @@ def test_snp_positive_and_negative():
     # walk stops at the slice's second point, the first one missing
     assert snp_check({(20000, 0), (0, 20000)}) == (False, (1, 19999))
     # a slice of the whole box, whose first 20001 points in lex order are
-    # off the line x = y: none of them needs an LP
+    # off the line x = y: each breaks the one equation row
     start = time.perf_counter()
     assert snp_check({(0, 0), (20000, 20000)}) == (False, (1, 1))
     assert time.perf_counter() - start < 0.5
@@ -232,6 +248,25 @@ def test_hull_points_match_the_box_walk(points):
 def test_snp_of_threefold_multidegree():
     ok, w = snp_check(set(SURFACE_CEE_TERMS))
     assert ok, w
+
+
+def test_snp_of_a_triangle_of_631_points():
+    # (0, 0), (40, 20), (20, 40): x <= 2y, y <= 2x and x + y <= 60
+    pts = {(x, y) for x in range(41) for y in range(41) if x <= 2 * y and y <= 2 * x and x + y <= 60}
+    assert len(pts) == 631 and snp_check(pts) == (True, None)
+    assert snp_check(pts - {(20, 20)}) == (False, (20, 20))
+
+
+def test_snp_of_the_2_minors_multidegrees():
+    # the support of C of a prime is M-convex (Branden-Huh 2020), hence
+    # saturated: 432 points for the 3x4 2-minors, 4,096 for the 4x4 ones
+    spec = importlib.util.spec_from_file_location("jobs", JOBS)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    for m, size in [(3, 432), (4, 4096)]:
+        I = parse_input(jobs.minors_ring_text(m, 4, 2, random.Random(0))).ideal("I")
+        pts = support_points(multidegree_C(I))
+        assert len(pts) == size and snp_check(pts) == (True, None)
 
 
 def test_support_points():
