@@ -5,9 +5,11 @@ is transported to a standard multigraded ring by the substitution
 x_i -> y_{i,1} ... y_{i,l_i}.  The substitution preserves codimension,
 K-polynomial, multidegree and initial ideals, so questions about the
 original ideal can be answered in the standard world.  An ideal is
-detected as Cartwright-Sturmfels when the generic initial ideal of its
-standardization is squarefree; such ideals have radical initial ideals
-under every term order and a multiplicity-free multidegree.
+Cartwright-Sturmfels when its standardization has the Hilbert series of
+a radical Borel-fixed ideal J_A, its gin, which is then squarefree;
+cs_check reads that off K(S/I) with no change of coordinates.  Such
+ideals have radical initial ideals under every term order and a
+multiplicity-free multidegree.
 
 Run:  python demos/cs_detection.py
 """

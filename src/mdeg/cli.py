@@ -11,6 +11,7 @@ in-process call of `main`.
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -194,13 +195,17 @@ def cmd_project(args):
 def cmd_cs_check(args):
     ring, I = _load(args)
     verdict = cs_check(I, trials=args.trials, seed=args.seed)
-    result = {
-        "is_cs": verdict.is_cs,
-        "gin": _mono_json(verdict.gin),
-        "meta": {"field": repr(verdict.field), "detail": verdict.detail},
-    }
+
+    def result():
+        # reading verdict.gin of a non-CS verdict runs the gin
+        return {
+            "is_cs": verdict.is_cs,
+            "gin": _mono_json(verdict.gin),
+            "meta": {"field": repr(verdict.field), "detail": verdict.detail},
+        }
+
     text = ["CS" if verdict.is_cs else "not CS"]
-    return _emit(args, ring, "cs-check", lambda: result, lambda: text, [f"# {verdict.detail}"])
+    return _emit(args, ring, "cs-check", result, lambda: text, [f"# {verdict.detail}"])
 
 
 def cmd_standardize(args):
@@ -270,6 +275,11 @@ def cmd_snp_check(args):
     return _emit(args, None, "snp-check", lambda: result, lambda: text, rc=rc)
 
 
+#: A coordinate of a points file: ASCII digits, after at most one minus
+#: sign; int would also take "+3", "1_0" and digits of other scripts.
+_COORDINATE = re.compile("-?[0-9]+")
+
+
 def _read_points(path):
     pts = set()
     dim = 0  # that of the first point
@@ -279,12 +289,11 @@ def _read_points(path):
                 line = line.split("#")[0].strip()
                 if not line:
                     continue
-                try:
-                    q = tuple(int(x) for x in line.replace(",", " ").split())
-                except ValueError:
-                    q = ()
-                if not q:  # a line of commas has no coordinate
+                words = line.replace(",", " ").split()
+                # a line of commas has no coordinate
+                if not words or not all(map(_COORDINATE.fullmatch, words)):
                     raise InputError("bad point line", lineno, 1)
+                q = tuple(map(int, words))
                 dim = dim or len(q)
                 if len(q) != dim:
                     raise InputError("points have inconsistent dimensions", lineno, 1)

@@ -45,6 +45,14 @@ MIN_FIELD_SIZE = 10007
 HOMOLOGY_PRIME = 32003
 
 
+def check_gin_field(F):
+    """Raise FieldTooSmall unless F is a prime field of at least
+    MIN_FIELD_SIZE elements, so that random choices are generic."""
+    if F.p < MIN_FIELD_SIZE:
+        small = f"field of size {F.p} is below {MIN_FIELD_SIZE}"
+        raise FieldTooSmall(small if F.p else "use a large prime field for gin computations")
+
+
 def random_block_change(ring, seed):
     """Seeded random unitriangular block change of coordinates.
 
@@ -52,14 +60,12 @@ def random_block_change(ring, seed):
     multiples of the earlier variables of its grading block, keeping its
     degree, as groebner.gin_trial requires.  It gives gin(I) under the
     orders _check_order_refines_blocks admits (see the module docstring).
-    The field must be large (p >= 10007) so random choices are generic.
+    The field must be large (check_gin_field) so random choices are generic.
     """
     if not ring.is_standard:
         raise NotStandardGraded("generic initial ideals need a standard grading")
     F = ring.field
-    if F.p < MIN_FIELD_SIZE:
-        small = f"field of size {F.p} is below {MIN_FIELD_SIZE}"
-        raise FieldTooSmall(small if F.p else "use a large prime field for gin computations")
+    check_gin_field(F)
     rng = random.Random(seed)
     units = [tuple(int(j == i) for j in range(ring.n)) for i in range(ring.n)]
     images = [None] * ring.n

@@ -1,18 +1,37 @@
-"""Standardization of non-standard positive multigradings.
+"""Standardization of non-standard positive multigradings, and the
+Cartwright-Sturmfels test.
 
 phi sends each variable x_i of degree (a_1,..,a_p) to a product of
 sum(a_k) new variables, a_1 of degree e_1 first, then a_2 of degree e_2
 and so on.  The substitution preserves codimension, K-polynomial and
 multidegree (all three read off initial ideals), and carries initial
 ideals to initial ideals under the lifted order; verify_standardization
-checks all of that on a concrete ideal.  cs_check then asks whether the
-standardized ideal has squarefree generic initial ideal.
+checks all of that on a concrete ideal.
+
+cs_check asks whether I is Cartwright-Sturmfels (CS): whether its
+standardization has the multigraded Hilbert series of a radical
+Borel-fixed ideal (Conca, De Negri and Gorla, J. Comb. Algebra 2, 2018,
+and IMRN 2020).  In a standard N^p-graded ring those ideals are the
+J_A = cap_{a in A} P_a, for A an antichain of N^p and P_a the prime
+generated by the first a_k variables of each block k.  K(S/P_a) = u^a in
+u = 1 - t, P_a + P_b = P_max(a,b), and monomial ideals form a
+distributive lattice, so by inclusion-exclusion K(S/J_A; 1 - u) is the
+sum of (-1)^(|B| + 1) u^max(B) over the nonempty B in A.  Each u^a, a in
+A, has coefficient 1 and every other exponent lies strictly above some a,
+so A is the set of minimal exponents of K(S/J_A; 1 - u): at most one
+J_A has a given Hilbert series.  K is kept by standardization, and the
+gin of a CS ideal is the radical Borel-fixed ideal with its Hilbert
+series, so K(S/I) alone gives both the verdict and the gin J_A, with no
+change of coordinates.
 """
 
-from .genin import gin
+from functools import cached_property, reduce
+
+from .errors import BadArgument
+from .genin import check_gin_field, gin
 from .groebner import Ideal
-from .hilbert import codimension, k_polynomial, multidegree_C
-from .monomial import MonomialIdeal
+from .hilbert import codimension, k_polynomial, k_polynomial_monomial, multidegree_C
+from .monomial import MonomialIdeal, minimalize
 from .orders import grevlex, lift_order_phi
 from .ring import GradedRing, Polynomial
 
@@ -108,29 +127,96 @@ def verify_standardization(I, std_map=None):
 
 
 class CsVerdict:
-    def __init__(self, is_cs, gin_ideal, field, detail):
+    """cs_check's answer: is_cs, the field, the detail line and `gin`, the
+    gin of the standardization, which the function find_gin of no argument
+    works out on the first read."""
+
+    def __init__(self, is_cs, find_gin, field, detail):
         self.is_cs = is_cs
-        self.gin = gin_ideal
+        self._find_gin = find_gin
         self.field = field
         self.detail = detail
+
+    @cached_property
+    def gin(self):
+        return self._find_gin()
 
     def __repr__(self):
         return f"CsVerdict({self.is_cs}, {self.detail})"
 
 
-def cs_check(I, trials=2, seed=0):
-    """Cartwright-Sturmfels detection: is gin of the standardization
-    squarefree?
-
-    A positive verdict means every initial ideal of the standardized ideal
-    is radical and the multidegree is multiplicity-free.  The verdict is
-    relative to the coefficient field (a large prime field is required for
-    the underlying gin), whose trials must agree on one gin.
-    """
-    J = standardize_ideal(I)
-    res = gin(J, trials=trials, seed=seed)
-    sq = res.ideal.is_squarefree()
-    detail = "gin of standardization is squarefree" if sq else (
-        "gin of standardization has a non-squarefree generator"
+def _radical_borel(ring, A):
+    """J_A = cap_{a in A} P_a in the standard graded `ring`, P_a generated
+    by the first a_k variables of each block k; the unit ideal for A empty."""
+    blocks = [ring.block_variables(k) for k in range(ring.p)]
+    units = [tuple(int(j == i) for j in range(ring.n)) for i in range(ring.n)]
+    primes = (
+        MonomialIdeal(ring, [units[i] for ak, block in zip(a, blocks) for i in block[:ak]])
+        for a in A
     )
-    return CsVerdict(sq, res.ideal, I.ring.field, detail)
+    return reduce(MonomialIdeal.intersect, primes, MonomialIdeal(ring, [(0,) * ring.n]))
+
+
+def _cs_gin(M, ring):
+    """J_A when the monomial ideal M has the Hilbert series of a J_A of the
+    standard graded `ring`, and None otherwise (cs_check's steps 1-4)."""
+    C = multidegree_C(M)
+    if any(c != 1 for c in C.terms.values()):
+        return None
+    K = k_polynomial_monomial(M)
+    A0 = frozenset(C.terms)
+    J = _radical_borel(ring, A0)
+    if k_polynomial_monomial(J) == K:
+        return J
+    A = minimalize(K.substitute_one_minus_t().terms)
+    if A != A0:
+        J = _radical_borel(ring, A)
+        if k_polynomial_monomial(J) == K:
+            return J
+    return None
+
+
+def cs_check(I, trials=2, seed=0):
+    """Cartwright-Sturmfels detection from the Hilbert series (see the
+    module docstring): is K(S/I) that of a radical Borel-fixed ideal J_A of
+    the standardized ring T, and so gin of the standardization squarefree?
+
+    K(S/I) and C(S/I) are read off M = in(I) in I's own ring, so the two
+    share the one cached Groebner basis of I:
+    1. C is the part of least total degree of K(S/I; 1 - u), and that of
+       K(S/J_A; 1 - u) is a sum of u^a's, so a coefficient of C other
+       than 1 means not CS.
+    2. A0 = supp C gives the candidate J_A0, an intersection of P_a's.
+    3. If K(S/J_A0) = K(S/I), I is CS and J_A0 is its gin.
+    4. Otherwise the one candidate left is A, the minimal exponents of
+       K(S/I; 1 - u).  A holds A0, and more when I is CS but not
+       equidimensional, as (xy, xz) = P_(1,0) cap P_(0,2) in k[x | y, z].
+       If A differs from A0, I is CS exactly when K(S/J_A) = K(S/I).
+    Each candidate a has a_k <= n_k, the size of block k of T, so P_a
+    exists: a Stanley decomposition of T/in(phi(I)) into pieces
+    x^m k[x_s] writes K(S/I; 1 - u) as the sum over the pieces of
+    (1 - u)^deg(m) u^b, b the sum of the degrees of the variables not in
+    s.  Every exponent lies above some piece's b, and a minimal b keeps
+    as coefficient the number of pieces with that b, so the minimal
+    exponents are minimal b's.
+
+    The verdict and the text output (the verdict and the detail line)
+    need only these steps.  `gin` of a CS verdict is J_A; that of a
+    non-CS verdict is gin of the standardization, worked out by
+    genin.gin with `trials` and `seed` only when it is read, as --json
+    reads it.  Fewer than 1 trial, QQ and a small prime field are
+    refused as gin refuses them (check_gin_field), so that gin can always
+    be read.
+    """
+    if trials < 1:
+        raise BadArgument("at least one trial required")
+    check_gin_field(I.ring.field)
+    J = _cs_gin(I.initial_ideal(), standardize(I.ring).target)
+    if J is not None:
+        return CsVerdict(True, lambda: J, I.ring.field, "gin of standardization is squarefree")
+    return CsVerdict(
+        False,
+        lambda: gin(standardize_ideal(I), trials=trials, seed=seed).ideal,
+        I.ring.field,
+        "gin of standardization has a non-squarefree generator",
+    )

@@ -27,6 +27,7 @@ from mdeg.ring import (
     _times,
     make_ring,
 )
+from mdeg.standardize import CsVerdict, standardize_ideal
 
 
 def three_block_ring(field=QQ):
@@ -227,8 +228,9 @@ def random_ideal(rng, ring, max_degree=2, max_gens=3):
 # the truncations [C(R^i)]_i of the dimension filtration that sum to the
 # arithmetic multidegree, normal forms and membership for Ideals, MLength,
 # the contraction clauses of the gin report by one gin per contraction,
-# monomials of a ring, and integer-polynomial parts, monomials, variables,
-# evaluation and coefficientwise comparison.
+# the CS verdict by the gin of the standardization, monomials of a ring,
+# and integer-polynomial parts, monomials, variables, evaluation and
+# coefficientwise comparison.
 
 
 def series_expansion(numerator, denominators, bound):
@@ -525,6 +527,18 @@ def contraction_mlength_by_gins(I, order=None, trials=2, seed=0):
             div_ok = False
     clauses = {"contraction_mlength_monotone": ml_ok, "component_length_divisibility": div_ok}
     return G, table, clauses
+
+
+def cs_check_by_gin(I, trials=2, seed=0):
+    """standardize.cs_check by the route it took before it read the
+    verdict off K(S/I): I is CS when the gin of its standardization, over
+    `trials` trials from `seed`, is squarefree."""
+    res = gin(standardize_ideal(I), trials=trials, seed=seed)
+    sq = res.ideal.is_squarefree()
+    detail = "gin of standardization is squarefree" if sq else (
+        "gin of standardization has a non-squarefree generator"
+    )
+    return CsVerdict(sq, lambda: res.ideal, I.ring.field, detail)
 
 
 def field_element(F, c):

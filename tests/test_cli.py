@@ -17,6 +17,7 @@ from mdeg.inputlang import parse_input
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 EX46 = str(FIXTURES / "example46.ring")
 RMK59 = str(FIXTURES / "remark59.ring")
+MINORS_3X4_R2 = str(FIXTURES / "minors3x4r2.ring")
 
 SMALL = """\
 field QQ
@@ -320,6 +321,16 @@ def test_points_line_of_commas_is_an_input_error(tmp_path, capsys):
         assert (rc, out, err) == (2, "", "input error: line 2, col 1: bad point line\n")
 
 
+@pytest.mark.parametrize("coordinate", ["1_0", "+3", "\u0663"])
+def test_points_coordinate_other_than_ascii_digits_is_an_input_error(coordinate, tmp_path, capsys):
+    # int reads "1_0" as 10, "+3" and the Arabic-Indic digit three as 3
+    path = tmp_path / "odd.pts"
+    path.write_text(f"1 2\n{coordinate} 2\n", encoding="utf-8")
+    for command in ("snp-check", "polymatroid-check"):
+        rc, out, err = run(capsys, [command, "--points", str(path), "--json"])
+        assert (rc, out, err) == (2, "", "input error: line 2, col 1: bad point line\n")
+
+
 def test_points_of_another_dimension_name_their_line(tmp_path, capsys):
     path = tmp_path / "mixed.pts"
     path.write_text("1 1\n# a comment\n1,0\n1 0 1\n0 1\n1 1 1\n")
@@ -492,6 +503,16 @@ GOLDEN_FILES = {
     # each gin trial widens its fields and reruns
     "wide_fp": "field Fp 32003\nvars x y\ndeg x = (1)\ndeg y = (1)\n"
     "ideal W = [ x^127 + y^127 ; x^2 - 2*y^2 ]\n",
+    # c of degree (1,1) standardizes to c_1*c_2: c - a*b is CS, with gin
+    # (a_1*b_1) = P_(1,0) cap P_(0,1)
+    "weighted_cs_fp": "field Fp 32003\nvars a b c\ndeg a = (1,0)\ndeg b = (0,1)\n"
+    "deg c = (1,1)\nideal I = [ c - a*b ]\n",
+    # N = (x) cap (y, z) is CS though not equidimensional: C = t1 misses the
+    # component (y, z), which only K(1 - t) shows; M = (x) cap (x^2, y) has
+    # the C of (x) and is not CS
+    "two_blocks_fp": "field Fp 32003\nvars x y z\ndeg x = (1,0)\ndeg y = (0,1)\n"
+    "deg z = (0,1)\nideal N = [ x*y ; x*z ]\nideal M = [ x^2 ; x*y ]\n",
+    "fp101": "field Fp 101\nvars x y\ndeg x = (1)\ndeg y = (1)\nideal I = [ x*y ]\n",
 }
 # ring files that each stop the parser at a different error (exit 2), by
 # the name of their golden case
@@ -533,7 +554,7 @@ PARSE_ERRORS = {
     "ideal I = [ 2^14000*x*(2^14000*x + y) ]\n",
 }
 GOLDEN_FILES.update({name.replace("-", "_"): text for name, text in PARSE_ERRORS.items()})
-FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59}
+FIXTURE_FILES = {"ex46": EX46, "rmk59": RMK59, "minors3x4r2": MINORS_3X4_R2}
 
 GOLDEN_CASES = {
     # kpoly / cee / gee; kpoly-lex, kpoly-weights, cee-lex-json and
@@ -586,6 +607,18 @@ GOLDEN_CASES = {
     "cs-check-text": ["cs-check", "{weighted_fp}", "--ideal", "I"],
     "cs-check-json": ["cs-check", "{weighted_fp}", "--ideal", "I", "--json"],
     "cs-check-standard-json": ["cs-check", "{rmk59}", "--ideal", "J", "--json"],
+    # (x0, y0) = P_(1,1) is CS, and so are the weighted c - a*b, the unit
+    # ideal, the zero ideal and the N of two_blocks_fp
+    "cs-check-cs-text": ["cs-check", "{rmk59}", "--ideal", "Z"],
+    "cs-check-cs-json": ["cs-check", "{rmk59}", "--ideal", "Z", "--json"],
+    "cs-check-weighted-cs-json": ["cs-check", "{weighted_cs_fp}", "--ideal", "I", "--json"],
+    "cs-check-unit-ideal-json": ["cs-check", "{unit_fp}", "--ideal", "U", "--json"],
+    "cs-check-zero-ideal-json": ["cs-check", "{rmk59_more}", "--ideal", "E", "--json"],
+    "cs-check-not-equidimensional-json": ["cs-check", "{two_blocks_fp}", "--ideal", "N", "--json"],
+    "cs-check-embedded-component-text": ["cs-check", "{two_blocks_fp}", "--ideal", "M"],
+    "cs-check-embedded-component-json": ["cs-check", "{two_blocks_fp}", "--ideal", "M", "--json"],
+    # C has a coefficient of 5: not CS, with no gin for text output
+    "cs-check-3x4-2-minors-text": ["cs-check", "{minors3x4r2}", "--ideal", "I"],
     # project / standardize emit ring files
     "project-text": ["project", "{ex46}", "--ideal", "P", "--blocks", "2,3"],
     "project-json": ["project", "{ex46}", "--ideal", "P", "--blocks", "2,3", "--json"],
@@ -640,6 +673,7 @@ GOLDEN_CASES = {
     "err-unknown-ideal": ["gee", "{small}", "--ideal", "Nope"],
     "err-unknown-ideal-arith": ["arith", "{small}", "--ideal", "Nope"],
     "err-unknown-order": ["gin", "{small}", "--ideal", "I", "--order", "mystery"],
+    "err-cs-check-no-trials": ["cs-check", "{rmk59}", "--ideal", "Z", "--trials", "0"],
     # an option the command does not take: argparse's usage error
     "err-order-on-invariant-command": ["kpoly", "{small}", "--ideal", "I", "--order", "lex"],
     "err-arith-not-monomial": ["arith", "{weighted}", "--ideal", "I", "--json"],
@@ -652,6 +686,8 @@ GOLDEN_CASES = {
     "err-gin-over-qq": ["gin", "{ex46}", "--ideal", "P"],
     "err-gin-not-standard": ["gin", "{weighted_fp}", "--ideal", "I", "--json"],
     "err-gin-report-unit-ideal": ["gin-report", "{unit_fp}", "--ideal", "U"],
+    "err-cs-check-over-qq": ["cs-check", "{small}", "--ideal", "I"],
+    "err-cs-check-small-field": ["cs-check", "{fp101}", "--ideal", "I"],
     "err-bound-too-large": ["hf-oracle", "{small}", "--ideal", "I", "--bound", "9"],
     # input paths: parser branches, Miller-Rabin, zero and unit ideals,
     # degenerate point sets

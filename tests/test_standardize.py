@@ -1,9 +1,25 @@
+import json
+import pathlib
 import random
 
+import pytest
+
+from conftest import (
+    as_ideal,
+    cs_check_by_gin,
+    random_ideal,
+    random_monomial_ideal,
+    random_positive_ring,
+    random_standard_ring,
+)
+from mdeg.cli import build_parser
 from mdeg.determinantal import build_determinantal
+from mdeg.errors import MdegError
 from mdeg.fields import GF32003
 from mdeg.groebner import Ideal
-from mdeg.monomial import MonomialIdeal
+from mdeg.hilbert import k_polynomial, multidegree_C
+from mdeg.inputlang import parse_input
+from mdeg.monomial import MonomialIdeal, minimalize
 from mdeg.orders import grevlex, lex, weight_order
 from mdeg.ring import make_ring
 from mdeg.standardize import (
@@ -12,6 +28,8 @@ from mdeg.standardize import (
     standardize_ideal,
     verify_standardization,
 )
+from test_prime_oracles import criterion_8_ideals, toric_primes
+import test_cli
 
 
 def test_standard_ring_gets_identity_map():
@@ -143,13 +161,103 @@ def test_cs_negative_fat_point():
 
 
 def test_cs_paranoid_agrees():
-    """Other seeds give the same verdict and gin."""
+    """The gins of the standardization from other seeds are the J_A of
+    the verdict."""
     _, I = build_determinantal(2, 3, 2, GF32003)
     v = cs_check(I)
     assert v.is_cs
     for seed in (101, 202):
-        other = cs_check(I, seed=seed)
+        other = cs_check_by_gin(I, seed=seed)
         assert other.is_cs and other.gin == v.gin
+
+
+# The route of cs_check, from K(S/I), against the gin of the
+# standardization (conftest.cs_check_by_gin): the same verdict, detail and
+# gin, or the same error.
+
+
+def assert_the_routes_agree(I, trials=2, seed=0):
+    v = cs_check(I, trials=trials, seed=seed)
+    ref = cs_check_by_gin(I, trials=trials, seed=seed)
+    assert (v.is_cs, v.detail, v.field) == (ref.is_cs, ref.detail, ref.field), I
+    assert v.gin == ref.gin, I
+    return v.is_cs
+
+
+def cs_golden_names():
+    return sorted(name for name, argv in test_cli.GOLDEN_CASES.items() if argv[0] == "cs-check")
+
+
+# The gin of the standardization of the 3x4 2-minors did not finish in
+# 130 s: their verdict is checked against the coefficient 5 of their C.
+GIN_DOES_NOT_FINISH = {"cs-check-3x4-2-minors-text"}
+
+
+@pytest.mark.parametrize("name", cs_golden_names())
+def test_the_routes_agree_on_every_cs_check_golden(name):
+    args = build_parser().parse_args(test_cli.GOLDEN_CASES[name])
+    key = args.file.strip("{}")
+    if key in test_cli.GOLDEN_FILES:
+        text = test_cli.GOLDEN_FILES[key]
+    else:
+        text = pathlib.Path(test_cli.FIXTURE_FILES[key]).read_text()
+    I = parse_input(text).ideal(args.ideal)
+    if name in GIN_DOES_NOT_FINISH:
+        assert max(multidegree_C(I).terms.values()) == 5
+        assert not cs_check(I, args.trials, args.seed).is_cs
+        return
+    if json.loads(test_cli.GOLDEN.read_text())[name]["rc"] == 0:
+        assert_the_routes_agree(I, args.trials, args.seed)
+        return
+    errors = []
+    for route in (cs_check, cs_check_by_gin):
+        with pytest.raises(MdegError) as info:
+            route(I, trials=args.trials, seed=args.seed)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("name, I", criterion_8_ideals(), ids=[n for n, _ in criterion_8_ideals()])
+def test_the_routes_agree_on_criterion_8(name, I):
+    assert_the_routes_agree(I)
+
+
+def test_the_routes_agree_on_the_toric_primes():
+    verdicts = [assert_the_routes_agree(P) for _, P in toric_primes()]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def random_cs_inputs(count=200):
+    """`count` seeded draws over GF(32003): random forms and random
+    monomial ideals, in standard rings of up to 5 variables and in
+    positively graded rings of up to 3, in turn."""
+    out = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        if seed % 2:
+            R = random_positive_ring(rng, max_vars=3, max_blocks=2, field=GF32003)
+        else:
+            R = random_standard_ring(rng, max_vars=5, field=GF32003)
+        I = random_ideal(rng, R) if seed % 4 < 2 else as_ideal(random_monomial_ideal(rng, R, 4, 2))
+        out.append((seed, I))
+    return out
+
+
+def test_the_routes_agree_on_random_ideals():
+    verdicts = [assert_the_routes_agree(I) for _, I in random_cs_inputs()]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_the_minimal_exponents_of_k_at_1_minus_u_lie_in_the_blocks():
+    # cs_check's docstring: by a Stanley decomposition, every minimal
+    # exponent a of K(S/I; 1 - u) has a positive coefficient and a_k at
+    # most the size of block k of the standardized ring, so each P_a exists
+    for seed, I in random_cs_inputs(400):
+        T = standardize(I.ring).target
+        sizes = [len(T.block_variables(k)) for k in range(T.p)]
+        sub = k_polynomial(I).substitute_one_minus_t().terms
+        for a in minimalize(sub):
+            assert sub[a] > 0 and all(ak <= nk for ak, nk in zip(a, sizes)), (seed, I, a)
 
 
 def test_cs_positive_has_squarefree_initial_under_sampled_orders():
