@@ -26,9 +26,10 @@ Stanley-Reisner complex.
 import random
 
 from .errors import BadArgument, EmptyScheme, FieldTooSmall, NotStandardGraded, Unstable
-from .groebner import contract, gin_trial
+from .groebner import Ideal, contract, gin_trial
 from .hilbert import HilbertHint, local_length
 from .monomial import (
+    MonomialIdeal,
     borel_fixed_check,
     borel_prime_exponent,
     minimal_primes,
@@ -108,9 +109,13 @@ def gin(I, order=None, trials=2, seed=0):
     Runs `trials` independent random changes of coordinates; all resulting
     initial ideals must coincide, otherwise Unstable is raised (retry with
     a different seed or more trials).  Unstable is also raised by a trial
-    whose initial ideal does not have the K-polynomial of I.
+    whose initial ideal does not have the K-polynomial of I.  A
+    MonomialIdeal is taken as the Ideal of its generators, as one-term
+    polynomials.
     """
     ring = I.ring
+    if isinstance(I, MonomialIdeal):
+        I = Ideal._of(ring, [Polynomial._of(ring, {g: ring.field.one}) for g in I.gens])
     if order is None:
         order = grevlex(ring)
     _check_order_refines_blocks(ring, order)

@@ -220,11 +220,26 @@ def multidegree_C(I, order=None):
     that sum never cancels.
     """
     I = I.initial_ideal(order)
-    ring = I.ring
-    # C has total degree codim I <= n, so no t-exponent passes n
+    tpk, units = _c_units(I.ring)
+    return IntegerPolynomial(I.ring.p, tpk.unpack_dict(_c_packed(I, units)[1]))
+
+
+def _c_units(ring):
+    """(tpk, units): the packing of C's t-exponents, which never pass n,
+    since C has total degree codim <= n, and units[k] the packed t_k."""
     tpk = _packing(ring.p, _field_bits(ring.n))
-    units = [tpk.pack([int(j == k) for j in range(ring.p)]) for k in range(ring.p)]
-    return IntegerPolynomial(ring.p, tpk.unpack_dict(_c_packed(I, units)[1]))
+    return tpk, [tpk.pack([int(j == k) for j in range(ring.p)]) for k in range(ring.p)]
+
+
+def _forms_product(degrees, units):
+    """The product of the linear forms <d, t> = sum_k d_k t_k over the
+    degree vectors d, as a dict from packed t-exponent to coefficient,
+    units[k] the packed t_k: C of a regular sequence of monomials of
+    those degrees."""
+    out = {0: 1}
+    for d in degrees:
+        out = _times(out, {u: c for u, c in zip(units, d) if c}, QQ, 0)
+    return out
 
 
 def _c_packed(I, units):
@@ -236,12 +251,7 @@ def _c_packed(I, units):
         return I.ring.n + 1, {}
     split = I._pivot_split()
     if split is None:
-        out = {0: 1}
-        degree = I.ring.monomial_degree
-        for g in I.gens:
-            form = {u: d for u, d in zip(units, degree(g)) if d}
-            out = _times(out, form, QQ, 0)
-        return len(I.gens), out
+        return len(I.gens), _forms_product(map(I.ring.monomial_degree, I.gens), units)
     _, plus, quot = split
     c, C = _c_packed(plus, units)
     cq, Cq = _c_packed(quot, units)
@@ -260,12 +270,12 @@ def multidegree_G(I):
 
 
 def cee_of_quotient_prime(ring, prime):
-    """C(S/P) for a monomial prime given as a variable index set."""
-    J = MonomialIdeal(
-        ring,
-        [tuple(int(j == i) for j in range(ring.n)) for i in prime],
-    )
-    return multidegree_C(J)
+    """C(S/P) for the monomial prime P of the variable indices `prime`:
+    its variables are a regular sequence, so C is the product of the
+    forms <deg x_i, t> over i in P, as at a leaf of multidegree_C."""
+    tpk, units = _c_units(ring)
+    C = _forms_product((ring.degrees[i] for i in prime), units)
+    return IntegerPolynomial(ring.p, tpk.unpack_dict(C))
 
 
 def finite_length(k, ring):
@@ -294,11 +304,14 @@ def local_length(I, prime):
     With loc = localize_at(I, P), in the ring T on P's variables, and
     sat = loc : m^infinity for m the ideal of T's variables, H^0 is
     sat/loc, of finite length since a power of every variable annihilates
-    it, and finite_length reads it off K(T/loc) - K(T/sat).  At a minimal
-    prime sat is the unit ideal, so this is the length of T/loc.  At the
-    empty prime T is the field and m = 0, so sat is the unit ideal, not
-    the loc that saturate_var_block returns for no variables: the length
-    is 1 for the zero ideal and 0 otherwise.
+    it, and finite_length reads it off K(T/loc) - K(T/sat).  sat is the
+    unit ideal, whose K is 0, exactly when loc holds a power of every
+    variable (MonomialIdeal.has_finite_colength), as at a minimal prime
+    of I or when loc is the unit ideal; then the length is that of T/loc
+    and nothing is saturated.  At the empty prime T is the field and
+    m = 0, so sat is the unit ideal, not the loc that saturate_var_block
+    returns for no variables: the length is 1 for the zero ideal and 0
+    otherwise.
     """
     prime = frozenset(prime)
     if not prime <= set(range(I.ring.n)):
@@ -306,8 +319,10 @@ def local_length(I, prime):
     if not prime:
         return int(I.is_zero())
     loc = localize_at(I, prime)
-    sat = saturate_var_block(loc, range(loc.ring.n))
-    return finite_length(k_polynomial_monomial(loc) - k_polynomial_monomial(sat), loc.ring)
+    k = k_polynomial_monomial(loc)
+    if not loc.has_finite_colength():
+        k = k - k_polynomial_monomial(saturate_var_block(loc, range(loc.ring.n)))
+    return finite_length(k, loc.ring)
 
 
 def arithmetic_multidegree(I):

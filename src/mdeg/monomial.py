@@ -13,14 +13,18 @@ is then lex order on exponent tuples, a proper divisor is a smaller int,
 and a | b is `not (b - a) & GUARD`.  So the minimal generators are found
 by sorting the ints and keeping each one that no kept one divides; a
 colon is the fieldwise max(g - m, 0) of `_Packing.excess`, an
-intersection the lcm of each pair of generators, a variable saturation
-and the radical are field masks, and the standard monomials a walk over
-packed exponents.  B is the narrowest of 8, 16, 32, ... bits that holds
-every exponent of the minimal generators (_field_bits), so two equal
-ideals have the same B and the same ints.  Exponent tuples are only read
-and written at the public boundary: the constructor, `gens` (unpacked
-once, on first use), the tuple arguments of contains, add_monomial and
-colon_monomial, and the tuples standard_monomials returns.
+intersection the generators of each ideal that the other holds and the
+lcm of each pair of the rest, a variable saturation and the radical are
+field masks, and the standard monomials a walk over packed exponents.
+An irreducible component is its exponent vector, the packed sum of its
+pure powers, so the irredundancy filter of irreducible_decomposition
+compares two ints with two guard-bit tests.  B is the narrowest of 8,
+16, 32, ... bits that holds every exponent of the minimal generators
+(_field_bits), so two equal ideals have the same B and the same ints.
+Exponent tuples are only read and written at the public boundary: the
+constructor, `gens` (unpacked once, on first use), the tuple arguments
+of contains, add_monomial and colon_monomial, and the tuples
+standard_monomials returns.
 """
 
 from bisect import bisect_right
@@ -31,6 +35,7 @@ from .errors import (
     BadArgument,
     NotSquarefree,
     NotStandardGraded,
+    RingMismatch,
     TooManyVertices,
 )
 from .fields import rank_mod_p
@@ -141,7 +146,10 @@ class MonomialIdeal:
         return wide, tuple(wide.pack(pk.unpack(g)) for g in self._ints)
 
     def _with(self, other):
-        """(packing, own ints, other's ints) at the wider of two widths."""
+        """(packing, own ints, other's ints) at the wider of two widths;
+        RingMismatch for ideals of different rings."""
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise RingMismatch("ideals live in different rings")
         bits = max(self._pk.bits, other._pk.bits)
         pk, mine = self._at(bits)
         return pk, mine, other._at(bits)[1]
@@ -191,10 +199,14 @@ class MonomialIdeal:
     def contains(self, mono):
         return _has_divisor(self._ints, self._pack_capped(mono), self._pk.guard)
 
-    def contains_ideal(self, other):
-        pk, mine, theirs = self._with(other)
-        guard = pk.guard
-        return all(_has_divisor(mine, h, guard) for h in theirs)
+    def has_finite_colength(self):
+        """Whether S/I has finite length: I is the unit ideal or a pure
+        power of every variable is among its minimal generators."""
+        pure = 0
+        for s in self._supports():
+            if not s & (s - 1):
+                pure |= s
+        return pure == self._pk.guard or self.is_unit()
 
     def is_squarefree(self):
         pk = self._pk
@@ -239,10 +251,20 @@ class MonomialIdeal:
         return MonomialIdeal._of(self.ring, pk, out)
 
     def intersect(self, other):
+        """I cap J.  A generator of one ideal that the other holds lies in
+        I cap J, and every lcm with it is a multiple of it, so such
+        generators go in as they are and only the pairs of the rest are
+        lcm'd."""
         pk, mine, theirs = self._with(other)
-        lcm = pk.lcm
-        lcms = sorted({lcm(g, h) for g in mine for h in theirs})
-        return MonomialIdeal._of(self.ring, pk, _minimal(lcms, pk.guard))
+        guard, lcm = pk.guard, pk.lcm
+        out, rest = [], []
+        for gens, others in ((mine, theirs), (theirs, mine)):
+            left = []
+            for g in gens:
+                (out if _has_divisor(others, g, guard) else left).append(g)
+            rest.append(left)
+        out += [lcm(g, h) for g in rest[0] for h in rest[1]]
+        return MonomialIdeal._of(self.ring, pk, _minimal(sorted(set(out)), guard))
 
     def colon_monomial(self, mono):
         return self._colon_packed(self._pack_capped(mono))
@@ -342,6 +364,15 @@ def from_polynomial_gens(ring, polys):
     return MonomialIdeal(ring, gens)
 
 
+def prime_ideal(ring, variables):
+    """The monomial prime of the variables of the indices `variables`:
+    their exponents packed in 8-bit fields, x_i in field n - 1 - i from
+    the bottom, with no two dividing each other."""
+    n = ring.n
+    units = sorted(1 << 8 * (n - 1 - i) for i in set(variables))
+    return MonomialIdeal._of(ring, _packing(n, 8), units)
+
+
 # ---------------------------------------------------------------------------
 # minimal primes
 
@@ -375,6 +406,12 @@ def irreducible_decomposition(I):
     So a component is redundant exactly when it contains another one, and
     the result is the inclusion-minimal components in the order the
     depth-first split tree, I + (v) first, reaches them.
+
+    A component (x_i^a_i : a_i > 0) is fixed by its exponent vector a,
+    the sum of its generators, and it contains (x_i^b_i : b_i > 0)
+    exactly when supp b lies in supp a and a_i <= b_i on supp b: two
+    guard-bit tests on the vectors, packed at the widest width among the
+    components, since one decomposition can mix 8- and 16-bit fields.
     """
     if I.is_unit():
         return []
@@ -391,9 +428,18 @@ def irreducible_decomposition(I):
             done.append(J)
         else:
             todo.extend(sp)
-    done = list(dict.fromkeys(done))
+    bits = max(J._pk.bits for J in done)
+    guard = _packing(I.ring.n, bits).guard
+    up = guard - (guard >> (bits - 1))  # 2^(B-1) - 1 per field
+    comps = []  # (a, supp a marked by guard bits, the value bits of supp a)
+    for J in done:
+        a = sum(J._at(bits)[1])
+        s = (a + up) & guard
+        comps.append((a, s, s - (s >> (bits - 1))))
     return [
-        J for J in done if not any(K is not J and J.contains_ideal(K) for K in done)
+        J
+        for J, (a, s, _) in zip(done, comps)
+        if not any(b != a and not t & ~s and not (b - (a & m)) & guard for b, t, m in comps)
     ]
 
 

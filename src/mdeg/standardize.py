@@ -31,7 +31,7 @@ from .errors import BadArgument
 from .genin import check_gin_field, gin
 from .groebner import Ideal
 from .hilbert import codimension, k_polynomial, k_polynomial_monomial, multidegree_C
-from .monomial import MonomialIdeal, minimalize
+from .monomial import MonomialIdeal, minimalize, prime_ideal
 from .orders import grevlex, lift_order_phi
 from .ring import GradedRing, Polynomial
 
@@ -147,12 +147,13 @@ class CsVerdict:
 
 def _radical_borel(ring, A):
     """J_A = cap_{a in A} P_a in the standard graded `ring`, P_a generated
-    by the first a_k variables of each block k; the unit ideal for A empty."""
+    by the first a_k variables of each block k; the unit ideal for A empty.
+    Each P_a is built packed (monomial.prime_ideal) and met with the
+    intersection so far by MonomialIdeal.intersect, which puts in as they
+    are the generators that P_a holds."""
     blocks = [ring.block_variables(k) for k in range(ring.p)]
-    units = [tuple(int(j == i) for j in range(ring.n)) for i in range(ring.n)]
     primes = (
-        MonomialIdeal(ring, [units[i] for ak, block in zip(a, blocks) for i in block[:ak]])
-        for a in A
+        prime_ideal(ring, [i for ak, block in zip(a, blocks) for i in block[:ak]]) for a in A
     )
     return reduce(MonomialIdeal.intersect, primes, MonomialIdeal(ring, [(0,) * ring.n]))
 

@@ -9,11 +9,28 @@ from mdeg.errors import EmptyScheme
 from mdeg.fields import QQ, rank_mod_p
 from mdeg import groebner
 from mdeg.genin import gin
-from mdeg.groebner import Ideal, _buchberger, _make_monic, _packed, _reduce_dict, buchberger, contract
-from mdeg.hilbert import k_polynomial, k_polynomial_monomial, local_length
+from mdeg.groebner import (
+    Ideal,
+    _buchberger,
+    _make_monic,
+    _packed,
+    _reduce_dict,
+    buchberger,
+    contract,
+    saturate_var_block,
+)
+from mdeg.hilbert import (
+    finite_length,
+    k_polynomial,
+    k_polynomial_monomial,
+    local_length,
+    multidegree_C,
+)
 from mdeg.intpoly import IntegerPolynomial
 from mdeg.monomial import (
     MonomialIdeal,
+    _has_divisor,
+    localize_at,
     minimal_primes,
     primary_decomposition,
 )
@@ -496,6 +513,35 @@ def mlength(I):
     if not primes:
         raise EmptyScheme("the ideal cuts out the empty scheme")
     return max(local_length(I, P) for P in primes)
+
+
+def contains_ideal(I, J):
+    """Whether the MonomialIdeal I holds the MonomialIdeal J: each minimal
+    generator of J has a divisor among I's, compared at the wider of the
+    two widths by MonomialIdeal._with, which raises RingMismatch for
+    ideals of different rings."""
+    pk, mine, theirs = I._with(J)
+    return all(_has_divisor(mine, h, pk.guard) for h in theirs)
+
+
+def local_length_by_saturation(I, prime):
+    """hilbert.local_length as it was before it skipped the saturation of
+    a localization that holds a power of every variable: always
+    finite_length(K(T/loc) - K(T/sat)), sat = loc : m^infinity."""
+    prime = frozenset(prime)
+    if not prime:
+        return int(I.is_zero())
+    loc = localize_at(I, prime)
+    sat = saturate_var_block(loc, range(loc.ring.n))
+    return finite_length(k_polynomial_monomial(loc) - k_polynomial_monomial(sat), loc.ring)
+
+
+def cee_of_quotient_prime_by_ideal(ring, prime):
+    """hilbert.cee_of_quotient_prime as it was before it multiplied the
+    forms <deg x_i, t>: multidegree_C of the MonomialIdeal of the
+    prime's variables."""
+    units = [tuple(int(j == i) for j in range(ring.n)) for i in prime]
+    return multidegree_C(MonomialIdeal(ring, units))
 
 
 def contraction_mlength_by_gins(I, order=None, trials=2, seed=0):

@@ -14,6 +14,7 @@ from conftest import (
     evaluate,
     ge_coefficientwise,
     random_ideal,
+    random_monomial_ideal,
     random_standard_ring,
     surface_prime,
     three_block_ring,
@@ -29,7 +30,7 @@ from mdeg.inputlang import parse_input
 from mdeg.monomial import MonomialIdeal, minimal_primes, primary_decomposition
 from mdeg.orders import MonomialOrder, grevlex, lex, weight_order
 from mdeg.ring import Polynomial, make_ring, multidegree_of
-from mdeg.standardize import standardize_ideal
+from mdeg.standardize import cs_check, standardize_ideal
 from test_prime_oracles import nonzero_toric_primes, toric_primes
 import test_cli
 
@@ -504,6 +505,43 @@ def test_gin_report_computes_one_gin(monkeypatch):
     rep = gin_structure_report(surface_prime(three_block_ring(GF32003)))
     assert len(rep.contraction_mlength) == 7
     assert len(calls) == 1
+
+
+def test_gin_report_saturates_nothing(monkeypatch):
+    """Every local_length of the report is taken at a minimal prime, where
+    the localization holds a power of every variable: on the threefold P
+    no saturate_var_block runs."""
+    calls = []
+    real = hilbert.saturate_var_block
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hilbert, "saturate_var_block", counted)
+    rep = gin_structure_report(surface_prime(three_block_ring(GF32003)))
+    assert rep.ok()
+    assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_gin_of_a_monomial_ideal_is_that_of_its_ideal(seed):
+    rng = random.Random(seed)
+    R = random_standard_ring(rng, max_vars=5, field=GF32003)
+    M = random_monomial_ideal(rng, R, max_gens=4, max_exp=2)
+    res, oracle = gin(M, seed=seed), gin(as_ideal(M), seed=seed)
+    assert (res.ideal, res.borel) == (oracle.ideal, oracle.borel)
+
+
+def test_cs_verdict_gin_of_a_monomial_ideal():
+    """The non-CS verdict of the monomial ideal (x^2) of k[x, y] reads its
+    gin, (x^2) itself, from gin of the MonomialIdeal."""
+    R = make_ring(["x", "y"], [(1,), (1,)], GF32003)
+    M = MonomialIdeal(R, [(2, 0)])
+    verdict = cs_check(M)
+    assert not verdict.is_cs
+    assert verdict.gin == M
 
 
 def _report_parts(I, order):

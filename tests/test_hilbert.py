@@ -22,6 +22,7 @@ from conftest import (
     total_degree_part,
     truncation_multidegree,
 )
+from mdeg import hilbert
 from mdeg.determinantal import build_determinantal
 from mdeg.errors import BadArgument, BoundTooLarge, EmptyScheme, NotStandardGraded
 from mdeg.groebner import Ideal, saturate_var_block
@@ -193,6 +194,26 @@ def test_local_length_at_an_embedded_prime():
     I = MonomialIdeal(R, [(2, 0), (1, 1)])
     assert [local_length(I, P) for P in (set(), {0}, {1}, {0, 1})] == [0, 1, 0, 1]
     assert arithmetic_multidegree(I) == IntegerPolynomial(1, {(1,): 1, (2,): 1})
+
+
+def test_local_length_saturates_only_where_the_localization_is_not_artinian(monkeypatch):
+    """(x^2, x*y) localizes to (x) at its minimal prime (x) and to the unit
+    ideal at (y): neither is saturated.  At the embedded prime (x, y) the
+    localization holds no power of y, and is saturated once."""
+    calls = []
+    real = hilbert.saturate_var_block
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hilbert, "saturate_var_block", counted)
+    R = make_ring(["x", "y"], [(1,), (1,)])
+    I = MonomialIdeal(R, [(2, 0), (1, 1)])
+    assert [local_length(I, P) for P in ({0}, {1})] == [1, 0]
+    assert calls == []
+    assert local_length(I, {0, 1}) == 1
+    assert len(calls) == 1
 
 
 @settings(max_examples=100, deadline=None)

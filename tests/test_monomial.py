@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    cee_of_quotient_prime_by_ideal,
     codim_of,
+    contains_ideal,
     dimension_filtration,
+    local_length_by_saturation,
     mlength,
     random_monomial_ideal,
     random_positive_ring,
     random_standard_ring,
 )
-from mdeg.errors import EmptyScheme, NotSquarefree, TooManyVertices
+from mdeg.errors import EmptyScheme, NotSquarefree, RingMismatch, TooManyVertices
 from mdeg import monomial
 from mdeg.groebner import contract
 from mdeg.monomial import (
@@ -26,7 +29,12 @@ from mdeg.monomial import (
     reisner_cm_check,
     stanley_reisner_complex,
 )
-from mdeg.hilbert import codimension, k_polynomial_monomial, local_length
+from mdeg.hilbert import (
+    cee_of_quotient_prime,
+    codimension,
+    k_polynomial_monomial,
+    local_length,
+)
 from mdeg.ring import make_ring
 import tuple_monomial
 
@@ -276,9 +284,9 @@ def _split_generator(J):
     return None
 
 
-def _old_irreducible_decomposition(I):
-    if I.is_unit() or I.is_zero():
-        return []
+def _split_leaves(I):
+    """The irreducible leaves of irreducible_decomposition's split tree,
+    in the order its depth-first walk reaches them."""
     done, todo, seen = [], [I], set()
     while todo:
         J = todo.pop()
@@ -291,13 +299,19 @@ def _old_irreducible_decomposition(I):
         else:
             todo.append(J.add_monomial(sp[0]))
             todo.append(J.add_monomial(sp[1]))
-    done = list(dict.fromkeys(done))
+    return done
+
+
+def _old_irreducible_decomposition(I):
+    if I.is_unit() or I.is_zero():
+        return []
+    done = _split_leaves(I)
     changed = True
     while changed:
         changed = False
         for k, J in enumerate(done):
             rest = done[:k] + done[k + 1 :]
-            if rest and J.contains_ideal(_intersection_of(rest)):
+            if rest and contains_ideal(J, _intersection_of(rest)):
                 done.pop(k)
                 changed = True
                 break
@@ -314,7 +328,7 @@ def _old_primary_decomposition(I):
         changed = False
         for k, (_, J) in enumerate(comps):
             rest = [c for i, c in enumerate(comps) if i != k]
-            if rest and J.contains_ideal(_intersection_of([c for _, c in rest])):
+            if rest and contains_ideal(J, _intersection_of([c for _, c in rest])):
                 comps.pop(k)
                 changed = True
                 break
@@ -333,7 +347,7 @@ def test_decompositions_match_intersection_pruning(seed):
     irr = irreducible_decomposition(I)
     assert irr == _old_irreducible_decomposition(I)
     assert not any(
-        J.contains_ideal(K) for J in irr for K in irr if K is not J
+        contains_ideal(J, K) for J in irr for K in irr if K is not J
     )
     new = [(c.prime, c.component) for c in primary_decomposition(I)]
     old = [(c.prime, c.component) for c in _old_primary_decomposition(I)]
@@ -382,8 +396,8 @@ def test_packed_operations_match_tuple_oracle(seed, big_i, big_j):
     IJ = I.intersect(J)
     assert IJ.gens == tuple_monomial.intersect(ti, tj)
     assert IJ == J.intersect(I) and hash(IJ) == hash(J.intersect(I))
-    assert I.contains_ideal(J) == tuple_monomial.contains_ideal(ti, tj)
-    assert J.contains_ideal(I) == tuple_monomial.contains_ideal(tj, ti)
+    assert contains_ideal(I, J) == tuple_monomial.contains_ideal(ti, tj)
+    assert contains_ideal(J, I) == tuple_monomial.contains_ideal(tj, ti)
     assert (I == J) == (ti == tj)
     for K in (I, J, IJ):
         again = MonomialIdeal(R, list(K.gens))
@@ -405,7 +419,7 @@ def test_colon_that_lowers_the_largest_exponent_narrows_the_fields(seed):
     narrow = MonomialIdeal(R, tuple_monomial.colon_monomial(I.gens, m))
     assert max((max(g) for g in narrow.gens), default=0) < 128
     assert Q == narrow and hash(Q) == hash(narrow)
-    assert Q.contains_ideal(narrow) and narrow.contains_ideal(Q)
+    assert contains_ideal(Q, narrow) and contains_ideal(narrow, Q)
     # and the sum with a monomial of the 8-bit ideal widens back
     back = narrow.add_monomial(max(gens))
     assert back.gens == tuple_monomial.add_monomial(narrow.gens, max(gens))
@@ -419,6 +433,81 @@ def test_irreducible_decomposition_in_16_bit_fields(seed):
     gens = _random_gens(rng, R.n, True) or [(200,) + (0,) * (R.n - 1)]
     I = MonomialIdeal(R, gens)
     assert irreducible_decomposition(I) == _old_irreducible_decomposition(I)
+
+
+def _irreducible_decomposition_by_containment(I):
+    """irreducible_decomposition as it was before it compared exponent
+    vectors: the leaves of the same split tree, each kept unless it
+    contains another one (contains_ideal)."""
+    if I.is_unit():
+        return []
+    done = _split_leaves(I)
+    return [J for J in done if not any(K is not J and contains_ideal(J, K) for K in done)]
+
+
+def _power(rng, big):
+    """An exponent of 1-3, or with `big` one of 128-300 with probability
+    1/4, which needs 16-bit fields."""
+    return rng.randrange(128, 301) if big and rng.random() < 0.25 else rng.randrange(1, 4)
+
+
+def _irreducible(n, exponents):
+    """The pure powers x_i^e of the dict `exponents` from i to e."""
+    return [tuple(e if j == i else 0 for j in range(n)) for i, e in exponents.items()]
+
+
+def _embedded_pair(rng, n, big):
+    """Generators of Q_S cap Q_T for irreducibles Q_S = (x_i^a_i : i in S)
+    and Q_T = (x_i^b_i : i in T), S a nonempty proper subset of T and
+    b_i > a_i at some i of S: neither holds the other, so P_T is an
+    embedded prime of Q_S cap Q_T."""
+    T = rng.sample(range(n), rng.randrange(2, n + 1))
+    S = T[: rng.randrange(1, len(T))]
+    a = {i: _power(rng, big) for i in S}
+    b = {i: _power(rng, big) for i in T}
+    b[S[0]] = a[S[0]] + rng.randrange(1, 3)
+    return tuple_monomial.intersect(_irreducible(n, a), _irreducible(n, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.booleans())
+def test_skipping_kernels_match_their_old_kernels(seed, big_i, big_j):
+    """intersect, the irredundancy filter of irreducible_decomposition,
+    local_length and cee_of_quotient_prime against the kernels they
+    replaced, on ideals with an embedded prime, with a further random
+    irreducible component or generators, in 8- and 16-bit fields."""
+    rng = random.Random(seed)
+    R = random_positive_ring(rng)
+    while R.n < 2:
+        R = random_positive_ring(rng)
+    pair = MonomialIdeal(R, _embedded_pair(rng, R.n, big_i))
+    assert len(primary_decomposition(pair)) == 2 and len(minimal_primes(pair)) == 1
+    more = rng.sample(range(R.n), rng.randrange(1, R.n + 1))
+    Q = MonomialIdeal(R, _irreducible(R.n, {i: _power(rng, big_i) for i in more}))
+    I = pair.intersect(Q)
+    J = MonomialIdeal(R, _embedded_pair(rng, R.n, big_j) if rng.random() < 0.5 else _random_gens(rng, R.n, big_j))
+    IJ = I.intersect(J)
+    assert I.gens == tuple_monomial.intersect(pair.gens, Q.gens)
+    assert IJ.gens == tuple_monomial.intersect(I.gens, J.gens)
+    for K in (pair, I, J, IJ):
+        assert irreducible_decomposition(K) == _irreducible_decomposition_by_containment(K)
+        primes = [c.prime for c in primary_decomposition(K)]
+        for P in primes + [frozenset(rng.sample(range(R.n), rng.randrange(R.n + 1)))]:
+            assert local_length(K, P) == local_length_by_saturation(K, P)
+            assert cee_of_quotient_prime(R, P) == cee_of_quotient_prime_by_ideal(R, P)
+
+
+def test_ideals_of_different_rings_do_not_meet():
+    """(x) of k[x, y] and (z) of k[x, y, z] neither meet nor compare, nor
+    do ideals of two rings with the same number of variables."""
+    xy, xz = make_ring(["x", "y"], [(1,)] * 2), make_ring(["x", "z"], [(1,)] * 2)
+    xyz = make_ring(["x", "y", "z"], [(1,)] * 3)
+    x, z = MonomialIdeal(xy, [(1, 0)]), MonomialIdeal(xyz, [(0, 0, 1)])
+    for I, J in ((x, z), (z, x), (x, MonomialIdeal(xz, [(1, 0)]))):
+        with pytest.raises(RingMismatch):
+            I.intersect(J)
+        with pytest.raises(RingMismatch):
+            contains_ideal(I, J)
 
 
 @settings(max_examples=60, deadline=None)
