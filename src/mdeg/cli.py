@@ -318,9 +318,9 @@ def cmd_det(args):
         C, K = closed_formulas(m, n)
         meta["formulas_only"] = True
     else:
-        ring, I = build_determinantal(m, n, r)
-        order = lex(ring)
-        C, K = multidegree_C(I, order), k_polynomial(I, order)
+        # K and C do not depend on the order: computed under grevlex
+        _, I = build_determinantal(m, n, r)
+        C, K = multidegree_C(I), k_polynomial(I)
         if r == m:
             H, Kf = closed_formulas(m, n)
             meta["matches_closed_formulas"] = C == H and K == Kf

@@ -16,7 +16,7 @@ reach, so a later trial that meets the leading terms of an earlier one in
 the same order takes the hint's states and the new pairs of the
 Gebauer-Moller update from the tree.  Each trial is one call of
 groebner.gin_trial, which substitutes u into the packed layout of the
-monomial order and unpacks only the leading terms it finds.  The
+monomial order and masks the leading terms it finds to plain ints.  The
 structure report computes one gin, whose contractions are the gins of the
 contractions of I, and reads its minimal primes off the associated primes
 of its primary decomposition, so its radical is decomposed once, for its

@@ -2,12 +2,10 @@
 
 Buchberger runs on packed exponents (ring._Packing): `buchberger` packs
 its input for the monomial order and unpacks the basis it returns, and
-every step in between works on ints.  The layout gives each variable a
-field of B bits with a guard bit on top; the total degree (grevlex) and
-the weight rows, first row highest, sit above the variable fields, so the
-order key of a packed exponent P is P ^ LOW (grevlex, x_n in the top
-variable field, LOW masking the variable fields) or P itself (lex, x_1 in
-the top variable field).  A monomial product is one int add, a | b is
+every step in between works on ints.  x_i has field i, of B bits with a
+guard bit on top, and the order's rows (MonomialOrder.packing_rows) sit
+above the variable fields, so the order key of a packed exponent P is
+P ^ vmask for every order.  A monomial product is one int add, a | b is
 `not (b - a) & GUARD`, and a new exponent with a guard bit set widens B
 and reruns (`_packed`), so answers stay exact for any exponent size.
 Normal forms use the same packing.
@@ -28,11 +26,12 @@ A gin trial, in(g(I)) for a block change of coordinates g (gin_trial),
 stays packed from substitution to leading terms.  _Packing.pack is
 additive, so the images of the variables are packed once in the order's
 own layout and each generator is substituted straight into it; the
-packed dicts go to the pair loop, and only the leading terms of its basis
-are unpacked.  That loop stops by the Hilbert function: with a
-hilbert.HilbertHint holding K(S/I), fed each new packed leading term, it
-skips pairs whose lcm degree is already saturated and stops once the
-leading terms have the K-polynomial of I.  Only leading terms count
+packed dicts go to the pair loop, and the leading terms of its basis,
+masked to their variable fields, are the plain ints of in(g(I)).  That
+loop stops by the Hilbert function: with a hilbert.HilbertHint holding
+K(S/I), fed each new packed leading term, it skips pairs whose lcm
+degree is already saturated and stops once the leading terms have the
+K-polynomial of I.  Only leading terms count
 there, so each new element is top-reduced (reduced until its leading
 term is irreducible) and its tail is left as it stands, neither sorted
 nor reduced; the leading terms still lie in in(g(I)), which is all the
@@ -81,6 +80,7 @@ from .ring import (
     _add_mul,
     _field_bits,
     _max_exponent,
+    _minimal,
     _Overflow,
     _packing,
     _times,
@@ -93,9 +93,8 @@ def _packed(order, dicts, run, *args):
     _Packing pk for `order` that holds their exponents; while a new
     exponent overflows its field, the fields are doubled and run reruns."""
     bits = _field_bits(_max_exponent(dicts))
-    grevlex_tie = order.tiebreak == "grevlex"
     while True:
-        pk = _packing(order.n, bits, order.weight_rows, grevlex_tie)
+        pk = _packing(order.n, bits, order.packing_rows())
         try:
             return run(pk, [pk.pack_dict(d) for d in dicts], *args)
         except _Overflow:
@@ -107,13 +106,13 @@ def _reduce_dict(f, basis, field, pk, top=False):
     from leading term to monic element; its terms come out in descending
     order.  With `top`, f is reduced only until its leading term is
     irreducible: that term comes first, the rest of f as it stands."""
-    flip, guard = pk.flip, pk.guard
+    vmask, guard = pk.vmask, pk.guard
     work = dict(f)
-    heap = [-(e ^ flip) for e in work]
+    heap = [-(e ^ vmask) for e in work]
     heapify(heap)
     out = {}
     while heap:
-        e = -heappop(heap) ^ flip
+        e = -heappop(heap) ^ vmask
         c = work.pop(e, None)
         if c is None:
             continue
@@ -126,7 +125,7 @@ def _reduce_dict(f, basis, field, pk, top=False):
             out[e] = c
             continue
         for e2 in _add_mul(work, field.neg(c), e - lt, basis[lt], field, guard, lt):
-            heappush(heap, -(e2 ^ flip))
+            heappush(heap, -(e2 ^ vmask))
     return out
 
 
@@ -194,7 +193,7 @@ def _new_pairs(lts, t, pk):
     rows(x) adds each such field's value times pk.above, its variable's
     share of the fields above; the total degree is t's plus those values.
     """
-    guard, vmask, bits, above, flip = pk.guard, pk.vmask, pk.bits, pk.above, pk.flip
+    guard, vmask, bits, above = pk.guard, pk.vmask, pk.bits, pk.above
     top, fmask = bits - 1, (1 << bits) - 1
     tv, tdeg = t & vmask, sum(pk.unpack(t))
     tg = tv | guard
@@ -221,7 +220,7 @@ def _new_pairs(lts, t, pk):
                     x -= v << k * bits
                     deg += v
                     lcm += v * above[k]
-                new.append(((a, t), (deg, lcm ^ flip, lcm)))
+                new.append(((a, t), (deg, lcm ^ vmask, lcm)))
     return new
 
 
@@ -246,7 +245,7 @@ def _buchberger(pk, gens, field, hilbert):
     but its leading terms generate the initial ideal.  If the pairs run
     out first, the hint does not fit the input and Unstable is raised.
     """
-    flip, guard = pk.flip, pk.guard
+    vmask, guard = pk.vmask, pk.guard
     basis = {}  # leading term -> monic element, in the order found
     pairs = {}
     hinted = hilbert is not None
@@ -267,7 +266,7 @@ def _buchberger(pk, gens, field, hilbert):
         return True
 
     gens = [d for d in gens if d]
-    gens.sort(key=lambda d: max(e ^ flip for e in d))
+    gens.sort(key=lambda d: max(e ^ vmask for e in d))
     for d in gens:
         add(d)
     done = hinted and hilbert.complete()
@@ -300,17 +299,14 @@ def _reduce_basis(basis, field, pk):
 
     No two leading terms are equal, since each was reduced against the
     earlier ones, so the kept elements are those whose leading terms are
-    minimal generators of the monomial ideal they span; a proper divisor
-    has smaller variable fields, so it is kept before its multiples are met.
-    Each element's tail is reduced against all of them, its own leading
-    term dividing no smaller term, and its leading term put back in front.
+    minimal generators of the monomial ideal they span (ring._minimal on
+    the leading terms sorted by their variable fields).  Each element's
+    tail is reduced against all of them, its own leading term dividing no
+    smaller term, and its leading term put back in front.
     """
-    guard, flip = pk.guard, pk.flip
-    keep = []
-    for a in sorted(basis, key=lambda a: a & pk.vmask):
-        if all((a - b) & guard for b in keep):
-            keep.append(a)
-    keep.sort(key=lambda a: a ^ flip)
+    vmask = pk.vmask
+    keep = _minimal(sorted(basis, key=lambda a: a & vmask), pk.guard)
+    keep.sort(key=lambda a: a ^ vmask)
     kept = {a: basis[a] for a in keep}
     return [
         {a: f[a], **_reduce_dict(dict(islice(f.items(), 1, None)), kept, field, pk)}
@@ -575,7 +571,9 @@ def gin_trial(I, images, order, hilbert):
     generator of I is substituted into that layout (_substitute) and the
     packed dicts go straight to the Hilbert-driven pair loop; while a new
     exponent overflows its field, the fields are doubled and the trial
-    reruns (_packed).  Only the leading terms of the basis are unpacked.
+    reruns (_packed).  The leading terms of the basis, masked to their
+    variable fields, are the plain ints of the monomial ideal: nothing is
+    unpacked.
     """
     field = I.ring.field
     gens = [f.terms for f in I.gens]
@@ -584,4 +582,5 @@ def gin_trial(I, images, order, hilbert):
         return _buchberger(pk, _substitute(gens, packed, pk, field), field, hilbert)
 
     pk, basis = _packed(order, [g.terms for g in images], run)
-    return MonomialIdeal(I.ring, [pk.unpack(next(iter(d))) for d in basis])
+    lts = sorted(next(iter(d)) & pk.vmask for d in basis)
+    return MonomialIdeal._of(I.ring, _packing(I.ring.n, pk.bits), _minimal(lts, pk.guard))

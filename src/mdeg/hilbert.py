@@ -377,13 +377,14 @@ def geometric_multidegrees(I):
 
 
 def hilbert_function_oracle(I, bound):
-    """Exact Hilbert function values for all multidegrees <= bound.
+    """Exact Hilbert function values at the multidegrees <= bound.
 
     Counts the standard monomials of the initial ideal
     (MonomialIdeal.standard_monomials) degree by degree, so it does not
     depend on the K-polynomial recursion; the componentwise bound is
     capped at ORACLE_BOUND_LIMIT because the enumeration is exponential in
-    it.  Returns a dict nu -> dim_k (S/I)_nu.
+    it.  Returns a dict nu -> dim_k (S/I)_nu of the nonzero values: a
+    missing nu <= bound has value 0, as HF(0, 1) of (z) in k[x, y | z].
     """
     ring = I.ring
     bound = tuple(bound)

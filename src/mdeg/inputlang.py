@@ -36,14 +36,13 @@ is pow(c, k, p).
 
 import re
 import sys
-from itertools import chain
 from math import comb
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 
 from .errors import BadArgument, InputError, NonPrimeModulus
 from .fields import QQ, PrimeField
 from .groebner import Ideal
-from .ring import GradedRing, Polynomial, _field_bits, _packing
+from .ring import GradedRing, Polynomial, is_homogeneous
 
 #: Largest C(k + r, r) for a power (f)^k of a parenthesized sum f of r terms.
 POWER_TERMS_LIMIT = 10**6
@@ -150,19 +149,13 @@ class Session:
     def ideal(self, name):
         if name not in self.ideals:
             raise InputError(f"no ideal named {name!r} in the input")
-        ring = self.ring
         gens = self.ideals[name]
         # every generator is checked here, with its position, so Ideal
-        # need not check them again: a term's degree is one int, packed
-        # as hilbert packs t-exponents, in fields that hold the degree of
-        # any exponent vector whose entries are at most `top`
-        top = max(map(max, chain.from_iterable(f.terms for f in gens)), default=0)
-        tpk = _packing(ring.p, _field_bits(top * max(map(sum, zip(*ring.degrees)))))
-        tdeg = [tpk.pack(d) for d in ring.degrees]
+        # need not check them again
         for f, start in zip(gens, self.positions[name]):
-            if len({sum(map(mul, e, tdeg)) for e in f.terms}) > 1:
+            if not is_homogeneous(f):
                 raise _error(self._lines, start, f"generator {f} is not multihomogeneous")
-        return Ideal._of(ring, [f for f in gens if f])
+        return Ideal._of(self.ring, [f for f in gens if f])
 
 
 def parse_input(text):

@@ -8,10 +8,11 @@ computed modulo a prime.
 
 A MonomialIdeal stores its minimal generators as ints, packed by the one
 exponent packing of ring._Packing in its plain layout: a field of B bits
-per variable with a guard bit on top, x_1 in the top field.  Int order
-is then lex order on exponent tuples, a proper divisor is a smaller int,
-and a | b is `not (b - a) & GUARD`.  So the minimal generators are found
-by sorting the ints and keeping each one that no kept one divides; a
+per variable with a guard bit on top, x_i in field i from the bottom.
+Ints compare as their exponent tuples read from x_n down, a proper
+divisor is a smaller int, and a | b is `not (b - a) & GUARD`.  So the
+minimal generators are found by sorting the ints and keeping each one
+that no kept one divides (ring._minimal); a
 colon is the fieldwise max(g - m, 0) of `_Packing.excess`, an
 intersection the generators of each ideal that the other holds and the
 lcm of each pair of the rest, a variable saturation and the radical are
@@ -39,25 +40,11 @@ from .errors import (
     TooManyVertices,
 )
 from .fields import rank_mod_p
-from .ring import _field_bits, _max_exponent, _monomial_str, _packing
+from .ring import _field_bits, _max_exponent, _minimal, _monomial_str, _packing
 
 
 #: Most vertices reisner_cm_check accepts in a complex's core: it walks every face.
 MAX_CORE_VERTICES = 25
-
-
-def _minimal(ints, guard):
-    """The minimal generators among distinct packed exponents `ints`, in
-    ascending order: a proper divisor is a smaller int, so each one is
-    kept unless a kept one divides it."""
-    out = []
-    for g in ints:
-        for h in out:
-            if not (g - h) & guard:
-                break
-        else:
-            out.append(g)
-    return out
 
 
 def _has_divisor(ints, p, guard):
@@ -153,9 +140,6 @@ class MonomialIdeal:
         bits = max(self._pk.bits, other._pk.bits)
         pk, mine = self._at(bits)
         return pk, mine, other._at(bits)[1]
-
-    def _unit_vector(self, i):
-        return self._pk.pack(tuple(int(j == i) for j in range(self.ring.n)))
 
     def __eq__(self, other):
         return (
@@ -275,7 +259,7 @@ class MonomialIdeal:
 
     def saturate_variable(self, i):
         """(I : x_i^infinity): zero out the x_i exponent of every generator."""
-        keep = ~(self._unit_vector(i) * ((1 << self._pk.bits) - 1))
+        keep = ~((1 << self._pk.bits * i) * ((1 << self._pk.bits) - 1))
         return self._derived(g & keep for g in self._ints)
 
     def _pivot_split(self):
@@ -300,14 +284,15 @@ class MonomialIdeal:
             total = sum(s >> shift for s in supports[k : k + chunk])
             counts = [a + b for a, b in zip(counts, pk.unpack(total))]
         i = max(range(self.ring.n), key=lambda i: (counts[i], -i))
-        x = self._unit_vector(i)
+        x = 1 << pk.bits * i  # x_i
         return i, self._plus_packed(pk, self._ints, x), self._colon_packed(x)
 
     def _split(self):
         """None when every minimal generator is a pure power; otherwise
-        (I + (u), I + (v)) for the first generator g = u*v in ascending
-        (lex) order that has two variables, u the power of its first
-        variable, which sits in the highest nonzero field of g."""
+        (I + (u), I + (v)) for the first generator g = u*v in ascending int
+        order (the exponent tuples compared from x_n down) that has two
+        variables, u the power of its last variable, which sits in the
+        highest nonzero field of g."""
         pk = self._pk
         bits = pk.bits
         fmask = (1 << bits) - 1
@@ -331,7 +316,7 @@ class MonomialIdeal:
         n, degrees = self.ring.n, self.ring.degrees
         pk, ints = self._at(_field_bits(max(bound, default=0) + 1))
         guard = pk.guard
-        units = [pk.pack([int(j == i) for j in range(n)]) for i in range(n)]
+        units = [1 << pk.bits * i for i in range(n)]
         e, out = [0] * n, []
 
         def walk(i, p, deg):
@@ -366,11 +351,10 @@ def from_polynomial_gens(ring, polys):
 
 def prime_ideal(ring, variables):
     """The monomial prime of the variables of the indices `variables`:
-    their exponents packed in 8-bit fields, x_i in field n - 1 - i from
-    the bottom, with no two dividing each other."""
-    n = ring.n
-    units = sorted(1 << 8 * (n - 1 - i) for i in set(variables))
-    return MonomialIdeal._of(ring, _packing(n, 8), units)
+    their exponents packed in 8-bit fields, x_i in field i, with no two
+    dividing each other."""
+    units = sorted(1 << 8 * i for i in set(variables))
+    return MonomialIdeal._of(ring, _packing(ring.n, 8), units)
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +382,12 @@ def irreducible_decomposition(I):
 
     Each ideal of the split tree with a generator g = u*v of two or more
     variables splits into I + (u) and I + (v), at the first such g in
-    ascending (lex) order of the minimal generators and with u the power
-    of g's first variable, so the tree and the order of the result depend
-    on I alone.  Irreducible monomial ideals are strongly irreducible: if
-    J contains an intersection of monomial ideals K_1, ..., K_r, then J
-    contains some K_i (take the lcm of witnesses m_i in K_i outside J).
+    ascending int order of the minimal generators (their exponent tuples
+    compared from x_n down) and with u the power of g's last variable, so
+    the tree and the order of the result depend on I alone.  Irreducible
+    monomial ideals are strongly irreducible: if J contains an
+    intersection of monomial ideals K_1, ..., K_r, then J contains some
+    K_i (take the lcm of witnesses m_i in K_i outside J).
     So a component is redundant exactly when it contains another one, and
     the result is the inclusion-minimal components in the order the
     depth-first split tree, I + (v) first, reaches them.

@@ -6,8 +6,9 @@ standardization-compatible lifted order are instances.  Lex on the
 row-major variables of a generic matrix is the diagonal order of
 determinantal ideals: every minor leads with its main diagonal.
 
-Comparisons run on ring._Packing, whose layout makes the weight rows and
-tie-break one int key; tests/tuple_kernel.py keeps the tuple key as oracle.
+Comparisons run on ring._Packing, which packs an order's packing_rows
+above the variable fields, so that its key is one int;
+tests/tuple_kernel.py keeps the tuple key as oracle.
 """
 
 from .errors import BadArgument
@@ -48,6 +49,14 @@ class MonomialOrder:
             for j in range(self.n - 1, 0, -1):
                 rows.append(tuple(-int(i == j) for i in range(self.n)))
         return rows
+
+    def packing_rows(self):
+        """The rows of ring._Packing, first row highest: grevlex's weight
+        rows and the all-ones row, whose ties the flipped variable fields
+        break, or lex's full weight rows, whose unit rows leave no tie."""
+        if self.tiebreak == "lex":
+            return tuple(self.full_weight_rows())
+        return self.weight_rows + ((1,) * self.n,)
 
     def __eq__(self, other):
         return (

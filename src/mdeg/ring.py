@@ -8,34 +8,33 @@ exponent vectors, independent of any monomial order.
 
 Arithmetic runs on packed exponents (Monagan-Pearce, "Polynomial division
 using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  A
-_Packing stores an exponent vector as one int: each variable has a field
-of B bits (8, 16, 32, ...) whose top bit is a guard, clear in every valid
-exponent.  A monomial product is one int add, and a | b is
-`not (b - a) & GUARD`, since a field with a_i > b_i borrows into its own
-guard.  Packed for a monomial order, the fields above the variables hold
-the total degree (grevlex only) and then the weight rows, first row
-highest, as signed fields wide enough for any valid exponent, so the
-order's sort key is one int: P ^ LOW for grevlex, where x_n sits in the
-top variable field and LOW masks the variable fields, and P itself for
-lex, where x_1 sits in the top variable field.  pack is additive, so a
-product of monomials packed in any layout is the sum of their packings.
-_add_mul, the one loop that combines two term dicts, works its
-coefficients out inline, modulo p or with the plain operators, and raises
-_Overflow when a new exponent has a guard bit set; its caller widens B
-and reruns, so results stay exact for any exponent size.  Polynomial +,
-- and * pack at their boundary, with fields wide enough for the result.
+_Packing stores an exponent vector as one int, x_i in variable field i
+from the bottom, each field of B bits (8, 16, 32, ...) with a guard bit on
+top, clear in every valid exponent.  A monomial product is one int add,
+and a | b is `not (b - a) & GUARD`, since a field with a_i > b_i borrows
+into its own guard.  Above the variable fields sit a monomial order's
+rows (orders.MonomialOrder.packing_rows), first row highest, as signed
+fields wide enough for any valid exponent, so every order's sort key is
+P ^ vmask, vmask masking the variable fields.  pack is additive, so a
+product of monomials is the sum of their packings.  _add_mul, the one
+loop that combines two term dicts, works its coefficients out inline,
+modulo p or with the plain operators, and raises _Overflow when a new
+exponent has a guard bit set; its caller widens B and reruns, so results
+stay exact for any exponent size.  Polynomial +, - and * pack at their
+boundary, with fields wide enough for the result.
 
-The same packing, in its plain layout (lex, no rows: x_1 in the top
-field, so int order is lex order on exponent tuples and a proper divisor
-is a smaller int), stores the minimal generators of every
-monomial.MonomialIdeal, at the narrowest B that holds their exponents;
-the fieldwise max(b - a, 0) of `_Packing.excess` gives its colons and,
-through `_Packing.lcm`, its intersections.
+The plain layout has no rows, so an exponent packed for any order,
+masked with vmask, is its plain int; a proper divisor is a smaller int,
+and ints compare as the exponent tuples read from x_n down.  It stores
+the t-exponents of K-polynomials and the minimal generators of every
+monomial.MonomialIdeal (_minimal), at the narrowest B that holds them;
+the fieldwise max(b - a, 0) of `_Packing.excess` gives their colons and,
+through `_Packing.lcm`, their intersections.
 """
 
 from functools import lru_cache
 from itertools import chain
-from operator import lshift, mul
+from operator import mul
 
 from .errors import (
     DuplicateVariableName,
@@ -176,42 +175,33 @@ def _max_exponent(dicts):
 
 class _Packing:
     """Exponent tuples of n variables as ints, `bits` bits per variable
-    field, laid out for grevlex or lex refined from the weight `rows` (see
-    the module docstring); lex with no rows is the plain layout of
-    Polynomial arithmetic.
+    field and the weight `rows` above them (see the module docstring).
 
-    `guard` holds the guard bits, `vmask` the variable fields and `flip`
-    what a packed exponent is XORed with to give its order key; pack is
-    additive, and `above[k]` is what a unit in the k-th variable field from
-    the bottom adds to the fields above the variables (groebner._new_pairs).
+    `guard` holds the guard bits and `vmask` the variable fields, and a
+    packed exponent XORed with vmask is its order key; pack is additive,
+    and `above[i]` is what a unit in x_i adds to the fields above the
+    variables (groebner._new_pairs).
     """
 
-    def __init__(self, n, bits, rows=(), grevlex=False):
+    def __init__(self, n, bits, rows=()):
         top = (1 << (bits - 1)) - 1  # the largest exponent a field holds
         nv = n * bits
         self.bits = bits
         self.vmask = (1 << nv) - 1
         self.guard = self.vmask // ((1 << bits) - 1) << (bits - 1)
-        self.flip = self.vmask if grevlex else 0
-        # fields above the variables, lowest first: (row, shift), where
-        # row None is the total degree; a field's width covers the values
-        # of the row on every valid exponent
-        self._high = []
+        self.above = [0] * n
         shift = nv
-        for row in ([None] if grevlex else []) + list(reversed(rows)):
-            self._high.append((row, shift))
-            shift += (top * (n if row is None else sum(map(abs, row)))).bit_length()
-        # the bit offset of each variable's field; field k holds variable fields[k]
-        fields = range(n) if grevlex else range(n - 1, -1, -1)
-        self._shifts = [k * bits for k in fields]
+        for row in reversed(rows):  # the fields above the variables, lowest first
+            self.above = [a + (r << shift) for a, r in zip(self.above, row)]
+            # a field's width covers the values of its row on every valid exponent
+            shift += (top * sum(map(abs, row))).bit_length()
+        self._shifts = [i * bits for i in range(n)]
         self._fmask = (1 << bits) - 1
-        self.above = [sum((1 if r is None else r[i]) << h for r, h in self._high) for i in fields]
+        # pack is additive: x_i packs as a unit in its field plus above[i]
+        self._units = [(1 << s) + a for s, a in zip(self._shifts, self.above)]
 
     def pack(self, e):
-        p = sum(map(lshift, e, self._shifts))
-        for row, shift in self._high:
-            p += (sum(e) if row is None else sum(map(mul, row, e))) << shift
-        return p
+        return sum(map(mul, e, self._units))
 
     def unpack(self, p):
         fmask = self._fmask
@@ -234,19 +224,31 @@ class _Packing:
         return d & (g - (g >> (self.bits - 1)))
 
     def lcm(self, a, b):
-        """lcm of two exponents packed in a layout with no fields above the
-        variables (the plain one): a plus the fieldwise excess of b.  In
-        an order's layout a + excess gets the lcm's variable fields right,
-        and the excess's fields times `above` add the fields above
-        (groebner._new_pairs)."""
+        """lcm of two exponents packed in the plain layout: a plus the
+        fieldwise excess of b (with rows, groebner._new_pairs adds the
+        excess's fields times `above`)."""
         return a + self.excess(a, b)
 
 
 @lru_cache(maxsize=128)
-def _packing(n, bits, rows=(), grevlex=False):
+def _packing(n, bits, rows=()):
     """The _Packing for these arguments, made once: Polynomial arithmetic
     asks for one on every operation."""
-    return _Packing(n, bits, rows, grevlex)
+    return _Packing(n, bits, rows)
+
+
+def _minimal(ints, guard):
+    """The minimal generators among distinct packed exponents `ints`,
+    given with each proper divisor before its multiples, as ascending
+    plain ints are: each one is kept unless a kept one divides it."""
+    out = []
+    for g in ints:
+        for h in out:
+            if not (g - h) & guard:
+                break
+        else:
+            out.append(g)
+    return out
 
 
 def _add_mul(acc, c, shift, g, field, guard, skip=None):
@@ -387,33 +389,40 @@ class Polynomial:
         return f"Poly({self})"
 
 
-def multidegree_of(f):
-    """Common N^p degree of a homogeneous polynomial.
+@lru_cache(maxsize=128)
+def _degree_packing(degrees, p, top):
+    """(tpk, the degree vectors in N^p packed by tpk), for tpk the plain
+    packing with fields that hold the degree of every exponent vector
+    whose entries are at most `top`."""
+    tpk = _packing(p, _field_bits(top * max(map(sum, zip(*degrees)), default=0)))
+    return tpk, [tpk.pack(d) for d in degrees]
 
-    Raises NotHomogeneous (naming two offending terms) when terms disagree,
-    ZeroPolynomial on zero input.
-    """
-    if not f:
+
+def multidegree_of(f):
+    """Common N^p degree of a homogeneous polynomial, each term's degree
+    one packed int (_degree_packing); NotHomogeneous names two terms that
+    disagree by their tuple degrees, ZeroPolynomial zero input."""
+    if not f.terms:
         raise ZeroPolynomial("the zero polynomial has no multidegree")
     ring = f.ring
-    deg = None
-    first = None
-    for e in f.terms:
-        d = ring.monomial_degree(e)
-        if deg is None:
-            deg, first = d, e
-        elif d != deg:
-            raise NotHomogeneous(
-                f"terms {_monomial_str(ring.names, first)} (degree {deg}) and "
-                f"{_monomial_str(ring.names, e)} (degree {d}) disagree"
-            )
-    return deg
+    tpk, tdeg = _degree_packing(ring.degrees, ring.p, max(map(max, f.terms)) if ring.n else 0)
+    degs = {sum(map(mul, e, tdeg)) for e in f.terms}
+    if len(degs) > 1:
+        names, degree = ring.names, ring.monomial_degree
+        first, *rest = f.terms
+        d = degree(first)
+        e = next(e for e in rest if degree(e) != d)
+        raise NotHomogeneous(
+            f"terms {_monomial_str(names, first)} (degree {d}) and "
+            f"{_monomial_str(names, e)} (degree {degree(e)}) disagree"
+        )
+    return tpk.unpack(degs.pop())
 
 
 def is_homogeneous(f):
     """Whether all terms of f have one multidegree; the zero polynomial has."""
     try:
-        f and multidegree_of(f)
+        f.terms and multidegree_of(f)
     except NotHomogeneous:
         return False
     return True

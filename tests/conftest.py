@@ -472,19 +472,19 @@ def new_pairs(lts, t, pk):
         if l != (a & vmask) + tv:
             u = pk.unpack(l)
             l = pk.pack(u)
-            new.append(((a, t), (sum(u), l ^ pk.flip, l)))
+            new.append(((a, t), (sum(u), l ^ vmask, l)))
     return new
 
 
 def reduce_basis(basis, field, pk):
     """groebner._reduce_basis as it was: each kept element fully reduced
     against the others, then made monic."""
-    guard, flip = pk.guard, pk.flip
+    guard, vmask = pk.guard, pk.vmask
     keep = []
-    for a in sorted(basis, key=lambda a: a & pk.vmask):
+    for a in sorted(basis, key=lambda a: a & vmask):
         if all((a - b) & guard for b in keep):
             keep.append(a)
-    keep.sort(key=lambda a: a ^ flip)
+    keep.sort(key=lambda a: a ^ vmask)
     out = []
     for a in keep:
         others = {b: basis[b] for b in keep if b != a}

@@ -178,12 +178,12 @@ def _divide_exact(g, f):
 
 def _quotient(pk, dicts, F):
     rem, f = dicts
-    flip, guard = pk.flip, pk.guard
-    lt = max(x ^ flip for x in f) ^ flip
+    vmask, guard = pk.vmask, pk.guard
+    lt = max(x ^ vmask for x in f) ^ vmask
     lc = f[lt]
     quo = {}
     while rem:
-        e = max(x ^ flip for x in rem) ^ flip
+        e = max(x ^ vmask for x in rem) ^ vmask
         shift = e - lt
         if shift & guard:
             raise ArithmeticError("division is not exact")
@@ -908,7 +908,7 @@ def test_pair_update_and_interreduction_match_the_oracles(data, bits, field, mem
     n, polys, seed, drop = data
     R = make_ring([f"v{i}" for i in range(n)], [(1,)] * n)
     for order in _orders(random.Random(seed), R) + [elimination_order(n, drop)]:
-        pk = _packing(n, bits, order.weight_rows, order.tiebreak == "grevlex")
+        pk = _packing(n, bits, order.packing_rows())
         basis, got, want = {}, {}, {}
         memos = ({}, {}) if memo else (None, None)
         todo = [pk.pack_dict({e: field.coerce(c) for e, c in d.items()}) for d in polys]

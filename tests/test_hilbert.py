@@ -46,7 +46,7 @@ from mdeg.monomial import (
     minimal_primes,
     primary_decomposition,
 )
-from mdeg.orders import lex, weight_order
+from mdeg.orders import MonomialOrder, lex, weight_order
 from mdeg.ring import Polynomial, _field_bits, _packing, make_ring
 import tuple_kernel
 
@@ -483,14 +483,19 @@ def test_C_recursion_on_lex_initial_ideals_of_minors(m, n, r):
     assert multidegree_C(I, order) == multidegree_C_by_substitution(I, order)
 
 
-@pytest.mark.parametrize("grevlex_layout", [False, True])
-def test_hilbert_hint_at_degrees_past_the_exponent_fields(grevlex_layout):
+def _order(n, rows, grevlex_tie):
+    """The order of the weight rows refined by grevlex or lex."""
+    return MonomialOrder(n, rows, "grevlex" if grevlex_tie else "lex")
+
+
+@pytest.mark.parametrize("grevlex_tie", [False, True])
+def test_hilbert_hint_at_degrees_past_the_exponent_fields(grevlex_tie):
     # leading terms in 8-bit fields whose lcms reach degree 250 and more,
     # though K(S/I) stops at degree 6: the hint agrees with the tuple hint
     R = make_ring(["x", "y", "z"], [(1,)] * 3)
     I = MonomialIdeal(R, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
     lts = [(100, 20, 0), (0, 90, 30), (70, 0, 60), (0, 0, 127)]
-    pk = _packing(R.n, 8, (), grevlex_layout)
+    pk = _packing(R.n, 8, _order(R.n, (), grevlex_tie).packing_rows())
     hint, tuple_hint = HilbertHint(I), tuple_kernel.HilbertHint(I)
     hint.start(pk)
     monos = [(a, b, c) for a in (0, 60, 127) for b in (0, 90, 127) for c in (0, 1, 127)]
@@ -504,11 +509,11 @@ def test_hilbert_hint_at_degrees_past_the_exponent_fields(grevlex_layout):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.booleans(), st.booleans(), st.sampled_from([8, 16]))
-def test_hilbert_hint_matches_hf_oracle(seed, empty_block, grevlex_layout, bits):
+def test_hilbert_hint_matches_hf_oracle(seed, empty_block, grevlex_tie, bits):
     # L generated by some generators of a monomial ideal I lies in I, as the
     # leading terms found so far lie in the initial ideal; they are fed in
-    # turn, packed with or without weight rows, in the grevlex or the lex
-    # layout and in fields as wide as or wider than L's own, as the pair
+    # turn, packed for grevlex or lex, with or without weight rows, and in
+    # fields as wide as or wider than L's own, as the pair
     # loop feeds its leading terms; the tuple hint of tests/tuple_kernel.py
     # is given the prefixes of lts
     rng = random.Random(seed)
@@ -518,7 +523,7 @@ def test_hilbert_hint_matches_hf_oracle(seed, empty_block, grevlex_layout, bits)
     I = random_monomial_ideal(rng, R, max_exp=2)
     lts = rng.sample(sorted(I.gens), rng.randint(0, len(I.gens)))
     rows = (tuple(rng.randrange(1, 4) for _ in range(R.n)),) if rng.randrange(2) else ()
-    pk = _packing(R.n, bits, rows, grevlex_layout)
+    pk = _packing(R.n, bits, _order(R.n, rows, grevlex_tie).packing_rows())
     hint, tuple_hint = HilbertHint(I), tuple_kernel.HilbertHint(I)
     hint.start(pk)
     bound = (3,) * R.p

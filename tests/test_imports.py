@@ -492,15 +492,6 @@ KEPT_UNREACHED = {
     ("monomial.py", "borel_prime_exponent", "return None"): (
         "every associated prime of a gin is a block segment, so only a wrong gin fails"
     ),
-    ("orders.py", "MonomialOrder.full_weight_rows", "for j in range(self.n):"): (
-        "the lex tie-break: the commands lift only grevlex (standardize "
-        "--verify), but lift_order_phi must stay right for every order it accepts"
-    ),
-    (
-        "orders.py",
-        "MonomialOrder.full_weight_rows",
-        "rows.append(tuple(int(i == j) for i in range(self.n)))",
-    ): "the lex tie-break, as above",
     (
         "standardize.py",
         "standardize_ideal",

@@ -299,14 +299,9 @@ def test_inlined_arithmetic_cancels_fractions_to_zero():
     assert acc == {pk.pack((0, 2)): Fraction(61, 12)}
 
 
-def _layouts(n, rows):
-    """(MonomialOrder, grevlex?) for grevlex and lex, with and without the
-    weight rows."""
-    return [
-        (MonomialOrder(n, r, t), t == "grevlex")
-        for r in ((), rows)
-        for t in ("grevlex", "lex")
-    ]
+def _orders(n, rows):
+    """Grevlex and lex, with and without the weight rows."""
+    return [MonomialOrder(n, r, t) for r in ((), rows) for t in ("grevlex", "lex")]
 
 
 @settings(max_examples=150, deadline=None)
@@ -324,20 +319,23 @@ def test_packed_keys_divisibility_and_lcm_match_tuples(data, bits):
     """Order keys compare as tuple_kernel.order_key does, also with negative
     weights, and divisibility and lcm agree with the exponent tuples; the
     fields are wide enough for the lcms (exponents up to 40 < 2^7).
-    _Packing.lcm, which has no repack, is the lcm of the plain layout."""
+    _Packing.lcm, which has no repack, is the lcm of the plain layout, and
+    every order's packing, masked to its variable fields, is the plain
+    one."""
     n, monos, rows = data
     plain = _packing(n, bits)
     for a, b in itertools.product(monos, repeat=2):
         assert plain.lcm(plain.pack(a), plain.pack(b)) == plain.pack(tuple_kernel.lcm(a, b))
     rows = [tuple(n * [1])] + rows  # a positive first row keeps a well-order
-    for order, is_grevlex in _layouts(n, rows):
-        pk = _packing(n, bits, order.weight_rows, is_grevlex)
+    for order in _orders(n, rows):
+        pk = _packing(n, bits, order.packing_rows())
         key = tuple_kernel.order_key(order)
         for a in monos:
             assert pk.unpack(pk.pack(a)) == a
+            assert pk.pack(a) & pk.vmask == plain.pack(a)
             for b in monos:
                 pa, pb = pk.pack(a), pk.pack(b)
-                assert ((pa ^ pk.flip) < (pb ^ pk.flip)) == (key(a) < key(b))
+                assert ((pa ^ pk.vmask) < (pb ^ pk.vmask)) == (key(a) < key(b))
                 divides = all(x <= y for x, y in zip(a, b))
                 assert (not (pb - pa) & pk.guard) == divides
                 lcm = pk.pack(tuple_kernel.lcm(a, b))
@@ -361,10 +359,12 @@ def test_lifted_grevlex_keys_match_tuples():
     R = make_ring(["a", "b"], [(2,), (1,)])
     std = standardize(R)
     order = lift_order_phi(MonomialOrder(R.n), std)
-    pk = _packing(std.target.n, 8, order.weight_rows, False)
+    pk = _packing(std.target.n, 8, order.packing_rows())
     monos = list(itertools.product(range(3), repeat=std.target.n))
     keys = sorted(monos, key=tuple_kernel.order_key(order))
-    assert sorted(monos, key=lambda e: pk.pack(e) ^ pk.flip) == keys
+    assert sorted(monos, key=lambda e: pk.pack(e) ^ pk.vmask) == keys
+    plain = _packing(std.target.n, 8)
+    assert all(pk.pack(e) & pk.vmask == plain.pack(e) for e in monos)
 
 
 def test_field_bits_doubles_from_eight():

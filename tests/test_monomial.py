@@ -272,12 +272,13 @@ def _intersection_of(ideals):
 
 
 def _split_generator(J):
-    """The first generator, in ascending (lex) order, with two variables,
-    split into the power of its first variable and the rest; or None."""
-    for g in sorted(J.gens):
+    """The first generator, in ascending order of its exponent tuple read
+    from the last variable down, with two variables, split into the power
+    of its last variable and the rest; or None."""
+    for g in sorted(J.gens, key=lambda g: g[::-1]):
         supp = [i for i, e in enumerate(g) if e]
         if len(supp) > 1:
-            i = supp[0]
+            i = supp[-1]
             u = tuple(e if j == i else 0 for j, e in enumerate(g))
             v = tuple(0 if j == i else e for j, e in enumerate(g))
             return u, v
